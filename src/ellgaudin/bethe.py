@@ -89,14 +89,15 @@ class BetheSystem:
             for a in self.assignment
         ]
         self._check_charge()
+        need = self.M + max(rs.root_heights)
         for mod in problem.modules:
-            if mod.depth is not None and mod.depth < self.M + 1:
+            if mod.depth is not None and mod.depth < need:
                 raise BetheError(
                     "site module truncated at depth "
-                    f"{mod.depth}; need at least {self.M + 1} so that the "
-                    "quadratic part of the transfer operator is exact on "
-                    "the zero-weight space (its raising-lowering terms "
-                    "pass through one level above the maximal occupation)"
+                    f"{mod.depth}; need at least M + ht(theta) = {need} so "
+                    "that the quadratic part of the transfer operator is "
+                    "exact on the zero-weight space (its raising-lowering "
+                    "terms pass through height M + ht(alpha) on one site)"
                 )
 
     def _check_charge(self, tol: float = 1e-12):
@@ -186,7 +187,7 @@ class BetheSystem:
         t = np.asarray(t0, dtype=complex)
         try:
             res, jac = self.equations(t)
-        except EllipticError:
+        except (EllipticError, OverflowError):
             return None
         best = float(np.max(np.abs(res)))
         for it in range(1, max_iter + 1):
@@ -204,6 +205,10 @@ class BetheSystem:
                 except EllipticError:
                     damp /= 2
                     continue
+                except OverflowError:
+                    # theta's quasi-periodicity factor overflowed: the
+                    # step diverged, so this seed fails
+                    return None
                 norm_c = float(np.max(np.abs(res_c)))
                 if norm_c < best or best < 1e-9:
                     t, res, jac, best = cand, res_c, jac_c, norm_c

@@ -46,6 +46,7 @@ from .liealg import (
     build_dual_verma,
     build_irrep,
     build_root_system,
+    min_dual_verma_depth,
     normalized_form,
 )
 
@@ -286,6 +287,26 @@ def _parse_sites(parser: configparser.ConfigParser, rank: int) -> list:
     return sites
 
 
+def _validate_depths(cfg: ExperimentConfig) -> None:
+    """Dual Verma truncations must reach M + ht(theta), M = ht(sum lambda_i)."""
+    if all(site.depth is None for site in cfg.sites):
+        return
+    try:
+        rs = build_root_system(cfg.series, cfg.rank)
+    except LieAlgebraError:
+        return  # the problem build reports the unsupported algebra
+    need = min_dual_verma_depth(
+        rs, [rs.weight_from_fundamental(site.weight) for site in cfg.sites]
+    )
+    for k, site in enumerate(cfg.sites, start=1):
+        if site.depth is not None and need is not None and site.depth < need:
+            raise ConfigError(
+                f"[sites] depth_{k} = {site.depth} is below M + ht(theta) = "
+                f"{need}; the transfer operator would not be exact on the "
+                "zero-weight space"
+            )
+
+
 def _validate_bethe(cfg: ExperimentConfig) -> None:
     """Charge condition and module-kind requirements for Bethe workflows."""
     for k, site in enumerate(cfg.sites, start=1):
@@ -370,6 +391,7 @@ def load_config(path: str) -> ExperimentConfig:
                     raise ConfigError(
                         f"sites coincide mod lattice: z_{a + 1} = z_{b + 1}"
                     )
+        _validate_depths(cfg)
 
     if parser.has_section("bethe"):
         if not cfg.sites:

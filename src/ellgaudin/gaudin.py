@@ -26,7 +26,12 @@ from .elliptic import (
     w_kernel,
     zeta11,
 )
-from .liealg import RepresentedModule, RootSystemData, TensorSpace
+from .liealg import (
+    RepresentedModule,
+    RootSystemData,
+    TensorSpace,
+    min_dual_verma_depth,
+)
 
 
 class GaudinError(Exception):
@@ -282,6 +287,15 @@ class GaudinProblem:
         self.positions = [complex(z) for z in positions]
         self.modules = list(modules)
         self.pole_guard = pole_guard
+        need = min_dual_verma_depth(rs, [mod.highest_weight for mod in modules])
+        for k, mod in enumerate(self.modules, start=1):
+            if mod.depth is not None and need is not None and mod.depth < need:
+                raise GaudinError(
+                    f"site {k} is a dual Verma module truncated at depth "
+                    f"{mod.depth}; need at least M + ht(theta) = {need}, so "
+                    "that the raising-lowering terms of the transfer operator "
+                    "are exact on the zero-weight space"
+                )
         self.space = TensorSpace(modules)
         if self.space.dim0 == 0:
             raise GaudinError("the zero-weight subspace is trivial")
@@ -304,27 +318,49 @@ class GaudinProblem:
         return mod.represent(x).T
 
     def _build_site_operators(self):
-        rs, space = self.rs, self.space
+        """h_r^(i) and e_{-a}^(j) e_a^(i) on the zero-weight space.
+
+        Entries are read off single-site matrices at the zero-weight
+        tuples.  Between tuples a and b, an operator on site i is
+        S_i[a_i, b_i] when a and b agree on every other site; the pair
+        term is R_j[a_j, b_j] L_i[a_i, b_i] when they agree off {i, j}, and
+        (R_i L_i)[a_i, b_i] when i = j.  The full tensor product is never
+        formed.
+        """
+        rs = self.rs
+        tuples = self.space.zero_array
         nsites = len(self.modules)
+        grid = [np.ix_(tuples[:, i], tuples[:, i]) for i in range(nsites)]
+        differ = [
+            tuples[:, i][:, None] != tuples[:, i][None, :] for i in range(nsites)
+        ]
+        mismatches = sum(d.astype(int) for d in differ)
+
+        def on_sites(mat, *sites):
+            # entries of mat where the tuples agree off the given sites
+            off = mismatches - sum(differ[i] for i in set(sites))
+            return np.where(off == 0, mat, 0)
+
         self._hstar = [
             [
-                space.restrict_zero(
-                    space.op_full(i, self.star_matrix(i, rs.h_ortho[r]))
-                )
+                on_sites(self.star_matrix(i, rs.h_ortho[r])[grid[i]], i)
                 for r in range(rs.rank)
             ]
             for i in range(nsites)
         ]
-        nroots = len(rs.chevalley.roots_ab)
         self._pair = {}
-        for k in range(nroots):
+        for k in range(len(rs.chevalley.roots_ab)):
             e_plus = rs.chevalley.root_vectors[k]
             e_minus = rs.chevalley.root_vectors[rs.negative_of(k)]
+            lower = [self.star_matrix(i, e_plus) for i in range(nsites)]
+            raise_ = [self.star_matrix(j, e_minus) for j in range(nsites)]
             for i in range(nsites):
-                lower = space.op_full(i, self.star_matrix(i, e_plus))
                 for j in range(nsites):
-                    raise_ = space.op_full(j, self.star_matrix(j, e_minus))
-                    self._pair[(i, j, k)] = space.restrict_zero(raise_ @ lower)
+                    if i == j:
+                        mat = (raise_[i] @ lower[i])[grid[i]]
+                    else:
+                        mat = raise_[j][grid[j]] * lower[i][grid[i]]
+                    self._pair[(i, j, k)] = on_sites(mat, i, j)
 
     # -- coefficient data ------------------------------------------------
 

@@ -20,12 +20,14 @@ Modules come in two kinds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import product as _iproduct
+from dataclasses import dataclass
 
 import numpy as np
 
 _WEIGHT_TOL = 1e-9
+# integrality slack for simple-root coordinates of weight sums; the exact
+# zero test is the one with _WEIGHT_TOL
+_BUDGET_TOL = 1e-6
 
 
 class LieAlgebraError(ValueError):
@@ -568,7 +570,11 @@ class TensorSpace:
     """Tensor product of represented modules with its zero-weight data.
 
     The product basis is ordered row-major (last factor fastest), matching
-    the Kronecker products used to promote single-factor operators.
+    the Kronecker products used to promote single-factor operators.  Only
+    the zero-weight tuples are enumerated: every basis weight of a site is
+    lambda_i - beta with beta in the positive root lattice, so a prefix of
+    sites whose summed beta exceeds that of sum(lambda_i) in some
+    simple-root coordinate cannot be completed and is pruned.
     """
 
     def __init__(self, modules, tol: float = _WEIGHT_TOL):
@@ -577,29 +583,62 @@ class TensorSpace:
             raise LieAlgebraError("tensor product needs at least one factor")
         self.rs = self.modules[0].rs
         self.dims = [m.dim for m in self.modules]
-        self.index_tuples = list(_iproduct(*(range(d) for d in self.dims)))
-        w = np.zeros((len(self.index_tuples), self.rs.rank), dtype=complex)
-        for pos, tup in enumerate(self.index_tuples):
-            for m, k in zip(self.modules, tup):
-                w[pos] += m.weights[k]
-        self.weights = w
-        self.zero_indices = np.array(
-            [i for i, ww in enumerate(w) if np.max(np.abs(ww)) < tol], dtype=int
-        )
+        budget = _root_budget(self.rs, [m.highest_weight for m in self.modules])
+        tuples = [] if budget is None else self._candidates(budget)
+        arr = np.array(tuples, dtype=int).reshape(len(tuples), len(self.modules))
+        # the zero test the full product would apply, in the same order of
+        # summation, on the candidates whose lowering matches the budget
+        w = np.zeros((len(arr), self.rs.rank), dtype=complex)
+        for pos, m in enumerate(self.modules):
+            w += m.weights[arr[:, pos]]
+        self.zero_array = arr[np.max(np.abs(w), axis=1, initial=0.0) < tol]
+        self.zero_indices = np.ravel_multi_index(tuple(self.zero_array.T), self.dims)
+
+    def _candidates(self, budget: np.ndarray) -> list:
+        """Tuples whose summed site lowering equals budget, in lex order."""
+        lowering = []
+        for m in self.modules:
+            beta = _root_coords(self.rs, m.highest_weight - m.weights)
+            rounded = np.rint(beta.real).astype(int)
+            if np.max(np.abs(beta - rounded), initial=0.0) > _BUDGET_TOL:
+                raise LieAlgebraError(
+                    "module weights are not highest weight minus positive roots"
+                )
+            lowering.append([tuple(b) for b in rounded])
+        last: dict = {}
+        for k, beta in enumerate(lowering[-1]):
+            last.setdefault(beta, []).append(k)
+        out = []
+
+        def rec(prefix, left):
+            if len(prefix) == len(lowering) - 1:
+                for k in last.get(left, ()):
+                    out.append(prefix + (k,))
+                return
+            for k, beta in enumerate(lowering[len(prefix)]):
+                rest = tuple(a - b for a, b in zip(left, beta))
+                if min(rest) >= 0:
+                    rec(prefix + (k,), rest)
+
+        rec((), tuple(int(b) for b in budget))
+        return out
 
     @property
     def dim(self) -> int:
-        return len(self.index_tuples)
+        return math.prod(self.dims)
 
     @property
     def dim0(self) -> int:
         return len(self.zero_indices)
 
     def zero_tuples(self):
-        return [self.index_tuples[i] for i in self.zero_indices]
+        return [tuple(int(k) for k in tup) for tup in self.zero_array]
 
     def op_full(self, i: int, mat: np.ndarray) -> np.ndarray:
-        """Operator acting on factor i, promoted to the full product."""
+        """Operator acting on factor i, promoted to the full product.
+
+        Dense reference for tests; the Gaudin layer never builds it.
+        """
         out = np.array([[1.0 + 0j]])
         for pos, d in enumerate(self.dims):
             out = np.kron(out, mat if pos == i else np.eye(d, dtype=complex))
@@ -609,6 +648,36 @@ class TensorSpace:
         return mat[np.ix_(self.zero_indices, self.zero_indices)]
 
 
-def zero_weight_basis(modules) -> TensorSpace:
-    """Tensor space of the given modules with its zero-weight sub-basis."""
-    return TensorSpace(modules)
+def _root_coords(rs: RootSystemData, weights) -> np.ndarray:
+    """Simple-root coordinates of weights (one per row, or a single one)."""
+    return np.linalg.solve(
+        rs.simple_roots.T.astype(complex), np.asarray(weights, dtype=complex).T
+    ).T
+
+
+def _root_budget(rs: RootSystemData, weights):
+    """Simple-root coordinates of sum(weights) as integers, or None.
+
+    None means the sum is not in the positive root lattice, so no choice
+    of site weights lambda_i - beta_i sums to zero.
+    """
+    total = _root_coords(rs, np.sum(np.asarray(weights, dtype=complex), axis=0))
+    rounded = np.rint(total.real).astype(int)
+    if np.max(np.abs(total - rounded)) > _BUDGET_TOL or np.any(rounded < 0):
+        return None
+    return rounded
+
+
+def min_dual_verma_depth(rs: RootSystemData, weights):
+    """Truncation depth a dual Verma site needs, or None if unconstrained.
+
+    With M = ht(sum lambda_i) a site carries height at most M in a
+    zero-weight tuple, and the term e_{-a}^(i) e_a^(i) of the transfer
+    operator passes through height M + ht(a) on that site, so the
+    truncation must reach M + ht(theta).  None when the zero-weight space
+    is trivial.
+    """
+    budget = _root_budget(rs, weights)
+    if budget is None:
+        return None
+    return int(budget.sum()) + max(rs.root_heights)

@@ -24,7 +24,7 @@ from ellgaudin.bethe import (
     root_multiplicities,
 )
 from ellgaudin.elliptic import EllipticError, ModularData
-from ellgaudin.gaudin import GaudinProblem, sample_regular_cartan
+from ellgaudin.gaudin import GaudinError, GaudinProblem, sample_regular_cartan
 from ellgaudin.liealg import build_dual_verma, build_root_system
 
 from oracles import (
@@ -96,11 +96,11 @@ def test_charge_mismatch_raises():
 
 
 def test_shallow_modules_rejected():
-    # M = 2 needs one level above the maximal occupation, i.e. depth >= 3.
+    # M = 2 needs M + ht(theta) = 3 in rank 1.  The problem refuses the
+    # truncation before a Bethe system can be built on it.
     c = 0.73 + 0.21j
-    prob = GaudinProblem(RS1, MD, Z2, dual_verma_sites([c, 2 - c], depth=2))
-    with pytest.raises(BetheError):
-        BetheSystem(prob)
+    with pytest.raises(GaudinError, match=r"M \+ ht\(theta\) = 3"):
+        GaudinProblem(RS1, MD, Z2, dual_verma_sites([c, 2 - c], depth=2))
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +353,39 @@ def test_verification_inconclusive_below_threshold():
         sols[0].t, hpts, [0.62 + 0.3j], tiny=np.inf
     )
     assert report["status"] == "inconclusive"
+
+
+# ---------------------------------------------------------------------------
+# rank 2
+# ---------------------------------------------------------------------------
+
+
+RS2 = build_root_system("A", 2)
+
+
+def test_newton_overflow_fails_only_its_seed():
+    # From some of these seeds a Newton step diverges until theta11's
+    # quasi-periodicity factor overflows; that seed fails, the rest solve.
+    weights = [(1.46 + 0.42j, 0.31 - 0.1j), (1.54 - 0.42j, -0.31 + 0.1j)]
+    mods = [
+        build_dual_verma(RS2, RS2.weight_from_fundamental(w), depth=5)
+        for w in weights
+    ]
+    sysb = BetheSystem(GaudinProblem(RS2, MD, Z2, mods), assignment=(0, 0, 1))
+    overflows = []
+    equations = sysb.equations
+
+    def counted(t):
+        try:
+            return equations(t)
+        except OverflowError:
+            overflows.append(t)
+            raise
+
+    sysb.equations = counted
+    sols = sysb.solve(n_seeds=48)
+    assert overflows
+    assert sols
+    for sol in sols:
+        res = bethe_residual_direct(sol.t, Z2, sysb.weights, sysb.alphas, TAU)
+        assert np.max(np.abs(res)) < 1e-9

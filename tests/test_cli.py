@@ -17,6 +17,7 @@ import pytest
 
 from ellgaudin.cli import (
     CheckRecord,
+    CheckRunner,
     ConfigError,
     Report,
     _instance_digest,
@@ -29,6 +30,7 @@ from ellgaudin.cli import (
     render_sweep_csv,
     run,
 )
+from ellgaudin.liealg import TensorSpace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -393,3 +395,75 @@ def test_seed_override_used(tmp_path):
     line = (tmp_path / "seeded" / "report.jsonl").read_text().splitlines()[0]
     digest = json.loads(line)["instance"]
     assert digest != _instance_digest(cfg, "describe-algebra", False)
+
+
+# ---------------------------------------------------------------------------
+# dual Verma truncation depth
+# ---------------------------------------------------------------------------
+
+
+def test_rank2_bethe_config_passes_eigen_check():
+    assert main(["eigen-check", "--config", str(CONFIGS / "a2_bethe_m2.ini"),
+                 "--format", "json-lines"]) == 0
+
+
+def test_depth_below_m_plus_highest_root_exits_2(tmp_path, capsys):
+    # rank 2, M = 2: depth 3 passed validation once and then reported
+    # eigen residuals of order 10; M + ht(theta) = 4 is required
+    text = (CONFIGS / "a2_bethe_m2.ini").read_text(encoding="utf-8")
+    shallow = write_config(tmp_path, text.replace("depth_1 = 4", "depth_1 = 3"))
+    with pytest.raises(ConfigError, match=r"depth_1 = 3 is below M \+ ht\(theta\) = 4"):
+        load_config(shallow)
+    assert main(["eigen-check", "--config", shallow]) == 2
+    # commute-check on the same sites, without a [bethe] section
+    commute = text.replace("depth_2 = 4", "depth_2 = 3").split("[bethe]")[0]
+    path = write_config(tmp_path, commute, name="commute.ini")
+    assert main(["commute-check", "--config", path]) == 2
+    assert "M + ht(theta) = 4" in capsys.readouterr().err
+
+
+def test_three_site_rank2_eigen_check_on_zero_weight_space(tmp_path, monkeypatch):
+    # Full tensor dimension 10,648 (22**3), zero-weight dimension 12: the
+    # operators must be assembled without touching the full product.
+    def refuse(*args, **kwargs):
+        raise AssertionError("full tensor-product operator built")
+
+    monkeypatch.setattr(TensorSpace, "op_full", refuse)
+    text = """\
+[algebra]
+series = A
+rank = 2
+
+[elliptic]
+tau = 0.8i
+
+[sites]
+count = 3
+z_1 = 0.11
+kind_1 = dual_verma
+weight_1 = 0.5+0.1i, 0.3-0.1i
+depth_1 = 4
+z_2 = 0.43+0.27i
+kind_2 = dual_verma
+weight_2 = 0.2-0.15i, 0.4+0.05i
+depth_2 = 4
+z_3 = 0.74+0.58i
+kind_3 = dual_verma
+weight_3 = 0.3+0.05i, 0.3+0.05i
+depth_3 = 4
+
+[bethe]
+assignment = 1, 2
+
+[rng]
+seed = 3
+"""
+    runner = CheckRunner(load_config(write_config(tmp_path, text)),
+                         "eigen-check", False)
+    report = runner.run()
+    assert runner.problem.space.dim == 10648
+    assert runner.problem.space.dim0 == 12
+    eigen = [r for r in report.records if r.name.startswith("eigen/residual")]
+    assert eigen
+    assert report.verdict
+    assert max(r.residual for r in eigen) < 1e-10

@@ -404,3 +404,80 @@ def test_sampler_respects_guard():
             from ellgaudin.elliptic import nearest_lattice_point
 
             assert abs((z - u) - nearest_lattice_point(z - u, MD)) >= 0.05
+
+
+# ---------------------------------------------------------------------------
+# site operators against the dense tensor-product reference
+# ---------------------------------------------------------------------------
+
+
+RS3 = build_root_system("A", 3)
+
+
+def _dv(rs, fund, depth):
+    return build_dual_verma(rs, rs.weight_from_fundamental(fund), depth)
+
+
+def _irrep(rs, fund):
+    return build_irrep(rs, rs.weight_from_fundamental(fund))
+
+
+SITE_OPERATOR_CASES = {
+    "a1_irrep_dv_dv": lambda: [
+        _irrep(RS1, [1]), _dv(RS1, [1.3 + 0.2j], 3), _dv(RS1, [1.7 - 0.2j], 3)
+    ],
+    "a1_n3_m3": lambda: [
+        _dv(RS1, [1.9 + 0.1j], 4), _dv(RS1, [2.2 - 0.3j], 4),
+        _dv(RS1, [1.9 + 0.2j], 4),
+    ],
+    "a2_dv_dv_m2": lambda: [
+        _dv(RS2, [0.74 + 0.22j, 0.31 - 0.1j], 4),
+        _dv(RS2, [0.26 - 0.22j, 0.69 + 0.1j], 4),
+    ],
+    "a2_irrep_dv_dv_m1": lambda: [
+        _irrep(RS2, [1, 0]), _dv(RS2, [0.6 + 0.3j, -0.2 - 0.1j], 3),
+        _dv(RS2, [0.4 - 0.3j, -0.8 + 0.1j], 3),
+    ],
+    "a2_3_3bar_adj": lambda: [
+        _irrep(RS2, [1, 0]), _irrep(RS2, [0, 1]), _irrep(RS2, [1, 1])
+    ],
+    "a3_irrep_dv": lambda: [_irrep(RS3, [1, 0, 0]), _dv(RS3, [1, -1, 0], 4)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SITE_OPERATOR_CASES))
+def test_site_operators_match_dense_reference(name):
+    # h_r^(i) and e_{-a}^(j) e_a^(i) built on the zero-weight space agree
+    # with the Kronecker products on the full space, restricted afterwards
+    modules = SITE_OPERATOR_CASES[name]()
+    rs = modules[0].rs
+    zs = [0.11, 0.43 + 0.27j, 0.74 + 0.58j][: len(modules)]
+    prob = GaudinProblem(rs, MD, zs, modules)
+    space = prob.space
+    assert space.dim0 > 0
+    nsites = len(modules)
+    for i in range(nsites):
+        for r in range(rs.rank):
+            ref = space.restrict_zero(
+                space.op_full(i, prob.star_matrix(i, rs.h_ortho[r]))
+            )
+            assert np.max(np.abs(prob._hstar[i][r] - ref)) <= 1e-14
+    assert len(prob._pair) == len(rs.roots) * nsites**2
+    for (i, j, k), got in prob._pair.items():
+        e_plus = rs.chevalley.root_vectors[k]
+        e_minus = rs.chevalley.root_vectors[rs.negative_of(k)]
+        ref = space.restrict_zero(
+            space.op_full(j, prob.star_matrix(j, e_minus))
+            @ space.op_full(i, prob.star_matrix(i, e_plus))
+        )
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+def test_dual_verma_depth_below_m_plus_highest_root_refused():
+    # rank 2, M = 2: a pair term reaches height 4 on one site
+    weights = ([0.74 + 0.22j, 0.31 - 0.1j], [0.26 - 0.22j, 0.69 + 0.1j])
+    shallow = [_dv(RS2, w, 3) for w in weights]
+    with pytest.raises(GaudinError, match=r"M \+ ht\(theta\) = 4"):
+        GaudinProblem(RS2, MD, [0.11, 0.43 + 0.27j], shallow)
+    deep = [_dv(RS2, w, 4) for w in weights]
+    assert GaudinProblem(RS2, MD, [0.11, 0.43 + 0.27j], deep).space.dim0 == 6

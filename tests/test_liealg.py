@@ -1,17 +1,22 @@
 """Tests for root systems, irreps, dual Vermas, and zero-weight spaces."""
 
+import functools
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from ellgaudin.liealg import (
     LieAlgebraError,
     RepresentedModule,
+    TensorSpace,
     build_dual_verma,
     build_irrep,
     build_root_system,
     dual_action,
+    min_dual_verma_depth,
     normalized_form,
-    zero_weight_basis,
 )
 
 from oracles import normalized_form_direct, weyl_dimension
@@ -358,18 +363,18 @@ def test_dual_action_trivial_rep():
 
 def test_zero_weight_dims():
     fund = build_irrep(A1, A1.fundamental_weights[0])
-    assert zero_weight_basis([fund, fund]).dim0 == 2
-    assert zero_weight_basis([fund]).dim0 == 0
+    assert TensorSpace([fund, fund]).dim0 == 2
+    assert TensorSpace([fund]).dim0 == 0
     three = build_irrep(A2, A2.weight_from_fundamental([1, 0]))
     threebar = build_irrep(A2, A2.weight_from_fundamental([0, 1]))
-    assert zero_weight_basis([three, threebar]).dim0 == 3
+    assert TensorSpace([three, threebar]).dim0 == 3
 
 
 def test_zero_weight_preserved_by_dual_pairs():
     # rho*_j(e_{-a}) rho*_i(e_a) preserves V*(0)
     fund = build_irrep(A1, A1.fundamental_weights[0])
     adj = build_irrep(A1, A1.weight_from_fundamental([2]))
-    ts = zero_weight_basis([fund, fund, adj])
+    ts = TensorSpace([fund, fund, adj])
     assert ts.dim0 == 4
     rs = A1
     nroots = len(rs.roots)
@@ -388,7 +393,7 @@ def test_zero_weight_preserved_by_dual_pairs():
 
 def test_zero_weight_projector_commutes_with_h():
     fund = build_irrep(A1, A1.fundamental_weights[0])
-    ts = zero_weight_basis([fund, fund])
+    ts = TensorSpace([fund, fund])
     proj = np.zeros((ts.dim, ts.dim))
     for i in ts.zero_indices:
         proj[i, i] = 1.0
@@ -397,3 +402,63 @@ def test_zero_weight_projector_commutes_with_h():
             1, fund.matrix(("h", r))
         )
         assert maxabs(proj @ hfull.T - hfull.T @ proj) < 1e-12
+
+
+def _zero_tuples_by_full_walk(modules):
+    """Zero-weight tuples from a walk over the whole product, in order."""
+    out = []
+    for tup in itertools.product(*(range(m.dim) for m in modules)):
+        w = np.zeros(modules[0].rs.rank, dtype=complex)
+        for m, k in zip(modules, tup):
+            w = w + m.weights[k]
+        if np.max(np.abs(w)) < 1e-9:
+            out.append(tup)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _mixed_instances():
+    def dv(rs, fund, depth):
+        return build_dual_verma(rs, rs.weight_from_fundamental(fund), depth)
+
+    fund = build_irrep(A1, A1.fundamental_weights[0])
+    adj = build_irrep(A1, A1.weight_from_fundamental([2]))
+    three = build_irrep(A2, A2.weight_from_fundamental([1, 0]))
+    threebar = build_irrep(A2, A2.weight_from_fundamental([0, 1]))
+    four = build_irrep(A3, A3.weight_from_fundamental([1, 0, 0]))
+    fourbar = build_irrep(A3, A3.weight_from_fundamental([0, 0, 1]))
+    return [
+        [fund, fund, adj],
+        [fund, dv(A1, [1.3 + 0.2j], 3), dv(A1, [1.7 - 0.2j], 3)],
+        [three, threebar, build_irrep(A2, A2.weight_from_fundamental([1, 1]))],
+        [three, dv(A2, [0.5 + 0.1j, 0.3 - 0.1j], 4),
+         dv(A2, [-0.5 - 0.1j, 0.7 + 0.1j], 4)],
+        [four, fourbar],
+        [four, dv(A3, [1, -1, 0], 4)],
+        # total weight outside the root lattice: no zero-weight tuple
+        [fund, dv(A1, [0.7 + 0.2j], 3)],
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_zero_tuples_match_full_product_walk(case):
+    modules = _mixed_instances()[case]
+    ts = TensorSpace(modules)
+    expected = _zero_tuples_by_full_walk(modules)
+    assert ts.zero_tuples() == expected
+    assert ts.dim == math.prod(m.dim for m in modules)
+    all_tuples = list(np.ndindex(*ts.dims))
+    assert [all_tuples[i] for i in ts.zero_indices] == expected
+
+
+def test_min_dual_verma_depth_is_height_plus_highest_root():
+    # M = ht(sum lambda_i) plus ht(theta) = rank in type A
+    assert min_dual_verma_depth(A1, [A1.weight_from_fundamental([1.3 + 0.2j]),
+                                     A1.weight_from_fundamental([2.7 - 0.2j])]) == 3
+    lam = A2.weight_from_fundamental([0.74 + 0.22j, 0.31 - 0.1j])
+    rest = A2.weight_from_simple_roots([1, 1]) - lam
+    assert min_dual_verma_depth(A2, [lam, rest]) == 4
+    assert min_dual_verma_depth(A3, [A3.weight_from_simple_roots([1, 2, 1])]) == 7
+    # outside the positive root lattice there is no zero-weight space
+    assert min_dual_verma_depth(A1, [A1.weight_from_fundamental([0.7])]) is None
+    assert min_dual_verma_depth(A1, [-A1.simple_roots[0]]) is None
