@@ -4,7 +4,9 @@ Layers, bottom up:
 
 ``elliptic``
     Odd Jacobi theta function, its logarithmic derivative, and the
-    quasi-periodic kernel ``w_c``, all evaluated as truncated Taylor jets.
+    quasi-periodic kernel ``w_c``, all evaluated as truncated Taylor jets;
+    ``Jet`` is the one jet type of the package, with scalar, vector or
+    matrix coefficients.
 ``liealg``
     Type A root systems, Chevalley generators in the defining
     representation, finite irreducibles, truncated dual Verma modules.
@@ -19,6 +21,8 @@ Layers, bottom up:
     eigenvalue check for the transfer matrix.
 ``cli``
     Configuration files, report emission, and the verification commands.
+
+NumPy is the only runtime dependency.
 """
 
 from . import elliptic, liealg, diffop, gaudin, bethe, cli

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from itertools import permutations, product as _iproduct
 
 import numpy as np
-from scipy.stats import qmc
 
-from .diffop import MatrixJet
-from .elliptic import EllipticError, ScalarJet, jet_indices, zeta11
+from .elliptic import EllipticError, Jet, jet_indices, zeta11
 from .gaudin import (
     GaudinError,
     GaudinProblem,
@@ -54,6 +52,30 @@ def default_assignment(rs, weights) -> tuple:
     for s, n in enumerate(mult):
         out.extend([s] * int(n))
     return tuple(out)
+
+
+def halton_points(count: int, dim: int) -> np.ndarray:
+    """The first ``count`` points of the unscrambled Halton sequence.
+
+    Coordinate j of point i is the radical inverse of i in the j-th prime
+    base, digits summed from the least significant one.
+    """
+    bases = []
+    candidate = 2
+    while len(bases) < dim:
+        if all(candidate % p for p in bases):
+            bases.append(candidate)
+        candidate += 1
+    pts = np.zeros((count, dim))
+    for j, b in enumerate(bases):
+        for i in range(count):
+            f, x, k = 1.0, 0.0, i
+            while k > 0:
+                f /= b
+                x += f * (k % b)
+                k //= b
+            pts[i, j] = x
+    return pts
 
 
 @dataclass
@@ -154,10 +176,8 @@ class BetheSystem:
 
     def _seed_points(self, count: int):
         md = self.problem.md
-        sampler = qmc.Halton(d=2 * self.M, scramble=False)
-        pts = sampler.random(count)
         seeds = []
-        for p in pts:
+        for p in halton_points(count, 2 * self.M):
             t = np.array(
                 [
                     p[2 * j] + (0.08 + 0.84 * p[2 * j + 1]) * md.tau
@@ -298,11 +318,9 @@ class BetheSystem:
         l = rs.rank
         caps = (order,) * l
         if not subset:
-            return ScalarJet.constant(
-                complex(mod.j_covector[basis_index]), caps, order
-            )
+            return Jet.constant(mod.j_covector[basis_index], caps, order)
         z = self.problem.positions[a]
-        acc = ScalarJet(caps, order)
+        acc = Jet(caps, order)
         for sigma in permutations(subset):
             vec = np.asarray(mod.j_covector, dtype=complex)
             for j in reversed(sigma):
@@ -310,18 +328,18 @@ class BetheSystem:
             coeff = complex(vec[basis_index])
             if coeff == 0:
                 continue
-            jet = ScalarJet.constant(coeff, caps, order)
+            jet = Jet.constant(coeff, caps, order)
             partial = np.zeros(l, dtype=complex)
             for pos, j in enumerate(sigma):
                 partial = partial + self.alphas[j]
                 target = t[sigma[pos + 1]] if pos + 1 < len(sigma) else z
                 c0 = complex(-(partial @ np.asarray(H, dtype=complex)))
-                vals = _univariate_w(c0, t[j] - target, md, order)
-                jet = jet * _linear_substitution(vals, -partial, H, order)
+                w = _univariate_w(c0, t[j] - target, md, order)
+                jet = jet * _linear_substitution(w, -partial)
             acc = acc + jet
         return acc
 
-    def vector_jet(self, t, H, order: int = 0) -> MatrixJet:
+    def vector_jet(self, t, H, order: int = 0) -> Jet:
         """Jet of the Bethe vector over the zero-weight product basis.
 
         Component at a basis tuple (k_1..k_N): sum over ordered set
@@ -347,9 +365,9 @@ class BetheSystem:
 
         comps = []
         for tup in space.zero_tuples():
-            acc = ScalarJet(caps, order)
+            acc = Jet(caps, order)
             for subsets in partitions:
-                term = ScalarJet.constant(1.0, caps, order)
+                term = Jet.constant(1.0, caps, order)
                 alive = True
                 for a in range(nsites):
                     key = (a, subsets[a], tup[a])
@@ -371,7 +389,7 @@ class BetheSystem:
             vec = np.array([c.coeff(m) for c in comps], dtype=complex)
             if np.any(vec):
                 coeffs[m] = vec
-        return MatrixJet(l, order, coeffs, shape=(space.dim0,))
+        return Jet(caps, order, coeffs)
 
     def vector_function(self, t):
         """Closure suitable for DiffOperator.apply."""

@@ -291,10 +291,7 @@ def _validate_depths(cfg: ExperimentConfig) -> None:
     """Dual Verma truncations must reach M + ht(theta), M = ht(sum lambda_i)."""
     if all(site.depth is None for site in cfg.sites):
         return
-    try:
-        rs = build_root_system(cfg.series, cfg.rank)
-    except LieAlgebraError:
-        return  # the problem build reports the unsupported algebra
+    rs = build_root_system(cfg.series, cfg.rank)
     need = min_dual_verma_depth(
         rs, [rs.weight_from_fundamental(site.weight) for site in cfg.sites]
     )
@@ -372,6 +369,10 @@ def load_config(path: str) -> ExperimentConfig:
                 f"unsupported algebra series {cfg.series!r}; only A is available"
             )
         cfg.rank = _parse_int("algebra", "rank", algebra.get("rank", "1"), 1)
+        try:
+            build_root_system(cfg.series, cfg.rank)
+        except LieAlgebraError as exc:
+            raise ConfigError(f"[algebra] {exc}") from None
 
     if parser.has_section("elliptic"):
         cfg.tau = parse_complex(parser["elliptic"].get("tau", "0.8i"))
@@ -528,6 +529,7 @@ class CheckRunner:
         self._problem = None
         self._system = None
         self._solutions = None
+        self._mark = time.perf_counter()  # start of the current record's wall
 
     # -- shared lazy builders ------------------------------------------------
 
@@ -588,10 +590,15 @@ class CheckRunner:
 
     # -- record helpers -------------------------------------------------------
 
-    def _record(self, name, residual, tolerance, wall, note="", passed=None):
+    def _record(self, name, residual, tolerance, note="", passed=None):
+        """Append a check record; its wall time runs from the stage's
+        previous record, or from the stage start for the first one."""
         residual = float(residual)
         if passed is None:
             passed = residual <= tolerance
+        now = time.perf_counter()
+        wall = now - self._mark
+        self._mark = now
         self.report.records.append(
             CheckRecord(
                 name=name,
@@ -606,9 +613,9 @@ class CheckRunner:
 
     def _stage(self, name, fn):
         """Run one stage; failures become failing records, not aborts."""
-        start = time.perf_counter()
+        self._mark = time.perf_counter()
         try:
-            fn(start)
+            fn()
         except ConfigError:
             raise
         except (EllipticError, LieAlgebraError, GaudinError, BetheError,
@@ -617,7 +624,6 @@ class CheckRunner:
                 f"{name}/error",
                 math.inf,
                 0.0,
-                time.perf_counter() - start,
                 note=f"{type(exc).__name__}: {exc}",
                 passed=False,
             )
@@ -634,7 +640,7 @@ class CheckRunner:
 
     # -- stages ----------------------------------------------------------------
 
-    def stage_elliptic(self, start):
+    def stage_elliptic(self):
         md = self.md
         tol_id = self.cfg.tolerances["elliptic_identities"]
         tol_pole = self.cfg.tolerances["pole_normalization"]
@@ -686,7 +692,6 @@ class CheckRunner:
                 f"elliptic/{key}",
                 worst[key],
                 tol_id,
-                time.perf_counter() - start,
                 note=f"max over {n} points",
             )
 
@@ -702,7 +707,6 @@ class CheckRunner:
             "elliptic/pole-normalization",
             pole_res,
             tol_pole,
-            time.perf_counter() - start,
             note="z*zeta(z)->1, z*w_c(z)->1, c*w_c(z)->-1 extrapolated",
         )
 
@@ -747,11 +751,10 @@ class CheckRunner:
             "elliptic/jets-vs-finite-differences",
             jet_res,
             tol_jets,
-            time.perf_counter() - start,
             note=f"zeta and w jets at {self.cfg.sampling['jet_points']} points",
         )
 
-    def stage_algebra(self, start):
+    def stage_algebra(self):
         rs = self.rs
         tol = self.cfg.tolerances["structure"]
         ortho = 0.0
@@ -763,7 +766,6 @@ class CheckRunner:
             "algebra/cartan-orthonormal",
             ortho,
             tol,
-            time.perf_counter() - start,
             note="normalized invariant form on the orthonormal Cartan basis",
         )
         rho_res = float(
@@ -775,7 +777,6 @@ class CheckRunner:
             "algebra/rho-half-sum",
             rho_res,
             tol,
-            time.perf_counter() - start,
             note="rho equals half the sum of positive roots",
         )
         dim_res = abs(rs.dim_g - (rs.rank + 2 * rs.n_positive))
@@ -783,14 +784,13 @@ class CheckRunner:
             "algebra/dimension-count",
             float(dim_res),
             0.5,
-            time.perf_counter() - start,
             note=(
                 f"series {rs.series} rank {rs.rank}: dim {rs.dim_g}, "
                 f"{rs.n_positive} positive roots"
             ),
         )
 
-    def stage_commute(self, start):
+    def stage_commute(self):
         problem = self.problem
         tol = self.cfg.tolerances["commutator"]
         tol_top = self.cfg.tolerances["commutator_top_order"]
@@ -816,7 +816,6 @@ class CheckRunner:
             "commute/same-point",
             same["max_rel"],
             tol,
-            time.perf_counter() - start,
             note="u' = u, trivially commuting",
         )
         worst = 0.0
@@ -833,18 +832,16 @@ class CheckRunner:
             "commute/distinct-points",
             worst,
             tol,
-            time.perf_counter() - start,
             note=f"max over {n_pairs} spectral-parameter pairs",
         )
         self._record(
             "commute/top-order-coefficients",
             worst_top,
             tol_top,
-            time.perf_counter() - start,
             note="order-3 and order-4 coefficients of the commutator",
         )
 
-    def stage_bethe(self, start):
+    def stage_bethe(self):
         system = self.system
         bcfg = self.cfg.bethe
         if system.M == 0:
@@ -853,7 +850,6 @@ class CheckRunner:
                 "bethe/root-residual-00",
                 0.0,
                 bcfg["newton_tol"],
-                time.perf_counter() - start,
                 note="no Bethe roots required (zero total charge)",
             )
             return
@@ -869,7 +865,6 @@ class CheckRunner:
                 "bethe/no-solution",
                 math.inf,
                 bcfg["newton_tol"],
-                time.perf_counter() - start,
                 note=f"no Bethe roots found from {bcfg['n_seeds']} seeds",
                 passed=False,
             )
@@ -881,14 +876,13 @@ class CheckRunner:
                 f"bethe/root-residual-{idx:02d}",
                 sol.residual,
                 bcfg["newton_tol"],
-                time.perf_counter() - start,
                 note=f"t = ({roots}); {sol.iterations} Newton steps",
             )
 
-    def stage_eigen(self, start):
+    def stage_eigen(self):
         system = self.system
         if self._solutions is None:
-            self.stage_bethe(start)
+            self.stage_bethe()
         if not self._solutions:
             return  # bethe stage already recorded the failure
         tol = self.cfg.tolerances["eigen_residual"]
@@ -926,7 +920,6 @@ class CheckRunner:
                     f"eigen/residual-{idx:02d}",
                     0.0,
                     tol,
-                    time.perf_counter() - start,
                     note="inconclusive: eigenvector vanished at all samples",
                 )
                 continue
@@ -934,7 +927,6 @@ class CheckRunner:
                 f"eigen/residual-{idx:02d}",
                 result["max_rel"],
                 tol,
-                time.perf_counter() - start,
                 note=note
                 or (
                     f"max over {sampling['cartan_count']} Cartan x "

@@ -2,34 +2,21 @@
 
 An operator is a finite sum over multi-indices beta of coefficient
 functions times partial derivatives d^beta in the coordinates xi_1..xi_l.
-Coefficients are closures producing :class:`MatrixJet` expansions at a
-requested base point and order, so composition can differentiate them
+Coefficients are closures producing matrix-valued :class:`Jet` expansions
+at a requested base point and order, so composition can differentiate them
 analytically via the Leibniz rule; nothing is ever sampled on a grid.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import product as _iproduct
 
 import numpy as np
 
-from .elliptic import ScalarJet, _multi_factorial
+from .elliptic import Jet
 
 MAX_TOTAL_ORDER = 4
-
-
-@lru_cache(maxsize=None)
-def total_degree_indices(nvars: int, order: int) -> tuple:
-    """Multi-indices with |m| <= order, sorted by degree then lex."""
-    out = [
-        m
-        for m in _iproduct(*(range(order + 1) for _ in range(nvars)))
-        if sum(m) <= order
-    ]
-    out.sort(key=lambda m: (sum(m), m))
-    return tuple(out)
 
 
 def _binom_multi(beta, delta) -> int:
@@ -42,156 +29,6 @@ def _binom_multi(beta, delta) -> int:
 def _sub_indices(beta):
     """All delta <= beta componentwise."""
     return list(_iproduct(*(range(b + 1) for b in beta)))
-
-
-def _matmul_shape(sa, sb):
-    """Result shape of a @ b for 2d/1d operands, None when unknown."""
-    if sa is None or sb is None:
-        return None
-    if len(sa) == 2 and len(sb) == 2:
-        return (sa[0], sb[1])
-    if len(sa) == 2 and len(sb) == 1:
-        return (sa[0],)
-    if len(sa) == 1 and len(sb) == 2:
-        return (sb[1],)
-    return None
-
-
-class MatrixJet:
-    """Truncated Taylor expansion of a matrix-valued function of xi.
-
-    ``coeffs[m]`` is d^m A / m! at the base point; indices run over total
-    degree <= order.  Coefficients may be any ndarray shape as long as the
-    shapes compose; products convolve with matrix multiplication, so the
-    factor order matters.
-    """
-
-    __slots__ = ("nvars", "order", "coeffs", "shape")
-
-    def __init__(self, nvars: int, order: int, coeffs=None, shape=None):
-        self.nvars = nvars
-        self.order = order
-        self.coeffs = {} if coeffs is None else dict(coeffs)
-        if shape is None:
-            for v in self.coeffs.values():
-                shape = np.asarray(v).shape
-                break
-        self.shape = shape
-
-    @classmethod
-    def constant(cls, mat, nvars: int, order: int):
-        return cls(nvars, order, {(0,) * nvars: np.asarray(mat, dtype=complex)})
-
-    @classmethod
-    def zeros(cls, shape, nvars: int, order: int):
-        return cls(nvars, order, {(0,) * nvars: np.zeros(shape, dtype=complex)})
-
-    @classmethod
-    def from_scalar(cls, jet: ScalarJet, mat, order: int | None = None):
-        """Scalar jet times a constant matrix."""
-        mat = np.asarray(mat, dtype=complex)
-        order = jet.total if order is None else order
-        keep = set(total_degree_indices(jet.nvars, order))
-        coeffs = {
-            m: c * mat for m, c in jet.coeffs.items() if m in keep and c != 0
-        }
-        return cls(jet.nvars, order, coeffs, shape=mat.shape)
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.coeff((0,) * self.nvars)
-
-    def coeff(self, m) -> np.ndarray:
-        m = tuple(m)
-        if m in self.coeffs:
-            return self.coeffs[m]
-        if self.shape is None:
-            raise KeyError("jet carries no coefficients and no shape hint")
-        return np.zeros(self.shape, dtype=complex)
-
-    def deriv(self, m) -> np.ndarray:
-        """Derivative value d^m A at the base point."""
-        return self.coeff(m) * _multi_factorial(tuple(m))
-
-    def _check(self, other: "MatrixJet"):
-        if self.nvars != other.nvars:
-            raise ValueError("jet variable count mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, MatrixJet):
-            raise TypeError("MatrixJet addition needs a MatrixJet")
-        self._check(other)
-        order = min(self.order, other.order)
-        keep = set(total_degree_indices(self.nvars, order))
-        out = {m: v for m, v in self.coeffs.items() if m in keep}
-        for m, v in other.coeffs.items():
-            if m in keep:
-                out[m] = out[m] + v if m in out else v
-        return MatrixJet(
-            self.nvars, order, out, shape=self.shape or other.shape
-        )
-
-    def __sub__(self, other):
-        return self + (other * (-1.0))
-
-    def __mul__(self, other):
-        """Scalar scaling or jet product (matrix product per term)."""
-        if isinstance(other, MatrixJet):
-            self._check(other)
-            order = min(self.order, other.order)
-            keep = set(total_degree_indices(self.nvars, order))
-            out = {}
-            for ma, va in self.coeffs.items():
-                for mb, vb in other.coeffs.items():
-                    m = tuple(a + b for a, b in zip(ma, mb))
-                    if m in keep:
-                        prod = va @ vb
-                        out[m] = out[m] + prod if m in out else prod
-            return MatrixJet(
-                self.nvars,
-                order,
-                out,
-                shape=_matmul_shape(self.shape, other.shape),
-            )
-        return MatrixJet(
-            self.nvars,
-            self.order,
-            {m: v * other for m, v in self.coeffs.items()},
-            shape=self.shape,
-        )
-
-    __rmul__ = __mul__
-
-    def shift(self, delta) -> "MatrixJet":
-        """Jet of the derivative d^delta A, order reduced by |delta|."""
-        delta = tuple(delta)
-        order = self.order - sum(delta)
-        if order < 0:
-            raise ValueError("jet does not carry enough derivatives")
-        out = {}
-        for m, v in self.coeffs.items():
-            if any(mi < di for mi, di in zip(m, delta)):
-                continue
-            mm = tuple(mi - di for mi, di in zip(m, delta))
-            if sum(mm) > order:
-                continue
-            scale = 1.0
-            for mi, di in zip(m, delta):
-                scale *= math.factorial(mi) / math.factorial(mi - di)
-            out[mm] = v * scale
-        return MatrixJet(self.nvars, order, out, shape=self.shape)
-
-    def truncate(self, order: int) -> "MatrixJet":
-        keep = set(total_degree_indices(self.nvars, order))
-        return MatrixJet(
-            self.nvars,
-            order,
-            {m: v for m, v in self.coeffs.items() if m in keep},
-            shape=self.shape,
-        )
-
-    def __repr__(self):
-        return f"MatrixJet(nvars={self.nvars}, order={self.order})"
 
 
 def _cached_coeff(fn):
@@ -211,7 +48,7 @@ def constant_coeff(mat) -> "CoeffFn":
     mat = np.asarray(mat, dtype=complex)
 
     def fn(H, order):
-        return MatrixJet.constant(mat, np.asarray(H).size, order)
+        return Jet.constant(mat, (order,) * np.asarray(H).size, order)
 
     return fn
 
@@ -220,7 +57,7 @@ class DiffOperator:
     """Sum over beta of coeff_beta(xi) * d^beta.
 
     ``coeffs`` maps the derivative multi-index beta to a closure
-    ``fn(H, order) -> MatrixJet`` giving the coefficient's jet at H.  The
+    ``fn(H, order) -> Jet`` giving the coefficient's jet at H.  The
     represented operator acts on vector-valued functions of xi; matrix
     coefficients act by left multiplication.
     """
@@ -329,15 +166,19 @@ class DiffOperator:
     def apply(self, f, H) -> np.ndarray:
         """Apply to a jet-evaluable vector function.
 
-        ``f(H, order)`` must return a MatrixJet whose coefficients are
-        vectors of length ``dim``; the jet order consumed equals the
-        operator order.
+        ``f(H, order)`` must return a Jet over (order,) * nvars whose
+        coefficients are vectors of length ``dim``; the jet order consumed
+        equals the operator order.
         """
         H = np.asarray(H, dtype=complex)
         fjet = f(H, self.order)
         out = np.zeros(self.dim, dtype=complex)
+        zero = (0,) * self.nvars
         for beta, fn in self.coeffs.items():
-            out = out + fn(H, 0).value @ fjet.deriv(beta)
+            coeff = fn(H, 0).coeffs.get(zero)
+            # a missing coefficient is zero
+            if coeff is not None and beta in fjet.coeffs:
+                out = out + coeff @ fjet.deriv(beta)
         return out
 
     def max_coeff_norm(self, H) -> float:

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as _iproduct
 
+import numpy as np
+
 _PI = math.pi
 _TWO_PI_I = 2j * math.pi
 
@@ -156,42 +158,54 @@ def _multi_factorial(m: Multi) -> float:
     return out
 
 
-class ScalarJet:
-    """Truncated Taylor expansion of a scalar function of several variables.
+def _nonzero_items(coeffs: dict) -> list:
+    """(index, coefficient, is_array) for every coefficient but scalar zeros."""
+    out = []
+    for m, c in coeffs.items():
+        is_array = isinstance(c, np.ndarray)
+        if is_array or c != 0:
+            out.append((m, c, is_array))
+    return out
+
+
+class Jet:
+    """Truncated Taylor expansion of a function of several variables.
 
     ``coeffs[m]`` is the Taylor coefficient d^m f / m! at the expansion
-    point.  Retained multi-indices are those with m <= caps componentwise
-    and |m| <= total; everything else is treated as zero.  Arithmetic
-    truncates back to the same scheme, which is exact for the retained
-    degrees.
+    point: a complex scalar, or an ndarray for vector- and matrix-valued
+    functions.  Retained multi-indices are those with m <= caps componentwise
+    and |m| <= total; with caps = (order,) * nvars that is every index of
+    total degree <= order.  Everything else is treated as zero, and a
+    missing coefficient reads as the scalar 0.  Arithmetic truncates back
+    to the same scheme, which is exact for the retained degrees.
+
+    The product of two jets multiplies coefficients with ``@`` when both
+    are arrays, so the factor order matters for matrix-valued jets, and
+    with ``*`` otherwise; a non-jet factor scales every coefficient.
     """
 
     __slots__ = ("caps", "total", "coeffs")
 
     def __init__(self, caps, total, coeffs=None):
-        self.caps = tuple(int(c) for c in caps)
+        self.caps = tuple(caps)
         self.total = int(total)
         self.coeffs = {} if coeffs is None else dict(coeffs)
 
-    # -- constructors -------------------------------------------------
+    def _like(self, coeffs: dict) -> "Jet":
+        out = Jet.__new__(Jet)
+        out.caps = self.caps
+        out.total = self.total
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def constant(cls, value, caps, total):
-        zero = (0,) * len(caps)
-        return cls(caps, total, {zero: complex(value)})
-
-    @classmethod
-    def affine(cls, value, grads, caps, total):
-        """Jet of value + sum_r grads[r] * h_r."""
-        caps = tuple(caps)
-        coeffs = {(0,) * len(caps): complex(value)}
-        for r, g in enumerate(grads):
-            if g == 0:
-                continue
-            m = tuple(1 if s == r else 0 for s in range(len(caps)))
-            if m in _index_set(caps, total):
-                coeffs[m] = complex(g)
-        return cls(caps, total, coeffs)
+        """Constant jet; ``value`` is a scalar or an ndarray."""
+        if isinstance(value, np.ndarray):
+            value = value.astype(complex, copy=False)
+        else:
+            value = complex(value)
+        return cls(caps, total, {(0,) * len(caps): value})
 
     # -- basic accessors ----------------------------------------------
 
@@ -200,19 +214,19 @@ class ScalarJet:
         return len(self.caps)
 
     @property
-    def value(self) -> complex:
+    def value(self):
         return self.coeffs.get((0,) * self.nvars, 0j)
 
-    def coeff(self, m: Multi) -> complex:
+    def coeff(self, m: Multi):
         return self.coeffs.get(tuple(m), 0j)
 
-    def deriv(self, m: Multi) -> complex:
+    def deriv(self, m: Multi):
         """Value of the derivative d^m f at the expansion point."""
         return self.coeff(m) * _multi_factorial(tuple(m))
 
     # -- ring operations ----------------------------------------------
 
-    def _check(self, other: "ScalarJet"):
+    def _check(self, other: "Jet"):
         if self.caps != other.caps or self.total != other.total:
             raise ValueError(
                 f"jet scheme mismatch: {self.caps}/{self.total} vs "
@@ -220,53 +234,45 @@ class ScalarJet:
             )
 
     def __add__(self, other):
-        if not isinstance(other, ScalarJet):
-            out = dict(self.coeffs)
-            zero = (0,) * self.nvars
-            out[zero] = out.get(zero, 0j) + complex(other)
-            return ScalarJet(self.caps, self.total, out)
-        self._check(other)
         out = dict(self.coeffs)
+        if not isinstance(other, Jet):
+            zero = (0,) * self.nvars
+            out[zero] = out[zero] + other if zero in out else 0j + other
+            return self._like(out)
+        self._check(other)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0j) + c
-        return ScalarJet(self.caps, self.total, out)
+            out[m] = out[m] + c if m in out else c
+        return self._like(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarJet(
-            self.caps, self.total, {m: -c for m, c in self.coeffs.items()}
-        )
+        return self._like({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, ScalarJet) else -complex(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + complex(other)
+        return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, ScalarJet):
-            s = complex(other)
-            return ScalarJet(
-                self.caps, self.total, {m: c * s for m, c in self.coeffs.items()}
-            )
+        if not isinstance(other, Jet):
+            return self._like({m: c * other for m, c in self.coeffs.items()})
         self._check(other)
         keep = _index_set(self.caps, self.total)
+        right = _nonzero_items(other.coeffs)
         out = {}
-        for ma, ca in self.coeffs.items():
-            if ca == 0:
-                continue
-            for mb, cb in other.coeffs.items():
-                if cb == 0:
-                    continue
+        for ma, ca, a_array in _nonzero_items(self.coeffs):
+            for mb, cb, b_array in right:
                 m = tuple(a + b for a, b in zip(ma, mb))
                 if m in keep:
-                    out[m] = out.get(m, 0j) + ca * cb
-        return ScalarJet(self.caps, self.total, out)
+                    prod = ca @ cb if a_array and b_array else ca * cb
+                    out[m] = out[m] + prod if m in out else prod
+        return self._like(out)
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> "ScalarJet":
+    def reciprocal(self) -> "Jet":
         v = self.value
         if v == 0:
             raise ZeroDivisionError("jet reciprocal at a zero value")
@@ -284,10 +290,10 @@ class ScalarJet:
                 mb = tuple(b - a for a, b in zip(ma, m))
                 acc += ca * out.get(mb, 0j)
             out[m] = -acc / v
-        return ScalarJet(self.caps, self.total, out)
+        return self._like(out)
 
     def __truediv__(self, other):
-        if isinstance(other, ScalarJet):
+        if isinstance(other, Jet):
             return self * other.reciprocal()
         return self * (1.0 / complex(other))
 
@@ -296,68 +302,61 @@ class ScalarJet:
 
     # -- calculus -----------------------------------------------------
 
-    def deriv_jet(self, var: int) -> "ScalarJet":
-        """Jet of the partial derivative along variable ``var``.
+    def shift(self, delta) -> "Jet":
+        """Jet of the partial derivative d^delta f.
 
-        The cap in that variable and the total order each drop by one.
+        Each cap drops by the matching entry of delta and the total order
+        by |delta|.
         """
-        if self.caps[var] < 1:
+        delta = tuple(delta)
+        total = self.total - sum(delta)
+        # capped at the total order, so that shifting a jet over
+        # (order,) * nvars by any delta gives one over (total,) * nvars
+        caps = tuple(min(c - d, total) for c, d in zip(self.caps, delta))
+        if min(caps) < 0:
             raise ValueError("jet does not carry that derivative")
-        caps = tuple(
-            c - 1 if r == var else c for r, c in enumerate(self.caps)
-        )
-        total = self.total - 1
         keep = _index_set(caps, total)
         out = {}
         for m, c in self.coeffs.items():
-            if m[var] == 0:
-                continue
-            mm = tuple(k - 1 if r == var else k for r, k in enumerate(m))
+            mm = tuple(k - d for k, d in zip(m, delta))
             if mm in keep:
-                out[mm] = c * m[var]
-        return ScalarJet(caps, total, out)
+                scale = 1
+                for k, d in zip(m, delta):
+                    scale *= math.perm(k, d)
+                out[mm] = c * scale
+        return Jet(caps, total, out)
 
-    def truncate(self, caps, total) -> "ScalarJet":
+    def truncate(self, caps, total) -> "Jet":
         caps = tuple(caps)
         keep = _index_set(caps, int(total))
-        return ScalarJet(
-            caps, total, {m: c for m, c in self.coeffs.items() if m in keep}
-        )
+        return Jet(caps, total, {m: c for m, c in self.coeffs.items() if m in keep})
 
-    def exp(self) -> "ScalarJet":
+    def exp(self) -> "Jet":
         v = self.value
         zero = (0,) * self.nvars
-        nil = ScalarJet(
-            self.caps,
-            self.total,
-            {m: c for m, c in self.coeffs.items() if m != zero},
-        )
-        acc = ScalarJet.constant(1.0, self.caps, self.total)
-        term = ScalarJet.constant(1.0, self.caps, self.total)
+        nil = self._like({m: c for m, c in self.coeffs.items() if m != zero})
+        acc = Jet.constant(1.0, self.caps, self.total)
+        term = Jet.constant(1.0, self.caps, self.total)
         for k in range(1, self.total + 1):
             term = term * nil * (1.0 / k)
             acc = acc + term
         return acc * cmath.exp(v)
 
-    def log(self) -> "ScalarJet":
+    def log(self) -> "Jet":
         v = self.value
         if v == 0:
             raise ZeroDivisionError("jet log at a zero value")
         zero = (0,) * self.nvars
-        nil = ScalarJet(
-            self.caps,
-            self.total,
-            {m: c / v for m, c in self.coeffs.items() if m != zero},
-        )
-        acc = ScalarJet.constant(cmath.log(v), self.caps, self.total)
-        term = ScalarJet.constant(1.0, self.caps, self.total)
+        nil = self._like({m: c / v for m, c in self.coeffs.items() if m != zero})
+        acc = Jet.constant(cmath.log(v), self.caps, self.total)
+        term = Jet.constant(1.0, self.caps, self.total)
         for k in range(1, self.total + 1):
             term = term * nil
             acc = acc + term * ((-1.0) ** (k + 1) / k)
         return acc
 
     def __repr__(self):
-        return f"ScalarJet(caps={self.caps}, total={self.total}, value={self.value})"
+        return f"Jet(caps={self.caps}, total={self.total}, value={self.value})"
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +405,7 @@ def _check_order(order: int):
         raise ValueError(f"jet order must lie in [0, {_MAX_JET_ORDER}], got {order}")
 
 
-def theta11(z: complex, md: ModularData, order: int = 0) -> ScalarJet:
+def theta11(z: complex, md: ModularData, order: int = 0) -> Jet:
     """Jet of the odd Jacobi theta function at z.
 
     The function is entire, odd, vanishes exactly on the lattice, and
@@ -427,7 +426,7 @@ def theta11(z: complex, md: ModularData, order: int = 0) -> ScalarJet:
         for j in range(k + 1):
             acc += a[k - j] * s * w ** j / math.factorial(j)
         coeffs[(k,)] = acc
-    return ScalarJet((order,), order, coeffs)
+    return Jet((order,), order, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -453,7 +452,7 @@ def _lattice_label(point: complex, md: ModularData) -> str:
     return f"{m}*tau + {n}"
 
 
-def zeta11(z: complex, md: ModularData, order: int = 0) -> ScalarJet:
+def zeta11(z: complex, md: ModularData, order: int = 0) -> Jet:
     """Jet of the logarithmic derivative theta11'/theta11 at z.
 
     Quasi-periodic: zeta11(z+1) = zeta11(z) and
@@ -463,12 +462,12 @@ def zeta11(z: complex, md: ModularData, order: int = 0) -> ScalarJet:
     _check_order(order)
     th = theta11(z, md, order + 1)
     _pole_check(th.value, complex(z), md, "z")
-    return th.deriv_jet(0) / th.truncate((order,), order)
+    return th.shift((1,)) / th.truncate((order,), order)
 
 
 def w_kernel(
     c: complex, z: complex, md: ModularData, order_c: int = 0, order_z: int = 0
-) -> ScalarJet:
+) -> Jet:
     """Bivariate jet of the quasi-periodic kernel w_c(z).
 
     w_c(z) = theta11'(0) * theta11(z - c) / (theta11(z) * theta11(-c)).
@@ -497,12 +496,12 @@ def w_kernel(
     for (j, k) in keep:
         a = tzc.coeff((j + k,))
         num[(j, k)] = a * math.comb(j + k, j) * (-1.0) ** j
-    num_jet = ScalarJet(caps, tot, num)
+    num_jet = Jet(caps, tot, num)
 
-    den_z = ScalarJet(
+    den_z = Jet(
         caps, tot, {(0, k): tz.coeff((k,)) for k in range(order_z + 1)}
     )
-    den_c = ScalarJet(
+    den_c = Jet(
         caps,
         tot,
         {(j, 0): tc.coeff((j,)) * (-1.0) ** j for j in range(order_c + 1)},

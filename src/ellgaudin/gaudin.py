@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffop import DiffOperator, MatrixJet, constant_coeff
+from .diffop import DiffOperator, constant_coeff
 from .elliptic import (
+    Jet,
     ModularData,
-    ScalarJet,
     jet_indices,
     nearest_lattice_point,
     theta11,  # noqa: F401  (re-exported convenience)
@@ -43,40 +43,19 @@ class GaudinError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _exp_linear_jet(
-    prefactor: complex, rate: complex, direction, H, order: int
-) -> ScalarJet:
-    """Jet of prefactor * exp(rate * (direction . xi)) around xi = H."""
-    direction = np.asarray(direction, dtype=complex)
-    H = np.asarray(H, dtype=complex)
-    nvars = len(direction)
-    caps = (order,) * nvars
-    val = prefactor * np.exp(rate * (direction @ H))
-    coeffs = {}
-    for m in jet_indices(caps, order):
-        c = val
-        for dr, mi in zip(direction, m):
-            if mi:
-                c *= (rate * dr) ** mi / math.factorial(mi)
-        if c != 0:
-            coeffs[m] = c
-    return ScalarJet(caps, order, coeffs)
+def _linear_substitution(g: Jet, direction) -> Jet:
+    """Jet of g(direction . xi) from the univariate jet of g at direction.H.
 
-
-def _linear_substitution(values, direction, H, order: int) -> ScalarJet:
-    """Jet of g(direction . xi) from univariate coefficients of g at c0.
-
-    ``values[k]`` is the k-th Taylor coefficient of g at c0 = direction.H;
-    the multinomial weights distribute each power of the increment over
-    the xi variables.
+    The multinomial weights distribute each power of the increment over
+    the xi variables; the result keeps every total degree up to g's.
     """
     direction = np.asarray(direction, dtype=complex)
-    nvars = len(direction)
-    caps = (order,) * nvars
+    order = g.total
+    caps = (order,) * len(direction)
     coeffs = {}
     for m in jet_indices(caps, order):
         k = sum(m)
-        a = values[k]
+        a = g.coeff((k,))
         if a == 0:
             continue
         c = a * math.factorial(k)
@@ -84,23 +63,13 @@ def _linear_substitution(values, direction, H, order: int) -> ScalarJet:
             c *= dr**mi / math.factorial(mi)
         if c != 0:
             coeffs[m] = c
-    return ScalarJet(caps, order, coeffs)
+    return Jet(caps, order, coeffs)
 
 
-def _univariate_w(c0: complex, z: complex, md: ModularData, order: int):
-    """Taylor coefficients in c of w_c(z) at c0, as a list."""
+def _univariate_w(c0: complex, z: complex, md: ModularData, order: int) -> Jet:
+    """Univariate jet in c of w_c(z) at c0."""
     jet = w_kernel(c0, z, md, order_c=order, order_z=0)
-    return [jet.coeff((k, 0)) for k in range(order + 1)]
-
-
-def _convolve(a, b, order: int):
-    out = [0j] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(order + 1 - i):
-            out[i + j] += ai * b[j]
-    return out
+    return Jet((order,), order, {(k,): jet.coeff((k, 0)) for k in range(order + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +155,8 @@ class WeylKacData:
     """Value, log-jet in xi, and tau-derivative jet of the denominator."""
 
     value: complex
-    log_jet: ScalarJet
-    dtau_log: ScalarJet
+    log_jet: Jet
+    dtau_log: Jet
 
     @property
     def dtau_log_value(self) -> complex:
@@ -227,15 +196,25 @@ def weyl_kac_pi(
         dtau_const += l * (-2j * np.pi * n * qn / (1 - qn))
         n += 1
 
-    log_jet = ScalarJet.constant(log_const, caps, order)
-    dtau_jet = ScalarJet.constant(dtau_const, caps, order)
+    log_jet = Jet.constant(log_const, caps, order)
+    dtau_jet = Jet.constant(dtau_const, caps, order)
+
+    def exp_linear(prefactor, rate, alpha):
+        # jet of prefactor * exp(rate * alpha(xi)) around xi = H
+        val = prefactor * np.exp(rate * complex(alpha @ H))
+        g = Jet(
+            (order,),
+            order,
+            {(k,): val * rate**k / math.factorial(k) for k in range(order + 1)},
+        )
+        return _linear_substitution(g, alpha)
 
     for alpha in rs.positive_roots:
-        plus = _exp_linear_jet(1.0, 1j * np.pi, alpha, H, order)
-        minus = _exp_linear_jet(1.0, -1j * np.pi, alpha, H, order)
+        plus = exp_linear(1.0, 1j * np.pi, alpha)
+        minus = exp_linear(1.0, -1j * np.pi, alpha)
         log_jet = log_jet + (plus - minus).log()
 
-    one = ScalarJet.constant(1.0, caps, order)
+    one = Jet.constant(1.0, caps, order)
     for alpha in rs.roots:
         scale = abs(np.exp(2j * np.pi * complex(alpha @ H)))
         n = 1
@@ -243,7 +222,7 @@ def weyl_kac_pi(
             qn = q**n
             if abs(qn) * max(scale, 1.0) < eps:
                 break
-            x = _exp_linear_jet(qn, 2j * np.pi, alpha, H, order)
+            x = exp_linear(qn, 2j * np.pi, alpha)
             log_jet = log_jet + (one - x).log()
             dtau_jet = dtau_jet - (
                 (2j * np.pi * n) * (x * (one - x).reciprocal())
@@ -303,20 +282,6 @@ class GaudinProblem:
 
     # -- site operators on the zero-weight subspace ---------------------
 
-    def star_matrix(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Transpose action of x on the dual of site i's underlying space.
-
-        Irreducible site modules are stored by their own action, so the
-        dual action is the plain transpose.  Dual Verma modules are stored
-        already acting on the dual space via the transpose-compose-
-        involution construction; undoing the involution (transposing the
-        defining matrix) recovers the plain transpose action.
-        """
-        mod = self.modules[i]
-        if mod.kind == "dual_verma":
-            return mod.represent(np.asarray(x).T)
-        return mod.represent(x).T
-
     def _build_site_operators(self):
         """h_r^(i) and e_{-a}^(j) e_a^(i) on the zero-weight space.
 
@@ -343,7 +308,7 @@ class GaudinProblem:
 
         self._hstar = [
             [
-                on_sites(self.star_matrix(i, rs.h_ortho[r])[grid[i]], i)
+                on_sites(self.modules[i].dual_matrix(rs.h_ortho[r])[grid[i]], i)
                 for r in range(rs.rank)
             ]
             for i in range(nsites)
@@ -352,8 +317,8 @@ class GaudinProblem:
         for k in range(len(rs.chevalley.roots_ab)):
             e_plus = rs.chevalley.root_vectors[k]
             e_minus = rs.chevalley.root_vectors[rs.negative_of(k)]
-            lower = [self.star_matrix(i, e_plus) for i in range(nsites)]
-            raise_ = [self.star_matrix(j, e_minus) for j in range(nsites)]
+            lower = [mod.dual_matrix(e_plus) for mod in self.modules]
+            raise_ = [mod.dual_matrix(e_minus) for mod in self.modules]
             for i in range(nsites):
                 for j in range(nsites):
                     if i == j:
@@ -376,7 +341,7 @@ class GaudinProblem:
             out.append(m)
         return out
 
-    def potential_jet(self, H, u: complex, order: int = 0) -> MatrixJet:
+    def potential_jet(self, H, u: complex, order: int = 0) -> Jet:
         """Jet of the exchange potential
         (1/2) sum_{i,j,alpha} w_{a(H)}(z_i-u) w_{-a(H)}(z_j-u) e_{-a}^(j) e_a^(i).
         """
@@ -384,26 +349,23 @@ class GaudinProblem:
         check_regular(self.rs, self.md, H, self.pole_guard)
         u = complex(u)
         rs, md = self.rs, self.md
-        dim0 = self.space.dim0
-        acc = MatrixJet.zeros((dim0, dim0), rs.rank, order)
+        acc = Jet((order,) * rs.rank, order)
         for k in range(len(rs.chevalley.roots_ab)):
             alpha = rs.roots[k]
             c0 = complex(alpha @ H)
             lower = [
                 _univariate_w(c0, z - u, md, order) for z in self.positions
             ]
-            flip = [(-1.0) ** m for m in range(order + 1)]
+            # w_{-c}(z) in c at c0: the jet of w at -c0 with odd terms negated
             upper = []
             for z in self.positions:
-                vals = _univariate_w(-c0, z - u, md, order)
-                upper.append([f * v for f, v in zip(flip, vals)])
+                w = _univariate_w(-c0, z - u, md, order)
+                flipped = {m: (-1.0) ** m[0] * v for m, v in w.coeffs.items()}
+                upper.append(Jet(w.caps, w.total, flipped))
             for i in range(len(self.positions)):
                 for j in range(len(self.positions)):
-                    prod = _convolve(lower[i], upper[j], order)
-                    jet = _linear_substitution(prod, alpha, H, order)
-                    acc = acc + MatrixJet.from_scalar(
-                        jet, 0.5 * self._pair[(i, j, k)], order
-                    )
+                    jet = _linear_substitution(lower[i] * upper[j], alpha)
+                    acc = acc + jet * (0.5 * self._pair[(i, j, k)])
         return acc
 
     # -- operators ---------------------------------------------------------
@@ -426,8 +388,7 @@ class GaudinProblem:
         const0 = sum((Ar @ Ar for Ar in A), np.zeros_like(eye)) * 0.5
 
         def zero_fn(H, order, _const=const0, _u=u):
-            jet = self.potential_jet(H, _u, order)
-            return jet + MatrixJet.constant(_const, l, order)
+            return self.potential_jet(H, _u, order) + _const
 
         coeffs[(0,) * l] = zero_fn
         return DiffOperator(l, dim0, coeffs)
@@ -458,9 +419,7 @@ class GaudinProblem:
         def fn(H, order):
             data = weyl_kac_pi(self.rs, self.md, H, order + extra_order)
             jet = data.log_jet if sign > 0 else -data.log_jet
-            return MatrixJet.from_scalar(
-                jet.truncate((order,) * l, order).exp(), eye, order
-            )
+            return jet.truncate((order,) * l, order).exp() * eye
 
         return DiffOperator(l, dim0, {(0,) * l: fn})
 
@@ -486,33 +445,27 @@ class GaudinProblem:
         A = self.cartan_matrices(u)
         hvee = self.rs.dual_coxeter
 
+        units = [tuple(1 if s == r else 0 for s in range(l)) for r in range(l)]
+
         def first_factory(r):
             def fn(H, order):
                 data = weyl_kac_pi(self.rs, self.md, H, order + 1)
-                return MatrixJet.from_scalar(
-                    data.log_jet.deriv_jet(r), eye, order
-                )
+                return data.log_jet.shift(units[r]) * eye
 
             return fn
 
         def zero_fn(H, order):
             data = weyl_kac_pi(self.rs, self.md, H, order + 1)
-            acc = MatrixJet.from_scalar(
-                (2j * np.pi * hvee)
-                * data.dtau_log.truncate((order,) * l, order),
-                eye,
-                order,
-            )
+            acc = (
+                (2j * np.pi * hvee) * data.dtau_log.truncate((order,) * l, order)
+            ) * eye
             for r in range(l):
-                acc = acc + MatrixJet.from_scalar(
-                    data.log_jet.deriv_jet(r), -A[r], order
-                )
+                acc = acc + data.log_jet.shift(units[r]) * (-A[r])
             return acc
 
         coeffs = {(0,) * l: zero_fn}
         for r in range(l):
-            one = tuple(1 if s == r else 0 for s in range(l))
-            coeffs[one] = first_factory(r)
+            coeffs[units[r]] = first_factory(r)
         extra = DiffOperator(l, dim0, coeffs)
         return base + extra
 

@@ -394,13 +394,19 @@ class RepresentedModule:
                 out = out + coords[r] * self.mats[("h", r)]
         return out
 
+    def dual_matrix(self, x: np.ndarray) -> np.ndarray:
+        """Transpose action of x on the dual of the underlying space.
 
-def dual_action(module: RepresentedModule, x: np.ndarray) -> np.ndarray:
-    """Matrix of the right action on functionals: the plain transpose.
-
-    (A acting on Phi)(v) = Phi(A v), so products reverse under this map.
-    """
-    return module.represent(x).T
+        (A acting on Phi)(v) = Phi(A v), so products reverse under this
+        map.  Irreducible modules are stored by their own action, so this
+        is the plain transpose.  Dual Verma modules are stored already
+        acting on the dual space via the transpose-compose-involution
+        construction; undoing the involution (transposing the defining
+        matrix) recovers the plain transpose action.
+        """
+        if self.kind == "dual_verma":
+            return self.represent(np.asarray(x).T)
+        return self.represent(x).T
 
 
 def _generator_keys(rs: RootSystemData):

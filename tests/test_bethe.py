@@ -21,6 +21,7 @@ from ellgaudin.bethe import (
     BetheError,
     BetheSystem,
     default_assignment,
+    halton_points,
     root_multiplicities,
 )
 from ellgaudin.elliptic import EllipticError, ModularData
@@ -199,6 +200,26 @@ def test_solver_quasirandom_seeds_find_m2_roots():
     for s in sols:
         assert s.residual < 1e-12
         assert s.iterations >= 0
+
+
+def test_halton_leading_points():
+    # radical inverses of 0..4 in bases 2, 3 and 5, bit for bit (3/5 is
+    # computed as 3 * (1/5), one ulp above 0.6)
+    assert halton_points(5, 3).tolist() == [
+        [0.0, 0.0, 0.0],
+        [0.5, 0.3333333333333333, 0.2],
+        [0.25, 0.6666666666666666, 0.4],
+        [0.75, 0.1111111111111111, 0.6000000000000001],
+        [0.125, 0.4444444444444444, 0.8],
+    ]
+    assert halton_points(7, 2)[6].tolist() == [0.375, 0.2222222222222222]
+
+
+def test_halton_matches_scipy_bitwise():
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    for d in range(1, 9):
+        ref = qmc.Halton(d=d, scramble=False).random(256)
+        assert np.array_equal(halton_points(256, d), ref), d
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +206,48 @@ def test_usage_error_exits_2():
 
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["describe-algebra", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+def test_rank_outside_supported_range_exits_2(tmp_path, capsys):
+    text = (
+        MINIMAL_SITES.replace("rank = 1", "rank = 4")
+        .replace("weight_1 = 1", "weight_1 = 1, 0, 0, 0")
+        .replace("weight_2 = 1", "weight_2 = 0, 0, 0, 1")
+    )
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="unsupported rank 4"):
+        load_config(path)
+    for command in ("commute-check", "describe-algebra"):
+        assert main([command, "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, ellgaudin.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_record_walls_are_per_check(tmp_path, capsys):
+    # each record's wall time covers only its own check, so the walls of
+    # one run cannot add up to more than the run took (each printed wall is
+    # rounded to 0.01 s, hence the half-unit per record)
+    start = time.perf_counter()
+    code = main(["elliptic-check", "--config", str(CONFIGS / "a1_n2_fund.ini")])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    out = capsys.readouterr().out
+    walls = [float(w) for w in re.findall(r"wall=([0-9.]+)s", out)]
+    assert len(walls) == 8
+    assert sum(walls) <= elapsed + 0.005 * len(walls)
 
 
 def test_describe_algebra_exits_0(tmp_path, capsys):

@@ -13,12 +13,10 @@ import pytest
 
 from ellgaudin.diffop import (
     DiffOperator,
-    MatrixJet,
     MAX_TOTAL_ORDER,
     constant_coeff,
-    total_degree_indices,
 )
-from ellgaudin.elliptic import ScalarJet
+from ellgaudin.elliptic import Jet, jet_indices
 
 RNG = np.random.default_rng(20240817)
 
@@ -40,12 +38,13 @@ def exp_jet_fn(a, mat):
         H = np.asarray(H, dtype=complex)
         val = np.exp(a @ H)
         coeffs = {}
-        for m in total_degree_indices(len(a), order):
+        caps = (order,) * len(a)
+        for m in jet_indices(caps, order):
             c = val
             for ai, mi in zip(a, m):
                 c *= ai**mi / math.factorial(mi)
             coeffs[m] = c * mat
-        return MatrixJet(len(a), order, coeffs)
+        return Jet(caps, order, coeffs)
 
     return fn
 
@@ -62,24 +61,27 @@ def exp_apply(a, mat, beta, b, vec, H):
 
 
 # ---------------------------------------------------------------------------
-# MatrixJet basics
+# Matrix-valued jets
 # ---------------------------------------------------------------------------
 
 
 def test_matrix_jet_constant_and_value():
     m = rand_matrix(3)
-    jet = MatrixJet.constant(m, nvars=2, order=2)
+    jet = Jet.constant(m, (2, 2), 2)
     assert np.allclose(jet.value, m)
+    assert jet.value.shape == (3, 3)
     assert np.allclose(jet.coeff((1, 0)), 0)
-    assert jet.shape == (3, 3)
 
 
-def test_matrix_jet_empty_shift_keeps_shape():
+def test_matrix_jet_empty_shift_is_zero():
     m = rand_matrix(2)
-    jet = MatrixJet.constant(m, nvars=2, order=2)
+    jet = Jet.constant(m, (2, 2), 2)
     shifted = jet.shift((1, 0))
-    assert shifted.coeffs == {} or np.allclose(shifted.value, 0)
-    assert np.allclose(shifted.value, np.zeros((2, 2)))
+    assert shifted.coeffs == {}
+    assert (shifted.caps, shifted.total) == ((1, 1), 1)
+    # a missing coefficient is the scalar zero, which every product absorbs
+    assert shifted.value == 0
+    assert (Jet.constant(m, (1, 1), 1) * shifted).coeffs == {}
 
 
 def test_matrix_jet_product_is_noncommutative_convolution():
@@ -114,10 +116,11 @@ def test_matrix_jet_shift_matches_analytic_derivative():
 
 
 def test_matrix_jet_from_scalar():
+    # a scalar jet times a constant matrix scales every coefficient
     caps, total = (2, 2), 2
-    s = ScalarJet(caps, total, {(0, 0): 1.5, (1, 0): 2.0, (0, 2): -1.0})
+    s = Jet(caps, total, {(0, 0): 1.5, (1, 0): 2.0, (0, 2): -1.0})
     m = rand_matrix(2)
-    jet = MatrixJet.from_scalar(s, m)
+    jet = s * m
     assert np.allclose(jet.value, 1.5 * m)
     assert np.allclose(jet.coeff((1, 0)), 2.0 * m)
     assert np.allclose(jet.coeff((0, 2)), -1.0 * m)
@@ -249,7 +252,7 @@ def test_canonical_commutator_is_identity():
 
     def coordinate(H, order):
         H = np.asarray(H, dtype=complex)
-        jet = MatrixJet.constant(np.eye(dim) * H[r], nvars, order)
+        jet = Jet.constant(np.eye(dim) * H[r], (order,) * nvars, order)
         if order >= 1:
             e = tuple(1 if i == r else 0 for i in range(nvars))
             jet.coeffs[e] = np.eye(dim, dtype=complex)

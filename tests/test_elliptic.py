@@ -12,7 +12,7 @@ from ellgaudin.elliptic import (
     LatticeReduction,
     ModularData,
     PoleProximityError,
-    ScalarJet,
+    Jet,
     SeriesConvergenceError,
     jet_indices,
     nearest_lattice_point,
@@ -217,10 +217,10 @@ def test_jet_arithmetic_roundtrip():
     # (f*g)/g == f on the retained indices
     caps, tot = (2, 2), 4
     rng = np.random.default_rng(0)
-    f = ScalarJet(
+    f = Jet(
         caps, tot, {m: complex(*rng.normal(size=2)) for m in jet_indices(caps, tot)}
     )
-    g = ScalarJet(
+    g = Jet(
         caps, tot, {m: complex(*rng.normal(size=2)) for m in jet_indices(caps, tot)}
     )
     g.coeffs[(0, 0)] += 3.0  # keep g invertible
@@ -231,7 +231,7 @@ def test_jet_arithmetic_roundtrip():
 
 def test_jet_exp_log_inverse():
     caps, tot = (3,), 3
-    f = ScalarJet(caps, tot, {(0,): 0.4 + 0.2j, (1,): 1.1 - 0.5j, (2,): 0.3j, (3,): -0.2})
+    f = Jet(caps, tot, {(0,): 0.4 + 0.2j, (1,): 1.1 - 0.5j, (2,): 0.3j, (3,): -0.2})
     g = f.exp().log()
     for m in jet_indices(caps, tot):
         assert abs(g.coeff(m) - f.coeff(m)) <= 1e-12

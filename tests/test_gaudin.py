@@ -459,7 +459,7 @@ def test_site_operators_match_dense_reference(name):
     for i in range(nsites):
         for r in range(rs.rank):
             ref = space.restrict_zero(
-                space.op_full(i, prob.star_matrix(i, rs.h_ortho[r]))
+                space.op_full(i, modules[i].dual_matrix(rs.h_ortho[r]))
             )
             assert np.max(np.abs(prob._hstar[i][r] - ref)) <= 1e-14
     assert len(prob._pair) == len(rs.roots) * nsites**2
@@ -467,8 +467,8 @@ def test_site_operators_match_dense_reference(name):
         e_plus = rs.chevalley.root_vectors[k]
         e_minus = rs.chevalley.root_vectors[rs.negative_of(k)]
         ref = space.restrict_zero(
-            space.op_full(j, prob.star_matrix(j, e_minus))
-            @ space.op_full(i, prob.star_matrix(i, e_plus))
+            space.op_full(j, modules[j].dual_matrix(e_minus))
+            @ space.op_full(i, modules[i].dual_matrix(e_plus))
         )
         assert np.max(np.abs(got - ref)) <= 1e-14
 

@@ -14,7 +14,6 @@ from ellgaudin.liealg import (
     build_dual_verma,
     build_irrep,
     build_root_system,
-    dual_action,
     min_dual_verma_depth,
     normalized_form,
 )
@@ -338,22 +337,22 @@ def test_dual_action_is_anti_homomorphism():
     rs = A2
     a = rs.chevalley.E[0] + 0.3 * rs.chevalley.F[1]
     b = rs.chevalley.H[0] - 2j * rs.chevalley.E[1]
-    lhs = dual_action(mod, a) @ dual_action(mod, b) - dual_action(
-        mod, b
-    ) @ dual_action(mod, a)
+    lhs = mod.dual_matrix(a) @ mod.dual_matrix(b) - mod.dual_matrix(
+        b
+    ) @ mod.dual_matrix(a)
     rhs = -(comm(mod.represent(a), mod.represent(b))).T
     assert maxabs(lhs - rhs) < 1e-12
 
 
 def test_dual_action_fundamental_h():
     mod = build_irrep(A1, A1.fundamental_weights[0])
-    got = dual_action(mod, A1.chevalley.H[0])
+    got = mod.dual_matrix(A1.chevalley.H[0])
     assert np.allclose(got, np.diag([1, -1]).T, atol=1e-10)
 
 
 def test_dual_action_trivial_rep():
     mod = build_irrep(A1, np.zeros(1))
-    assert maxabs(dual_action(mod, A1.chevalley.E[0])) < 1e-14
+    assert maxabs(mod.dual_matrix(A1.chevalley.E[0])) < 1e-14
 
 
 # ---------------------------------------------------------------------------
