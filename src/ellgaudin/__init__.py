@@ -12,7 +12,8 @@ Layers, bottom up:
     representation, finite irreducibles, truncated dual Verma modules.
 ``diffop``
     Matrix-coefficient differential operators in the Cartan coordinates,
-    with composition, commutators, and application to jet functions.
+    held as their coefficient jets at one Cartan point, with composition,
+    commutators, and application to a function's jet there.
 ``gaudin``
     The face-type elliptic Gaudin transfer matrix, the Weyl-Kac
     denominator, and the commutativity certificate.

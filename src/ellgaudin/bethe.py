@@ -17,7 +17,7 @@ from itertools import permutations, product as _iproduct
 
 import numpy as np
 
-from .elliptic import EllipticError, Jet, jet_indices, zeta11
+from .elliptic import EllipticError, Jet, jet_indices, lattice_distance, zeta11
 from .gaudin import (
     GaudinError,
     GaudinProblem,
@@ -110,17 +110,9 @@ class BetheSystem:
             np.asarray(rs.simple_roots[a], dtype=complex)
             for a in self.assignment
         ]
+        # with the charge balanced, M is the height of the summed weights,
+        # so GaudinProblem has already enforced the depth bound M + ht(theta)
         self._check_charge()
-        need = self.M + max(rs.root_heights)
-        for mod in problem.modules:
-            if mod.depth is not None and mod.depth < need:
-                raise BetheError(
-                    "site module truncated at depth "
-                    f"{mod.depth}; need at least M + ht(theta) = {need} so "
-                    "that the quadratic part of the transfer operator is "
-                    "exact on the zero-weight space (its raising-lowering "
-                    "terms pass through height M + ht(alpha) on one site)"
-                )
 
     def _check_charge(self, tol: float = 1e-12):
         total = np.sum(self.weights, axis=0)
@@ -168,10 +160,6 @@ class BetheSystem:
                 jac[j, k] += pair * jet.deriv((1,))
         return res, jac
 
-    def residual_norm(self, t) -> float:
-        res, _ = self.equations(t)
-        return float(np.max(np.abs(res)))
-
     # -- solver ------------------------------------------------------------
 
     def _seed_points(self, count: int):
@@ -190,16 +178,12 @@ class BetheSystem:
 
     def _too_close(self, t, guard: float) -> bool:
         md = self.problem.md
-        from .elliptic import nearest_lattice_point
-
         for j in range(self.M):
             for z in self.problem.positions:
-                d = t[j] - z
-                if abs(d - nearest_lattice_point(d, md)) < guard:
+                if lattice_distance(t[j] - z, md) < guard:
                     return True
             for k in range(j + 1, self.M):
-                d = t[j] - t[k]
-                if abs(d - nearest_lattice_point(d, md)) < guard:
+                if lattice_distance(t[j] - t[k], md) < guard:
                     return True
         return False
 
@@ -391,14 +375,6 @@ class BetheSystem:
                 coeffs[m] = vec
         return Jet(caps, order, coeffs)
 
-    def vector_function(self, t):
-        """Closure suitable for DiffOperator.apply."""
-
-        def fn(H, order):
-            return self.vector_jet(t, H, order)
-
-        return fn
-
     # -- eigenvalue ----------------------------------------------------------
 
     def zeta_bar(self, direction, t, u: complex) -> complex:
@@ -442,22 +418,22 @@ class BetheSystem:
         vector norm encountered, and a status flag; when the vector is
         numerically zero everywhere the check is inconclusive.
         """
-        fn = self.vector_function(t)
         max_rel = 0.0
         min_norm = math.inf
         seen_nonzero = False
-        for u in u_points:
-            op = self.problem.transfer(u)
-            eig = self.eigenvalue(t, u)
-            for H in h_points:
-                H = np.asarray(H, dtype=complex)
-                psi = self.vector_jet(t, H).value
-                norm = float(np.max(np.abs(psi)))
-                min_norm = min(min_norm, norm)
-                if norm < tiny:
-                    continue
+        eigs = [self.eigenvalue(t, u) for u in u_points]
+        for H in h_points:
+            H = np.asarray(H, dtype=complex)
+            # the transfer operator is second order; one jet serves every u
+            psi_jet = self.vector_jet(t, H, 2)
+            psi = psi_jet.value
+            norm = float(np.max(np.abs(psi)))
+            min_norm = min(min_norm, norm)
+            if norm < tiny:
+                continue
+            for u, eig in zip(u_points, eigs):
                 seen_nonzero = True
-                lhs = op.apply(fn, H)
+                lhs = self.problem.transfer(u, H).apply(psi_jet)
                 rel = float(np.max(np.abs(lhs - eig * psi))) / norm
                 max_rel = max(max_rel, rel)
         status = "ok" if seen_nonzero else "inconclusive"

@@ -30,6 +30,7 @@ from .bethe import BetheError, BetheSystem, root_multiplicities
 from .elliptic import (
     EllipticError,
     ModularData,
+    lattice_distance,
     theta11,
     w_kernel,
     zeta11,
@@ -195,18 +196,6 @@ class ExperimentConfig:
             lines.append(f"sampling.{key} = {self.sampling[key]!r}")
         lines.append(f"rng.seed = {self.seed}")
         return lines
-
-
-def _lattice_distance(a: complex, b: complex, tau: complex) -> float:
-    """Distance between a and b modulo the lattice Z + Z*tau."""
-    d = a - b
-    # Reduce to the neighbourhood of the origin before scanning translates.
-    n = round(d.imag / tau.imag)
-    d -= n * tau
-    d -= round(d.real)
-    return min(
-        abs(d - m - k * tau) for m in (-1, 0, 1) for k in (-1, 0, 1)
-    )
 
 
 def _parse_int(section: str, key: str, raw: str, minimum: int | None = None):
@@ -383,11 +372,10 @@ def load_config(path: str) -> ExperimentConfig:
         if cfg.tau is None:
             raise ConfigError("[sites] requires an [elliptic] section with tau")
         cfg.sites = _parse_sites(parser, cfg.rank)
+        md = ModularData(cfg.tau)
         for a in range(len(cfg.sites)):
             for b in range(a + 1, len(cfg.sites)):
-                dist = _lattice_distance(
-                    cfg.sites[a].z, cfg.sites[b].z, cfg.tau
-                )
+                dist = lattice_distance(cfg.sites[a].z - cfg.sites[b].z, md)
                 if dist < 1e-9:
                     raise ConfigError(
                         f"sites coincide mod lattice: z_{a + 1} = z_{b + 1}"
@@ -951,7 +939,7 @@ class CheckRunner:
                 complex((k + 0.5) / n) + y * tau for k in range(n)
             ]
             if all(
-                min(_lattice_distance(u, p, tau) for p in poles) >= guard
+                min(lattice_distance(u - p, self.md) for p in poles) >= guard
                 for u in candidate
             ):
                 offset = candidate

@@ -1,10 +1,12 @@
 """Matrix-coefficient differential operators in the Cartan coordinates.
 
 An operator is a finite sum over multi-indices beta of coefficient
-functions times partial derivatives d^beta in the coordinates xi_1..xi_l.
-Coefficients are closures producing matrix-valued :class:`Jet` expansions
-at a requested base point and order, so composition can differentiate them
-analytically via the Leibniz rule; nothing is ever sampled on a grid.
+functions times partial derivatives d^beta in the coordinates xi_1..xi_l,
+held at one base point H: each coefficient is its matrix-valued
+:class:`Jet` at H, and all jets share one order k.  Composition
+differentiates the coefficients analytically via the Leibniz rule and
+keeps as many orders as the inputs determine; nothing is ever sampled on
+a grid.
 """
 
 from __future__ import annotations
@@ -31,81 +33,59 @@ def _sub_indices(beta):
     return list(_iproduct(*(range(b + 1) for b in beta)))
 
 
-def _cached_coeff(fn):
-    """Memoize a coefficient closure on (base point, order)."""
-    memo = {}
-
-    def wrapped(H, order):
-        key = (np.asarray(H, dtype=complex).tobytes(), order)
-        if key not in memo:
-            memo[key] = fn(H, order)
-        return memo[key]
-
-    return wrapped
-
-
-def constant_coeff(mat) -> "CoeffFn":
-    mat = np.asarray(mat, dtype=complex)
-
-    def fn(H, order):
-        return Jet.constant(mat, (order,) * np.asarray(H).size, order)
-
-    return fn
-
-
 class DiffOperator:
-    """Sum over beta of coeff_beta(xi) * d^beta.
+    """Sum over beta of coeff_beta(xi) * d^beta, as jets at one point H.
 
-    ``coeffs`` maps the derivative multi-index beta to a closure
-    ``fn(H, order) -> Jet`` giving the coefficient's jet at H.  The
-    represented operator acts on vector-valued functions of xi; matrix
-    coefficients act by left multiplication.
+    ``coeffs`` maps the derivative multi-index beta to the coefficient's
+    matrix-valued jet at H over (k,) * nvars with total order k; ``k`` is
+    the same for every coefficient.  Matrix coefficients act on
+    vector-valued functions of xi by left multiplication.
     """
 
-    def __init__(self, nvars: int, dim: int, coeffs: dict, cache: bool = True):
+    def __init__(self, nvars: int, dim: int, coeffs: dict):
         self.nvars = nvars
         self.dim = dim
-        self.coeffs = {
-            tuple(m): (_cached_coeff(fn) if cache else fn)
-            for m, fn in coeffs.items()
-        }
+        self.coeffs = {tuple(m): jet for m, jet in coeffs.items()}
         for m in self.coeffs:
             if len(m) != nvars:
                 raise ValueError(f"multi-index {m} does not have {nvars} entries")
+        orders = {jet.total for jet in self.coeffs.values()}
+        if len(orders) != 1:
+            raise ValueError(
+                f"need coefficient jets of one order, got orders {orders}"
+            )
+        self.k = orders.pop()
 
     @property
     def order(self) -> int:
         return max((sum(m) for m in self.coeffs), default=0)
+
+    def _coeff_at(self, m, k: int) -> Jet:
+        return self.coeffs[m].truncate((k,) * self.nvars, k)
 
     # -- linear structure ----------------------------------------------
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
         if self.nvars != other.nvars or self.dim != other.dim:
             raise ValueError("operator shape mismatch")
+        k = min(self.k, other.k)
         out = {}
         for m in set(self.coeffs) | set(other.coeffs):
-            fa = self.coeffs.get(m)
-            fb = other.coeffs.get(m)
-            if fa is None:
-                out[m] = fb
-            elif fb is None:
-                out[m] = fa
+            if m not in other.coeffs:
+                out[m] = self._coeff_at(m, k)
+            elif m not in self.coeffs:
+                out[m] = other._coeff_at(m, k)
             else:
-                out[m] = (lambda fa, fb: lambda H, order: fa(H, order) + fb(H, order))(
-                    fa, fb
-                )
-        return DiffOperator(self.nvars, self.dim, out, cache=False)
+                out[m] = self._coeff_at(m, k) + other._coeff_at(m, k)
+        return DiffOperator(self.nvars, self.dim, out)
 
     def __sub__(self, other: "DiffOperator") -> "DiffOperator":
         return self + other * (-1.0)
 
     def __mul__(self, scalar) -> "DiffOperator":
         s = complex(scalar)
-        out = {
-            m: (lambda fn: lambda H, order: fn(H, order) * s)(fn)
-            for m, fn in self.coeffs.items()
-        }
-        return DiffOperator(self.nvars, self.dim, out, cache=False)
+        out = {m: jet * s for m, jet in self.coeffs.items()}
+        return DiffOperator(self.nvars, self.dim, out)
 
     __rmul__ = __mul__
 
@@ -116,8 +96,9 @@ class DiffOperator:
 
         Leibniz: a d^beta (b d^gamma f) expands over delta <= beta into
         binom(beta,delta) a (d^delta b) d^(beta-delta+gamma) f, so the
-        result coefficient at mu collects all splittings; coefficient jets
-        of ``other`` are consumed up to the order of ``self``.
+        result coefficient at mu collects all splittings.  Differentiating
+        ``other``'s coefficients costs up to ``self.order`` jet orders, so
+        the result carries order min(self.k, other.k - self.order).
         """
         if self.nvars != other.nvars or self.dim != other.dim:
             raise ValueError("operator shape mismatch")
@@ -126,61 +107,53 @@ class DiffOperator:
                 f"composition order {self.order + other.order} exceeds "
                 f"{MAX_TOTAL_ORDER}"
             )
-        pieces: dict = {}
-        for beta, fa in self.coeffs.items():
-            for gamma, fb in other.coeffs.items():
+        k = min(self.k, other.k - self.order)
+        if k < 0:
+            raise ValueError(
+                f"coefficient jets of order {other.k} cannot be differentiated "
+                f"{self.order} times"
+            )
+        caps = (k,) * self.nvars
+        out: dict = {}
+        for beta, a in self.coeffs.items():
+            a = a.truncate(caps, k)
+            for gamma, b in other.coeffs.items():
                 for delta in _sub_indices(beta):
-                    mu = tuple(
-                        b - d + g for b, d, g in zip(beta, delta, gamma)
-                    )
-                    w = _binom_multi(beta, delta)
-                    pieces.setdefault(mu, []).append((fa, fb, tuple(delta), w))
-
-        def make(mu, terms):
-            def fn(H, order):
-                acc = None
-                for fa, fb, delta, w in terms:
-                    a = fa(H, order)
-                    b = fb(H, order + sum(delta)).shift(delta)
-                    t = (a * b) * w
-                    acc = t if acc is None else acc + t
-                return acc
-
-            return fn
-
-        out = {mu: make(mu, terms) for mu, terms in pieces.items()}
-        return DiffOperator(self.nvars, self.dim, out, cache=False)
+                    mu = tuple(bt - d + g for bt, d, g in zip(beta, delta, gamma))
+                    db = b.shift(delta).truncate(caps, k)
+                    t = (a * db) * _binom_multi(beta, delta)
+                    out[mu] = out[mu] + t if mu in out else t
+        return DiffOperator(self.nvars, self.dim, out)
 
     def commutator(self, other: "DiffOperator") -> "DiffOperator":
         return self.compose(other) - other.compose(self)
 
     # -- evaluation ------------------------------------------------------
 
-    def evaluate(self, H, order: int = 0) -> dict:
-        """Coefficient jets (or plain values for order 0) at a point."""
-        H = np.asarray(H, dtype=complex)
-        if order == 0:
-            return {m: fn(H, 0).value for m, fn in self.coeffs.items()}
-        return {m: fn(H, order) for m, fn in self.coeffs.items()}
+    def evaluate(self) -> dict:
+        """Coefficient values at the base point."""
+        return {m: jet.value for m, jet in self.coeffs.items()}
 
-    def apply(self, f, H) -> np.ndarray:
-        """Apply to a jet-evaluable vector function.
+    def apply(self, fjet: Jet) -> np.ndarray:
+        """Value at the base point of the operator applied to a function.
 
-        ``f(H, order)`` must return a Jet over (order,) * nvars whose
-        coefficients are vectors of length ``dim``; the jet order consumed
-        equals the operator order.
+        ``fjet`` is the function's jet at the same point, over
+        (order,) * nvars with vector coefficients of length ``dim``; it
+        must carry at least the operator's order.
         """
-        H = np.asarray(H, dtype=complex)
-        fjet = f(H, self.order)
+        if fjet.total < self.order:
+            raise ValueError(
+                f"a jet of order {fjet.total} cannot feed an operator of "
+                f"order {self.order}"
+            )
         out = np.zeros(self.dim, dtype=complex)
         zero = (0,) * self.nvars
-        for beta, fn in self.coeffs.items():
-            coeff = fn(H, 0).coeffs.get(zero)
+        for beta, jet in self.coeffs.items():
+            coeff = jet.coeffs.get(zero)
             # a missing coefficient is zero
             if coeff is not None and beta in fjet.coeffs:
                 out = out + coeff @ fjet.deriv(beta)
         return out
 
-    def max_coeff_norm(self, H) -> float:
-        vals = self.evaluate(H, 0)
-        return max(float(np.max(np.abs(v))) for v in vals.values())
+    def max_coeff_norm(self) -> float:
+        return max(float(np.max(np.abs(v))) for v in self.evaluate().values())

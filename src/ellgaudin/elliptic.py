@@ -75,6 +75,7 @@ class ModularData:
     eps_term: float = 1e-16
     n_max: int = 64
     q: complex = field(init=False)
+    basis: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -86,6 +87,30 @@ class ModularData:
             raise ValueError("eps_term must lie in (0, 1)")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "q", cmath.exp(_TWO_PI_I * tau))
+        object.__setattr__(self, "basis", _gauss_reduce(tau))
+
+
+def _gauss_reduce(tau: complex) -> tuple:
+    """Lagrange-Gauss reduced basis of the lattice Z + tau*Z.
+
+    Returns two pairs (n, m), each standing for the lattice vector
+    n + m*tau, with |b1| <= |b2| and |Re(b2/b1)| <= 1/2, so that the angle
+    between the two vectors lies in [60, 120] degrees.
+    """
+    a, b = (1, 0), (0, 1)
+
+    def vec(c):
+        return c[0] + c[1] * tau
+
+    if abs(vec(a)) > abs(vec(b)):
+        a, b = b, a
+    while True:
+        va, vb = vec(a), vec(b)
+        mu = round((vb * va.conjugate()).real / abs(va) ** 2)
+        b = (b[0] - mu * a[0], b[1] - mu * a[1])
+        if abs(vec(b)) >= abs(va):
+            return a, b
+        a, b = b, a
 
 
 @dataclass(frozen=True)
@@ -113,14 +138,31 @@ def reduce_to_cell(z: complex, md: ModularData) -> LatticeReduction:
 
 
 def nearest_lattice_point(z: complex, md: ModularData) -> complex:
-    """Lattice point m*tau + n closest to z (candidates from reduction)."""
-    red = reduce_to_cell(z, md)
+    """Lattice point m*tau + n closest to z.
+
+    z is written as x*b1 + y*b2 in the reduced basis of ``md``.  For a
+    reduced basis the closest point has coordinates within one of the
+    rounded (x, y), so the 3 x 3 neighbours around them contain it,
+    however skewed or thin the lattice.
+    """
+    z = complex(z)
+    (n1, m1), (n2, m2) = md.basis
+    b1 = n1 + m1 * md.tau
+    b2 = n2 + m2 * md.tau
+    det = (b1.conjugate() * b2).imag
+    x = round((z.conjugate() * b2).imag / det)
+    y = round((b1.conjugate() * z).imag / det)
     best = None
-    for dm, dn in _iproduct((0, 1), (0, 1)):
-        cand = (red.m + dm) * md.tau + (red.n + dn)
+    for p, k in _iproduct((x - 1, x, x + 1), (y - 1, y, y + 1)):
+        cand = (p * m1 + k * m2) * md.tau + (p * n1 + k * n2)
         if best is None or abs(z - cand) < abs(z - best):
             best = cand
     return best
+
+
+def lattice_distance(z: complex, md: ModularData) -> float:
+    """Distance from z to the lattice Z + tau*Z."""
+    return abs(z - nearest_lattice_point(z, md))
 
 
 # ---------------------------------------------------------------------------

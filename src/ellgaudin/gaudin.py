@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffop import DiffOperator, constant_coeff
+from .diffop import DiffOperator
 from .elliptic import (
     Jet,
     ModularData,
     jet_indices,
+    lattice_distance,
     nearest_lattice_point,
-    theta11,  # noqa: F401  (re-exported convenience)
     w_kernel,
     zeta11,
 )
@@ -136,10 +136,7 @@ def sample_spectral_points(
         if tries > max_tries:
             raise GaudinError("could not sample enough spectral points")
         u = rng.uniform(0.0, 1.0) + rng.uniform(0.05, 0.95) * md.tau
-        if any(
-            abs((z - u) - nearest_lattice_point(z - u, md)) < guard
-            for z in positions
-        ):
+        if any(lattice_distance(z - u, md) < guard for z in positions):
             continue
         out.append(u)
     return out
@@ -157,10 +154,6 @@ class WeylKacData:
     value: complex
     log_jet: Jet
     dtau_log: Jet
-
-    @property
-    def dtau_log_value(self) -> complex:
-        return self.dtau_log.value
 
 
 def weyl_kac_pi(
@@ -266,6 +259,9 @@ class GaudinProblem:
         self.positions = [complex(z) for z in positions]
         self.modules = list(modules)
         self.pole_guard = pole_guard
+        self._units = [
+            tuple(int(s == r) for s in range(rs.rank)) for r in range(rs.rank)
+        ]
         need = min_dual_verma_depth(rs, [mod.highest_weight for mod in modules])
         for k, mod in enumerate(self.modules, start=1):
             if mod.depth is not None and need is not None and mod.depth < need:
@@ -370,61 +366,57 @@ class GaudinProblem:
 
     # -- operators ---------------------------------------------------------
 
-    def transfer(self, u: complex) -> DiffOperator:
+    def transfer(self, u: complex, H, order: int = 0) -> DiffOperator:
         """The transfer operator at spectral parameter u,
-        (1/2) sum_r nabla_r^2 + potential, as a differential operator in xi.
+        (1/2) sum_r nabla_r^2 + potential, as a differential operator in xi
+        with its coefficient jets at H to the given order.
         """
-        u = complex(u)
         l = self.rs.rank
-        dim0 = self.space.dim0
-        eye = np.eye(dim0, dtype=complex)
+        caps = (order,) * l
+        eye = np.eye(self.space.dim0, dtype=complex)
         A = self.cartan_matrices(u)
         coeffs = {}
-        for r in range(l):
-            two = tuple(2 if s == r else 0 for s in range(l))
-            one = tuple(1 if s == r else 0 for s in range(l))
-            coeffs[two] = constant_coeff(0.5 * eye)
-            coeffs[one] = constant_coeff(-A[r])
+        for r, unit in enumerate(self._units):
+            two = tuple(2 * s for s in unit)
+            coeffs[two] = Jet.constant(0.5 * eye, caps, order)
+            coeffs[unit] = Jet.constant(-A[r], caps, order)
         const0 = sum((Ar @ Ar for Ar in A), np.zeros_like(eye)) * 0.5
+        coeffs[(0,) * l] = self.potential_jet(H, u, order) + const0
+        return DiffOperator(l, self.space.dim0, coeffs)
 
-        def zero_fn(H, order, _const=const0, _u=u):
-            return self.potential_jet(H, _u, order) + _const
+    def nabla(self, u: complex, order: int = 0) -> list:
+        """The flat-connection operators nabla_r = d_r - A_r(u).
 
-        coeffs[(0,) * l] = zero_fn
-        return DiffOperator(l, dim0, coeffs)
-
-    def nabla(self, u: complex) -> list:
-        """The flat-connection operators nabla_r = d_r - A_r(u)."""
+        Their coefficients are constant, so the base point does not enter.
+        """
         l = self.rs.rank
-        dim0 = self.space.dim0
-        eye = np.eye(dim0, dtype=complex)
+        caps = (order,) * l
+        eye = np.eye(self.space.dim0, dtype=complex)
         A = self.cartan_matrices(u)
-        out = []
-        for r in range(l):
-            one = tuple(1 if s == r else 0 for s in range(l))
-            out.append(
-                DiffOperator(
-                    l,
-                    dim0,
-                    {one: constant_coeff(eye), (0,) * l: constant_coeff(-A[r])},
-                )
+        return [
+            DiffOperator(
+                l,
+                self.space.dim0,
+                {
+                    unit: Jet.constant(eye, caps, order),
+                    (0,) * l: Jet.constant(-A[r], caps, order),
+                },
             )
-        return out
+            for r, unit in enumerate(self._units)
+        ]
 
-    def _mult_denominator(self, sign: int, extra_order: int = 0) -> DiffOperator:
+    def _mult_denominator(self, sign: int, H, order: int) -> DiffOperator:
+        """Multiplication by Pi(H)^sign."""
         l = self.rs.rank
-        dim0 = self.space.dim0
-        eye = np.eye(dim0, dtype=complex)
+        data = weyl_kac_pi(self.rs, self.md, H, order)
+        jet = data.log_jet if sign > 0 else -data.log_jet
+        eye = np.eye(self.space.dim0, dtype=complex)
+        return DiffOperator(l, self.space.dim0, {(0,) * l: jet.exp() * eye})
 
-        def fn(H, order):
-            data = weyl_kac_pi(self.rs, self.md, H, order + extra_order)
-            jet = data.log_jet if sign > 0 else -data.log_jet
-            return jet.truncate((order,) * l, order).exp() * eye
-
-        return DiffOperator(l, dim0, {(0,) * l: fn})
-
-    def tilde_transfer(self, u: complex, route: str = "explicit") -> DiffOperator:
-        """Denominator-conjugated transfer operator.
+    def tilde_transfer(
+        self, u: complex, H, order: int = 0, route: str = "explicit"
+    ) -> DiffOperator:
+        """Denominator-conjugated transfer operator, its jets at H.
 
         'conjugation' computes Pi^{-1} o transfer o Pi with generic
         operator composition; 'explicit' adds the log-derivative terms
@@ -432,42 +424,29 @@ class GaudinProblem:
         Both must agree; the equality encodes a heat-type identity for the
         denominator.
         """
-        base = self.transfer(u)
         l = self.rs.rank
-        dim0 = self.space.dim0
-        eye = np.eye(dim0, dtype=complex)
         if route == "conjugation":
-            left = self._mult_denominator(-1)
-            right = self._mult_denominator(+1)
-            return left.compose(base.compose(right))
+            # composing after the second-order transfer operator costs the
+            # right factor two jet orders
+            left = self._mult_denominator(-1, H, order)
+            right = self._mult_denominator(+1, H, order + 2)
+            return left.compose(self.transfer(u, H, order).compose(right))
         if route != "explicit":
             raise GaudinError(f"unknown route {route!r}")
+        caps = (order,) * l
+        eye = np.eye(self.space.dim0, dtype=complex)
         A = self.cartan_matrices(u)
-        hvee = self.rs.dual_coxeter
-
-        units = [tuple(1 if s == r else 0 for s in range(l)) for r in range(l)]
-
-        def first_factory(r):
-            def fn(H, order):
-                data = weyl_kac_pi(self.rs, self.md, H, order + 1)
-                return data.log_jet.shift(units[r]) * eye
-
-            return fn
-
-        def zero_fn(H, order):
-            data = weyl_kac_pi(self.rs, self.md, H, order + 1)
-            acc = (
-                (2j * np.pi * hvee) * data.dtau_log.truncate((order,) * l, order)
-            ) * eye
-            for r in range(l):
-                acc = acc + data.log_jet.shift(units[r]) * (-A[r])
-            return acc
-
-        coeffs = {(0,) * l: zero_fn}
-        for r in range(l):
-            coeffs[units[r]] = first_factory(r)
-        extra = DiffOperator(l, dim0, coeffs)
-        return base + extra
+        data = weyl_kac_pi(self.rs, self.md, H, order + 1)
+        zero = (2j * np.pi * self.rs.dual_coxeter) * data.dtau_log.truncate(
+            caps, order
+        ) * eye
+        coeffs = {}
+        for r, unit in enumerate(self._units):
+            d_log = data.log_jet.shift(unit)
+            coeffs[unit] = d_log * eye
+            zero = zero + d_log * (-A[r])
+        coeffs[(0,) * l] = zero
+        return self.transfer(u, H, order) + DiffOperator(l, self.space.dim0, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +466,15 @@ def commutativity_residual(
     with the largest absolute top-degree (order 3 and 4) coefficients,
     which must vanish identically.
     """
-    t1 = problem.transfer(u1)
-    t2 = problem.transfer(u2)
-    comm = t1.commutator(t2)
     max_rel = 0.0
     max_abs34 = {3: 0.0, 4: 0.0}
     for H in h_points:
-        H = np.asarray(H, dtype=complex)
-        vals = comm.evaluate(H)
-        scale = t1.max_coeff_norm(H) * t2.max_coeff_norm(H)
+        # the commutator's coefficient values need both operators'
+        # coefficient jets to second order
+        t1 = problem.transfer(u1, H, 2)
+        t2 = problem.transfer(u2, H, 2)
+        vals = t1.commutator(t2).evaluate()
+        scale = t1.max_coeff_norm() * t2.max_coeff_norm()
         worst = max(float(np.max(np.abs(v))) for v in vals.values())
         max_rel = max(max_rel, worst / max(scale, 1e-300))
         for m, v in vals.items():

@@ -148,12 +148,6 @@ class RootSystemData:
     def n_positive(self) -> int:
         return len(self.positive_roots)
 
-    def root_index(self, coords) -> int:
-        for k, r in enumerate(self.roots):
-            if np.allclose(r, coords, atol=1e-10):
-                return k
-        raise LieAlgebraError(f"{coords} is not a root")
-
     def negative_of(self, k: int) -> int:
         s = self.n_positive
         return k + s if k < s else k - s
@@ -500,9 +494,10 @@ def build_irrep(rs: RootSystemData, lam) -> RepresentedModule:
 
     depth = _irrep_depth(rs, fund_int)
     tv = _TruncatedVerma(rs, lam, depth)
-    verma_mats = {
-        key: tv.matrix_of(_defining_matrix(rs, key)) for key in _generator_keys(rs)
-    }
+    # raising operators e_alpha, alpha > 0, on the truncated Verma module
+    raising = [
+        tv.matrix_of(rs.chevalley.root_vectors[pos]) for pos in range(rs.n_positive)
+    ]
 
     # Contravariant Gram matrix: row j is the v_lambda coefficient of the
     # reversed raising word of monomial j applied to each basis vector.
@@ -512,7 +507,7 @@ def build_irrep(rs: RootSystemData, lam) -> RepresentedModule:
         word = np.eye(tv.dim, dtype=complex)
         for pos in range(rs.n_positive):
             for _ in range(mono[pos]):
-                word = verma_mats[("root", pos)] @ word
+                word = raising[pos] @ word
         gram[j, :] = word[top, :]
 
     # Rank and orthonormal image basis per weight block.

@@ -282,10 +282,10 @@ def test_06_conjugated_transfer_routes_agree():
     rng = np.random.default_rng(106)
     us = sample_spectral_points(MD, prob.positions, rng, 2)
     for u in us:
-        conj = prob.tilde_transfer(u, route="conjugation")
-        expl = prob.tilde_transfer(u, route="explicit")
         for H in sample_regular_cartan(RS1, MD, rng, 5):
-            va, vb = conj.evaluate(H), expl.evaluate(H)
+            conj = prob.tilde_transfer(u, H, route="conjugation")
+            expl = prob.tilde_transfer(u, H, route="explicit")
+            va, vb = conj.evaluate(), expl.evaluate()
             scale = max(float(np.max(np.abs(v))) for v in vb.values())
             for m in set(va) | set(vb):
                 x = np.asarray(va.get(m, 0))

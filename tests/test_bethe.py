@@ -326,7 +326,7 @@ def test_eigenvalue_matches_rayleigh_quotient():
     u = 0.62 + 0.3j
     H = np.array([0.31 - 0.22j])
     psi = sysb.vector_jet(t, H).value
-    lhs = sysb.problem.transfer(u).apply(sysb.vector_function(t), H)
+    lhs = sysb.problem.transfer(u, H).apply(sysb.vector_jet(t, H, 2))
     quotients = lhs[np.abs(psi) > 1e-8] / psi[np.abs(psi) > 1e-8]
     eig = sysb.eigenvalue(t, u)
     assert np.max(np.abs(quotients - eig)) / abs(eig) < 1e-7

@@ -3,7 +3,8 @@
 Oracles: exponential-type functions exp(a.xi) M have closed-form jets and
 closed-form images under coefficient * d^beta operators, so application
 and composition can be checked exactly; finite differences provide an
-independent cross-check for first-order actions.
+independent cross-check for first-order actions.  Operators hold their
+coefficient jets at one base point H, so every oracle jet is built there.
 """
 
 import math
@@ -11,11 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from ellgaudin.diffop import (
-    DiffOperator,
-    MAX_TOTAL_ORDER,
-    constant_coeff,
-)
+from ellgaudin.diffop import DiffOperator, MAX_TOTAL_ORDER
 from ellgaudin.elliptic import Jet, jet_indices
 
 RNG = np.random.default_rng(20240817)
@@ -29,24 +26,24 @@ def rand_vector(dim):
     return RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
 
 
-def exp_jet_fn(a, mat):
-    """Closure H, order -> jet of exp(a.xi) * mat, exact to all orders."""
+def exp_jet(a, mat, H, order):
+    """Jet at H of exp(a.xi) * mat over (order,) * nvars, exact."""
     a = np.asarray(a, dtype=complex)
     mat = np.asarray(mat, dtype=complex)
+    H = np.asarray(H, dtype=complex)
+    val = np.exp(a @ H)
+    coeffs = {}
+    caps = (order,) * len(a)
+    for m in jet_indices(caps, order):
+        c = val
+        for ai, mi in zip(a, m):
+            c *= ai**mi / math.factorial(mi)
+        coeffs[m] = c * mat
+    return Jet(caps, order, coeffs)
 
-    def fn(H, order):
-        H = np.asarray(H, dtype=complex)
-        val = np.exp(a @ H)
-        coeffs = {}
-        caps = (order,) * len(a)
-        for m in jet_indices(caps, order):
-            c = val
-            for ai, mi in zip(a, m):
-                c *= ai**mi / math.factorial(mi)
-            coeffs[m] = c * mat
-        return Jet(caps, order, coeffs)
 
-    return fn
+def constant(mat, nvars, order):
+    return Jet.constant(np.asarray(mat, dtype=complex), (order,) * nvars, order)
 
 
 def exp_apply(a, mat, beta, b, vec, H):
@@ -85,10 +82,9 @@ def test_matrix_jet_empty_shift_is_zero():
 
 
 def test_matrix_jet_product_is_noncommutative_convolution():
-    a = exp_jet_fn([0.3, -0.2], rand_matrix(2))
-    b = exp_jet_fn([0.1, 0.7], rand_matrix(2))
     H = np.array([0.2, -0.4])
-    ja, jb = a(H, 2), b(H, 2)
+    ja = exp_jet([0.3, -0.2], rand_matrix(2), H, 2)
+    jb = exp_jet([0.1, 0.7], rand_matrix(2), H, 2)
     prod = ja * jb
     # value and first derivatives follow the Leibniz rule
     assert np.allclose(prod.value, ja.value @ jb.value)
@@ -105,7 +101,7 @@ def test_matrix_jet_shift_matches_analytic_derivative():
     a = np.array([0.4 + 0.1j, -0.3 + 0.2j])
     mat = rand_matrix(2)
     H = np.array([0.1, 0.3])
-    jet = exp_jet_fn(a, mat)(H, 3)
+    jet = exp_jet(a, mat, H, 3)
     shifted = jet.shift((1, 1))
     # d^2/dxi1 dxi2 exp(a.xi) mat = a1 a2 exp(a.H) mat
     expect = a[0] * a[1] * np.exp(a @ H) * mat
@@ -138,10 +134,9 @@ def test_apply_zeroth_order_multiplication():
     a = np.array([0.2, -0.5])
     b = np.array([0.3, 0.1])
     vec = rand_vector(dim)
-    op = DiffOperator(nvars, dim, {(0, 0): exp_jet_fn(a, mat)})
-    f = exp_jet_fn(b, vec)
     H = np.array([0.7, -0.2])
-    got = op.apply(f, H)
+    op = DiffOperator(nvars, dim, {(0, 0): exp_jet(a, mat, H, 0)})
+    got = op.apply(exp_jet(b, vec, H, 0))
     expect = exp_apply(a, mat, (0, 0), b, vec, H)
     assert np.allclose(got, expect)
 
@@ -152,10 +147,9 @@ def test_apply_matches_finite_difference_gradient():
     vec = rand_vector(dim)
     a = np.array([0.15, -0.4])
     b = np.array([-0.2, 0.55])
-    op = DiffOperator(nvars, dim, {(1, 0): exp_jet_fn(a, mat)})
-    f = exp_jet_fn(b, vec)
     H = np.array([0.3, 0.2])
-    got = op.apply(f, H)
+    op = DiffOperator(nvars, dim, {(1, 0): exp_jet(a, mat, H, 0)})
+    got = op.apply(exp_jet(b, vec, H, 1))
 
     def pointwise(x):
         return np.exp(b @ x) * vec
@@ -177,12 +171,19 @@ def test_apply_second_order_closed_form():
     a = np.array([0.1, 0.2, -0.3])
     b = np.array([0.4, -0.1, 0.25])
     beta = (1, 0, 1)
-    op = DiffOperator(nvars, dim, {beta: exp_jet_fn(a, mat)})
-    f = exp_jet_fn(b, vec)
     H = np.array([0.0, 0.5, -0.2])
-    got = op.apply(f, H)
+    op = DiffOperator(nvars, dim, {beta: exp_jet(a, mat, H, 0)})
+    got = op.apply(exp_jet(b, vec, H, 2))
     expect = exp_apply(a, mat, beta, b, vec, H)
     assert np.allclose(got, expect)
+
+
+def test_apply_needs_the_operator_order():
+    dim, nvars = 2, 1
+    H = np.array([0.1])
+    op = DiffOperator(nvars, dim, {(2,): constant(np.eye(dim), nvars, 0)})
+    with pytest.raises(ValueError, match="order"):
+        op.apply(exp_jet([0.3], rand_vector(dim), H, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +199,11 @@ def test_compose_matches_sequential_application():
     b = np.array([0.15, 0.25])
     vec = rand_vector(dim)
     beta1, beta2 = (1, 0), (0, 1)
-    op1 = DiffOperator(nvars, dim, {beta1: exp_jet_fn(a1, m1)})
-    op2 = DiffOperator(nvars, dim, {beta2: exp_jet_fn(a2, m2)})
-    comp = op1.compose(op2)
-    f = exp_jet_fn(b, vec)
     H = np.array([0.6, -0.3])
-    got = comp.apply(f, H)
+    op1 = DiffOperator(nvars, dim, {beta1: exp_jet(a1, m1, H, 0)})
+    op2 = DiffOperator(nvars, dim, {beta2: exp_jet(a2, m2, H, 1)})
+    comp = op1.compose(op2)
+    got = comp.apply(exp_jet(b, vec, H, 2))
     # op2 f = exp((a2+b).xi) * b_2 * m2 vec, then apply op1 in closed form
     inner_vec = b[1] * (m2 @ vec)
     expect = exp_apply(a1, m1, beta1, a2 + b, inner_vec, H)
@@ -218,26 +218,62 @@ def test_compose_derivative_of_coefficient():
     a = np.array([0.8])
     b = np.array([-0.3])
     vec = rand_vector(dim)
-    dop = DiffOperator(nvars, dim, {(1,): constant_coeff(np.eye(dim))})
-    mul = DiffOperator(nvars, dim, {(0,): exp_jet_fn(a, mat)})
-    comp = dop.compose(mul)
-    f = exp_jet_fn(b, vec)
     H = np.array([0.2])
-    got = comp.apply(f, H)
+    dop = DiffOperator(nvars, dim, {(1,): constant(np.eye(dim), nvars, 0)})
+    mul = DiffOperator(nvars, dim, {(0,): exp_jet(a, mat, H, 1)})
+    comp = dop.compose(mul)
+    got = comp.apply(exp_jet(b, vec, H, 1))
     expect = (a[0] + b[0]) * np.exp((a + b) @ H) * (mat @ vec)
     assert np.allclose(got, expect)
 
 
+def test_compose_jets_match_closed_form():
+    # exp(a1.xi) m1 d^beta o exp(a2.xi) m2 d^gamma has coefficient
+    # binom(beta, delta) a2^delta exp((a1+a2).xi) m1 m2 at beta-delta+gamma;
+    # the composed jets carry order min(k1, k2 - |beta|) and agree with the
+    # closed form at every retained degree
+    dim, nvars = 2, 2
+    m1, m2 = rand_matrix(dim), rand_matrix(dim)
+    a1 = np.array([0.3 + 0.1j, -0.2])
+    a2 = np.array([-0.4, 0.25 - 0.2j])
+    beta, gamma = (2, 0), (0, 1)
+    H = np.array([0.1 - 0.2j, 0.35])
+    for k1, k2, k in [(3, 4, 2), (1, 4, 1), (3, 2, 0)]:
+        op1 = DiffOperator(nvars, dim, {beta: exp_jet(a1, m1, H, k1)})
+        op2 = DiffOperator(nvars, dim, {gamma: exp_jet(a2, m2, H, k2)})
+        comp = op1.compose(op2)
+        assert comp.k == k
+        assert set(comp.coeffs) == {(2, 1), (1, 1), (0, 1)}
+        for delta in [(0, 0), (1, 0), (2, 0)]:
+            mu = (2 - delta[0], 1)
+            scale = math.comb(2, delta[0]) * a2[0] ** delta[0]
+            want = exp_jet(a1 + a2, scale * (m1 @ m2), H, k)
+            got = comp.coeffs[mu]
+            assert (got.caps, got.total) == ((k, k), k)
+            for m in jet_indices((k, k), k):
+                assert np.allclose(got.coeff(m), want.coeff(m), atol=1e-13)
+
+
+def test_compose_needs_enough_jet_orders():
+    dim, nvars = 2, 1
+    H = np.array([0.3])
+    second = DiffOperator(nvars, dim, {(2,): constant(np.eye(dim), nvars, 0)})
+    mul = DiffOperator(nvars, dim, {(0,): exp_jet([0.5], rand_matrix(dim), H, 1)})
+    with pytest.raises(ValueError, match="differentiated"):
+        second.compose(mul)
+
+
 def test_compose_associative():
     dim, nvars = 2, 2
+    H = np.array([0.1, -0.7])
     ops = []
     for beta in [(1, 0), (0, 1), (0, 0)]:
         a = RNG.normal(size=nvars) * 0.4
-        ops.append(DiffOperator(nvars, dim, {beta: exp_jet_fn(a, rand_matrix(dim))}))
+        jet = exp_jet(a, rand_matrix(dim), H, 2)
+        ops.append(DiffOperator(nvars, dim, {beta: jet}))
     lhs = ops[0].compose(ops[1]).compose(ops[2])
     rhs = ops[0].compose(ops[1].compose(ops[2]))
-    H = np.array([0.1, -0.7])
-    va, vb = lhs.evaluate(H), rhs.evaluate(H)
+    va, vb = lhs.evaluate(), rhs.evaluate()
     keys = set(va) | set(vb)
     for k in keys:
         x = va.get(k, np.zeros((dim, dim)))
@@ -249,21 +285,14 @@ def test_canonical_commutator_is_identity():
     # [d_r, xi_r .] = 1
     dim, nvars = 3, 2
     r = 1
-
-    def coordinate(H, order):
-        H = np.asarray(H, dtype=complex)
-        jet = Jet.constant(np.eye(dim) * H[r], (order,) * nvars, order)
-        if order >= 1:
-            e = tuple(1 if i == r else 0 for i in range(nvars))
-            jet.coeffs[e] = np.eye(dim, dtype=complex)
-        return jet
-
+    H = np.array([0.4, -0.9])
     e_r = tuple(1 if i == r else 0 for i in range(nvars))
-    dop = DiffOperator(nvars, dim, {e_r: constant_coeff(np.eye(dim))})
+    coordinate = Jet.constant(np.eye(dim) * H[r], (1,) * nvars, 1)
+    coordinate.coeffs[e_r] = np.eye(dim, dtype=complex)
+    dop = DiffOperator(nvars, dim, {e_r: constant(np.eye(dim), nvars, 1)})
     xop = DiffOperator(nvars, dim, {(0,) * nvars: coordinate})
     comm = dop.commutator(xop)
-    H = np.array([0.4, -0.9])
-    vals = comm.evaluate(H)
+    vals = comm.evaluate()
     assert np.allclose(vals[(0, 0)], np.eye(dim))
     for m, v in vals.items():
         if m != (0, 0):
@@ -272,39 +301,64 @@ def test_canonical_commutator_is_identity():
 
 def test_commutator_jacobi_identity():
     dim, nvars = 2, 2
+    H = np.array([-0.2, 0.35])
     ops = []
     for beta in [(1, 0), (0, 1), (1, 0)]:
         a = RNG.normal(size=nvars) * 0.3
-        ops.append(DiffOperator(nvars, dim, {beta: exp_jet_fn(a, rand_matrix(dim))}))
+        jet = exp_jet(a, rand_matrix(dim), H, 2)
+        ops.append(DiffOperator(nvars, dim, {beta: jet}))
     A, B, C = ops
     total = (
         A.commutator(B).commutator(C)
         + B.commutator(C).commutator(A)
         + C.commutator(A).commutator(B)
     )
-    H = np.array([-0.2, 0.35])
-    scale = max(op.max_coeff_norm(H) for op in ops) ** 3
-    for v in total.evaluate(H).values():
+    scale = max(op.max_coeff_norm() for op in ops) ** 3
+    for v in total.evaluate().values():
         assert np.max(np.abs(v)) < 1e-12 * max(scale, 1.0)
 
 
 def test_operator_linear_combinations():
     dim, nvars = 2, 1
     m1, m2 = rand_matrix(dim), rand_matrix(dim)
-    op1 = DiffOperator(nvars, dim, {(1,): constant_coeff(m1)})
-    op2 = DiffOperator(nvars, dim, {(1,): constant_coeff(m2), (0,): constant_coeff(m1)})
+    op1 = DiffOperator(nvars, dim, {(1,): constant(m1, nvars, 0)})
+    op2 = DiffOperator(
+        nvars, dim, {(1,): constant(m2, nvars, 0), (0,): constant(m1, nvars, 0)}
+    )
     combo = op1 * 2.0 - op2
-    H = np.array([0.0])
-    vals = combo.evaluate(H)
+    vals = combo.evaluate()
     assert np.allclose(vals[(1,)], 2.0 * m1 - m2)
     assert np.allclose(vals[(0,)], -m1)
 
 
+def test_sum_keeps_the_lower_jet_order():
+    dim, nvars = 2, 1
+    H = np.array([0.2])
+    a, b = rand_matrix(dim), rand_matrix(dim)
+    op1 = DiffOperator(nvars, dim, {(1,): exp_jet([0.4], a, H, 3)})
+    op2 = DiffOperator(nvars, dim, {(1,): exp_jet([-0.7], b, H, 1)})
+    total = op1 + op2
+    assert total.k == 1
+    want = exp_jet([0.4], a, H, 1) + exp_jet([-0.7], b, H, 1)
+    for m in [(0,), (1,)]:
+        assert np.allclose(total.coeffs[(1,)].coeff(m), want.coeff(m))
+
+
+def test_coefficient_jets_share_one_order():
+    dim, nvars = 2, 1
+    coeffs = {
+        (1,): constant(np.eye(dim), nvars, 1),
+        (0,): constant(np.eye(dim), nvars, 0),
+    }
+    with pytest.raises(ValueError, match="one order"):
+        DiffOperator(nvars, dim, coeffs)
+
+
 def test_compose_order_cap():
     dim, nvars = 2, 1
-    second = DiffOperator(nvars, dim, {(2,): constant_coeff(np.eye(dim))})
-    third = DiffOperator(nvars, dim, {(3,): constant_coeff(np.eye(dim))})
-    with pytest.raises(ValueError, match="order"):
+    second = DiffOperator(nvars, dim, {(2,): constant(np.eye(dim), nvars, 3)})
+    third = DiffOperator(nvars, dim, {(3,): constant(np.eye(dim), nvars, 3)})
+    with pytest.raises(ValueError, match="exceeds"):
         second.compose(third)
     assert second.order + third.order > MAX_TOTAL_ORDER
 
@@ -313,13 +367,13 @@ def test_second_order_commutator_top_terms_cancel():
     # two pure second-order operators with scalar (identity) coefficients
     # commute exactly; the implementation must produce explicit zeros
     dim, nvars = 2, 2
-    f1 = exp_jet_fn([0.3, -0.2], np.eye(dim))
-    f2 = exp_jet_fn([-0.1, 0.5], np.eye(dim))
+    H = np.array([0.25, 0.4])
+    f1 = exp_jet([0.3, -0.2], np.eye(dim), H, 2)
+    f2 = exp_jet([-0.1, 0.5], np.eye(dim), H, 2)
     op1 = DiffOperator(nvars, dim, {(2, 0): f1})
     op2 = DiffOperator(nvars, dim, {(0, 2): f2})
     comm = op1.commutator(op2)
-    H = np.array([0.25, 0.4])
-    vals = comm.evaluate(H)
+    vals = comm.evaluate()
     for m, v in vals.items():
         if sum(m) == 4:
             # top-degree coefficients are identical sums and cancel exactly

@@ -15,6 +15,7 @@ from ellgaudin.elliptic import (
     Jet,
     SeriesConvergenceError,
     jet_indices,
+    lattice_distance,
     nearest_lattice_point,
     reduce_to_cell,
     theta11,
@@ -76,6 +77,25 @@ def test_reduce_to_cell_properties(x, y):
 def test_reduce_to_cell_interior_point_is_fixed():
     red = reduce_to_cell(0.3 + 0.2j, MD)
     assert red == LatticeReduction(z0=0.3 + 0.2j, m=0, n=0)
+
+
+@pytest.mark.parametrize(
+    "tau", [0.3 + 0.06j, 3.3 + 0.5j, -2.4 + 0.4j, 0.8j], ids=str
+)
+def test_nearest_lattice_point_matches_brute_force(tau):
+    # skewed and thin lattices, where a corner of the reduction cell can be
+    # far from the nearest lattice point; brute force scans |m|, |n| <= 25
+    md = ModularData(tau)
+    grid = np.array([m * tau + n for m in range(-25, 26) for n in range(-25, 26)])
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        truth = float(np.min(np.abs(z - grid)))
+        near = nearest_lattice_point(z, md)
+        m = round(near.imag / tau.imag)
+        assert abs(near - m * tau - round((near - m * tau).real)) < 1e-12
+        assert abs(abs(z - near) - truth) <= 1e-12
+        assert abs(lattice_distance(z, md) - truth) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,97 @@
+"""How often the checks build their expensive pieces.
+
+Each operator is assembled from coefficient jets at one Cartan point, so
+the checks need a fixed number of evaluations per point:
+- the commutator certificate builds each of its two transfer operators
+  once, at second order, so ``potential_jet`` runs twice per point;
+- the eigenvector check builds the Bethe vector, which does not depend
+  on the spectral parameter, once per point, at the operator's order;
+- the explicit conjugated operator reads every log-derivative of the
+  Weyl-Kac denominator off one jet.
+"""
+
+import numpy as np
+import pytest
+
+from ellgaudin import gaudin
+from ellgaudin.bethe import BetheSystem
+from ellgaudin.elliptic import ModularData
+from ellgaudin.gaudin import (
+    GaudinProblem,
+    commutativity_residual,
+    sample_regular_cartan,
+    sample_spectral_points,
+)
+from ellgaudin.liealg import build_dual_verma, build_irrep, build_root_system
+
+MD = ModularData(0.8j)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper recording each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def irrep_problem(rank):
+    rs = build_root_system("A", rank)
+    mods = [
+        build_irrep(rs, rs.fundamental_weights[0]),
+        build_irrep(rs, rs.fundamental_weights[rank - 1]),
+    ]
+    return GaudinProblem(rs, MD, [0.05, 0.52 + 0.31j], mods)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_commutator_builds_each_operator_once_per_point(monkeypatch, rank):
+    prob = irrep_problem(rank)
+    rng = np.random.default_rng(30 + rank)
+    hs = sample_regular_cartan(prob.rs, MD, rng, 3)
+    u1, u2 = sample_spectral_points(MD, prob.positions, rng, 2)
+    calls = count_calls(monkeypatch, GaudinProblem, "potential_jet")
+    res = commutativity_residual(prob, u1, u2, hs)
+    assert res["max_rel"] < 1e-12
+    assert len(calls) == 2 * len(hs)
+
+
+def test_eigenvector_check_builds_the_vector_once_per_point(monkeypatch):
+    rs = build_root_system("A", 1)
+    alpha = np.asarray(rs.simple_roots[0], dtype=complex)
+    c = 0.62 + 0.05j
+    sites = [
+        build_dual_verma(rs, tuple(w * a for a in alpha), depth=3)
+        for w in (c, 1 - c)
+    ]
+    prob = GaudinProblem(rs, MD, [0.11, 0.43 + 0.27j], sites)
+    system = BetheSystem(prob)
+    sols = system.solve(n_seeds=8)
+    assert sols
+    rng = np.random.default_rng(33)
+    hs = sample_regular_cartan(rs, MD, rng, 3)
+    us = sample_spectral_points(MD, prob.positions + list(sols[0].t), rng, 4)
+    calls = count_calls(monkeypatch, BetheSystem, "vector_jet")
+    result = system.verify_eigenvector(sols[0].t, hs, us)
+    assert result["status"] == "ok"
+    assert result["max_rel"] < 1e-8
+    assert len(calls) == len(hs)
+    # each call carries the transfer operator's order
+    assert all(args[3:] == (2,) for args, _ in calls)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_explicit_tilde_reads_one_denominator_jet(monkeypatch, rank):
+    prob = irrep_problem(rank)
+    rng = np.random.default_rng(40 + rank)
+    u = sample_spectral_points(MD, prob.positions, rng, 1)[0]
+    hs = sample_regular_cartan(prob.rs, MD, rng, 2)
+    calls = count_calls(monkeypatch, gaudin, "weyl_kac_pi")
+    for H in hs:
+        prob.tilde_transfer(u, H, route="explicit")
+    assert len(calls) == len(hs)
