@@ -25,31 +25,21 @@ from .gaudin import (
     _univariate_w,
     check_regular,
 )
+from .liealg import root_budget
 
 
 class BetheError(Exception):
     """Raised for invalid Bethe configurations."""
 
 
-def root_multiplicities(rs, weights, tol: float = 1e-12) -> np.ndarray:
-    """Expansion of sum(weights) over simple roots; must be nonnegative ints."""
-    total = np.sum([np.asarray(w, dtype=complex) for w in weights], axis=0)
-    # coordinates -> simple-root coefficients via the simple-root matrix
-    coeff = np.linalg.solve(np.asarray(rs.simple_roots, dtype=complex).T, total)
-    rounded = np.round(coeff.real).astype(int)
-    if np.max(np.abs(coeff - rounded)) > tol or np.any(rounded < 0):
-        raise BetheError(
-            "total weight does not lie in the positive root lattice: "
-            f"simple-root coefficients {coeff}"
-        )
-    return rounded
-
-
 def default_assignment(rs, weights) -> tuple:
-    """Simple-root labels for the Bethe roots, in increasing label order."""
-    mult = root_multiplicities(rs, weights)
+    """Simple-root labels for the Bethe roots, in increasing label order.
+
+    The weights must sum into the positive root lattice, as those of a
+    ``GaudinProblem`` do.
+    """
     out = []
-    for s, n in enumerate(mult):
+    for s, n in enumerate(root_budget(rs, weights)):
         out.extend([s] * int(n))
     return tuple(out)
 
@@ -91,10 +81,11 @@ class BetheSystem:
     def __init__(self, problem: GaudinProblem, assignment=None):
         self.problem = problem
         rs = problem.rs
-        for mod in problem.modules:
+        for k, mod in enumerate(problem.modules, start=1):
             if mod.j_covector is None:
                 raise BetheError(
-                    "Bethe construction needs dual Verma site modules"
+                    "the Bethe construction needs dual_verma site modules; "
+                    f"site {k} is {mod.kind}"
                 )
         self.weights = [
             np.asarray(mod.highest_weight, dtype=complex)
@@ -123,7 +114,7 @@ class BetheSystem:
         )
         if np.max(np.abs(total - target)) > tol:
             raise BetheError(
-                "charge mismatch: sum of site weights "
+                "charge condition violated: sum of site weights "
                 f"{total} does not equal the assigned root sum {target}"
             )
 

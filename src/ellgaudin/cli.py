@@ -6,6 +6,15 @@ theta-function kernels, ``describe-algebra`` the root-system tables,
 ``eigen-check`` the Bethe ansatz layer, and ``full-verify`` chains all of
 them.  Runs are deterministic for a fixed config and seed; reports can be
 emitted as human-readable text, JSON lines (byte-stable) or CSV.
+
+One rule decides whether a config is valid: it parses, its values are in
+range, and its instance builds.  ``load_config`` builds the root system,
+the curve (theta11'(0) included), the site modules, the ``GaudinProblem``
+and, with a ``[bethe]`` section, the ``BetheSystem``, once; an error the
+library raises while building them becomes a ``ConfigError`` (exit 2).
+The CLI repeats none of the library's checks.  Each check stage names the
+section whose built object it reads, and a command whose stages lack one
+is a ``ConfigError`` as well.
 """
 
 from __future__ import annotations
@@ -26,12 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bethe import BetheError, BetheSystem, root_multiplicities
+from .bethe import BetheError, BetheSystem
 from .elliptic import (
     EllipticError,
     ModularData,
     lattice_distance,
     theta11,
+    theta11_prime_at_zero,
     w_kernel,
     zeta11,
 )
@@ -44,10 +54,10 @@ from .gaudin import (
 )
 from .liealg import (
     LieAlgebraError,
+    RootSystemData,
     build_dual_verma,
     build_irrep,
     build_root_system,
-    min_dual_verma_depth,
     normalized_form,
 )
 
@@ -161,6 +171,11 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
     sampling: dict = field(default_factory=dict)
     seed: int = 0
+    # the instance, built once by load_config; None where a section is absent
+    rs: RootSystemData | None = field(default=None, init=False, repr=False)
+    md: ModularData | None = field(default=None, init=False, repr=False)
+    problem: GaudinProblem | None = field(default=None, init=False, repr=False)
+    system: BetheSystem | None = field(default=None, init=False, repr=False)
 
     def echo_lines(self):
         """Effective settings, defaults materialized, in a fixed order."""
@@ -276,56 +291,12 @@ def _parse_sites(parser: configparser.ConfigParser, rank: int) -> list:
     return sites
 
 
-def _validate_depths(cfg: ExperimentConfig) -> None:
-    """Dual Verma truncations must reach M + ht(theta), M = ht(sum lambda_i)."""
-    if all(site.depth is None for site in cfg.sites):
-        return
-    rs = build_root_system(cfg.series, cfg.rank)
-    need = min_dual_verma_depth(
-        rs, [rs.weight_from_fundamental(site.weight) for site in cfg.sites]
-    )
-    for k, site in enumerate(cfg.sites, start=1):
-        if site.depth is not None and need is not None and site.depth < need:
-            raise ConfigError(
-                f"[sites] depth_{k} = {site.depth} is below M + ht(theta) = "
-                f"{need}; the transfer operator would not be exact on the "
-                "zero-weight space"
-            )
-
-
-def _validate_bethe(cfg: ExperimentConfig) -> None:
-    """Charge condition and module-kind requirements for Bethe workflows."""
-    for k, site in enumerate(cfg.sites, start=1):
-        if site.kind != "dual_verma":
-            raise ConfigError(
-                f"[bethe] requires dual_verma sites; site {k} is {site.kind}"
-            )
-    rs = build_root_system(cfg.series, cfg.rank)
-    weights = [rs.weight_from_fundamental(site.weight) for site in cfg.sites]
-    try:
-        counts = root_multiplicities(rs, weights)
-    except BetheError as exc:
-        raise ConfigError(f"charge condition violated: {exc}") from None
-    assignment = cfg.bethe["assignment"]
-    if assignment != "auto":
-        for i in assignment:
-            if not 1 <= i <= cfg.rank:
-                raise ConfigError(
-                    f"[bethe] assignment label {i} outside 1..{cfg.rank}"
-                )
-        seen = [0] * cfg.rank
-        for i in assignment:
-            seen[i - 1] += 1
-        if seen != [int(c) for c in counts]:
-            raise ConfigError(
-                "charge condition violated: assignment multiplicities "
-                f"{seen} do not match the weight decomposition "
-                f"{[int(c) for c in counts]}"
-            )
-
-
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate an experiment config, materializing defaults."""
+    """Parse an experiment config, materializing defaults, and build it.
+
+    A config loads iff it parses, its values are in range and its instance
+    builds; every refusal is a ConfigError.
+    """
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
     )
@@ -358,10 +329,6 @@ def load_config(path: str) -> ExperimentConfig:
                 f"unsupported algebra series {cfg.series!r}; only A is available"
             )
         cfg.rank = _parse_int("algebra", "rank", algebra.get("rank", "1"), 1)
-        try:
-            build_root_system(cfg.series, cfg.rank)
-        except LieAlgebraError as exc:
-            raise ConfigError(f"[algebra] {exc}") from None
 
     if parser.has_section("elliptic"):
         cfg.tau = parse_complex(parser["elliptic"].get("tau", "0.8i"))
@@ -372,15 +339,6 @@ def load_config(path: str) -> ExperimentConfig:
         if cfg.tau is None:
             raise ConfigError("[sites] requires an [elliptic] section with tau")
         cfg.sites = _parse_sites(parser, cfg.rank)
-        md = ModularData(cfg.tau)
-        for a in range(len(cfg.sites)):
-            for b in range(a + 1, len(cfg.sites)):
-                dist = lattice_distance(cfg.sites[a].z - cfg.sites[b].z, md)
-                if dist < 1e-9:
-                    raise ConfigError(
-                        f"sites coincide mod lattice: z_{a + 1} = z_{b + 1}"
-                    )
-        _validate_depths(cfg)
 
     if parser.has_section("bethe"):
         if not cfg.sites:
@@ -412,7 +370,6 @@ def load_config(path: str) -> ExperimentConfig:
                 "bethe", "max_solutions", section["max_solutions"], 1
             )
         cfg.bethe = bethe
-        _validate_bethe(cfg)
 
     cfg.tolerances = dict(TOLERANCE_DEFAULTS)
     if parser.has_section("tolerances"):
@@ -430,7 +387,42 @@ def load_config(path: str) -> ExperimentConfig:
     if parser.has_section("rng"):
         cfg.seed = _parse_int("rng", "seed", parser["rng"].get("seed", "0"), 0)
 
+    try:
+        _build_instance(cfg)
+    except (LieAlgebraError, GaudinError, BetheError, EllipticError) as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
+
+
+def _build_instance(cfg: ExperimentConfig) -> None:
+    """Root system, curve, site modules, Gaudin problem and Bethe system."""
+    cfg.rs = build_root_system(cfg.series, cfg.rank)
+    if cfg.tau is not None:
+        cfg.md = ModularData(cfg.tau)
+        theta11_prime_at_zero(cfg.md)  # refuses a tau whose series cancels
+    if cfg.sites:
+        modules = []
+        for site in cfg.sites:
+            lam = cfg.rs.weight_from_fundamental(site.weight)
+            if site.kind == "irrep":
+                modules.append(build_irrep(cfg.rs, lam))
+            else:
+                modules.append(build_dual_verma(cfg.rs, lam, site.depth))
+        cfg.problem = GaudinProblem(
+            cfg.rs,
+            cfg.md,
+            [site.z for site in cfg.sites],
+            modules,
+            pole_guard=min(cfg.sampling["pole_guard"], 1e-2),
+        )
+    if cfg.bethe is not None:
+        assignment = cfg.bethe["assignment"]
+        cfg.system = BetheSystem(
+            cfg.problem,
+            assignment=None if assignment == "auto" else tuple(
+                i - 1 for i in assignment
+            ),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -499,6 +491,15 @@ def _rel(value: complex, reference: complex, floor: float = 1e-30) -> float:
     return abs(value - reference) / max(abs(reference), floor)
 
 
+# stage -> (the config section it needs, the built object it reads)
+_STAGE_NEEDS = {
+    "elliptic": ("an [elliptic]", "md"),
+    "commute": ("a [sites]", "problem"),
+    "bethe": ("a [bethe]", "system"),
+    "eigen": ("a [bethe]", "system"),
+}
+
+
 class CheckRunner:
     """Executes the per-command check stages against one config."""
 
@@ -512,69 +513,12 @@ class CheckRunner:
             instance=_instance_digest(cfg, command, negative),
             echo_lines=cfg.echo_lines(),
         )
-        self._rs = None
-        self._md = None
-        self._problem = None
-        self._system = None
+        self.rs = cfg.rs
+        self.md = cfg.md
+        self.problem = cfg.problem
+        self.system = cfg.system
         self._solutions = None
         self._mark = time.perf_counter()  # start of the current record's wall
-
-    # -- shared lazy builders ------------------------------------------------
-
-    @property
-    def rs(self):
-        if self._rs is None:
-            self._rs = build_root_system(self.cfg.series, self.cfg.rank)
-        return self._rs
-
-    @property
-    def md(self):
-        if self._md is None:
-            if self.cfg.tau is None:
-                raise ConfigError(
-                    f"command {self.command} requires an [elliptic] section"
-                )
-            self._md = ModularData(self.cfg.tau)
-        return self._md
-
-    @property
-    def problem(self):
-        if self._problem is None:
-            if not self.cfg.sites:
-                raise ConfigError(
-                    f"command {self.command} requires a [sites] section"
-                )
-            modules = []
-            for site in self.cfg.sites:
-                lam = self.rs.weight_from_fundamental(site.weight)
-                if site.kind == "irrep":
-                    modules.append(build_irrep(self.rs, lam))
-                else:
-                    modules.append(build_dual_verma(self.rs, lam, site.depth))
-            self._problem = GaudinProblem(
-                self.rs,
-                self.md,
-                [site.z for site in self.cfg.sites],
-                modules,
-                pole_guard=min(self.cfg.sampling["pole_guard"], 1e-2),
-            )
-        return self._problem
-
-    @property
-    def system(self):
-        if self._system is None:
-            if self.cfg.bethe is None:
-                raise ConfigError(
-                    f"command {self.command} requires a [bethe] section"
-                )
-            assignment = self.cfg.bethe["assignment"]
-            self._system = BetheSystem(
-                self.problem,
-                assignment=None if assignment == "auto" else tuple(
-                    i - 1 for i in assignment
-                ),
-            )
-        return self._system
 
     # -- record helpers -------------------------------------------------------
 
@@ -955,43 +899,35 @@ class CheckRunner:
     # -- dispatch ---------------------------------------------------------------
 
     def run(self) -> Report:
-        stages = {
-            "elliptic-check": [("elliptic", self.stage_elliptic)],
-            "describe-algebra": [("algebra", self.stage_algebra)],
-            "commute-check": [("commute", self.stage_commute)],
-            "bethe-solve": [("bethe", self.stage_bethe)],
-            "eigen-check": [("bethe", self.stage_bethe), ("eigen", self.stage_eigen)],
+        plans = {
+            "elliptic-check": ["elliptic"],
+            "describe-algebra": ["algebra"],
+            "commute-check": ["commute"],
+            "bethe-solve": ["bethe"],
+            "eigen-check": ["bethe", "eigen"],
         }
-        if self.command in stages:
-            plan = stages[self.command]
+        if self.command in plans:
+            plan = plans[self.command]
         else:  # full-verify
-            plan = [
-                ("elliptic", self.stage_elliptic),
-                ("algebra", self.stage_algebra),
-            ]
-            if self.cfg.sites:
-                plan.append(("commute", self.stage_commute))
-            if self.cfg.bethe is not None:
-                plan.append(("bethe", self.stage_bethe))
-                plan.append(("eigen", self.stage_eigen))
-        # Touch required inputs up front so misconfigurations surface as
-        # config errors (exit 2) rather than failing check records.
-        needs_sites = any(name in ("commute", "bethe", "eigen") for name, _ in plan)
-        needs_bethe = any(name in ("bethe", "eigen") for name, _ in plan)
-        if self.command != "full-verify":
-            if self.command == "elliptic-check":
-                _ = self.md
-            if needs_sites:
-                _ = self.problem
-            if needs_bethe:
-                _ = self.system
-        if self.negative and not needs_bethe:
+            plan = ["elliptic", "algebra"]
+            if self.problem is not None:
+                plan.append("commute")
+            if self.system is not None:
+                plan += ["bethe", "eigen"]
+        for name in plan:
+            if name in _STAGE_NEEDS:
+                section, built = _STAGE_NEEDS[name]
+                if getattr(self, built) is None:
+                    raise ConfigError(
+                        f"command {self.command} requires {section} section"
+                    )
+        if self.negative and not {"bethe", "eigen"} & set(plan):
             raise ConfigError(
                 "--negative-control only applies to eigen-check or full-verify "
                 "with a [bethe] section"
             )
-        for _, fn in plan:
-            self._stage(_, fn)
+        for name in plan:
+            self._stage(name, getattr(self, f"stage_{name}"))
         return self.report
 
 

@@ -28,6 +28,14 @@ POLE_FLOOR = 1e-12
 
 _MAX_JET_ORDER = 6
 
+# Relative term cutoff of the theta series.
+_EPS_TERM = 1e-16
+
+# theta11'(0) is refused once the cancellation in its alternating series,
+# sum |terms| / |sum|, times the double-precision unit roundoff exceeds this.
+_CANCELLATION_LIMIT = 1e-8
+_UNIT_ROUNDOFF = 2.2e-16
+
 
 class EllipticError(ValueError):
     """Domain problem in the elliptic layer."""
@@ -51,9 +59,10 @@ class PoleProximityError(EllipticError):
 
 
 class SeriesConvergenceError(EllipticError):
-    """Theta series missed the term cutoff within the term cap.
+    """Theta series missed the term cutoff within the term cap, or the
+    series for theta11'(0) cancels too far to be trusted.
 
-    In practice this signals |q| too close to 1 (Im tau too small).
+    In practice both signal |q| too close to 1 (Im tau too small).
     """
 
 
@@ -65,14 +74,11 @@ class ModularData:
     ----------
     tau : complex
         Modulus of the curve, Im(tau) > 0.
-    eps_term : float
-        Relative term cutoff for the theta series.
     n_max : int
         Hard cap on the number of series terms.
     """
 
     tau: complex
-    eps_term: float = 1e-16
     n_max: int = 64
     q: complex = field(init=False)
     basis: tuple = field(init=False, repr=False, compare=False)
@@ -83,8 +89,6 @@ class ModularData:
             raise ValueError(f"Im(tau) must be positive, got tau={tau}")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
-        if not 0 < self.eps_term < 1:
-            raise ValueError("eps_term must lie in (0, 1)")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "q", cmath.exp(_TWO_PI_I * tau))
         object.__setattr__(self, "basis", _gauss_reduce(tau))
@@ -411,7 +415,7 @@ def _theta_series_coeffs(z0: complex, md: ModularData, order: int) -> list:
 
     Sums the defining series over half-integers n + 1/2 (terms paired as
     n <-> -n-1), differentiating term by term.  Stops once the envelope of
-    the next term falls below eps_term relative to the partial sums, with
+    the next term falls below _EPS_TERM relative to the partial sums, with
     an absolute floor at the natural scale of theta so that exact zeros of
     the value do not stall the test.
     """
@@ -432,7 +436,7 @@ def _theta_series_coeffs(z0: complex, md: ModularData, order: int) -> list:
         env = 2.0 * aqt ** ((nn + 1.5) ** 2) * math.exp(nb * imz)
         if all(
             env * nb ** k / math.factorial(k)
-            <= md.eps_term * (abs(partial[k]) + scale_floor)
+            <= _EPS_TERM * (abs(partial[k]) + scale_floor)
             for k in range(order + 1)
         ):
             return partial
@@ -473,8 +477,25 @@ def theta11(z: complex, md: ModularData, order: int = 0) -> Jet:
 
 @lru_cache(maxsize=None)
 def theta11_prime_at_zero(md: ModularData) -> complex:
-    """theta11'(0), from the term-by-term derivative of the series."""
-    return _theta_series_coeffs(0j, md, 1)[1]
+    """theta11'(0), from the term-by-term derivative of the series.
+
+    The series alternates, and as Im(tau) -> 0 its terms grow while the
+    sum, 2*pi*|eta(tau)|^3, shrinks exponentially.  Raises
+    :class:`SeriesConvergenceError` once that cancellation can cost more
+    than _CANCELLATION_LIMIT in relative accuracy.
+    """
+    value = _theta_series_coeffs(0j, md, 1)[1]
+    aqt = abs(cmath.exp(1j * _PI * md.tau))
+    spread = sum(
+        2.0 * (2 * nn + 1) * _PI * aqt ** ((nn + 0.5) ** 2)
+        for nn in range(md.n_max)
+    )
+    if spread * _UNIT_ROUNDOFF > _CANCELLATION_LIMIT * abs(value):
+        raise SeriesConvergenceError(
+            f"theta11'(0) cancels to {abs(value):.3g} from terms summing to "
+            f"{spread:.3g} in size at tau={md.tau}; Im tau is too small"
+        )
+    return value
 
 
 def _pole_check(value: complex, z: complex, md: ModularData, argument: str):

@@ -38,6 +38,15 @@ class GaudinError(Exception):
     """Raised for invalid Gaudin-model configurations or domain errors."""
 
 
+# Rejection-sampling budget of the Cartan and spectral-point samplers.
+_MAX_TRIES = 10_000
+
+# The Weyl-Kac q-products stop once |q^n|, times |e^{2 pi i alpha(H)}| where
+# that exceeds 1, falls below _WK_EPS, or after _WK_N_MAX factors.
+_WK_EPS = 1e-18
+_WK_N_MAX = 800
+
+
 # ---------------------------------------------------------------------------
 # jets of elementary functions of a linear form alpha(H)
 # ---------------------------------------------------------------------------
@@ -102,14 +111,13 @@ def sample_regular_cartan(
     count: int,
     box: float = 0.8,
     guard: float = 0.05,
-    max_tries: int = 10_000,
 ):
     """Random complex Cartan coordinates avoiding all root-lattice walls."""
     out = []
     tries = 0
     while len(out) < count:
         tries += 1
-        if tries > max_tries:
+        if tries > _MAX_TRIES:
             raise GaudinError("could not sample enough regular Cartan points")
         H = rng.uniform(-box, box, rs.rank) + 1j * rng.uniform(-box, box, rs.rank)
         try:
@@ -126,14 +134,13 @@ def sample_spectral_points(
     rng: np.random.Generator,
     count: int,
     guard: float = 0.05,
-    max_tries: int = 10_000,
 ):
     """Random spectral parameters in the fundamental cell away from sites."""
     out = []
     tries = 0
     while len(out) < count:
         tries += 1
-        if tries > max_tries:
+        if tries > _MAX_TRIES:
             raise GaudinError("could not sample enough spectral points")
         u = rng.uniform(0.0, 1.0) + rng.uniform(0.05, 0.95) * md.tau
         if any(lattice_distance(z - u, md) < guard for z in positions):
@@ -161,8 +168,6 @@ def weyl_kac_pi(
     md: ModularData,
     H,
     order: int = 0,
-    eps: float = 1e-18,
-    n_max: int = 800,
 ) -> WeylKacData:
     """Normalised Weyl-Kac denominator Pi(H, tau) with its log-jets.
 
@@ -181,9 +186,9 @@ def weyl_kac_pi(
     log_const = (rs.dim_g / 24.0) * (2j * np.pi * md.tau)
     dtau_const = (rs.dim_g / 24.0) * (2j * np.pi)
     n = 1
-    while n <= n_max:
+    while n <= _WK_N_MAX:
         qn = q**n
-        if abs(qn) < eps:
+        if abs(qn) < _WK_EPS:
             break
         log_const += l * np.log(1 - qn)
         dtau_const += l * (-2j * np.pi * n * qn / (1 - qn))
@@ -211,9 +216,9 @@ def weyl_kac_pi(
     for alpha in rs.roots:
         scale = abs(np.exp(2j * np.pi * complex(alpha @ H)))
         n = 1
-        while n <= n_max:
+        while n <= _WK_N_MAX:
             qn = q**n
-            if abs(qn) * max(scale, 1.0) < eps:
+            if abs(qn) * max(scale, 1.0) < _WK_EPS:
                 break
             x = exp_linear(qn, 2j * np.pi, alpha)
             log_jet = log_jet + (one - x).log()
@@ -259,17 +264,29 @@ class GaudinProblem:
         self.positions = [complex(z) for z in positions]
         self.modules = list(modules)
         self.pole_guard = pole_guard
+        for a, za in enumerate(self.positions):
+            for b in range(a + 1, len(self.positions)):
+                if lattice_distance(za - self.positions[b], md) < 1e-9:
+                    raise GaudinError(
+                        f"sites coincide mod lattice: z_{a + 1} = z_{b + 1}"
+                    )
         self._units = [
             tuple(int(s == r) for s in range(rs.rank)) for r in range(rs.rank)
         ]
         need = min_dual_verma_depth(rs, [mod.highest_weight for mod in modules])
+        if need is None:
+            raise GaudinError(
+                "charge condition violated: the summed site weights are not in "
+                "the positive root lattice, so the zero-weight subspace is "
+                "trivial"
+            )
         for k, mod in enumerate(self.modules, start=1):
-            if mod.depth is not None and need is not None and mod.depth < need:
+            if mod.depth is not None and mod.depth < need:
                 raise GaudinError(
-                    f"site {k} is a dual Verma module truncated at depth "
-                    f"{mod.depth}; need at least M + ht(theta) = {need}, so "
-                    "that the raising-lowering terms of the transfer operator "
-                    "are exact on the zero-weight space"
+                    f"dual Verma site {k}: depth_{k} = {mod.depth} is below "
+                    f"M + ht(theta) = {need}; the raising-lowering terms of "
+                    "the transfer operator would not be exact on the "
+                    "zero-weight space"
                 )
         self.space = TensorSpace(modules)
         if self.space.dim0 == 0:

@@ -584,7 +584,7 @@ class TensorSpace:
             raise LieAlgebraError("tensor product needs at least one factor")
         self.rs = self.modules[0].rs
         self.dims = [m.dim for m in self.modules]
-        budget = _root_budget(self.rs, [m.highest_weight for m in self.modules])
+        budget = root_budget(self.rs, [m.highest_weight for m in self.modules])
         tuples = [] if budget is None else self._candidates(budget)
         arr = np.array(tuples, dtype=int).reshape(len(tuples), len(self.modules))
         # the zero test the full product would apply, in the same order of
@@ -656,7 +656,7 @@ def _root_coords(rs: RootSystemData, weights) -> np.ndarray:
     ).T
 
 
-def _root_budget(rs: RootSystemData, weights):
+def root_budget(rs: RootSystemData, weights):
     """Simple-root coordinates of sum(weights) as integers, or None.
 
     None means the sum is not in the positive root lattice, so no choice
@@ -678,7 +678,7 @@ def min_dual_verma_depth(rs: RootSystemData, weights):
     truncation must reach M + ht(theta).  None when the zero-weight space
     is trivial.
     """
-    budget = _root_budget(rs, weights)
+    budget = root_budget(rs, weights)
     if budget is None:
         return None
     return int(budget.sum()) + max(rs.root_heights)

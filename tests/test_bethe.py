@@ -22,7 +22,6 @@ from ellgaudin.bethe import (
     BetheSystem,
     default_assignment,
     halton_points,
-    root_multiplicities,
 )
 from ellgaudin.elliptic import EllipticError, ModularData
 from ellgaudin.gaudin import GaudinError, GaudinProblem, sample_regular_cartan
@@ -41,7 +40,6 @@ RS1 = build_root_system("A", 1)
 MD = ModularData(0.8j)
 TAU = 0.8j
 ALPHA = np.asarray(RS1.simple_roots[0], dtype=complex)
-OMEGA = np.asarray(RS1.fundamental_weights[0], dtype=complex)
 
 Z2 = [0.11 + 0j, 0.43 + 0.27j]
 
@@ -61,24 +59,6 @@ def make_system(cs, depth=4, zs=Z2):
 # ---------------------------------------------------------------------------
 # charge bookkeeping
 # ---------------------------------------------------------------------------
-
-
-def test_root_multiplicities_counts_simple_roots():
-    mult = root_multiplicities(RS1, [OMEGA, OMEGA])
-    assert list(mult) == [1]
-    mult2 = root_multiplicities(RS1, [ALPHA, ALPHA])
-    assert list(mult2) == [2]
-
-
-def test_root_multiplicities_rejects_non_lattice_sum():
-    with pytest.raises(BetheError):
-        root_multiplicities(RS1, [OMEGA, np.zeros(1)])
-
-
-def test_root_multiplicities_accepts_any_complex_split():
-    c = 0.37 + 0.11j
-    mult = root_multiplicities(RS1, [c * ALPHA, (1 - c) * ALPHA])
-    assert list(mult) == [1]
 
 
 def test_default_assignment_orders_labels():

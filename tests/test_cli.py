@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from ellgaudin.cli import (
+    COMMANDS,
     CheckRecord,
     CheckRunner,
     ConfigError,
@@ -513,3 +514,59 @@ seed = 3
     assert eigen
     assert report.verdict
     assert max(r.residual for r in eigen) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# one validity rule: a config loads iff its instance builds
+# ---------------------------------------------------------------------------
+
+
+def _dual_verma_trivial_zero_weight():
+    # weights 0.74+0.22i and 1 do not sum into the root lattice
+    text = MINIMAL_SITES.replace("kind_1 = irrep", "kind_1 = dual_verma")
+    text = text.replace("kind_2 = irrep", "kind_2 = dual_verma")
+    text = text.replace("weight_1 = 1", "weight_1 = 0.74+0.22i\ndepth_1 = 3")
+    return text.replace("weight_2 = 1", "weight_2 = 1\ndepth_2 = 3")
+
+
+def _one_irrep_site():
+    return MINIMAL_SITES.replace("count = 2", "count = 1").split("z_2")[0]
+
+
+def _shallow_rank2_bethe():
+    text = (CONFIGS / "a2_bethe_m2.ini").read_text(encoding="utf-8")
+    return text.replace("depth_1 = 4", "depth_1 = 3")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_dual_verma_trivial_zero_weight, _one_irrep_site, _shallow_rank2_bethe],
+)
+def test_unbuildable_instance_is_a_config_error_for_every_command(
+    make, tmp_path, capsys
+):
+    path = write_config(tmp_path, make())
+    for command in COMMANDS:
+        assert main([command, "--config", path]) == 2, command
+        err = capsys.readouterr().err
+        assert "config error" in err, command
+        assert "Traceback" not in err, command
+
+
+def test_cancelling_theta_series_is_a_config_error(tmp_path, capsys):
+    text = MINIMAL_SITES.replace("tau = 0.8i", "tau = 0.02i")
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="cancels"):
+        load_config(path)
+    assert main(["elliptic-check", "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_loaded_config_carries_its_built_instance():
+    cfg = load_config(str(CONFIGS / "a1_bethe_m1.ini"))
+    runner = CheckRunner(cfg, "eigen-check", False)
+    assert runner.md is cfg.md and cfg.md.tau == cfg.tau
+    assert runner.problem is cfg.problem and runner.system is cfg.system
+    assert cfg.system.problem is cfg.problem and cfg.system.M == 1
+    no_bethe = load_config(str(CONFIGS / "a1_n2_fund.ini"))
+    assert no_bethe.problem is not None and no_bethe.system is None

@@ -166,6 +166,24 @@ def test_theta_series_cap_error():
         theta11(0.3, md)
 
 
+@pytest.mark.parametrize("tau", [0.03j, 0.02j, 0.01j])
+def test_theta_prime_at_zero_refuses_cancelling_series(tau):
+    # the alternating series loses 1.4e-7, 0.17 and everything here
+    with pytest.raises(SeriesConvergenceError, match="cancels"):
+        theta11_prime_at_zero(ModularData(tau))
+
+
+@pytest.mark.parametrize(
+    "tau", [0.04j, 0.3 + 0.02j, 0.45 + 0.01j, 0.3 + 0.06j]
+)
+def test_theta_prime_at_zero_matches_mpmath_where_accepted(tau):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        nome = mp.exp(1j * mp.pi * mp.mpc(tau.real, tau.imag))
+        ref = complex(-mp.pi * mp.jtheta(1, 0, nome, 1))
+    assert rel_err(theta11_prime_at_zero(ModularData(tau)), ref) <= 1e-9
+
+
 def test_theta_prime_at_zero_matches_direct():
     from oracles import theta11_prime_direct
 

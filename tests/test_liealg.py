@@ -16,6 +16,7 @@ from ellgaudin.liealg import (
     build_root_system,
     min_dual_verma_depth,
     normalized_form,
+    root_budget,
 )
 
 from oracles import normalized_form_direct, weyl_dimension
@@ -461,3 +462,21 @@ def test_min_dual_verma_depth_is_height_plus_highest_root():
     # outside the positive root lattice there is no zero-weight space
     assert min_dual_verma_depth(A1, [A1.weight_from_fundamental([0.7])]) is None
     assert min_dual_verma_depth(A1, [-A1.simple_roots[0]]) is None
+
+
+def test_root_budget_counts_simple_roots():
+    omega = A1.fundamental_weights[0]
+    alpha = A1.simple_roots[0]
+    assert list(root_budget(A1, [omega, omega])) == [1]
+    assert list(root_budget(A1, [alpha, alpha])) == [2]
+
+
+def test_root_budget_rejects_non_lattice_sum():
+    # None: no zero-weight space, so the charge condition fails
+    assert root_budget(A1, [A1.fundamental_weights[0], np.zeros(1)]) is None
+
+
+def test_root_budget_accepts_any_complex_split():
+    c = 0.37 + 0.11j
+    alpha = A1.simple_roots[0]
+    assert list(root_budget(A1, [c * alpha, (1 - c) * alpha])) == [1]
