@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as _iproduct
@@ -35,6 +36,11 @@ _EPS_TERM = 1e-16
 # sum |terms| / |sum|, times the double-precision unit roundoff exceeds this.
 _CANCELLATION_LIMIT = 1e-8
 _UNIT_ROUNDOFF = 2.2e-16
+
+# Above this imaginary part of its argument, sin(x + iy) is summed as
+# (i/2) e^{y - ix} inside the term's exponent; below it cmath.sin cannot
+# overflow, and e^{-2y} is far below the double-precision roundoff.
+_SINE_GROWTH = 600.0
 
 
 class EllipticError(ValueError):
@@ -418,22 +424,35 @@ def _theta_series_coeffs(z0: complex, md: ModularData, order: int) -> list:
     the next term falls below _EPS_TERM relative to the partial sums, with
     an absolute floor at the natural scale of theta so that exact zeros of
     the value do not stall the test.
+
+    A term is q^{(n+1/2)^2 / 2} times sin((2n+1) pi z0), which grows like
+    e^{(2n+1) pi Im z0}; near the top of the cell at large Im tau that
+    growth overflows on its own while the term is representable.  The
+    envelope is therefore taken from one summed exponent, and so is a term
+    whose sine would exceed _SINE_GROWTH, where sin(x + iy) =
+    (i/2) e^{y - ix} to double precision.
     """
     qt = cmath.exp(1j * _PI * md.tau)
     aqt = abs(qt)
+    log_aqt = -_PI * md.tau.imag
     scale_floor = 2.0 * aqt ** 0.25
     imz = abs(z0.imag)
     partial = [0j] * (order + 1)
     for nn in range(md.n_max):
-        amp = -2.0 * (-1) ** nn * qt ** ((nn + 0.5) ** 2)
         base = (2 * nn + 1) * _PI
         arg = base * z0
-        for k in range(order + 1):
-            partial[k] += (
-                amp * base ** k * cmath.sin(arg + k * _PI / 2) / math.factorial(k)
+        if arg.imag <= _SINE_GROWTH:
+            amp = -2.0 * (-1) ** nn * qt ** ((nn + 0.5) ** 2)
+            terms = [cmath.sin(arg + k * _PI / 2) for k in range(order + 1)]
+        else:
+            amp = -1j * (-1) ** nn * cmath.exp(
+                1j * _PI * md.tau * (nn + 0.5) ** 2 + arg.imag - 1j * arg.real
             )
+            terms = [(-1j) ** k for k in range(order + 1)]
+        for k in range(order + 1):
+            partial[k] += amp * base ** k * terms[k] / math.factorial(k)
         nb = (2 * (nn + 1) + 1) * _PI
-        env = 2.0 * aqt ** ((nn + 1.5) ** 2) * math.exp(nb * imz)
+        env = 2.0 * math.exp(log_aqt * (nn + 1.5) ** 2 + nb * imz)
         if all(
             env * nb ** k / math.factorial(k)
             <= _EPS_TERM * (abs(partial[k]) + scale_floor)
@@ -482,10 +501,18 @@ def theta11_prime_at_zero(md: ModularData) -> complex:
     The series alternates, and as Im(tau) -> 0 its terms grow while the
     sum, 2*pi*|eta(tau)|^3, shrinks exponentially.  Raises
     :class:`SeriesConvergenceError` once that cancellation can cost more
-    than _CANCELLATION_LIMIT in relative accuracy.
+    than _CANCELLATION_LIMIT in relative accuracy, and once the nome
+    e^{i pi tau}, on which every theta series is built, is no longer a
+    normal double (Im tau > 225.5); theta'(0) itself reads 0 from
+    Im tau = 238.
     """
-    value = _theta_series_coeffs(0j, md, 1)[1]
     aqt = abs(cmath.exp(1j * _PI * md.tau))
+    if aqt < sys.float_info.min:
+        raise SeriesConvergenceError(
+            f"the nome exp(i pi tau) = {aqt:.3g} underflows double precision "
+            f"at tau={md.tau}; Im tau is too large"
+        )
+    value = _theta_series_coeffs(0j, md, 1)[1]
     spread = sum(
         2.0 * (2 * nn + 1) * _PI * aqt ** ((nn + 0.5) ** 2)
         for nn in range(md.n_max)

@@ -20,11 +20,13 @@ from .diffop import DiffOperator
 from .elliptic import (
     Jet,
     ModularData,
+    _pole_check,
     jet_indices,
     lattice_distance,
     nearest_lattice_point,
+    theta11,
+    theta11_prime_at_zero,
     w_kernel,
-    zeta11,
 )
 from .liealg import (
     RepresentedModule,
@@ -57,6 +59,7 @@ def _linear_substitution(g: Jet, direction) -> Jet:
 
     The multinomial weights distribute each power of the increment over
     the xi variables; the result keeps every total degree up to g's.
+    Coefficients of g may be scalars or arrays.
     """
     direction = np.asarray(direction, dtype=complex)
     order = g.total
@@ -65,12 +68,13 @@ def _linear_substitution(g: Jet, direction) -> Jet:
     for m in jet_indices(caps, order):
         k = sum(m)
         a = g.coeff((k,))
-        if a == 0:
+        is_array = isinstance(a, np.ndarray)
+        if not is_array and a == 0:
             continue
         c = a * math.factorial(k)
         for dr, mi in zip(direction, m):
-            c *= dr**mi / math.factorial(mi)
-        if c != 0:
+            c = c * (dr**mi / math.factorial(mi))
+        if is_array or c != 0:
             coeffs[m] = c
     return Jet(caps, order, coeffs)
 
@@ -264,6 +268,8 @@ class GaudinProblem:
         self.positions = [complex(z) for z in positions]
         self.modules = list(modules)
         self.pole_guard = pole_guard
+        self._sites_at = None
+        self._sites = None
         for a, za in enumerate(self.positions):
             for b in range(a + 1, len(self.positions)):
                 if lattice_distance(za - self.positions[b], md) < 1e-9:
@@ -342,10 +348,25 @@ class GaudinProblem:
 
     # -- coefficient data ------------------------------------------------
 
+    def _site_thetas(self, u: complex) -> list:
+        """theta(z_i - u) to first order at every site, pole-checked.
+
+        The jets of the last u asked for are kept, so that ``transfer``
+        reads A_r(u) and its potential off one evaluation per site.
+        """
+        u = complex(u)
+        if self._sites_at != u:
+            jets = []
+            for z in self.positions:
+                th = theta11(z - u, self.md, 1)
+                _pole_check(th.value, z - u, self.md, "z")
+                jets.append(th)
+            self._sites_at, self._sites = u, jets
+        return self._sites
+
     def cartan_matrices(self, u: complex):
         """A_r(u) = sum_i zeta(z_i - u) h_r^(i) on the zero-weight space."""
-        u = complex(u)
-        zvals = [zeta11(z - u, self.md).value for z in self.positions]
+        zvals = [th.coeff((1,)) * (1.0 / th.value) for th in self._site_thetas(u)]
         out = []
         for r in range(self.rs.rank):
             m = np.zeros((self.space.dim0, self.space.dim0), dtype=complex)
@@ -357,28 +378,52 @@ class GaudinProblem:
     def potential_jet(self, H, u: complex, order: int = 0) -> Jet:
         """Jet of the exchange potential
         (1/2) sum_{i,j,alpha} w_{a(H)}(z_i-u) w_{-a(H)}(z_j-u) e_{-a}^(j) e_a^(i).
+
+        For a positive root alpha, with c = alpha(H), h = alpha(xi - H) and
+        x_i = z_i - u, theta's oddness gives
+          w_{c+h}(x_i)  = -theta'(0) theta(x_i - c - h) / (theta(x_i) theta(c + h)),
+          w_{-c-h}(x_i) =  theta'(0) theta(x_i + c + h) / (theta(x_i) theta(c + h)),
+        and the root -alpha pairs the same two kernels with i and j swapped.
+        So theta is taken once per site, once per positive root and once per
+        (site, positive root) and sign, and the pair terms of alpha and
+        -alpha are summed as one matrix-valued jet in h before a single
+        substitution into the xi variables.
         """
         H = np.asarray(H, dtype=complex)
         check_regular(self.rs, self.md, H, self.pole_guard)
         u = complex(u)
         rs, md = self.rs, self.md
+        sites = [th.value for th in self._site_thetas(u)]
+        nsites = len(self.positions)
         acc = Jet((order,) * rs.rank, order)
-        for k in range(len(rs.chevalley.roots_ab)):
-            alpha = rs.roots[k]
+        for k, alpha in enumerate(rs.positive_roots):
             c0 = complex(alpha @ H)
-            lower = [
-                _univariate_w(c0, z - u, md, order) for z in self.positions
-            ]
-            # w_{-c}(z) in c at c0: the jet of w at -c0 with odd terms negated
-            upper = []
-            for z in self.positions:
-                w = _univariate_w(-c0, z - u, md, order)
-                flipped = {m: (-1.0) ** m[0] * v for m, v in w.coeffs.items()}
-                upper.append(Jet(w.caps, w.total, flipped))
-            for i in range(len(self.positions)):
-                for j in range(len(self.positions)):
-                    jet = _linear_substitution(lower[i] * upper[j], alpha)
-                    acc = acc + jet * (0.5 * self._pair[(i, j, k)])
+            tc = theta11(c0, md, order)
+            _pole_check(tc.value, -c0, md, "c")
+            scale = tc.reciprocal() * theta11_prime_at_zero(md)
+            lower, upper = [], []
+            for z, tz in zip(self.positions, sites):
+                x = z - u
+                minus = theta11(x - c0, md, order)
+                # theta(x - c - h) in h: the odd coefficients change sign
+                minus = Jet(
+                    minus.caps,
+                    minus.total,
+                    {m: (-1.0) ** m[0] * v for m, v in minus.coeffs.items()},
+                )
+                lower.append(minus * scale * (-1.0 / tz))
+                upper.append(theta11(x + c0, md, order) * scale * (1.0 / tz))
+            prods = [[lo * up for up in upper] for lo in lower]
+            neg = rs.negative_of(k)
+            total = Jet((order,), order)
+            for i in range(nsites):
+                for j in range(nsites):
+                    total = (
+                        total
+                        + prods[i][j] * self._pair[(i, j, k)]
+                        + prods[j][i] * self._pair[(i, j, neg)]
+                    )
+            acc = acc + _linear_substitution(total * 0.5, alpha)
         return acc
 
     # -- operators ---------------------------------------------------------
@@ -391,7 +436,7 @@ class GaudinProblem:
         l = self.rs.rank
         caps = (order,) * l
         eye = np.eye(self.space.dim0, dtype=complex)
-        A = self.cartan_matrices(u)
+        A = self.cartan_matrices(u)  # potential_jet reuses its site jets
         coeffs = {}
         for r, unit in enumerate(self._units):
             two = tuple(2 * s for s in unit)

@@ -254,3 +254,40 @@ def _permutations(seq):
     for i, x in enumerate(seq):
         for rest in _permutations(seq[:i] + seq[i + 1 :]):
             yield (x,) + rest
+
+
+# ---------------------------------------------------------------------------
+# Straight-line exchange potential.
+# ---------------------------------------------------------------------------
+
+
+def potential_jet_reference(prob, H, u: complex, order: int = 0):
+    """The exchange potential of a GaudinProblem, one kernel pair at a time.
+
+    For every root alpha and every site pair (i, j), the univariate jets
+    of w_{alpha(H)}(z_i - u) and w_{-alpha(H)}(z_j - u) are multiplied,
+    substituted into the xi variables and added with the pair operator
+    e_{-alpha}^(j) e_alpha^(i); no theta value is shared.
+    """
+    from ellgaudin.elliptic import Jet
+    from ellgaudin.gaudin import _linear_substitution, _univariate_w
+
+    H = np.asarray(H, dtype=complex)
+    u = complex(u)
+    rs, md = prob.rs, prob.md
+    acc = Jet((order,) * rs.rank, order)
+    for k in range(len(rs.roots)):
+        alpha = rs.roots[k]
+        c0 = complex(alpha @ H)
+        lower = [_univariate_w(c0, z - u, md, order) for z in prob.positions]
+        # w_{-c}(z) in c at c0: the jet of w at -c0 with odd terms negated
+        upper = []
+        for z in prob.positions:
+            w = _univariate_w(-c0, z - u, md, order)
+            flipped = {m: (-1.0) ** m[0] * v for m, v in w.coeffs.items()}
+            upper.append(Jet(w.caps, w.total, flipped))
+        for i in range(len(prob.positions)):
+            for j in range(len(prob.positions)):
+                jet = _linear_substitution(lower[i] * upper[j], alpha)
+                acc = acc + jet * (0.5 * prob._pair[(i, j, k)])
+    return acc

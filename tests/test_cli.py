@@ -570,3 +570,20 @@ def test_loaded_config_carries_its_built_instance():
     assert cfg.system.problem is cfg.problem and cfg.system.M == 1
     no_bethe = load_config(str(CONFIGS / "a1_n2_fund.ini"))
     assert no_bethe.problem is not None and no_bethe.system is None
+
+
+def test_commute_check_runs_at_large_im_tau(tmp_path, capsys):
+    # at tau = 50i-225i the theta series' envelope and its top-of-cell terms
+    # overflowed on their own and every commute check became an error record
+    path = write_config(tmp_path, MINIMAL_SITES.replace("tau = 0.8i", "tau = 60i"))
+    assert main(["commute-check", "--config", path, "--format", "json-lines"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records and all(r["pass"] for r in records)
+
+
+def test_underflowing_nome_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL_SITES.replace("tau = 0.8i", "tau = 300i"))
+    with pytest.raises(ConfigError, match="too large"):
+        load_config(path)
+    assert main(["commute-check", "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err

@@ -184,6 +184,32 @@ def test_theta_prime_at_zero_matches_mpmath_where_accepted(tau):
     assert rel_err(theta11_prime_at_zero(ModularData(tau)), ref) <= 1e-9
 
 
+@pytest.mark.parametrize("im_tau", [50.0, 100.0, 200.0])
+def test_theta_matches_mpmath_at_large_im_tau(im_tau):
+    # points across the cell, up to its top edge, where a term's sine and
+    # the convergence envelope overflowed on their own, and one cell below
+    mp = pytest.importorskip("mpmath")
+    md = ModularData(im_tau * 1j)
+    for x, y in [(0.3, 0.5), (0.71, 0.97), (0.2, 0.02), (0.45, -0.6), (0.9, -0.98)]:
+        z = x + y * md.tau
+        jet = theta11(z, md, order=2)
+        with mp.workdps(40):
+            nome = mp.exp(-mp.pi * im_tau)
+            arg = mp.pi * mp.mpc(z.real, z.imag)
+            refs = [
+                complex(-mp.jtheta(1, arg, nome, k) * mp.pi**k / mp.factorial(k))
+                for k in range(3)
+            ]
+        for k, ref in enumerate(refs):
+            assert rel_err(jet.coeff((k,)), ref) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [226j, 238j, 0.5 + 300j, 1000j])
+def test_theta_prime_at_zero_refuses_underflowing_nome(tau):
+    with pytest.raises(SeriesConvergenceError, match="too large"):
+        theta11_prime_at_zero(ModularData(tau))
+
+
 def test_theta_prime_at_zero_matches_direct():
     from oracles import theta11_prime_direct
 

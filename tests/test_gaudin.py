@@ -26,7 +26,7 @@ from ellgaudin.gaudin import (
 )
 from ellgaudin.liealg import build_dual_verma, build_irrep, build_root_system
 
-from oracles import w_direct, zeta11_direct
+from oracles import potential_jet_reference, w_direct, zeta11_direct
 
 RNG = np.random.default_rng(424242)
 
@@ -234,6 +234,41 @@ def test_potential_jet_vs_finite_differences():
         s2 = max(1.0, float(np.max(np.abs(fd2))))
         assert np.max(np.abs(jet.deriv((1,)) - fd1)) < 1e-6 * s1
         assert np.max(np.abs(jet.deriv((2,)) - fd2)) < 1e-4 * s2
+
+
+RS3 = build_root_system("A", 3)
+
+# irreducible sites by fundamental-weight labels; each weight sum lies in
+# the root lattice
+REFERENCE_CASES = {
+    "a1_n2": (RS1, [[1], [1]]),
+    "a1_n4": (RS1, [[1], [1], [1], [1]]),
+    "a2_n2": (RS2, [[1, 0], [0, 1]]),
+    "a2_n3": (RS2, [[1, 0], [1, 0], [1, 0]]),
+    "a3_n2": (RS3, [[1, 0, 0], [0, 0, 1]]),
+    "a3_n4": (RS3, [[0, 1, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("tau", [0.8j, 0.3 + 0.06j])
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_potential_jet_matches_straight_line_reference(name, tau):
+    rs, labels = REFERENCE_CASES[name]
+    md = ModularData(tau)
+    modules = [build_irrep(rs, rs.weight_from_fundamental(w)) for w in labels]
+    cells = [(0.05, 0.1), (0.52, 0.31), (0.27, 0.66), (0.81, 0.45)]
+    zs = [x + y * md.tau for x, y in cells[: len(modules)]]
+    prob = GaudinProblem(rs, md, zs, modules)
+    rng = np.random.default_rng(12)
+    u = sample_spectral_points(md, zs, rng, 1)[0]
+    H = sample_regular_cartan(rs, md, rng, 1)[0]
+    for order in (0, 1, 2):
+        got = prob.potential_jet(H, u, order)
+        want = potential_jet_reference(prob, H, u, order)
+        scale = max(float(np.max(np.abs(c))) for c in want.coeffs.values())
+        for m in set(got.coeffs) | set(want.coeffs):
+            err = float(np.max(np.abs(got.coeff(m) - want.coeff(m))))
+            assert err <= 1e-12 * scale
 
 
 def test_potential_small_q_trigonometric_limit():

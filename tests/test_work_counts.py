@@ -7,13 +7,17 @@ the checks need a fixed number of evaluations per point:
 - the eigenvector check builds the Bethe vector, which does not depend
   on the spectral parameter, once per point, at the operator's order;
 - the explicit conjugated operator reads every log-derivative of the
-  Weyl-Kac denominator off one jet.
+  Weyl-Kac denominator off one jet;
+- the exchange potential takes theta once per distinct argument, which
+  theta's oddness brings down to N + |Phi+| (2N + 1) for N sites, and one
+  substitution per positive root; the transfer operator reads A_r(u) off
+  the same theta(z_i - u) jets.
 """
 
 import numpy as np
 import pytest
 
-from ellgaudin import gaudin
+from ellgaudin import elliptic, gaudin
 from ellgaudin.bethe import BetheSystem
 from ellgaudin.elliptic import ModularData
 from ellgaudin.gaudin import (
@@ -37,6 +41,21 @@ def count_calls(monkeypatch, owner, name):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def count_everywhere(monkeypatch, name):
+    """Count the calls of elliptic.name from every module that holds it."""
+    calls = []
+    original = getattr(elliptic, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    for module in (elliptic, gaudin):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -95,3 +114,35 @@ def test_explicit_tilde_reads_one_denominator_jet(monkeypatch, rank):
     for H in hs:
         prob.tilde_transfer(u, H, route="explicit")
     assert len(calls) == len(hs)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_potential_takes_each_theta_value_once(monkeypatch, rank):
+    prob = irrep_problem(rank)
+    nsites, npos = len(prob.positions), prob.rs.n_positive
+    rng = np.random.default_rng(50 + rank)
+    hs = sample_regular_cartan(prob.rs, MD, rng, 2)
+    us = sample_spectral_points(MD, prob.positions, rng, 2)
+    thetas = count_everywhere(monkeypatch, "theta11")
+    subs = count_calls(monkeypatch, gaudin, "_linear_substitution")
+    for H, u in zip(hs, us):
+        prob.potential_jet(H, u, order=2)
+    per_call = nsites + npos * (2 * nsites + 1)  # 17 at rank 2, 2 sites
+    assert len(thetas) == len(hs) * per_call
+    assert len(subs) == len(hs) * npos
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_transfer_reads_cartan_matrices_off_the_potential_jets(monkeypatch, rank):
+    prob = irrep_problem(rank)
+    nsites, npos = len(prob.positions), prob.rs.n_positive
+    rng = np.random.default_rng(60 + rank)
+    hs = sample_regular_cartan(prob.rs, MD, rng, 2)
+    us = sample_spectral_points(MD, prob.positions, rng, 2)
+    zetas = count_everywhere(monkeypatch, "zeta11")
+    thetas = count_everywhere(monkeypatch, "theta11")
+    for H in hs:
+        for u in us:
+            prob.transfer(u, H, 2)
+    assert zetas == []
+    assert len(thetas) == len(hs) * len(us) * (nsites + npos * (2 * nsites + 1))
