@@ -37,9 +37,8 @@ _EPS_TERM = 1e-16
 _CANCELLATION_LIMIT = 1e-8
 _UNIT_ROUNDOFF = 2.2e-16
 
-# Above this imaginary part of its argument, sin(x + iy) is summed as
-# (i/2) e^{y - ix} inside the term's exponent; below it cmath.sin cannot
-# overflow, and e^{-2y} is far below the double-precision roundoff.
+# Largest imaginary part of a theta-series sine evaluated by cmath.sin;
+# above it e^{-2y} is far below the roundoff, so sin(x + iy) = (i/2) e^{y-ix}.
 _SINE_GROWTH = 600.0
 
 
@@ -65,10 +64,12 @@ class PoleProximityError(EllipticError):
 
 
 class SeriesConvergenceError(EllipticError):
-    """Theta series missed the term cutoff within the term cap, or the
-    series for theta11'(0) cancels too far to be trusted.
+    """Theta series missed the term cutoff within the term cap, the
+    series for theta11'(0) cancels too far to be trusted, or the nome
+    underflows.
 
-    In practice both signal |q| too close to 1 (Im tau too small).
+    The first two signal |q| too close to 1 (Im tau too small), the last
+    Im tau too large.
     """
 
 
@@ -425,12 +426,10 @@ def _theta_series_coeffs(z0: complex, md: ModularData, order: int) -> list:
     an absolute floor at the natural scale of theta so that exact zeros of
     the value do not stall the test.
 
-    A term is q^{(n+1/2)^2 / 2} times sin((2n+1) pi z0), which grows like
-    e^{(2n+1) pi Im z0}; near the top of the cell at large Im tau that
-    growth overflows on its own while the term is representable.  The
-    envelope is therefore taken from one summed exponent, and so is a term
-    whose sine would exceed _SINE_GROWTH, where sin(x + iy) =
-    (i/2) e^{y - ix} to double precision.
+    A term is q^{(n+1/2)^2 / 2} times sin((2n+1) pi z0), and near the top
+    of the cell at large Im tau the sine overflows on its own while the
+    term is representable.  So the envelope, and a term whose sine grows
+    past _SINE_GROWTH, are each taken from one summed exponent.
     """
     qt = cmath.exp(1j * _PI * md.tau)
     aqt = abs(qt)
@@ -503,8 +502,7 @@ def theta11_prime_at_zero(md: ModularData) -> complex:
     :class:`SeriesConvergenceError` once that cancellation can cost more
     than _CANCELLATION_LIMIT in relative accuracy, and once the nome
     e^{i pi tau}, on which every theta series is built, is no longer a
-    normal double (Im tau > 225.5); theta'(0) itself reads 0 from
-    Im tau = 238.
+    normal double (Im tau > 225.5).
     """
     aqt = abs(cmath.exp(1j * _PI * md.tau))
     if aqt < sys.float_info.min:

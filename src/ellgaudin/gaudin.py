@@ -73,7 +73,7 @@ def _linear_substitution(g: Jet, direction) -> Jet:
             continue
         c = a * math.factorial(k)
         for dr, mi in zip(direction, m):
-            c = c * (dr**mi / math.factorial(mi))
+            c *= dr**mi / math.factorial(mi)
         if is_array or c != 0:
             coeffs[m] = c
     return Jet(caps, order, coeffs)

@@ -45,17 +45,11 @@ def count_calls(monkeypatch, owner, name):
 
 
 def count_everywhere(monkeypatch, name):
-    """Count the calls of elliptic.name from every module that holds it."""
-    calls = []
+    """Count the calls of elliptic.name, also where gaudin imported it."""
     original = getattr(elliptic, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append((args, kwargs))
-        return original(*args, **kwargs)
-
-    for module in (elliptic, gaudin):
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, wrapper)
+    calls = count_calls(monkeypatch, elliptic, name)
+    if getattr(gaudin, name, None) is original:
+        monkeypatch.setattr(gaudin, name, getattr(elliptic, name))
     return calls
 
 
