@@ -429,10 +429,20 @@ def _theta_series_coeffs(z0: complex, md: ModularData, order: int) -> list:
     A term is q^{(n+1/2)^2 / 2} times sin((2n+1) pi z0), and near the top
     of the cell at large Im tau the sine overflows on its own while the
     term is representable.  So the envelope, and a term whose sine grows
-    past _SINE_GROWTH, are each taken from one summed exponent.
+    past _SINE_GROWTH, are each taken from one summed exponent; that term
+    takes q^{(n+1/2)^2 / 2} from the principal log of the nome, as the
+    power does, so both kinds of term share one phase convention at any
+    Re tau.  Raises :class:`SeriesConvergenceError` once the nome
+    e^{i pi tau} is no longer a normal double (Im tau > 225.5), since its
+    phase is then lost.
     """
     qt = cmath.exp(1j * _PI * md.tau)
     aqt = abs(qt)
+    if aqt < sys.float_info.min:
+        raise SeriesConvergenceError(
+            f"the nome exp(i pi tau) = {aqt:.3g} underflows double precision "
+            f"at tau={md.tau}; Im tau is too large"
+        )
     log_aqt = -_PI * md.tau.imag
     scale_floor = 2.0 * aqt ** 0.25
     imz = abs(z0.imag)
@@ -445,7 +455,7 @@ def _theta_series_coeffs(z0: complex, md: ModularData, order: int) -> list:
             terms = [cmath.sin(arg + k * _PI / 2) for k in range(order + 1)]
         else:
             amp = -1j * (-1) ** nn * cmath.exp(
-                1j * _PI * md.tau * (nn + 0.5) ** 2 + arg.imag - 1j * arg.real
+                (nn + 0.5) ** 2 * cmath.log(qt) + arg.imag - 1j * arg.real
             )
             terms = [(-1j) ** k for k in range(order + 1)]
         for k in range(order + 1):
@@ -500,17 +510,12 @@ def theta11_prime_at_zero(md: ModularData) -> complex:
     The series alternates, and as Im(tau) -> 0 its terms grow while the
     sum, 2*pi*|eta(tau)|^3, shrinks exponentially.  Raises
     :class:`SeriesConvergenceError` once that cancellation can cost more
-    than _CANCELLATION_LIMIT in relative accuracy, and once the nome
-    e^{i pi tau}, on which every theta series is built, is no longer a
-    normal double (Im tau > 225.5).
+    than _CANCELLATION_LIMIT in relative accuracy, and, as every theta
+    series does, once the nome e^{i pi tau} is no longer a normal double
+    (Im tau > 225.5).
     """
-    aqt = abs(cmath.exp(1j * _PI * md.tau))
-    if aqt < sys.float_info.min:
-        raise SeriesConvergenceError(
-            f"the nome exp(i pi tau) = {aqt:.3g} underflows double precision "
-            f"at tau={md.tau}; Im tau is too large"
-        )
     value = _theta_series_coeffs(0j, md, 1)[1]
+    aqt = abs(cmath.exp(1j * _PI * md.tau))
     spread = sum(
         2.0 * (2 * nn + 1) * _PI * aqt ** ((nn + 0.5) ** 2)
         for nn in range(md.n_max)

@@ -268,8 +268,6 @@ class GaudinProblem:
         self.positions = [complex(z) for z in positions]
         self.modules = list(modules)
         self.pole_guard = pole_guard
-        self._sites_at = None
-        self._sites = None
         for a, za in enumerate(self.positions):
             for b in range(a + 1, len(self.positions)):
                 if lattice_distance(za - self.positions[b], md) < 1e-9:
@@ -349,20 +347,14 @@ class GaudinProblem:
     # -- coefficient data ------------------------------------------------
 
     def _site_thetas(self, u: complex) -> list:
-        """theta(z_i - u) to first order at every site, pole-checked.
-
-        The jets of the last u asked for are kept, so that ``transfer``
-        reads A_r(u) and its potential off one evaluation per site.
-        """
+        """theta(z_i - u) to first order at every site, pole-checked."""
         u = complex(u)
-        if self._sites_at != u:
-            jets = []
-            for z in self.positions:
-                th = theta11(z - u, self.md, 1)
-                _pole_check(th.value, z - u, self.md, "z")
-                jets.append(th)
-            self._sites_at, self._sites = u, jets
-        return self._sites
+        jets = []
+        for z in self.positions:
+            th = theta11(z - u, self.md, 1)
+            _pole_check(th.value, z - u, self.md, "z")
+            jets.append(th)
+        return jets
 
     def cartan_matrices(self, u: complex):
         """A_r(u) = sum_i zeta(z_i - u) h_r^(i) on the zero-weight space."""
@@ -436,7 +428,7 @@ class GaudinProblem:
         l = self.rs.rank
         caps = (order,) * l
         eye = np.eye(self.space.dim0, dtype=complex)
-        A = self.cartan_matrices(u)  # potential_jet reuses its site jets
+        A = self.cartan_matrices(u)
         coeffs = {}
         for r, unit in enumerate(self._units):
             two = tuple(2 * s for s in unit)

@@ -184,20 +184,35 @@ def test_theta_prime_at_zero_matches_mpmath_where_accepted(tau):
     assert rel_err(theta11_prime_at_zero(ModularData(tau)), ref) <= 1e-9
 
 
-@pytest.mark.parametrize("im_tau", [50.0, 100.0, 200.0])
-def test_theta_matches_mpmath_at_large_im_tau(im_tau):
+@pytest.mark.parametrize("tau", [50j, 100j, 200j, 1.5 + 100j, 2 + 200j, -1.5 + 150j])
+def test_theta_matches_mpmath_at_large_im_tau(tau):
     # points across the cell, up to its top edge, where a term's sine and
-    # the convergence envelope overflowed on their own, and one cell below
+    # the convergence envelope overflowed on their own, and one cell below.
+    # The reference sums the series in 60 digits with the principal power of
+    # the nome exp(i pi tau), the convention of mpmath's q^{1/4}, so at
+    # |Re tau| > 1 the terms taken from one summed exponent must keep the
+    # phase of the ordinary terms.  (mp.jtheta itself returns wrong values
+    # at some working precisions for a complex nome this small.)
     mp = pytest.importorskip("mpmath")
-    md = ModularData(im_tau * 1j)
+    md = ModularData(tau)
     for x, y in [(0.3, 0.5), (0.71, 0.97), (0.2, 0.02), (0.45, -0.6), (0.9, -0.98)]:
         z = x + y * md.tau
         jet = theta11(z, md, order=2)
-        with mp.workdps(40):
-            nome = mp.exp(-mp.pi * im_tau)
+        with mp.workdps(60):
+            nome = mp.exp(1j * mp.pi * mp.mpc(tau.real, tau.imag))
             arg = mp.pi * mp.mpc(z.real, z.imag)
             refs = [
-                complex(-mp.jtheta(1, arg, nome, k) * mp.pi**k / mp.factorial(k))
+                complex(
+                    -2
+                    * mp.fsum(
+                        (-1) ** n
+                        * nome ** ((n + mp.mpf(0.5)) ** 2)
+                        * ((2 * n + 1) * mp.pi) ** k
+                        * mp.sin((2 * n + 1) * arg + k * mp.pi / 2)
+                        for n in range(12)
+                    )
+                    / mp.factorial(k)
+                )
                 for k in range(3)
             ]
         for k, ref in enumerate(refs):
@@ -208,6 +223,9 @@ def test_theta_matches_mpmath_at_large_im_tau(im_tau):
 def test_theta_prime_at_zero_refuses_underflowing_nome(tau):
     with pytest.raises(SeriesConvergenceError, match="too large"):
         theta11_prime_at_zero(ModularData(tau))
+    # the nome's phase is lost there, so theta itself refuses too
+    with pytest.raises(SeriesConvergenceError, match="too large"):
+        theta11(0.3 + 0.4 * tau, ModularData(tau))
 
 
 def test_theta_prime_at_zero_matches_direct():

