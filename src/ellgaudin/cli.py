@@ -85,8 +85,8 @@ class ConfigError(ValueError):
 
 TOLERANCE_DEFAULTS = {
     "elliptic_identities": 1e-10,
-    "pole_normalization": 1e-8,
-    "jets": 1e-6,
+    "pole_normalization": 1e-12,
+    "jets": 1e-12,
     "commutator": 1e-8,
     "commutator_top_order": 1e-12,
     "structure": 1e-12,
@@ -469,22 +469,33 @@ def _instance_digest(cfg: ExperimentConfig, command: str, negative: bool) -> str
 # --------------------------------------------------------------------------
 
 
-def _pole_limit(f, steps=(1e-2, 3e-3, 1e-3, 3e-4)) -> complex:
-    """Extrapolate h*f(h) to h = 0 (Neville, simple pole at the origin)."""
-    hs = list(steps)
-    g = [h * f(h) for h in hs]
-    for j in range(1, len(hs)):
-        for i in range(len(hs) - j):
-            g[i] = g[i + 1] + (g[i + 1] - g[i]) * hs[i + j] / (hs[i] - hs[i + j])
-    return g[0]
+# Cauchy-contour oracle (Bornemann 2011): 16 trapezoidal points on a circle
+# of radius min(0.05, d/8), d the distance to the nearest pole, so the sum
+# aliases at relative order 8**-16.  Above 0.05, theta's high-frequency
+# terms alias at large Im tau.
+_CONTOUR_POINTS = 16
 
 
-def _fd1(f, x: complex, h: float = 1e-5) -> complex:
-    return (f(x + h) - f(x - h)) / (2 * h)
+def _contour_radius(distance: float) -> float:
+    return min(0.05, distance / 8)
 
 
-def _fd2(f, x: complex, h: float = 1e-4) -> complex:
-    return (f(x + h) - 2 * f(x) + f(x - h)) / (h * h)
+def _contour_coeffs(f, z0: complex, r: float) -> dict:
+    """{k: (a_k, max|f|/r^k)} for k = -1..2: the Laurent coefficients of f
+    about z0 by the trapezoidal rule on |z - z0| = r, each with its Cauchy
+    bound.  The four DFT terms are summed directly; numpy.fft would load
+    one more extension module (about 0.5 MB) on every run.
+    """
+    unit = np.exp(2j * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS)
+    vals = np.array([f(z0 + r * u) for u in unit])
+    peak = float(np.abs(vals).max())
+    return {k: (vals @ unit**-k / _CONTOUR_POINTS / r**k, peak / r**k)
+            for k in (-1, 0, 1, 2)}
+
+
+def _contour_error(coeffs: dict, expected: dict) -> float:
+    """Largest |expected[k] - a_k| in units of the Cauchy bound of a_k."""
+    return max(abs(v - coeffs[k][0]) / coeffs[k][1] for k, v in expected.items())
 
 
 def _rel(value: complex, reference: complex, floor: float = 1e-30) -> float:
@@ -627,63 +638,51 @@ class CheckRunner:
                 note=f"max over {n} points",
             )
 
-        # Pole normalizations: z*zeta -> 1, z*w_c(z) -> 1, c*w_c(z) -> -1,
-        # each extrapolated to the pole through a decreasing step sequence.
-        c0 = cs[0]
+        # Pole normalizations: the residues of zeta(z), w_c(z) in z and
+        # w_c(z) in c at 0 are 1, 1 and -1.
+        (n1, m1), _ = md.basis
+        r0 = _contour_radius(abs(n1 + m1 * md.tau))
         pole_res = max(
-            abs(_pole_limit(lambda h: zeta11(h, md).value) - 1),
-            abs(_pole_limit(lambda h: w_kernel(c0, h, md).value) - 1),
-            abs(_pole_limit(lambda h: w_kernel(h, zs[0], md).value) + 1),
+            _contour_error(_contour_coeffs(f, 0, r0), {-1: target})
+            for f, target in (
+                (lambda h: zeta11(h, md).value, 1),
+                (lambda h: w_kernel(cs[0], h, md).value, 1),
+                (lambda h: w_kernel(h, zs[0], md).value, -1),
+            )
         )
         self._record(
             "elliptic/pole-normalization",
             pole_res,
             tol_pole,
-            note="z*zeta(z)->1, z*w_c(z)->1, c*w_c(z)->-1 extrapolated",
+            note="z*zeta(z)->1, z*w_c(z)->1, c*w_c(z)->-1 by contour",
         )
 
+        # Jets against contour coefficients: zeta in z, w in c, w in z, and
+        # w along the diagonal (c + h, z + h), whose h^2 coefficient is
+        # a20 + a11 + a02.
         jet_res = 0.0
-        for z, c in zip(zs[: self.cfg.sampling["jet_points"]], cs):
-            jz = zeta11(z, md, order=2)
-            jet_res = max(
-                jet_res,
-                _rel(jz.deriv((1,)), _fd1(lambda x: zeta11(x, md).value, z)),
-                _rel(jz.deriv((2,)), _fd2(lambda x: zeta11(x, md).value, z)),
-            )
-            jw = w_kernel(c, z, md, order_c=2, order_z=2)
-            jet_res = max(
-                jet_res,
-                _rel(
-                    jw.deriv((1, 0)),
-                    _fd1(lambda x: w_kernel(x, z, md).value, c),
-                ),
-                _rel(
-                    jw.deriv((0, 1)),
-                    _fd1(lambda x: w_kernel(c, x, md).value, z),
-                ),
-                _rel(
-                    jw.deriv((1, 1)),
-                    _fd1(
-                        lambda x: _fd1(
-                            lambda y: w_kernel(x, y, md).value, z
-                        ),
-                        c,
-                    ),
-                ),
-                _rel(
-                    jw.deriv((2, 0)),
-                    _fd2(lambda x: w_kernel(x, z, md).value, c),
-                ),
-                _rel(
-                    jw.deriv((0, 2)),
-                    _fd2(lambda x: w_kernel(c, x, md).value, z),
-                ),
-            )
+        jet_pairs = list(zip(zs[: self.cfg.sampling["jet_points"]], cs))
+        for z, c in jet_pairs:
+            rz, rc = (_contour_radius(lattice_distance(x, md)) for x in (z, c))
+            jz = zeta11(z, md, order=2).coeff
+            jw = w_kernel(c, z, md, order_c=2, order_z=2).coeff
+            for f, z0, r, expected in (
+                (lambda x: zeta11(x, md).value, z, rz, {1: jz((1,)), 2: jz((2,))}),
+                (lambda x: w_kernel(x, z, md).value, c, rc,
+                 {1: jw((1, 0)), 2: jw((2, 0))}),
+                (lambda x: w_kernel(c, x, md).value, z, rz,
+                 {1: jw((0, 1)), 2: jw((0, 2))}),
+                (lambda h: w_kernel(c + h, z + h, md).value, 0, min(rz, rc),
+                 {2: jw((2, 0)) + jw((1, 1)) + jw((0, 2))}),
+            ):
+                jet_res = max(
+                    jet_res, _contour_error(_contour_coeffs(f, z0, r), expected)
+                )
         self._record(
-            "elliptic/jets-vs-finite-differences",
+            "elliptic/jets-vs-contour",
             jet_res,
             tol_jets,
-            note=f"zeta and w jets at {self.cfg.sampling['jet_points']} points",
+            note=f"zeta and w jets at {len(jet_pairs)} points",
         )
 
     def stage_algebra(self):

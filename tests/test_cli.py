@@ -8,6 +8,7 @@ negative-control path.
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ellgaudin import cli
 from ellgaudin.cli import (
     COMMANDS,
     CheckRecord,
@@ -104,7 +106,8 @@ def test_load_minimal_config_materializes_defaults(tmp_path):
     assert cfg.tau == 0.8j
     assert len(cfg.sites) == 2
     assert cfg.sites[0].kind == "irrep" and cfg.sites[0].weight == (1,)
-    assert cfg.tolerances["jets"] == 1e-6
+    assert cfg.tolerances["jets"] == 1e-12
+    assert cfg.tolerances["pole_normalization"] == 1e-12
     assert cfg.sampling["sweep_points"] == 100
     assert cfg.seed == 0
     echo = "\n".join(cfg.echo_lines())
@@ -572,13 +575,65 @@ def test_loaded_config_carries_its_built_instance():
     assert no_bethe.problem is not None and no_bethe.system is None
 
 
-def test_commute_check_runs_at_large_im_tau(tmp_path, capsys):
+@pytest.mark.parametrize("tau", ["40i", "60i"])
+@pytest.mark.parametrize("command", ["commute-check", "elliptic-check"])
+def test_commute_check_runs_at_large_im_tau(tmp_path, capsys, command, tau):
     # at tau = 50i-225i the theta series' envelope and its top-of-cell terms
-    # overflowed on their own and every commute check became an error record
-    path = write_config(tmp_path, MINIMAL_SITES.replace("tau = 0.8i", "tau = 60i"))
-    assert main(["commute-check", "--config", path, "--format", "json-lines"]) == 0
+    # overflowed on their own and every commute check became an error record;
+    # the elliptic jets, right there, failed against finite differences whose
+    # error was divided by a reference of size 1e-31 to 1e-43
+    text = MINIMAL_SITES.replace("tau = 0.8i", f"tau = {tau}")
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", path, "--format", "json-lines"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert records and all(r["pass"] for r in records)
+
+
+def _elliptic_records(cfg):
+    runner = CheckRunner(cfg, "elliptic-check", False)
+    runner.stage_elliptic()
+    return {r.name: r for r in runner.report.records}
+
+
+def test_jets_note_counts_the_points_checked(tmp_path):
+    # jet points are taken from the elliptic sample, so at most
+    # elliptic_points of them are checked
+    text = MINIMAL_SITES + "\n[sampling]\nelliptic_points = 3\njet_points = 7\n"
+    records = _elliptic_records(load_config(write_config(tmp_path, text)))
+    (jets,) = [r for n, r in records.items() if n.startswith("elliptic/jets-vs-")]
+    assert jets.note == "zeta and w jets at 3 points"
+
+
+def test_jets_record_catches_a_perturbed_mixed_coefficient(monkeypatch):
+    # a relative 1e-8 error in d^2 w / dc dz, values untouched, stayed under
+    # the finite-difference record's 1e-6
+    true_w_kernel = cli.w_kernel
+
+    def skewed(c, z, md, order_c=0, order_z=0):
+        jet = true_w_kernel(c, z, md, order_c, order_z)
+        if (1, 1) in jet.coeffs:
+            jet.coeffs[(1, 1)] *= 1 + 1e-8
+        return jet
+
+    monkeypatch.setattr(cli, "w_kernel", skewed)
+    records = _elliptic_records(load_config(str(CONFIGS / "a1_n2_fund.ini")))
+    (jets,) = [r for n, r in records.items() if n.startswith("elliptic/jets-vs-")]
+    assert not jets.passed
+    assert all(r.passed for r in records.values() if r is not jets)
+
+
+def test_contour_coeffs_taylor_and_residue():
+    z0, r = 0.3 + 0.1j, 0.05
+    coeffs = cli._contour_coeffs(lambda z: cmath.exp(2 * z), z0, r)
+    for k, exact in ((0, 1), (1, 2), (2, 2)):
+        a, bound = coeffs[k]
+        assert abs(a - exact * cmath.exp(2 * z0)) <= 1e-14 * bound
+    a, bound = coeffs[-1]
+    assert abs(a) <= 1e-14 * bound
+    coeffs = cli._contour_coeffs(lambda z: 1 / z + 2 + z, 0, r)
+    for k, exact in ((-1, 1), (0, 2), (1, 1), (2, 0)):
+        a, bound = coeffs[k]
+        assert abs(a - exact) <= 1e-14 * bound
 
 
 def test_underflowing_nome_is_a_config_error(tmp_path, capsys):
