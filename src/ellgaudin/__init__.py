@@ -20,13 +20,16 @@ Layers, bottom up:
 ``bethe``
     Bethe equations, a damped Newton solver, Bethe covectors, and the
     eigenvalue check for the transfer matrix.
-``cli``
-    Configuration files, report emission, and the verification commands.
+
+The command line front end, ``ellgaudin.cli`` (configuration files, report
+emission and the verification commands), is not imported with the
+package, so ``python -m ellgaudin.cli`` runs it cleanly; import it
+explicitly.
 
 NumPy is the only runtime dependency.
 """
 
-from . import elliptic, liealg, diffop, gaudin, bethe, cli
+from . import elliptic, liealg, diffop, gaudin, bethe
 
-__all__ = ["elliptic", "liealg", "diffop", "gaudin", "bethe", "cli"]
+__all__ = ["elliptic", "liealg", "diffop", "gaudin", "bethe"]
 __version__ = "0.1.0"

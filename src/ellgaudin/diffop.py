@@ -12,25 +12,45 @@ a grid.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product as _iproduct
+from operator import add, sub
 
 import numpy as np
 
-from .elliptic import Jet
+from .elliptic import Jet, _nonzero_items, jet_indices
 
 MAX_TOTAL_ORDER = 4
 
 
-def _binom_multi(beta, delta) -> int:
-    out = 1
-    for b, d in zip(beta, delta):
-        out *= math.comb(b, d)
-    return out
+@lru_cache(maxsize=None)
+def _leibniz_splits(beta: tuple) -> tuple:
+    """(delta, beta - delta, binom(beta, delta)) for every delta <= beta."""
+    out = []
+    for delta in _iproduct(*(range(b + 1) for b in beta)):
+        binom = 1
+        for b, d in zip(beta, delta):
+            binom *= math.comb(b, d)
+        out.append((delta, tuple(map(sub, beta, delta)), binom))
+    return tuple(out)
 
 
-def _sub_indices(beta):
-    """All delta <= beta componentwise."""
-    return list(_iproduct(*(range(b + 1) for b in beta)))
+@lru_cache(maxsize=None)
+def _derivative_lookup(delta: tuple, room: int) -> tuple:
+    """(mm, mm + delta, weight) for every mm of total degree <= room.
+
+    The Taylor coefficient of d^delta b at mm is weight times b's
+    coefficient at mm + delta, with the falling factorials
+    weight = prod_i (mm_i + delta_i)! / mm_i!.
+    """
+    out = []
+    for mm in jet_indices((room,) * len(delta), room):
+        m = tuple(map(add, mm, delta))
+        weight = 1
+        for a, d in zip(m, delta):
+            weight *= math.perm(a, d)
+        out.append((mm, m, weight))
+    return tuple(out)
 
 
 class DiffOperator:
@@ -98,7 +118,14 @@ class DiffOperator:
         binom(beta,delta) a (d^delta b) d^(beta-delta+gamma) f, so the
         result coefficient at mu collects all splittings.  Differentiating
         ``other``'s coefficients costs up to ``self.order`` jet orders, so
-        the result carries order min(self.k, other.k - self.order).
+        the result carries order k = min(self.k, other.k - self.order).
+
+        Each Leibniz term is formed coefficient by coefficient: the
+        coefficient of d^delta b at mm is read straight off b at
+        mm + delta, scaled by falling factorials, and only the products
+        a_ma (d^delta b)_mm of total degree |ma + mm| <= k are formed.
+        Two array factors multiply with ``@``, as in a jet product, so at
+        k = 0 every term is one matrix product.
         """
         if self.nvars != other.nvars or self.dim != other.dim:
             raise ValueError("operator shape mismatch")
@@ -113,17 +140,30 @@ class DiffOperator:
                 f"coefficient jets of order {other.k} cannot be differentiated "
                 f"{self.order} times"
             )
-        caps = (k,) * self.nvars
         out: dict = {}
         for beta, a in self.coeffs.items():
-            a = a.truncate(caps, k)
+            left = [
+                (ma, ca, a_array, k - sum(ma))
+                for ma, ca, a_array in _nonzero_items(a.coeffs)
+                if sum(ma) <= k
+            ]
             for gamma, b in other.coeffs.items():
-                for delta in _sub_indices(beta):
-                    mu = tuple(bt - d + g for bt, d, g in zip(beta, delta, gamma))
-                    db = b.shift(delta).truncate(caps, k)
-                    t = (a * db) * _binom_multi(beta, delta)
-                    out[mu] = out[mu] + t if mu in out else t
-        return DiffOperator(self.nvars, self.dim, out)
+                for delta, rest, binom in _leibniz_splits(beta):
+                    acc = out.setdefault(tuple(map(add, rest, gamma)), {})
+                    for ma, ca, a_array, room in left:
+                        for mm, m, weight in _derivative_lookup(delta, room):
+                            cb = b.coeffs.get(m)
+                            b_array = isinstance(cb, np.ndarray)
+                            if not b_array and not cb:
+                                continue  # missing or a scalar zero
+                            prod = ca @ cb if a_array and b_array else ca * cb
+                            prod = prod * (binom * weight)
+                            idx = tuple(map(add, ma, mm))
+                            acc[idx] = acc[idx] + prod if idx in acc else prod
+        caps = (k,) * self.nvars
+        return DiffOperator(
+            self.nvars, self.dim, {mu: Jet(caps, k, c) for mu, c in out.items()}
+        )
 
     def commutator(self, other: "DiffOperator") -> "DiffOperator":
         return self.compose(other) - other.compose(self)

@@ -41,6 +41,9 @@ _UNIT_ROUNDOFF = 2.2e-16
 # above it e^{-2y} is far below the roundoff, so sin(x + iy) = (i/2) e^{y-ix}.
 _SINE_GROWTH = 600.0
 
+# Largest real part of an exponent whose exponential is a finite double.
+_EXP_LIMIT = math.log(sys.float_info.max)
+
 
 class EllipticError(ValueError):
     """Domain problem in the elliptic layer."""
@@ -490,15 +493,20 @@ def theta11(z: complex, md: ModularData, order: int = 0) -> Jet:
     red = reduce_to_cell(z, md)
     a = _theta_series_coeffs(red.z0, md, order)
     # Exact quasi-periodicity factor, itself expanded as a jet in z.
-    s = (-1) ** (red.m + red.n) * cmath.exp(
-        -1j * _PI * red.m * red.m * md.tau - _TWO_PI_I * red.m * red.z0
-    )
+    sign = (-1) ** (red.m + red.n)
+    expo = -1j * _PI * red.m * red.m * md.tau - _TWO_PI_I * red.m * red.z0
+    # far above the cell at large Im tau the factor overflows on its own
+    # while the series is tiny; then it enters one exponent with each sum
+    folded = expo.real > _EXP_LIMIT
+    s = 1.0 if folded else sign * cmath.exp(expo)
     w = -_TWO_PI_I * red.m
     coeffs = {}
     for k in range(order + 1):
         acc = 0j
         for j in range(k + 1):
             acc += a[k - j] * s * w ** j / math.factorial(j)
+        if folded and acc:
+            acc = sign * cmath.exp(expo + cmath.log(acc))
         coeffs[(k,)] = acc
     return Jet((order,), order, coeffs)
 

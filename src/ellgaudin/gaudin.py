@@ -79,6 +79,21 @@ def _linear_substitution(g: Jet, direction) -> Jet:
     return Jet(caps, order, coeffs)
 
 
+def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated Cauchy product along the last axis, broadcast elsewhere:
+    out[..., m] = sum_{p+q=m} a[..., p] b[..., q] for m below the length."""
+    n = a.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for p in range(n):
+        out[..., p:] += a[..., p : p + 1] * b[..., : n - p]
+    return out
+
+
+def _coeffs(jet: Jet) -> list:
+    """Coefficients of a univariate jet, in order."""
+    return [jet.coeff((m,)) for m in range(jet.total + 1)]
+
+
 def _univariate_w(c0: complex, z: complex, md: ModularData, order: int) -> Jet:
     """Univariate jet in c of w_c(z) at c0."""
     jet = w_kernel(c0, z, md, order_c=order, order_z=0)
@@ -300,14 +315,19 @@ class GaudinProblem:
     # -- site operators on the zero-weight subspace ---------------------
 
     def _build_site_operators(self):
-        """h_r^(i) and e_{-a}^(j) e_a^(i) on the zero-weight space.
+        """h_r^(i) and the pair operators on the zero-weight space.
 
         Entries are read off single-site matrices at the zero-weight
         tuples.  Between tuples a and b, an operator on site i is
         S_i[a_i, b_i] when a and b agree on every other site; the pair
-        term is R_j[a_j, b_j] L_i[a_i, b_i] when they agree off {i, j}, and
-        (R_i L_i)[a_i, b_i] when i = j.  The full tensor product is never
-        formed.
+        term P(i, j, a) = e_{-a}^(j) e_a^(i) is R_j[a_j, b_j] L_i[a_i, b_i]
+        when they agree off {i, j}, and (R_i L_i)[a_i, b_i] when i = j.
+        The full tensor product is never formed.
+
+        ``_pair[k]`` stacks, for the k-th positive root alpha, the pair
+        operators of alpha and -alpha that share a kernel product:
+        _pair[k][i, j] = P(i, j, alpha) + P(j, i, -alpha), an array of
+        shape (N, N, dim0, dim0).
         """
         rs = self.rs
         tuples = self.space.zero_array
@@ -330,19 +350,31 @@ class GaudinProblem:
             ]
             for i in range(nsites)
         ]
-        self._pair = {}
-        for k in range(len(rs.chevalley.roots_ab)):
-            e_plus = rs.chevalley.root_vectors[k]
-            e_minus = rs.chevalley.root_vectors[rs.negative_of(k)]
-            lower = [mod.dual_matrix(e_plus) for mod in self.modules]
-            raise_ = [mod.dual_matrix(e_minus) for mod in self.modules]
+
+        def pair(k):
+            # P(i, j, root k) for every site pair, shape (N, N, dim0, dim0)
+            lower = [
+                mod.dual_matrix(rs.chevalley.root_vectors[k])
+                for mod in self.modules
+            ]
+            raise_ = [
+                mod.dual_matrix(rs.chevalley.root_vectors[rs.negative_of(k)])
+                for mod in self.modules
+            ]
+            out = np.empty((nsites, nsites) + mismatches.shape, dtype=complex)
             for i in range(nsites):
                 for j in range(nsites):
                     if i == j:
                         mat = (raise_[i] @ lower[i])[grid[i]]
                     else:
                         mat = raise_[j][grid[j]] * lower[i][grid[i]]
-                    self._pair[(i, j, k)] = on_sites(mat, i, j)
+                    out[i, j] = on_sites(mat, i, j)
+            return out
+
+        self._pair = [
+            pair(k) + pair(rs.negative_of(k)).transpose(1, 0, 2, 3)
+            for k in range(rs.n_positive)
+        ]
 
     # -- coefficient data ------------------------------------------------
 
@@ -377,45 +409,36 @@ class GaudinProblem:
           w_{-c-h}(x_i) =  theta'(0) theta(x_i + c + h) / (theta(x_i) theta(c + h)),
         and the root -alpha pairs the same two kernels with i and j swapped.
         So theta is taken once per site, once per positive root and once per
-        (site, positive root) and sign, and the pair terms of alpha and
-        -alpha are summed as one matrix-valued jet in h before a single
-        substitution into the xi variables.
+        (site, positive root) and sign.  The kernels' coefficients in h form
+        arrays lo[i, a] and up[j, b]; their products c[i, j, m] =
+        sum_{a+b=m} lo[i, a] up[j, b] contract with the stacked pair
+        operators ``_pair[k][i, j]`` of alpha and -alpha in one tensordot,
+        and the resulting matrix-valued jet in h is substituted into the xi
+        variables once.
         """
         H = np.asarray(H, dtype=complex)
         check_regular(self.rs, self.md, H, self.pole_guard)
         u = complex(u)
         rs, md = self.rs, self.md
-        sites = [th.value for th in self._site_thetas(u)]
-        nsites = len(self.positions)
+        tz = np.array([th.value for th in self._site_thetas(u)])
+        xs = [z - u for z in self.positions]
+        # theta(x - c - h) in h: the odd coefficients change sign
+        flip = (-1.0) ** np.arange(order + 1)
         acc = Jet((order,) * rs.rank, order)
         for k, alpha in enumerate(rs.positive_roots):
             c0 = complex(alpha @ H)
             tc = theta11(c0, md, order)
             _pole_check(tc.value, -c0, md, "c")
-            scale = tc.reciprocal() * theta11_prime_at_zero(md)
-            lower, upper = [], []
-            for z, tz in zip(self.positions, sites):
-                x = z - u
-                minus = theta11(x - c0, md, order)
-                # theta(x - c - h) in h: the odd coefficients change sign
-                minus = Jet(
-                    minus.caps,
-                    minus.total,
-                    {m: (-1.0) ** m[0] * v for m, v in minus.coeffs.items()},
-                )
-                lower.append(minus * scale * (-1.0 / tz))
-                upper.append(theta11(x + c0, md, order) * scale * (1.0 / tz))
-            prods = [[lo * up for up in upper] for lo in lower]
-            neg = rs.negative_of(k)
-            total = Jet((order,), order)
-            for i in range(nsites):
-                for j in range(nsites):
-                    total = (
-                        total
-                        + prods[i][j] * self._pair[(i, j, k)]
-                        + prods[j][i] * self._pair[(i, j, neg)]
-                    )
-            acc = acc + _linear_substitution(total * 0.5, alpha)
+            scale = theta11_prime_at_zero(md) * np.array(_coeffs(tc.reciprocal()))
+            minus = np.array([_coeffs(theta11(x - c0, md, order)) for x in xs])
+            plus = np.array([_coeffs(theta11(x + c0, md, order)) for x in xs])
+            # the potential's factor 1/2 rides on lo
+            lo = _cauchy(minus * flip, scale) * (-0.5 / tz[:, None])
+            up = _cauchy(plus, scale) * (1.0 / tz[:, None])
+            pairs = _cauchy(lo[:, None, :], up[None, :, :])
+            total = np.tensordot(pairs, self._pair[k], axes=([0, 1], [0, 1]))
+            h_jet = Jet((order,), order, {(m,): t for m, t in enumerate(total)})
+            acc = acc + _linear_substitution(h_jet, alpha)
         return acc
 
     # -- operators ---------------------------------------------------------
@@ -526,7 +549,7 @@ def commutativity_residual(
         # the commutator's coefficient values need both operators'
         # coefficient jets to second order
         t1 = problem.transfer(u1, H, 2)
-        t2 = problem.transfer(u2, H, 2)
+        t2 = t1 if u2 == u1 else problem.transfer(u2, H, 2)
         vals = t1.commutator(t2).evaluate()
         scale = t1.max_coeff_norm() * t2.max_coeff_norm()
         worst = max(float(np.max(np.abs(v))) for v in vals.values())

@@ -264,10 +264,12 @@ def _permutations(seq):
 def potential_jet_reference(prob, H, u: complex, order: int = 0):
     """The exchange potential of a GaudinProblem, one kernel pair at a time.
 
-    For every root alpha and every site pair (i, j), the univariate jets
-    of w_{alpha(H)}(z_i - u) and w_{-alpha(H)}(z_j - u) are multiplied,
-    substituted into the xi variables and added with the pair operator
-    e_{-alpha}^(j) e_alpha^(i); no theta value is shared.
+    For every positive root alpha and every site pair (i, j), the
+    univariate jets of w_{alpha(H)}(z_i - u) and w_{-alpha(H)}(z_j - u) are
+    multiplied, substituted into the xi variables and added with the
+    stacked pair operator e_{-alpha}^(j) e_alpha^(i) + e_alpha^(i)
+    e_{-alpha}^(j), which carries the root -alpha's term with the sites
+    swapped; no theta value is shared.
     """
     from ellgaudin.elliptic import Jet
     from ellgaudin.gaudin import _linear_substitution, _univariate_w
@@ -276,8 +278,7 @@ def potential_jet_reference(prob, H, u: complex, order: int = 0):
     u = complex(u)
     rs, md = prob.rs, prob.md
     acc = Jet((order,) * rs.rank, order)
-    for k in range(len(rs.roots)):
-        alpha = rs.roots[k]
+    for k, alpha in enumerate(rs.positive_roots):
         c0 = complex(alpha @ H)
         lower = [_univariate_w(c0, z - u, md, order) for z in prob.positions]
         # w_{-c}(z) in c at c0: the jet of w at -c0 with odd terms negated
@@ -289,5 +290,56 @@ def potential_jet_reference(prob, H, u: complex, order: int = 0):
         for i in range(len(prob.positions)):
             for j in range(len(prob.positions)):
                 jet = _linear_substitution(lower[i] * upper[j], alpha)
-                acc = acc + jet * (0.5 * prob._pair[(i, j, k)])
+                acc = acc + jet * (0.5 * prob._pair[k][i, j])
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Straight-line operator composition.
+# ---------------------------------------------------------------------------
+
+
+def compose_reference(left, right):
+    """Operator composition left after right, one Leibniz term at a time.
+
+    Every term differentiates the right coefficient's whole jet with
+    ``Jet.shift``, truncates both factors to the result's order and
+    multiplies them as jets.
+    """
+    from ellgaudin.diffop import MAX_TOTAL_ORDER, DiffOperator
+
+    def _binom_multi(beta, delta) -> int:
+        out = 1
+        for b, d in zip(beta, delta):
+            out *= math.comb(b, d)
+        return out
+
+    def _sub_indices(beta):
+        """All delta <= beta componentwise."""
+        return list(product(*(range(b + 1) for b in beta)))
+
+    self, other = left, right
+    if self.nvars != other.nvars or self.dim != other.dim:
+        raise ValueError("operator shape mismatch")
+    if self.order + other.order > MAX_TOTAL_ORDER:
+        raise ValueError(
+            f"composition order {self.order + other.order} exceeds "
+            f"{MAX_TOTAL_ORDER}"
+        )
+    k = min(self.k, other.k - self.order)
+    if k < 0:
+        raise ValueError(
+            f"coefficient jets of order {other.k} cannot be differentiated "
+            f"{self.order} times"
+        )
+    caps = (k,) * self.nvars
+    out: dict = {}
+    for beta, a in self.coeffs.items():
+        a = a.truncate(caps, k)
+        for gamma, b in other.coeffs.items():
+            for delta in _sub_indices(beta):
+                mu = tuple(bt - d + g for bt, d, g in zip(beta, delta, gamma))
+                db = b.shift(delta).truncate(caps, k)
+                t = (a * db) * _binom_multi(beta, delta)
+                out[mu] = out[mu] + t if mu in out else t
+    return DiffOperator(self.nvars, self.dim, out)

@@ -240,6 +240,23 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_module_run_prints_no_runtime_warning():
+    # the package does not import cli eagerly, so runpy finds it unloaded
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [
+            sys.executable, "-W", "error::RuntimeWarning", "-m", "ellgaudin.cli",
+            "full-verify", "--config", str(CONFIGS / "a1_n2_fund.ini"),
+        ],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 def test_record_walls_are_per_check(tmp_path, capsys):
     # each record's wall time covers only its own check, so the walls of
     # one run cannot add up to more than the run took (each printed wall is

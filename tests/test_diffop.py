@@ -378,3 +378,79 @@ def test_second_order_commutator_top_terms_cancel():
         if sum(m) == 4:
             # top-degree coefficients are identical sums and cancel exactly
             assert np.max(np.abs(v)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Composition against the straight-line reference.
+# ---------------------------------------------------------------------------
+
+
+def random_coefficient(rng, dim, kind):
+    """A random complex scalar, a random matrix, or (sometimes) a scalar 0."""
+    if kind == "mixed":
+        kind = ("scalar", "matrix")[rng.integers(2)]
+    if rng.random() < 0.1:
+        return 0j
+    if kind == "scalar":
+        return complex(rng.normal(), rng.normal())
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def random_operator(rng, nvars, dim, order, k, kind):
+    """Operator of the given order with coefficient jets of order k.
+
+    About a third of the derivative multi-indices below the top one and
+    of every jet's multi-indices are left out, so jets have missing
+    coefficients (some none at all) and some hold explicit scalar zeros.
+    """
+    betas = [m for m in jet_indices((order,) * nvars, order)]
+    top = [m for m in betas if sum(m) == order]
+    keep = {top[rng.integers(len(top))]}
+    keep |= {m for m in betas if rng.random() < 2 / 3}
+    caps = (k,) * nvars
+    coeffs = {}
+    for beta in sorted(keep):
+        jet = {
+            m: random_coefficient(rng, dim, kind)
+            for m in jet_indices(caps, k)
+            if rng.random() < 2 / 3
+        }
+        coeffs[beta] = Jet(caps, k, jet)
+    return DiffOperator(nvars, dim, coeffs)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix", "mixed"])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_compose_matches_straight_line_reference(nvars, kind):
+    from oracles import compose_reference
+
+    rng = np.random.default_rng(70 + 3 * nvars + len(kind))
+    dim = 2
+    for p in range(MAX_TOTAL_ORDER + 1):
+        for q in range(MAX_TOTAL_ORDER + 1 - p):
+            for k in range(4):
+                # the result carries order min(left.k, right.k - p) = k
+                extra = int(rng.integers(2))
+                left_k, right_k = (k, p + k + extra) if rng.integers(2) else (
+                    k + extra, p + k
+                )
+                left = random_operator(rng, nvars, dim, p, left_k, kind)
+                right = random_operator(rng, nvars, dim, q, right_k, kind)
+                got = left.compose(right)
+                want = compose_reference(left, right)
+                assert got.k == want.k == k
+                assert set(got.coeffs) == set(want.coeffs)
+                scale = max(
+                    (
+                        float(np.max(np.abs(c)))
+                        for jet in want.coeffs.values()
+                        for c in jet.coeffs.values()
+                    ),
+                    default=0.0,
+                )
+                for mu, jet in want.coeffs.items():
+                    mine = got.coeffs[mu]
+                    assert mine.caps == jet.caps and mine.total == jet.total
+                    for m in set(mine.coeffs) | set(jet.coeffs):
+                        err = float(np.max(np.abs(mine.coeff(m) - jet.coeff(m))))
+                        assert err <= 1e-13 * scale

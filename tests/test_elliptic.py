@@ -219,6 +219,41 @@ def test_theta_matches_mpmath_at_large_im_tau(tau):
             assert rel_err(jet.coeff((k,)), ref) <= 1e-12
 
 
+def theta_series_mp(mp, tau, z, order, nterms=12):
+    """Taylor coefficients of theta at z, the series summed in 60 digits
+    with the principal power of the nome exp(i pi tau)."""
+    with mp.workdps(60):
+        nome = mp.exp(1j * mp.pi * mp.mpc(tau.real, tau.imag))
+        arg = mp.pi * mp.mpc(z.real, z.imag)
+        return [
+            complex(
+                -2
+                * mp.fsum(
+                    (-1) ** n
+                    * nome ** ((n + mp.mpf(0.5)) ** 2)
+                    * ((2 * n + 1) * mp.pi) ** k
+                    * mp.sin((2 * n + 1) * arg + k * mp.pi / 2)
+                    for n in range(nterms)
+                )
+                / mp.factorial(k)
+            )
+            for k in range(order + 1)
+        ]
+
+
+@pytest.mark.parametrize(
+    "tau, z", [(200j, 0.3 + 213j), (200j, 0.3 + 222j), (60j, 0.3 - 117j)]
+)
+def test_theta_beyond_the_neighbouring_cells_at_large_im_tau(tau, z):
+    # the quasi-periodicity factor alone leaves the double range here
+    # (e^{728.8} at 0.3 + 213i) while theta is representable (log|theta| =
+    # 593.8 there), so the two are taken from one exponent
+    mp = pytest.importorskip("mpmath")
+    jet = theta11(z, ModularData(tau), order=2)
+    for k, ref in enumerate(theta_series_mp(mp, tau, z, 2)):
+        assert rel_err(jet.coeff((k,)), ref) <= 1e-12
+
+
 @pytest.mark.parametrize("tau", [226j, 238j, 0.5 + 300j, 1000j])
 def test_theta_prime_at_zero_refuses_underflowing_nome(tau):
     with pytest.raises(SeriesConvergenceError, match="too large"):

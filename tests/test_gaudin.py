@@ -496,15 +496,24 @@ def test_site_operators_match_dense_reference(name):
                 space.op_full(i, modules[i].dual_matrix(rs.h_ortho[r]))
             )
             assert np.max(np.abs(prob._hstar[i][r] - ref)) <= 1e-14
-    assert len(prob._pair) == len(rs.roots) * nsites**2
-    for (i, j, k), got in prob._pair.items():
+
+    def pair_ref(i, j, k):
         e_plus = rs.chevalley.root_vectors[k]
         e_minus = rs.chevalley.root_vectors[rs.negative_of(k)]
-        ref = space.restrict_zero(
+        return space.restrict_zero(
             space.op_full(j, modules[j].dual_matrix(e_minus))
             @ space.op_full(i, modules[i].dual_matrix(e_plus))
         )
-        assert np.max(np.abs(got - ref)) <= 1e-14
+
+    # one stack per positive root, carrying the negative root's term with
+    # the sites swapped
+    assert len(prob._pair) == rs.n_positive
+    for k, stack in enumerate(prob._pair):
+        assert stack.shape == (nsites, nsites, space.dim0, space.dim0)
+        for i in range(nsites):
+            for j in range(nsites):
+                ref = pair_ref(i, j, k) + pair_ref(j, i, rs.negative_of(k))
+                assert np.max(np.abs(stack[i, j] - ref)) <= 1e-14
 
 
 def test_dual_verma_depth_below_m_plus_highest_root_refused():

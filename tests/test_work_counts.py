@@ -3,7 +3,10 @@
 Each operator is assembled from coefficient jets at one Cartan point, so
 the checks need a fixed number of evaluations per point:
 - the commutator certificate builds each of its two transfer operators
-  once, at second order, so ``potential_jet`` runs twice per point;
+  once, at second order, so ``potential_jet`` runs twice per point, and
+  once when both spectral parameters are equal;
+- composition reads each Leibniz term straight off the coefficient jets,
+  with no jet shift, truncation or jet product;
 - the eigenvector check builds the Bethe vector, which does not depend
   on the spectral parameter, once per point, at the operator's order;
 - the explicit conjugated operator reads every log-derivative of the
@@ -19,7 +22,7 @@ import pytest
 
 from ellgaudin import elliptic, gaudin
 from ellgaudin.bethe import BetheSystem
-from ellgaudin.elliptic import ModularData
+from ellgaudin.elliptic import Jet, ModularData
 from ellgaudin.gaudin import (
     GaudinProblem,
     commutativity_residual,
@@ -72,6 +75,38 @@ def test_commutator_builds_each_operator_once_per_point(monkeypatch, rank):
     res = commutativity_residual(prob, u1, u2, hs)
     assert res["max_rel"] < 1e-12
     assert len(calls) == 2 * len(hs)
+
+
+def test_commutator_at_one_point_builds_one_operator_per_point(monkeypatch):
+    prob = irrep_problem(2)
+    rng = np.random.default_rng(34)
+    hs = sample_regular_cartan(prob.rs, MD, rng, 3)
+    u = sample_spectral_points(MD, prob.positions, rng, 1)[0]
+    calls = count_calls(monkeypatch, GaudinProblem, "potential_jet")
+    res = commutativity_residual(prob, u, u, hs)
+    assert res["max_rel"] == 0.0
+    assert len(calls) == len(hs)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_compose_takes_no_jet_shift_truncation_or_product(monkeypatch, rank):
+    prob = irrep_problem(rank)
+    rng = np.random.default_rng(35 + rank)
+    H = sample_regular_cartan(prob.rs, MD, rng, 1)[0]
+    u1, u2 = sample_spectral_points(MD, prob.positions, rng, 2)
+    t1 = prob.transfer(u1, H, 2)
+    t2 = prob.transfer(u2, H, 2)
+    # the conjugation route's factors, which compose at positive jet order
+    left = prob._mult_denominator(-1, H, 1)
+    middle = prob.transfer(u1, H, 1)
+    right = prob._mult_denominator(+1, H, 3)
+    counted = [
+        count_calls(monkeypatch, Jet, name)
+        for name in ("shift", "truncate", "__mul__")
+    ]
+    assert t1.compose(t2).k == t2.compose(t1).k == 0
+    assert left.compose(middle.compose(right)).k == 1
+    assert counted == [[], [], []]
 
 
 def test_eigenvector_check_builds_the_vector_once_per_point(monkeypatch):
