@@ -17,14 +17,15 @@ from itertools import permutations, product as _iproduct
 
 import numpy as np
 
-from .elliptic import EllipticError, Jet, jet_indices, lattice_distance, zeta11
-from .gaudin import (
-    GaudinError,
-    GaudinProblem,
+from .elliptic import (
+    EllipticError,
+    Jet,
     _linear_substitution,
-    _univariate_w,
-    check_regular,
+    jet_indices,
+    lattice_distance,
+    zeta11,
 )
+from .gaudin import GaudinError, GaudinProblem, _kernel_series, check_regular
 from .liealg import root_budget
 
 
@@ -286,16 +287,19 @@ class BetheSystem:
         pairing is the string of F matrices applied to the
         highest-weight functional, innermost raising factor first; it
         carries the Shapovalov-type factors of the Verma module.
+
+        Each kernel w_{-P(xi)}(x), for the partial root sum P and
+        x = t_j - target, is the series of w_{c0+h}(x) in h = -P(xi - H)
+        at c0 = -P(H).
         """
         rs = self.problem.rs
         md = self.problem.md
         mod = self.problem.modules[a]
         l = rs.rank
-        caps = (order,) * l
         if not subset:
-            return Jet.constant(mod.j_covector[basis_index], caps, order)
+            return Jet.constant(mod.j_covector[basis_index], l, order)
         z = self.problem.positions[a]
-        acc = Jet(caps, order)
+        acc = Jet(l, order)
         for sigma in permutations(subset):
             vec = np.asarray(mod.j_covector, dtype=complex)
             for j in reversed(sigma):
@@ -303,13 +307,13 @@ class BetheSystem:
             coeff = complex(vec[basis_index])
             if coeff == 0:
                 continue
-            jet = Jet.constant(coeff, caps, order)
+            jet = Jet.constant(coeff, l, order)
             partial = np.zeros(l, dtype=complex)
             for pos, j in enumerate(sigma):
                 partial = partial + self.alphas[j]
                 target = t[sigma[pos + 1]] if pos + 1 < len(sigma) else z
                 c0 = complex(-(partial @ np.asarray(H, dtype=complex)))
-                w = _univariate_w(c0, t[j] - target, md, order)
+                w = _kernel_series(c0, complex(t[j] - target), md, order)
                 jet = jet * _linear_substitution(w, -partial)
             acc = acc + jet
         return acc
@@ -327,7 +331,6 @@ class BetheSystem:
         space = self.problem.space
         nsites = len(self.problem.modules)
         l = self.problem.rs.rank
-        caps = (order,) * l
         cache: dict = {}
 
         partitions = []
@@ -340,9 +343,9 @@ class BetheSystem:
 
         comps = []
         for tup in space.zero_tuples():
-            acc = Jet(caps, order)
+            acc = Jet(l, order)
             for subsets in partitions:
-                term = Jet.constant(1.0, caps, order)
+                term = Jet.constant(1.0, l, order)
                 alive = True
                 for a in range(nsites):
                     key = (a, subsets[a], tup[a])
@@ -360,11 +363,11 @@ class BetheSystem:
             comps.append(acc)
 
         coeffs = {}
-        for m in jet_indices(caps, order):
+        for m in jet_indices(l, order):
             vec = np.array([c.coeff(m) for c in comps], dtype=complex)
             if np.any(vec):
                 coeffs[m] = vec
-        return Jet(caps, order, coeffs)
+        return Jet(l, order, coeffs)
 
     # -- eigenvalue ----------------------------------------------------------
 

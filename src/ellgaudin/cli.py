@@ -383,6 +383,12 @@ def load_config(path: str) -> ExperimentConfig:
                 cfg.sampling[key] = _parse_float("sampling", key, raw)
             else:
                 cfg.sampling[key] = _parse_int("sampling", key, raw, 1)
+    if cfg.sampling["pole_guard"] >= 0.5:
+        # the cell samples keep pole_guard away from each edge of the cell
+        raise ConfigError(
+            "[sampling] pole_guard must be below 0.5, got "
+            f"{cfg.sampling['pole_guard']}"
+        )
 
     if parser.has_section("rng"):
         cfg.seed = _parse_int("rng", "seed", parser["rng"].get("seed", "0"), 0)
@@ -665,7 +671,7 @@ class CheckRunner:
         for z, c in jet_pairs:
             rz, rc = (_contour_radius(lattice_distance(x, md)) for x in (z, c))
             jz = zeta11(z, md, order=2).coeff
-            jw = w_kernel(c, z, md, order_c=2, order_z=2).coeff
+            jw = w_kernel(c, z, md, 2).coeff
             for f, z0, r, expected in (
                 (lambda x: zeta11(x, md).value, z, rz, {1: jz((1,)), 2: jz((2,))}),
                 (lambda x: w_kernel(x, z, md).value, c, rc,

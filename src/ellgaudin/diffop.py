@@ -44,7 +44,7 @@ def _derivative_lookup(delta: tuple, room: int) -> tuple:
     weight = prod_i (mm_i + delta_i)! / mm_i!.
     """
     out = []
-    for mm in jet_indices((room,) * len(delta), room):
+    for mm in jet_indices(len(delta), room):
         m = tuple(map(add, mm, delta))
         weight = 1
         for a, d in zip(m, delta):
@@ -57,7 +57,7 @@ class DiffOperator:
     """Sum over beta of coeff_beta(xi) * d^beta, as jets at one point H.
 
     ``coeffs`` maps the derivative multi-index beta to the coefficient's
-    matrix-valued jet at H over (k,) * nvars with total order k; ``k`` is
+    matrix-valued jet at H in nvars variables to total order k; ``k`` is
     the same for every coefficient.  Matrix coefficients act on
     vector-valued functions of xi by left multiplication.
     """
@@ -81,7 +81,7 @@ class DiffOperator:
         return max((sum(m) for m in self.coeffs), default=0)
 
     def _coeff_at(self, m, k: int) -> Jet:
-        return self.coeffs[m].truncate((k,) * self.nvars, k)
+        return self.coeffs[m].truncate(k)
 
     # -- linear structure ----------------------------------------------
 
@@ -160,9 +160,8 @@ class DiffOperator:
                             prod = prod * (binom * weight)
                             idx = tuple(map(add, ma, mm))
                             acc[idx] = acc[idx] + prod if idx in acc else prod
-        caps = (k,) * self.nvars
         return DiffOperator(
-            self.nvars, self.dim, {mu: Jet(caps, k, c) for mu, c in out.items()}
+            self.nvars, self.dim, {mu: Jet(self.nvars, k, c) for mu, c in out.items()}
         )
 
     def commutator(self, other: "DiffOperator") -> "DiffOperator":
@@ -177,9 +176,9 @@ class DiffOperator:
     def apply(self, fjet: Jet) -> np.ndarray:
         """Value at the base point of the operator applied to a function.
 
-        ``fjet`` is the function's jet at the same point, over
-        (order,) * nvars with vector coefficients of length ``dim``; it
-        must carry at least the operator's order.
+        ``fjet`` is the function's jet at the same point, in nvars
+        variables with vector coefficients of length ``dim``; it must carry
+        at least the operator's order.
         """
         if fjet.total < self.order:
             raise ValueError(

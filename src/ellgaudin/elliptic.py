@@ -29,8 +29,10 @@ POLE_FLOOR = 1e-12
 
 _MAX_JET_ORDER = 6
 
-# Relative term cutoff of the theta series.
+# Relative term cutoff of the theta series, and its cap on the number of
+# terms.
 _EPS_TERM = 1e-16
+_N_MAX = 64
 
 # theta11'(0) is refused once the cancellation in its alternating series,
 # sum |terms| / |sum|, times the double-precision unit roundoff exceeds this.
@@ -78,18 +80,15 @@ class SeriesConvergenceError(EllipticError):
 
 @dataclass(frozen=True)
 class ModularData:
-    """Curve parameter plus series truncation policy.
+    """Curve parameter, with its nome q = exp(2 pi i tau) and reduced basis.
 
     Parameters
     ----------
     tau : complex
         Modulus of the curve, Im(tau) > 0.
-    n_max : int
-        Hard cap on the number of series terms.
     """
 
     tau: complex
-    n_max: int = 64
     q: complex = field(init=False)
     basis: tuple = field(init=False, repr=False, compare=False)
 
@@ -97,8 +96,6 @@ class ModularData:
         tau = complex(self.tau)
         if not tau.imag > 0:
             raise ValueError(f"Im(tau) must be positive, got tau={tau}")
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "q", cmath.exp(_TWO_PI_I * tau))
         object.__setattr__(self, "basis", _gauss_reduce(tau))
@@ -187,15 +184,15 @@ Multi = tuple
 
 
 @lru_cache(maxsize=None)
-def jet_indices(caps: tuple, total: int) -> tuple:
-    """All multi-indices m with m <= caps componentwise and |m| <= total.
+def jet_indices(nvars: int, total: int) -> tuple:
+    """All multi-indices m of nvars entries with |m| <= total.
 
     Sorted by total degree, then lexicographically; the zero index comes
     first.
     """
     out = [
         m
-        for m in _iproduct(*(range(c + 1) for c in caps))
+        for m in _iproduct(range(total + 1), repeat=nvars)
         if sum(m) <= total
     ]
     out.sort(key=lambda m: (sum(m), m))
@@ -203,8 +200,8 @@ def jet_indices(caps: tuple, total: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _index_set(caps: tuple, total: int) -> frozenset:
-    return frozenset(jet_indices(caps, total))
+def _index_set(nvars: int, total: int) -> frozenset:
+    return frozenset(jet_indices(nvars, total))
 
 
 def _multi_factorial(m: Multi) -> float:
@@ -229,10 +226,9 @@ class Jet:
 
     ``coeffs[m]`` is the Taylor coefficient d^m f / m! at the expansion
     point: a complex scalar, or an ndarray for vector- and matrix-valued
-    functions.  Retained multi-indices are those with m <= caps componentwise
-    and |m| <= total; with caps = (order,) * nvars that is every index of
-    total degree <= order.  Everything else is treated as zero, and a
-    missing coefficient reads as the scalar 0.  Arithmetic truncates back
+    functions.  The retained multi-indices are those of total degree
+    |m| <= total; everything else is treated as zero, and a missing
+    coefficient reads as the scalar 0.  Arithmetic truncates back
     to the same scheme, which is exact for the retained degrees.
 
     The product of two jets multiplies coefficients with ``@`` when both
@@ -240,34 +236,30 @@ class Jet:
     with ``*`` otherwise; a non-jet factor scales every coefficient.
     """
 
-    __slots__ = ("caps", "total", "coeffs")
+    __slots__ = ("nvars", "total", "coeffs")
 
-    def __init__(self, caps, total, coeffs=None):
-        self.caps = tuple(caps)
+    def __init__(self, nvars, total, coeffs=None):
+        self.nvars = int(nvars)
         self.total = int(total)
         self.coeffs = {} if coeffs is None else dict(coeffs)
 
     def _like(self, coeffs: dict) -> "Jet":
         out = Jet.__new__(Jet)
-        out.caps = self.caps
+        out.nvars = self.nvars
         out.total = self.total
         out.coeffs = coeffs
         return out
 
     @classmethod
-    def constant(cls, value, caps, total):
+    def constant(cls, value, nvars, total):
         """Constant jet; ``value`` is a scalar or an ndarray."""
         if isinstance(value, np.ndarray):
             value = value.astype(complex, copy=False)
         else:
             value = complex(value)
-        return cls(caps, total, {(0,) * len(caps): value})
+        return cls(nvars, total, {(0,) * nvars: value})
 
     # -- basic accessors ----------------------------------------------
-
-    @property
-    def nvars(self) -> int:
-        return len(self.caps)
 
     @property
     def value(self):
@@ -283,10 +275,10 @@ class Jet:
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "Jet"):
-        if self.caps != other.caps or self.total != other.total:
+        if self.nvars != other.nvars or self.total != other.total:
             raise ValueError(
-                f"jet scheme mismatch: {self.caps}/{self.total} vs "
-                f"{other.caps}/{other.total}"
+                f"jet scheme mismatch: {self.nvars}/{self.total} vs "
+                f"{other.nvars}/{other.total}"
             )
 
     def __add__(self, other):
@@ -315,7 +307,7 @@ class Jet:
         if not isinstance(other, Jet):
             return self._like({m: c * other for m, c in self.coeffs.items()})
         self._check(other)
-        keep = _index_set(self.caps, self.total)
+        keep = _index_set(self.nvars, self.total)
         right = _nonzero_items(other.coeffs)
         out = {}
         for ma, ca, a_array in _nonzero_items(self.coeffs):
@@ -333,7 +325,7 @@ class Jet:
         if v == 0:
             raise ZeroDivisionError("jet reciprocal at a zero value")
         out = {}
-        for m in jet_indices(self.caps, self.total):
+        for m in jet_indices(self.nvars, self.total):
             if sum(m) == 0:
                 out[m] = 1.0 / v
                 continue
@@ -359,19 +351,14 @@ class Jet:
     # -- calculus -----------------------------------------------------
 
     def shift(self, delta) -> "Jet":
-        """Jet of the partial derivative d^delta f.
-
-        Each cap drops by the matching entry of delta and the total order
+        """Jet of the partial derivative d^delta f; the total order drops
         by |delta|.
         """
         delta = tuple(delta)
         total = self.total - sum(delta)
-        # capped at the total order, so that shifting a jet over
-        # (order,) * nvars by any delta gives one over (total,) * nvars
-        caps = tuple(min(c - d, total) for c, d in zip(self.caps, delta))
-        if min(caps) < 0:
+        if total < 0:
             raise ValueError("jet does not carry that derivative")
-        keep = _index_set(caps, total)
+        keep = _index_set(self.nvars, total)
         out = {}
         for m, c in self.coeffs.items():
             mm = tuple(k - d for k, d in zip(m, delta))
@@ -380,19 +367,20 @@ class Jet:
                 for k, d in zip(m, delta):
                     scale *= math.perm(k, d)
                 out[mm] = c * scale
-        return Jet(caps, total, out)
+        return Jet(self.nvars, total, out)
 
-    def truncate(self, caps, total) -> "Jet":
-        caps = tuple(caps)
-        keep = _index_set(caps, int(total))
-        return Jet(caps, total, {m: c for m, c in self.coeffs.items() if m in keep})
+    def truncate(self, total) -> "Jet":
+        keep = _index_set(self.nvars, int(total))
+        return Jet(
+            self.nvars, total, {m: c for m, c in self.coeffs.items() if m in keep}
+        )
 
     def exp(self) -> "Jet":
         v = self.value
         zero = (0,) * self.nvars
         nil = self._like({m: c for m, c in self.coeffs.items() if m != zero})
-        acc = Jet.constant(1.0, self.caps, self.total)
-        term = Jet.constant(1.0, self.caps, self.total)
+        acc = Jet.constant(1.0, self.nvars, self.total)
+        term = Jet.constant(1.0, self.nvars, self.total)
         for k in range(1, self.total + 1):
             term = term * nil * (1.0 / k)
             acc = acc + term
@@ -404,15 +392,45 @@ class Jet:
             raise ZeroDivisionError("jet log at a zero value")
         zero = (0,) * self.nvars
         nil = self._like({m: c / v for m, c in self.coeffs.items() if m != zero})
-        acc = Jet.constant(cmath.log(v), self.caps, self.total)
-        term = Jet.constant(1.0, self.caps, self.total)
+        acc = Jet.constant(cmath.log(v), self.nvars, self.total)
+        term = Jet.constant(1.0, self.nvars, self.total)
         for k in range(1, self.total + 1):
             term = term * nil
             acc = acc + term * ((-1.0) ** (k + 1) / k)
         return acc
 
     def __repr__(self):
-        return f"Jet(caps={self.caps}, total={self.total}, value={self.value})"
+        return f"Jet(nvars={self.nvars}, total={self.total}, value={self.value})"
+
+
+def _coeffs(jet: Jet) -> list:
+    """Coefficients of a univariate jet, in order."""
+    return [jet.coeff((m,)) for m in range(jet.total + 1)]
+
+
+def _linear_substitution(g, direction) -> Jet:
+    """Jet in xi of g(direction . xi), from g's Taylor coefficients g[k]
+    at the image direction . xi0 of the expansion point.
+
+    The multinomial weights distribute each power of the increment over
+    the xi variables; the result keeps every total degree below len(g).
+    Coefficients of g may be scalars or arrays.
+    """
+    direction = [complex(d) for d in direction]
+    order = len(g) - 1
+    coeffs = {}
+    for m in jet_indices(len(direction), order):
+        k = sum(m)
+        a = g[k]
+        is_array = isinstance(a, np.ndarray)
+        if not is_array and a == 0:
+            continue
+        c = a * math.factorial(k)
+        for dr, mi in zip(direction, m):
+            c *= dr**mi / math.factorial(mi)
+        if is_array or c != 0:
+            coeffs[m] = c
+    return Jet(len(direction), order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +468,7 @@ def _theta_series_coeffs(z0: complex, md: ModularData, order: int) -> list:
     scale_floor = 2.0 * aqt ** 0.25
     imz = abs(z0.imag)
     partial = [0j] * (order + 1)
-    for nn in range(md.n_max):
+    for nn in range(_N_MAX):
         base = (2 * nn + 1) * _PI
         arg = base * z0
         if arg.imag <= _SINE_GROWTH:
@@ -472,7 +490,7 @@ def _theta_series_coeffs(z0: complex, md: ModularData, order: int) -> list:
         ):
             return partial
     raise SeriesConvergenceError(
-        f"theta series did not converge within {md.n_max} terms for "
+        f"theta series did not converge within {_N_MAX} terms for "
         f"tau={md.tau}; |q| is too close to 1"
     )
 
@@ -508,7 +526,7 @@ def theta11(z: complex, md: ModularData, order: int = 0) -> Jet:
         if folded and acc:
             acc = sign * cmath.exp(expo + cmath.log(acc))
         coeffs[(k,)] = acc
-    return Jet((order,), order, coeffs)
+    return Jet(1, order, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -526,7 +544,7 @@ def theta11_prime_at_zero(md: ModularData) -> complex:
     aqt = abs(cmath.exp(1j * _PI * md.tau))
     spread = sum(
         2.0 * (2 * nn + 1) * _PI * aqt ** ((nn + 0.5) ** 2)
-        for nn in range(md.n_max)
+        for nn in range(_N_MAX)
     )
     if spread * _UNIT_ROUNDOFF > _CANCELLATION_LIMIT * abs(value):
         raise SeriesConvergenceError(
@@ -563,48 +581,29 @@ def zeta11(z: complex, md: ModularData, order: int = 0) -> Jet:
     _check_order(order)
     th = theta11(z, md, order + 1)
     _pole_check(th.value, complex(z), md, "z")
-    return th.shift((1,)) / th.truncate((order,), order)
+    return th.shift((1,)) / th.truncate(order)
 
 
-def w_kernel(
-    c: complex, z: complex, md: ModularData, order_c: int = 0, order_z: int = 0
-) -> Jet:
-    """Bivariate jet of the quasi-periodic kernel w_c(z).
+def w_kernel(c: complex, z: complex, md: ModularData, order: int = 0) -> Jet:
+    """Bivariate jet of the quasi-periodic kernel w_c(z), to total order
+    ``order``.
 
     w_c(z) = theta11'(0) * theta11(z - c) / (theta11(z) * theta11(-c)).
 
     Elliptic in c; in z it is 1-periodic and gains exp(2*pi*i*c) under
     z -> z + tau.  Simple pole with residue 1 at z on the lattice; poles
-    in c on the lattice as well.  The two jet orders are independent;
-    variable 0 of the result is c, variable 1 is z.
+    in c on the lattice as well.  Variable 0 of the result is c, variable
+    1 is z.
     """
-    if order_c < 0 or order_z < 0 or order_c + order_z > _MAX_JET_ORDER:
-        raise ValueError("jet orders must be nonnegative with sum <= 6")
+    _check_order(order)
     c = complex(c)
     z = complex(z)
-    tot = order_c + order_z
-    caps = (order_c, order_z)
-    keep = _index_set(caps, tot)
-
-    tzc = theta11(z - c, md, tot)
-    tz = theta11(z, md, order_z)
-    tc = theta11(-c, md, order_c)
+    tz = theta11(z, md, order)
+    tc = theta11(-c, md, order)
     _pole_check(tz.value, z, md, "z")
     _pole_check(tc.value, -c, md, "c")
-
-    # theta11(z - c) as a function of (c, z): steps combine as h_z - h_c.
-    num = {}
-    for (j, k) in keep:
-        a = tzc.coeff((j + k,))
-        num[(j, k)] = a * math.comb(j + k, j) * (-1.0) ** j
-    num_jet = Jet(caps, tot, num)
-
-    den_z = Jet(
-        caps, tot, {(0, k): tz.coeff((k,)) for k in range(order_z + 1)}
-    )
-    den_c = Jet(
-        caps,
-        tot,
-        {(j, 0): tc.coeff((j,)) * (-1.0) ** j for j in range(order_c + 1)},
-    )
-    return num_jet * theta11_prime_at_zero(md) / (den_z * den_c)
+    # theta(z - c), theta(z) and theta(-c) as functions of (c, z)
+    num = _linear_substitution(_coeffs(theta11(z - c, md, order)), (-1, 1))
+    den_z = _linear_substitution(_coeffs(tz), (0, 1))
+    den_c = _linear_substitution(_coeffs(tc), (-1, 0))
+    return num * theta11_prime_at_zero(md) / (den_z * den_c)

@@ -20,13 +20,13 @@ from .diffop import DiffOperator
 from .elliptic import (
     Jet,
     ModularData,
+    _coeffs,
+    _linear_substitution,
     _pole_check,
-    jet_indices,
     lattice_distance,
     nearest_lattice_point,
     theta11,
     theta11_prime_at_zero,
-    w_kernel,
 )
 from .liealg import (
     RepresentedModule,
@@ -50,33 +50,8 @@ _WK_N_MAX = 800
 
 
 # ---------------------------------------------------------------------------
-# jets of elementary functions of a linear form alpha(H)
+# series in the increment h = alpha(xi - H) of a linear form
 # ---------------------------------------------------------------------------
-
-
-def _linear_substitution(g: Jet, direction) -> Jet:
-    """Jet of g(direction . xi) from the univariate jet of g at direction.H.
-
-    The multinomial weights distribute each power of the increment over
-    the xi variables; the result keeps every total degree up to g's.
-    Coefficients of g may be scalars or arrays.
-    """
-    direction = np.asarray(direction, dtype=complex)
-    order = g.total
-    caps = (order,) * len(direction)
-    coeffs = {}
-    for m in jet_indices(caps, order):
-        k = sum(m)
-        a = g.coeff((k,))
-        is_array = isinstance(a, np.ndarray)
-        if not is_array and a == 0:
-            continue
-        c = a * math.factorial(k)
-        for dr, mi in zip(direction, m):
-            c *= dr**mi / math.factorial(mi)
-        if is_array or c != 0:
-            coeffs[m] = c
-    return Jet(caps, order, coeffs)
 
 
 def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,15 +64,35 @@ def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coeffs(jet: Jet) -> list:
-    """Coefficients of a univariate jet, in order."""
-    return [jet.coeff((m,)) for m in range(jet.total + 1)]
+def _inverse_theta(c0: complex, md: ModularData, order: int) -> np.ndarray:
+    """Taylor coefficients in h of theta'(0) / theta(c0 + h), pole-checked
+    as the c argument of w_c."""
+    tc = theta11(c0, md, order)
+    _pole_check(tc.value, -c0, md, "c")
+    return theta11_prime_at_zero(md) * np.array(_coeffs(tc.reciprocal()))
 
 
-def _univariate_w(c0: complex, z: complex, md: ModularData, order: int) -> Jet:
-    """Univariate jet in c of w_c(z) at c0."""
-    jet = w_kernel(c0, z, md, order_c=order, order_z=0)
-    return Jet((order,), order, {(k,): jet.coeff((k, 0)) for k in range(order + 1)})
+def _w_coeffs(shifted: np.ndarray, scale: np.ndarray, tx) -> np.ndarray:
+    """Taylor coefficients in h of
+    w_{c0+h}(x) = -theta'(0) theta(x - c0 - h) / (theta(x) theta(c0 + h)).
+
+    ``shifted`` holds theta(x - c0)'s Taylor coefficients along its last
+    axis, ``scale`` those of theta'(0) / theta(c0 + h) and ``tx`` is
+    theta(x), broadcast against ``shifted``'s leading axes.
+    """
+    # theta(x - c0 - h) in h: the odd coefficients change sign
+    flip = (-1.0) ** np.arange(shifted.shape[-1])
+    return _cauchy(shifted * flip, scale) * (-1.0 / tx)
+
+
+def _kernel_series(c0: complex, x: complex, md: ModularData, order: int) -> list:
+    """Taylor coefficients in h of w_{c0+h}(x) from theta(x), theta(c0 + h)
+    and theta(x - c0 - h), as Python complex numbers, which keep products
+    of scalar jets cheap."""
+    tx = theta11(x, md).value
+    _pole_check(tx, x, md, "z")
+    shifted = np.array(_coeffs(theta11(x - c0, md, order)))
+    return _w_coeffs(shifted, _inverse_theta(c0, md, order), tx).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +194,6 @@ def weyl_kac_pi(
     H = np.asarray(H, dtype=complex)
     check_regular(rs, md, H)
     l = rs.rank
-    caps = (order,) * l
     q = md.q
 
     log_const = (rs.dim_g / 24.0) * (2j * np.pi * md.tau)
@@ -213,17 +207,13 @@ def weyl_kac_pi(
         dtau_const += l * (-2j * np.pi * n * qn / (1 - qn))
         n += 1
 
-    log_jet = Jet.constant(log_const, caps, order)
-    dtau_jet = Jet.constant(dtau_const, caps, order)
+    log_jet = Jet.constant(log_const, l, order)
+    dtau_jet = Jet.constant(dtau_const, l, order)
 
     def exp_linear(prefactor, rate, alpha):
         # jet of prefactor * exp(rate * alpha(xi)) around xi = H
         val = prefactor * np.exp(rate * complex(alpha @ H))
-        g = Jet(
-            (order,),
-            order,
-            {(k,): val * rate**k / math.factorial(k) for k in range(order + 1)},
-        )
+        g = [val * rate**k / math.factorial(k) for k in range(order + 1)]
         return _linear_substitution(g, alpha)
 
     for alpha in rs.positive_roots:
@@ -231,7 +221,7 @@ def weyl_kac_pi(
         minus = exp_linear(1.0, -1j * np.pi, alpha)
         log_jet = log_jet + (plus - minus).log()
 
-    one = Jet.constant(1.0, caps, order)
+    one = Jet.constant(1.0, l, order)
     for alpha in rs.roots:
         scale = abs(np.exp(2j * np.pi * complex(alpha @ H)))
         n = 1
@@ -410,7 +400,7 @@ class GaudinProblem:
         and the root -alpha pairs the same two kernels with i and j swapped.
         So theta is taken once per site, once per positive root and once per
         (site, positive root) and sign.  The kernels' coefficients in h form
-        arrays lo[i, a] and up[j, b]; their products c[i, j, m] =
+        arrays lo[i, a] and up[j, b] (``_w_coeffs``); their products c[i, j, m] =
         sum_{a+b=m} lo[i, a] up[j, b] contract with the stacked pair
         operators ``_pair[k][i, j]`` of alpha and -alpha in one tensordot,
         and the resulting matrix-valued jet in h is substituted into the xi
@@ -422,23 +412,18 @@ class GaudinProblem:
         rs, md = self.rs, self.md
         tz = np.array([th.value for th in self._site_thetas(u)])
         xs = [z - u for z in self.positions]
-        # theta(x - c - h) in h: the odd coefficients change sign
-        flip = (-1.0) ** np.arange(order + 1)
-        acc = Jet((order,) * rs.rank, order)
+        acc = Jet(rs.rank, order)
         for k, alpha in enumerate(rs.positive_roots):
             c0 = complex(alpha @ H)
-            tc = theta11(c0, md, order)
-            _pole_check(tc.value, -c0, md, "c")
-            scale = theta11_prime_at_zero(md) * np.array(_coeffs(tc.reciprocal()))
+            scale = _inverse_theta(c0, md, order)
             minus = np.array([_coeffs(theta11(x - c0, md, order)) for x in xs])
             plus = np.array([_coeffs(theta11(x + c0, md, order)) for x in xs])
             # the potential's factor 1/2 rides on lo
-            lo = _cauchy(minus * flip, scale) * (-0.5 / tz[:, None])
+            lo = _w_coeffs(minus, scale, tz[:, None]) * 0.5
             up = _cauchy(plus, scale) * (1.0 / tz[:, None])
             pairs = _cauchy(lo[:, None, :], up[None, :, :])
             total = np.tensordot(pairs, self._pair[k], axes=([0, 1], [0, 1]))
-            h_jet = Jet((order,), order, {(m,): t for m, t in enumerate(total)})
-            acc = acc + _linear_substitution(h_jet, alpha)
+            acc = acc + _linear_substitution(total, alpha)
         return acc
 
     # -- operators ---------------------------------------------------------
@@ -449,14 +434,13 @@ class GaudinProblem:
         with its coefficient jets at H to the given order.
         """
         l = self.rs.rank
-        caps = (order,) * l
         eye = np.eye(self.space.dim0, dtype=complex)
         A = self.cartan_matrices(u)
         coeffs = {}
         for r, unit in enumerate(self._units):
             two = tuple(2 * s for s in unit)
-            coeffs[two] = Jet.constant(0.5 * eye, caps, order)
-            coeffs[unit] = Jet.constant(-A[r], caps, order)
+            coeffs[two] = Jet.constant(0.5 * eye, l, order)
+            coeffs[unit] = Jet.constant(-A[r], l, order)
         const0 = sum((Ar @ Ar for Ar in A), np.zeros_like(eye)) * 0.5
         coeffs[(0,) * l] = self.potential_jet(H, u, order) + const0
         return DiffOperator(l, self.space.dim0, coeffs)
@@ -467,7 +451,6 @@ class GaudinProblem:
         Their coefficients are constant, so the base point does not enter.
         """
         l = self.rs.rank
-        caps = (order,) * l
         eye = np.eye(self.space.dim0, dtype=complex)
         A = self.cartan_matrices(u)
         return [
@@ -475,8 +458,8 @@ class GaudinProblem:
                 l,
                 self.space.dim0,
                 {
-                    unit: Jet.constant(eye, caps, order),
-                    (0,) * l: Jet.constant(-A[r], caps, order),
+                    unit: Jet.constant(eye, l, order),
+                    (0,) * l: Jet.constant(-A[r], l, order),
                 },
             )
             for r, unit in enumerate(self._units)
@@ -510,12 +493,11 @@ class GaudinProblem:
             return left.compose(self.transfer(u, H, order).compose(right))
         if route != "explicit":
             raise GaudinError(f"unknown route {route!r}")
-        caps = (order,) * l
         eye = np.eye(self.space.dim0, dtype=complex)
         A = self.cartan_matrices(u)
         data = weyl_kac_pi(self.rs, self.md, H, order + 1)
         zero = (2j * np.pi * self.rs.dual_coxeter) * data.dtau_log.truncate(
-            caps, order
+            order
         ) * eye
         coeffs = {}
         for r, unit in enumerate(self._units):

@@ -261,6 +261,15 @@ def _permutations(seq):
 # ---------------------------------------------------------------------------
 
 
+def univariate_w(c0: complex, z: complex, md, order: int):
+    """Univariate jet in c of w_c(z) at c0, read off the bivariate jet of
+    ``w_kernel``."""
+    from ellgaudin.elliptic import Jet, w_kernel
+
+    jet = w_kernel(c0, z, md, order)
+    return Jet(1, order, {(k,): jet.coeff((k, 0)) for k in range(order + 1)})
+
+
 def potential_jet_reference(prob, H, u: complex, order: int = 0):
     """The exchange potential of a GaudinProblem, one kernel pair at a time.
 
@@ -271,25 +280,24 @@ def potential_jet_reference(prob, H, u: complex, order: int = 0):
     e_{-alpha}^(j), which carries the root -alpha's term with the sites
     swapped; no theta value is shared.
     """
-    from ellgaudin.elliptic import Jet
-    from ellgaudin.gaudin import _linear_substitution, _univariate_w
+    from ellgaudin.elliptic import Jet, _coeffs, _linear_substitution
 
     H = np.asarray(H, dtype=complex)
     u = complex(u)
     rs, md = prob.rs, prob.md
-    acc = Jet((order,) * rs.rank, order)
+    acc = Jet(rs.rank, order)
     for k, alpha in enumerate(rs.positive_roots):
         c0 = complex(alpha @ H)
-        lower = [_univariate_w(c0, z - u, md, order) for z in prob.positions]
+        lower = [univariate_w(c0, z - u, md, order) for z in prob.positions]
         # w_{-c}(z) in c at c0: the jet of w at -c0 with odd terms negated
         upper = []
         for z in prob.positions:
-            w = _univariate_w(-c0, z - u, md, order)
+            w = univariate_w(-c0, z - u, md, order)
             flipped = {m: (-1.0) ** m[0] * v for m, v in w.coeffs.items()}
-            upper.append(Jet(w.caps, w.total, flipped))
+            upper.append(Jet(1, w.total, flipped))
         for i in range(len(prob.positions)):
             for j in range(len(prob.positions)):
-                jet = _linear_substitution(lower[i] * upper[j], alpha)
+                jet = _linear_substitution(_coeffs(lower[i] * upper[j]), alpha)
                 acc = acc + jet * (0.5 * prob._pair[k][i, j])
     return acc
 
@@ -332,14 +340,13 @@ def compose_reference(left, right):
             f"coefficient jets of order {other.k} cannot be differentiated "
             f"{self.order} times"
         )
-    caps = (k,) * self.nvars
     out: dict = {}
     for beta, a in self.coeffs.items():
-        a = a.truncate(caps, k)
+        a = a.truncate(k)
         for gamma, b in other.coeffs.items():
             for delta in _sub_indices(beta):
                 mu = tuple(bt - d + g for bt, d, g in zip(beta, delta, gamma))
-                db = b.shift(delta).truncate(caps, k)
+                db = b.shift(delta).truncate(k)
                 t = (a * db) * _binom_multi(beta, delta)
                 out[mu] = out[mu] + t if mu in out else t
     return DiffOperator(self.nvars, self.dim, out)

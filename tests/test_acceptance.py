@@ -129,7 +129,7 @@ def test_02_all_jets_match_finite_differences():
     for _ in range(10):
         z = complex(rng.uniform(0.1, 0.9)) + complex(rng.uniform(0.1, 0.6)) * MD.tau
         c = complex(rng.uniform(0.1, 0.9)) + complex(rng.uniform(0.1, 0.6)) * MD.tau
-        jet = w_kernel(c, z, MD, order_c=1, order_z=1)
+        jet = w_kernel(c, z, MD, 1)
         worst = max(
             worst,
             rel(jet.deriv((1, 0)), fd_derivative(lambda x: w_kernel(x, z, MD).value, c)),

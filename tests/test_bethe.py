@@ -23,8 +23,13 @@ from ellgaudin.bethe import (
     default_assignment,
     halton_points,
 )
-from ellgaudin.elliptic import EllipticError, ModularData
-from ellgaudin.gaudin import GaudinError, GaudinProblem, sample_regular_cartan
+from ellgaudin.elliptic import EllipticError, ModularData, lattice_distance, w_kernel
+from ellgaudin.gaudin import (
+    GaudinError,
+    GaudinProblem,
+    _kernel_series,
+    sample_regular_cartan,
+)
 from ellgaudin.liealg import build_dual_verma, build_root_system
 
 from oracles import (
@@ -205,6 +210,29 @@ def test_halton_matches_scipy_bitwise():
 # ---------------------------------------------------------------------------
 # the Bethe covector
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tau", [0.8j, 0.3 + 0.06j, 1.7 + 2.3j, 40j])
+def test_kernel_series_matches_bivariate_w_kernel(tau):
+    # the bracket's kernel w_{c0+h}(x) in h comes from three theta values;
+    # the (k, 0) coefficients of the bivariate w_kernel jet are that series
+    md = ModularData(tau)
+    rng = np.random.default_rng(90)
+    checked = 0
+    while checked < 6:
+        (a, b), (p, q) = rng.uniform(0.05, 0.95, (2, 2))
+        c0, x = complex(a) + complex(b) * md.tau, complex(p) + complex(q) * md.tau
+        if min(lattice_distance(c0, md), lattice_distance(x, md)) < 0.05:
+            continue
+        checked += 1
+        for order in range(4):
+            got = _kernel_series(c0, x, md, order)
+            jet = w_kernel(c0, x, md, order)
+            want = [jet.coeff((k, 0)) for k in range(order + 1)]
+            assert len(got) == order + 1
+            assert all(type(v) is complex for v in got)
+            err = max(abs(g - w) for g, w in zip(got, want))
+            assert err <= 1e-11 * max(abs(w) for w in want)
 
 
 def test_vector_no_roots_is_constant_unit():

@@ -582,6 +582,23 @@ def test_cancelling_theta_series_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("guard", ["0.5", "0.6"])
+def test_pole_guard_of_half_a_cell_is_a_config_error(tmp_path, capsys, guard):
+    # the cell samples keep pole_guard from each edge of the cell, so from
+    # 0.5 on none is left, and every stage used to end in an unrelated error
+    text = MINIMAL_SITES + f"\n[sampling]\npole_guard = {guard}\n"
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="pole_guard must be below 0.5"):
+        load_config(path)
+    assert main(["full-verify", "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_pole_guard_below_half_a_cell_loads(tmp_path):
+    text = MINIMAL_SITES + "\n[sampling]\npole_guard = 0.49\n"
+    assert load_config(write_config(tmp_path, text)).sampling["pole_guard"] == 0.49
+
+
 def test_loaded_config_carries_its_built_instance():
     cfg = load_config(str(CONFIGS / "a1_bethe_m1.ini"))
     runner = CheckRunner(cfg, "eigen-check", False)
@@ -626,8 +643,8 @@ def test_jets_record_catches_a_perturbed_mixed_coefficient(monkeypatch):
     # the finite-difference record's 1e-6
     true_w_kernel = cli.w_kernel
 
-    def skewed(c, z, md, order_c=0, order_z=0):
-        jet = true_w_kernel(c, z, md, order_c, order_z)
+    def skewed(c, z, md, order=0):
+        jet = true_w_kernel(c, z, md, order)
         if (1, 1) in jet.coeffs:
             jet.coeffs[(1, 1)] *= 1 + 1e-8
         return jet

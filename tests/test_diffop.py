@@ -27,23 +27,22 @@ def rand_vector(dim):
 
 
 def exp_jet(a, mat, H, order):
-    """Jet at H of exp(a.xi) * mat over (order,) * nvars, exact."""
+    """Jet at H of exp(a.xi) * mat to total order ``order``, exact."""
     a = np.asarray(a, dtype=complex)
     mat = np.asarray(mat, dtype=complex)
     H = np.asarray(H, dtype=complex)
     val = np.exp(a @ H)
     coeffs = {}
-    caps = (order,) * len(a)
-    for m in jet_indices(caps, order):
+    for m in jet_indices(len(a), order):
         c = val
         for ai, mi in zip(a, m):
             c *= ai**mi / math.factorial(mi)
         coeffs[m] = c * mat
-    return Jet(caps, order, coeffs)
+    return Jet(len(a), order, coeffs)
 
 
 def constant(mat, nvars, order):
-    return Jet.constant(np.asarray(mat, dtype=complex), (order,) * nvars, order)
+    return Jet.constant(np.asarray(mat, dtype=complex), nvars, order)
 
 
 def exp_apply(a, mat, beta, b, vec, H):
@@ -64,7 +63,7 @@ def exp_apply(a, mat, beta, b, vec, H):
 
 def test_matrix_jet_constant_and_value():
     m = rand_matrix(3)
-    jet = Jet.constant(m, (2, 2), 2)
+    jet = Jet.constant(m, 2, 2)
     assert np.allclose(jet.value, m)
     assert jet.value.shape == (3, 3)
     assert np.allclose(jet.coeff((1, 0)), 0)
@@ -72,13 +71,13 @@ def test_matrix_jet_constant_and_value():
 
 def test_matrix_jet_empty_shift_is_zero():
     m = rand_matrix(2)
-    jet = Jet.constant(m, (2, 2), 2)
+    jet = Jet.constant(m, 2, 2)
     shifted = jet.shift((1, 0))
     assert shifted.coeffs == {}
-    assert (shifted.caps, shifted.total) == ((1, 1), 1)
+    assert (shifted.nvars, shifted.total) == (2, 1)
     # a missing coefficient is the scalar zero, which every product absorbs
     assert shifted.value == 0
-    assert (Jet.constant(m, (1, 1), 1) * shifted).coeffs == {}
+    assert (Jet.constant(m, 2, 1) * shifted).coeffs == {}
 
 
 def test_matrix_jet_product_is_noncommutative_convolution():
@@ -113,8 +112,8 @@ def test_matrix_jet_shift_matches_analytic_derivative():
 
 def test_matrix_jet_from_scalar():
     # a scalar jet times a constant matrix scales every coefficient
-    caps, total = (2, 2), 2
-    s = Jet(caps, total, {(0, 0): 1.5, (1, 0): 2.0, (0, 2): -1.0})
+    nvars, total = 2, 2
+    s = Jet(nvars, total, {(0, 0): 1.5, (1, 0): 2.0, (0, 2): -1.0})
     m = rand_matrix(2)
     jet = s * m
     assert np.allclose(jet.value, 1.5 * m)
@@ -249,8 +248,8 @@ def test_compose_jets_match_closed_form():
             scale = math.comb(2, delta[0]) * a2[0] ** delta[0]
             want = exp_jet(a1 + a2, scale * (m1 @ m2), H, k)
             got = comp.coeffs[mu]
-            assert (got.caps, got.total) == ((k, k), k)
-            for m in jet_indices((k, k), k):
+            assert (got.nvars, got.total) == (2, k)
+            for m in jet_indices(2, k):
                 assert np.allclose(got.coeff(m), want.coeff(m), atol=1e-13)
 
 
@@ -287,7 +286,7 @@ def test_canonical_commutator_is_identity():
     r = 1
     H = np.array([0.4, -0.9])
     e_r = tuple(1 if i == r else 0 for i in range(nvars))
-    coordinate = Jet.constant(np.eye(dim) * H[r], (1,) * nvars, 1)
+    coordinate = Jet.constant(np.eye(dim) * H[r], nvars, 1)
     coordinate.coeffs[e_r] = np.eye(dim, dtype=complex)
     dop = DiffOperator(nvars, dim, {e_r: constant(np.eye(dim), nvars, 1)})
     xop = DiffOperator(nvars, dim, {(0,) * nvars: coordinate})
@@ -403,19 +402,18 @@ def random_operator(rng, nvars, dim, order, k, kind):
     of every jet's multi-indices are left out, so jets have missing
     coefficients (some none at all) and some hold explicit scalar zeros.
     """
-    betas = [m for m in jet_indices((order,) * nvars, order)]
+    betas = [m for m in jet_indices(nvars, order)]
     top = [m for m in betas if sum(m) == order]
     keep = {top[rng.integers(len(top))]}
     keep |= {m for m in betas if rng.random() < 2 / 3}
-    caps = (k,) * nvars
     coeffs = {}
     for beta in sorted(keep):
         jet = {
             m: random_coefficient(rng, dim, kind)
-            for m in jet_indices(caps, k)
+            for m in jet_indices(nvars, k)
             if rng.random() < 2 / 3
         }
-        coeffs[beta] = Jet(caps, k, jet)
+        coeffs[beta] = Jet(nvars, k, jet)
     return DiffOperator(nvars, dim, coeffs)
 
 
@@ -450,7 +448,7 @@ def test_compose_matches_straight_line_reference(nvars, kind):
                 )
                 for mu, jet in want.coeffs.items():
                     mine = got.coeffs[mu]
-                    assert mine.caps == jet.caps and mine.total == jet.total
+                    assert mine.nvars == jet.nvars and mine.total == jet.total
                     for m in set(mine.coeffs) | set(jet.coeffs):
                         err = float(np.max(np.abs(mine.coeff(m) - jet.coeff(m))))
                         assert err <= 1e-13 * scale

@@ -14,7 +14,9 @@ the checks need a fixed number of evaluations per point:
 - the exchange potential takes theta once per distinct argument, which
   theta's oddness brings down to N + |Phi+| (2N + 1) for N sites, and one
   substitution per positive root; the transfer operator reads A_r(u) off
-  theta(z_i - u) jets too, rather than calling zeta.
+  theta(z_i - u) jets too, rather than calling zeta;
+- the Bethe bracket takes each kernel factor from three theta values, as
+  the exchange potential does, and never calls ``w_kernel``.
 """
 
 import numpy as np
@@ -177,3 +179,34 @@ def test_transfer_reads_cartan_matrices_off_site_thetas(monkeypatch, rank):
     # theta(z_i - u) once for A_r(u) and once inside the potential
     per_call = 2 * nsites + npos * (2 * nsites + 1)
     assert len(thetas) == len(hs) * len(us) * per_call
+
+
+def test_bethe_bracket_takes_three_thetas_per_kernel_factor(monkeypatch):
+    rs = build_root_system("A", 2)
+    weights = [(0.74 + 0.22j, 0.31 - 0.1j), (0.26 - 0.22j, 0.69 + 0.1j)]
+    sites = [
+        build_dual_verma(rs, rs.weight_from_fundamental(w), depth=4)
+        for w in weights
+    ]
+    prob = GaudinProblem(rs, MD, [0.11, 0.43 + 0.27j], sites)
+    system = BetheSystem(prob)
+    assert system.assignment == (0, 1)
+    mod = sites[0]
+
+    def raised(sigma):
+        vec = np.asarray(mod.j_covector, dtype=complex)
+        for j in reversed(sigma):
+            vec = mod.matrix(("F", system.assignment[j])) @ vec
+        return vec
+
+    # a basis index where both orderings of the two roots contribute
+    index = int(np.flatnonzero((raised((0, 1)) != 0) & (raised((1, 0)) != 0))[0])
+    t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
+    H = sample_regular_cartan(rs, MD, np.random.default_rng(70), 1)[0]
+    kernels = count_everywhere(monkeypatch, "w_kernel")
+    thetas = count_everywhere(monkeypatch, "theta11")
+    jet = system._bracket(0, (0, 1), index, t, H, 2)
+    assert jet.value != 0
+    assert kernels == []
+    # two orderings, two kernel factors each
+    assert len(thetas) == 2 * 2 * 3
