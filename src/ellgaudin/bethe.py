@@ -129,6 +129,9 @@ class BetheSystem:
 
         res_j = sum_i (a_j|lam_i) zeta(t_j - z_i)
                 - sum_{k != j} (a_j|a_k) zeta(t_j - t_k).
+
+        zeta is odd and zeta' even, so zeta is taken once per unordered
+        pair of roots.
         """
         t = np.asarray(t, dtype=complex)
         md = self.problem.md
@@ -142,14 +145,18 @@ class BetheSystem:
                 jet = zeta11(t[j] - z, md, order=1)
                 res[j] += pair * jet.value
                 jac[j, j] += pair * jet.deriv((1,))
-            for k in range(M):
-                if k == j:
-                    continue
+        for j in range(M):
+            for k in range(j + 1, M):
                 pair = self._pairing(self.alphas[j], self.alphas[k])
                 jet = zeta11(t[j] - t[k], md, order=1)
-                res[j] -= pair * jet.value
-                jac[j, j] -= pair * jet.deriv((1,))
-                jac[j, k] += pair * jet.deriv((1,))
+                value = pair * jet.value
+                slope = pair * jet.deriv((1,))
+                res[j] -= value
+                res[k] += value
+                jac[j, j] -= slope
+                jac[k, k] -= slope
+                jac[j, k] += slope
+                jac[k, j] += slope
         return res, jac
 
     # -- solver ------------------------------------------------------------

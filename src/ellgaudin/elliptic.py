@@ -403,11 +403,6 @@ class Jet:
         return f"Jet(nvars={self.nvars}, total={self.total}, value={self.value})"
 
 
-def _coeffs(jet: Jet) -> list:
-    """Coefficients of a univariate jet, in order."""
-    return [jet.coeff((m,)) for m in range(jet.total + 1)]
-
-
 def _linear_substitution(g, direction) -> Jet:
     """Jet in xi of g(direction . xi), from g's Taylor coefficients g[k]
     at the image direction . xi0 of the expansion point.
@@ -438,24 +433,26 @@ def _linear_substitution(g, direction) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def _theta_series_coeffs(z0: complex, md: ModularData, order: int) -> list:
-    """Taylor coefficients of the theta series at a reduced point.
+@dataclass(frozen=True)
+class _ThetaTable:
+    """The parts of the theta series that do not depend on z, per term n:
+    the amplitude -2 (-1)^n q^{(n+1/2)^2 / 2}; the log of that power of q,
+    from the principal log of the nome e^{i pi tau}, for a term whose sine
+    grows past _SINE_GROWTH; and the log of term n + 1's envelope without
+    its sine.  Plus the scale floor of the convergence test."""
 
-    Sums the defining series over half-integers n + 1/2 (terms paired as
-    n <-> -n-1), differentiating term by term.  Stops once the envelope of
-    the next term falls below _EPS_TERM relative to the partial sums, with
-    an absolute floor at the natural scale of theta so that exact zeros of
-    the value do not stall the test.
+    amps: tuple
+    logs: tuple
+    envelopes: tuple
+    floor: float
 
-    A term is q^{(n+1/2)^2 / 2} times sin((2n+1) pi z0), and near the top
-    of the cell at large Im tau the sine overflows on its own while the
-    term is representable.  So the envelope, and a term whose sine grows
-    past _SINE_GROWTH, are each taken from one summed exponent; that term
-    takes q^{(n+1/2)^2 / 2} from the principal log of the nome, as the
-    power does, so both kinds of term share one phase convention at any
-    Re tau.  Raises :class:`SeriesConvergenceError` once the nome
-    e^{i pi tau} is no longer a normal double (Im tau > 225.5), since its
-    phase is then lost.
+
+@lru_cache(maxsize=None)
+def _theta_table(md: ModularData) -> _ThetaTable:
+    """The theta series' table at md.tau.
+
+    Raises :class:`SeriesConvergenceError` once the nome e^{i pi tau} is no
+    longer a normal double (Im tau > 225.5), since its phase is then lost.
     """
     qt = cmath.exp(1j * _PI * md.tau)
     aqt = abs(qt)
@@ -464,30 +461,79 @@ def _theta_series_coeffs(z0: complex, md: ModularData, order: int) -> list:
             f"the nome exp(i pi tau) = {aqt:.3g} underflows double precision "
             f"at tau={md.tau}; Im tau is too large"
         )
+    log_qt = cmath.log(qt)
     log_aqt = -_PI * md.tau.imag
-    scale_floor = 2.0 * aqt ** 0.25
+    terms = range(_N_MAX)
+    return _ThetaTable(
+        amps=tuple(-2.0 * (-1) ** nn * qt ** ((nn + 0.5) ** 2) for nn in terms),
+        logs=tuple((nn + 0.5) ** 2 * log_qt for nn in terms),
+        envelopes=tuple(log_aqt * (nn + 1.5) ** 2 for nn in terms),
+        floor=2.0 * aqt ** 0.25,
+    )
+
+
+# sin(w + k pi/2) for k = 0..3, relative to sin(w), once sin(w) is taken as
+# (i/2) e^{-iw}: each derivative of e^{-iw} brings a factor -i
+_LARGE_SINE_CYCLE = (1.0, -1j, -1.0, 1j)
+
+
+def _theta_series_coeffs(z0: complex, md: ModularData, order: int) -> list:
+    """Taylor coefficients of the theta series at a reduced point.
+
+    Sums the defining series over half-integers n + 1/2 (terms paired as
+    n <-> -n-1), differentiating term by term: the k-th coefficient of
+    term n is its amplitude times b^k / k! sin(b z0 + k pi/2), b = (2n+1) pi,
+    and the sines cycle through s, c, -s, -c, so a term costs one sine and
+    one cosine.  b^k / k! is one running product, which the convergence
+    test forms for the next term's b and that term then reuses.  Stops
+    once the envelope of the next term falls below _EPS_TERM relative to
+    the partial sums, order by order, with an absolute floor at the
+    natural scale of theta so that exact zeros of the value do not stall
+    the test.
+
+    Near the top of the cell at large Im tau the sine overflows on its own
+    while the term is representable.  So the envelope, and a term whose
+    sine grows past _SINE_GROWTH, are each taken from one summed exponent;
+    that term takes q^{(n+1/2)^2 / 2} from the principal log of the nome,
+    as the power does, so both kinds of term share one phase convention at
+    any Re tau.
+    """
+    tab = _theta_table(md)
+    amps, envelopes, floor = tab.amps, tab.envelopes, tab.floor
     imz = abs(z0.imag)
     partial = [0j] * (order + 1)
+    # powers[k] = base^k / k! for the current term's base (2n + 1) pi
+    powers = [1.0] * (order + 1)
+    for k in range(order):
+        powers[k + 1] = powers[k] * _PI / (k + 1)
+    base = _PI
     for nn in range(_N_MAX):
-        base = (2 * nn + 1) * _PI
         arg = base * z0
         if arg.imag <= _SINE_GROWTH:
-            amp = -2.0 * (-1) ** nn * qt ** ((nn + 0.5) ** 2)
-            terms = [cmath.sin(arg + k * _PI / 2) for k in range(order + 1)]
+            amp = amps[nn]
+            s = cmath.sin(arg)
+            if order:
+                c = cmath.cos(arg)
+                cycle = (s, c, -s, -c)
+            else:
+                cycle = (s,)
         else:
             amp = -1j * (-1) ** nn * cmath.exp(
-                (nn + 0.5) ** 2 * cmath.log(qt) + arg.imag - 1j * arg.real
+                tab.logs[nn] + arg.imag - 1j * arg.real
             )
-            terms = [(-1j) ** k for k in range(order + 1)]
+            cycle = _LARGE_SINE_CYCLE
         for k in range(order + 1):
-            partial[k] += amp * base ** k * terms[k] / math.factorial(k)
-        nb = (2 * (nn + 1) + 1) * _PI
-        env = 2.0 * math.exp(log_aqt * (nn + 1.5) ** 2 + nb * imz)
-        if all(
-            env * nb ** k / math.factorial(k)
-            <= _EPS_TERM * (abs(partial[k]) + scale_floor)
-            for k in range(order + 1)
-        ):
+            partial[k] += amp * powers[k] * cycle[k & 3]
+        base = (2 * nn + 3) * _PI
+        env = 2.0 * math.exp(envelopes[nn] + base * imz)
+        converged = True
+        p = 1.0
+        for k in range(order + 1):
+            powers[k] = p
+            if converged and env * p > _EPS_TERM * (abs(partial[k]) + floor):
+                converged = False
+            p = p * base / (k + 1)
+        if converged:
             return partial
     raise SeriesConvergenceError(
         f"theta series did not converge within {_N_MAX} terms for "
@@ -500,16 +546,15 @@ def _check_order(order: int):
         raise ValueError(f"jet order must lie in [0, {_MAX_JET_ORDER}], got {order}")
 
 
-def theta11(z: complex, md: ModularData, order: int = 0) -> Jet:
-    """Jet of the odd Jacobi theta function at z.
-
-    The function is entire, odd, vanishes exactly on the lattice, and
-    satisfies theta11(z+1) = -theta11(z) and
-    theta11(z+tau) = -exp(-pi*i*tau - 2*pi*i*z) * theta11(z).
-    """
+def theta11_coeffs(z: complex, md: ModularData, order: int = 0) -> list:
+    """Taylor coefficients of the odd Jacobi theta function at z, to the
+    given order, as Python complex numbers (the list behind
+    :func:`theta11`)."""
     _check_order(order)
     red = reduce_to_cell(z, md)
     a = _theta_series_coeffs(red.z0, md, order)
+    if red.m == 0:
+        return [-x for x in a] if red.n % 2 else a
     # Exact quasi-periodicity factor, itself expanded as a jet in z.
     sign = (-1) ** (red.m + red.n)
     expo = -1j * _PI * red.m * red.m * md.tau - _TWO_PI_I * red.m * red.z0
@@ -518,15 +563,30 @@ def theta11(z: complex, md: ModularData, order: int = 0) -> Jet:
     folded = expo.real > _EXP_LIMIT
     s = 1.0 if folded else sign * cmath.exp(expo)
     w = -_TWO_PI_I * red.m
-    coeffs = {}
+    # factor[j] = s w^j / j!, the factor's Taylor coefficients
+    factor = [s]
+    for j in range(order):
+        factor.append(factor[j] * w / (j + 1))
+    out = []
     for k in range(order + 1):
         acc = 0j
         for j in range(k + 1):
-            acc += a[k - j] * s * w ** j / math.factorial(j)
+            acc += a[k - j] * factor[j]
         if folded and acc:
             acc = sign * cmath.exp(expo + cmath.log(acc))
-        coeffs[(k,)] = acc
-    return Jet(1, order, coeffs)
+        out.append(acc)
+    return out
+
+
+def theta11(z: complex, md: ModularData, order: int = 0) -> Jet:
+    """Jet of the odd Jacobi theta function at z.
+
+    The function is entire, odd, vanishes exactly on the lattice, and
+    satisfies theta11(z+1) = -theta11(z) and
+    theta11(z+tau) = -exp(-pi*i*tau - 2*pi*i*z) * theta11(z).
+    """
+    coeffs = theta11_coeffs(z, md, order)
+    return Jet(1, order, {(k,): c for k, c in enumerate(coeffs)})
 
 
 @lru_cache(maxsize=None)
@@ -541,10 +601,9 @@ def theta11_prime_at_zero(md: ModularData) -> complex:
     (Im tau > 225.5).
     """
     value = _theta_series_coeffs(0j, md, 1)[1]
-    aqt = abs(cmath.exp(1j * _PI * md.tau))
     spread = sum(
-        2.0 * (2 * nn + 1) * _PI * aqt ** ((nn + 0.5) ** 2)
-        for nn in range(_N_MAX)
+        abs(amp) * (2 * nn + 1) * _PI
+        for nn, amp in enumerate(_theta_table(md).amps)
     )
     if spread * _UNIT_ROUNDOFF > _CANCELLATION_LIMIT * abs(value):
         raise SeriesConvergenceError(
@@ -571,6 +630,19 @@ def _lattice_label(point: complex, md: ModularData) -> str:
     return f"{m}*tau + {n}"
 
 
+def _series_quotient(num, den) -> list:
+    """Taylor coefficients of num / den from theirs, to the order of num;
+    den[0] must not vanish."""
+    v = den[0]
+    out = []
+    for k, b in enumerate(num):
+        acc = b
+        for i in range(1, k + 1):
+            acc -= den[i] * out[k - i]
+        out.append(acc / v)
+    return out
+
+
 def zeta11(z: complex, md: ModularData, order: int = 0) -> Jet:
     """Jet of the logarithmic derivative theta11'/theta11 at z.
 
@@ -579,9 +651,13 @@ def zeta11(z: complex, md: ModularData, order: int = 0) -> Jet:
     lattice points.  Raises :class:`PoleProximityError` near the lattice.
     """
     _check_order(order)
-    th = theta11(z, md, order + 1)
-    _pole_check(th.value, complex(z), md, "z")
-    return th.shift((1,)) / th.truncate(order)
+    z = complex(z)
+    a = theta11_coeffs(z, md, order + 1)
+    _pole_check(a[0], z, md, "z")
+    # theta' has the coefficients (k + 1) a[k + 1]
+    slope = [(k + 1) * a[k + 1] for k in range(order + 1)]
+    coeffs = _series_quotient(slope, a)
+    return Jet(1, order, {(k,): c for k, c in enumerate(coeffs)})
 
 
 def w_kernel(c: complex, z: complex, md: ModularData, order: int = 0) -> Jet:
@@ -598,12 +674,12 @@ def w_kernel(c: complex, z: complex, md: ModularData, order: int = 0) -> Jet:
     _check_order(order)
     c = complex(c)
     z = complex(z)
-    tz = theta11(z, md, order)
-    tc = theta11(-c, md, order)
-    _pole_check(tz.value, z, md, "z")
-    _pole_check(tc.value, -c, md, "c")
+    tz = theta11_coeffs(z, md, order)
+    tc = theta11_coeffs(-c, md, order)
+    _pole_check(tz[0], z, md, "z")
+    _pole_check(tc[0], -c, md, "c")
     # theta(z - c), theta(z) and theta(-c) as functions of (c, z)
-    num = _linear_substitution(_coeffs(theta11(z - c, md, order)), (-1, 1))
-    den_z = _linear_substitution(_coeffs(tz), (0, 1))
-    den_c = _linear_substitution(_coeffs(tc), (-1, 0))
+    num = _linear_substitution(theta11_coeffs(z - c, md, order), (-1, 1))
+    den_z = _linear_substitution(tz, (0, 1))
+    den_c = _linear_substitution(tc, (-1, 0))
     return num * theta11_prime_at_zero(md) / (den_z * den_c)

@@ -20,12 +20,12 @@ from .diffop import DiffOperator
 from .elliptic import (
     Jet,
     ModularData,
-    _coeffs,
     _linear_substitution,
     _pole_check,
+    _series_quotient,
     lattice_distance,
     nearest_lattice_point,
-    theta11,
+    theta11_coeffs,
     theta11_prime_at_zero,
 )
 from .liealg import (
@@ -67,9 +67,10 @@ def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _inverse_theta(c0: complex, md: ModularData, order: int) -> np.ndarray:
     """Taylor coefficients in h of theta'(0) / theta(c0 + h), pole-checked
     as the c argument of w_c."""
-    tc = theta11(c0, md, order)
-    _pole_check(tc.value, -c0, md, "c")
-    return theta11_prime_at_zero(md) * np.array(_coeffs(tc.reciprocal()))
+    tc = theta11_coeffs(c0, md, order)
+    _pole_check(tc[0], -c0, md, "c")
+    one = [1.0] + [0.0] * order
+    return theta11_prime_at_zero(md) * np.array(_series_quotient(one, tc))
 
 
 def _w_coeffs(shifted: np.ndarray, scale: np.ndarray, tx) -> np.ndarray:
@@ -89,9 +90,9 @@ def _kernel_series(c0: complex, x: complex, md: ModularData, order: int) -> list
     """Taylor coefficients in h of w_{c0+h}(x) from theta(x), theta(c0 + h)
     and theta(x - c0 - h), as Python complex numbers, which keep products
     of scalar jets cheap."""
-    tx = theta11(x, md).value
+    tx = theta11_coeffs(x, md)[0]
     _pole_check(tx, x, md, "z")
-    shifted = np.array(_coeffs(theta11(x - c0, md, order)))
+    shifted = np.array(theta11_coeffs(x - c0, md, order))
     return _w_coeffs(shifted, _inverse_theta(c0, md, order), tx).tolist()
 
 
@@ -369,18 +370,19 @@ class GaudinProblem:
     # -- coefficient data ------------------------------------------------
 
     def _site_thetas(self, u: complex) -> list:
-        """theta(z_i - u) to first order at every site, pole-checked."""
+        """Taylor coefficients of theta(z_i - u) to first order at every
+        site, pole-checked."""
         u = complex(u)
-        jets = []
+        out = []
         for z in self.positions:
-            th = theta11(z - u, self.md, 1)
-            _pole_check(th.value, z - u, self.md, "z")
-            jets.append(th)
-        return jets
+            th = theta11_coeffs(z - u, self.md, 1)
+            _pole_check(th[0], z - u, self.md, "z")
+            out.append(th)
+        return out
 
     def cartan_matrices(self, u: complex):
         """A_r(u) = sum_i zeta(z_i - u) h_r^(i) on the zero-weight space."""
-        zvals = [th.coeff((1,)) * (1.0 / th.value) for th in self._site_thetas(u)]
+        zvals = [th[1] * (1.0 / th[0]) for th in self._site_thetas(u)]
         out = []
         for r in range(self.rs.rank):
             m = np.zeros((self.space.dim0, self.space.dim0), dtype=complex)
@@ -410,14 +412,14 @@ class GaudinProblem:
         check_regular(self.rs, self.md, H, self.pole_guard)
         u = complex(u)
         rs, md = self.rs, self.md
-        tz = np.array([th.value for th in self._site_thetas(u)])
+        tz = np.array([th[0] for th in self._site_thetas(u)])
         xs = [z - u for z in self.positions]
         acc = Jet(rs.rank, order)
         for k, alpha in enumerate(rs.positive_roots):
             c0 = complex(alpha @ H)
             scale = _inverse_theta(c0, md, order)
-            minus = np.array([_coeffs(theta11(x - c0, md, order)) for x in xs])
-            plus = np.array([_coeffs(theta11(x + c0, md, order)) for x in xs])
+            minus = np.array([theta11_coeffs(x - c0, md, order) for x in xs])
+            plus = np.array([theta11_coeffs(x + c0, md, order) for x in xs])
             # the potential's factor 1/2 rides on lo
             lo = _w_coeffs(minus, scale, tz[:, None]) * 0.5
             up = _cauchy(plus, scale) * (1.0 / tz[:, None])

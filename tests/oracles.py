@@ -280,7 +280,7 @@ def potential_jet_reference(prob, H, u: complex, order: int = 0):
     e_{-alpha}^(j), which carries the root -alpha's term with the sites
     swapped; no theta value is shared.
     """
-    from ellgaudin.elliptic import Jet, _coeffs, _linear_substitution
+    from ellgaudin.elliptic import Jet, _linear_substitution
 
     H = np.asarray(H, dtype=complex)
     u = complex(u)
@@ -297,7 +297,9 @@ def potential_jet_reference(prob, H, u: complex, order: int = 0):
             upper.append(Jet(1, w.total, flipped))
         for i in range(len(prob.positions)):
             for j in range(len(prob.positions)):
-                jet = _linear_substitution(_coeffs(lower[i] * upper[j]), alpha)
+                prod = lower[i] * upper[j]
+                coeffs = [prod.coeff((m,)) for m in range(order + 1)]
+                jet = _linear_substitution(coeffs, alpha)
                 acc = acc + jet * (0.5 * prob._pair[k][i, j])
     return acc
 

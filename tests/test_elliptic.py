@@ -299,6 +299,61 @@ def test_zeta_jets_match_finite_differences():
         assert rel_err(jet.deriv((2,)), fd_second(f, z)) <= 1e-6
 
 
+def jtheta_coeffs_mp(mp, tau, z, order):
+    """Taylor coefficients of theta and zeta at z to the given order, from
+    mpmath.jtheta derivatives in 40 digits: theta11(z) =
+    -jtheta(1, pi z, e^{i pi tau}), and zeta = theta'/theta divided out as
+    power series in the same precision."""
+    with mp.workdps(40):
+        nome = mp.exp(1j * mp.pi * mp.mpc(tau.real, tau.imag))
+        x = mp.pi * mp.mpc(z.real, z.imag)
+        th = [
+            -mp.pi**k * mp.jtheta(1, x, nome, k) / mp.factorial(k)
+            for k in range(order + 2)
+        ]
+        ze = []
+        for k in range(order + 1):
+            acc = (k + 1) * th[k + 1]
+            for i in range(1, k + 1):
+                acc -= th[i] * ze[k - i]
+            ze.append(acc / th[0])
+        return [complex(c) for c in th[: order + 1]], [complex(c) for c in ze]
+
+
+def coeff_error(jet, ref):
+    """Largest coefficient error, relative to the largest reference
+    coefficient."""
+    return max(abs(jet.coeff((k,)) - r) for k, r in enumerate(ref)) / max(
+        abs(r) for r in ref
+    )
+
+
+@pytest.mark.parametrize("tau", [0.8j, 0.3 + 0.06j, 1.7 + 2.3j, -2.4 + 0.4j, 40j])
+def test_theta_and_zeta_jets_match_mpmath_jtheta(tau):
+    # random points over three rows of cells and six columns, so most lie
+    # outside the base cell, plus points near the top of the base cell and
+    # of the cell above it, where a term's sine grows fastest; zeta's points
+    # keep a fifth of the shortest period from the lattice
+    mp = pytest.importorskip("mpmath")
+    md = ModularData(tau)
+    (n1, m1), _ = md.basis
+    shortest = abs(n1 + m1 * md.tau)
+    rng = np.random.default_rng(12)
+    points = [rng.uniform(-3, 3) + rng.uniform(-1, 2) * md.tau for _ in range(10)]
+    points += [rng.uniform(0, 1) + y * md.tau for y in (0.96, 0.995, 1.97)]
+    worst = 0.0
+    for z in points:
+        ref_theta, ref_zeta = jtheta_coeffs_mp(mp, tau, z, 3)
+        far = lattice_distance(z, md) >= 0.2 * shortest
+        for order in range(4):
+            ref = ref_theta[: order + 1]
+            worst = max(worst, coeff_error(theta11(z, md, order), ref))
+            if far:
+                ref = ref_zeta[: order + 1]
+                worst = max(worst, coeff_error(zeta11(z, md, order), ref))
+    assert worst <= 1e-12
+
+
 def test_w_jets_match_finite_differences_both_arguments():
     rng = np.random.default_rng(5)
     for _ in range(10):

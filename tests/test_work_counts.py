@@ -16,13 +16,24 @@ the checks need a fixed number of evaluations per point:
   substitution per positive root; the transfer operator reads A_r(u) off
   theta(z_i - u) jets too, rather than calling zeta;
 - the Bethe bracket takes each kernel factor from three theta values, as
-  the exchange potential does, and never calls ``w_kernel``.
+  the exchange potential does, and never calls ``w_kernel``;
+- a term of the theta series costs one sine and at most one cosine, and
+  no factorial; zeta is a quotient of theta's coefficients, with no jet
+  shift, truncation or reciprocal;
+- the Bethe equations take zeta once per (root, site) and, by zeta's
+  oddness, once per unordered pair of roots.
+
+Theta values are counted at ``theta11_coeffs``, the coefficient list
+behind ``theta11`` that the kernel series read directly.
 """
+
+import cmath
+import math
 
 import numpy as np
 import pytest
 
-from ellgaudin import elliptic, gaudin
+from ellgaudin import bethe, elliptic, gaudin
 from ellgaudin.bethe import BetheSystem
 from ellgaudin.elliptic import Jet, ModularData
 from ellgaudin.gaudin import (
@@ -154,7 +165,7 @@ def test_potential_takes_each_theta_value_once(monkeypatch, rank):
     rng = np.random.default_rng(50 + rank)
     hs = sample_regular_cartan(prob.rs, MD, rng, 2)
     us = sample_spectral_points(MD, prob.positions, rng, 2)
-    thetas = count_everywhere(monkeypatch, "theta11")
+    thetas = count_everywhere(monkeypatch, "theta11_coeffs")
     subs = count_calls(monkeypatch, gaudin, "_linear_substitution")
     for H, u in zip(hs, us):
         prob.potential_jet(H, u, order=2)
@@ -171,7 +182,7 @@ def test_transfer_reads_cartan_matrices_off_site_thetas(monkeypatch, rank):
     hs = sample_regular_cartan(prob.rs, MD, rng, 2)
     us = sample_spectral_points(MD, prob.positions, rng, 2)
     zetas = count_everywhere(monkeypatch, "zeta11")
-    thetas = count_everywhere(monkeypatch, "theta11")
+    thetas = count_everywhere(monkeypatch, "theta11_coeffs")
     for H in hs:
         for u in us:
             prob.transfer(u, H, 2)
@@ -204,9 +215,59 @@ def test_bethe_bracket_takes_three_thetas_per_kernel_factor(monkeypatch):
     t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
     H = sample_regular_cartan(rs, MD, np.random.default_rng(70), 1)[0]
     kernels = count_everywhere(monkeypatch, "w_kernel")
-    thetas = count_everywhere(monkeypatch, "theta11")
+    thetas = count_everywhere(monkeypatch, "theta11_coeffs")
     jet = system._bracket(0, (0, 1), index, t, H, 2)
     assert jet.value != 0
     assert kernels == []
     # two orderings, two kernel factors each
     assert len(thetas) == 2 * 2 * 3
+
+
+@pytest.mark.parametrize("tau", [0.8j, 0.3 + 0.06j, 40j])
+def test_theta_series_term_takes_one_sine_and_no_factorial(monkeypatch, tau):
+    md = ModularData(tau)
+    elliptic.theta11_prime_at_zero(md)  # builds the per-tau table
+    # inside the cell, a cell above, a cell below and a period to the left;
+    # at 40i the first point sits near the top of the cell
+    points = [0.31 + 0.97 * md.tau, 0.62 + 1.4 * md.tau, 0.2 - 0.6 * md.tau - 1]
+    factorials = count_calls(monkeypatch, math, "factorial")
+    envelopes = count_calls(monkeypatch, math, "exp")
+    sines = count_calls(monkeypatch, cmath, "sin")
+    cosines = count_calls(monkeypatch, cmath, "cos")
+    for order in range(4):
+        for z in points:
+            for calls in (factorials, envelopes, sines, cosines):
+                calls.clear()
+            elliptic.theta11_coeffs(z, md, order)
+            # the convergence test takes one envelope per term
+            terms = len(envelopes)
+            assert terms > 0
+            assert factorials == []
+            assert len(sines) <= terms
+            assert len(cosines) == (len(sines) if order else 0)
+
+
+def test_zeta_takes_no_jet_shift_truncation_or_reciprocal(monkeypatch):
+    counted = [
+        count_calls(monkeypatch, Jet, name)
+        for name in ("shift", "truncate", "reciprocal")
+    ]
+    for order in range(4):
+        for z in (0.31 + 0.2j, 1.7 - 0.9j):
+            assert elliptic.zeta11(z, MD, order).total == order
+    assert counted == [[], [], []]
+
+
+def test_bethe_equations_take_zeta_once_per_unordered_root_pair(monkeypatch):
+    rs = build_root_system("A", 1)
+    alpha = np.asarray(rs.simple_roots[0], dtype=complex)
+    cs = (1.13 + 0.05j, 0.94 - 0.12j, 0.93 + 0.07j)
+    sites = [build_dual_verma(rs, tuple(c * a for a in alpha), depth=4) for c in cs]
+    prob = GaudinProblem(rs, MD, [0.11, 0.43 + 0.27j, 0.71 + 0.52j], sites)
+    system = BetheSystem(prob)
+    M, N = system.M, len(prob.positions)
+    assert M == 3
+    zetas = count_calls(monkeypatch, bethe, "zeta11")
+    res, jac = system.equations([0.21 + 0.13j, 0.52 + 0.4j, 0.83 + 0.61j])
+    assert np.all(np.isfinite(res)) and np.all(np.isfinite(jac))
+    assert len(zetas) == M * N + M * (M - 1) // 2
