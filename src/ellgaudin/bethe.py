@@ -23,7 +23,7 @@ from .elliptic import (
     _linear_substitution,
     jet_indices,
     lattice_distance,
-    zeta11,
+    zeta11_coeffs,
 )
 from .gaudin import GaudinError, GaudinProblem, _kernel_series, check_regular
 from .liealg import root_budget
@@ -105,6 +105,20 @@ class BetheSystem:
         # with the charge balanced, M is the height of the summed weights,
         # so GaudinProblem has already enforced the depth bound M + ht(theta)
         self._check_charge()
+        alphas = np.reshape(self.alphas, (self.M, rs.rank))
+        # (a_j | lam_i) and (a_j | a_k), fixed per system
+        self._site_pairing = (alphas @ np.transpose(self.weights)).tolist()
+        self._root_pairing = (alphas @ alphas.T).tolist()
+        # the unordered root pairs j < k
+        self._pairs = [(j, k) for j in range(self.M) for k in range(j + 1, self.M)]
+        # the charges lam_i of the sites, then -a_j of the roots, whose
+        # pairings weigh zeta(z_i - u) and zeta(t_j - u) in the eigenvalue
+        self._charges = np.concatenate(
+            [np.reshape(self.weights, (-1, rs.rank)), -alphas]
+        )
+        self._simple_roots = np.asarray(rs.simple_roots, dtype=complex)
+        # (subset, basis index) at a site -> its chains; see _chains
+        self._chain_table: dict = {}
 
     def _check_charge(self, tol: float = 1e-12):
         total = np.sum(self.weights, axis=0)
@@ -121,9 +135,6 @@ class BetheSystem:
 
     # -- the algebraic system -------------------------------------------
 
-    def _pairing(self, a, b) -> complex:
-        return complex(np.asarray(a) @ np.asarray(b))
-
     def equations(self, t):
         """Residual vector and Jacobian of the Bethe system at t.
 
@@ -131,33 +142,36 @@ class BetheSystem:
                 - sum_{k != j} (a_j|a_k) zeta(t_j - t_k).
 
         zeta is odd and zeta' even, so zeta is taken once per unordered
-        pair of roots.
+        pair of roots, at whichever of +-(t_j - t_k) comes first in the
+        order (Im, Re) from above, which keeps the residual exactly
+        covariant under relabelling the roots.  All M N + M (M - 1) / 2
+        arguments go to one kernel call; the few terms are then summed as
+        Python numbers, which costs less than array operations would.
         """
-        t = np.asarray(t, dtype=complex)
-        md = self.problem.md
-        zs = self.problem.positions
-        M = self.M
-        res = np.zeros(M, dtype=complex)
-        jac = np.zeros((M, M), dtype=complex)
-        for j in range(M):
-            for i, z in enumerate(zs):
-                pair = self._pairing(self.alphas[j], self.weights[i])
-                jet = zeta11(t[j] - z, md, order=1)
-                res[j] += pair * jet.value
-                jac[j, j] += pair * jet.deriv((1,))
-        for j in range(M):
-            for k in range(j + 1, M):
-                pair = self._pairing(self.alphas[j], self.alphas[k])
-                jet = zeta11(t[j] - t[k], md, order=1)
-                value = pair * jet.value
-                slope = pair * jet.deriv((1,))
-                res[j] -= value
-                res[k] += value
-                jac[j, j] -= slope
-                jac[k, k] -= slope
-                jac[j, k] += slope
-                jac[k, j] += slope
-        return res, jac
+        roots = np.asarray(t, dtype=complex).tolist()
+        M, zs = self.M, self.problem.positions
+        diffs = [roots[j] - roots[k] for j, k in self._pairs]
+        signs = [-1.0 if (d.imag, d.real) < (0.0, 0.0) else 1.0 for d in diffs]
+        args = [tj - z for tj in roots for z in zs]
+        args += [s * d for s, d in zip(signs, diffs)]
+        ze = zeta11_coeffs(args, self.problem.md, 1).tolist()
+        res = [0j] * M
+        jac = [[0j] * M for _ in range(M)]
+        for j, row in enumerate(self._site_pairing):
+            for pair, (value, slope) in zip(row, ze[j * len(zs) : (j + 1) * len(zs)]):
+                res[j] += pair * value
+                jac[j][j] += pair * slope
+        for (j, k), sign, (value, slope) in zip(self._pairs, signs, ze[M * len(zs) :]):
+            pair = self._root_pairing[j][k]
+            value = pair * (sign * value)
+            slope = pair * slope
+            res[j] -= value
+            res[k] += value
+            jac[j][j] -= slope
+            jac[k][k] -= slope
+            jac[j][k] += slope
+            jac[k][j] += slope
+        return np.array(res), np.array(jac)
 
     # -- solver ------------------------------------------------------------
 
@@ -284,53 +298,88 @@ class BetheSystem:
 
     # -- Bethe vector -------------------------------------------------------
 
-    def _bracket(self, a: int, subset, basis_index: int, t, H, order: int):
+    def _chains(self, a: int, subset, basis_index: int) -> tuple:
+        """The orderings sigma of the subset whose raising string at site a
+        has a nonzero highest-weight coefficient at the basis index, as
+        (coefficient, sigma) pairs.
+
+        In dual coordinates that coefficient is the string of F matrices
+        applied to the highest-weight functional, innermost raising factor
+        first; it carries the Shapovalov-type factors of the Verma module.
+        It depends on neither t nor H, so it is tabled per system.
+        """
+        key = (a, subset, basis_index)
+        if key not in self._chain_table:
+            mod = self.problem.modules[a]
+            chains = []
+            for sigma in permutations(subset):
+                vec = np.asarray(mod.j_covector, dtype=complex)
+                for j in reversed(sigma):
+                    vec = mod.matrix(("F", self.assignment[j])) @ vec
+                coeff = complex(vec[basis_index])
+                if coeff != 0:
+                    chains.append((coeff, sigma))
+            self._chain_table[key] = tuple(chains)
+        return self._chain_table[key]
+
+    def _chain_kernels(self, a: int, sigma):
+        """Kernel keys (P, j, target) of the chain sigma at site a: the
+        prefix P of sigma as counts of each simple-root label, the root j
+        that closes it, and the next root of sigma or, last, the site
+        (index M + a)."""
+        counts = [0] * self.problem.rs.rank
+        keys = []
+        for pos, j in enumerate(sigma):
+            counts[self.assignment[j]] += 1
+            target = sigma[pos + 1] if pos + 1 < len(sigma) else self.M + a
+            keys.append((tuple(counts), j, target))
+        return keys
+
+    def _bracket(self, a: int, subset, basis_index: int, kernels: dict, order: int):
         """<I; v; z_a, t> as a jet in xi.
 
-        Sums over orderings of the subset the chain of kernels
-        w_{-partial root sum}(t_- - t_next) ... w_{-full sum}(t_last - z_a)
-        times the highest-weight coefficient of the raising string paired
-        against the underlying Verma basis.  In dual coordinates that
-        pairing is the string of F matrices applied to the
-        highest-weight functional, innermost raising factor first; it
-        carries the Shapovalov-type factors of the Verma module.
-
-        Each kernel w_{-P(xi)}(x), for the partial root sum P and
-        x = t_j - target, is the series of w_{c0+h}(x) in h = -P(xi - H)
-        at c0 = -P(H).
+        Sums over the chains of the subset (``_chains``) their coefficient
+        times the chain of kernels
+        w_{-partial root sum}(t_- - t_next) ... w_{-full sum}(t_last - z_a),
+        read from the kernel table of ``vector_jet``.
         """
-        rs = self.problem.rs
-        md = self.problem.md
-        mod = self.problem.modules[a]
-        l = rs.rank
+        l = self.problem.rs.rank
         if not subset:
+            mod = self.problem.modules[a]
             return Jet.constant(mod.j_covector[basis_index], l, order)
-        z = self.problem.positions[a]
         acc = Jet(l, order)
-        for sigma in permutations(subset):
-            vec = np.asarray(mod.j_covector, dtype=complex)
-            for j in reversed(sigma):
-                vec = mod.matrix(("F", self.assignment[j])) @ vec
-            coeff = complex(vec[basis_index])
-            if coeff == 0:
-                continue
+        for coeff, sigma in self._chains(a, subset, basis_index):
             jet = Jet.constant(coeff, l, order)
-            partial = np.zeros(l, dtype=complex)
-            for pos, j in enumerate(sigma):
-                partial = partial + self.alphas[j]
-                target = t[sigma[pos + 1]] if pos + 1 < len(sigma) else z
-                c0 = complex(-(partial @ np.asarray(H, dtype=complex)))
-                w = _kernel_series(c0, complex(t[j] - target), md, order)
-                jet = jet * _linear_substitution(w, -partial)
+            for key in self._chain_kernels(a, sigma):
+                jet = jet * kernels[key]
             acc = acc + jet
         return acc
+
+    def _kernel_table(self, keys, t, H, order: int) -> dict:
+        """Kernel key (P, j, target) -> the jet in xi of w_{-P(xi)}(x),
+        x = t_j - target, as the series of w_{c0+h}(x) in h = -P(xi - H) at
+        c0 = -P(H), substituted into the xi variables.  All kernels come
+        from one ``_kernel_series`` call."""
+        if not keys:
+            return {}
+        targets = np.concatenate([t, self.problem.positions])
+        prefixes = np.array([key[0] for key in keys], dtype=float) @ self._simple_roots
+        c0s = -(prefixes @ H)
+        xs = np.array([t[j] - targets[target] for _, j, target in keys])
+        series = _kernel_series(c0s, xs, self.problem.md, order)
+        return {
+            key: _linear_substitution(row, -direction)
+            for key, row, direction in zip(keys, series.tolist(), prefixes)
+        }
 
     def vector_jet(self, t, H, order: int = 0) -> Jet:
         """Jet of the Bethe vector over the zero-weight product basis.
 
         Component at a basis tuple (k_1..k_N): sum over ordered set
         partitions of the Bethe roots across the sites of the product of
-        site brackets.
+        site brackets.  A first pass finds the brackets each component
+        multiplies and the kernels their chains need; the kernels are then
+        tabled once for this (t, H).
         """
         t = np.asarray(t, dtype=complex)
         H = np.asarray(H, dtype=complex)
@@ -338,7 +387,6 @@ class BetheSystem:
         space = self.problem.space
         nsites = len(self.problem.modules)
         l = self.problem.rs.rank
-        cache: dict = {}
 
         partitions = []
         for assign in _iproduct(range(nsites), repeat=self.M):
@@ -348,25 +396,40 @@ class BetheSystem:
             ]
             partitions.append(subsets)
 
-        comps = []
+        # per basis tuple, the bracket keys of each partition whose
+        # brackets all have a chain; a bracket without one ends its term
+        terms = []
+        brackets: dict = {}
         for tup in space.zero_tuples():
-            acc = Jet(l, order)
+            row = []
             for subsets in partitions:
-                term = Jet.constant(1.0, l, order)
-                alive = True
+                keys = []
                 for a in range(nsites):
                     key = (a, subsets[a], tup[a])
-                    if key not in cache:
-                        cache[key] = self._bracket(
-                            a, subsets[a], tup[a], t, H, order
-                        )
-                    jet = cache[key]
-                    if not jet.coeffs:
-                        alive = False
+                    if subsets[a] and not self._chains(*key):
                         break
-                    term = term * jet
-                if alive:
-                    acc = acc + term
+                    keys.append(key)
+                    brackets[key] = None
+                else:
+                    row.append(keys)
+            terms.append(row)
+
+        needed: dict = {}
+        for key in brackets:
+            for _, sigma in self._chains(*key):
+                needed.update(dict.fromkeys(self._chain_kernels(key[0], sigma)))
+        kernels = self._kernel_table(list(needed), t, H, order)
+        for key in brackets:
+            brackets[key] = self._bracket(*key, kernels, order)
+
+        comps = []
+        for row in terms:
+            acc = Jet(l, order)
+            for keys in row:
+                term = Jet.constant(1.0, l, order)
+                for key in keys:
+                    term = term * brackets[key]
+                acc = acc + term
             comps.append(acc)
 
         coeffs = {}
@@ -378,37 +441,28 @@ class BetheSystem:
 
     # -- eigenvalue ----------------------------------------------------------
 
+    def _zetas_at(self, t, u: complex) -> np.ndarray:
+        """(zeta, zeta') at z_i - u for the sites, then at t_j - u for the
+        roots, in one kernel call."""
+        args = np.concatenate([self.problem.positions, np.asarray(t, dtype=complex)])
+        return zeta11_coeffs(args - complex(u), self.problem.md, 1)
+
     def zeta_bar(self, direction, t, u: complex) -> complex:
         """sum_i lam_i(h) zeta(z_i-u) - sum_j a_j(h) zeta(t_j-u) contracted
         with the given coordinate vector."""
-        md = self.problem.md
-        out = 0j
-        for lam, z in zip(self.weights, self.problem.positions):
-            out += complex(lam @ direction) * zeta11(z - u, md).value
-        for alpha, tj in zip(self.alphas, t):
-            out -= complex(alpha @ direction) * zeta11(tj - u, md).value
-        return out
+        ze = self._zetas_at(t, u)
+        return complex((self._charges @ np.asarray(direction)) @ ze[:, 0])
 
     def eigenvalue(self, t, u: complex) -> complex:
-        """tau_Psi(u) = 1/2 sum_r zeta_bar(h_r;u)^2 + d_u zeta_bar(rho;u)."""
-        rs = self.problem.rs
-        md = self.problem.md
-        t = np.asarray(t, dtype=complex)
-        u = complex(u)
-        total = 0j
-        for r in range(rs.rank):
-            e = np.zeros(rs.rank)
-            e[r] = 1.0
-            s = self.zeta_bar(e, t, u)
-            total += 0.5 * s * s
-        rho = np.asarray(rs.rho, dtype=complex)
-        for lam, z in zip(self.weights, self.problem.positions):
-            total -= complex(lam @ rho) * zeta11(z - u, md, order=1).deriv((1,))
-        for alpha, tj in zip(self.alphas, t):
-            total += complex(alpha @ rho) * zeta11(tj - u, md, order=1).deriv(
-                (1,)
-            )
-        return total
+        """tau_Psi(u) = 1/2 sum_r zeta_bar(h_r;u)^2 + d_u zeta_bar(rho;u).
+
+        One kernel call serves every Cartan direction and the rho term.
+        """
+        ze = self._zetas_at(t, u)
+        bars = ze[:, 0] @ self._charges
+        rho = np.asarray(self.problem.rs.rho, dtype=complex)
+        # d/du zeta(x - u) = -zeta'(x - u)
+        return complex(0.5 * (bars @ bars) - (self._charges @ rho) @ ze[:, 1])
 
     # -- verification ---------------------------------------------------------
 

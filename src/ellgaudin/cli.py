@@ -20,7 +20,6 @@ is a ``ConfigError`` as well.
 from __future__ import annotations
 
 import argparse
-import cmath
 import configparser
 import csv
 import hashlib
@@ -41,9 +40,11 @@ from .elliptic import (
     ModularData,
     lattice_distance,
     theta11,
+    theta11_coeffs,
     theta11_prime_at_zero,
     w_kernel,
     zeta11,
+    zeta11_coeffs,
 )
 from .gaudin import (
     GaudinError,
@@ -489,14 +490,34 @@ def _contour_radius(distance: float) -> float:
 def _contour_coeffs(f, z0: complex, r: float) -> dict:
     """{k: (a_k, max|f|/r^k)} for k = -1..2: the Laurent coefficients of f
     about z0 by the trapezoidal rule on |z - z0| = r, each with its Cauchy
-    bound.  The four DFT terms are summed directly; numpy.fft would load
+    bound.  f takes the array of contour points and returns its values
+    there.  The four DFT terms are summed directly; numpy.fft would load
     one more extension module (about 0.5 MB) on every run.
     """
     unit = np.exp(2j * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS)
-    vals = np.array([f(z0 + r * u) for u in unit])
+    vals = np.asarray(f(z0 + r * unit))
     peak = float(np.abs(vals).max())
     return {k: (vals @ unit**-k / _CONTOUR_POINTS / r**k, peak / r**k)
             for k in (-1, 0, 1, 2)}
+
+
+def _w_values(tz, tzc, tc, md: ModularData) -> np.ndarray:
+    """w_c(z) = theta'(0) theta(z - c) / (theta(z) theta(-c)), the value of
+    ``w_kernel``, from the values tz, tzc and tc of theta(z), theta(z - c)
+    and theta(-c)."""
+    # theta(z - c) / theta(z) first: at large Im tau each is far from 1
+    return theta11_prime_at_zero(md) * (tzc / tz) / tc
+
+
+def _w_on(cs, zs, md: ModularData) -> np.ndarray:
+    """w_c(z) at arrays of c and z, broadcast together, from one theta
+    call."""
+    cs, zs = np.broadcast_arrays(
+        np.asarray(cs, dtype=complex), np.asarray(zs, dtype=complex)
+    )
+    args = np.concatenate([zs, zs - cs, -cs])
+    tz, tzc, tc = theta11_coeffs(args, md)[:, 0].reshape(3, -1)
+    return _w_values(tz, tzc, tc, md)
 
 
 def _contour_error(coeffs: dict, expected: dict) -> float:
@@ -504,8 +525,11 @@ def _contour_error(coeffs: dict, expected: dict) -> float:
     return max(abs(v - coeffs[k][0]) / coeffs[k][1] for k, v in expected.items())
 
 
-def _rel(value: complex, reference: complex, floor: float = 1e-30) -> float:
-    return abs(value - reference) / max(abs(reference), floor)
+def _rel(values, references, floor: float = 1e-30) -> float:
+    """Largest relative deviation of values from references."""
+    return float(
+        np.max(np.abs(values - references) / np.maximum(np.abs(references), floor))
+    )
 
 
 # stage -> (the config section it needs, the built object it reads)
@@ -598,44 +622,27 @@ class CheckRunner:
         zs = self._cell_points(n)
         cs = self._cell_points(n)
 
+        # theta, zeta and w at z, z + 1 and z + tau, a kernel call per shift
+        # and function over all sample points
+        base, cbase = np.array(zs), np.array(cs)
+        tc = theta11_coeffs(-cbase, md)[:, 0]
+        th, ze, wv = [], [], []
+        for shift in (0, 1, md.tau):
+            points = base + shift
+            th.append(theta11_coeffs(points, md)[:, 0])
+            ze.append(zeta11_coeffs(points, md)[:, 0])
+            tzc = theta11_coeffs(points - cbase, md)[:, 0]
+            wv.append(_w_values(th[-1], tzc, tc, md))
+        factor = -np.exp(-1j * math.pi * md.tau - TWO_PI_I * base)
         worst = {
-            "theta-period-1": 0.0,
-            "theta-period-tau": 0.0,
-            "zeta-period-1": 0.0,
-            "zeta-period-tau": 0.0,
-            "w-period-1": 0.0,
-            "w-period-tau": 0.0,
+            "theta-period-1": _rel(th[1], -th[0]),
+            "theta-period-tau": _rel(th[2], factor * th[0]),
+            "zeta-period-1": _rel(ze[1], ze[0]),
+            "zeta-period-tau": float(np.max(np.abs(ze[2] - (ze[0] - TWO_PI_I))))
+            / abs(TWO_PI_I),
+            "w-period-1": _rel(wv[1], wv[0]),
+            "w-period-tau": _rel(wv[2], np.exp(TWO_PI_I * cbase) * wv[0]),
         }
-        for z, c in zip(zs, cs):
-            th = theta11(z, md).value
-            worst["theta-period-1"] = max(
-                worst["theta-period-1"], _rel(theta11(z + 1, md).value, -th)
-            )
-            factor = -cmath.exp(-1j * math.pi * md.tau - TWO_PI_I * z)
-            worst["theta-period-tau"] = max(
-                worst["theta-period-tau"],
-                _rel(theta11(z + md.tau, md).value, factor * th),
-            )
-            ze = zeta11(z, md).value
-            worst["zeta-period-1"] = max(
-                worst["zeta-period-1"], _rel(zeta11(z + 1, md).value, ze)
-            )
-            worst["zeta-period-tau"] = max(
-                worst["zeta-period-tau"],
-                abs(zeta11(z + md.tau, md).value - (ze - TWO_PI_I))
-                / abs(TWO_PI_I),
-            )
-            wv = w_kernel(c, z, md).value
-            worst["w-period-1"] = max(
-                worst["w-period-1"], _rel(w_kernel(c, z + 1, md).value, wv)
-            )
-            worst["w-period-tau"] = max(
-                worst["w-period-tau"],
-                _rel(
-                    w_kernel(c, z + md.tau, md).value,
-                    cmath.exp(TWO_PI_I * c) * wv,
-                ),
-            )
         for key in sorted(worst):
             self._record(
                 f"elliptic/{key}",
@@ -651,9 +658,9 @@ class CheckRunner:
         pole_res = max(
             _contour_error(_contour_coeffs(f, 0, r0), {-1: target})
             for f, target in (
-                (lambda h: zeta11(h, md).value, 1),
-                (lambda h: w_kernel(cs[0], h, md).value, 1),
-                (lambda h: w_kernel(h, zs[0], md).value, -1),
+                (lambda h: zeta11_coeffs(h, md)[:, 0], 1),
+                (lambda h: _w_on(cs[0], h, md), 1),
+                (lambda h: _w_on(h, zs[0], md), -1),
             )
         )
         self._record(
@@ -663,22 +670,26 @@ class CheckRunner:
             note="z*zeta(z)->1, z*w_c(z)->1, c*w_c(z)->-1 by contour",
         )
 
-        # Jets against contour coefficients: zeta in z, w in c, w in z, and
-        # w along the diagonal (c + h, z + h), whose h^2 coefficient is
-        # a20 + a11 + a02.
+        # Jets against contour coefficients: theta and zeta in z, w in c, w
+        # in z, and w along the diagonal (c + h, z + h), whose h^2
+        # coefficient is a20 + a11 + a02.
         jet_res = 0.0
         jet_pairs = list(zip(zs[: self.cfg.sampling["jet_points"]], cs))
         for z, c in jet_pairs:
             rz, rc = (_contour_radius(lattice_distance(x, md)) for x in (z, c))
+            jt = theta11(z, md, order=2).coeff
             jz = zeta11(z, md, order=2).coeff
             jw = w_kernel(c, z, md, 2).coeff
             for f, z0, r, expected in (
-                (lambda x: zeta11(x, md).value, z, rz, {1: jz((1,)), 2: jz((2,))}),
-                (lambda x: w_kernel(x, z, md).value, c, rc,
+                (lambda x: theta11_coeffs(x, md)[:, 0], z, rz,
+                 {1: jt((1,)), 2: jt((2,))}),
+                (lambda x: zeta11_coeffs(x, md)[:, 0], z, rz,
+                 {1: jz((1,)), 2: jz((2,))}),
+                (lambda x: _w_on(x, z, md), c, rc,
                  {1: jw((1, 0)), 2: jw((2, 0))}),
-                (lambda x: w_kernel(c, x, md).value, z, rz,
+                (lambda x: _w_on(c, x, md), z, rz,
                  {1: jw((0, 1)), 2: jw((0, 2))}),
-                (lambda h: w_kernel(c + h, z + h, md).value, 0, min(rz, rc),
+                (lambda h: _w_on(c + h, z + h, md), 0, min(rz, rc),
                  {2: jw((2, 0)) + jw((1, 1)) + jw((0, 2))}),
             ):
                 jet_res = max(
@@ -688,7 +699,7 @@ class CheckRunner:
             "elliptic/jets-vs-contour",
             jet_res,
             tol_jets,
-            note=f"zeta and w jets at {len(jet_pairs)} points",
+            note=f"theta, zeta and w jets at {len(jet_pairs)} points",
         )
 
     def stage_algebra(self):

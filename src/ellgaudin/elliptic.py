@@ -39,8 +39,9 @@ _N_MAX = 64
 _CANCELLATION_LIMIT = 1e-8
 _UNIT_ROUNDOFF = 2.2e-16
 
-# Largest imaginary part of a theta-series sine evaluated by cmath.sin;
-# above it e^{-2y} is far below the roundoff, so sin(x + iy) = (i/2) e^{y-ix}.
+# Largest imaginary part y of a theta-series sine taken as
+# sin x cosh y + i cos x sinh y; above it e^{-2y} is far below the roundoff,
+# so sin(x + iy) = (i/2) e^{y-ix}, which is taken from one summed exponent.
 _SINE_GROWTH = 600.0
 
 # Largest real part of an exponent whose exponential is a finite double.
@@ -124,28 +125,19 @@ def _gauss_reduce(tau: complex) -> tuple:
         a, b = b, a
 
 
-@dataclass(frozen=True)
-class LatticeReduction:
-    """Decomposition z = z0 + m*tau + n with z0 in the fundamental cell."""
+def reduce_to_cell(zs, md: ModularData) -> tuple:
+    """Split each z of the 1-D array zs into a cell representative and
+    exact lattice multiples.
 
-    z0: complex
-    m: int
-    n: int
-
-
-def reduce_to_cell(z: complex, md: ModularData) -> LatticeReduction:
-    """Split z into a cell representative and exact lattice multiples.
-
-    The representative satisfies 0 <= Re(z0) < 1 and
-    0 <= Im(z0)/Im(tau) < 1 (up to roundoff at the boundary), and
-    z0 + m*tau + n reconstructs z.
+    Returns arrays (z0, m, n), with m and n integer-valued floats, such that
+    0 <= Re(z0) < 1 and 0 <= Im(z0)/Im(tau) < 1 (up to roundoff at the
+    boundary) and z0 + m*tau + n reconstructs z.
     """
-    z = complex(z)
-    tau = md.tau
-    m = math.floor(z.imag / tau.imag)
-    z1 = z - m * tau
-    n = math.floor(z1.real)
-    return LatticeReduction(z0=z1 - n, m=m, n=n)
+    zs = np.asarray(zs, dtype=complex)
+    m = np.floor(zs.imag / md.tau.imag)
+    z1 = zs - m * md.tau
+    n = np.floor(z1.real)
+    return z1 - n, m, n
 
 
 def nearest_lattice_point(z: complex, md: ModularData) -> complex:
@@ -428,31 +420,64 @@ def _linear_substitution(g, direction) -> Jet:
     return Jet(len(direction), order, coeffs)
 
 
+
+
 # ---------------------------------------------------------------------------
 # Theta series.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _ThetaTable:
-    """The parts of the theta series that do not depend on z, per term n:
-    the amplitude -2 (-1)^n q^{(n+1/2)^2 / 2}; the log of that power of q,
-    from the principal log of the nome e^{i pi tau}, for a term whose sine
-    grows past _SINE_GROWTH; and the log of term n + 1's envelope without
-    its sine.  Plus the scale floor of the convergence test."""
+class _TermPlan:
+    """The parts of the theta series that do not depend on z, at one tau
+    and jet order, for its first T terms n.
 
-    amps: tuple
-    logs: tuple
-    envelopes: tuple
-    floor: float
+    ``beta[n]`` is (2n+1) pi and ``amps[n]`` the amplitude
+    -2 (-1)^n q^{(n+1/2)^2 / 2}.  Coefficient k of term n is its amplitude
+    times beta^k / k! sin(beta z0 + k pi/2), and the sines cycle through
+    s, c, -s, -c.  With w = x + iy = beta z0,
+    sin w = sin x cosh y + i cos x sinh y and
+    cos w = cos x cosh y - i sin x sinh y, so ``trig`` contracts the four
+    products (sin x, cos x) x (cosh y, sinh y), stacked as rows of T, into
+    every coefficient at once.
+
+    A term whose sine grows past _SINE_GROWTH takes sin w as (i/2) e^{-iw}
+    from one summed exponent, with the log of its power of the nome,
+    ``logs[n]``, from the principal log of the nome e^{i pi tau} as the
+    power itself; ``large[n, k]`` is -i (-1)^n beta[n]^k / k! times the
+    cycle of e^{-iw}'s derivatives.  ``grows`` says whether any term of the
+    plan can reach _SINE_GROWTH inside the cell.
+    """
+
+    beta: np.ndarray
+    amps: np.ndarray
+    trig: np.ndarray
+    logs: np.ndarray
+    large: np.ndarray
+    grows: bool
+
+
+# the place and sign of sin(w + k pi/2) in (sin w, cos w), and of its
+# large-sine form relative to e^{-iw}, for k = 0..3
+_SINE_CYCLE = np.array([1.0, 0.0, -1.0, 0.0])
+_COSINE_CYCLE = np.array([0.0, 1.0, 0.0, -1.0])
+_LARGE_SINE_CYCLE = np.array([1.0, -1j, -1.0, 1j])
 
 
 @lru_cache(maxsize=None)
-def _theta_table(md: ModularData) -> _ThetaTable:
-    """The theta series' table at md.tau.
+def _term_plan(md: ModularData, order: int) -> _TermPlan:
+    """The theta series' plan at md.tau and the given jet order.
+
+    Fixes the term count T once, for the worst case of the cell
+    (|Im z0| < Im tau): T is the first count at which the envelope of the
+    next term, with its sine at the top of the cell, falls below _EPS_TERM
+    times the natural scale 2 |e^{i pi tau}|^{1/4} of theta, for every
+    coefficient.  A test against the partial sums as well could only stop
+    earlier, so T is never below the count such a test takes.
 
     Raises :class:`SeriesConvergenceError` once the nome e^{i pi tau} is no
-    longer a normal double (Im tau > 225.5), since its phase is then lost.
+    longer a normal double (Im tau > 225.5), since its phase is then lost,
+    and when no T up to _N_MAX passes, as |q| is then too close to 1.
     """
     qt = cmath.exp(1j * _PI * md.tau)
     aqt = abs(qt)
@@ -461,84 +486,132 @@ def _theta_table(md: ModularData) -> _ThetaTable:
             f"the nome exp(i pi tau) = {aqt:.3g} underflows double precision "
             f"at tau={md.tau}; Im tau is too large"
         )
-    log_qt = cmath.log(qt)
-    log_aqt = -_PI * md.tau.imag
-    terms = range(_N_MAX)
-    return _ThetaTable(
-        amps=tuple(-2.0 * (-1) ** nn * qt ** ((nn + 0.5) ** 2) for nn in terms),
-        logs=tuple((nn + 0.5) ** 2 * log_qt for nn in terms),
-        envelopes=tuple(log_aqt * (nn + 1.5) ** 2 for nn in terms),
-        floor=2.0 * aqt ** 0.25,
-    )
-
-
-# sin(w + k pi/2) for k = 0..3, relative to sin(w), once sin(w) is taken as
-# (i/2) e^{-iw}: each derivative of e^{-iw} brings a factor -i
-_LARGE_SINE_CYCLE = (1.0, -1j, -1.0, 1j)
-
-
-def _theta_series_coeffs(z0: complex, md: ModularData, order: int) -> list:
-    """Taylor coefficients of the theta series at a reduced point.
-
-    Sums the defining series over half-integers n + 1/2 (terms paired as
-    n <-> -n-1), differentiating term by term: the k-th coefficient of
-    term n is its amplitude times b^k / k! sin(b z0 + k pi/2), b = (2n+1) pi,
-    and the sines cycle through s, c, -s, -c, so a term costs one sine and
-    one cosine.  b^k / k! is one running product, which the convergence
-    test forms for the next term's b and that term then reuses.  Stops
-    once the envelope of the next term falls below _EPS_TERM relative to
-    the partial sums, order by order, with an absolute floor at the
-    natural scale of theta so that exact zeros of the value do not stall
-    the test.
-
-    Near the top of the cell at large Im tau the sine overflows on its own
-    while the term is representable.  So the envelope, and a term whose
-    sine grows past _SINE_GROWTH, are each taken from one summed exponent;
-    that term takes q^{(n+1/2)^2 / 2} from the principal log of the nome,
-    as the power does, so both kinds of term share one phase convention at
-    any Re tau.
-    """
-    tab = _theta_table(md)
-    amps, envelopes, floor = tab.amps, tab.envelopes, tab.floor
-    imz = abs(z0.imag)
-    partial = [0j] * (order + 1)
-    # powers[k] = base^k / k! for the current term's base (2n + 1) pi
-    powers = [1.0] * (order + 1)
-    for k in range(order):
-        powers[k + 1] = powers[k] * _PI / (k + 1)
-    base = _PI
+    y = md.tau.imag
+    bound = math.log(_EPS_TERM) + math.log(2.0) - _PI * y / 4
     for nn in range(_N_MAX):
-        arg = base * z0
-        if arg.imag <= _SINE_GROWTH:
-            amp = amps[nn]
-            s = cmath.sin(arg)
-            if order:
-                c = cmath.cos(arg)
-                cycle = (s, c, -s, -c)
-            else:
-                cycle = (s,)
-        else:
-            amp = -1j * (-1) ** nn * cmath.exp(
-                tab.logs[nn] + arg.imag - 1j * arg.real
-            )
-            cycle = _LARGE_SINE_CYCLE
-        for k in range(order + 1):
-            partial[k] += amp * powers[k] * cycle[k & 3]
-        base = (2 * nn + 3) * _PI
-        env = 2.0 * math.exp(envelopes[nn] + base * imz)
-        converged = True
-        p = 1.0
-        for k in range(order + 1):
-            powers[k] = p
-            if converged and env * p > _EPS_TERM * (abs(partial[k]) + floor):
-                converged = False
-            p = p * base / (k + 1)
-        if converged:
-            return partial
-    raise SeriesConvergenceError(
-        f"theta series did not converge within {_N_MAX} terms for "
-        f"tau={md.tau}; |q| is too close to 1"
+        nxt = (2 * nn + 3) * _PI
+        # log of term nn + 1's envelope at the top of the cell, without its
+        # factor nxt^k / k!
+        env = math.log(2.0) - _PI * y * (nn + 1.5) ** 2 + nxt * y
+        if all(
+            env + k * math.log(nxt) - math.lgamma(k + 1) <= bound
+            for k in range(order + 1)
+        ):
+            break
+    else:
+        raise SeriesConvergenceError(
+            f"theta series did not converge within {_N_MAX} terms for "
+            f"tau={md.tau}; |q| is too close to 1"
+        )
+    terms = np.arange(nn + 1)
+    beta = (2 * terms + 1) * _PI
+    signs = (-1.0) ** terms
+    amps = np.array([-2.0 * s * qt ** ((t + 0.5) ** 2) for t, s in zip(terms, signs)])
+    # powers[n, k] = beta_n^k / k!
+    powers = np.ones((len(terms), order + 1))
+    for k in range(order):
+        powers[:, k + 1] = powers[:, k] * beta / (k + 1)
+    cycle = np.arange(order + 1) & 3
+    sines = amps[:, None] * powers * _SINE_CYCLE[cycle]
+    cosines = amps[:, None] * powers * _COSINE_CYCLE[cycle]
+    return _TermPlan(
+        beta=beta,
+        amps=amps,
+        # rows for sin x cosh y, sin x sinh y, cos x cosh y, cos x sinh y
+        trig=np.concatenate([sines, -1j * cosines, cosines, 1j * sines]),
+        logs=(terms + 0.5) ** 2 * cmath.log(qt),
+        large=(-1j * signs)[:, None] * powers * _LARGE_SINE_CYCLE[cycle],
+        grows=bool(beta[-1] * y > _SINE_GROWTH),
     )
+
+
+def _theta_series(z0: np.ndarray, phases: np.ndarray, plan: _TermPlan) -> tuple:
+    """Taylor coefficients of the theta series at each reduced point of z0,
+    one row per point, with the cosines and sines of ``phases`` (one per
+    point, or one for all) taken in the same calls.
+
+    The sines and cosines of the real parts of the (B, T) matrix of
+    beta_n z0, times the hyperbolic cosines and sines of its imaginary
+    parts, contract with the plan's coefficient matrix.  (NumPy's real
+    sin, cos, sinh and cosh are vectorised; its complex sin goes through
+    libm one value at a time.)  The phases ride as one more column.
+
+    Near the top of the cell at large Im tau a term's sine overflows on its
+    own while the term is representable; those entries are masked out of
+    the products and summed in the large-sine form instead.
+    """
+    count, terms = len(z0), len(plan.beta)
+    x = np.empty((count, terms + 1))
+    np.multiply(z0.real[:, None], plan.beta, out=x[:, :terms])
+    x[:, terms] = phases
+    y = z0.imag[:, None] * plan.beta
+    large = y > _SINE_GROWTH if plan.grows else None
+    if large is not None and large.any():
+        rows, cols = np.nonzero(large)
+        y_large = y[rows, cols]
+        y = np.where(large, 0.0, y)
+    else:
+        large = None
+    trig = np.empty((count, 2, terms + 1))
+    np.sin(x, out=trig[:, 0])
+    np.cos(x, out=trig[:, 1])
+    hyp = np.empty((count, 2, terms))
+    np.cosh(y, out=hyp[:, 0])
+    np.sinh(y, out=hyp[:, 1])
+    prods = trig[:, :, None, :terms] * hyp[:, None, :, :]
+    if large is not None:
+        prods[rows, :, :, cols] = 0.0
+    # einsum's sums run the same way for every row, so a row does not
+    # depend on the batch around it, as a BLAS product's may
+    out = np.einsum("bp,pk->bk", prods.reshape(count, 4 * terms), plan.trig)
+    if large is not None:
+        big = np.zeros((count, terms), dtype=complex)
+        big[rows, cols] = np.exp(plan.logs[cols] + y_large - 1j * x[rows, cols])
+        out += np.einsum("bn,nk->bk", big, plan.large)
+    return out, trig[:, 1, terms], trig[:, 0, terms]
+
+
+@lru_cache(maxsize=None)
+def _shift_powers(order: int) -> tuple:
+    """Exponents k - j (clipped at 0) and weights [j <= k] / (k - j)! that
+    turn powers of w into the matrices W[j, k] = w^{k-j} / (k-j)!, whose
+    product with a row of Taylor coefficients multiplies it by e^{w h}."""
+    steps = np.subtract.outer(np.arange(order + 1), np.arange(order + 1)).T
+    factorials = np.array([math.factorial(max(d, 0)) for d in steps.flat])
+    weights = np.where(steps >= 0, 1.0 / factorials.reshape(steps.shape), 0.0)
+    return np.maximum(steps, 0).astype(float), weights
+
+
+def _quasi_periodic(a, m, expo, cos_phase, sin_phase) -> np.ndarray:
+    """Theta's coefficients at z0 + m tau from those at z0 (rows of a), up
+    to the sign (-1)^m: each row times the exact quasi-periodicity factor
+    e^{expo}, expo = -i pi m^2 tau - 2 pi i m z, expanded as a jet in z,
+    with the cosine and sine of Im(expo) given.  A row with m = 0 comes
+    back unchanged.
+
+    Far above the cell at large Im tau the factor overflows on its own
+    while the series is tiny; in such a row the factor and each coefficient
+    enter one exponent.  Called with numpy's overflow raising, as
+    :func:`theta11_coeffs` does.
+    """
+    acc = a
+    if a.shape[1] > 1:
+        # the series times the factor's Taylor coefficients over its value
+        steps, weights = _shift_powers(a.shape[1] - 1)
+        shift = np.power((-_TWO_PI_I * m)[:, None, None], steps) * weights
+        acc = np.einsum("rj,rjk->rk", a, shift)
+    try:
+        return ((cos_phase + 1j * sin_phase) * np.exp(expo.real))[:, None] * acc
+    except FloatingPointError:
+        # some factor overflows alone; a product that overflows as well
+        # raises again below
+        pass
+    folded = expo.real > _EXP_LIMIT
+    out = np.exp(np.where(folded, 0.0, expo))[:, None] * acc
+    live = folded[:, None] & (acc != 0)
+    merged = np.broadcast_to(expo[:, None], acc.shape)[live] + np.log(acc[live])
+    out[live] = np.exp(merged)
+    return out
 
 
 def _check_order(order: int):
@@ -546,36 +619,43 @@ def _check_order(order: int):
         raise ValueError(f"jet order must lie in [0, {_MAX_JET_ORDER}], got {order}")
 
 
-def theta11_coeffs(z: complex, md: ModularData, order: int = 0) -> list:
-    """Taylor coefficients of the odd Jacobi theta function at z, to the
-    given order, as Python complex numbers (the list behind
-    :func:`theta11`)."""
+def theta11_coeffs(zs, md: ModularData, order: int = 0) -> np.ndarray:
+    """Taylor coefficients of the odd Jacobi theta function to the given
+    order at every z of the 1-D array zs: row b of the (len(zs), order + 1)
+    result holds those at zs[b].
+
+    Each argument is reduced to the fundamental cell, the series is summed
+    there with the plan's fixed term count, and the exact quasi-periodicity
+    factor is restored.  Raises OverflowError where a coefficient leaves
+    the double range or an argument is infinite; a NaN argument gives NaN
+    coefficients.
+    """
     _check_order(order)
-    red = reduce_to_cell(z, md)
-    a = _theta_series_coeffs(red.z0, md, order)
-    if red.m == 0:
-        return [-x for x in a] if red.n % 2 else a
-    # Exact quasi-periodicity factor, itself expanded as a jet in z.
-    sign = (-1) ** (red.m + red.n)
-    expo = -1j * _PI * red.m * red.m * md.tau - _TWO_PI_I * red.m * red.z0
-    # far above the cell at large Im tau the factor overflows on its own
-    # while the series is tiny; then it enters one exponent with each sum
-    folded = expo.real > _EXP_LIMIT
-    s = 1.0 if folded else sign * cmath.exp(expo)
-    w = -_TWO_PI_I * red.m
-    # factor[j] = s w^j / j!, the factor's Taylor coefficients
-    factor = [s]
-    for j in range(order):
-        factor.append(factor[j] * w / (j + 1))
-    out = []
-    for k in range(order + 1):
-        acc = 0j
-        for j in range(k + 1):
-            acc += a[k - j] * factor[j]
-        if folded and acc:
-            acc = sign * cmath.exp(expo + cmath.log(acc))
-        out.append(acc)
+    plan = _term_plan(md, order)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            z0, m, n = reduce_to_cell(zs, md)
+            shifted = m.any()
+            if shifted:
+                expo = m * (-1j * _PI * md.tau * m - _TWO_PI_I * z0)
+            out, cos_phase, sin_phase = _theta_series(
+                z0, expo.imag if shifted else 0.0, plan
+            )
+            if shifted:
+                out = _quasi_periodic(out, m, expo, cos_phase, sin_phase)
+    except FloatingPointError as exc:
+        raise OverflowError(
+            f"theta11 leaves the double range at tau={md.tau} ({exc})"
+        ) from None
+    # the sign (-1)^(m + n) of the shifts
+    out *= (1.0 - 2.0 * ((m + n) % 2))[:, None]
     return out
+
+
+def _jet(coeffs: np.ndarray) -> Jet:
+    """Univariate jet of one row of coefficients, as Python complex numbers,
+    which keep products of scalar jets cheap."""
+    return Jet(1, len(coeffs) - 1, {(k,): c for k, c in enumerate(coeffs.tolist())})
 
 
 def theta11(z: complex, md: ModularData, order: int = 0) -> Jet:
@@ -585,8 +665,7 @@ def theta11(z: complex, md: ModularData, order: int = 0) -> Jet:
     satisfies theta11(z+1) = -theta11(z) and
     theta11(z+tau) = -exp(-pi*i*tau - 2*pi*i*z) * theta11(z).
     """
-    coeffs = theta11_coeffs(z, md, order)
-    return Jet(1, order, {(k,): c for k, c in enumerate(coeffs)})
+    return _jet(theta11_coeffs([z], md, order)[0])
 
 
 @lru_cache(maxsize=None)
@@ -600,11 +679,9 @@ def theta11_prime_at_zero(md: ModularData) -> complex:
     series does, once the nome e^{i pi tau} is no longer a normal double
     (Im tau > 225.5).
     """
-    value = _theta_series_coeffs(0j, md, 1)[1]
-    spread = sum(
-        abs(amp) * (2 * nn + 1) * _PI
-        for nn, amp in enumerate(_theta_table(md).amps)
-    )
+    value = complex(theta11_coeffs([0.0], md, 1)[0, 1])
+    plan = _term_plan(md, 1)
+    spread = float(np.sum(np.abs(plan.amps) * plan.beta))
     if spread * _UNIT_ROUNDOFF > _CANCELLATION_LIMIT * abs(value):
         raise SeriesConvergenceError(
             f"theta11'(0) cancels to {abs(value):.3g} from terms summing to "
@@ -613,14 +690,19 @@ def theta11_prime_at_zero(md: ModularData) -> complex:
     return value
 
 
-def _pole_check(value: complex, z: complex, md: ModularData, argument: str):
-    if abs(value) < POLE_FLOOR * abs(theta11_prime_at_zero(md)):
-        near = nearest_lattice_point(z, md)
+def _pole_check(values, zs, md: ModularData, argument: str):
+    """Raise :class:`PoleProximityError` at the first z of zs where theta11,
+    whose values at zs are given, vanishes to within POLE_FLOOR of
+    theta11'(0)."""
+    near = np.abs(values) < POLE_FLOOR * abs(theta11_prime_at_zero(md))
+    if near.any():
+        z = complex(np.asarray(zs)[np.argmax(near)])
+        point = nearest_lattice_point(z, md)
         raise PoleProximityError(
             f"theta11 vanishes at {argument}={z}; nearest lattice point "
-            f"{near} (= {_lattice_label(near, md)})",
+            f"{point} (= {_lattice_label(point, md)})",
             argument=argument,
-            nearest=near,
+            nearest=point,
         )
 
 
@@ -630,17 +712,30 @@ def _lattice_label(point: complex, md: ModularData) -> str:
     return f"{m}*tau + {n}"
 
 
-def _series_quotient(num, den) -> list:
-    """Taylor coefficients of num / den from theirs, to the order of num;
-    den[0] must not vanish."""
-    v = den[0]
-    out = []
-    for k, b in enumerate(num):
-        acc = b
+def _series_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of num / den from theirs, row by row along the
+    last axis, to the order of num; den[..., 0] must not vanish."""
+    out = np.empty(num.shape, dtype=complex)
+    v = den[..., 0]
+    for k in range(num.shape[-1]):
+        acc = num[..., k]
         for i in range(1, k + 1):
-            acc -= den[i] * out[k - i]
-        out.append(acc / v)
+            acc = acc - den[..., i] * out[..., k - i]
+        out[..., k] = acc / v
     return out
+
+
+def zeta11_coeffs(zs, md: ModularData, order: int = 0) -> np.ndarray:
+    """Taylor coefficients of zeta11 = theta11'/theta11 to the given order at
+    every z of the 1-D array zs, one row per argument, as the series
+    quotient of theta's coefficients.  Raises :class:`PoleProximityError`
+    near the lattice."""
+    _check_order(order)
+    zs = np.asarray(zs, dtype=complex)
+    a = theta11_coeffs(zs, md, order + 1)
+    _pole_check(a[:, 0], zs, md, "z")
+    # theta' has the coefficients (k + 1) a[k + 1]
+    return _series_quotient(a[:, 1:] * np.arange(1, order + 2), a)
 
 
 def zeta11(z: complex, md: ModularData, order: int = 0) -> Jet:
@@ -650,14 +745,7 @@ def zeta11(z: complex, md: ModularData, order: int = 0) -> Jet:
     zeta11(z+tau) = zeta11(z) - 2*pi*i; simple pole with residue 1 at
     lattice points.  Raises :class:`PoleProximityError` near the lattice.
     """
-    _check_order(order)
-    z = complex(z)
-    a = theta11_coeffs(z, md, order + 1)
-    _pole_check(a[0], z, md, "z")
-    # theta' has the coefficients (k + 1) a[k + 1]
-    slope = [(k + 1) * a[k + 1] for k in range(order + 1)]
-    coeffs = _series_quotient(slope, a)
-    return Jet(1, order, {(k,): c for k, c in enumerate(coeffs)})
+    return _jet(zeta11_coeffs([z], md, order)[0])
 
 
 def w_kernel(c: complex, z: complex, md: ModularData, order: int = 0) -> Jet:
@@ -674,12 +762,12 @@ def w_kernel(c: complex, z: complex, md: ModularData, order: int = 0) -> Jet:
     _check_order(order)
     c = complex(c)
     z = complex(z)
-    tz = theta11_coeffs(z, md, order)
-    tc = theta11_coeffs(-c, md, order)
-    _pole_check(tz[0], z, md, "z")
-    _pole_check(tc[0], -c, md, "c")
+    th = theta11_coeffs([z, -c, z - c], md, order)
+    _pole_check(th[:1, 0], [z], md, "z")
+    _pole_check(th[1:2, 0], [-c], md, "c")
+    tz, tc, shifted = th.tolist()
     # theta(z - c), theta(z) and theta(-c) as functions of (c, z)
-    num = _linear_substitution(theta11_coeffs(z - c, md, order), (-1, 1))
+    num = _linear_substitution(shifted, (-1, 1))
     den_z = _linear_substitution(tz, (0, 1))
     den_c = _linear_substitution(tc, (-1, 0))
     return num * theta11_prime_at_zero(md) / (den_z * den_c)

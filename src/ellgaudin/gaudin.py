@@ -64,13 +64,12 @@ def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_theta(c0: complex, md: ModularData, order: int) -> np.ndarray:
-    """Taylor coefficients in h of theta'(0) / theta(c0 + h), pole-checked
-    as the c argument of w_c."""
-    tc = theta11_coeffs(c0, md, order)
-    _pole_check(tc[0], -c0, md, "c")
-    one = [1.0] + [0.0] * order
-    return theta11_prime_at_zero(md) * np.array(_series_quotient(one, tc))
+def _inverse_theta(tc: np.ndarray, md: ModularData) -> np.ndarray:
+    """Taylor coefficients in h of theta'(0) / theta(c0 + h), row by row,
+    from those of theta(c0 + h) in the rows of tc."""
+    one = np.zeros(tc.shape)
+    one[:, 0] = 1.0
+    return theta11_prime_at_zero(md) * _series_quotient(one, tc)
 
 
 def _w_coeffs(shifted: np.ndarray, scale: np.ndarray, tx) -> np.ndarray:
@@ -86,14 +85,33 @@ def _w_coeffs(shifted: np.ndarray, scale: np.ndarray, tx) -> np.ndarray:
     return _cauchy(shifted * flip, scale) * (-1.0 / tx)
 
 
-def _kernel_series(c0: complex, x: complex, md: ModularData, order: int) -> list:
-    """Taylor coefficients in h of w_{c0+h}(x) from theta(x), theta(c0 + h)
-    and theta(x - c0 - h), as Python complex numbers, which keep products
-    of scalar jets cheap."""
-    tx = theta11_coeffs(x, md)[0]
-    _pole_check(tx, x, md, "z")
-    shifted = np.array(theta11_coeffs(x - c0, md, order))
-    return _w_coeffs(shifted, _inverse_theta(c0, md, order), tx).tolist()
+def _distinct(values: np.ndarray) -> tuple:
+    """The distinct values in order of first appearance, and the place of
+    each value among them."""
+    places: dict = {}
+    at = [places.setdefault(v, len(places)) for v in values.tolist()]
+    return np.array(list(places), dtype=complex), np.array(at, dtype=int)
+
+
+def _kernel_series(c0s, xs, md: ModularData, order: int) -> np.ndarray:
+    """Taylor coefficients in h of w_{c0+h}(x), one row per pair
+    (c0s[i], xs[i]), from theta(x), theta(c0 + h) and theta(x - c0 - h).
+
+    Theta takes one call for the distinct x, one for the distinct c0 and
+    one for the differences x - c0; x is pole-checked as the z argument of
+    w and c0 as the c argument.
+    """
+    c0s = np.asarray(c0s, dtype=complex)
+    xs = np.asarray(xs, dtype=complex)
+    ux, x_at = _distinct(xs)
+    uc, c_at = _distinct(c0s)
+    tx = theta11_coeffs(ux, md)[:, 0]
+    _pole_check(tx, ux, md, "z")
+    tc = theta11_coeffs(uc, md, order)
+    _pole_check(tc[:, 0], -uc, md, "c")
+    shifted = theta11_coeffs(xs - c0s, md, order)
+    scale = _inverse_theta(tc, md)[c_at]
+    return _w_coeffs(shifted, scale, tx[x_at, None])
 
 
 # ---------------------------------------------------------------------------
@@ -369,29 +387,45 @@ class GaudinProblem:
 
     # -- coefficient data ------------------------------------------------
 
-    def _site_thetas(self, u: complex) -> list:
-        """Taylor coefficients of theta(z_i - u) to first order at every
-        site, pole-checked."""
-        u = complex(u)
-        out = []
-        for z in self.positions:
-            th = theta11_coeffs(z - u, self.md, 1)
-            _pole_check(th[0], z - u, self.md, "z")
-            out.append(th)
-        return out
+    def _cartan_from(self, site_thetas: np.ndarray) -> list:
+        """A_r(u) = sum_i zeta(z_i - u) h_r^(i) on the zero-weight space,
+        from the first-order Taylor coefficients of theta(z_i - u), one row
+        per site."""
+        zvals = site_thetas[:, 1] * (1.0 / site_thetas[:, 0])
+        return [
+            sum(zv * self._hstar[i][r] for i, zv in enumerate(zvals))
+            for r in range(self.rs.rank)
+        ]
+
+    def _site_args(self, u: complex) -> np.ndarray:
+        return np.array(self.positions) - complex(u)
 
     def cartan_matrices(self, u: complex):
         """A_r(u) = sum_i zeta(z_i - u) h_r^(i) on the zero-weight space."""
-        zvals = [th[1] * (1.0 / th[0]) for th in self._site_thetas(u)]
-        out = []
-        for r in range(self.rs.rank):
-            m = np.zeros((self.space.dim0, self.space.dim0), dtype=complex)
-            for i, zv in enumerate(zvals):
-                m = m + zv * self._hstar[i][r]
-            out.append(m)
-        return out
+        xs = self._site_args(u)
+        th = theta11_coeffs(xs, self.md, 1)
+        _pole_check(th[:, 0], xs, self.md, "z")
+        return self._cartan_from(th)
 
-    def potential_jet(self, H, u: complex, order: int = 0) -> Jet:
+    def _thetas(self, H, u: complex, order: int) -> np.ndarray:
+        """Theta's Taylor coefficients, to order max(order, 1), at every
+        argument of the exchange potential, in one kernel call: first the N
+        sites x_i = z_i - u, then c_k = alpha_k(H) for the positive roots,
+        then x_i - c_k and x_i + c_k, each site-major per root.  H is
+        checked for regularity and every x_i and c_k for a pole."""
+        H = np.asarray(H, dtype=complex)
+        check_regular(self.rs, self.md, H, self.pole_guard)
+        xs = self._site_args(u)
+        cs = np.asarray(self.rs.positive_roots, dtype=complex) @ H
+        minus, plus = xs[None, :] - cs[:, None], xs[None, :] + cs[:, None]
+        args = np.concatenate([xs, cs, minus.ravel(), plus.ravel()])
+        th = theta11_coeffs(args, self.md, max(order, 1))
+        nsites = len(xs)
+        _pole_check(th[:nsites, 0], xs, self.md, "z")
+        _pole_check(th[nsites : nsites + len(cs), 0], -cs, self.md, "c")
+        return th
+
+    def potential_jet(self, H, u: complex, order: int = 0, thetas=None) -> Jet:
         """Jet of the exchange potential
         (1/2) sum_{i,j,alpha} w_{a(H)}(z_i-u) w_{-a(H)}(z_j-u) e_{-a}^(j) e_a^(i).
 
@@ -401,28 +435,30 @@ class GaudinProblem:
           w_{-c-h}(x_i) =  theta'(0) theta(x_i + c + h) / (theta(x_i) theta(c + h)),
         and the root -alpha pairs the same two kernels with i and j swapped.
         So theta is taken once per site, once per positive root and once per
-        (site, positive root) and sign.  The kernels' coefficients in h form
-        arrays lo[i, a] and up[j, b] (``_w_coeffs``); their products c[i, j, m] =
+        (site, positive root) and sign, all in one kernel call
+        (``_thetas``); ``thetas`` passes in that call's result where the
+        caller already has it.  The kernels' coefficients in h form arrays
+        lo[i, a] and up[j, b] (``_w_coeffs``); their products c[i, j, m] =
         sum_{a+b=m} lo[i, a] up[j, b] contract with the stacked pair
         operators ``_pair[k][i, j]`` of alpha and -alpha in one tensordot,
         and the resulting matrix-valued jet in h is substituted into the xi
         variables once.
         """
-        H = np.asarray(H, dtype=complex)
-        check_regular(self.rs, self.md, H, self.pole_guard)
-        u = complex(u)
+        if thetas is None:
+            thetas = self._thetas(H, u, order)
         rs, md = self.rs, self.md
-        tz = np.array([th[0] for th in self._site_thetas(u)])
-        xs = [z - u for z in self.positions]
+        nsites, npos = len(self.positions), rs.n_positive
+        th = thetas[:, : order + 1]
+        tz = thetas[:nsites, 0, None]
+        scales = _inverse_theta(th[nsites : nsites + npos], md)
+        minus = th[nsites + npos : nsites + npos * (nsites + 1)]
+        plus = th[nsites + npos * (nsites + 1) :]
         acc = Jet(rs.rank, order)
         for k, alpha in enumerate(rs.positive_roots):
-            c0 = complex(alpha @ H)
-            scale = _inverse_theta(c0, md, order)
-            minus = np.array([theta11_coeffs(x - c0, md, order) for x in xs])
-            plus = np.array([theta11_coeffs(x + c0, md, order) for x in xs])
+            rows = slice(k * nsites, (k + 1) * nsites)
             # the potential's factor 1/2 rides on lo
-            lo = _w_coeffs(minus, scale, tz[:, None]) * 0.5
-            up = _cauchy(plus, scale) * (1.0 / tz[:, None])
+            lo = _w_coeffs(minus[rows], scales[k], tz) * 0.5
+            up = _cauchy(plus[rows], scales[k]) * (1.0 / tz)
             pairs = _cauchy(lo[:, None, :], up[None, :, :])
             total = np.tensordot(pairs, self._pair[k], axes=([0, 1], [0, 1]))
             acc = acc + _linear_substitution(total, alpha)
@@ -437,14 +473,16 @@ class GaudinProblem:
         """
         l = self.rs.rank
         eye = np.eye(self.space.dim0, dtype=complex)
-        A = self.cartan_matrices(u)
+        # one theta call serves A_r(u) and the potential
+        thetas = self._thetas(H, u, order)
+        A = self._cartan_from(thetas[: len(self.positions)])
         coeffs = {}
         for r, unit in enumerate(self._units):
             two = tuple(2 * s for s in unit)
             coeffs[two] = Jet.constant(0.5 * eye, l, order)
             coeffs[unit] = Jet.constant(-A[r], l, order)
         const0 = sum((Ar @ Ar for Ar in A), np.zeros_like(eye)) * 0.5
-        coeffs[(0,) * l] = self.potential_jet(H, u, order) + const0
+        coeffs[(0,) * l] = self.potential_jet(H, u, order, thetas) + const0
         return DiffOperator(l, self.space.dim0, coeffs)
 
     def nabla(self, u: complex, order: int = 0) -> list:

@@ -635,7 +635,7 @@ def test_jets_note_counts_the_points_checked(tmp_path):
     text = MINIMAL_SITES + "\n[sampling]\nelliptic_points = 3\njet_points = 7\n"
     records = _elliptic_records(load_config(write_config(tmp_path, text)))
     (jets,) = [r for n, r in records.items() if n.startswith("elliptic/jets-vs-")]
-    assert jets.note == "zeta and w jets at 3 points"
+    assert jets.note == "theta, zeta and w jets at 3 points"
 
 
 def test_jets_record_catches_a_perturbed_mixed_coefficient(monkeypatch):
@@ -658,7 +658,7 @@ def test_jets_record_catches_a_perturbed_mixed_coefficient(monkeypatch):
 
 def test_contour_coeffs_taylor_and_residue():
     z0, r = 0.3 + 0.1j, 0.05
-    coeffs = cli._contour_coeffs(lambda z: cmath.exp(2 * z), z0, r)
+    coeffs = cli._contour_coeffs(lambda z: np.exp(2 * z), z0, r)
     for k, exact in ((0, 1), (1, 2), (2, 2)):
         a, bound = coeffs[k]
         assert abs(a - exact * cmath.exp(2 * z0)) <= 1e-14 * bound

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellgaudin.elliptic import (
-    LatticeReduction,
     ModularData,
     PoleProximityError,
     Jet,
@@ -19,9 +19,11 @@ from ellgaudin.elliptic import (
     nearest_lattice_point,
     reduce_to_cell,
     theta11,
+    theta11_coeffs,
     theta11_prime_at_zero,
     w_kernel,
     zeta11,
+    zeta11_coeffs,
 )
 
 from oracles import (
@@ -61,22 +63,32 @@ def test_modular_data_q():
 
 
 @given(
-    x=st.floats(-8, 8, allow_nan=False),
-    y=st.floats(-8, 8, allow_nan=False),
+    st.lists(
+        st.tuples(
+            st.floats(-8, 8, allow_nan=False), st.floats(-8, 8, allow_nan=False)
+        ),
+        min_size=1,
+        max_size=8,
+    )
 )
 @settings(max_examples=200, deadline=None)
-def test_reduce_to_cell_properties(x, y):
-    z = complex(x, y)
-    red = reduce_to_cell(z, MD2)
-    assert abs(red.z0 + red.m * MD2.tau + red.n - z) <= 1e-12 * max(1.0, abs(z))
-    assert -1e-12 <= red.z0.real < 1 + 1e-12
-    ratio = red.z0.imag / MD2.tau.imag
-    assert -1e-12 <= ratio < 1 + 1e-12
+def test_reduce_to_cell_properties(points):
+    zs = np.array([complex(x, y) for x, y in points])
+    z0, m, n = reduce_to_cell(zs, MD2)
+    assert z0.shape == m.shape == n.shape == zs.shape
+    assert np.all(m == np.round(m)) and np.all(n == np.round(n))
+    assert np.all(
+        np.abs(z0 + m * MD2.tau + n - zs) <= 1e-12 * np.maximum(1.0, np.abs(zs))
+    )
+    assert np.all((-1e-12 <= z0.real) & (z0.real < 1 + 1e-12))
+    ratio = z0.imag / MD2.tau.imag
+    assert np.all((-1e-12 <= ratio) & (ratio < 1 + 1e-12))
 
 
 def test_reduce_to_cell_interior_point_is_fixed():
-    red = reduce_to_cell(0.3 + 0.2j, MD)
-    assert red == LatticeReduction(z0=0.3 + 0.2j, m=0, n=0)
+    z0, m, n = reduce_to_cell(np.array([0.3 + 0.2j, 1.3 + 1.0j]), MD)
+    assert z0[0] == 0.3 + 0.2j and (m[0], n[0]) == (0, 0)
+    assert abs(z0[1] - (0.3 + 0.2j)) < 1e-15 and (m[1], n[1]) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -153,11 +165,11 @@ def test_theta_large_argument_stays_finite():
     # relation to the oracle value exact through the restored factor.
     z = 7.3 + 6.1j
     val = theta11(z, MD).value
-    red = reduce_to_cell(z, MD)
-    factor = (-1) ** (red.m + red.n) * cmath.exp(
-        -1j * math.pi * red.m ** 2 * MD.tau - TWO_PI_I * red.m * red.z0
+    (z0,), (m,), (n,) = reduce_to_cell(np.array([z]), MD)
+    factor = (-1) ** (m + n) * cmath.exp(
+        -1j * math.pi * m**2 * MD.tau - TWO_PI_I * m * z0
     )
-    assert rel_err(val, factor * theta11_direct(red.z0, MD.tau)) <= 1e-10
+    assert rel_err(val, factor * theta11_direct(z0, MD.tau)) <= 1e-10
 
 
 def test_theta_series_cap_error():
@@ -352,6 +364,110 @@ def test_theta_and_zeta_jets_match_mpmath_jtheta(tau):
                 ref = ref_zeta[: order + 1]
                 worst = max(worst, coeff_error(zeta11(z, md, order), ref))
     assert worst <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The batched kernel.
+# ---------------------------------------------------------------------------
+
+BATCH_TAUS = [0.8j, 0.3 + 0.06j, -2.4 + 0.4j, 40j, 200j]
+
+
+def mixed_batch(md, seed=41):
+    """In-cell points, points up to three cells above and below and up to
+    three periods left or right, and points near the top of the cell."""
+    rng = np.random.default_rng(seed)
+    inside = [complex(x) + complex(y) * md.tau for x, y in rng.uniform(0, 1, (4, 2))]
+    outside = [
+        complex(rng.uniform(0, 1)) + (m + complex(rng.uniform(0, 1))) * md.tau + n
+        for m, n in ((1, 0), (-1, 2), (2, -3), (-2, 1), (3, 0), (-3, -1))
+    ]
+    top = [complex(rng.uniform(0, 1)) + y * md.tau for y in (0.96, 0.995)]
+    return np.array(inside + outside + top)
+
+
+def jtheta_row(mp, tau, z, order):
+    """Taylor coefficients of theta at z from mpmath.jtheta derivatives in
+    40 digits, or None where they leave the double range."""
+    with mp.workdps(40):
+        nome = mp.exp(1j * mp.pi * mp.mpc(tau.real, tau.imag))
+        x = mp.pi * mp.mpc(z.real, z.imag)
+        row = [
+            -mp.pi**k * mp.jtheta(1, x, nome, k) / mp.factorial(k)
+            for k in range(order + 1)
+        ]
+        if max(abs(c) for c in row) > mp.mpf(1e300):
+            return None
+        return [complex(c) for c in row]
+
+
+@pytest.mark.parametrize("tau", BATCH_TAUS)
+def test_batched_theta_matches_mpmath_jtheta(tau):
+    # out-of-cell arguments whose value leaves the double range must raise
+    # OverflowError; each of them is taken alone, since one such argument
+    # fails the whole call
+    mp = pytest.importorskip("mpmath")
+    md = ModularData(tau)
+    batch = mixed_batch(md)
+    refs = [jtheta_row(mp, tau, z, 3) for z in batch]
+    fits = np.array([ref is not None for ref in refs])
+    assert fits.sum() >= 8
+    for z in batch[~fits]:
+        with pytest.raises(OverflowError):
+            theta11_coeffs([z], md, 0)
+    for order in range(4):
+        rows = theta11_coeffs(batch[fits], md, order)
+        assert rows.shape == (fits.sum(), order + 1)
+        for row, ref in zip(rows, [r for r in refs if r is not None]):
+            ref = ref[: order + 1]
+            err = max(abs(a - b) for a, b in zip(row, ref))
+            assert err <= 1e-12 * max(abs(b) for b in ref)
+
+
+@pytest.mark.parametrize("tau", BATCH_TAUS)
+def test_batched_rows_match_arguments_taken_alone(tau):
+    md = ModularData(tau)
+    batch = mixed_batch(md, seed=43)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = []
+        for z in batch:
+            try:
+                theta11_coeffs([z], md)
+                fits.append(z)
+            except OverflowError:
+                pass
+        fits = np.array(fits)
+        for order in range(4):
+            rows = theta11_coeffs(fits, md, order)
+            for z, row in zip(fits, rows):
+                alone = theta11_coeffs([z], md, order)[0]
+                assert np.max(np.abs(row - alone)) <= 1e-15 * np.max(np.abs(alone))
+            zs = [z for z in fits if lattice_distance(z, md) > 0.05]
+            rows = zeta11_coeffs(zs, md, order)
+            for z, row in zip(zs, rows):
+                alone = zeta11_coeffs([z], md, order)[0]
+                assert np.max(np.abs(row - alone)) <= 1e-15 * np.max(np.abs(alone))
+    assert theta11_coeffs([], md, 2).shape == (0, 3)
+
+
+@pytest.mark.parametrize("tau", [40j, 200j, 1.5 + 100j])
+def test_overflowing_theta_raises_and_never_warns(tau):
+    # the factor of an argument three cells above the cell leaves the double
+    # range, and so does theta; an argument too far off the real axis or
+    # not finite is refused the same way, by an error and with no warning
+    md = ModularData(tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (0.3 + 3.5 * md.tau, 0.3 + 1e300j, complex(math.inf, 0.2)):
+            for order in (0, 2):
+                with pytest.raises(OverflowError):
+                    theta11_coeffs([0.2 + 0.3 * md.tau, z], md, order)
+        # where the factor alone overflows but theta does not, the two
+        # share one exponent
+        for big, z in ((200j, 0.3 + 213j), (60j, 0.3 - 117j)):
+            rows = theta11_coeffs([z, 0.4 + 0.5j], ModularData(big), 3)
+            assert np.all(np.isfinite(rows))
 
 
 def test_w_jets_match_finite_differences_both_arguments():

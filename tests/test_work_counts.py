@@ -12,19 +12,24 @@ the checks need a fixed number of evaluations per point:
 - the explicit conjugated operator reads every log-derivative of the
   Weyl-Kac denominator off one jet;
 - the exchange potential takes theta once per distinct argument, which
-  theta's oddness brings down to N + |Phi+| (2N + 1) for N sites, and one
-  substitution per positive root; the transfer operator reads A_r(u) off
-  theta(z_i - u) jets too, rather than calling zeta;
-- the Bethe bracket takes each kernel factor from three theta values, as
-  the exchange potential does, and never calls ``w_kernel``;
-- a term of the theta series costs one sine and at most one cosine, and
-  no factorial; zeta is a quotient of theta's coefficients, with no jet
-  shift, truncation or reciprocal;
+  theta's oddness brings down to N + |Phi+| (2N + 1) for N sites, all in
+  one call, and one substitution per positive root; the transfer operator
+  reads A_r(u) off the same call's theta(z_i - u) rows, so it takes theta
+  once per site and never calls zeta;
+- the Bethe vector takes its kernels from a table filled by at most three
+  theta calls, one value per distinct argument, and the bracket takes
+  each kernel factor from at most three theta values, as the exchange
+  potential does, and never calls ``w_kernel``;
+- a theta call costs one sine and one cosine call, whatever the number of
+  arguments, terms and coefficients, and no factorial; zeta is a quotient
+  of theta's coefficients, with no jet shift, truncation or reciprocal;
 - the Bethe equations take zeta once per (root, site) and, by zeta's
-  oddness, once per unordered pair of roots.
+  oddness, once per unordered pair of roots, all in one call, and the
+  eigenvalue takes it once per site and root, in one call.
 
-Theta values are counted at ``theta11_coeffs``, the coefficient list
-behind ``theta11`` that the kernel series read directly.
+Theta values are counted at ``theta11_coeffs``, the batched kernel behind
+``theta11`` that every caller hands all its arguments at once: a call's
+arguments are the length of its first argument.
 """
 
 import cmath
@@ -61,12 +66,19 @@ def count_calls(monkeypatch, owner, name):
 
 
 def count_everywhere(monkeypatch, name):
-    """Count the calls of elliptic.name, also where gaudin imported it."""
+    """Count the calls of elliptic.name, also where gaudin or bethe
+    imported it."""
     original = getattr(elliptic, name)
     calls = count_calls(monkeypatch, elliptic, name)
-    if getattr(gaudin, name, None) is original:
-        monkeypatch.setattr(gaudin, name, getattr(elliptic, name))
+    for module in (gaudin, bethe):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, getattr(elliptic, name))
     return calls
+
+
+def arguments(calls):
+    """The number of arguments of each counted kernel call."""
+    return [len(args[0]) for args, _ in calls]
 
 
 def irrep_problem(rank):
@@ -170,7 +182,7 @@ def test_potential_takes_each_theta_value_once(monkeypatch, rank):
     for H, u in zip(hs, us):
         prob.potential_jet(H, u, order=2)
     per_call = nsites + npos * (2 * nsites + 1)  # 17 at rank 2, 2 sites
-    assert len(thetas) == len(hs) * per_call
+    assert arguments(thetas) == [per_call] * len(hs)
     assert len(subs) == len(hs) * npos
 
 
@@ -182,17 +194,19 @@ def test_transfer_reads_cartan_matrices_off_site_thetas(monkeypatch, rank):
     hs = sample_regular_cartan(prob.rs, MD, rng, 2)
     us = sample_spectral_points(MD, prob.positions, rng, 2)
     zetas = count_everywhere(monkeypatch, "zeta11")
+    zeta_rows = count_everywhere(monkeypatch, "zeta11_coeffs")
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
     for H in hs:
         for u in us:
-            prob.transfer(u, H, 2)
-    assert zetas == []
-    # theta(z_i - u) once for A_r(u) and once inside the potential
-    per_call = 2 * nsites + npos * (2 * nsites + 1)
-    assert len(thetas) == len(hs) * len(us) * per_call
+            for order in (0, 2):
+                prob.transfer(u, H, order)
+    assert zetas == zeta_rows == []
+    # theta(z_i - u) once per site, shared by A_r(u) and the potential
+    per_call = nsites + npos * (2 * nsites + 1)
+    assert arguments(thetas) == [per_call] * (2 * len(hs) * len(us))
 
 
-def test_bethe_bracket_takes_three_thetas_per_kernel_factor(monkeypatch):
+def bracket_system():
     rs = build_root_system("A", 2)
     weights = [(0.74 + 0.22j, 0.31 - 0.1j), (0.26 - 0.22j, 0.69 + 0.1j)]
     sites = [
@@ -200,9 +214,13 @@ def test_bethe_bracket_takes_three_thetas_per_kernel_factor(monkeypatch):
         for w in weights
     ]
     prob = GaudinProblem(rs, MD, [0.11, 0.43 + 0.27j], sites)
-    system = BetheSystem(prob)
+    return BetheSystem(prob)
+
+
+def test_bethe_bracket_takes_three_thetas_per_kernel_factor(monkeypatch):
+    system = bracket_system()
     assert system.assignment == (0, 1)
-    mod = sites[0]
+    mod = system.problem.modules[0]
 
     def raised(sigma):
         vec = np.asarray(mod.j_covector, dtype=complex)
@@ -213,38 +231,63 @@ def test_bethe_bracket_takes_three_thetas_per_kernel_factor(monkeypatch):
     # a basis index where both orderings of the two roots contribute
     index = int(np.flatnonzero((raised((0, 1)) != 0) & (raised((1, 0)) != 0))[0])
     t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
-    H = sample_regular_cartan(rs, MD, np.random.default_rng(70), 1)[0]
+    H = sample_regular_cartan(system.problem.rs, MD, np.random.default_rng(70), 1)[0]
+    chains = system._chains(0, (0, 1), index)
+    assert [sigma for _, sigma in chains] == [(0, 1), (1, 0)]
+    keys = [key for _, sigma in chains for key in system._chain_kernels(0, sigma)]
     kernels = count_everywhere(monkeypatch, "w_kernel")
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
-    jet = system._bracket(0, (0, 1), index, t, H, 2)
+    table = system._kernel_table(keys, t, H, 2)
+    # two orderings, two kernel factors each, all distinct here
+    assert len(table) == len(keys) == 2 * 2
+    assert len(thetas) == 3 and sum(arguments(thetas)) <= 3 * len(table)
+    thetas.clear()
+    jet = system._bracket(0, (0, 1), index, table, 2)
     assert jet.value != 0
-    assert kernels == []
-    # two orderings, two kernel factors each
-    assert len(thetas) == 2 * 2 * 3
+    assert kernels == thetas == []
 
 
-@pytest.mark.parametrize("tau", [0.8j, 0.3 + 0.06j, 40j])
+def test_vector_jet_tables_its_kernels_in_three_theta_calls(monkeypatch):
+    system = bracket_system()
+    t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
+    H = sample_regular_cartan(system.problem.rs, MD, np.random.default_rng(71), 1)[0]
+    substitutions = count_calls(monkeypatch, bethe, "_linear_substitution")
+    thetas = count_everywhere(monkeypatch, "theta11_coeffs")
+    jet = system.vector_jet(t, H, 2)
+    assert np.any(jet.value)
+    assert 1 <= len(thetas) <= 3
+    # each kernel is substituted into the xi variables once, and its
+    # theta values are distinct arguments
+    kernels = len(substitutions)
+    assert arguments(thetas)[-1] == kernels
+    assert sum(arguments(thetas)) <= 3 * kernels
+
+
+@pytest.mark.parametrize("tau", [0.8j, 0.3 + 0.06j, 40j, 200j])
 def test_theta_series_term_takes_one_sine_and_no_factorial(monkeypatch, tau):
     md = ModularData(tau)
-    elliptic.theta11_prime_at_zero(md)  # builds the per-tau table
-    # inside the cell, a cell above, a cell below and a period to the left;
-    # at 40i the first point sits near the top of the cell
-    points = [0.31 + 0.97 * md.tau, 0.62 + 1.4 * md.tau, 0.2 - 0.6 * md.tau - 1]
-    factorials = count_calls(monkeypatch, math, "factorial")
-    envelopes = count_calls(monkeypatch, math, "exp")
-    sines = count_calls(monkeypatch, cmath, "sin")
-    cosines = count_calls(monkeypatch, cmath, "cos")
     for order in range(4):
-        for z in points:
-            for calls in (factorials, envelopes, sines, cosines):
+        # builds the per-tau term plans and the per-order shift tables
+        elliptic.theta11_coeffs([0.5, 0.5 + md.tau], md, order)
+    # inside the cell, a cell above, a cell below and a period to the left;
+    # at 200i the first point sits near the top of the cell, where a term's
+    # sine is summed in its large form, and the second is 0.62 + 213i, whose
+    # quasi-periodicity factor alone leaves the double range
+    points = [0.31 + 0.97 * md.tau, 0.62 + 1.065 * md.tau, 0.2 - 0.6 * md.tau - 1]
+    factorials = count_calls(monkeypatch, math, "factorial")
+    sines = count_calls(monkeypatch, np, "sin")
+    cosines = count_calls(monkeypatch, np, "cos")
+    scalar = [
+        count_calls(monkeypatch, cmath, name) for name in ("sin", "cos", "exp")
+    ]
+    for order in range(4):
+        for batch in ([points[0]], points, points * 5):
+            for calls in (factorials, sines, cosines):
                 calls.clear()
-            elliptic.theta11_coeffs(z, md, order)
-            # the convergence test takes one envelope per term
-            terms = len(envelopes)
-            assert terms > 0
+            elliptic.theta11_coeffs(batch, md, order)
             assert factorials == []
-            assert len(sines) <= terms
-            assert len(cosines) == (len(sines) if order else 0)
+            assert len(sines) == len(cosines) == 1
+    assert scalar == [[], [], []]
 
 
 def test_zeta_takes_no_jet_shift_truncation_or_reciprocal(monkeypatch):
@@ -258,16 +301,32 @@ def test_zeta_takes_no_jet_shift_truncation_or_reciprocal(monkeypatch):
     assert counted == [[], [], []]
 
 
-def test_bethe_equations_take_zeta_once_per_unordered_root_pair(monkeypatch):
+def three_root_system():
     rs = build_root_system("A", 1)
     alpha = np.asarray(rs.simple_roots[0], dtype=complex)
     cs = (1.13 + 0.05j, 0.94 - 0.12j, 0.93 + 0.07j)
     sites = [build_dual_verma(rs, tuple(c * a for a in alpha), depth=4) for c in cs]
     prob = GaudinProblem(rs, MD, [0.11, 0.43 + 0.27j, 0.71 + 0.52j], sites)
-    system = BetheSystem(prob)
-    M, N = system.M, len(prob.positions)
+    return BetheSystem(prob)
+
+
+def test_bethe_equations_take_zeta_once_per_unordered_root_pair(monkeypatch):
+    system = three_root_system()
+    M, N = system.M, len(system.problem.positions)
     assert M == 3
-    zetas = count_calls(monkeypatch, bethe, "zeta11")
+    zetas = count_everywhere(monkeypatch, "zeta11")
+    zeta_rows = count_everywhere(monkeypatch, "zeta11_coeffs")
+    thetas = count_everywhere(monkeypatch, "theta11_coeffs")
     res, jac = system.equations([0.21 + 0.13j, 0.52 + 0.4j, 0.83 + 0.61j])
     assert np.all(np.isfinite(res)) and np.all(np.isfinite(jac))
-    assert len(zetas) == M * N + M * (M - 1) // 2
+    assert zetas == []
+    assert arguments(zeta_rows) == arguments(thetas) == [M * N + M * (M - 1) // 2]
+
+
+def test_eigenvalue_takes_zeta_once_per_site_and_root(monkeypatch):
+    system = three_root_system()
+    M, N = system.M, len(system.problem.positions)
+    zeta_rows = count_everywhere(monkeypatch, "zeta11_coeffs")
+    value = system.eigenvalue([0.21 + 0.13j, 0.52 + 0.4j, 0.83 + 0.61j], 0.37 + 0.29j)
+    assert np.isfinite(value)
+    assert arguments(zeta_rows) == [N + M]
