@@ -490,6 +490,6 @@ class BetheSystem:
                 seen_nonzero = True
                 lhs = self.problem.transfer(u, H).apply(psi_jet)
                 rel = float(np.max(np.abs(lhs - eig * psi))) / norm
-                max_rel = max(max_rel, rel)
+                max_rel = np.maximum(max_rel, rel)
         status = "ok" if seen_nonzero else "inconclusive"
-        return {"max_rel": max_rel, "min_norm": min_norm, "status": status}
+        return {"max_rel": float(max_rel), "min_norm": min_norm, "status": status}

@@ -522,7 +522,7 @@ def _w_on(cs, zs, md: ModularData) -> np.ndarray:
 
 def _contour_error(coeffs: dict, expected: dict) -> float:
     """Largest |expected[k] - a_k| in units of the Cauchy bound of a_k."""
-    return max(abs(v - coeffs[k][0]) / coeffs[k][1] for k, v in expected.items())
+    return np.max([abs(v - coeffs[k][0]) / coeffs[k][1] for k, v in expected.items()])
 
 
 def _rel(values, references, floor: float = 1e-30) -> float:
@@ -655,14 +655,14 @@ class CheckRunner:
         # w_c(z) in c at 0 are 1, 1 and -1.
         (n1, m1), _ = md.basis
         r0 = _contour_radius(abs(n1 + m1 * md.tau))
-        pole_res = max(
+        pole_res = np.max([
             _contour_error(_contour_coeffs(f, 0, r0), {-1: target})
             for f, target in (
                 (lambda h: zeta11_coeffs(h, md)[:, 0], 1),
                 (lambda h: _w_on(cs[0], h, md), 1),
                 (lambda h: _w_on(h, zs[0], md), -1),
             )
-        )
+        ])
         self._record(
             "elliptic/pole-normalization",
             pole_res,
@@ -692,7 +692,7 @@ class CheckRunner:
                 (lambda h: _w_on(c + h, z + h, md), 0, min(rz, rc),
                  {2: jw((2, 0)) + jw((1, 1)) + jw((0, 2))}),
             ):
-                jet_res = max(
+                jet_res = np.maximum(
                     jet_res, _contour_error(_contour_coeffs(f, z0, r), expected)
                 )
         self._record(
@@ -709,7 +709,7 @@ class CheckRunner:
         for r in range(rs.rank):
             for s in range(rs.rank):
                 val = normalized_form(rs.h_ortho[r], rs.h_ortho[s], rs)
-                ortho = max(ortho, abs(val - (1.0 if r == s else 0.0)))
+                ortho = np.maximum(ortho, abs(val - (1.0 if r == s else 0.0)))
         self._record(
             "algebra/cartan-orthonormal",
             ortho,
@@ -772,9 +772,9 @@ class CheckRunner:
             res = commutativity_residual(
                 problem, us[1 + 2 * k], us[2 + 2 * k], h_points
             )
-            worst = max(worst, res["max_rel"])
-            worst_top = max(
-                worst_top, res["max_abs_order3"], res["max_abs_order4"]
+            worst = np.maximum(worst, res["max_rel"])
+            worst_top = np.max(
+                [worst_top, res["max_abs_order3"], res["max_abs_order4"]]
             )
         self._record(
             "commute/distinct-points",

@@ -574,15 +574,13 @@ def commutativity_residual(
         t2 = t1 if u2 == u1 else problem.transfer(u2, H, 2)
         vals = t1.commutator(t2).evaluate()
         scale = t1.max_coeff_norm() * t2.max_coeff_norm()
-        worst = max(float(np.max(np.abs(v))) for v in vals.values())
-        max_rel = max(max_rel, worst / max(scale, 1e-300))
+        worst = np.max([np.max(np.abs(v)) for v in vals.values()])
+        max_rel = np.maximum(max_rel, worst / np.maximum(scale, 1e-300))
         for m, v in vals.items():
             if sum(m) in (3, 4):
-                max_abs34[sum(m)] = max(
-                    max_abs34[sum(m)], float(np.max(np.abs(v)))
-                )
+                max_abs34[sum(m)] = np.maximum(max_abs34[sum(m)], np.max(np.abs(v)))
     return {
-        "max_rel": max_rel,
-        "max_abs_order3": max_abs34[3],
-        "max_abs_order4": max_abs34[4],
+        "max_rel": float(max_rel),
+        "max_abs_order3": float(max_abs34[3]),
+        "max_abs_order4": float(max_abs34[4]),
     }

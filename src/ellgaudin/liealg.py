@@ -10,8 +10,8 @@ against a Cartan point is a dot product as well.
 
 Modules come in two kinds:
 
-* finite irreducibles with dominant integral highest weight, built as the
-  image of a truncated Verma module under the contravariant pairing;
+* finite irreducibles with dominant integral highest weight, built on the
+  Gelfand-Tsetlin basis by its explicit formulas;
 * truncated dual Verma modules for arbitrary complex highest weight,
   realized on the dual of a height-truncated Poincare-Birkhoff-Witt basis
   with the transpose-contragredient action.
@@ -213,7 +213,6 @@ class _TruncatedVerma:
     def __init__(self, rs: RootSystemData, lam: np.ndarray, depth: int):
         self.rs = rs
         self.lam = np.asarray(lam, dtype=complex)
-        self.depth = depth
         s = rs.n_positive
         hts = rs.root_heights
 
@@ -245,9 +244,6 @@ class _TruncatedVerma:
         # root-vector coefficients and a Cartan remainder
         self._brackets = {}
         self._apply_memo = {}
-
-    def _height(self, mono) -> int:
-        return sum(k * h for k, h in zip(mono, self.rs.root_heights))
 
     def _bracket(self, g: int, d: int):
         key = (g, d)
@@ -467,19 +463,29 @@ def build_dual_verma(
     )
 
 
-def _irrep_depth(rs: RootSystemData, fund: np.ndarray) -> int:
-    # height of lam - w0(lam), where w0 flips the fundamental coordinates
-    g = fund + fund[::-1]
-    alpha_coords = np.linalg.solve(rs.cartan_matrix.T.astype(float), g)
-    return int(round(alpha_coords.sum())) + 2
+def _gt_patterns(top: tuple) -> list:
+    """Gelfand-Tsetlin patterns with top row ``top``, each a tuple of rows
+    from the bottom (length 1) up to ``top``: row k - 1 interlaces row k,
+    m_{k,i} >= m_{k-1,i} >= m_{k,i+1}."""
+    if len(top) == 1:
+        return [(top,)]
+    out = []
+    for off in np.ndindex(*(a - b + 1 for a, b in zip(top, top[1:]))):
+        row = tuple(b + o for b, o in zip(top[1:], off))
+        out += [below + (top,) for below in _gt_patterns(row)]
+    return out
 
 
 def build_irrep(rs: RootSystemData, lam) -> RepresentedModule:
     """Finite irreducible module with dominant integral highest weight.
 
-    Constructed as the image of the truncated Verma module inside its
-    contragredient dual under the contravariant pairing; the dimension is
-    checked against the Weyl dimension formula.
+    Built on the Gelfand-Tsetlin basis of the gl(n) irreducible with top
+    row m_a = f_a + ... + f_l (m_n = 0), f the fundamental coordinates of
+    lam: E_kk, E_k,k+1 and E_k+1,k act by the rational formulas of
+    A. Molev, arXiv:math/0211289, section 2, in l_ki = m_ki - i + 1, and
+    the other root vectors are commutators.  Basis vectors are ordered by
+    weight, highest first; the dimension is checked against the Weyl
+    dimension formula.
     """
     lam = np.asarray(lam, dtype=complex)
     fund = rs.fundamental_coords(lam)
@@ -492,57 +498,50 @@ def build_irrep(rs: RootSystemData, lam) -> RepresentedModule:
         )
     lam = rs.weight_from_fundamental(fund_int).real.astype(complex)
 
-    depth = _irrep_depth(rs, fund_int)
-    tv = _TruncatedVerma(rs, lam, depth)
-    # raising operators e_alpha, alpha > 0, on the truncated Verma module
-    raising = [
-        tv.matrix_of(rs.chevalley.root_vectors[pos]) for pos in range(rs.n_positive)
-    ]
+    n = rs.n
+    top = tuple(int(sum(fund_int[a:])) for a in range(n - 1)) + (0,)
+    # E_aa acts on a pattern by the sum of row a + 1 minus that of row a
+    weight = {p: tuple(sum(p[a]) - (sum(p[a - 1]) if a else 0) for a in range(n))
+              for p in _gt_patterns(top)}
+    pats = sorted(weight, key=weight.get, reverse=True)
+    index = {p: s for s, p in enumerate(pats)}
+    dim = len(pats)
+    mu = np.array([weight[p] for p in pats], dtype=float)
 
-    # Contravariant Gram matrix: row j is the v_lambda coefficient of the
-    # reversed raising word of monomial j applied to each basis vector.
-    top = tv.index[(0,) * rs.n_positive]
-    gram = np.zeros((tv.dim, tv.dim), dtype=complex)
-    for j, mono in enumerate(tv.monomials):
-        word = np.eye(tv.dim, dtype=complex)
-        for pos in range(rs.n_positive):
-            for _ in range(mono[pos]):
-                word = raising[pos] @ word
-        gram[j, :] = word[top, :]
-
-    # Rank and orthonormal image basis per weight block.
-    keys = [tuple(np.round(w.real, 9)) for w in tv.weights]
-    blocks: dict = {}
-    for i, k in enumerate(keys):
-        blocks.setdefault(k, []).append(i)
-    cols = []
-    weights = []
-    for k in sorted(blocks, key=lambda kk: blocks[kk][0]):
-        idx = blocks[k]
-        sub = gram[np.ix_(idx, idx)]
-        u, s, _ = np.linalg.svd(sub)
-        r = int(np.sum(s > 1e-10 * max(1.0, s[0] if len(s) else 0.0)))
-        for t in range(r):
-            col = np.zeros(tv.dim, dtype=complex)
-            col[idx] = u[:, t]
-            cols.append(col)
-            weights.append(tv.weights[idx[0]])
-    basis = np.stack(cols, axis=1)
-    weights = np.array(weights)
+    E = {(a, a): np.diag(mu[:, a]).astype(complex) for a in range(n)}
+    for k in range(1, n):  # E_k,k+1 and E_k+1,k; rows numbered 1..n
+        up = np.zeros((dim, dim), dtype=complex)
+        down = np.zeros((dim, dim), dtype=complex)
+        for s, p in enumerate(pats):
+            l = [()] + [[m - i for i, m in enumerate(row)] for row in p]
+            for i, li in enumerate(l[k]):
+                den = math.prod(li - x for j, x in enumerate(l[k]) if j != i)
+                for step, mat, num in (
+                    (1, up, -math.prod(li - x for x in l[k + 1])),
+                    (-1, down, math.prod(li - x for x in l[k - 1])),
+                ):
+                    row = list(p[k - 1])
+                    row[i] += step
+                    t = index.get(p[: k - 1] + (tuple(row),) + p[k:])
+                    if t is not None:
+                        mat[t, s] = num / den
+        E[k - 1, k], E[k, k - 1] = up, down
+    for d in range(2, n):  # E_ab = [E_ac, E_cb], c the neighbour of a toward b
+        for a in range(n - d):
+            for x, c, y in ((a, a + 1, a + d), (a + d, a + d - 1, a)):
+                E[x, y] = E[x, c] @ E[c, y] - E[c, y] @ E[x, c]
 
     mats = {}
     for key in _generator_keys(rs):
-        dual = tv.matrix_of(_defining_matrix(rs, key).T).T
-        mats[key] = basis.conj().T @ dual @ basis
-
+        x = _defining_matrix(rs, key)
+        mats[key] = sum(x[ab] * E[ab] for ab in E if x[ab] != 0)
+    hdiag = np.array([np.diag(h).real for h in rs.h_ortho]).T  # (n, rank)
     mod = RepresentedModule(
         rs=rs,
         kind="irrep",
         highest_weight=lam,
-        weights=weights,
+        weights=(mu @ hdiag).astype(complex),
         mats=mats,
-        j_covector=None,
-        depth=None,
     )
     expected = _weyl_dimension(rs, lam)
     if mod.dim != expected:

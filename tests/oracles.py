@@ -166,6 +166,58 @@ def weyl_dimension(lam, positive_roots, rho) -> int:
     return round((num / den).real)
 
 
+def casimir_scalar(lam, rho) -> float:
+    """(lam, lam + 2 rho): the quadratic Casimir of the normalized form,
+    sum_r h_r^2 + sum_alpha e_alpha e_-alpha, on the irreducible module of
+    highest weight lam."""
+    lam = np.real(lam)
+    return float(np.dot(lam, lam + 2 * np.asarray(rho)))
+
+
+def freudenthal_multiplicities(lam, simple_roots, positive_roots, rho) -> dict:
+    """Weight multiplicities of the irreducible module of highest weight lam
+    by Freudenthal's recursion,
+
+        ((lam + rho)^2 - (mu + rho)^2) m(mu)
+            = 2 sum_{alpha > 0} sum_{k >= 1} (mu + k alpha, alpha) m(mu + k alpha),
+
+    keyed by the simple-root coordinates c of lam - mu.  The coordinates
+    run over the box 0 <= c_i <= 2 ht(lam), which holds every weight, in
+    order of height; a mu other than lam with (mu + rho)^2 >= (lam + rho)^2
+    is no weight of the module.  Only nonzero multiplicities are returned.
+    """
+    lam = np.real(lam)
+    simple = np.asarray(simple_roots, dtype=float)
+    positive = np.asarray(positive_roots, dtype=float)
+
+    def to_simple(v):
+        return np.linalg.solve(simple.T, v)
+
+    root_coords = [tuple(int(round(x)) for x in to_simple(a)) for a in positive]
+    bound = math.ceil(2 * to_simple(lam).sum() - 1e-9)
+    top = np.dot(lam + rho, lam + rho)
+    mult = {}
+    for c in sorted(product(range(bound + 1), repeat=len(simple)), key=sum):
+        if not any(c):
+            mult[c] = 1
+            continue
+        mu = lam - np.dot(c, simple)
+        gap = top - np.dot(mu + rho, mu + rho)
+        if gap < 1e-9:
+            continue
+        acc = 0.0
+        for a, alpha in zip(root_coords, positive):
+            k = 1
+            while all(ci >= k * ai for ci, ai in zip(c, a)):
+                above = tuple(ci - k * ai for ci, ai in zip(c, a))
+                acc += mult.get(above, 0) * np.dot(mu + k * alpha, alpha)
+                k += 1
+        m = round(2 * acc / gap)
+        if m:
+            mult[c] = m
+    return mult
+
+
 # ---------------------------------------------------------------------------
 # Bethe-layer oracles (rank 1).
 # ---------------------------------------------------------------------------

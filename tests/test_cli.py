@@ -37,6 +37,7 @@ from ellgaudin.cli import (
     render_sweep_csv,
     run,
 )
+from ellgaudin.diffop import DiffOperator
 from ellgaudin.liealg import TensorSpace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -170,6 +171,14 @@ def test_irrep_weight_must_be_integral(tmp_path):
     ))
     with pytest.raises(ConfigError, match="non-negative integers"):
         load_config(path)
+
+
+def test_rank1_irrep_of_weight_7_loads(tmp_path):
+    path = write_config(tmp_path, MINIMAL_SITES.replace(
+        "weight_1 = 1", "weight_1 = 7"
+    ))
+    cfg = load_config(path)
+    assert [m.dim for m in cfg.problem.space.modules] == [8, 2]
 
 
 def test_depth_only_for_dual_verma(tmp_path):
@@ -462,6 +471,35 @@ def test_seed_override_used(tmp_path):
     line = (tmp_path / "seeded" / "report.jsonl").read_text().splitlines()[0]
     digest = json.loads(line)["instance"]
     assert digest != _instance_digest(cfg, "describe-algebra", False)
+
+
+def test_rank2_irreps_21_and_12_pass_commute_check():
+    path = str(CONFIGS / "a2_n2_21_12.ini")
+    assert load_config(path).problem.space.dim0 == 21
+    assert main(["commute-check", "--config", path, "--format", "json-lines"]) == 0
+
+
+def test_nan_residual_fails_its_record(monkeypatch):
+    # Python's max(1e-13, nan) is 1e-13: a NaN that follows a finite
+    # residual in a fold must still reach the record and fail it
+    true_commutator = DiffOperator.commutator
+    calls = []
+
+    def nan_after_first(self, other):
+        calls.append(None)
+        out = true_commutator(self, other)
+        return out if len(calls) == 1 else out * np.nan
+
+    monkeypatch.setattr(DiffOperator, "commutator", nan_after_first)
+    runner = CheckRunner(load_config(str(CONFIGS / "a1_n2_fund.ini")),
+                         "commute-check", False)
+    runner.stage_commute()
+    records = {r.name: r for r in runner.report.records}
+    assert sorted(records) == [
+        "commute/distinct-points", "commute/same-point",
+        "commute/top-order-coefficients",
+    ]
+    assert not any(r.passed for r in records.values())
 
 
 # ---------------------------------------------------------------------------

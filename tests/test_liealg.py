@@ -19,7 +19,12 @@ from ellgaudin.liealg import (
     root_budget,
 )
 
-from oracles import normalized_form_direct, weyl_dimension
+from oracles import (
+    casimir_scalar,
+    freudenthal_multiplicities,
+    normalized_form_direct,
+    weyl_dimension,
+)
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -146,21 +151,33 @@ def test_coordinates_reproduce_pairings():
 
 
 def _check_module_relations(mod: RepresentedModule, tol=1e-12):
+    """[x, y] is represented by the commutator of the matrices of x and y,
+    for every pair of root vectors and h_r; the Chevalley generators' own
+    matrices represent them in terms of those."""
     rs = mod.rs
-    gens = [("E", i) for i in range(rs.rank)] + [("F", i) for i in range(rs.rank)]
-    gens += [("H", i) for i in range(rs.rank)]
-    for k1 in gens:
-        for k2 in gens:
-            x = _def(rs, k1)
-            y = _def(rs, k2)
-            lhs = comm(mod.matrix(k1), mod.matrix(k2))
-            rhs = mod.represent(comm(x, y))
-            assert maxabs(lhs - rhs) <= tol * max(1.0, maxabs(lhs))
+    gens = [(("root", k), v) for k, v in enumerate(rs.chevalley.root_vectors)]
+    gens += [(("h", r), h) for r, h in enumerate(rs.h_ortho)]
+    for (k1, x), (k2, y) in itertools.combinations(gens, 2):
+        lhs = comm(mod.matrix(k1), mod.matrix(k2))
+        rhs = mod.represent(comm(x, y))
+        assert maxabs(lhs - rhs) <= tol * max(1.0, maxabs(lhs)), (k1, k2)
+    for kind in ("E", "F", "H"):
+        for i, x in enumerate(getattr(rs.chevalley, kind)):
+            got = mod.matrix((kind, i))
+            assert maxabs(got - mod.represent(x)) <= tol * max(1.0, maxabs(got))
 
 
-def _def(rs, key):
-    kind, i = key
-    return {"E": rs.chevalley.E, "F": rs.chevalley.F, "H": rs.chevalley.H}[kind][i]
+def _check_weight_grading(mod: RepresentedModule):
+    """Root vectors shift weights by their root; h_r is diagonal with the
+    weights' r-th coordinates."""
+    rs = mod.rs
+    for k, root in enumerate(rs.roots):
+        i, j = np.nonzero(np.abs(mod.matrix(("root", k))) > 1e-10)
+        assert np.allclose(mod.weights[i], mod.weights[j] + root, atol=1e-9)
+    for r in range(rs.rank):
+        h = mod.matrix(("h", r))
+        assert maxabs(h - np.diag(np.diag(h))) < 1e-10
+        assert np.allclose(np.diag(h), mod.weights[:, r], atol=1e-10)
 
 
 def test_a1_fundamental_matches_hand_written_sl2():
@@ -189,23 +206,45 @@ def test_trivial_rep():
         assert maxabs(mod.matrix(("H", i))) < 1e-14
 
 
+# every dominant weight of coordinate sum <= 4 at ranks 1-3, and rank-1
+# weights 7 and 8
+IRREP_WEIGHTS = [
+    (rs, fund)
+    for rs in (A1, A2, A3)
+    for fund in itertools.product(range(5), repeat=rs.rank)
+    if sum(fund) <= 4
+] + [(A1, (7,)), (A1, (8,))]
+
+
 def test_irrep_dimensions_against_weyl_oracle():
-    cases = [
-        (A1, [1], 2),
-        (A1, [2], 3),
-        (A1, [3], 4),
-        (A2, [1, 0], 3),
-        (A2, [0, 1], 3),
-        (A2, [1, 1], 8),
-        (A3, [1, 0, 0], 4),
-        (A3, [0, 1, 0], 6),
-    ]
-    for rs, fund, dim in cases:
+    known = {(1,): 2, (2,): 3, (3,): 4, (7,): 8, (1, 0): 3, (0, 1): 3,
+             (1, 1): 8, (2, 1): 15, (1, 0, 0): 4, (0, 1, 0): 6, (0, 1, 2): 45}
+    for rs, fund in IRREP_WEIGHTS:
         lam = rs.weight_from_fundamental(fund)
-        oracle = weyl_dimension(lam.real, rs.positive_roots, rs.rho)
-        assert oracle == dim
         mod = build_irrep(rs, lam)
-        assert mod.dim == dim
+        dim = weyl_dimension(lam.real, rs.positive_roots, rs.rho)
+        assert dim == known.get(fund, dim)
+        assert mod.dim == dim, fund
+        assert np.allclose(mod.weights[0], lam.real, atol=1e-12)
+        _check_module_relations(mod)
+        _check_weight_grading(mod)
+        casimir = sum(mod.matrix(("h", r)) @ mod.matrix(("h", r))
+                      for r in range(rs.rank))
+        casimir = casimir + sum(
+            mod.matrix(("root", k)) @ mod.matrix(("root", rs.negative_of(k)))
+            for k in range(len(rs.roots))
+        )
+        scalar = casimir_scalar(lam, rs.rho)
+        assert maxabs(casimir - scalar * np.eye(mod.dim)) <= 1e-12 * max(
+            1.0, maxabs(casimir)
+        ), fund
+        coords = np.linalg.solve(rs.simple_roots.T, (lam - mod.weights).real.T).T
+        counts: dict = {}
+        for c in np.rint(coords).astype(int):
+            counts[tuple(c)] = counts.get(tuple(c), 0) + 1
+        assert counts == freudenthal_multiplicities(
+            lam, rs.simple_roots, rs.positive_roots, rs.rho
+        ), fund
 
 
 def test_irrep_commutation_relations():
@@ -215,20 +254,7 @@ def test_irrep_commutation_relations():
 
 
 def test_irrep_weight_grading():
-    mod = build_irrep(A2, A2.weight_from_fundamental([1, 1]))
-    rs = A2
-    for k in range(len(rs.roots)):
-        m = mod.matrix(("root", k))
-        for i in range(mod.dim):
-            for j in range(mod.dim):
-                if abs(m[i, j]) > 1e-10:
-                    assert np.allclose(
-                        mod.weights[i], mod.weights[j] + rs.roots[k], atol=1e-9
-                    )
-    for r in range(rs.rank):
-        h = mod.matrix(("h", r))
-        assert maxabs(h - np.diag(np.diag(h))) < 1e-10
-        assert np.allclose(np.diag(h), mod.weights[:, r], atol=1e-10)
+    _check_weight_grading(build_irrep(A2, A2.weight_from_fundamental([1, 1])))
 
 
 def test_irrep_rejects_non_dominant():
