@@ -190,15 +190,14 @@ class BetheSystem:
         return seeds
 
     def _too_close(self, t, guard: float) -> bool:
-        md = self.problem.md
-        for j in range(self.M):
-            for z in self.problem.positions:
-                if lattice_distance(t[j] - z, md) < guard:
-                    return True
-            for k in range(j + 1, self.M):
-                if lattice_distance(t[j] - t[k], md) < guard:
-                    return True
-        return False
+        """Whether a root comes within ``guard`` of a site or of another
+        root, modulo the lattice; one distance call for all of them."""
+        t = np.asarray(t, dtype=complex)
+        j, k = np.triu_indices(self.M, 1)
+        gaps = np.concatenate(
+            [(t[:, None] - np.asarray(self.problem.positions)).ravel(), t[j] - t[k]]
+        )
+        return bool(np.any(lattice_distance(gaps, self.problem.md) < guard))
 
     def _newton(self, t0, tol, max_iter, guard):
         t = np.asarray(t0, dtype=complex)
@@ -441,33 +440,48 @@ class BetheSystem:
 
     # -- eigenvalue ----------------------------------------------------------
 
-    def _zetas_at(self, t, u: complex) -> np.ndarray:
+    def _zetas_at(self, t, us: np.ndarray) -> np.ndarray:
         """(zeta, zeta') at z_i - u for the sites, then at t_j - u for the
-        roots, in one kernel call."""
+        roots, for every u of the 1-D array us, shape (len(us), N + M, 2),
+        in one kernel call."""
         args = np.concatenate([self.problem.positions, np.asarray(t, dtype=complex)])
-        return zeta11_coeffs(args - complex(u), self.problem.md, 1)
+        diffs = args[None, :] - us[:, None]
+        ze = zeta11_coeffs(diffs.ravel(), self.problem.md, 1)
+        return ze.reshape(diffs.shape + (2,))
 
     def zeta_bar(self, direction, t, u: complex) -> complex:
         """sum_i lam_i(h) zeta(z_i-u) - sum_j a_j(h) zeta(t_j-u) contracted
         with the given coordinate vector."""
-        ze = self._zetas_at(t, u)
+        ze = self._zetas_at(t, np.array([u], dtype=complex))[0]
         return complex((self._charges @ np.asarray(direction)) @ ze[:, 0])
 
-    def eigenvalue(self, t, u: complex) -> complex:
+    def eigenvalue(self, t, u):
         """tau_Psi(u) = 1/2 sum_r zeta_bar(h_r;u)^2 + d_u zeta_bar(rho;u).
 
-        One kernel call serves every Cartan direction and the rho term.
+        ``u`` is a spectral parameter, giving a complex number, or a 1-D
+        array of them, giving an array of values.  One kernel call serves
+        every u, Cartan direction and the rho term; each u's sums are
+        their own matrix products, the same whatever the array around it.
         """
-        ze = self._zetas_at(t, u)
-        bars = ze[:, 0] @ self._charges
+        us = np.asarray(u, dtype=complex)
+        ze = self._zetas_at(t, us.reshape(-1))
+        bars = ze[:, None, :, 0] @ self._charges
         rho = np.asarray(self.problem.rs.rho, dtype=complex)
         # d/du zeta(x - u) = -zeta'(x - u)
-        return complex(0.5 * (bars @ bars) - (self._charges @ rho) @ ze[:, 1])
+        values = (0.5 * (bars @ bars.transpose(0, 2, 1)))[:, 0, 0] - (
+            (self._charges @ rho) @ ze[:, :, 1, None]
+        )[:, 0]
+        return complex(values[0]) if us.ndim == 0 else values
 
     # -- verification ---------------------------------------------------------
 
     def verify_eigenvector(self, t, h_points, u_points, tiny: float = 1e-12):
         """Relative residual of (transfer(u) - tau_Psi(u)) Psi over samples.
+
+        The eigenvalues at all ``u_points`` come from one ``eigenvalue``
+        call.  Per Cartan point the Bethe vector's jet is built once, and
+        one transfer operator batched over all ``u_points`` (a leading
+        batch axis on its coefficients) is applied to it in one ``apply``.
 
         Returns a dict with the largest relative residual, the smallest
         vector norm encountered, and a status flag; when the vector is
@@ -476,7 +490,8 @@ class BetheSystem:
         max_rel = 0.0
         min_norm = math.inf
         seen_nonzero = False
-        eigs = [self.eigenvalue(t, u) for u in u_points]
+        us = np.asarray(u_points, dtype=complex).reshape(-1)
+        eigs = self.eigenvalue(t, us)
         for H in h_points:
             H = np.asarray(H, dtype=complex)
             # the transfer operator is second order; one jet serves every u
@@ -484,12 +499,11 @@ class BetheSystem:
             psi = psi_jet.value
             norm = float(np.max(np.abs(psi)))
             min_norm = min(min_norm, norm)
-            if norm < tiny:
+            if norm < tiny or not len(us):
                 continue
-            for u, eig in zip(u_points, eigs):
-                seen_nonzero = True
-                lhs = self.problem.transfer(u, H).apply(psi_jet)
-                rel = float(np.max(np.abs(lhs - eig * psi))) / norm
-                max_rel = np.maximum(max_rel, rel)
+            seen_nonzero = True
+            lhs = self.problem.transfer(us, H).apply(psi_jet)
+            rel = np.max(np.abs(lhs - eigs[:, None] * psi), axis=1) / norm
+            max_rel = np.maximum(max_rel, np.max(rel))
         status = "ok" if seen_nonzero else "inconclusive"
         return {"max_rel": float(max_rel), "min_norm": min_norm, "status": status}

@@ -7,12 +7,19 @@ held at one base point H: each coefficient is its matrix-valued
 differentiates the coefficients analytically via the Leibniz rule and
 keeps as many orders as the inputs determine; nothing is ever sampled on
 a grid.
+
+Matrix coefficients may carry a leading batch axis, shape (B, dim, dim):
+one operator then stands for B operators at the same point, such as the
+transfer operators at B spectral parameters.  Products use ``@`` and
+``*``, which broadcast, so composition, commutators and ``apply`` act
+entry by entry, and an unbatched (dim, dim) coefficient serves every
+entry.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as _iproduct
 from operator import add, sub
 
@@ -51,6 +58,13 @@ def _derivative_lookup(delta: tuple, room: int) -> tuple:
             weight *= math.perm(a, d)
         out.append((mm, m, weight))
     return tuple(out)
+
+
+def _entry_norm(value):
+    """Largest entry modulus of a coefficient value, one per batch entry
+    when it carries a leading batch axis."""
+    a = np.abs(value)
+    return np.max(a, axis=(-2, -1)) if a.ndim == 3 else np.max(a)
 
 
 class DiffOperator:
@@ -165,7 +179,33 @@ class DiffOperator:
         )
 
     def commutator(self, other: "DiffOperator") -> "DiffOperator":
-        return self.compose(other) - other.compose(self)
+        """[self, other] = self o other - other o self.
+
+        The second composition's coefficients are subtracted from the
+        first's in place, with no negated copy and no third coefficient
+        dict; negation is exact, so the values are those of
+        ``self.compose(other) - other.compose(self)``.
+        """
+        out = self.compose(other)
+        back = other.compose(self)
+        k = min(out.k, back.k)
+        if out.k > k:
+            out = DiffOperator(
+                self.nvars, self.dim, {m: jet.truncate(k) for m, jet in out.coeffs.items()}
+            )
+        for m, jet in back.coeffs.items():
+            if jet.total > k:
+                jet = jet.truncate(k)
+            acc = out.coeffs.setdefault(m, Jet(self.nvars, k)).coeffs
+            for mm, c in jet.coeffs.items():
+                a = acc.get(mm)
+                if a is None:
+                    acc[mm] = -c
+                elif isinstance(a, np.ndarray) and a.dtype == complex and a.shape == np.shape(c):
+                    a -= c
+                else:
+                    acc[mm] = a - c
+        return out
 
     # -- evaluation ------------------------------------------------------
 
@@ -178,7 +218,8 @@ class DiffOperator:
 
         ``fjet`` is the function's jet at the same point, in nvars
         variables with vector coefficients of length ``dim``; it must carry
-        at least the operator's order.
+        at least the operator's order.  With batched coefficients the value
+        has shape (B, dim), one row per batch entry.
         """
         if fjet.total < self.order:
             raise ValueError(
@@ -194,5 +235,8 @@ class DiffOperator:
                 out = out + coeff @ fjet.deriv(beta)
         return out
 
-    def max_coeff_norm(self) -> float:
-        return max(float(np.max(np.abs(v))) for v in self.evaluate().values())
+    def max_coeff_norm(self):
+        """Largest entry modulus of any coefficient at the base point, NaN
+        kept; with batched coefficients, an array of one value per batch
+        entry."""
+        return reduce(np.maximum, map(_entry_norm, self.evaluate().values()), 0.0)

@@ -140,32 +140,51 @@ def reduce_to_cell(zs, md: ModularData) -> tuple:
     return z1 - n, m, n
 
 
-def nearest_lattice_point(z: complex, md: ModularData) -> complex:
-    """Lattice point m*tau + n closest to z.
+# The 3 x 3 neighbour offsets (dx, dy) of the lattice scan, in scan order.
+_SCAN = np.array(list(_iproduct((-1, 0, 1), repeat=2)), dtype=float)
+
+
+def _lattice_scan(zs: np.ndarray, md: ModularData) -> tuple:
+    """The lattice points scanned around each z of the array zs and their
+    distances to z, both of shape zs.shape + (9,).
 
     z is written as x*b1 + y*b2 in the reduced basis of ``md``.  For a
     reduced basis the closest point has coordinates within one of the
     rounded (x, y), so the 3 x 3 neighbours around them contain it,
-    however skewed or thin the lattice.
+    however skewed or thin the lattice.  They are scanned in the order
+    (x - 1, y - 1), (x - 1, y), ..., (x + 1, y + 1).  Distances are taken
+    with libm's hypot, as Python's abs takes them; NumPy's complex abs may
+    differ from it in the last bit.
     """
-    z = complex(z)
     (n1, m1), (n2, m2) = md.basis
     b1 = n1 + m1 * md.tau
     b2 = n2 + m2 * md.tau
     det = (b1.conjugate() * b2).imag
-    x = round((z.conjugate() * b2).imag / det)
-    y = round((b1.conjugate() * z).imag / det)
-    best = None
-    for p, k in _iproduct((x - 1, x, x + 1), (y - 1, y, y + 1)):
-        cand = (p * m1 + k * m2) * md.tau + (p * n1 + k * n2)
-        if best is None or abs(z - cand) < abs(z - best):
-            best = cand
-    return best
+    x = np.round((zs.conjugate() * b2).imag / det)[..., None] + _SCAN[:, 0]
+    y = np.round((b1.conjugate() * zs).imag / det)[..., None] + _SCAN[:, 1]
+    cands = (x * m1 + y * m2) * md.tau + (x * n1 + y * n2)
+    diff = zs[..., None] - cands
+    return cands, np.hypot(diff.real, diff.imag)
 
 
-def lattice_distance(z: complex, md: ModularData) -> float:
-    """Distance from z to the lattice Z + tau*Z."""
-    return abs(z - nearest_lattice_point(z, md))
+def nearest_lattice_point(z, md: ModularData):
+    """Lattice point m*tau + n closest to z, elementwise over an array.
+
+    The first of equally near points in the scan order of
+    ``_lattice_scan`` wins.  A scalar z gives a Python complex, an array z
+    an array.
+    """
+    cands, dists = _lattice_scan(np.asarray(z, dtype=complex), md)
+    best = np.argmin(dists, axis=-1)
+    out = np.take_along_axis(cands, best[..., None], axis=-1)[..., 0]
+    return complex(out) if out.ndim == 0 else out
+
+
+def lattice_distance(z, md: ModularData):
+    """Distance from z to the lattice Z + tau*Z, elementwise over an
+    array; a scalar z gives a float."""
+    out = np.min(_lattice_scan(np.asarray(z, dtype=complex), md)[1], axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

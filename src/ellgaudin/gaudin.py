@@ -114,6 +114,23 @@ def _kernel_series(c0s, xs, md: ModularData, order: int) -> np.ndarray:
     return _w_coeffs(shifted, scale, tx[x_at, None])
 
 
+def _spectral_batch(u) -> tuple:
+    """The spectral parameters u as a 1-D complex array, and whether u was
+    a scalar, which stands for the batch of one."""
+    us = np.asarray(u, dtype=complex)
+    return us.reshape(-1), us.ndim == 0
+
+
+def _entry(jet: Jet, b: int) -> Jet:
+    """Batch entry b of a jet: each coefficient with a leading batch axis,
+    shape (B, dim0, dim0), gives up its b-th matrix; the others are kept."""
+    return Jet(
+        jet.nvars,
+        jet.total,
+        {m: c[b] if np.ndim(c) == 3 else c for m, c in jet.coeffs.items()},
+    )
+
+
 # ---------------------------------------------------------------------------
 # regularity of the Cartan point
 # ---------------------------------------------------------------------------
@@ -125,16 +142,17 @@ def check_regular(rs: RootSystemData, md: ModularData, H, guard: float = 1e-9):
     The exchange kernels w_{alpha(H)} and the Weyl-Kac denominator are
     singular when any root takes a lattice value on H.
     """
-    H = np.asarray(H, dtype=complex)
-    for k, alpha in enumerate(rs.positive_roots):
-        c = complex(alpha @ H)
+    cs = np.asarray(rs.positive_roots, dtype=complex) @ np.asarray(H, dtype=complex)
+    near = lattice_distance(cs, md) < guard
+    if near.any():
+        k = int(np.argmax(near))
+        c = complex(cs[k])
         lam = nearest_lattice_point(c, md)
-        if abs(c - lam) < guard:
-            raise GaudinError(
-                f"Cartan point is singular: root #{k} takes the value "
-                f"{c:.6g}, within {abs(c - lam):.2e} of the lattice point "
-                f"{lam:.6g}"
-            )
+        raise GaudinError(
+            f"Cartan point is singular: root #{k} takes the value "
+            f"{c:.6g}, within {abs(c - lam):.2e} of the lattice point "
+            f"{lam:.6g}"
+        )
 
 
 def sample_regular_cartan(
@@ -169,6 +187,7 @@ def sample_spectral_points(
     guard: float = 0.05,
 ):
     """Random spectral parameters in the fundamental cell away from sites."""
+    positions = np.asarray(positions, dtype=complex)
     out = []
     tries = 0
     while len(out) < count:
@@ -176,7 +195,7 @@ def sample_spectral_points(
         if tries > _MAX_TRIES:
             raise GaudinError("could not sample enough spectral points")
         u = rng.uniform(0.0, 1.0) + rng.uniform(0.05, 0.95) * md.tau
-        if any(lattice_distance(z - u, md) < guard for z in positions):
+        if np.any(lattice_distance(positions - u, md) < guard):
             continue
         out.append(u)
     return out
@@ -388,101 +407,137 @@ class GaudinProblem:
     # -- coefficient data ------------------------------------------------
 
     def _cartan_from(self, site_thetas: np.ndarray) -> list:
-        """A_r(u) = sum_i zeta(z_i - u) h_r^(i) on the zero-weight space,
-        from the first-order Taylor coefficients of theta(z_i - u), one row
-        per site."""
-        zvals = site_thetas[:, 1] * (1.0 / site_thetas[:, 0])
+        """A_r(u) = sum_i zeta(z_i - u) h_r^(i) on the zero-weight space for
+        a batch of B spectral parameters, from the first-order Taylor
+        coefficients of theta(z_i - u), shape (B, N, >= 2); each A_r has
+        shape (B, dim0, dim0)."""
+        zvals = site_thetas[..., 1] * (1.0 / site_thetas[..., 0])
         return [
-            sum(zv * self._hstar[i][r] for i, zv in enumerate(zvals))
+            sum(
+                zvals[:, i, None, None] * self._hstar[i][r]
+                for i in range(len(self.positions))
+            )
             for r in range(self.rs.rank)
         ]
 
-    def _site_args(self, u: complex) -> np.ndarray:
-        return np.array(self.positions) - complex(u)
+    def _site_args(self, us: np.ndarray) -> np.ndarray:
+        """x_i = z_i - u for each u of the batch us, shape (B, N)."""
+        return np.array(self.positions)[None, :] - us[:, None]
 
     def cartan_matrices(self, u: complex):
         """A_r(u) = sum_i zeta(z_i - u) h_r^(i) on the zero-weight space."""
-        xs = self._site_args(u)
+        xs = self._site_args(np.array([u], dtype=complex))[0]
         th = theta11_coeffs(xs, self.md, 1)
         _pole_check(th[:, 0], xs, self.md, "z")
-        return self._cartan_from(th)
+        return [Ar[0] for Ar in self._cartan_from(th[None])]
 
-    def _thetas(self, H, u: complex, order: int) -> np.ndarray:
+    def _thetas(self, H, us: np.ndarray, order: int) -> np.ndarray:
         """Theta's Taylor coefficients, to order max(order, 1), at every
-        argument of the exchange potential, in one kernel call: first the N
-        sites x_i = z_i - u, then c_k = alpha_k(H) for the positive roots,
-        then x_i - c_k and x_i + c_k, each site-major per root.  H is
-        checked for regularity and every x_i and c_k for a pole."""
+        argument of the exchange potential for the batch us of B spectral
+        parameters, in one kernel call: first the B N sites
+        x_bi = z_i - u_b, then c_k = alpha_k(H) for the positive roots,
+        which the whole batch shares, then x_bi - c_k and x_bi + c_k, each
+        ordered by (b, k, i).  H is checked for regularity once, and every
+        x_bi and c_k for a pole."""
         H = np.asarray(H, dtype=complex)
         check_regular(self.rs, self.md, H, self.pole_guard)
-        xs = self._site_args(u)
+        xs = self._site_args(us)
         cs = np.asarray(self.rs.positive_roots, dtype=complex) @ H
-        minus, plus = xs[None, :] - cs[:, None], xs[None, :] + cs[:, None]
-        args = np.concatenate([xs, cs, minus.ravel(), plus.ravel()])
+        minus = xs[:, None, :] - cs[None, :, None]
+        plus = xs[:, None, :] + cs[None, :, None]
+        args = np.concatenate([xs.ravel(), cs, minus.ravel(), plus.ravel()])
         th = theta11_coeffs(args, self.md, max(order, 1))
-        nsites = len(xs)
-        _pole_check(th[:nsites, 0], xs, self.md, "z")
-        _pole_check(th[nsites : nsites + len(cs), 0], -cs, self.md, "c")
+        nx = xs.size
+        _pole_check(th[:nx, 0], xs.ravel(), self.md, "z")
+        _pole_check(th[nx : nx + len(cs), 0], -cs, self.md, "c")
         return th
 
-    def potential_jet(self, H, u: complex, order: int = 0, thetas=None) -> Jet:
+    def _contract(self, pairs: np.ndarray, k: int) -> np.ndarray:
+        """sum_{i,j} pairs[b, i, j, m] _pair[k][i, j], as an array of shape
+        (m, B, dim0, dim0).  Each batch entry is its own matrix product, so
+        it is summed the same way whatever the batch around it."""
+        batch, nsites, _, terms = pairs.shape
+        dim = self.space.dim0
+        flat = pairs.transpose(0, 3, 1, 2).reshape(batch, terms, nsites * nsites)
+        total = flat @ self._pair[k].reshape(nsites * nsites, dim * dim)
+        return total.reshape(batch, terms, dim, dim).swapaxes(0, 1)
+
+    def potential_jet(self, H, u, order: int = 0, thetas=None) -> Jet:
         """Jet of the exchange potential
         (1/2) sum_{i,j,alpha} w_{a(H)}(z_i-u) w_{-a(H)}(z_j-u) e_{-a}^(j) e_a^(i).
+
+        ``u`` is a spectral parameter or a 1-D array of B of them.  For an
+        array, every matrix coefficient of the jet carries a leading batch
+        axis, shape (B, dim0, dim0); a scalar u is the batch of one with
+        that axis squeezed off.
 
         For a positive root alpha, with c = alpha(H), h = alpha(xi - H) and
         x_i = z_i - u, theta's oddness gives
           w_{c+h}(x_i)  = -theta'(0) theta(x_i - c - h) / (theta(x_i) theta(c + h)),
           w_{-c-h}(x_i) =  theta'(0) theta(x_i + c + h) / (theta(x_i) theta(c + h)),
         and the root -alpha pairs the same two kernels with i and j swapped.
-        So theta is taken once per site, once per positive root and once per
-        (site, positive root) and sign, all in one kernel call
-        (``_thetas``); ``thetas`` passes in that call's result where the
-        caller already has it.  The kernels' coefficients in h form arrays
-        lo[i, a] and up[j, b] (``_w_coeffs``); their products c[i, j, m] =
-        sum_{a+b=m} lo[i, a] up[j, b] contract with the stacked pair
-        operators ``_pair[k][i, j]`` of alpha and -alpha in one tensordot,
-        and the resulting matrix-valued jet in h is substituted into the xi
+        So theta is taken once per site and u, once per positive root for
+        the whole batch and once per (u, site, positive root) and sign, all
+        in one kernel call (``_thetas``); ``thetas`` passes in that call's
+        result where the caller already has it.  The kernels' coefficients
+        in h form arrays lo[b, i, a] and up[b, j, c] (``_w_coeffs``); their
+        products c[b, i, j, m] = sum_{a+c=m} lo[b, i, a] up[b, j, c]
+        contract with the stacked pair operators ``_pair[k][i, j]`` of
+        alpha and -alpha in one matrix product per u (``_contract``), and
+        the resulting matrix-valued jet in h is substituted into the xi
         variables once.
         """
+        us, scalar = _spectral_batch(u)
         if thetas is None:
-            thetas = self._thetas(H, u, order)
+            thetas = self._thetas(H, us, order)
         rs, md = self.rs, self.md
-        nsites, npos = len(self.positions), rs.n_positive
+        batch, nsites, npos = len(us), len(self.positions), rs.n_positive
+        nx = batch * nsites
         th = thetas[:, : order + 1]
-        tz = thetas[:nsites, 0, None]
-        scales = _inverse_theta(th[nsites : nsites + npos], md)
-        minus = th[nsites + npos : nsites + npos * (nsites + 1)]
-        plus = th[nsites + npos * (nsites + 1) :]
+        tz = thetas[:nx, 0].reshape(batch, nsites, 1)
+        scales = _inverse_theta(th[nx : nx + npos], md)
+        # theta(x - c) and theta(x + c), indexed (sign, b, k, i, term)
+        shifted = th[nx + npos :].reshape(2, batch, npos, nsites, order + 1)
         acc = Jet(rs.rank, order)
         for k, alpha in enumerate(rs.positive_roots):
-            rows = slice(k * nsites, (k + 1) * nsites)
             # the potential's factor 1/2 rides on lo
-            lo = _w_coeffs(minus[rows], scales[k], tz) * 0.5
-            up = _cauchy(plus[rows], scales[k]) * (1.0 / tz)
-            pairs = _cauchy(lo[:, None, :], up[None, :, :])
-            total = np.tensordot(pairs, self._pair[k], axes=([0, 1], [0, 1]))
-            acc = acc + _linear_substitution(total, alpha)
-        return acc
+            lo = _w_coeffs(shifted[0, :, k], scales[k], tz) * 0.5
+            up = _cauchy(shifted[1, :, k], scales[k]) * (1.0 / tz)
+            pairs = _cauchy(lo[:, :, None, :], up[:, None, :, :])
+            acc = acc + _linear_substitution(self._contract(pairs, k), alpha)
+        return _entry(acc, 0) if scalar else acc
 
     # -- operators ---------------------------------------------------------
 
-    def transfer(self, u: complex, H, order: int = 0) -> DiffOperator:
+    def transfer(self, u, H, order: int = 0) -> DiffOperator:
         """The transfer operator at spectral parameter u,
         (1/2) sum_r nabla_r^2 + potential, as a differential operator in xi
         with its coefficient jets at H to the given order.
+
+        ``u`` is a spectral parameter or a 1-D array of B of them.  For an
+        array, one operator serves the whole batch: its matrix coefficients
+        carry a leading batch axis, shape (B, dim0, dim0), except the
+        constant 0.5 * identity of the second-order terms, which stays
+        (dim0, dim0) and broadcasts; composition, commutators and ``apply``
+        then act entry by entry.  A scalar u is the batch of one with that
+        axis squeezed off.  One theta call serves the whole batch.
         """
+        us, scalar = _spectral_batch(u)
         l = self.rs.rank
+        nsites = len(self.positions)
         eye = np.eye(self.space.dim0, dtype=complex)
         # one theta call serves A_r(u) and the potential
-        thetas = self._thetas(H, u, order)
-        A = self._cartan_from(thetas[: len(self.positions)])
+        thetas = self._thetas(H, us, order)
+        A = self._cartan_from(thetas[: len(us) * nsites].reshape(len(us), nsites, -1))
         coeffs = {}
         for r, unit in enumerate(self._units):
             two = tuple(2 * s for s in unit)
             coeffs[two] = Jet.constant(0.5 * eye, l, order)
             coeffs[unit] = Jet.constant(-A[r], l, order)
         const0 = sum((Ar @ Ar for Ar in A), np.zeros_like(eye)) * 0.5
-        coeffs[(0,) * l] = self.potential_jet(H, u, order, thetas) + const0
+        coeffs[(0,) * l] = self.potential_jet(H, us, order, thetas) + const0
+        if scalar:
+            coeffs = {m: _entry(jet, 0) for m, jet in coeffs.items()}
         return DiffOperator(l, self.space.dim0, coeffs)
 
     def nabla(self, u: complex, order: int = 0) -> list:
@@ -555,32 +610,46 @@ class GaudinProblem:
 
 def commutativity_residual(
     problem: GaudinProblem,
-    u1: complex,
-    u2: complex,
+    u1s,
+    u2s,
     h_points,
 ) -> dict:
-    """Relative size of [transfer(u1), transfer(u2)] at sample points.
+    """Relative size of [transfer(u1), transfer(u2)] over paired spectral
+    parameters and Cartan sample points.
 
-    Returns the maximum relative residual over the sample points together
-    with the largest absolute top-degree (order 3 and 4) coefficients,
-    which must vanish identically.
+    ``u1s`` and ``u2s`` are paired 1-D arrays of spectral parameters, or
+    two scalars for one pair.  Per Cartan point, one batched transfer
+    operator serves every u1 and one every u2 (the same operator when the
+    arrays are equal), and one batched commutator serves every pair; each
+    pair's residual is scaled by the product of its own two operators'
+    largest coefficients.  Returns the maximum relative residual over the
+    pairs and points together with the largest absolute top-degree (order
+    3 and 4) coefficients, which must vanish identically.  Every fold keeps
+    NaN.
     """
+    u1s, _ = _spectral_batch(u1s)
+    u2s, _ = _spectral_batch(u2s)
+    if u1s.shape != u2s.shape:
+        raise GaudinError(
+            f"paired spectral parameters differ in number: {len(u1s)} and {len(u2s)}"
+        )
     max_rel = 0.0
     max_abs34 = {3: 0.0, 4: 0.0}
     for H in h_points:
         # the commutator's coefficient values need both operators'
         # coefficient jets to second order
-        t1 = problem.transfer(u1, H, 2)
-        t2 = t1 if u2 == u1 else problem.transfer(u2, H, 2)
-        vals = t1.commutator(t2).evaluate()
+        t1 = problem.transfer(u1s, H, 2)
+        t2 = t1 if np.array_equal(u1s, u2s) else problem.transfer(u2s, H, 2)
+        comm = t1.commutator(t2)
         scale = t1.max_coeff_norm() * t2.max_coeff_norm()
-        worst = np.max([np.max(np.abs(v)) for v in vals.values()])
-        max_rel = np.maximum(max_rel, worst / np.maximum(scale, 1e-300))
-        for m, v in vals.items():
+        max_rel = np.maximum(max_rel, comm.max_coeff_norm() / np.maximum(scale, 1e-300))
+        for m, v in comm.evaluate().items():
             if sum(m) in (3, 4):
                 max_abs34[sum(m)] = np.maximum(max_abs34[sum(m)], np.max(np.abs(v)))
+        # this point's batched operators go before the next point's are built
+        del t1, t2, comm
     return {
-        "max_rel": float(max_rel),
+        "max_rel": float(np.max(max_rel)),
         "max_abs_order3": float(max_abs34[3]),
         "max_abs_order4": float(max_abs34[4]),
     }

@@ -404,3 +404,21 @@ def compose_reference(left, right):
                 t = (a * db) * _binom_multi(beta, delta)
                 out[mu] = out[mu] + t if mu in out else t
     return DiffOperator(self.nvars, self.dim, out)
+
+
+def nearest_lattice_point_scan(z: complex, md) -> complex:
+    """Nearest lattice point by a scalar scan of the 3 x 3 neighbours of
+    the rounded reduced-basis coordinates, in the order (x - 1, y - 1),
+    (x - 1, y), ..., keeping the first of equally near candidates."""
+    (n1, m1), (n2, m2) = md.basis
+    b1 = n1 + m1 * md.tau
+    b2 = n2 + m2 * md.tau
+    det = (b1.conjugate() * b2).imag
+    x = round((z.conjugate() * b2).imag / det)
+    y = round((b1.conjugate() * z).imag / det)
+    best = None
+    for p, k in product((x - 1, x, x + 1), (y - 1, y, y + 1)):
+        cand = (p * m1 + k * m2) * md.tau + (p * n1 + k * n2)
+        if best is None or abs(z - cand) < abs(z - best):
+            best = cand
+    return best

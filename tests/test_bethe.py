@@ -326,6 +326,33 @@ def test_eigenvalue_period_one_in_u():
     assert abs(v1 - v2) / abs(v1) < 1e-10
 
 
+def test_eigenvalue_over_an_array_matches_scalar_calls():
+    c1 = 0.73 + 0.21j
+    sysb = make_system([c1, 2 - c1])
+    t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
+    us = np.array([0.62 + 0.3j, -0.1 + 0.2j, 0.25 + 0.55j, 1.62 + 0.3j])
+    values = sysb.eigenvalue(t, us)
+    assert values.shape == us.shape
+    singles = [sysb.eigenvalue(t, u) for u in us]
+    assert all(type(v) is complex for v in singles)
+    # each u is summed on its own, so the entries agree to the bit
+    assert values.tolist() == singles
+    assert sysb.eigenvalue(t, us[:1]).tolist() == singles[:1]
+
+
+def test_batched_eigen_residual_is_the_max_over_single_points():
+    c1 = 0.73 + 0.21j
+    sysb = make_system([c1, 2 - c1])
+    t = sysb.solve(n_seeds=8)[0].t
+    hpts = sample_regular_cartan(RS1, MD, np.random.default_rng(81), 2)
+    upts = [0.62 + 0.3j, -0.1 + 0.2j, 0.25 + 0.55j]
+    report = sysb.verify_eigenvector(t, hpts, upts)
+    singles = [sysb.verify_eigenvector(t, hpts, [u]) for u in upts]
+    assert report["max_rel"] == max(r["max_rel"] for r in singles)
+    assert report["min_norm"] == singles[0]["min_norm"]
+    assert report["status"] == "ok"
+
+
 def test_eigenvalue_matches_rayleigh_quotient():
     sysb = make_system([0.5, 0.5], depth=3)
     sols = sysb.solve(seeds=[np.array([(Z2[0] + Z2[1]) / 2 + 0.49 + 0.02j])])

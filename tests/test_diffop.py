@@ -385,14 +385,20 @@ def test_second_order_commutator_top_terms_cancel():
 
 
 def random_coefficient(rng, dim, kind):
-    """A random complex scalar, a random matrix, or (sometimes) a scalar 0."""
+    """A random complex scalar, a random matrix, or (sometimes) a scalar 0.
+
+    The kind "batched" gives a stack of three matrices, shape (3, dim, dim),
+    or an unbatched matrix that serves every batch entry."""
     if kind == "mixed":
         kind = ("scalar", "matrix")[rng.integers(2)]
+    if kind == "batched":
+        kind = ("stack", "matrix")[rng.integers(2)]
     if rng.random() < 0.1:
         return 0j
     if kind == "scalar":
         return complex(rng.normal(), rng.normal())
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    shape = (3, dim, dim) if kind == "stack" else (dim, dim)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def random_operator(rng, nvars, dim, order, k, kind):
@@ -452,3 +458,39 @@ def test_compose_matches_straight_line_reference(nvars, kind):
                     for m in set(mine.coeffs) | set(jet.coeffs):
                         err = float(np.max(np.abs(mine.coeff(m) - jet.coeff(m))))
                         assert err <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix", "mixed", "batched"])
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_commutator_equals_difference_of_compositions(nvars, kind):
+    # the one-pass commutator subtracts in place; negation is exact, so it
+    # must give the values of compose(a, b) - compose(b, a) to the bit,
+    # also when the two compositions carry different jet orders
+    rng = np.random.default_rng(90 + nvars + len(kind))
+    for p, q, left_k, right_k in [
+        (2, 2, 2, 2), (1, 2, 2, 2), (2, 1, 3, 2), (0, 2, 2, 1), (1, 1, 1, 3),
+    ]:
+        a = random_operator(rng, nvars, 2, p, left_k, kind)
+        b = random_operator(rng, nvars, 2, q, right_k, kind)
+        before = [
+            {(m, mm): np.copy(c) for m, jet in op.coeffs.items()
+             for mm, c in jet.coeffs.items()}
+            for op in (a, b)
+        ]
+        got = a.commutator(b)
+        want = a.compose(b) - b.compose(a)
+        assert got.k == want.k
+        assert got.coeffs.keys() == want.coeffs.keys()
+        for m, jet in want.coeffs.items():
+            assert got.coeffs[m].total == jet.total
+            assert got.coeffs[m].coeffs.keys() == jet.coeffs.keys()
+            for mm, value in jet.coeffs.items():
+                mine = got.coeffs[m].coeffs[mm]
+                assert np.shape(mine) == np.shape(value)
+                assert np.array_equal(mine, value)
+        # the operators themselves are left as they were
+        for op, saved in zip((a, b), before):
+            now = {(m, mm): c for m, jet in op.coeffs.items()
+                   for mm, c in jet.coeffs.items()}
+            assert now.keys() == saved.keys()
+            assert all(np.array_equal(now[key], saved[key]) for key in saved)

@@ -29,6 +29,7 @@ from ellgaudin.elliptic import (
 from oracles import (
     fd_derivative,
     fd_second,
+    nearest_lattice_point_scan,
     richardson_pole_limit,
     theta11_direct,
     w_direct,
@@ -108,6 +109,29 @@ def test_nearest_lattice_point_matches_brute_force(tau):
         assert abs(near - m * tau - round((near - m * tau).real)) < 1e-12
         assert abs(abs(z - near) - truth) <= 1e-12
         assert abs(lattice_distance(z, md) - truth) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "tau", [0.8j, 0.3 + 0.06j, 3.3 + 0.5j, -2.4 + 0.4j], ids=str
+)
+def test_array_nearest_lattice_point_matches_scalar_scan(tau):
+    # points spread over a few cells, plus exact midpoints between lattice
+    # points, where two candidates tie and the scan keeps the first
+    md = ModularData(tau)
+    rng = np.random.default_rng(23)
+    zs = rng.uniform(-3, 3, 2000) + 1j * rng.uniform(-3, 3, 2000)
+    zs[:8] = [0.5, 0.5 * tau, 0.5 + 0.5 * tau, -0.5 - 1.5 * tau,
+              1.5, 0.5 * (1 + tau), 2.5 - tau, -0.5]
+    near = nearest_lattice_point(zs, md)
+    dist = lattice_distance(zs, md)
+    assert near.shape == dist.shape == zs.shape
+    want = np.array([nearest_lattice_point_scan(complex(z), md) for z in zs])
+    assert np.array_equal(near, want)
+    assert np.array_equal(dist, [abs(complex(z - w)) for z, w in zip(zs, want)])
+    # a scalar argument gives Python numbers, the same as its array entry
+    assert type(nearest_lattice_point(zs[9], md)) is complex
+    assert type(lattice_distance(zs[9], md)) is float
+    assert nearest_lattice_point(zs[9], md) == near[9]
 
 
 # ---------------------------------------------------------------------------

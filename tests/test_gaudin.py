@@ -356,6 +356,87 @@ def test_transfer_family_commutes_dual_verma_sites():
     assert res["max_rel"] < 1e-12
 
 
+# ---------------------------------------------------------------------------
+# batch axis over spectral parameters
+# ---------------------------------------------------------------------------
+
+
+def irrep_pair_problem(rank):
+    rs, md = (RS1, MD) if rank == 1 else (RS2, MD2)
+    mods = [
+        build_irrep(rs, rs.fundamental_weights[0]),
+        build_irrep(rs, rs.fundamental_weights[rank - 1]),
+    ]
+    return GaudinProblem(rs, md, [0.05, 0.52 + 0.31j], mods)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_batched_transfer_rows_match_scalar_calls(rank, order, batch):
+    prob = irrep_pair_problem(rank)
+    dim = prob.space.dim0
+    rng = np.random.default_rng(90 + 10 * rank + batch)
+    H = sample_regular_cartan(prob.rs, prob.md, rng, 1)[0]
+    us = np.array(sample_spectral_points(prob.md, prob.positions, rng, batch))
+    op = prob.transfer(us, H, order)
+    assert op.k == order
+    for b, u in enumerate(us):
+        one = prob.transfer(u, H, order)
+        assert one.coeffs.keys() == op.coeffs.keys()
+        scale = max(
+            np.max(np.abs(c)) for jet in one.coeffs.values() for c in jet.coeffs.values()
+        )
+        for m, jet in one.coeffs.items():
+            assert jet.coeffs.keys() == op.coeffs[m].coeffs.keys()
+            for mm, want in jet.coeffs.items():
+                got = op.coeffs[m].coeffs[mm]
+                assert want.shape == (dim, dim)
+                if sum(m) == 2:
+                    # the constant 0.5 * identity stays unbatched
+                    assert got.shape == (dim, dim)
+                else:
+                    assert got.shape == (batch, dim, dim)
+                    got = got[b]
+                assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_paired_commutativity_residual_is_the_max_over_single_pairs(rank):
+    prob = irrep_pair_problem(rank)
+    rng = np.random.default_rng(95 + rank)
+    hs = sample_regular_cartan(prob.rs, prob.md, rng, 2)
+    us = np.array(sample_spectral_points(prob.md, prob.positions, rng, 6))
+    got = commutativity_residual(prob, us[0::2], us[1::2], hs)
+    singles = [
+        commutativity_residual(prob, u1, u2, hs)
+        for u1, u2 in zip(us[0::2], us[1::2])
+    ]
+    assert got["max_rel"] < 1e-12
+    for key, value in got.items():
+        assert value == max(single[key] for single in singles)
+    same = commutativity_residual(prob, us[:3], us[:3], hs)
+    assert same["max_rel"] == 0.0
+    with pytest.raises(GaudinError, match="differ in number"):
+        commutativity_residual(prob, us[:2], us[:3], hs)
+
+
+@pytest.mark.parametrize(
+    "values,first",
+    [
+        ((0.31 + 0.2j, 1.0), 1),  # alpha_2(H) = 1
+        ((0.31 + 0.2j, 0.69 - 0.2j + 0.8j), 2),  # (alpha_1 + alpha_2)(H) = 1 + tau
+        ((0.8j, -0.8j), 0),  # every root on the lattice
+    ],
+)
+def test_regularity_check_names_the_first_singular_root(values, first):
+    # the positive roots are alpha_1, alpha_2 and alpha_1 + alpha_2
+    simple = np.asarray(RS2.simple_roots, dtype=complex)
+    H = np.linalg.solve(simple, np.array(values, dtype=complex))
+    with pytest.raises(GaudinError, match=f"root #{first} takes"):
+        check_regular(RS2, MD, H)
+
+
 def test_nabla_operators_commute():
     # flatness of the connection: [nabla_r, nabla_s] = 0
     mods = [

@@ -4,11 +4,16 @@ Each operator is assembled from coefficient jets at one Cartan point, so
 the checks need a fixed number of evaluations per point:
 - the commutator certificate builds each of its two transfer operators
   once, at second order, so ``potential_jet`` runs twice per point, and
-  once when both spectral parameters are equal;
+  once when both spectral parameters are equal; a transfer operator is
+  batched over spectral parameters, so the commute stage builds one for
+  all first members of its pairs and one for all second members per
+  point, however many pairs it checks, and takes theta once per operator;
 - composition reads each Leibniz term straight off the coefficient jets,
   with no jet shift, truncation or jet product;
 - the eigenvector check builds the Bethe vector, which does not depend
-  on the spectral parameter, once per point, at the operator's order;
+  on the spectral parameter, once per point, at the operator's order, and
+  one transfer operator per point for all its spectral parameters, with
+  their eigenvalues from one call;
 - the explicit conjugated operator reads every log-derivative of the
   Weyl-Kac denominator off one jet;
 - the exchange potential takes theta once per distinct argument, which
@@ -38,8 +43,11 @@ import math
 import numpy as np
 import pytest
 
+from pathlib import Path
+
 from ellgaudin import bethe, elliptic, gaudin
 from ellgaudin.bethe import BetheSystem
+from ellgaudin.cli import CheckRunner, load_config
 from ellgaudin.elliptic import Jet, ModularData
 from ellgaudin.gaudin import (
     GaudinProblem,
@@ -50,6 +58,7 @@ from ellgaudin.gaudin import (
 from ellgaudin.liealg import build_dual_verma, build_irrep, build_root_system
 
 MD = ModularData(0.8j)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def count_calls(monkeypatch, owner, name):
@@ -150,12 +159,19 @@ def test_eigenvector_check_builds_the_vector_once_per_point(monkeypatch):
     hs = sample_regular_cartan(rs, MD, rng, 3)
     us = sample_spectral_points(MD, prob.positions + list(sols[0].t), rng, 4)
     calls = count_calls(monkeypatch, BetheSystem, "vector_jet")
+    transfers = count_calls(monkeypatch, GaudinProblem, "transfer")
+    eigenvalues = count_calls(monkeypatch, BetheSystem, "eigenvalue")
     result = system.verify_eigenvector(sols[0].t, hs, us)
     assert result["status"] == "ok"
     assert result["max_rel"] < 1e-8
     assert len(calls) == len(hs)
     # each call carries the transfer operator's order
     assert all(args[3:] == (2,) for args, _ in calls)
+    # one operator per point serves every spectral parameter, and one
+    # eigenvalue call serves them all
+    assert len(transfers) == len(hs)
+    assert all(len(args[1]) == len(us) for args, _ in transfers)
+    assert len(eigenvalues) == 1
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -204,6 +220,44 @@ def test_transfer_reads_cartan_matrices_off_site_thetas(monkeypatch, rank):
     # theta(z_i - u) once per site, shared by A_r(u) and the potential
     per_call = nsites + npos * (2 * nsites + 1)
     assert arguments(thetas) == [per_call] * (2 * len(hs) * len(us))
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8])
+def test_batched_transfer_takes_one_theta_call(monkeypatch, batch):
+    prob = irrep_problem(2)
+    nsites, npos = len(prob.positions), prob.rs.n_positive
+    rng = np.random.default_rng(65)
+    H = sample_regular_cartan(prob.rs, MD, rng, 1)[0]
+    us = np.array(sample_spectral_points(MD, prob.positions, rng, batch))
+    thetas = count_everywhere(monkeypatch, "theta11_coeffs")
+    regular = count_calls(monkeypatch, gaudin, "check_regular")
+    prob.transfer(us, H, 2)
+    # the roots' arguments are shared by the batch, the rest are per u
+    assert arguments(thetas) == [batch * nsites + npos + 2 * npos * nsites * batch]
+    assert len(regular) == 1
+
+
+def commute_stage_counts(monkeypatch, tmp_path, pair_count):
+    text = (CONFIGS / "a2_n2_33bar.ini").read_text(encoding="utf-8")
+    path = tmp_path / f"pairs{pair_count}.ini"
+    path.write_text(text + f"\n[sampling]\npair_count = {pair_count}\n", encoding="utf-8")
+    runner = CheckRunner(load_config(str(path)), "commute-check", False)
+    potentials = count_calls(monkeypatch, GaudinProblem, "potential_jet")
+    thetas = count_everywhere(monkeypatch, "theta11_coeffs")
+    runner.stage_commute()
+    assert all(record.passed for record in runner.report.records)
+    counts = (len(potentials), len(thetas))
+    monkeypatch.undo()
+    return counts
+
+
+def test_commute_stage_work_does_not_grow_with_the_pair_count(monkeypatch, tmp_path):
+    few = commute_stage_counts(monkeypatch, tmp_path, 2)
+    many = commute_stage_counts(monkeypatch, tmp_path, 8)
+    # per Cartan point: the same-point operator, then one operator for the
+    # first and one for the second members of all pairs
+    cartan_count = load_config(str(CONFIGS / "a2_n2_33bar.ini")).sampling["cartan_count"]
+    assert few == many == (3 * cartan_count, 3 * cartan_count)
 
 
 def bracket_system():
@@ -326,7 +380,13 @@ def test_bethe_equations_take_zeta_once_per_unordered_root_pair(monkeypatch):
 def test_eigenvalue_takes_zeta_once_per_site_and_root(monkeypatch):
     system = three_root_system()
     M, N = system.M, len(system.problem.positions)
+    t = [0.21 + 0.13j, 0.52 + 0.4j, 0.83 + 0.61j]
     zeta_rows = count_everywhere(monkeypatch, "zeta11_coeffs")
-    value = system.eigenvalue([0.21 + 0.13j, 0.52 + 0.4j, 0.83 + 0.61j], 0.37 + 0.29j)
+    value = system.eigenvalue(t, 0.37 + 0.29j)
     assert np.isfinite(value)
     assert arguments(zeta_rows) == [N + M]
+    # an array of u takes one call for every (u, site or root)
+    zeta_rows.clear()
+    values = system.eigenvalue(t, np.array([0.37 + 0.29j, 0.61 + 0.5j, 0.2 + 0.7j]))
+    assert np.all(np.isfinite(values))
+    assert arguments(zeta_rows) == [3 * (N + M)]
