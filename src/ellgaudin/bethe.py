@@ -2,8 +2,9 @@
 
 Sites carry dual Verma modules with weights whose sum lies in the
 positive root lattice; each Bethe root t_j carries a simple root.  The
-module provides the algebraic equations for the roots, a damped Newton
-solver over quasi-random seeds, the eigenvector built from ordered
+module provides the algebraic equations for the roots, evaluated at one
+point or at a stack of points, a damped Newton solver that runs all its
+quasi-random seeds in lockstep, the eigenvector built from ordered
 partitions of the roots over the sites, and the closed-form eigenvalue,
 together with a residual check that the vector is an eigenvector of the
 transfer operator.
@@ -117,6 +118,19 @@ class BetheSystem:
             [np.reshape(self.weights, (-1, rs.rank)), -alphas]
         )
         self._simple_roots = np.asarray(rs.simple_roots, dtype=complex)
+        # the maps j -> pi(j) of the permutations pi within the groups of
+        # roots sharing a label, one row each
+        groups: dict = {}
+        for j, a in enumerate(self.assignment):
+            groups.setdefault(a, []).append(j)
+        maps = []
+        for choice in _iproduct(*(permutations(idx) for idx in groups.values())):
+            mapping = [0] * self.M
+            for orig, permed in zip(groups.values(), choice):
+                for x, y in zip(orig, permed):
+                    mapping[x] = y
+            maps.append(mapping)
+        self._relabellings = np.array(maps, dtype=int).reshape(len(maps), self.M)
         # (subset, basis index) at a site -> its chains; see _chains
         self._chain_table: dict = {}
 
@@ -141,37 +155,56 @@ class BetheSystem:
         res_j = sum_i (a_j|lam_i) zeta(t_j - z_i)
                 - sum_{k != j} (a_j|a_k) zeta(t_j - t_k).
 
+        ``t`` is one point, an M-vector, giving shapes (M,) and (M, M), or
+        an (S, M) stack of points, giving (S, M) and (S, M, M); one point
+        is the stack of one with the axis squeezed off.
+
         zeta is odd and zeta' even, so zeta is taken once per unordered
         pair of roots, at whichever of +-(t_j - t_k) comes first in the
         order (Im, Re) from above, which keeps the residual exactly
-        covariant under relabelling the roots.  All M N + M (M - 1) / 2
-        arguments go to one kernel call; the few terms are then summed as
-        Python numbers, which costs less than array operations would.
+        covariant under relabelling the roots.  The M N + M (M - 1) / 2
+        arguments of every point go to one kernel call, whose rows do not
+        depend on the batch around them; each point's few terms are then
+        summed as Python numbers, which costs less than array operations
+        would, in the same order whatever the stack.
         """
-        roots = np.asarray(t, dtype=complex).tolist()
+        points = np.asarray(t, dtype=complex)
+        stack = np.atleast_2d(points).tolist()
         M, zs = self.M, self.problem.positions
-        diffs = [roots[j] - roots[k] for j, k in self._pairs]
-        signs = [-1.0 if (d.imag, d.real) < (0.0, 0.0) else 1.0 for d in diffs]
-        args = [tj - z for tj in roots for z in zs]
-        args += [s * d for s, d in zip(signs, diffs)]
+        args, signs = [], []
+        for roots in stack:
+            diffs = [roots[j] - roots[k] for j, k in self._pairs]
+            signs.append([-1.0 if (d.imag, d.real) < (0.0, 0.0) else 1.0 for d in diffs])
+            args += [tj - z for tj in roots for z in zs]
+            args += [s * d for s, d in zip(signs[-1], diffs)]
         ze = zeta11_coeffs(args, self.problem.md, 1).tolist()
-        res = [0j] * M
-        jac = [[0j] * M for _ in range(M)]
-        for j, row in enumerate(self._site_pairing):
-            for pair, (value, slope) in zip(row, ze[j * len(zs) : (j + 1) * len(zs)]):
-                res[j] += pair * value
-                jac[j][j] += pair * slope
-        for (j, k), sign, (value, slope) in zip(self._pairs, signs, ze[M * len(zs) :]):
-            pair = self._root_pairing[j][k]
-            value = pair * (sign * value)
-            slope = pair * slope
-            res[j] -= value
-            res[k] += value
-            jac[j][j] -= slope
-            jac[k][k] -= slope
-            jac[j][k] += slope
-            jac[k][j] += slope
-        return np.array(res), np.array(jac)
+        nsite = M * len(zs)
+        width = nsite + len(self._pairs)
+        out_res, out_jac = [], []
+        for r, row_signs in enumerate(signs):
+            sites = ze[r * width : r * width + nsite]
+            pairs = ze[r * width + nsite : (r + 1) * width]
+            res = [0j] * M
+            jac = [[0j] * M for _ in range(M)]
+            for j, row in enumerate(self._site_pairing):
+                for pair, (value, slope) in zip(row, sites[j * len(zs) : (j + 1) * len(zs)]):
+                    res[j] += pair * value
+                    jac[j][j] += pair * slope
+            for (j, k), sign, (value, slope) in zip(self._pairs, row_signs, pairs):
+                pair = self._root_pairing[j][k]
+                value = pair * (sign * value)
+                slope = pair * slope
+                res[j] -= value
+                res[k] += value
+                jac[j][j] -= slope
+                jac[k][k] -= slope
+                jac[j][k] += slope
+                jac[k][j] += slope
+            out_res.append(res)
+            out_jac.append(jac)
+        if points.ndim == 1:
+            return np.array(out_res[0]), np.array(out_jac[0])
+        return np.array(out_res), np.array(out_jac)
 
     # -- solver ------------------------------------------------------------
 
@@ -189,74 +222,138 @@ class BetheSystem:
             seeds.append(t)
         return seeds
 
-    def _too_close(self, t, guard: float) -> bool:
+    def _too_close(self, t, guard: float):
         """Whether a root comes within ``guard`` of a site or of another
-        root, modulo the lattice; one distance call for all of them."""
+        root, modulo the lattice, at one point, or per row of an (S, M)
+        stack of points; one distance call for all of them."""
         t = np.asarray(t, dtype=complex)
         j, k = np.triu_indices(self.M, 1)
+        sites = t[..., :, None] - np.asarray(self.problem.positions)
         gaps = np.concatenate(
-            [(t[:, None] - np.asarray(self.problem.positions)).ravel(), t[j] - t[k]]
+            [sites.reshape(t.shape[:-1] + (-1,)), t[..., j] - t[..., k]], axis=-1
         )
-        return bool(np.any(lattice_distance(gaps, self.problem.md) < guard))
+        close = np.any(lattice_distance(gaps, self.problem.md) < guard, axis=-1)
+        return bool(close) if t.ndim == 1 else close
 
-    def _newton(self, t0, tol, max_iter, guard):
-        t = np.asarray(t0, dtype=complex)
+    def _evaluate(self, points):
+        """``equations`` at every row of the (S, M) stack points, with per
+        row the EllipticError or OverflowError its evaluation raised, or
+        None; the rows that raised hold NaN.
+
+        One call serves every row unless one of them raises; then each row
+        is evaluated alone, so that one seed's failure neither fails nor
+        changes another's result.
+        """
         try:
-            res, jac = self.equations(t)
+            res, jac = self.equations(points)
+            return res, jac, [None] * len(points)
         except (EllipticError, OverflowError):
-            return None
-        best = float(np.max(np.abs(res)))
-        for it in range(1, max_iter + 1):
-            if best < tol:
-                return BetheSolution(t, best, it - 1)
+            pass
+        res = np.full(points.shape, np.nan, dtype=complex)
+        jac = np.full(points.shape + (self.M,), np.nan, dtype=complex)
+        errors = [None] * len(points)
+        for r, row in enumerate(points):
             try:
-                step = np.linalg.solve(jac, res)
-            except np.linalg.LinAlgError:
-                return None
-            damp = 1.0
-            for _ in range(25):
-                cand = t - damp * step
-                try:
-                    res_c, jac_c = self.equations(cand)
-                except EllipticError:
-                    damp /= 2
-                    continue
-                except OverflowError:
-                    # theta's quasi-periodicity factor overflowed: the
-                    # step diverged, so this seed fails
-                    return None
-                norm_c = float(np.max(np.abs(res_c)))
-                if norm_c < best or best < 1e-9:
-                    t, res, jac, best = cand, res_c, jac_c, norm_c
-                    break
-                damp /= 2
-            else:
-                return None
-        if best < tol and not self._too_close(t, guard):
-            return BetheSolution(t, best, max_iter)
-        return None
+                res[r], jac[r] = self.equations(row)
+            except (EllipticError, OverflowError) as exc:
+                errors[r] = exc
+        return res, jac, errors
 
-    def _equivalent(self, ta, tb, tol: float = 1e-8) -> bool:
-        """Same solution up to integer shifts and group permutations."""
-        groups: dict = {}
-        for j, a in enumerate(self.assignment):
-            groups.setdefault(a, []).append(j)
-        for perm_choice in _iproduct(
-            *(permutations(idx) for idx in groups.values())
-        ):
-            mapping = {}
-            for orig, permed in zip(groups.values(), perm_choice):
-                for x, y in zip(orig, permed):
-                    mapping[x] = y
-            ok = True
-            for j in range(self.M):
-                d = ta[j] - tb[mapping[j]]
-                if abs(d.imag) > tol or abs(d.real - round(d.real)) > tol:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+    @staticmethod
+    def _newton_steps(jac, res) -> list:
+        """J^-1 res for each row of the (S, M, M) and (S, M) stacks, None
+        where J is singular: one stacked solve, or a solve per row when a
+        Jacobian of the stack is singular."""
+        try:
+            return list(np.linalg.solve(jac, res[..., None])[..., 0])
+        except np.linalg.LinAlgError:
+            pass
+        steps = []
+        for jac_row, res_row in zip(jac, res):
+            try:
+                steps.append(np.linalg.solve(jac_row, res_row))
+            except np.linalg.LinAlgError:
+                steps.append(None)
+        return steps
+
+    def _lockstep(self, points, tol, max_iter, guard) -> list:
+        """Damped Newton from every row of the (S, M) stack points: per
+        seed, the BetheSolution it reaches, or None.
+
+        Each seed runs its own iteration.  A step J^-1 res is tried at
+        damp = 1, 1/2, 1/4, ... for up to 25 candidates t - damp step; the
+        first whose residual norm falls below the best so far is accepted,
+        any once that best is under 1e-9, and a candidate near a pole only
+        halves damp.  A seed fails when its first evaluation raises, a
+        candidate overflows (the step diverged), its Jacobian is singular
+        or its line search runs out.  It converges once its norm is under
+        tol, or at max_iter if its norm is under tol and no root comes
+        within guard of a site or of another root.
+
+        The seeds advance in lockstep: each round evaluates the current
+        point of every live seed in one ``equations`` call, and the seeds
+        that begin a step take it from one stacked solve.  Both give every
+        row what it would get alone, so each seed follows its own path.
+        """
+        count = len(points)
+        out = [None] * count
+        if not count:
+            return out
+        t = points.copy()
+        res, jac, errors = self._evaluate(t)
+        best = np.max(np.abs(res), axis=-1)
+        iteration = np.ones(count, dtype=int)
+        damp = np.ones(count)
+        tries = np.zeros(count, dtype=int)
+        step = np.zeros_like(t)
+        starting = [i for i, error in enumerate(errors) if error is None]
+        searching = []
+        while starting or searching:
+            stepping = []
+            for i in starting:
+                if iteration[i] > max_iter:
+                    if best[i] < tol and not self._too_close(t[i], guard):
+                        out[i] = BetheSolution(t[i].copy(), float(best[i]), max_iter)
+                elif best[i] < tol:
+                    out[i] = BetheSolution(
+                        t[i].copy(), float(best[i]), int(iteration[i]) - 1
+                    )
+                else:
+                    stepping.append(i)
+            if stepping:
+                steps = self._newton_steps(jac[stepping], res[stepping])
+                for i, row in zip(stepping, steps):
+                    if row is not None:
+                        step[i], damp[i], tries[i] = row, 1.0, 0
+                        searching.append(i)
+            if not searching:
+                break
+            cand = t[searching] - damp[searching, None] * step[searching]
+            res_c, jac_c, errors = self._evaluate(cand)
+            norm_c = np.max(np.abs(res_c), axis=-1)
+            starting, still = [], []
+            for r, i in enumerate(searching):
+                if isinstance(errors[r], OverflowError):
+                    continue  # theta's factor overflowed: the step diverged
+                if errors[r] is None and (norm_c[r] < best[i] or best[i] < 1e-9):
+                    t[i], res[i], jac[i], best[i] = cand[r], res_c[r], jac_c[r], norm_c[r]
+                    iteration[i] += 1
+                    starting.append(i)
+                    continue
+                damp[i] /= 2
+                tries[i] += 1
+                if tries[i] < 25:
+                    still.append(i)
+            searching = still
+        return out
+
+    def _equivalent(self, t, others, tol: float = 1e-8) -> bool:
+        """Whether t is the same solution as a row of others up to integer
+        shifts and permutations of roots sharing a label: one comparison
+        against every relabelling of every row."""
+        d = np.asarray(t)[None, None, :] - np.asarray(others)[:, self._relabellings]
+        off = (np.abs(d.imag) > tol) | (np.abs(d.real - np.round(d.real)) > tol)
+        return bool(np.any(~np.any(off, axis=-1)))
 
     def solve(
         self,
@@ -269,22 +366,21 @@ class BetheSystem:
         """All distinct Bethe roots reachable from the seed list.
 
         Seeds default to a low-discrepancy grid over the fundamental cell;
-        an explicit list of complex M-vectors overrides it.  The equations
-        are invariant under unit shifts t_j -> t_j + 1 and under
-        permutations of roots sharing a simple-root label, so solutions
-        are deduplicated modulo both.
+        an explicit list of complex M-vectors overrides it.  Seeds with a
+        root within ``guard`` of a site or of another root are dropped, and
+        Newton runs from all the others in lockstep (``_lockstep``), one
+        kernel call per round for all of them.  The equations are invariant
+        under unit shifts t_j -> t_j + 1 and under permutations of roots
+        sharing a simple-root label, so solutions are deduplicated modulo
+        both, in seed order, and sorted.
         """
         if seeds is None:
             seeds = self._seed_points(n_seeds)
+        points = np.asarray(seeds, dtype=complex).reshape(len(seeds), self.M)
+        points = points[~self._too_close(points, guard)]
         found = []
-        for seed in seeds:
-            seed = np.asarray(seed, dtype=complex)
-            if self._too_close(seed, guard):
-                continue
-            sol = self._newton(seed, tol, max_iter, guard)
-            if sol is None:
-                continue
-            if any(self._equivalent(sol.t, f.t) for f in found):
+        for sol in self._lockstep(points, tol, max_iter, guard):
+            if sol is None or (found and self._equivalent(sol.t, [f.t for f in found])):
                 continue
             found.append(sol)
         found.sort(

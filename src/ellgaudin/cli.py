@@ -14,7 +14,8 @@ and, with a ``[bethe]`` section, the ``BetheSystem``, once; an error the
 library raises while building them becomes a ``ConfigError`` (exit 2).
 The CLI repeats none of the library's checks.  Each check stage names the
 section whose built object it reads, and a command whose stages lack one
-is a ``ConfigError`` as well.
+is a ``ConfigError`` as well, as is a ``pole_guard`` that leaves the
+spectral sampler no room, found when a stage samples.
 """
 
 from __future__ import annotations
@@ -611,6 +612,18 @@ class CheckRunner:
         ys = self.rng.uniform(lo, hi, size=count)
         return [complex(x) + complex(y) * self.md.tau for x, y in zip(xs, ys)]
 
+    def _spectral_points(self, avoid, count: int):
+        """``count`` spectral parameters at least pole_guard from each point
+        of ``avoid`` modulo the lattice; a guard that leaves them no room
+        in the cell is the config's error, not a failed check."""
+        guard = self.cfg.sampling["pole_guard"]
+        try:
+            return sample_spectral_points(self.md, avoid, self.rng, count, guard=guard)
+        except GaudinError as exc:
+            raise ConfigError(
+                f"[sampling] pole_guard = {guard} leaves no room in the cell: {exc}"
+            ) from None
+
     # -- stages ----------------------------------------------------------------
 
     def stage_elliptic(self):
@@ -752,13 +765,7 @@ class CheckRunner:
             guard=sampling["pole_guard"],
         )
         n_pairs = sampling["pair_count"]
-        us = sample_spectral_points(
-            self.md,
-            problem.positions,
-            self.rng,
-            2 * n_pairs + 1,
-            guard=sampling["pole_guard"],
-        )
+        us = self._spectral_points(problem.positions, 2 * n_pairs + 1)
         same = commutativity_residual(problem, us[:1], us[:1], h_points)
         self._record(
             "commute/same-point",
@@ -849,13 +856,7 @@ class CheckRunner:
                 guard=sampling["pole_guard"],
             )
             avoid = list(self.problem.positions) + list(roots)
-            u_points = sample_spectral_points(
-                self.md,
-                avoid,
-                self.rng,
-                sampling["u_count"],
-                guard=sampling["pole_guard"],
-            )
+            u_points = self._spectral_points(avoid, sampling["u_count"])
             result = system.verify_eigenvector(roots, h_points, u_points)
             if result["status"] == "inconclusive":
                 self._record(

@@ -610,8 +610,9 @@ def _quasi_periodic(a, m, expo, cos_phase, sin_phase) -> np.ndarray:
 
     Far above the cell at large Im tau the factor overflows on its own
     while the series is tiny; in such a row the factor and each coefficient
-    enter one exponent.  Called with numpy's overflow raising, as
-    :func:`theta11_coeffs` does.
+    enter one exponent.  Every other row is computed as it is when no row
+    folds, so that no row depends on the batch around it.  Called with
+    numpy's overflow raising, as :func:`theta11_coeffs` does.
     """
     acc = a
     if a.shape[1] > 1:
@@ -619,14 +620,16 @@ def _quasi_periodic(a, m, expo, cos_phase, sin_phase) -> np.ndarray:
         steps, weights = _shift_powers(a.shape[1] - 1)
         shift = np.power((-_TWO_PI_I * m)[:, None, None], steps) * weights
         acc = np.einsum("rj,rjk->rk", a, shift)
+    phase = cos_phase + 1j * sin_phase
     try:
-        return ((cos_phase + 1j * sin_phase) * np.exp(expo.real))[:, None] * acc
+        return (phase * np.exp(expo.real))[:, None] * acc
     except FloatingPointError:
         # some factor overflows alone; a product that overflows as well
         # raises again below
         pass
     folded = expo.real > _EXP_LIMIT
-    out = np.exp(np.where(folded, 0.0, expo))[:, None] * acc
+    factor = np.where(folded, 1.0, phase * np.exp(np.where(folded, 0.0, expo.real)))
+    out = factor[:, None] * acc
     live = folded[:, None] & (acc != 0)
     merged = np.broadcast_to(expo[:, None], acc.shape)[live] + np.log(acc[live])
     out[live] = np.exp(merged)

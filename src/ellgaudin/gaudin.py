@@ -186,14 +186,19 @@ def sample_spectral_points(
     count: int,
     guard: float = 0.05,
 ):
-    """Random spectral parameters in the fundamental cell away from sites."""
+    """Random spectral parameters in the fundamental cell, each at least
+    ``guard`` from every point of ``positions`` modulo the lattice.  Raises
+    :class:`GaudinError` after _MAX_TRIES draws."""
     positions = np.asarray(positions, dtype=complex)
     out = []
     tries = 0
     while len(out) < count:
         tries += 1
         if tries > _MAX_TRIES:
-            raise GaudinError("could not sample enough spectral points")
+            raise GaudinError(
+                f"could not sample {count} spectral points at least {guard} "
+                f"from {len(positions)} poles in {_MAX_TRIES} draws"
+            )
         u = rng.uniform(0.0, 1.0) + rng.uniform(0.05, 0.95) * md.tau
         if np.any(lattice_distance(positions - u, md) < guard):
             continue

@@ -247,6 +247,98 @@ def bethe_residual_direct(t, zs, weights, alphas, tau, nterms: int = 60):
     return np.array(out, dtype=complex)
 
 
+def newton_per_seed(system, t0, tol, max_iter, guard):
+    """One seed's damped Newton iteration on ``system.equations``, seed by
+    seed with a single solve per step: the reference for the lockstep
+    solver.  Returns (t, residual, iterations) or None."""
+    from ellgaudin.elliptic import EllipticError, lattice_distance
+
+    t = np.asarray(t0, dtype=complex)
+    try:
+        res, jac = system.equations(t)
+    except (EllipticError, OverflowError):
+        return None
+    best = float(np.max(np.abs(res)))
+    for it in range(1, max_iter + 1):
+        if best < tol:
+            return t, best, it - 1
+        try:
+            step = np.linalg.solve(jac, res)
+        except np.linalg.LinAlgError:
+            return None
+        damp = 1.0
+        for _ in range(25):
+            cand = t - damp * step
+            try:
+                res_c, jac_c = system.equations(cand)
+            except EllipticError:
+                damp /= 2
+                continue
+            except OverflowError:
+                return None
+            norm_c = float(np.max(np.abs(res_c)))
+            if norm_c < best or best < 1e-9:
+                t, res, jac, best = cand, res_c, jac_c, norm_c
+                break
+            damp /= 2
+        else:
+            return None
+    if best < tol:
+        gaps = [tj - z for tj in t for z in system.problem.positions]
+        gaps += [t[j] - t[k] for j in range(len(t)) for k in range(j + 1, len(t))]
+        if all(lattice_distance(g, system.problem.md) >= guard for g in gaps):
+            return t, best, max_iter
+    return None
+
+
+def same_bethe_solution(system, ta, tb, tol: float = 1e-8) -> bool:
+    """Same roots up to integer shifts and permutations within each group
+    of roots sharing a simple-root label, by trying every permutation."""
+    groups: dict = {}
+    for j, a in enumerate(system.assignment):
+        groups.setdefault(a, []).append(j)
+    for choice in product(*(_permutations(idx) for idx in groups.values())):
+        mapping = {}
+        for orig, permed in zip(groups.values(), choice):
+            mapping.update(zip(orig, permed))
+        diffs = [ta[j] - tb[mapping[j]] for j in range(len(ta))]
+        if all(abs(d.imag) <= tol and abs(d.real - round(d.real)) <= tol for d in diffs):
+            return True
+    return False
+
+
+def bethe_solve_per_seed(system, n_seeds=32, tol=1e-12, max_iter=200,
+                         guard=0.05, seeds=None):
+    """``BetheSystem.solve`` one seed after another: each seed filtered,
+    iterated by ``newton_per_seed`` and deduplicated against the solutions
+    before it, then sorted as the library sorts.  Returns
+    (t, residual, iterations) triples."""
+    from ellgaudin.elliptic import lattice_distance
+
+    if seeds is None:
+        seeds = system._seed_points(n_seeds)
+    found = []
+    for seed in seeds:
+        seed = np.asarray(seed, dtype=complex)
+        gaps = [tj - z for tj in seed for z in system.problem.positions]
+        gaps += [
+            seed[j] - seed[k] for j in range(len(seed)) for k in range(j + 1, len(seed))
+        ]
+        if any(lattice_distance(g, system.problem.md) < guard for g in gaps):
+            continue
+        sol = newton_per_seed(system, seed, tol, max_iter, guard)
+        if sol is None or any(same_bethe_solution(system, sol[0], f[0]) for f in found):
+            continue
+        found.append(sol)
+    found.sort(
+        key=lambda s: tuple(
+            (round(x.real - math.floor(x.real), 9), round(x.imag, 9))
+            for x in np.sort_complex(s[0])
+        )
+    )
+    return found
+
+
 def _sl2_raising_string_coeff(mu: complex, m: int) -> complex:
     """Pairing of an m-fold raising string against the rank-1 Verma basis.
 

@@ -13,6 +13,7 @@ Key oracles:
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from ellgaudin.bethe import (
     default_assignment,
     halton_points,
 )
-from ellgaudin.elliptic import EllipticError, ModularData, lattice_distance, w_kernel
+from ellgaudin.cli import load_config
+from ellgaudin.elliptic import (
+    EllipticError,
+    ModularData,
+    PoleProximityError,
+    lattice_distance,
+    w_kernel,
+)
 from ellgaudin.gaudin import (
     GaudinError,
     GaudinProblem,
@@ -34,6 +42,7 @@ from ellgaudin.liealg import build_dual_verma, build_root_system
 
 from oracles import (
     bethe_residual_direct,
+    bethe_solve_per_seed,
     bethe_vector_bruteforce_a1,
     fd_multi,
     w_direct,
@@ -47,6 +56,7 @@ TAU = 0.8j
 ALPHA = np.asarray(RS1.simple_roots[0], dtype=complex)
 
 Z2 = [0.11 + 0j, 0.43 + 0.27j]
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def dual_verma_sites(cs, depth):
@@ -418,15 +428,21 @@ def test_verification_inconclusive_below_threshold():
 RS2 = build_root_system("A", 2)
 
 
-def test_newton_overflow_fails_only_its_seed():
-    # From some of these seeds a Newton step diverges until theta11's
-    # quasi-periodicity factor overflows; that seed fails, the rest solve.
+def rank2_overflow_system():
+    """Rank 2, M = 3 at depth 5: from Halton seed 14 of 48 a Newton step
+    diverges until theta11's quasi-periodicity factor overflows."""
     weights = [(1.46 + 0.42j, 0.31 - 0.1j), (1.54 - 0.42j, -0.31 + 0.1j)]
     mods = [
         build_dual_verma(RS2, RS2.weight_from_fundamental(w), depth=5)
         for w in weights
     ]
-    sysb = BetheSystem(GaudinProblem(RS2, MD, Z2, mods), assignment=(0, 0, 1))
+    return BetheSystem(GaudinProblem(RS2, MD, Z2, mods), assignment=(0, 0, 1))
+
+
+def test_newton_overflow_fails_only_its_seed():
+    # From some of these seeds a Newton step diverges until theta11's
+    # quasi-periodicity factor overflows; that seed fails, the rest solve.
+    sysb = rank2_overflow_system()
     overflows = []
     equations = sysb.equations
 
@@ -444,3 +460,117 @@ def test_newton_overflow_fails_only_its_seed():
     for sol in sols:
         res = bethe_residual_direct(sol.t, Z2, sysb.weights, sysb.alphas, TAU)
         assert np.max(np.abs(res)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the lockstep solver against the per-seed reference
+# ---------------------------------------------------------------------------
+
+
+def assert_solves_as_per_seed(sysb, sols, **kwargs):
+    """The solutions of solve(**kwargs) are the per-seed reference's, bit
+    for bit: the roots, the residuals and the Newton step counts, in the
+    same order."""
+    ref = bethe_solve_per_seed(sysb, **kwargs)
+    assert [(s.t.tobytes(), s.residual.hex(), s.iterations) for s in sols] == [
+        (t.tobytes(), residual.hex(), iterations) for t, residual, iterations in ref
+    ]
+
+
+def record_errors(monkeypatch, owner, error, name="equations"):
+    """Wrap owner.name, by default a system's equations, to record the
+    first argument of every call that raises ``error``: a point, or a
+    stack of points or of Jacobians."""
+    seen = []
+    original = getattr(owner, name)
+
+    def recorded(*args):
+        try:
+            return original(*args)
+        except error:
+            seen.append(np.asarray(args[0]))
+            raise
+
+    monkeypatch.setattr(owner, name, recorded)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name", [path.name for path in sorted(CONFIGS.glob("*.ini")) if "[bethe]" in path.read_text()]
+)
+def test_lockstep_solve_matches_per_seed_reference_on_configs(name):
+    cfg = load_config(str(CONFIGS / name))
+    kwargs = dict(
+        n_seeds=cfg.bethe["n_seeds"],
+        tol=cfg.bethe["newton_tol"],
+        max_iter=cfg.bethe["max_iter"],
+        guard=cfg.sampling["pole_guard"],
+    )
+    sols = cfg.system.solve(**kwargs)
+    assert sols
+    assert_solves_as_per_seed(cfg.system, sols, **kwargs)
+
+
+def test_lockstep_solve_matches_per_seed_reference_past_an_overflow(monkeypatch):
+    sysb = rank2_overflow_system()
+    overflows = record_errors(monkeypatch, sysb, OverflowError)
+    sols = sysb.solve(n_seeds=48)
+    # the round's batched call raised, then the seed's row alone
+    assert [t.ndim for t in overflows] == [2, 1]
+    assert_solves_as_per_seed(sysb, sols, n_seeds=48)
+
+
+def test_lockstep_matches_reference_from_an_overflowing_seed(monkeypatch):
+    sysb = rank2_overflow_system()
+    seeds = sysb._seed_points(18)[12:]
+    overflows = record_errors(monkeypatch, sysb, OverflowError)
+    sols = sysb.solve(seeds=seeds)
+    assert [t.ndim for t in overflows] == [2, 1]
+    assert_solves_as_per_seed(sysb, sols, seeds=seeds)
+
+
+def test_lockstep_matches_reference_through_a_pole_proximity_damping(monkeypatch):
+    # the full Newton step from this seed lands on the site z_2 to within
+    # 6e-16, so that candidate raises and the halved step is tried next;
+    # the other seeds ride in the same rounds
+    sysb = make_system([0.62 + 0.05j, 0.38 - 0.05j])
+    pole_seed = np.array([0.6487186910430601 + 0.8574726121154863j])
+    seeds = [pole_seed] + sysb._seed_points(8)
+    near_poles = record_errors(monkeypatch, sysb, PoleProximityError)
+    sols = sysb.solve(seeds=seeds)
+    assert [t.ndim for t in near_poles] == [2, 1]
+    assert abs(near_poles[1][0] - Z2[1]) < 1e-12
+    assert_solves_as_per_seed(sysb, sols, seeds=seeds)
+
+
+def test_lockstep_matches_reference_past_a_singular_jacobian(monkeypatch):
+    # the Jacobian at one seed is zeroed, so the stacked solve of the first
+    # round raises and every seed of it is solved alone: that seed fails
+    sysb = make_system([0.62 + 0.05j, 0.38 - 0.05j])
+    seeds = sysb._seed_points(8)
+    equations = sysb.equations
+
+    def singular_at_seed_3(t):
+        res, jac = equations(t)
+        rows = np.reshape(jac, (-1, sysb.M, sysb.M))
+        rows[np.all(np.reshape(t, (-1, sysb.M)) == seeds[3], axis=1)] = 0.0
+        return res, jac
+
+    sysb.equations = singular_at_seed_3
+    singular = record_errors(monkeypatch, np.linalg, np.linalg.LinAlgError, "solve")
+    sols = sysb.solve(seeds=seeds)
+    assert [a.shape for a in singular] == [(len(seeds), 1, 1), (1, 1)]
+    assert_solves_as_per_seed(sysb, sols, seeds=seeds)
+
+
+def test_lockstep_matches_reference_at_the_max_iter_exit():
+    # at max_iter = 8 the seeds that converge in 8 steps leave through the
+    # exit check; at guard = 0.1 its distance test turns one of them away
+    sysb = rank2_overflow_system()
+    seeds = sysb._seed_points(24)
+    for guard in (0.05, 0.1):
+        capped = sysb.solve(seeds=seeds, max_iter=8, guard=guard)
+        assert any(sol.iterations == 8 for sol in capped)
+        assert_solves_as_per_seed(sysb, capped, seeds=seeds, max_iter=8, guard=guard)
+    uncapped = sysb.solve(seeds=seeds, max_iter=9, guard=0.1)
+    assert sum(s.iterations == 8 for s in capped) < sum(s.iterations == 8 for s in uncapped)

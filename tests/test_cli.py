@@ -637,6 +637,28 @@ def test_pole_guard_below_half_a_cell_loads(tmp_path):
     assert load_config(write_config(tmp_path, text)).sampling["pole_guard"] == 0.49
 
 
+@pytest.mark.parametrize(
+    "command, config, guard",
+    [
+        # two sites leave no point of the cell 0.49 from both
+        ("commute-check", None, "0.49"),
+        ("full-verify", None, "0.49"),
+        # the roots found at 0.42 leave no room once they are avoided too
+        ("eigen-check", "a1_bethe_m1.ini", "0.42"),
+    ],
+)
+def test_pole_guard_without_room_for_spectral_points_exits_2(
+    tmp_path, capsys, command, config, guard
+):
+    text = MINIMAL_SITES if config is None else (CONFIGS / config).read_text(encoding="utf-8")
+    path = write_config(tmp_path, text + f"\n[sampling]\npole_guard = {guard}\n")
+    assert main([command, "--config", path, "--format", "json-lines"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: [sampling] pole_guard = {guard} leaves no room" in captured.err
+    assert "spectral points" in captured.err
+
+
 def test_loaded_config_carries_its_built_instance():
     cfg = load_config(str(CONFIGS / "a1_bethe_m1.ini"))
     runner = CheckRunner(cfg, "eigen-check", False)

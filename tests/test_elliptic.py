@@ -475,6 +475,20 @@ def test_batched_rows_match_arguments_taken_alone(tau):
     assert theta11_coeffs([], md, 2).shape == (0, 3)
 
 
+def test_a_folded_row_leaves_the_other_rows_bit_for_bit():
+    # at 0.62 + 213i the quasi-periodicity factor alone leaves the double
+    # range and is folded into each coefficient's exponent; the rows beside
+    # it, one cell above as well, come out exactly as they do alone
+    md = ModularData(200j)
+    rng = np.random.default_rng(44)
+    others = rng.uniform(0, 1, 40) + 1j * rng.uniform(200.5, 212.5, 40)
+    for order in range(4):
+        rows = theta11_coeffs(np.concatenate([[0.62 + 213j], others]), md, order)
+        assert np.all(np.isfinite(rows))
+        for z, row in zip(others, rows[1:]):
+            assert np.array_equal(row, theta11_coeffs([z], md, order)[0])
+
+
 @pytest.mark.parametrize("tau", [40j, 200j, 1.5 + 100j])
 def test_overflowing_theta_raises_and_never_warns(tau):
     # the factor of an argument three cells above the cell leaves the double

@@ -30,7 +30,11 @@ the checks need a fixed number of evaluations per point:
   of theta's coefficients, with no jet shift, truncation or reciprocal;
 - the Bethe equations take zeta once per (root, site) and, by zeta's
   oddness, once per unordered pair of roots, all in one call, and the
-  eigenvalue takes it once per site and root, in one call.
+  eigenvalue takes it once per site and root, in one call;
+- the Newton solve runs its seeds in lockstep: a round evaluates every
+  live seed's point in one zeta call, and the seeds that begin a step
+  take it from one stacked linear solve, so a solve makes as many zeta
+  calls as its longest seed makes evaluations.
 
 Theta values are counted at ``theta11_coeffs``, the batched kernel behind
 ``theta11`` that every caller hands all its arguments at once: a call's
@@ -56,6 +60,8 @@ from ellgaudin.gaudin import (
     sample_spectral_points,
 )
 from ellgaudin.liealg import build_dual_verma, build_irrep, build_root_system
+
+from oracles import newton_per_seed
 
 MD = ModularData(0.8j)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -390,3 +396,47 @@ def test_eigenvalue_takes_zeta_once_per_site_and_root(monkeypatch):
     values = system.eigenvalue(t, np.array([0.37 + 0.29j, 0.61 + 0.5j, 0.2 + 0.7j]))
     assert np.all(np.isfinite(values))
     assert arguments(zeta_rows) == [3 * (N + M)]
+
+
+def test_bethe_solve_takes_one_zeta_call_and_one_stacked_solve_per_round(monkeypatch):
+    cfg = load_config(str(CONFIGS / "a1_bethe_m2.ini"))
+    system, guard = cfg.system, cfg.sampling["pole_guard"]
+    kwargs = dict(n_seeds=cfg.bethe["n_seeds"], tol=cfg.bethe["newton_tol"],
+                  max_iter=cfg.bethe["max_iter"], guard=guard)
+    # seed by seed, each kept seed's evaluations and Newton steps
+    evaluations, steps = [], []
+    for seed in system._seed_points(kwargs["n_seeds"]):
+        if system._too_close(seed, guard):
+            continue
+        counted = count_calls(monkeypatch, system, "equations")
+        solves = count_calls(monkeypatch, np.linalg, "solve")
+        newton_per_seed(system, seed, kwargs["tol"], kwargs["max_iter"], guard)
+        evaluations.append(len(counted))
+        steps.append(len(solves))
+        monkeypatch.undo()
+    assert sum(evaluations) == 540 and max(evaluations) == 25
+
+    events = []
+    for owner, name in ((bethe, "zeta11_coeffs"), (np.linalg, "solve")):
+        original = getattr(owner, name)
+
+        def logged(*args, _name=name, _original=original):
+            events.append((_name, args[0]))
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, logged)
+    rounds = count_calls(monkeypatch, system, "equations")
+    assert system.solve(**kwargs)
+    zetas = [args for name, args in events if name == "zeta11_coeffs"]
+    # no row raised, so one call per round, as many as the longest seed's
+    # evaluations, each with M N + M (M - 1) / 2 arguments per live seed
+    assert len(zetas) == len(rounds) == max(evaluations)
+    width = system.M * len(system.problem.positions) + system.M * (system.M - 1) // 2
+    assert [len(args) for args in zetas] == [width * len(np.atleast_2d(args[0])) for args, _ in rounds]
+    # at most one solve between two rounds, stacked over the seeds that
+    # begin a step, and the stacks hold every seed's steps
+    names = [name for name, _ in events]
+    assert ("solve", "solve") not in zip(names, names[1:])
+    stacks = [args for name, args in events if name == "solve"]
+    assert all(a.ndim == 3 for a in stacks)
+    assert sum(len(a) for a in stacks) == sum(steps)
