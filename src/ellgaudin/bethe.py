@@ -276,7 +276,7 @@ class BetheSystem:
                 steps.append(None)
         return steps
 
-    def _lockstep(self, points, tol, max_iter, guard) -> list:
+    def _lockstep(self, points, tol, max_iter) -> list:
         """Damped Newton from every row of the (S, M) stack points: per
         seed, the BetheSolution it reaches, or None.
 
@@ -285,10 +285,9 @@ class BetheSystem:
         first whose residual norm falls below the best so far is accepted,
         any once that best is under 1e-9, and a candidate near a pole only
         halves damp.  A seed fails when its first evaluation raises, a
-        candidate overflows (the step diverged), its Jacobian is singular
-        or its line search runs out.  It converges once its norm is under
-        tol, or at max_iter if its norm is under tol and no root comes
-        within guard of a site or of another root.
+        candidate overflows (the step diverged), its Jacobian is singular,
+        its line search runs out or it has taken max_iter steps.  It
+        converges once its norm is under tol, after at most max_iter steps.
 
         The seeds advance in lockstep: each round evaluates the current
         point of every live seed in one ``equations`` call, and the seeds
@@ -311,14 +310,11 @@ class BetheSystem:
         while starting or searching:
             stepping = []
             for i in starting:
-                if iteration[i] > max_iter:
-                    if best[i] < tol and not self._too_close(t[i], guard):
-                        out[i] = BetheSolution(t[i].copy(), float(best[i]), max_iter)
-                elif best[i] < tol:
+                if best[i] < tol:
                     out[i] = BetheSolution(
                         t[i].copy(), float(best[i]), int(iteration[i]) - 1
                     )
-                else:
+                elif iteration[i] <= max_iter:
                     stepping.append(i)
             if stepping:
                 steps = self._newton_steps(jac[stepping], res[stepping])
@@ -379,7 +375,7 @@ class BetheSystem:
         points = np.asarray(seeds, dtype=complex).reshape(len(seeds), self.M)
         points = points[~self._too_close(points, guard)]
         found = []
-        for sol in self._lockstep(points, tol, max_iter, guard):
+        for sol in self._lockstep(points, tol, max_iter):
             if sol is None or (found and self._equivalent(sol.t, [f.t for f in found])):
                 continue
             found.append(sol)

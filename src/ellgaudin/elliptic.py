@@ -386,30 +386,6 @@ class Jet:
             self.nvars, total, {m: c for m, c in self.coeffs.items() if m in keep}
         )
 
-    def exp(self) -> "Jet":
-        v = self.value
-        zero = (0,) * self.nvars
-        nil = self._like({m: c for m, c in self.coeffs.items() if m != zero})
-        acc = Jet.constant(1.0, self.nvars, self.total)
-        term = Jet.constant(1.0, self.nvars, self.total)
-        for k in range(1, self.total + 1):
-            term = term * nil * (1.0 / k)
-            acc = acc + term
-        return acc * cmath.exp(v)
-
-    def log(self) -> "Jet":
-        v = self.value
-        if v == 0:
-            raise ZeroDivisionError("jet log at a zero value")
-        zero = (0,) * self.nvars
-        nil = self._like({m: c / v for m, c in self.coeffs.items() if m != zero})
-        acc = Jet.constant(cmath.log(v), self.nvars, self.total)
-        term = Jet.constant(1.0, self.nvars, self.total)
-        for k in range(1, self.total + 1):
-            term = term * nil
-            acc = acc + term * ((-1.0) ** (k + 1) / k)
-        return acc
-
     def __repr__(self):
         return f"Jet(nvars={self.nvars}, total={self.total}, value={self.value})"
 

@@ -7,11 +7,12 @@ It combines a flat connection nabla_r = d_r - sum_i zeta(z_i - u) h_r^(i)
 with an elliptic-kernel exchange potential, and the whole family over the
 spectral parameter u commutes.  A Weyl-Kac denominator conjugation yields
 the equivalent form produced by the underlying conformal field theory.
+The denominator is a product of theta values at the roots, and the
+heat-type identity behind the conjugation is theta's heat equation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,6 @@ class GaudinError(Exception):
 
 # Rejection-sampling budget of the Cartan and spectral-point samplers.
 _MAX_TRIES = 10_000
-
-# The Weyl-Kac q-products stop once |q^n|, times |e^{2 pi i alpha(H)}| where
-# that exceeds 1, falls below _WK_EPS, or after _WK_N_MAX factors.
-_WK_EPS = 1e-18
-_WK_N_MAX = 800
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +209,12 @@ def sample_spectral_points(
 
 @dataclass(frozen=True)
 class WeylKacData:
-    """Value, log-jet in xi, and tau-derivative jet of the denominator."""
+    """Jets in xi of the denominator's theta product, which is Pi up to a
+    factor depending on tau alone, of d_r log Pi for each r, and of
+    d_tau log Pi."""
 
-    value: complex
-    log_jet: Jet
+    product: Jet
+    d_log: list
     dtau_log: Jet
 
 
@@ -226,60 +224,41 @@ def weyl_kac_pi(
     H,
     order: int = 0,
 ) -> WeylKacData:
-    """Normalised Weyl-Kac denominator Pi(H, tau) with its log-jets.
+    """Weyl-Kac denominator Pi(H, tau) as jets in the xi coordinates at H.
 
     Pi = q^{dim g/24} (q;q)_inf^l  prod_{alpha>0} (e^{pi i a(H)}-e^{-pi i a(H)})
-         prod_{alpha} (q e^{2 pi i a(H)}; q)_inf ,  q = e^{2 pi i tau}.
-
-    Returns the scalar value, the jet of log Pi in the xi coordinates to
-    the requested order, and the jet of d/dtau log Pi.
+         prod_{alpha} (q e^{2 pi i a(H)}; q)_inf ,  q = e^{2 pi i tau},
+    which the Jacobi triple product turns into a product of theta values,
+    Pi = (-i)^{|Phi+|} eta^{l - |Phi+|} prod_{alpha>0} theta(alpha(H)).
+    So d_r log Pi = sum_{alpha>0} alpha_r zeta(alpha(H)), and theta's heat
+    equation d_tau theta = theta'' / (4 pi i), with eta^3 proportional to
+    theta'(0), gives
+      d_tau log Pi = [sum_{alpha>0} theta''/theta (alpha(H))
+                      + (l - |Phi+|)/3 theta'''(0)/theta'(0)] / (4 pi i).
+    All of it comes from one theta call at 0 and at every alpha(H), to
+    order max(order + 2, 3); each series in h = alpha(xi - H) is
+    substituted into xi.
     """
     H = np.asarray(H, dtype=complex)
     check_regular(rs, md, H)
     l = rs.rank
-    q = md.q
-
-    log_const = (rs.dim_g / 24.0) * (2j * np.pi * md.tau)
-    dtau_const = (rs.dim_g / 24.0) * (2j * np.pi)
-    n = 1
-    while n <= _WK_N_MAX:
-        qn = q**n
-        if abs(qn) < _WK_EPS:
-            break
-        log_const += l * np.log(1 - qn)
-        dtau_const += l * (-2j * np.pi * n * qn / (1 - qn))
-        n += 1
-
-    log_jet = Jet.constant(log_const, l, order)
-    dtau_jet = Jet.constant(dtau_const, l, order)
-
-    def exp_linear(prefactor, rate, alpha):
-        # jet of prefactor * exp(rate * alpha(xi)) around xi = H
-        val = prefactor * np.exp(rate * complex(alpha @ H))
-        g = [val * rate**k / math.factorial(k) for k in range(order + 1)]
-        return _linear_substitution(g, alpha)
-
-    for alpha in rs.positive_roots:
-        plus = exp_linear(1.0, 1j * np.pi, alpha)
-        minus = exp_linear(1.0, -1j * np.pi, alpha)
-        log_jet = log_jet + (plus - minus).log()
-
-    one = Jet.constant(1.0, l, order)
-    for alpha in rs.roots:
-        scale = abs(np.exp(2j * np.pi * complex(alpha @ H)))
-        n = 1
-        while n <= _WK_N_MAX:
-            qn = q**n
-            if abs(qn) * max(scale, 1.0) < _WK_EPS:
-                break
-            x = exp_linear(qn, 2j * np.pi, alpha)
-            log_jet = log_jet + (one - x).log()
-            dtau_jet = dtau_jet - (
-                (2j * np.pi * n) * (x * (one - x).reciprocal())
-            )
-            n += 1
-
-    return WeylKacData(np.exp(log_jet.value), log_jet, dtau_jet)
+    roots = np.asarray(rs.positive_roots, dtype=complex)
+    th = theta11_coeffs(np.concatenate([[0.0], roots @ H]), md, max(order + 2, 3))
+    rows = th[1:, : order + 3]
+    k = np.arange(1, order + 3)
+    # theta'/theta and theta''/theta at alpha(H) + h
+    zetas = _series_quotient(rows[:, 1:-1] * k[:-1], rows)
+    heats = _series_quotient(rows[:, 2:] * k[1:] * k[:-1], rows)
+    # theta'''(0) / theta'(0) = 6 c_3 / c_1 for theta's coefficients c
+    dtau = Jet.constant((l - rs.n_positive) * 2.0 * th[0, 3] / th[0, 1], l, order)
+    product = Jet.constant(1.0, l, order)
+    d_log = [Jet(l, order)] * l
+    for alpha, row, zeta, heat in zip(roots, rows, zetas, heats):
+        product = product * _linear_substitution(row[: order + 1].tolist(), alpha)
+        zeta = _linear_substitution(zeta.tolist(), alpha)
+        d_log = [d + zeta * a for d, a in zip(d_log, alpha.tolist())]
+        dtau = dtau + _linear_substitution(heat.tolist(), alpha)
+    return WeylKacData(product, d_log, dtau * (1.0 / (4j * np.pi)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +295,14 @@ class GaudinProblem:
         self.positions = [complex(z) for z in positions]
         self.modules = list(modules)
         self.pole_guard = pole_guard
-        for a, za in enumerate(self.positions):
-            for b in range(a + 1, len(self.positions)):
-                if lattice_distance(za - self.positions[b], md) < 1e-9:
-                    raise GaudinError(
-                        f"sites coincide mod lattice: z_{a + 1} = z_{b + 1}"
-                    )
+        a, b = np.triu_indices(len(self.positions), 1)
+        zs = np.array(self.positions)
+        near = lattice_distance(zs[a] - zs[b], md) < 1e-9
+        if near.any():
+            k = int(np.argmax(near))
+            raise GaudinError(
+                f"sites coincide mod lattice: z_{a[k] + 1} = z_{b[k] + 1}"
+            )
         self._units = [
             tuple(int(s == r) for s in range(rs.rank)) for r in range(rs.rank)
         ]
@@ -428,13 +409,6 @@ class GaudinProblem:
     def _site_args(self, us: np.ndarray) -> np.ndarray:
         """x_i = z_i - u for each u of the batch us, shape (B, N)."""
         return np.array(self.positions)[None, :] - us[:, None]
-
-    def cartan_matrices(self, u: complex):
-        """A_r(u) = sum_i zeta(z_i - u) h_r^(i) on the zero-weight space."""
-        xs = self._site_args(np.array([u], dtype=complex))[0]
-        th = theta11_coeffs(xs, self.md, 1)
-        _pole_check(th[:, 0], xs, self.md, "z")
-        return [Ar[0] for Ar in self._cartan_from(th[None])]
 
     def _thetas(self, H, us: np.ndarray, order: int) -> np.ndarray:
         """Theta's Taylor coefficients, to order max(order, 1), at every
@@ -546,32 +520,29 @@ class GaudinProblem:
         return DiffOperator(l, self.space.dim0, coeffs)
 
     def nabla(self, u: complex, order: int = 0) -> list:
-        """The flat-connection operators nabla_r = d_r - A_r(u).
+        """The flat-connection operators nabla_r = d_r - A_r(u), with
+        A_r(u) = sum_i zeta(z_i - u) h_r^(i) on the zero-weight space.
 
         Their coefficients are constant, so the base point does not enter.
         """
-        l = self.rs.rank
-        eye = np.eye(self.space.dim0, dtype=complex)
-        A = self.cartan_matrices(u)
+        l, dim = self.rs.rank, self.space.dim0
+        xs = self._site_args(np.array([u], dtype=complex))[0]
+        th = theta11_coeffs(xs, self.md, 1)
+        _pole_check(th[:, 0], xs, self.md, "z")
+        ones = Jet.constant(np.eye(dim), l, order)
         return [
-            DiffOperator(
-                l,
-                self.space.dim0,
-                {
-                    unit: Jet.constant(eye, l, order),
-                    (0,) * l: Jet.constant(-A[r], l, order),
-                },
-            )
-            for r, unit in enumerate(self._units)
+            DiffOperator(l, dim, {unit: ones, (0,) * l: Jet.constant(-Ar[0], l, order)})
+            for Ar, unit in zip(self._cartan_from(th[None]), self._units)
         ]
 
     def _mult_denominator(self, sign: int, H, order: int) -> DiffOperator:
-        """Multiplication by Pi(H)^sign."""
-        l = self.rs.rank
-        data = weyl_kac_pi(self.rs, self.md, H, order)
-        jet = data.log_jet if sign > 0 else -data.log_jet
-        eye = np.eye(self.space.dim0, dtype=complex)
-        return DiffOperator(l, self.space.dim0, {(0,) * l: jet.exp() * eye})
+        """Multiplication by Pi(H)^sign, up to a factor depending on tau
+        alone, which cancels in Pi^{-1} o transfer o Pi."""
+        l, dim = self.rs.rank, self.space.dim0
+        jet = weyl_kac_pi(self.rs, self.md, H, order).product
+        if sign < 0:
+            jet = jet.reciprocal()
+        return DiffOperator(l, dim, {(0,) * l: jet * np.eye(dim, dtype=complex)})
 
     def tilde_transfer(
         self, u: complex, H, order: int = 0, route: str = "explicit"
@@ -580,9 +551,10 @@ class GaudinProblem:
 
         'conjugation' computes Pi^{-1} o transfer o Pi with generic
         operator composition; 'explicit' adds the log-derivative terms
-        sum_r (d_r log Pi) nabla_r + 2 pi i h_vee (d_tau log Pi) directly.
-        Both must agree; the equality encodes a heat-type identity for the
-        denominator.
+        sum_r (d_r log Pi) nabla_r + 2 pi i h_vee (d_tau log Pi) directly,
+        with -A_r(u) read off the transfer operator's first-order
+        coefficients.  Both must agree; the equality encodes theta's heat
+        equation.
         """
         l = self.rs.rank
         if route == "conjugation":
@@ -594,18 +566,15 @@ class GaudinProblem:
         if route != "explicit":
             raise GaudinError(f"unknown route {route!r}")
         eye = np.eye(self.space.dim0, dtype=complex)
-        A = self.cartan_matrices(u)
-        data = weyl_kac_pi(self.rs, self.md, H, order + 1)
-        zero = (2j * np.pi * self.rs.dual_coxeter) * data.dtau_log.truncate(
-            order
-        ) * eye
+        transfer = self.transfer(u, H, order)
+        data = weyl_kac_pi(self.rs, self.md, H, order)
+        zero = (2j * np.pi * self.rs.dual_coxeter) * data.dtau_log * eye
         coeffs = {}
-        for r, unit in enumerate(self._units):
-            d_log = data.log_jet.shift(unit)
+        for d_log, unit in zip(data.d_log, self._units):
             coeffs[unit] = d_log * eye
-            zero = zero + d_log * (-A[r])
+            zero = zero + d_log * transfer.coeffs[unit].value
         coeffs[(0,) * l] = zero
-        return self.transfer(u, H, order) + DiffOperator(l, self.space.dim0, coeffs)
+        return transfer + DiffOperator(l, self.space.dim0, coeffs)
 
 
 # ---------------------------------------------------------------------------

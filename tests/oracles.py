@@ -247,11 +247,11 @@ def bethe_residual_direct(t, zs, weights, alphas, tau, nterms: int = 60):
     return np.array(out, dtype=complex)
 
 
-def newton_per_seed(system, t0, tol, max_iter, guard):
+def newton_per_seed(system, t0, tol, max_iter):
     """One seed's damped Newton iteration on ``system.equations``, seed by
     seed with a single solve per step: the reference for the lockstep
     solver.  Returns (t, residual, iterations) or None."""
-    from ellgaudin.elliptic import EllipticError, lattice_distance
+    from ellgaudin.elliptic import EllipticError
 
     t = np.asarray(t0, dtype=complex)
     try:
@@ -283,12 +283,7 @@ def newton_per_seed(system, t0, tol, max_iter, guard):
             damp /= 2
         else:
             return None
-    if best < tol:
-        gaps = [tj - z for tj in t for z in system.problem.positions]
-        gaps += [t[j] - t[k] for j in range(len(t)) for k in range(j + 1, len(t))]
-        if all(lattice_distance(g, system.problem.md) >= guard for g in gaps):
-            return t, best, max_iter
-    return None
+    return (t, best, max_iter) if best < tol else None
 
 
 def same_bethe_solution(system, ta, tb, tol: float = 1e-8) -> bool:
@@ -326,7 +321,7 @@ def bethe_solve_per_seed(system, n_seeds=32, tol=1e-12, max_iter=200,
         ]
         if any(lattice_distance(g, system.problem.md) < guard for g in gaps):
             continue
-        sol = newton_per_seed(system, seed, tol, max_iter, guard)
+        sol = newton_per_seed(system, seed, tol, max_iter)
         if sol is None or any(same_bethe_solution(system, sol[0], f[0]) for f in found):
             continue
         found.append(sol)

@@ -143,6 +143,19 @@ def test_sites_coincide_mod_lattice(tmp_path):
     ))
     with pytest.raises(ConfigError, match="sites coincide mod lattice"):
         load_config(path)
+    # three sites: the first coinciding pair (z_a, z_b), a < b, is named
+    def three_sites(z1, z2, z3):
+        text = MINIMAL_SITES.replace("count = 2", "count = 3")
+        text = text.replace("z_1 = 0.13", f"z_1 = {z1}")
+        text = text.replace("z_2 = 0.41+0.2i", f"z_2 = {z2}")
+        return text + f"z_3 = {z3}\nkind_3 = irrep\nweight_3 = 2\n"
+
+    for zs, pair in [
+        (("0.13", "0.41+0.2i", "1.41+0.2i"), "z_2 = z_3"),
+        (("0.41+0.2i", "-0.59+0.2i", "1.41+0.2i"), "z_1 = z_2"),
+    ]:
+        with pytest.raises(ConfigError, match=pair):
+            load_config(write_config(tmp_path, three_sites(*zs)))
 
 
 def test_charge_condition_violation_named(tmp_path):

@@ -555,14 +555,6 @@ def test_jet_arithmetic_roundtrip():
         assert abs(h.coeff(m) - f.coeff(m)) <= 1e-12 * (1 + abs(f.coeff(m)))
 
 
-def test_jet_exp_log_inverse():
-    nvars, tot = 1, 3
-    f = Jet(nvars, tot, {(0,): 0.4 + 0.2j, (1,): 1.1 - 0.5j, (2,): 0.3j, (3,): -0.2})
-    g = f.exp().log()
-    for m in jet_indices(nvars, tot):
-        assert abs(g.coeff(m) - f.coeff(m)) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # zeta11 identities.
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ Key oracles:
 - the small-q trigonometric degeneration of the exchange potential.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from ellgaudin import gaudin
 from ellgaudin.elliptic import ModularData
 from ellgaudin.gaudin import (
     GaudinError,
@@ -32,8 +34,10 @@ RNG = np.random.default_rng(424242)
 
 RS1 = build_root_system("A", 1)
 RS2 = build_root_system("A", 2)
+RS3 = build_root_system("A", 3)
 MD = ModularData(0.8j)
 MD2 = ModularData(0.3 + 1.1j)
+MD3 = ModularData(-0.4 + 0.6j)
 
 
 def fund_problem(md=MD, zs=(0.13, 0.41 + 0.2j)):
@@ -62,50 +66,86 @@ def pi_direct(rs, md, H, nterms=200):
     return val
 
 
-@pytest.mark.parametrize("rs,md", [(RS1, MD), (RS2, MD2)])
+def eta_direct(md, nterms=200):
+    """Literal product evaluation of eta = q^{1/24} (q;q)_inf."""
+    val = md.q ** (1 / 24.0)
+    for n in range(1, nterms + 1):
+        val *= 1 - md.q**n
+    return val
+
+
+def pi_value(rs, md, H):
+    """Pi from the library's theta product and the literal eta:
+    (-i)^{|Phi+|} eta^{l - |Phi+|} prod_{alpha>0} theta(alpha(H))."""
+    npos = rs.n_positive
+    product = weyl_kac_pi(rs, md, H).product.value
+    return (-1j) ** npos * eta_direct(md) ** (rs.rank - npos) * product
+
+
+DENOMINATOR_CASES = [(RS1, MD), (RS2, MD2), (RS3, MD), (RS2, MD3), (RS3, MD3)]
+
+
+@pytest.mark.parametrize("rs,md", DENOMINATOR_CASES)
 def test_denominator_value_vs_direct_product(rs, md):
     rng = np.random.default_rng(5)
     for H in sample_regular_cartan(rs, md, rng, 4):
-        got = weyl_kac_pi(rs, md, H).value
+        got = pi_value(rs, md, H)
         want = pi_direct(rs, md, H)
         assert abs(got - want) / abs(want) < 1e-12
 
 
 def test_denominator_rank1_antisymmetry():
     H = np.array([0.23 + 0.11j])
-    a = weyl_kac_pi(RS1, MD, H).value
-    b = weyl_kac_pi(RS1, MD, -H).value
+    a = weyl_kac_pi(RS1, MD, H).product.value
+    b = weyl_kac_pi(RS1, MD, -H).product.value
     assert abs(a + b) / abs(a) < 1e-12
 
 
 def test_denominator_log_jets_vs_finite_differences():
+    # the product's jet and the log-derivative jets d_r log Pi against
+    # central differences of the product's and of d_r log Pi's values
     rng = np.random.default_rng(6)
     for rs, md in [(RS1, MD), (RS2, MD2)]:
         for H in sample_regular_cartan(rs, md, rng, 3):
             data = weyl_kac_pi(rs, md, H, order=2)
+            p0 = data.product.value
             h = 1e-5
             for r in range(rs.rank):
                 e = np.zeros(rs.rank)
                 e[r] = 1.0
-                lp = weyl_kac_pi(rs, md, H + h * e).log_jet.value
-                lm = weyl_kac_pi(rs, md, H - h * e).log_jet.value
-                fd1 = (lp - lm) / (2 * h)
-                l0 = data.log_jet.value
-                fd2 = (lp - 2 * l0 + lm) / h**2
+                plus = weyl_kac_pi(rs, md, H + h * e)
+                minus = weyl_kac_pi(rs, md, H - h * e)
+                pp, pm = plus.product.value, minus.product.value
+                fd1 = (pp - pm) / (2 * h)
+                fd2 = (pp - 2 * p0 + pm) / h**2
                 em = tuple(1 if s == r else 0 for s in range(rs.rank))
                 e2 = tuple(2 if s == r else 0 for s in range(rs.rank))
-                assert abs(data.log_jet.deriv(em) - fd1) < 1e-6 * max(1, abs(fd1))
-                assert abs(data.log_jet.deriv(e2) - fd2) < 1e-5 * max(1, abs(fd2))
+                assert abs(data.product.deriv(em) - fd1) < 1e-6 * max(1, abs(fd1))
+                assert abs(data.product.deriv(e2) - fd2) < 1e-5 * max(1, abs(fd2))
+                fd_log = fd1 / p0
+                assert abs(data.d_log[r].value - fd_log) < 1e-6 * max(1, abs(fd_log))
+                for s in range(rs.rank):
+                    es = tuple(1 if i == s else 0 for i in range(rs.rank))
+                    mixed = data.d_log[s].deriv(em)
+                    fd = (plus.d_log[s].value - minus.d_log[s].value) / (2 * h)
+                    assert abs(mixed - fd) < 1e-5 * max(1, abs(fd))
+                    # d_r d_s log Pi is symmetric
+                    assert abs(mixed - data.d_log[r].deriv(es)) < 1e-12 * max(1, abs(fd))
 
 
 def test_denominator_tau_derivative_vs_finite_differences():
-    H = np.array([0.21 - 0.13j])
+    # at rank 2 the eta^{l - |Phi+|} factor enters as well
     h = 1e-6
-    got = weyl_kac_pi(RS1, MD, H).dtau_log.value
-    lp = weyl_kac_pi(RS1, ModularData(MD.tau + h), H).log_jet.value
-    lm = weyl_kac_pi(RS1, ModularData(MD.tau - h), H).log_jet.value
-    fd = (lp - lm) / (2 * h)
-    assert abs(got - fd) < 1e-6 * max(1, abs(fd))
+    for rs, md, H in [
+        (RS1, MD, np.array([0.21 - 0.13j])),
+        (RS2, MD2, np.array([0.21 - 0.13j, 0.05 + 0.17j])),
+    ]:
+        got = weyl_kac_pi(rs, md, H).dtau_log.value
+        p0 = pi_value(rs, md, H)
+        pp = pi_value(rs, ModularData(md.tau + h), H)
+        pm = pi_value(rs, ModularData(md.tau - h), H)
+        fd = (pp - pm) / (2 * h * p0)
+        assert abs(got - fd) < 1e-6 * max(1, abs(fd))
 
 
 def test_denominator_tau_derivative_jet_vs_finite_differences():
@@ -120,18 +160,17 @@ def test_denominator_tau_derivative_jet_vs_finite_differences():
     assert abs(got - fd) < 1e-6 * max(1, abs(fd))
 
 
-@pytest.mark.parametrize("rs,md", [(RS1, MD), (RS2, MD2)])
+@pytest.mark.parametrize("rs,md", DENOMINATOR_CASES)
 def test_denominator_heat_identity(rs, md):
     # (1/2) sum_r ((d_r log Pi)^2 + d_r^2 log Pi) = 2 pi i hvee d_tau log Pi
     rng = np.random.default_rng(7)
     for H in sample_regular_cartan(rs, md, rng, 4):
-        data = weyl_kac_pi(rs, md, H, order=2)
+        data = weyl_kac_pi(rs, md, H, order=1)
         lhs = 0.0
         for r in range(rs.rank):
             em = tuple(1 if s == r else 0 for s in range(rs.rank))
-            e2 = tuple(2 if s == r else 0 for s in range(rs.rank))
-            L = data.log_jet.deriv(em)
-            lhs += 0.5 * (L**2 + data.log_jet.deriv(e2))
+            L = data.d_log[r].value
+            lhs += 0.5 * (L**2 + data.d_log[r].deriv(em))
         rhs = 2j * np.pi * rs.dual_coxeter * data.dtau_log.value
         assert abs(lhs - rhs) / abs(rhs) < 1e-12
 
@@ -141,7 +180,7 @@ def test_denominator_small_q_degeneration():
     tau = complex(np.log(1e-10) / (2j * np.pi))
     md = ModularData(tau)
     H = np.array([0.31 + 0.07j])
-    got = weyl_kac_pi(RS1, md, H).value
+    got = pi_value(RS1, md, H)
     a = complex(RS1.positive_roots[0] @ H)
     want = md.q ** (RS1.dim_g / 24.0) * (
         np.exp(1j * np.pi * a) - np.exp(-1j * np.pi * a)
@@ -235,8 +274,6 @@ def test_potential_jet_vs_finite_differences():
         assert np.max(np.abs(jet.deriv((1,)) - fd1)) < 1e-6 * s1
         assert np.max(np.abs(jet.deriv((2,)) - fd2)) < 1e-4 * s2
 
-
-RS3 = build_root_system("A", 3)
 
 # irreducible sites by fundamental-weight labels; each weight sum lies in
 # the root lattice
@@ -457,29 +494,55 @@ def test_nabla_operators_commute():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("builder", ["rank1", "rank2"])
-def test_tilde_routes_agree(builder):
-    if builder == "rank1":
-        prob = fund_problem()
-        rs, md = RS1, MD
+def tilde_problem(rank):
+    """A two-site problem of the given rank, its curve and three regular
+    Cartan points with a spectral parameter."""
+    if rank == 1:
+        prob, md = fund_problem(), MD
     else:
-        mods = [
-            build_irrep(RS2, RS2.weight_from_fundamental([1, 0])),
-            build_irrep(RS2, RS2.weight_from_fundamental([0, 1])),
-        ]
-        prob = GaudinProblem(RS2, MD2, [0.05, 0.52 + 0.31j], mods)
-        rs, md = RS2, MD2
+        rs = {2: RS2, 3: RS3}[rank]
+        labels = [[1] + [0] * (rank - 1), [0] * (rank - 1) + [1]]
+        mods = [build_irrep(rs, rs.weight_from_fundamental(w)) for w in labels]
+        md = {2: MD2, 3: MD}[rank]
+        prob = GaudinProblem(rs, md, [0.05, 0.52 + 0.31j], mods)
     rng = np.random.default_rng(15)
     u = sample_spectral_points(md, prob.positions, rng, 1)[0]
-    for H in sample_regular_cartan(rs, md, rng, 3):
-        conj = prob.tilde_transfer(u, H, route="conjugation")
-        expl = prob.tilde_transfer(u, H, route="explicit")
-        va, vb = conj.evaluate(), expl.evaluate()
-        scale = max(float(np.max(np.abs(v))) for v in vb.values())
-        for m in set(va) | set(vb):
-            x = va.get(m, 0)
-            y = vb.get(m, 0)
-            assert np.max(np.abs(np.asarray(x) - np.asarray(y))) < 1e-10 * scale
+    return prob, u, sample_regular_cartan(prob.rs, md, rng, 3)
+
+
+def route_gap(prob, u, H):
+    """Largest coefficient difference of the two conjugated-operator
+    routes, relative to the explicit route's largest coefficient."""
+    va = prob.tilde_transfer(u, H, route="conjugation").evaluate()
+    vb = prob.tilde_transfer(u, H, route="explicit").evaluate()
+    scale = max(float(np.max(np.abs(v))) for v in vb.values())
+    return max(
+        float(np.max(np.abs(np.asarray(va.get(m, 0)) - np.asarray(vb.get(m, 0)))))
+        for m in set(va) | set(vb)
+    ) / scale
+
+
+@pytest.mark.parametrize("builder", ["rank1", "rank2", "rank3"])
+def test_tilde_routes_agree(builder):
+    prob, u, hs = tilde_problem(int(builder[-1]))
+    for H in hs:
+        assert route_gap(prob, u, H) < 1e-10
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_tilde_routes_disagree_without_the_tau_term(monkeypatch, rank):
+    # negative control: with d_tau log Pi zeroed the explicit route loses
+    # its 2 pi i h_vee d_tau log Pi term, and the routes part
+    original = gaudin.weyl_kac_pi
+
+    def without_tau_term(*args):
+        data = original(*args)
+        return dataclasses.replace(data, dtau_log=data.dtau_log * 0.0)
+
+    monkeypatch.setattr(gaudin, "weyl_kac_pi", without_tau_term)
+    prob, u, hs = tilde_problem(rank)
+    for H in hs:
+        assert route_gap(prob, u, H) > 0.1
 
 
 def test_tilde_transfer_rejects_unknown_route():
@@ -524,9 +587,6 @@ def test_sampler_respects_guard():
 # ---------------------------------------------------------------------------
 # site operators against the dense tensor-product reference
 # ---------------------------------------------------------------------------
-
-
-RS3 = build_root_system("A", 3)
 
 
 def _dv(rs, fund, depth):

@@ -15,7 +15,10 @@ the checks need a fixed number of evaluations per point:
   one transfer operator per point for all its spectral parameters, with
   their eigenvalues from one call;
 - the explicit conjugated operator reads every log-derivative of the
-  Weyl-Kac denominator off one jet;
+  Weyl-Kac denominator, a product of theta values, off one call of
+  ``weyl_kac_pi`` at the operator's order, which takes theta once, at 0
+  and at every alpha(H); with the transfer operator, whose first-order
+  coefficients give -A_r(u), that is two theta calls per (u, H);
 - the exchange potential takes theta once per distinct argument, which
   theta's oddness brings down to N + |Phi+| (2N + 1) for N sites, all in
   one call, and one substitution per positive root; the transfer operator
@@ -187,9 +190,31 @@ def test_explicit_tilde_reads_one_denominator_jet(monkeypatch, rank):
     u = sample_spectral_points(MD, prob.positions, rng, 1)[0]
     hs = sample_regular_cartan(prob.rs, MD, rng, 2)
     calls = count_calls(monkeypatch, gaudin, "weyl_kac_pi")
+    thetas = count_everywhere(monkeypatch, "theta11_coeffs")
+    shifts = count_calls(monkeypatch, Jet, "shift")
+    truncations = count_calls(monkeypatch, Jet, "truncate")
     for H in hs:
         prob.tilde_transfer(u, H, route="explicit")
     assert len(calls) == len(hs)
+    # per (u, H) one call for the transfer operator, which also gives
+    # A_r(u), and one for the denominator
+    assert len(thetas) == 2 * len(hs)
+    # the denominator's jets come at the operator's order: no derivative
+    # is shifted off them, and the sum of operators truncates nothing
+    assert shifts == []
+    assert all(jet.total == total for (jet, total), _ in truncations)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_denominator_takes_one_theta_call(monkeypatch, rank):
+    rs = build_root_system("A", rank)
+    H = sample_regular_cartan(rs, MD, np.random.default_rng(45), 1)[0]
+    thetas = count_everywhere(monkeypatch, "theta11_coeffs")
+    for order in (0, 3):
+        gaudin.weyl_kac_pi(rs, MD, H, order)
+    # theta at 0 and at every alpha(H), to order max(order + 2, 3)
+    assert arguments(thetas) == [1 + rs.n_positive] * 2
+    assert [args[2] for args, _ in thetas] == [3, 5]
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -410,7 +435,7 @@ def test_bethe_solve_takes_one_zeta_call_and_one_stacked_solve_per_round(monkeyp
             continue
         counted = count_calls(monkeypatch, system, "equations")
         solves = count_calls(monkeypatch, np.linalg, "solve")
-        newton_per_seed(system, seed, kwargs["tol"], kwargs["max_iter"], guard)
+        newton_per_seed(system, seed, kwargs["tol"], kwargs["max_iter"])
         evaluations.append(len(counted))
         steps.append(len(solves))
         monkeypatch.undo()
