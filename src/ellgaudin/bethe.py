@@ -4,30 +4,33 @@ Sites carry dual Verma modules with weights whose sum lies in the
 positive root lattice; each Bethe root t_j carries a simple root.  The
 module provides the algebraic equations for the roots, evaluated at one
 point or at a stack of points, a damped Newton solver that runs all its
-quasi-random seeds in lockstep, the eigenvector built from ordered
-partitions of the roots over the sites, and the closed-form eigenvalue,
-together with a residual check that the vector is an eigenvector of the
-transfer operator.
+quasi-random seeds in lockstep, the eigenvector, and the closed-form
+eigenvalue, together with a residual check that the vector is an
+eigenvector of the transfer operator.  The eigenvector is computed on
+array jets: its site brackets by a Held-Karp recursion over root subsets,
+for all basis indices at once, and its components by contracting the
+brackets site by site over the root subsets used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product as _iproduct
+from itertools import count, permutations, product as _iproduct
 
 import numpy as np
 
 from .elliptic import (
     EllipticError,
     Jet,
-    _linear_substitution,
+    array_jet_product,
     jet_indices,
     lattice_distance,
+    linear_substitution_rows,
     zeta11_coeffs,
 )
 from .gaudin import GaudinError, GaudinProblem, _kernel_series, check_regular
-from .liealg import root_budget
+from .liealg import module_lowering, root_budget
 
 
 class BetheError(Exception):
@@ -131,8 +134,8 @@ class BetheSystem:
                     mapping[x] = y
             maps.append(mapping)
         self._relabellings = np.array(maps, dtype=int).reshape(len(maps), self.M)
-        # (subset, basis index) at a site -> its chains; see _chains
-        self._chain_table: dict = {}
+        # the index tables of vector_jet, built by its first call
+        self._plan = None
 
     def _check_charge(self, tol: float = 1e-12):
         total = np.sum(self.weights, axis=0)
@@ -389,146 +392,134 @@ class BetheSystem:
 
     # -- Bethe vector -------------------------------------------------------
 
-    def _chains(self, a: int, subset, basis_index: int) -> tuple:
-        """The orderings sigma of the subset whose raising string at site a
-        has a nonzero highest-weight coefficient at the basis index, as
-        (coefficient, sigma) pairs.
+    def _vector_plan(self) -> tuple:
+        """Index tables of ``vector_jet``, which depend on neither t, H nor
+        the jet order; the first call builds them for the system.
 
-        In dual coordinates that coefficient is the string of F matrices
-        applied to the highest-weight functional, innermost raising factor
-        first; it carries the Shapovalov-type factors of the Verma module.
-        It depends on neither t nor H, so it is tabled per system.
+        Root subsets are bitmasks.  At site a, a vector of lowering beta
+        (weight lam_a - beta) is kept as its coordinates on the basis
+        indices of that weight, padded to the widest weight space in use.
         """
-        key = (a, subset, basis_index)
-        if key not in self._chain_table:
-            mod = self.problem.modules[a]
-            chains = []
-            for sigma in permutations(subset):
-                vec = np.asarray(mod.j_covector, dtype=complex)
-                for j in reversed(sigma):
-                    vec = mod.matrix(("F", self.assignment[j])) @ vec
-                coeff = complex(vec[basis_index])
-                if coeff != 0:
-                    chains.append((coeff, sigma))
-            self._chain_table[key] = tuple(chains)
-        return self._chain_table[key]
+        if self._plan is not None:
+            return self._plan
+        M, l, lab, mods = self.M, self.problem.rs.rank, self.assignment, self.problem.modules
+        roots = [[j for j in range(M) if T >> j & 1] for T in range(1 << M)]
+        counts = [tuple(sum(lab[j] == r for j in js) for r in range(l)) for js in roots]
+        by_counts: dict = {}
+        for T, c in enumerate(counts):
+            by_counts.setdefault(c, []).append(T)
+        lowering = [module_lowering(mod) for mod in mods]
+        spaces: list = [{} for _ in mods]  # per site, lowering -> basis indices
+        for space, low in zip(spaces, lowering):
+            for k, b in enumerate(low):
+                space.setdefault(b, []).append(k)
+        width = max(len(space.get(c, ())) for space in spaces for c in by_counts)
 
-    def _chain_kernels(self, a: int, sigma):
-        """Kernel keys (P, j, target) of the chain sigma at site a: the
-        prefix P of sigma as counts of each simple-root label, the root j
-        that closes it, and the next root of sigma or, last, the site
-        (index M + a)."""
-        counts = [0] * self.problem.rs.rank
-        keys = []
-        for pos, j in enumerate(sigma):
-            counts[self.assignment[j]] += 1
-            target = sigma[pos + 1] if pos + 1 < len(sigma) else self.M + a
-            keys.append((tuple(counts), j, target))
-        return keys
+        # the components site by site from one entry of value 1 (no site,
+        # no root): entry (p, U) for a prefix p of a zero-weight tuple and
+        # a root subset U sums over the subsets S of U at the last site
+        zero = self.problem.space.zero_tuples()
+        brackets: dict = {}  # (site, subset) -> id
+        entries, levels = {((), 0): 0}, []
+        for a in range(len(mods)):
+            prev, entries, level = entries, {}, ([], [], [])
+            for p in dict.fromkeys(z[: a + 1] for z in zero):
+                used = tuple(map(sum, zip(*(lowering[b][k] for b, k in enumerate(p)))))
+                for U in by_counts[used]:
+                    entries[(p, U)] = len(entries)
+                    level[2].append(len(level[0]))
+                    for S in by_counts[lowering[a][p[-1]]]:
+                        if not S & ~U:
+                            b = brackets.setdefault((a, S), len(brackets))
+                            level[0].append(prev[(p[:-1], U ^ S)])
+                            level[1].append(b * width + spaces[a][counts[S]].index(p[-1]))
+            levels.append(tuple(np.array(x, dtype=int) for x in level))
 
-    def _bracket(self, a: int, subset, basis_index: int, kernels: dict, order: int):
-        """<I; v; z_a, t> as a jet in xi.
+        # Held-Karp rows (a, c, T, j) for the label counts c of the brackets
+        # at site a, by subset size; row a, keyed by the empty T and the
+        # site, holds the site's highest-weight covector
+        rows = {(a, c, 0, M + a): a for a in range(len(mods)) for c in by_counts}
+        number = count(len(mods))
+        keys: dict = {}  # kernel (prefix label counts..., root, target) -> id
+        blocks: dict = {}  # (site, label, source lowering) -> id
+        layers: dict = {}  # subset size -> (predecessor rows, kernels, blocks)
+        needed = {(a, counts[S]) for a, S in brackets}
+        by_size = sorted(range(1, 1 << M), key=lambda T: len(roots[T]))
+        for T, (a, c) in _iproduct(by_size, sorted(needed)):
+            if any(x > y for x, y in zip(counts[T], c)):
+                continue
+            layer = layers.setdefault(len(roots[T]), ([], [], []))
+            for j in roots[T]:
+                rest = T ^ 1 << j
+                prefix = tuple(x - y for x, y in zip(c, counts[rest]))
+                targets = roots[rest] or [M + a]
+                rows[(a, c, T, j)] = next(number)
+                layer[0].append([rows[(a, c, rest, k)] for k in targets])
+                layer[1].append([keys.setdefault(prefix + (j, k), len(keys)) for k in targets])
+                layer[2].append(blocks.setdefault((a, lab[j], counts[rest]), len(blocks)))
 
-        Sums over the chains of the subset (``_chains``) their coefficient
-        times the chain of kernels
-        w_{-partial root sum}(t_- - t_next) ... w_{-full sum}(t_last - z_a),
-        read from the kernel table of ``vector_jet``.
-        """
-        l = self.problem.rs.rank
-        if not subset:
-            mod = self.problem.modules[a]
-            return Jet.constant(mod.j_covector[basis_index], l, order)
-        acc = Jet(l, order)
-        for coeff, sigma in self._chains(a, subset, basis_index):
-            jet = Jet.constant(coeff, l, order)
-            for key in self._chain_kernels(a, sigma):
-                jet = jet * kernels[key]
-            acc = acc + jet
-        return acc
-
-    def _kernel_table(self, keys, t, H, order: int) -> dict:
-        """Kernel key (P, j, target) -> the jet in xi of w_{-P(xi)}(x),
-        x = t_j - target, as the series of w_{c0+h}(x) in h = -P(xi - H) at
-        c0 = -P(H), substituted into the xi variables.  All kernels come
-        from one ``_kernel_series`` call."""
-        if not keys:
-            return {}
-        targets = np.concatenate([t, self.problem.positions])
-        prefixes = np.array([key[0] for key in keys], dtype=float) @ self._simple_roots
-        c0s = -(prefixes @ H)
-        xs = np.array([t[j] - targets[target] for _, j, target in keys])
-        series = _kernel_series(c0s, xs, self.problem.md, order)
-        return {
-            key: _linear_substitution(row, -direction)
-            for key, row, direction in zip(keys, series.tolist(), prefixes)
-        }
+        mats = np.zeros((len(blocks), width, width), dtype=complex)
+        for (a, r, beta), b in blocks.items():
+            src = spaces[a].get(beta, [])
+            dst = spaces[a].get(tuple(x + (s == r) for s, x in enumerate(beta)), [])
+            mats[b, : len(dst), : len(src)] = mods[a].matrix(("F", r))[np.ix_(dst, src)]
+        members = [
+            [rows[(a, counts[S], S, j)] for j in roots[S] or [M + a]] for a, S in brackets
+        ]
+        self._plan = (
+            np.array(list(keys), dtype=int).reshape(-1, l + 2),
+            [np.asarray(m.j_covector)[spaces[a][(0,) * l][0]] for a, m in enumerate(mods)],
+            [tuple(np.array(x, dtype=int) for x in layers[s]) for s in sorted(layers)],
+            mats,
+            (np.concatenate(members), np.cumsum([0] + [len(m) for m in members[:-1]])),
+            levels,
+        )
+        return self._plan
 
     def vector_jet(self, t, H, order: int = 0) -> Jet:
         """Jet of the Bethe vector over the zero-weight product basis.
 
-        Component at a basis tuple (k_1..k_N): sum over ordered set
-        partitions of the Bethe roots across the sites of the product of
-        site brackets.  A first pass finds the brackets each component
-        multiplies and the kernels their chains need; the kernels are then
-        tabled once for this (t, H).
+        Component at a basis tuple (k_1..k_N): the sum over the splits of
+        the roots into subsets S_a at the sites of the product of the site
+        brackets <S_a; k_a; z_a, t>.  The work is on array jets, coefficient
+        arrays in ``jet_indices`` order (``_vector_plan`` holds the indices):
+        - the kernels w_{-P(xi)}(t_j - target) take one ``_kernel_series``
+          call and one substitution into xi;
+        - G_c(T, j), per site and label counts c the sum over the orderings
+          of T that begin with j, is built for all basis indices at once by
+          the Held-Karp recursion, one batched product per subset size:
+          G_c({j}, j) = F_j w_{-c}(t_j - z_a) j_cov, and
+          G_c(T, j) = F_j sum_{k in T - j} w_{-(c - c(T - j))}(t_j - t_k) G_c(T - j, k);
+        - the bracket of S is the sum over j of G_{c(S)}(S, j), and the
+          components contract the brackets site by site over the root
+          subsets used so far, along the prefixes of the zero-weight tuples.
         """
         t = np.asarray(t, dtype=complex)
         H = np.asarray(H, dtype=complex)
         check_regular(self.problem.rs, self.problem.md, H)
-        space = self.problem.space
-        nsites = len(self.problem.modules)
+        keys, tops, layers, mats, (members, starts), levels = self._vector_plan()
         l = self.problem.rs.rank
-
-        partitions = []
-        for assign in _iproduct(range(nsites), repeat=self.M):
-            subsets = [
-                tuple(j for j in range(self.M) if assign[j] == a)
-                for a in range(nsites)
-            ]
-            partitions.append(subsets)
-
-        # per basis tuple, the bracket keys of each partition whose
-        # brackets all have a chain; a bracket without one ends its term
-        terms = []
-        brackets: dict = {}
-        for tup in space.zero_tuples():
-            row = []
-            for subsets in partitions:
-                keys = []
-                for a in range(nsites):
-                    key = (a, subsets[a], tup[a])
-                    if subsets[a] and not self._chains(*key):
-                        break
-                    keys.append(key)
-                    brackets[key] = None
-                else:
-                    row.append(keys)
-            terms.append(row)
-
-        needed: dict = {}
-        for key in brackets:
-            for _, sigma in self._chains(*key):
-                needed.update(dict.fromkeys(self._chain_kernels(key[0], sigma)))
-        kernels = self._kernel_table(list(needed), t, H, order)
-        for key in brackets:
-            brackets[key] = self._bracket(*key, kernels, order)
-
-        comps = []
-        for row in terms:
-            acc = Jet(l, order)
-            for keys in row:
-                term = Jet.constant(1.0, l, order)
-                for key in keys:
-                    term = term * brackets[key]
-                acc = acc + term
-            comps.append(acc)
-
-        coeffs = {}
-        for m in jet_indices(l, order):
-            vec = np.array([c.coeff(m) for c in comps], dtype=complex)
-            if np.any(vec):
-                coeffs[m] = vec
-        return Jet(l, order, coeffs)
+        n = len(jet_indices(l, order))
+        kernels = np.zeros((0, n), dtype=complex)
+        if len(keys):
+            prefixes = keys[:, :l] @ self._simple_roots
+            xs = t[keys[:, l]] - np.concatenate([t, self.problem.positions])[keys[:, l + 1]]
+            series = _kernel_series(-(prefixes @ H), xs, self.problem.md, order)
+            kernels = linear_substitution_rows(series, -prefixes)
+        start = len(tops)
+        G = np.zeros((start + sum(len(b) for *_, b in layers), mats.shape[1], n), dtype=complex)
+        G[:start, 0, 0] = tops
+        for pred, kern, blk in layers:
+            terms = array_jet_product(kernels[kern][..., None, :], G[pred], l, order)
+            G[start : start + len(blk)] = mats[blk] @ terms.sum(axis=1)
+            start += len(blk)
+        brackets = np.add.reduceat(G[members], starts, axis=0).reshape(-1, n)
+        comps = np.eye(1, n, dtype=complex)
+        for prev, slots, firsts in levels:
+            products = array_jet_product(comps[prev], brackets[slots], l, order)
+            comps = np.add.reduceat(products, firsts, axis=0)
+        coeffs = zip(jet_indices(l, order), np.array(comps.T))
+        return Jet(l, order, {m: c for m, c in coeffs if np.any(c)})
 
     # -- eigenvalue ----------------------------------------------------------
 

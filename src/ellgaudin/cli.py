@@ -859,11 +859,13 @@ class CheckRunner:
             u_points = self._spectral_points(avoid, sampling["u_count"])
             result = system.verify_eigenvector(roots, h_points, u_points)
             if result["status"] == "inconclusive":
+                # no eigenvector was checked, so the record cannot pass
                 self._record(
                     f"eigen/residual-{idx:02d}",
                     0.0,
                     tol,
                     note="inconclusive: eigenvector vanished at all samples",
+                    passed=False,
                 )
                 continue
             self._record(

@@ -215,6 +215,33 @@ def _index_set(nvars: int, total: int) -> frozenset:
     return frozenset(jet_indices(nvars, total))
 
 
+@lru_cache(maxsize=None)
+def _cauchy_table(nvars: int, total: int) -> tuple:
+    """The Cauchy product over jet_indices(nvars, total): positions
+    (left, right) of every pair of monomials whose product is retained,
+    grouped by the position of that product, and where each group starts.
+    Every group holds the pair (0, m) at least."""
+    idx = jet_indices(nvars, total)
+    place = {m: p for p, m in enumerate(idx)}
+    left, right, starts = [], [], []
+    for m in idx:
+        starts.append(len(left))
+        for i, a in enumerate(idx):
+            if all(x <= y for x, y in zip(a, m)):
+                left.append(i)
+                right.append(place[tuple(y - x for x, y in zip(a, m))])
+    return np.array(left), np.array(right), np.array(starts)
+
+
+def array_jet_product(a, b, nvars: int, total: int) -> np.ndarray:
+    """Product of array jets: coefficient arrays of shape (..., n) in the
+    order of jet_indices(nvars, total), the leading axes broadcast.  One
+    gather per factor and one grouped sum, each product coefficient summed
+    in the order of its left monomial."""
+    left, right, starts = _cauchy_table(nvars, total)
+    return np.add.reduceat(a[..., left] * b[..., right], starts, axis=-1)
+
+
 def _multi_factorial(m: Multi) -> float:
     out = 1.0
     for k in m:
@@ -413,6 +440,28 @@ def _linear_substitution(g, direction) -> Jet:
         if is_array or c != 0:
             coeffs[m] = c
     return Jet(len(direction), order, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _substitution_table(nvars: int, total: int) -> tuple:
+    """Per monomial m of jet_indices(nvars, total): |m|, the multinomial
+    coefficient |m|! / m!, and m itself as an (n, nvars) array."""
+    idx = np.array(jet_indices(nvars, total)).reshape(-1, nvars)
+    degree = idx.sum(axis=1)
+    weight = [math.factorial(sum(m)) / _multi_factorial(m) for m in idx.tolist()]
+    return degree, np.array(weight), idx
+
+
+def linear_substitution_rows(g, directions) -> np.ndarray:
+    """Array jets in xi of g_r(directions[r] . xi), one row r each: the
+    (R, total + 1) array g holds the Taylor coefficients of each g_r at
+    the image of the expansion point, and the (R, nvars) array directions
+    the linear forms.  The result is (R, n) in jet_indices order."""
+    g = np.asarray(g)
+    directions = np.asarray(directions, dtype=complex)
+    degree, weight, idx = _substitution_table(directions.shape[1], g.shape[1] - 1)
+    powers = np.prod(directions[:, None, :] ** idx, axis=-1)
+    return g[:, degree] * weight * powers
 
 
 

@@ -596,15 +596,7 @@ class TensorSpace:
 
     def _candidates(self, budget: np.ndarray) -> list:
         """Tuples whose summed site lowering equals budget, in lex order."""
-        lowering = []
-        for m in self.modules:
-            beta = _root_coords(self.rs, m.highest_weight - m.weights)
-            rounded = np.rint(beta.real).astype(int)
-            if np.max(np.abs(beta - rounded), initial=0.0) > _BUDGET_TOL:
-                raise LieAlgebraError(
-                    "module weights are not highest weight minus positive roots"
-                )
-            lowering.append([tuple(b) for b in rounded])
+        lowering = [module_lowering(m) for m in self.modules]
         last: dict = {}
         for k, beta in enumerate(lowering[-1]):
             last.setdefault(beta, []).append(k)
@@ -653,6 +645,16 @@ def _root_coords(rs: RootSystemData, weights) -> np.ndarray:
     return np.linalg.solve(
         rs.simple_roots.T.astype(complex), np.asarray(weights, dtype=complex).T
     ).T
+
+
+def module_lowering(module: RepresentedModule) -> list:
+    """Per basis index, the simple-root coordinates of lambda - mu for the
+    highest weight lambda and the basis weight mu, as a tuple of ints."""
+    beta = _root_coords(module.rs, module.highest_weight - module.weights)
+    rounded = np.rint(beta.real).astype(int)
+    if np.max(np.abs(beta - rounded), initial=0.0) > _BUDGET_TOL:
+        raise LieAlgebraError("module weights are not highest weight minus positive roots")
+    return [tuple(b) for b in rounded.tolist()]
 
 
 def root_budget(rs: RootSystemData, weights):

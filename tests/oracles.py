@@ -395,6 +395,74 @@ def _permutations(seq):
             yield (x,) + rest
 
 
+def bethe_vector_reference(system, t, H, order: int = 0):
+    """The Bethe vector of a BetheSystem as a Jet, by the literal sum.
+
+    For every zero-weight basis tuple (k_1..k_N), every map of the roots to
+    the sites and, at each site a, every ordering sigma of its roots: the
+    coefficient of F_{sigma_1} ... F_{sigma_m} j_cov at k_a times the chain
+    of kernels w_{-prefix sum}(t_{sigma_p} - t_{sigma_{p+1}}), the last one
+    ending on z_a, all as dict jets in xi.  Each kernel is the univariate
+    series of ``_kernel_series`` at c0 = -P(H), substituted into xi by
+    ``_linear_substitution``.  Kernels and brackets are memoised by their
+    arguments; no partial product over orderings or subsets is shared.
+    """
+    from functools import lru_cache
+
+    from ellgaudin.elliptic import Jet, _linear_substitution, jet_indices
+    from ellgaudin.gaudin import _kernel_series
+
+    prob = system.problem
+    t = np.asarray(t, dtype=complex)
+    H = np.asarray(H, dtype=complex)
+    rank, M = prob.rs.rank, system.M
+    simple = np.asarray(prob.rs.simple_roots, dtype=complex)
+    targets = list(t) + list(prob.positions)
+
+    @lru_cache(maxsize=None)
+    def kernel(prefix, j, target):
+        direction = np.array(prefix, dtype=float) @ simple
+        x = t[j] - targets[target]
+        row = _kernel_series([-(direction @ H)], [x], prob.md, order)[0]
+        return _linear_substitution(row.tolist(), -direction)
+
+    @lru_cache(maxsize=None)
+    def bracket(a, subset, k):
+        mod = prob.modules[a]
+        if not subset:
+            return Jet.constant(mod.j_covector[k], rank, order)
+        acc = Jet(rank, order)
+        for sigma in _permutations(list(subset)):
+            vec = np.asarray(mod.j_covector, dtype=complex)
+            for j in reversed(sigma):
+                vec = mod.matrix(("F", system.assignment[j])) @ vec
+            jet = Jet.constant(vec[k], rank, order)
+            for pos, j in enumerate(sigma):
+                labels = [system.assignment[i] for i in sigma[: pos + 1]]
+                prefix = tuple(labels.count(r) for r in range(rank))
+                target = sigma[pos + 1] if pos + 1 < len(sigma) else M + a
+                jet = jet * kernel(prefix, j, target)
+            acc = acc + jet
+        return acc
+
+    nsites = len(prob.modules)
+    comps = []
+    for tup in prob.space.zero_tuples():
+        acc = Jet(rank, order)
+        for assign in product(range(nsites), repeat=M):
+            term = Jet.constant(1.0, rank, order)
+            for a in range(nsites):
+                subset = tuple(j for j in range(M) if assign[j] == a)
+                term = term * bracket(a, subset, tup[a])
+            acc = acc + term
+        comps.append(acc)
+    return Jet(
+        rank,
+        order,
+        {m: np.array([c.coeff(m) for c in comps]) for m in jet_indices(rank, order)},
+    )
+
+
 # ---------------------------------------------------------------------------
 # Straight-line exchange potential.
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from oracles import (
     bethe_residual_direct,
     bethe_solve_per_seed,
     bethe_vector_bruteforce_a1,
+    bethe_vector_reference,
     fd_multi,
     w_direct,
 )
@@ -308,6 +309,48 @@ def test_vector_jets_match_finite_differences():
                 sum(m)
             )
             assert abs(an - fd) / max(1.0, abs(fd)) < 1e-6
+
+
+def reference_case(rank, fundamental, nsites, assignment):
+    """A dual-Verma system at depth M + ht(theta) on the first nsites of
+    three fixed points, with generic site weights summing to the given
+    fundamental coordinates, those of the assigned roots' sum."""
+    rs = build_root_system("A", rank)
+    rng = np.random.default_rng(90 + 10 * rank + nsites)
+    weights = [
+        np.asarray(fundamental) / nsites + rng.uniform(-0.2, 0.2, rank)
+        + 1j * rng.uniform(-0.2, 0.2, rank)
+        for _ in range(nsites - 1)
+    ]
+    weights.append(np.asarray(fundamental) - np.sum(weights, axis=0))
+    depth = len(assignment) + rank
+    sites = [build_dual_verma(rs, rs.weight_from_fundamental(tuple(w)), depth) for w in weights]
+    zs = [0.11, 0.43 + 0.27j, 0.71 + 0.52j][:nsites]
+    return BetheSystem(GaudinProblem(rs, MD, zs, sites), assignment)
+
+
+REFERENCE_CASES = [
+    *[(1, (2 * M,), nsites, (0,) * M) for M in (1, 2, 3, 4) for nsites in (2, 3)],
+    (2, (1, 1), 2, (0, 1)),  # alpha_1 + alpha_2
+    (2, (3, 0), 2, (0, 0, 1)),  # 2 alpha_1 + alpha_2
+    (3, (1, 0, 1), 2, (0, 1, 2)),  # alpha_1 + alpha_2 + alpha_3
+]
+
+
+@pytest.mark.parametrize("rank, fundamental, nsites, assignment", REFERENCE_CASES)
+def test_vector_jet_matches_the_straight_line_reference(
+    rank, fundamental, nsites, assignment
+):
+    sysb = reference_case(rank, fundamental, nsites, assignment)
+    t = np.array([0.2 + 0.13j + (0.17 + 0.05j) * j for j in range(sysb.M)])
+    H = sample_regular_cartan(sysb.problem.rs, MD, np.random.default_rng(91), 1)[0]
+    for order in (0, 1, 2):
+        jet = sysb.vector_jet(t, H, order)
+        ref = bethe_vector_reference(sysb, t, H, order)
+        for m, want in ref.coeffs.items():
+            scale = np.max(np.abs(want))
+            assert scale > 0
+            assert np.max(np.abs(jet.coeff(m) - want)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from ellgaudin import cli
+from ellgaudin.bethe import BetheSystem
 from ellgaudin.cli import (
     COMMANDS,
     CheckRecord,
@@ -518,6 +519,26 @@ def test_nan_residual_fails_its_record(monkeypatch):
 # ---------------------------------------------------------------------------
 # dual Verma truncation depth
 # ---------------------------------------------------------------------------
+
+
+def test_inconclusive_eigen_check_fails_and_exits_1(monkeypatch, capsys):
+    # a Bethe vector that vanishes at every sample verifies nothing: the
+    # record keeps its note and residual 0 but fails, and so does the run
+    verify = BetheSystem.verify_eigenvector
+
+    def vanishing(self, t, h_points, u_points, tiny=1e-12):
+        return verify(self, t, h_points, u_points, tiny=np.inf)
+
+    monkeypatch.setattr(BetheSystem, "verify_eigenvector", vanishing)
+    path = str(CONFIGS / "a1_bethe_m1.ini")
+    assert main(["full-verify", "--config", path, "--format", "json-lines"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    eigen = [r for r in records if r["name"].startswith("eigen/residual-")]
+    assert eigen
+    for record in eigen:
+        assert record["pass"] is False
+        assert record["residual"] == 0.0
+        assert record["note"] == "inconclusive: eigenvector vanished at all samples"
 
 
 def test_rank2_bethe_config_passes_eigen_check():

@@ -24,10 +24,11 @@ the checks need a fixed number of evaluations per point:
   one call, and one substitution per positive root; the transfer operator
   reads A_r(u) off the same call's theta(z_i - u) rows, so it takes theta
   once per site and never calls zeta;
-- the Bethe vector takes its kernels from a table filled by at most three
-  theta calls, one value per distinct argument, and the bracket takes
-  each kernel factor from at most three theta values, as the exchange
-  potential does, and never calls ``w_kernel``;
+- the Bethe vector takes its kernels from at most three theta calls, one
+  value per distinct argument, never calls ``w_kernel`` and does no dict
+  jet arithmetic: its site brackets come from a Held-Karp recursion over
+  root subsets, one kernel-factor product per subset T, root j in T and
+  root k in T - j, not one per factor of every ordering;
 - a theta call costs one sine and one cosine call, whatever the number of
   arguments, terms and coefficients, and no factorial; zeta is a quotient
   of theta's coefficients, with no jet shift, truncation or reciprocal;
@@ -302,50 +303,51 @@ def bracket_system():
     return BetheSystem(prob)
 
 
-def test_bethe_bracket_takes_three_thetas_per_kernel_factor(monkeypatch):
+def test_vector_jet_takes_three_theta_calls_and_no_dict_jet_arithmetic(monkeypatch):
     system = bracket_system()
     assert system.assignment == (0, 1)
-    mod = system.problem.modules[0]
-
-    def raised(sigma):
-        vec = np.asarray(mod.j_covector, dtype=complex)
-        for j in reversed(sigma):
-            vec = mod.matrix(("F", system.assignment[j])) @ vec
-        return vec
-
-    # a basis index where both orderings of the two roots contribute
-    index = int(np.flatnonzero((raised((0, 1)) != 0) & (raised((1, 0)) != 0))[0])
-    t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
-    H = sample_regular_cartan(system.problem.rs, MD, np.random.default_rng(70), 1)[0]
-    chains = system._chains(0, (0, 1), index)
-    assert [sigma for _, sigma in chains] == [(0, 1), (1, 0)]
-    keys = [key for _, sigma in chains for key in system._chain_kernels(0, sigma)]
-    kernels = count_everywhere(monkeypatch, "w_kernel")
-    thetas = count_everywhere(monkeypatch, "theta11_coeffs")
-    table = system._kernel_table(keys, t, H, 2)
-    # two orderings, two kernel factors each, all distinct here
-    assert len(table) == len(keys) == 2 * 2
-    assert len(thetas) == 3 and sum(arguments(thetas)) <= 3 * len(table)
-    thetas.clear()
-    jet = system._bracket(0, (0, 1), index, table, 2)
-    assert jet.value != 0
-    assert kernels == thetas == []
-
-
-def test_vector_jet_tables_its_kernels_in_three_theta_calls(monkeypatch):
-    system = bracket_system()
     t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
     H = sample_regular_cartan(system.problem.rs, MD, np.random.default_rng(71), 1)[0]
-    substitutions = count_calls(monkeypatch, bethe, "_linear_substitution")
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
+    kernels = count_everywhere(monkeypatch, "w_kernel")
+    dict_ops = [
+        count_calls(monkeypatch, Jet, name)
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__")
+    ]
     jet = system.vector_jet(t, H, 2)
     assert np.any(jet.value)
+    # theta at the distinct x, the distinct c0 and the distinct x - c0
     assert 1 <= len(thetas) <= 3
-    # each kernel is substituted into the xi variables once, and its
-    # theta values are distinct arguments
-    kernels = len(substitutions)
-    assert arguments(thetas)[-1] == kernels
-    assert sum(arguments(thetas)) <= 3 * kernels
+    for args, _ in thetas:
+        values = np.asarray(args[0]).tolist()
+        assert len(set(values)) == len(values)
+    assert kernels == []
+    assert dict_ops == [[], [], [], []]
+
+
+def one_site_system(M):
+    """Rank 1, M roots on one dual-Verma site, whose one bracket is that of
+    all the roots."""
+    rs = build_root_system("A", 1)
+    site = build_dual_verma(rs, rs.weight_from_fundamental((2 * M,)), depth=M + 1)
+    return BetheSystem(GaudinProblem(rs, MD, [0.11], [site]))
+
+
+@pytest.mark.parametrize("M", [5, 6])
+def test_bethe_bracket_kernel_products_follow_held_karp(monkeypatch, M):
+    system = one_site_system(M)
+    t = 0.2 + 0.13j + (0.11 + 0.07j) * np.arange(M)
+    H = sample_regular_cartan(system.problem.rs, MD, np.random.default_rng(72), 1)[0]
+    products = count_calls(monkeypatch, bethe, "array_jet_product")
+    system.vector_jet(t, H, 2)
+    count = sum(math.prod(np.shape(args[0])[:-1]) for args, _ in products)
+    # one product per (T, j, k) with k in T - j, one per base case ({j}, j),
+    # and one that starts the site-by-site contraction of the one
+    # component from 1
+    assert count == M * (M - 1) * 2 ** (M - 2) + M + 1
+    assert count <= 2**M * M**2
+    # the sum over orderings takes M products for each of the M! chains
+    assert count < math.factorial(M) * M
 
 
 @pytest.mark.parametrize("tau", [0.8j, 0.3 + 0.06j, 40j, 200j])
