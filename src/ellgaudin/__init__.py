@@ -5,15 +5,15 @@ Layers, bottom up:
 ``elliptic``
     Odd Jacobi theta function, its logarithmic derivative, and the
     quasi-periodic kernel ``w_c``, all evaluated as truncated Taylor jets;
-    ``Jet`` is the one jet type of the package, with scalar, vector or
-    matrix coefficients.
+    ``Jet`` is the one jet type, one array of scalar, vector or matrix
+    coefficients, and its arithmetic is three array routines.
 ``liealg``
     Type A root systems, Chevalley generators in the defining
     representation, finite irreducibles, truncated dual Verma modules.
 ``diffop``
     Matrix-coefficient differential operators in the Cartan coordinates,
-    held as their coefficient jets at one Cartan point, with composition,
-    commutators, and application to a function's jet there.
+    held as their coefficient arrays at one Cartan point, with
+    composition, commutators, and application to a function's jet there.
 ``gaudin``
     The face-type elliptic Gaudin transfer matrix, the Weyl-Kac
     denominator, and the commutativity certificate.

@@ -481,8 +481,8 @@ class BetheSystem:
 
         Component at a basis tuple (k_1..k_N): the sum over the splits of
         the roots into subsets S_a at the sites of the product of the site
-        brackets <S_a; k_a; z_a, t>.  The work is on array jets, coefficient
-        arrays in ``jet_indices`` order (``_vector_plan`` holds the indices):
+        brackets <S_a; k_a; z_a, t>.  The work is on array jets, axis 0 in
+        ``jet_indices`` order (``_vector_plan`` holds the indices):
         - the kernels w_{-P(xi)}(t_j - target) take one ``_kernel_series``
           call and one substitution into xi;
         - G_c(T, j), per site and label counts c the sum over the orderings
@@ -500,26 +500,26 @@ class BetheSystem:
         keys, tops, layers, mats, (members, starts), levels = self._vector_plan()
         l = self.problem.rs.rank
         n = len(jet_indices(l, order))
-        kernels = np.zeros((0, n), dtype=complex)
+        kernels = np.zeros((n, 0), dtype=complex)
         if len(keys):
             prefixes = keys[:, :l] @ self._simple_roots
             xs = t[keys[:, l]] - np.concatenate([t, self.problem.positions])[keys[:, l + 1]]
             series = _kernel_series(-(prefixes @ H), xs, self.problem.md, order)
             kernels = linear_substitution_rows(series, -prefixes)
         start = len(tops)
-        G = np.zeros((start + sum(len(b) for *_, b in layers), mats.shape[1], n), dtype=complex)
-        G[:start, 0, 0] = tops
+        G = np.zeros((n, start + sum(len(b) for *_, b in layers), mats.shape[1]), dtype=complex)
+        G[0, :start, 0] = tops
         for pred, kern, blk in layers:
-            terms = array_jet_product(kernels[kern][..., None, :], G[pred], l, order)
-            G[start : start + len(blk)] = mats[blk] @ terms.sum(axis=1)
+            terms = array_jet_product(kernels[:, kern, None], G[:, pred], l, order)
+            rows = np.einsum("lij,nlj->nli", mats[blk], terms.sum(axis=2))
+            G[:, start : start + len(blk)] = rows
             start += len(blk)
-        brackets = np.add.reduceat(G[members], starts, axis=0).reshape(-1, n)
-        comps = np.eye(1, n, dtype=complex)
+        brackets = np.add.reduceat(G[:, members], starts, axis=1).reshape(n, -1)
+        comps = np.eye(n, 1, dtype=complex)
         for prev, slots, firsts in levels:
-            products = array_jet_product(comps[prev], brackets[slots], l, order)
-            comps = np.add.reduceat(products, firsts, axis=0)
-        coeffs = zip(jet_indices(l, order), np.array(comps.T))
-        return Jet(l, order, {m: c for m, c in coeffs if np.any(c)})
+            products = array_jet_product(comps[:, prev], brackets[:, slots], l, order)
+            comps = np.add.reduceat(products, firsts, axis=1)
+        return Jet(l, order, comps)
 
     # -- eigenvalue ----------------------------------------------------------
 

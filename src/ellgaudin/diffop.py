@@ -3,17 +3,18 @@
 An operator is a finite sum over multi-indices beta of coefficient
 functions times partial derivatives d^beta in the coordinates xi_1..xi_l,
 held at one base point H: each coefficient is its matrix-valued
-:class:`Jet` at H, and all jets share one order k.  Composition
-differentiates the coefficients analytically via the Leibniz rule and
+:class:`Jet` at H, one array of shape (n, dim, dim) over the n monomials
+of one order k shared by all coefficients, or of length 1 for a constant.
+Composition differentiates the coefficients analytically via the Leibniz
+rule, each term one derivative gather and one array jet product, and
 keeps as many orders as the inputs determine; nothing is ever sampled on
 a grid.
 
-Matrix coefficients may carry a leading batch axis, shape (B, dim, dim):
-one operator then stands for B operators at the same point, such as the
-transfer operators at B spectral parameters.  Products use ``@`` and
-``*``, which broadcast, so composition, commutators and ``apply`` act
-entry by entry, and an unbatched (dim, dim) coefficient serves every
-entry.
+Matrix coefficients may carry a batch axis after the monomial one, shape
+(n, B, dim, dim): one operator then stands for B operators at the same
+point, such as the transfer operators at B spectral parameters.  An
+unbatched coefficient serves every entry, so composition, commutators
+and ``apply`` act entry by entry.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from operator import add, sub
 
 import numpy as np
 
-from .elliptic import Jet, _nonzero_items, jet_indices
+from .elliptic import Jet, array_jet_product, derivative_table, jet_indices
 
 MAX_TOTAL_ORDER = 4
 
@@ -42,22 +43,27 @@ def _leibniz_splits(beta: tuple) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _derivative_lookup(delta: tuple, room: int) -> tuple:
-    """(mm, mm + delta, weight) for every mm of total degree <= room.
+def _align(a, b) -> tuple:
+    """Two coefficient arrays, where only one has a batch axis: the other
+    gains one of length 1 after its monomial axis."""
+    if a.ndim < b.ndim:
+        return a[:, None], b
+    if b.ndim < a.ndim:
+        return a, b[:, None]
+    return a, b
 
-    The Taylor coefficient of d^delta b at mm is weight times b's
-    coefficient at mm + delta, with the falling factorials
-    weight = prod_i (mm_i + delta_i)! / mm_i!.
-    """
-    out = []
-    for mm in jet_indices(len(delta), room):
-        m = tuple(map(add, mm, delta))
-        weight = 1
-        for a, d in zip(m, delta):
-            weight *= math.perm(a, d)
-        out.append((mm, m, weight))
-    return tuple(out)
+
+def _jet_sum(a, b) -> np.ndarray:
+    """a + b for coefficient arrays whose stored prefixes may differ in
+    length, the shorter one reading as zero beyond its own."""
+    a, b = _align(a, b)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(a) == len(b):
+        return a + b
+    out = a + np.zeros_like(b[:1])
+    out[: len(b)] += b
+    return out
 
 
 def _entry_norm(value):
@@ -94,8 +100,14 @@ class DiffOperator:
     def order(self) -> int:
         return max((sum(m) for m in self.coeffs), default=0)
 
-    def _coeff_at(self, m, k: int) -> Jet:
-        return self.coeffs[m].truncate(k)
+    def _arrays(self, k: int) -> dict:
+        """Every coefficient array truncated to order k: a prefix."""
+        n = len(jet_indices(self.nvars, k))
+        return {m: jet.coeffs[:n] for m, jet in self.coeffs.items()}
+
+    def _like(self, k: int, arrays: dict) -> "DiffOperator":
+        jets = {m: Jet(self.nvars, k, c) for m, c in arrays.items()}
+        return DiffOperator(self.nvars, self.dim, jets)
 
     # -- linear structure ----------------------------------------------
 
@@ -103,25 +115,10 @@ class DiffOperator:
         if self.nvars != other.nvars or self.dim != other.dim:
             raise ValueError("operator shape mismatch")
         k = min(self.k, other.k)
-        out = {}
-        for m in set(self.coeffs) | set(other.coeffs):
-            if m not in other.coeffs:
-                out[m] = self._coeff_at(m, k)
-            elif m not in self.coeffs:
-                out[m] = other._coeff_at(m, k)
-            else:
-                out[m] = self._coeff_at(m, k) + other._coeff_at(m, k)
-        return DiffOperator(self.nvars, self.dim, out)
-
-    def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return self + other * (-1.0)
-
-    def __mul__(self, scalar) -> "DiffOperator":
-        s = complex(scalar)
-        out = {m: jet * s for m, jet in self.coeffs.items()}
-        return DiffOperator(self.nvars, self.dim, out)
-
-    __rmul__ = __mul__
+        out = self._arrays(k)
+        for m, c in other._arrays(k).items():
+            out[m] = _jet_sum(out[m], c) if m in out else c
+        return self._like(k, out)
 
     # -- composition -----------------------------------------------------
 
@@ -134,12 +131,12 @@ class DiffOperator:
         ``other``'s coefficients costs up to ``self.order`` jet orders, so
         the result carries order k = min(self.k, other.k - self.order).
 
-        Each Leibniz term is formed coefficient by coefficient: the
-        coefficient of d^delta b at mm is read straight off b at
-        mm + delta, scaled by falling factorials, and only the products
-        a_ma (d^delta b)_mm of total degree |ma + mm| <= k are formed.
-        Two array factors multiply with ``@``, as in a jet product, so at
-        k = 0 every term is one matrix product.
+        Each Leibniz term is one gather and one product: the jet of
+        d^delta b to order k is read straight off b at the shifted
+        monomials, scaled by falling factorials (``derivative_table``), and
+        multiplied with a truncated to order k by ``array_jet_product``
+        with ``@``.  The derivative of a constant coefficient vanishes, so
+        its term is skipped.  At k = 0 every term is one matrix product.
         """
         if self.nvars != other.nvars or self.dim != other.dim:
             raise ValueError("operator shape mismatch")
@@ -154,58 +151,38 @@ class DiffOperator:
                 f"coefficient jets of order {other.k} cannot be differentiated "
                 f"{self.order} times"
             )
+        n = len(jet_indices(self.nvars, k))
         out: dict = {}
-        for beta, a in self.coeffs.items():
-            left = [
-                (ma, ca, a_array, k - sum(ma))
-                for ma, ca, a_array in _nonzero_items(a.coeffs)
-                if sum(ma) <= k
-            ]
+        for beta, a in self._arrays(k).items():
             for gamma, b in other.coeffs.items():
+                b = b.coeffs
                 for delta, rest, binom in _leibniz_splits(beta):
-                    acc = out.setdefault(tuple(map(add, rest, gamma)), {})
-                    for ma, ca, a_array, room in left:
-                        for mm, m, weight in _derivative_lookup(delta, room):
-                            cb = b.coeffs.get(m)
-                            b_array = isinstance(cb, np.ndarray)
-                            if not b_array and not cb:
-                                continue  # missing or a scalar zero
-                            prod = ca @ cb if a_array and b_array else ca * cb
-                            prod = prod * (binom * weight)
-                            idx = tuple(map(add, ma, mm))
-                            acc[idx] = acc[idx] + prod if idx in acc else prod
-        return DiffOperator(
-            self.nvars, self.dim, {mu: Jet(self.nvars, k, c) for mu, c in out.items()}
-        )
+                    if not any(delta):
+                        db = b[:n]
+                    elif len(b) == 1:
+                        continue  # a constant's derivative vanishes
+                    else:
+                        at, weight = derivative_table(self.nvars, delta, k)
+                        db = b[at] * weight.reshape((-1,) + (1,) * (b.ndim - 1))
+                    term = array_jet_product(*_align(a, db), self.nvars, k, np.matmul) * binom
+                    mu = tuple(map(add, rest, gamma))
+                    out[mu] = _jet_sum(out[mu], term) if mu in out else term
+        return self._like(k, out)
 
     def commutator(self, other: "DiffOperator") -> "DiffOperator":
         """[self, other] = self o other - other o self.
 
-        The second composition's coefficients are subtracted from the
-        first's in place, with no negated copy and no third coefficient
-        dict; negation is exact, so the values are those of
-        ``self.compose(other) - other.compose(self)``.
+        Both compositions are truncated to the lower of their orders and
+        their coefficient arrays subtracted; negation is exact, so a - b
+        equals a + (-b) to the bit.
         """
         out = self.compose(other)
         back = other.compose(self)
         k = min(out.k, back.k)
-        if out.k > k:
-            out = DiffOperator(
-                self.nvars, self.dim, {m: jet.truncate(k) for m, jet in out.coeffs.items()}
-            )
-        for m, jet in back.coeffs.items():
-            if jet.total > k:
-                jet = jet.truncate(k)
-            acc = out.coeffs.setdefault(m, Jet(self.nvars, k)).coeffs
-            for mm, c in jet.coeffs.items():
-                a = acc.get(mm)
-                if a is None:
-                    acc[mm] = -c
-                elif isinstance(a, np.ndarray) and a.dtype == complex and a.shape == np.shape(c):
-                    a -= c
-                else:
-                    acc[mm] = a - c
-        return out
+        diff = out._arrays(k)
+        for m, c in back._arrays(k).items():
+            diff[m] = _jet_sum(diff[m], -c) if m in diff else -c
+        return self._like(k, diff)
 
     # -- evaluation ------------------------------------------------------
 
@@ -227,12 +204,8 @@ class DiffOperator:
                 f"order {self.order}"
             )
         out = np.zeros(self.dim, dtype=complex)
-        zero = (0,) * self.nvars
         for beta, jet in self.coeffs.items():
-            coeff = jet.coeffs.get(zero)
-            # a missing coefficient is zero
-            if coeff is not None and beta in fjet.coeffs:
-                out = out + coeff @ fjet.deriv(beta)
+            out = out + jet.value @ fjet.deriv(beta)
         return out
 
     def max_coeff_norm(self):

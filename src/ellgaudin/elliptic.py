@@ -188,10 +188,8 @@ def lattice_distance(z, md: ModularData):
 
 
 # ---------------------------------------------------------------------------
-# Truncated multivariate Taylor jets.
+# Truncated multivariate Taylor jets, held as coefficient arrays.
 # ---------------------------------------------------------------------------
-
-Multi = tuple
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +197,7 @@ def jet_indices(nvars: int, total: int) -> tuple:
     """All multi-indices m of nvars entries with |m| <= total.
 
     Sorted by total degree, then lexicographically; the zero index comes
-    first.
+    first, and the indices of a lower total are a prefix.
     """
     out = [
         m
@@ -210,9 +208,53 @@ def jet_indices(nvars: int, total: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _index_set(nvars: int, total: int) -> frozenset:
-    return frozenset(jet_indices(nvars, total))
+def _multi_factorial(m) -> float:
+    out = 1.0
+    for k in m:
+        out *= math.factorial(k)
+    return out
+
+
+class Jet:
+    """Truncated Taylor expansion of a function of several variables.
+
+    ``coeffs`` is one array whose axis 0 runs over
+    jet_indices(nvars, total): entry p holds the Taylor coefficient
+    d^m f / m! at the expansion point for the p-th multi-index m, a complex
+    scalar or, along the further axes, a vector or a matrix (after a batch
+    axis where there is one).  The order is degree-sorted, so truncating is
+    taking a prefix; a stored prefix shorter than the scheme reads as zero
+    beyond it, so a constant is stored with length 1.
+
+    A jet only holds and reads its coefficients.  The arithmetic is on
+    the arrays: ``array_jet_product``, ``linear_substitution_rows`` and
+    ``derivative_table``.
+    """
+
+    __slots__ = ("nvars", "total", "coeffs")
+
+    def __init__(self, nvars, total, coeffs):
+        self.nvars = int(nvars)
+        self.total = int(total)
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+
+    @property
+    def value(self):
+        return self.coeffs[0]
+
+    def coeff(self, m):
+        """Taylor coefficient at the multi-index m, zero where not stored."""
+        idx = jet_indices(self.nvars, self.total)
+        m = tuple(m)
+        p = idx.index(m) if m in idx else len(self.coeffs)
+        return self.coeffs[p] if p < len(self.coeffs) else np.zeros_like(self.value)
+
+    def deriv(self, m):
+        """Value of the derivative d^m f at the expansion point."""
+        return self.coeff(m) * _multi_factorial(m)
+
+    def __repr__(self):
+        return f"Jet(nvars={self.nvars}, total={self.total}, value={self.value})"
 
 
 @lru_cache(maxsize=None)
@@ -233,213 +275,34 @@ def _cauchy_table(nvars: int, total: int) -> tuple:
     return np.array(left), np.array(right), np.array(starts)
 
 
-def array_jet_product(a, b, nvars: int, total: int) -> np.ndarray:
-    """Product of array jets: coefficient arrays of shape (..., n) in the
-    order of jet_indices(nvars, total), the leading axes broadcast.  One
-    gather per factor and one grouped sum, each product coefficient summed
-    in the order of its left monomial."""
+def array_jet_product(a, b, nvars: int, total: int, op=np.multiply) -> np.ndarray:
+    """Product of two array jets in nvars variables to the given total.
+
+    Axis 0 of each factor runs over jet_indices(nvars, total), or has
+    length 1 for a constant, which scales the other factor; both factors
+    have as many axes, and those after axis 0 broadcast.  Coefficients
+    multiply with ``op``: np.multiply for scalar and vector values,
+    np.matmul for matrix values, which keeps the factor order.  One gather
+    per factor and one grouped sum, each product coefficient summed in the
+    order of its left monomial.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return op(a, b)
     left, right, starts = _cauchy_table(nvars, total)
-    return np.add.reduceat(a[..., left] * b[..., right], starts, axis=-1)
+    return np.add.reduceat(op(a[left], b[right]), starts, axis=0)
 
 
-def _multi_factorial(m: Multi) -> float:
-    out = 1.0
-    for k in m:
-        out *= math.factorial(k)
-    return out
-
-
-def _nonzero_items(coeffs: dict) -> list:
-    """(index, coefficient, is_array) for every coefficient but scalar zeros."""
-    out = []
-    for m, c in coeffs.items():
-        is_array = isinstance(c, np.ndarray)
-        if is_array or c != 0:
-            out.append((m, c, is_array))
-    return out
-
-
-class Jet:
-    """Truncated Taylor expansion of a function of several variables.
-
-    ``coeffs[m]`` is the Taylor coefficient d^m f / m! at the expansion
-    point: a complex scalar, or an ndarray for vector- and matrix-valued
-    functions.  The retained multi-indices are those of total degree
-    |m| <= total; everything else is treated as zero, and a missing
-    coefficient reads as the scalar 0.  Arithmetic truncates back
-    to the same scheme, which is exact for the retained degrees.
-
-    The product of two jets multiplies coefficients with ``@`` when both
-    are arrays, so the factor order matters for matrix-valued jets, and
-    with ``*`` otherwise; a non-jet factor scales every coefficient.
-    """
-
-    __slots__ = ("nvars", "total", "coeffs")
-
-    def __init__(self, nvars, total, coeffs=None):
-        self.nvars = int(nvars)
-        self.total = int(total)
-        self.coeffs = {} if coeffs is None else dict(coeffs)
-
-    def _like(self, coeffs: dict) -> "Jet":
-        out = Jet.__new__(Jet)
-        out.nvars = self.nvars
-        out.total = self.total
-        out.coeffs = coeffs
-        return out
-
-    @classmethod
-    def constant(cls, value, nvars, total):
-        """Constant jet; ``value`` is a scalar or an ndarray."""
-        if isinstance(value, np.ndarray):
-            value = value.astype(complex, copy=False)
-        else:
-            value = complex(value)
-        return cls(nvars, total, {(0,) * nvars: value})
-
-    # -- basic accessors ----------------------------------------------
-
-    @property
-    def value(self):
-        return self.coeffs.get((0,) * self.nvars, 0j)
-
-    def coeff(self, m: Multi):
-        return self.coeffs.get(tuple(m), 0j)
-
-    def deriv(self, m: Multi):
-        """Value of the derivative d^m f at the expansion point."""
-        return self.coeff(m) * _multi_factorial(tuple(m))
-
-    # -- ring operations ----------------------------------------------
-
-    def _check(self, other: "Jet"):
-        if self.nvars != other.nvars or self.total != other.total:
-            raise ValueError(
-                f"jet scheme mismatch: {self.nvars}/{self.total} vs "
-                f"{other.nvars}/{other.total}"
-            )
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        if not isinstance(other, Jet):
-            zero = (0,) * self.nvars
-            out[zero] = out[zero] + other if zero in out else 0j + other
-            return self._like(out)
-        self._check(other)
-        for m, c in other.coeffs.items():
-            out[m] = out[m] + c if m in out else c
-        return self._like(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._like({m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return self._like({m: c * other for m, c in self.coeffs.items()})
-        self._check(other)
-        keep = _index_set(self.nvars, self.total)
-        right = _nonzero_items(other.coeffs)
-        out = {}
-        for ma, ca, a_array in _nonzero_items(self.coeffs):
-            for mb, cb, b_array in right:
-                m = tuple(a + b for a, b in zip(ma, mb))
-                if m in keep:
-                    prod = ca @ cb if a_array and b_array else ca * cb
-                    out[m] = out[m] + prod if m in out else prod
-        return self._like(out)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "Jet":
-        v = self.value
-        if v == 0:
-            raise ZeroDivisionError("jet reciprocal at a zero value")
-        out = {}
-        for m in jet_indices(self.nvars, self.total):
-            if sum(m) == 0:
-                out[m] = 1.0 / v
-                continue
-            acc = 0j
-            for ma, ca in self.coeffs.items():
-                if sum(ma) == 0 or ca == 0:
-                    continue
-                if any(a > b for a, b in zip(ma, m)):
-                    continue
-                mb = tuple(b - a for a, b in zip(ma, m))
-                acc += ca * out.get(mb, 0j)
-            out[m] = -acc / v
-        return self._like(out)
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return self * (1.0 / complex(other))
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * complex(other)
-
-    # -- calculus -----------------------------------------------------
-
-    def shift(self, delta) -> "Jet":
-        """Jet of the partial derivative d^delta f; the total order drops
-        by |delta|.
-        """
-        delta = tuple(delta)
-        total = self.total - sum(delta)
-        if total < 0:
-            raise ValueError("jet does not carry that derivative")
-        keep = _index_set(self.nvars, total)
-        out = {}
-        for m, c in self.coeffs.items():
-            mm = tuple(k - d for k, d in zip(m, delta))
-            if mm in keep:
-                scale = 1
-                for k, d in zip(m, delta):
-                    scale *= math.perm(k, d)
-                out[mm] = c * scale
-        return Jet(self.nvars, total, out)
-
-    def truncate(self, total) -> "Jet":
-        keep = _index_set(self.nvars, int(total))
-        return Jet(
-            self.nvars, total, {m: c for m, c in self.coeffs.items() if m in keep}
-        )
-
-    def __repr__(self):
-        return f"Jet(nvars={self.nvars}, total={self.total}, value={self.value})"
-
-
-def _linear_substitution(g, direction) -> Jet:
-    """Jet in xi of g(direction . xi), from g's Taylor coefficients g[k]
-    at the image direction . xi0 of the expansion point.
-
-    The multinomial weights distribute each power of the increment over
-    the xi variables; the result keeps every total degree below len(g).
-    Coefficients of g may be scalars or arrays.
-    """
-    direction = [complex(d) for d in direction]
-    order = len(g) - 1
-    coeffs = {}
-    for m in jet_indices(len(direction), order):
-        k = sum(m)
-        a = g[k]
-        is_array = isinstance(a, np.ndarray)
-        if not is_array and a == 0:
-            continue
-        c = a * math.factorial(k)
-        for dr, mi in zip(direction, m):
-            c *= dr**mi / math.factorial(mi)
-        if is_array or c != 0:
-            coeffs[m] = c
-    return Jet(len(direction), order, coeffs)
+@lru_cache(maxsize=None)
+def derivative_table(nvars: int, delta: tuple, total: int) -> tuple:
+    """The gather that turns a jet of f into the jet of d^delta f to the
+    given total: per multi-index mm of jet_indices(nvars, total), the
+    position of mm + delta in jet_indices(nvars, total + |delta|), and the
+    falling factorials prod_i (mm_i + delta_i)! / mm_i!."""
+    idx = jet_indices(nvars, total + sum(delta))
+    place = {m: p for p, m in enumerate(idx)}
+    rows = [tuple(x + d for x, d in zip(mm, delta)) for mm in jet_indices(nvars, total)]
+    weights = [math.prod(map(math.perm, m, delta)) for m in rows]
+    return np.array([place[m] for m in rows]), np.array(weights, dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -453,17 +316,23 @@ def _substitution_table(nvars: int, total: int) -> tuple:
 
 
 def linear_substitution_rows(g, directions) -> np.ndarray:
-    """Array jets in xi of g_r(directions[r] . xi), one row r each: the
-    (R, total + 1) array g holds the Taylor coefficients of each g_r at
-    the image of the expansion point, and the (R, nvars) array directions
-    the linear forms.  The result is (R, n) in jet_indices order."""
-    g = np.asarray(g)
+    """Array jets in xi of g_r(directions[r] . xi), one for each row r.
+
+    g holds along axis 1 the Taylor coefficients of each g_r at the image
+    of the expansion point, with values of any shape after that axis,
+    shape (R, total + 1, ...), and the (R, nvars) array directions the
+    linear forms.  The result runs over jet_indices(nvars, total) along
+    axis 0 and over the rows along axis 1, shape (n, R, ...).
+    """
+    g = np.asarray(g, dtype=complex)
     directions = np.asarray(directions, dtype=complex)
     degree, weight, idx = _substitution_table(directions.shape[1], g.shape[1] - 1)
-    powers = np.prod(directions[:, None, :] ** idx, axis=-1)
-    return g[:, degree] * weight * powers
-
-
+    values = (1,) * (g.ndim - 2)
+    powers = np.prod(directions ** idx[:, None, :], axis=-1)
+    out = np.moveaxis(g[:, degree], 1, 0)
+    out *= weight.reshape((-1, 1) + values)
+    out *= powers.reshape(powers.shape + values)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -699,12 +568,6 @@ def theta11_coeffs(zs, md: ModularData, order: int = 0) -> np.ndarray:
     return out
 
 
-def _jet(coeffs: np.ndarray) -> Jet:
-    """Univariate jet of one row of coefficients, as Python complex numbers,
-    which keep products of scalar jets cheap."""
-    return Jet(1, len(coeffs) - 1, {(k,): c for k, c in enumerate(coeffs.tolist())})
-
-
 def theta11(z: complex, md: ModularData, order: int = 0) -> Jet:
     """Jet of the odd Jacobi theta function at z.
 
@@ -712,7 +575,7 @@ def theta11(z: complex, md: ModularData, order: int = 0) -> Jet:
     satisfies theta11(z+1) = -theta11(z) and
     theta11(z+tau) = -exp(-pi*i*tau - 2*pi*i*z) * theta11(z).
     """
-    return _jet(theta11_coeffs([z], md, order)[0])
+    return Jet(1, order, theta11_coeffs([z], md, order)[0])
 
 
 @lru_cache(maxsize=None)
@@ -772,6 +635,13 @@ def _series_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
+def _series_reciprocal(den: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of 1 / den, row by row along the last axis."""
+    one = np.zeros(den.shape)
+    one[..., 0] = 1.0
+    return _series_quotient(one, den)
+
+
 def zeta11_coeffs(zs, md: ModularData, order: int = 0) -> np.ndarray:
     """Taylor coefficients of zeta11 = theta11'/theta11 to the given order at
     every z of the 1-D array zs, one row per argument, as the series
@@ -792,7 +662,7 @@ def zeta11(z: complex, md: ModularData, order: int = 0) -> Jet:
     zeta11(z+tau) = zeta11(z) - 2*pi*i; simple pole with residue 1 at
     lattice points.  Raises :class:`PoleProximityError` near the lattice.
     """
-    return _jet(zeta11_coeffs([z], md, order)[0])
+    return Jet(1, order, zeta11_coeffs([z], md, order)[0])
 
 
 def w_kernel(c: complex, z: complex, md: ModularData, order: int = 0) -> Jet:
@@ -812,9 +682,8 @@ def w_kernel(c: complex, z: complex, md: ModularData, order: int = 0) -> Jet:
     th = theta11_coeffs([z, -c, z - c], md, order)
     _pole_check(th[:1, 0], [z], md, "z")
     _pole_check(th[1:2, 0], [-c], md, "c")
-    tz, tc, shifted = th.tolist()
-    # theta(z - c), theta(z) and theta(-c) as functions of (c, z)
-    num = _linear_substitution(shifted, (-1, 1))
-    den_z = _linear_substitution(tz, (0, 1))
-    den_c = _linear_substitution(tc, (-1, 0))
-    return num * theta11_prime_at_zero(md) / (den_z * den_c)
+    # theta(z - c), 1/theta(z) and 1/theta(-c) as functions of (c, z)
+    rows = np.concatenate([th[2:], _series_reciprocal(th[:2])])
+    num, inv_z, inv_c = linear_substitution_rows(rows, [(-1, 1), (0, 1), (-1, 0)]).T
+    quotient = array_jet_product(num, inv_z, 2, order) * theta11_prime_at_zero(md)
+    return Jet(2, order, array_jet_product(quotient, inv_c, 2, order))

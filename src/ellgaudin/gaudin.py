@@ -21,10 +21,12 @@ from .diffop import DiffOperator
 from .elliptic import (
     Jet,
     ModularData,
-    _linear_substitution,
     _pole_check,
     _series_quotient,
+    _series_reciprocal,
+    array_jet_product,
     lattice_distance,
+    linear_substitution_rows,
     nearest_lattice_point,
     theta11_coeffs,
     theta11_prime_at_zero,
@@ -50,35 +52,25 @@ _MAX_TRIES = 10_000
 # ---------------------------------------------------------------------------
 
 
-def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated Cauchy product along the last axis, broadcast elsewhere:
-    out[..., m] = sum_{p+q=m} a[..., p] b[..., q] for m below the length."""
-    n = a.shape[-1]
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    for p in range(n):
-        out[..., p:] += a[..., p : p + 1] * b[..., : n - p]
-    return out
-
-
 def _inverse_theta(tc: np.ndarray, md: ModularData) -> np.ndarray:
     """Taylor coefficients in h of theta'(0) / theta(c0 + h), row by row,
     from those of theta(c0 + h) in the rows of tc."""
-    one = np.zeros(tc.shape)
-    one[:, 0] = 1.0
-    return theta11_prime_at_zero(md) * _series_quotient(one, tc)
+    return theta11_prime_at_zero(md) * _series_reciprocal(tc)
 
 
 def _w_coeffs(shifted: np.ndarray, scale: np.ndarray, tx) -> np.ndarray:
     """Taylor coefficients in h of
-    w_{c0+h}(x) = -theta'(0) theta(x - c0 - h) / (theta(x) theta(c0 + h)).
+    w_{c0+h}(x) = -theta'(0) theta(x - c0 - h) / (theta(x) theta(c0 + h)),
+    along axis 0.
 
-    ``shifted`` holds theta(x - c0)'s Taylor coefficients along its last
-    axis, ``scale`` those of theta'(0) / theta(c0 + h) and ``tx`` is
-    theta(x), broadcast against ``shifted``'s leading axes.
+    ``shifted`` holds theta(x - c0)'s Taylor coefficients along axis 0,
+    ``scale`` those of theta'(0) / theta(c0 + h) and ``tx`` is theta(x),
+    each broadcast against the other axes.
     """
     # theta(x - c0 - h) in h: the odd coefficients change sign
-    flip = (-1.0) ** np.arange(shifted.shape[-1])
-    return _cauchy(shifted * flip, scale) * (-1.0 / tx)
+    flip = (-1.0) ** np.arange(len(shifted))
+    flip = flip.reshape((-1,) + (1,) * (shifted.ndim - 1))
+    return array_jet_product(shifted * flip, scale, 1, len(shifted) - 1) * (-1.0 / tx)
 
 
 def _distinct(values: np.ndarray) -> tuple:
@@ -107,7 +99,12 @@ def _kernel_series(c0s, xs, md: ModularData, order: int) -> np.ndarray:
     _pole_check(tc[:, 0], -uc, md, "c")
     shifted = theta11_coeffs(xs - c0s, md, order)
     scale = _inverse_theta(tc, md)[c_at]
-    return _w_coeffs(shifted, scale, tx[x_at, None])
+    return _w_coeffs(shifted.T, scale.T, tx[x_at]).T
+
+
+def _times_eye(jet: Jet, dim: int) -> np.ndarray:
+    """The coefficients of a scalar jet times the dim x dim identity."""
+    return jet.coeffs[:, None, None] * np.eye(dim, dtype=complex)
 
 
 def _spectral_batch(u) -> tuple:
@@ -115,16 +112,6 @@ def _spectral_batch(u) -> tuple:
     a scalar, which stands for the batch of one."""
     us = np.asarray(u, dtype=complex)
     return us.reshape(-1), us.ndim == 0
-
-
-def _entry(jet: Jet, b: int) -> Jet:
-    """Batch entry b of a jet: each coefficient with a leading batch axis,
-    shape (B, dim0, dim0), gives up its b-th matrix; the others are kept."""
-    return Jet(
-        jet.nvars,
-        jet.total,
-        {m: c[b] if np.ndim(c) == 3 else c for m, c in jet.coeffs.items()},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +197,11 @@ def sample_spectral_points(
 @dataclass(frozen=True)
 class WeylKacData:
     """Jets in xi of the denominator's theta product, which is Pi up to a
-    factor depending on tau alone, of d_r log Pi for each r, and of
-    d_tau log Pi."""
+    factor depending on tau alone, of its reciprocal, of d_r log Pi for
+    each r, and of d_tau log Pi."""
 
     product: Jet
+    reciprocal: Jet
     d_log: list
     dtau_log: Jet
 
@@ -236,8 +224,10 @@ def weyl_kac_pi(
       d_tau log Pi = [sum_{alpha>0} theta''/theta (alpha(H))
                       + (l - |Phi+|)/3 theta'''(0)/theta'(0)] / (4 pi i).
     All of it comes from one theta call at 0 and at every alpha(H), to
-    order max(order + 2, 3); each series in h = alpha(xi - H) is
-    substituted into xi.
+    order max(order + 2, 3), and one substitution into xi of the series in
+    h = alpha(xi - H) of theta, 1/theta, theta'/theta and theta''/theta.
+    The product and its reciprocal multiply the roots' substituted theta
+    and 1/theta series, so no multivariate reciprocal is taken.
     """
     H = np.asarray(H, dtype=complex)
     check_regular(rs, md, H)
@@ -249,16 +239,24 @@ def weyl_kac_pi(
     # theta'/theta and theta''/theta at alpha(H) + h
     zetas = _series_quotient(rows[:, 1:-1] * k[:-1], rows)
     heats = _series_quotient(rows[:, 2:] * k[1:] * k[:-1], rows)
+    values = rows[:, : order + 1]
+    series = np.concatenate([values, _series_reciprocal(values), zetas, heats])
+    thetas, inverses, zeta, heat = np.split(
+        linear_substitution_rows(series, np.tile(roots, (4, 1))), 4, axis=1
+    )
+    product = reciprocal = np.ones(1, dtype=complex)
+    for f, g in zip(thetas.T, inverses.T):
+        product = array_jet_product(product, f, l, order)
+        reciprocal = array_jet_product(reciprocal, g, l, order)
+    dtau = heat.sum(axis=1)
     # theta'''(0) / theta'(0) = 6 c_3 / c_1 for theta's coefficients c
-    dtau = Jet.constant((l - rs.n_positive) * 2.0 * th[0, 3] / th[0, 1], l, order)
-    product = Jet.constant(1.0, l, order)
-    d_log = [Jet(l, order)] * l
-    for alpha, row, zeta, heat in zip(roots, rows, zetas, heats):
-        product = product * _linear_substitution(row[: order + 1].tolist(), alpha)
-        zeta = _linear_substitution(zeta.tolist(), alpha)
-        d_log = [d + zeta * a for d, a in zip(d_log, alpha.tolist())]
-        dtau = dtau + _linear_substitution(heat.tolist(), alpha)
-    return WeylKacData(product, d_log, dtau * (1.0 / (4j * np.pi)))
+    dtau[0] += (l - rs.n_positive) * 2.0 * th[0, 3] / th[0, 1]
+    return WeylKacData(
+        Jet(l, order, product),
+        Jet(l, order, reciprocal),
+        [Jet(l, order, d) for d in (zeta @ roots).T],
+        Jet(l, order, dtau * (1.0 / (4j * np.pi))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +336,10 @@ class GaudinProblem:
         when they agree off {i, j}, and (R_i L_i)[a_i, b_i] when i = j.
         The full tensor product is never formed.
 
-        ``_pair[k]`` stacks, for the k-th positive root alpha, the pair
+        ``_pair`` stacks, for the k-th positive root alpha, the pair
         operators of alpha and -alpha that share a kernel product:
-        _pair[k][i, j] = P(i, j, alpha) + P(j, i, -alpha), an array of
-        shape (N, N, dim0, dim0).
+        _pair[k, i, j] = P(i, j, alpha) + P(j, i, -alpha), one array of
+        shape (|Phi+|, N, N, dim0, dim0).
         """
         rs = self.rs
         tuples = self.space.zero_array
@@ -385,10 +383,10 @@ class GaudinProblem:
                     out[i, j] = on_sites(mat, i, j)
             return out
 
-        self._pair = [
+        self._pair = np.array([
             pair(k) + pair(rs.negative_of(k)).transpose(1, 0, 2, 3)
             for k in range(rs.n_positive)
-        ]
+        ])
 
     # -- coefficient data ------------------------------------------------
 
@@ -431,14 +429,15 @@ class GaudinProblem:
         _pole_check(th[nx : nx + len(cs), 0], -cs, self.md, "c")
         return th
 
-    def _contract(self, pairs: np.ndarray, k: int) -> np.ndarray:
-        """sum_{i,j} pairs[b, i, j, m] _pair[k][i, j], as an array of shape
-        (m, B, dim0, dim0).  Each batch entry is its own matrix product, so
+    def _contract(self, jets: np.ndarray) -> np.ndarray:
+        """sum_{k,i,j} jets[p, k, b, i, j] _pair[k, i, j] over the positive
+        roots k and the site pairs (i, j), as an array of shape
+        (n, B, dim0, dim0).  Each batch entry is its own matrix product, so
         it is summed the same way whatever the batch around it."""
-        batch, nsites, _, terms = pairs.shape
+        terms, _, batch = jets.shape[:3]
         dim = self.space.dim0
-        flat = pairs.transpose(0, 3, 1, 2).reshape(batch, terms, nsites * nsites)
-        total = flat @ self._pair[k].reshape(nsites * nsites, dim * dim)
+        flat = jets.transpose(2, 0, 1, 3, 4).reshape(batch, terms, -1)
+        total = flat @ self._pair.reshape(flat.shape[-1], dim * dim)
         return total.reshape(batch, terms, dim, dim).swapaxes(0, 1)
 
     def potential_jet(self, H, u, order: int = 0, thetas=None) -> Jet:
@@ -446,8 +445,8 @@ class GaudinProblem:
         (1/2) sum_{i,j,alpha} w_{a(H)}(z_i-u) w_{-a(H)}(z_j-u) e_{-a}^(j) e_a^(i).
 
         ``u`` is a spectral parameter or a 1-D array of B of them.  For an
-        array, every matrix coefficient of the jet carries a leading batch
-        axis, shape (B, dim0, dim0); a scalar u is the batch of one with
+        array, the jet's coefficients carry a batch axis after the monomial
+        one, shape (n, B, dim0, dim0); a scalar u is the batch of one with
         that axis squeezed off.
 
         For a positive root alpha, with c = alpha(H), h = alpha(xi - H) and
@@ -459,12 +458,13 @@ class GaudinProblem:
         the whole batch and once per (u, site, positive root) and sign, all
         in one kernel call (``_thetas``); ``thetas`` passes in that call's
         result where the caller already has it.  The kernels' coefficients
-        in h form arrays lo[b, i, a] and up[b, j, c] (``_w_coeffs``); their
-        products c[b, i, j, m] = sum_{a+c=m} lo[b, i, a] up[b, j, c]
-        contract with the stacked pair operators ``_pair[k][i, j]`` of
-        alpha and -alpha in one matrix product per u (``_contract``), and
-        the resulting matrix-valued jet in h is substituted into the xi
-        variables once.
+        in h form arrays lo[a, b, k, i] and up[c, b, k, j] (``_w_coeffs``),
+        for all positive roots k at once; their products
+        c[m, b, k, i, j] = sum_{a+c=m} lo[a, b, k, i] up[c, b, k, j] are
+        substituted into the xi variables in one call, and the jets contract
+        with the stacked pair operators ``_pair[k, i, j]`` of alpha and
+        -alpha over the roots and site pairs in one matrix product per u
+        (``_contract``).
         """
         us, scalar = _spectral_batch(u)
         if thetas is None:
@@ -473,18 +473,17 @@ class GaudinProblem:
         batch, nsites, npos = len(us), len(self.positions), rs.n_positive
         nx = batch * nsites
         th = thetas[:, : order + 1]
-        tz = thetas[:nx, 0].reshape(batch, nsites, 1)
-        scales = _inverse_theta(th[nx : nx + npos], md)
-        # theta(x - c) and theta(x + c), indexed (sign, b, k, i, term)
-        shifted = th[nx + npos :].reshape(2, batch, npos, nsites, order + 1)
-        acc = Jet(rs.rank, order)
-        for k, alpha in enumerate(rs.positive_roots):
-            # the potential's factor 1/2 rides on lo
-            lo = _w_coeffs(shifted[0, :, k], scales[k], tz) * 0.5
-            up = _cauchy(shifted[1, :, k], scales[k]) * (1.0 / tz)
-            pairs = _cauchy(lo[:, :, None, :], up[:, None, :, :])
-            acc = acc + _linear_substitution(self._contract(pairs, k), alpha)
-        return _entry(acc, 0) if scalar else acc
+        tz = thetas[:nx, 0].reshape(batch, 1, nsites)
+        scales = _inverse_theta(th[nx : nx + npos], md).T[:, None, :, None]
+        # theta(x - c) and theta(x + c), indexed (term, sign, b, k, i)
+        shifted = np.moveaxis(th[nx + npos :].reshape(2, batch, npos, nsites, -1), -1, 0)
+        # the potential's factor 1/2 rides on lo
+        lo = _w_coeffs(shifted[:, 0], scales, tz) * 0.5
+        up = array_jet_product(shifted[:, 1], scales, 1, order) * (1.0 / tz)
+        pairs = array_jet_product(lo[..., :, None], up[..., None, :], 1, order)
+        jets = linear_substitution_rows(np.moveaxis(pairs, 2, 0), rs.positive_roots)
+        jet = self._contract(jets)
+        return Jet(rs.rank, order, jet[:, 0] if scalar else jet)
 
     # -- operators ---------------------------------------------------------
 
@@ -495,9 +494,9 @@ class GaudinProblem:
 
         ``u`` is a spectral parameter or a 1-D array of B of them.  For an
         array, one operator serves the whole batch: its matrix coefficients
-        carry a leading batch axis, shape (B, dim0, dim0), except the
-        constant 0.5 * identity of the second-order terms, which stays
-        (dim0, dim0) and broadcasts; composition, commutators and ``apply``
+        carry a batch axis after the monomial one, (n, B, dim0, dim0), except
+        the constant 0.5 * identity of the second-order terms, which stays
+        (1, dim0, dim0) and broadcasts; composition, commutators and ``apply``
         then act entry by entry.  A scalar u is the batch of one with that
         axis squeezed off.  One theta call serves the whole batch.
         """
@@ -508,15 +507,15 @@ class GaudinProblem:
         # one theta call serves A_r(u) and the potential
         thetas = self._thetas(H, us, order)
         A = self._cartan_from(thetas[: len(us) * nsites].reshape(len(us), nsites, -1))
+        zero = self.potential_jet(H, us, order, thetas).coeffs
+        zero[0] = zero[0] + sum((Ar @ Ar for Ar in A), np.zeros_like(eye)) * 0.5
+        if scalar:
+            A, zero = [Ar[0] for Ar in A], zero[:, 0]
         coeffs = {}
         for r, unit in enumerate(self._units):
-            two = tuple(2 * s for s in unit)
-            coeffs[two] = Jet.constant(0.5 * eye, l, order)
-            coeffs[unit] = Jet.constant(-A[r], l, order)
-        const0 = sum((Ar @ Ar for Ar in A), np.zeros_like(eye)) * 0.5
-        coeffs[(0,) * l] = self.potential_jet(H, us, order, thetas) + const0
-        if scalar:
-            coeffs = {m: _entry(jet, 0) for m, jet in coeffs.items()}
+            coeffs[tuple(2 * s for s in unit)] = Jet(l, order, [0.5 * eye])
+            coeffs[unit] = Jet(l, order, [-A[r]])
+        coeffs[(0,) * l] = Jet(l, order, zero)
         return DiffOperator(l, self.space.dim0, coeffs)
 
     def nabla(self, u: complex, order: int = 0) -> list:
@@ -529,9 +528,9 @@ class GaudinProblem:
         xs = self._site_args(np.array([u], dtype=complex))[0]
         th = theta11_coeffs(xs, self.md, 1)
         _pole_check(th[:, 0], xs, self.md, "z")
-        ones = Jet.constant(np.eye(dim), l, order)
+        ones = Jet(l, order, [np.eye(dim)])
         return [
-            DiffOperator(l, dim, {unit: ones, (0,) * l: Jet.constant(-Ar[0], l, order)})
+            DiffOperator(l, dim, {unit: ones, (0,) * l: Jet(l, order, -Ar)})
             for Ar, unit in zip(self._cartan_from(th[None]), self._units)
         ]
 
@@ -539,10 +538,9 @@ class GaudinProblem:
         """Multiplication by Pi(H)^sign, up to a factor depending on tau
         alone, which cancels in Pi^{-1} o transfer o Pi."""
         l, dim = self.rs.rank, self.space.dim0
-        jet = weyl_kac_pi(self.rs, self.md, H, order).product
-        if sign < 0:
-            jet = jet.reciprocal()
-        return DiffOperator(l, dim, {(0,) * l: jet * np.eye(dim, dtype=complex)})
+        data = weyl_kac_pi(self.rs, self.md, H, order)
+        jet = data.product if sign > 0 else data.reciprocal
+        return DiffOperator(l, dim, {(0,) * l: Jet(l, order, _times_eye(jet, dim))})
 
     def tilde_transfer(
         self, u: complex, H, order: int = 0, route: str = "explicit"
@@ -565,16 +563,16 @@ class GaudinProblem:
             return left.compose(self.transfer(u, H, order).compose(right))
         if route != "explicit":
             raise GaudinError(f"unknown route {route!r}")
-        eye = np.eye(self.space.dim0, dtype=complex)
+        dim = self.space.dim0
         transfer = self.transfer(u, H, order)
         data = weyl_kac_pi(self.rs, self.md, H, order)
-        zero = (2j * np.pi * self.rs.dual_coxeter) * data.dtau_log * eye
+        zero = (2j * np.pi * self.rs.dual_coxeter) * _times_eye(data.dtau_log, dim)
         coeffs = {}
         for d_log, unit in zip(data.d_log, self._units):
-            coeffs[unit] = d_log * eye
-            zero = zero + d_log * transfer.coeffs[unit].value
-        coeffs[(0,) * l] = zero
-        return transfer + DiffOperator(l, self.space.dim0, coeffs)
+            coeffs[unit] = Jet(l, order, _times_eye(d_log, dim))
+            zero = zero + d_log.coeffs[:, None, None] * transfer.coeffs[unit].value
+        coeffs[(0,) * l] = Jet(l, order, zero)
+        return transfer + DiffOperator(l, dim, coeffs)
 
 
 # ---------------------------------------------------------------------------

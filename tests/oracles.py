@@ -402,15 +402,12 @@ def bethe_vector_reference(system, t, H, order: int = 0):
     the sites and, at each site a, every ordering sigma of its roots: the
     coefficient of F_{sigma_1} ... F_{sigma_m} j_cov at k_a times the chain
     of kernels w_{-prefix sum}(t_{sigma_p} - t_{sigma_{p+1}}), the last one
-    ending on z_a, all as dict jets in xi.  Each kernel is the univariate
-    series of ``_kernel_series`` at c0 = -P(H), substituted into xi by
-    ``_linear_substitution``.  Kernels and brackets are memoised by their
+    ending on z_a, all as dict jets in xi.  Each kernel is the literal
+    univariate series ``univariate_w`` at c0 = -P(H), substituted into xi
+    by ``dict_substitution``.  Kernels and brackets are memoised by their
     arguments; no partial product over orderings or subsets is shared.
     """
     from functools import lru_cache
-
-    from ellgaudin.elliptic import Jet, _linear_substitution, jet_indices
-    from ellgaudin.gaudin import _kernel_series
 
     prob = system.problem
     t = np.asarray(t, dtype=complex)
@@ -418,49 +415,121 @@ def bethe_vector_reference(system, t, H, order: int = 0):
     rank, M = prob.rs.rank, system.M
     simple = np.asarray(prob.rs.simple_roots, dtype=complex)
     targets = list(t) + list(prob.positions)
+    one = (0,) * rank
 
     @lru_cache(maxsize=None)
     def kernel(prefix, j, target):
         direction = np.array(prefix, dtype=float) @ simple
         x = t[j] - targets[target]
-        row = _kernel_series([-(direction @ H)], [x], prob.md, order)[0]
-        return _linear_substitution(row.tolist(), -direction)
+        row = univariate_w(complex(-(direction @ H)), complex(x), prob.md, order)
+        return dict_substitution(row, -direction)
 
     @lru_cache(maxsize=None)
     def bracket(a, subset, k):
         mod = prob.modules[a]
         if not subset:
-            return Jet.constant(mod.j_covector[k], rank, order)
-        acc = Jet(rank, order)
+            return {one: complex(mod.j_covector[k])}
+        acc = {}
         for sigma in _permutations(list(subset)):
             vec = np.asarray(mod.j_covector, dtype=complex)
             for j in reversed(sigma):
                 vec = mod.matrix(("F", system.assignment[j])) @ vec
-            jet = Jet.constant(vec[k], rank, order)
+            jet = {one: vec[k]}
             for pos, j in enumerate(sigma):
                 labels = [system.assignment[i] for i in sigma[: pos + 1]]
                 prefix = tuple(labels.count(r) for r in range(rank))
                 target = sigma[pos + 1] if pos + 1 < len(sigma) else M + a
-                jet = jet * kernel(prefix, j, target)
-            acc = acc + jet
+                jet = dict_product(jet, kernel(prefix, j, target), order)
+            acc = dict_sum(acc, jet)
         return acc
 
     nsites = len(prob.modules)
     comps = []
     for tup in prob.space.zero_tuples():
-        acc = Jet(rank, order)
+        acc = {}
         for assign in product(range(nsites), repeat=M):
-            term = Jet.constant(1.0, rank, order)
+            term = {one: 1.0}
             for a in range(nsites):
                 subset = tuple(j for j in range(M) if assign[j] == a)
-                term = term * bracket(a, subset, tup[a])
-            acc = acc + term
+                term = dict_product(term, bracket(a, subset, tup[a]), order)
+            acc = dict_sum(acc, term)
         comps.append(acc)
-    return Jet(
-        rank,
-        order,
-        {m: np.array([c.coeff(m) for c in comps]) for m in jet_indices(rank, order)},
-    )
+    coeffs = {m: np.array([c.get(m, 0j) for c in comps]) for m in set().union(*comps)}
+    return as_jet(rank, order, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Straight-line dict jets.
+# ---------------------------------------------------------------------------
+# A dict jet maps multi-indices m to the Taylor coefficients d^m f / m!,
+# scalars or arrays; a missing one is zero.  These loops are the literal
+# definitions, written apart from the library's array jets.
+
+
+def dict_of(jet) -> dict:
+    """The coefficients of a library Jet as a dict jet."""
+    from ellgaudin.elliptic import jet_indices
+
+    return {m: jet.coeff(m) for m in jet_indices(jet.nvars, jet.total)}
+
+
+def as_jet(nvars: int, total: int, coeffs: dict):
+    """The library Jet of a dict jet of the given scheme."""
+    from ellgaudin.elliptic import Jet, jet_indices
+
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coeffs.values()))
+    out = np.zeros((len(jet_indices(nvars, total)),) + shape, dtype=complex)
+    for p, m in enumerate(jet_indices(nvars, total)):
+        if m in coeffs:
+            out[p] = coeffs[m]
+    return Jet(nvars, total, out)
+
+
+def dict_sum(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out[m] + c if m in out else c
+    return out
+
+
+def dict_product(a: dict, b: dict, total: int, op=np.multiply) -> dict:
+    """The truncated product: every pair of coefficients whose degrees sum
+    to at most total, multiplied with op, in the order of a's entries."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            if sum(m) <= total:
+                c = op(ca, cb)
+                out[m] = out[m] + c if m in out else c
+    return out
+
+
+def dict_derivative(a: dict, delta, total: int) -> dict:
+    """The dict jet of d^delta f to the given total from f's: the
+    coefficient at m - delta is the one at m times m! / (m - delta)!."""
+    out = {}
+    for m, c in a.items():
+        mm = tuple(k - d for k, d in zip(m, delta))
+        if min(mm, default=0) >= 0 and sum(mm) <= total:
+            out[mm] = c * math.prod(math.perm(k, d) for k, d in zip(m, delta))
+    return out
+
+
+def dict_substitution(g, direction) -> dict:
+    """Dict jet in xi of g(direction . xi), from g's Taylor coefficients
+    g[k]: the multinomial weights distribute each power of the increment
+    over the xi variables, to every total degree below len(g)."""
+    from ellgaudin.elliptic import jet_indices
+
+    direction = [complex(d) for d in direction]
+    coeffs = {}
+    for m in jet_indices(len(direction), len(g) - 1):
+        c = g[sum(m)] * math.factorial(sum(m))
+        for dr, mi in zip(direction, m):
+            c = c * (dr**mi / math.factorial(mi))
+        coeffs[m] = c
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -468,47 +537,59 @@ def bethe_vector_reference(system, t, H, order: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def univariate_w(c0: complex, z: complex, md, order: int):
-    """Univariate jet in c of w_c(z) at c0, read off the bivariate jet of
-    ``w_kernel``."""
-    from ellgaudin.elliptic import Jet, w_kernel
+def univariate_w(c0: complex, z: complex, md, order: int) -> list:
+    """Taylor coefficients in h of w_{c0+h}(z) =
+    theta'(0) theta(z - c0 - h) / (theta(z) theta(-c0 - h)), from theta's
+    coefficients at z - c0 and at -c0 (odd ones negated for -h), a literal
+    reciprocal series and a literal Cauchy product."""
+    from ellgaudin.elliptic import theta11_coeffs, theta11_prime_at_zero
 
-    jet = w_kernel(c0, z, md, order)
-    return Jet(1, order, {(k,): jet.coeff((k, 0)) for k in range(order + 1)})
+    tz, num, den = theta11_coeffs([z, z - c0, -c0], md, order).tolist()
+    num = [(-1) ** k * c for k, c in enumerate(num)]
+    den = [(-1) ** k * c for k, c in enumerate(den)]
+    inv = []
+    for k in range(order + 1):
+        acc = (1.0 if k == 0 else 0.0) - sum(den[i] * inv[k - i] for i in range(1, k + 1))
+        inv.append(acc / den[0])
+    scale = theta11_prime_at_zero(md) / tz[0]
+    return [
+        scale * sum(num[p] * inv[k - p] for p in range(k + 1)) for k in range(order + 1)
+    ]
 
 
 def potential_jet_reference(prob, H, u: complex, order: int = 0):
     """The exchange potential of a GaudinProblem, one kernel pair at a time.
 
     For every positive root alpha and every site pair (i, j), the
-    univariate jets of w_{alpha(H)}(z_i - u) and w_{-alpha(H)}(z_j - u) are
-    multiplied, substituted into the xi variables and added with the
+    univariate series of w_{alpha(H)}(z_i - u) and w_{-alpha(H)}(z_j - u)
+    are multiplied, substituted into the xi variables and added with the
     stacked pair operator e_{-alpha}^(j) e_alpha^(i) + e_alpha^(i)
     e_{-alpha}^(j), which carries the root -alpha's term with the sites
     swapped; no theta value is shared.
     """
-    from ellgaudin.elliptic import Jet, _linear_substitution
-
     H = np.asarray(H, dtype=complex)
     u = complex(u)
     rs, md = prob.rs, prob.md
-    acc = Jet(rs.rank, order)
+    acc = {}
     for k, alpha in enumerate(rs.positive_roots):
         c0 = complex(alpha @ H)
         lower = [univariate_w(c0, z - u, md, order) for z in prob.positions]
-        # w_{-c}(z) in c at c0: the jet of w at -c0 with odd terms negated
-        upper = []
-        for z in prob.positions:
-            w = univariate_w(-c0, z - u, md, order)
-            flipped = {m: (-1.0) ** m[0] * v for m, v in w.coeffs.items()}
-            upper.append(Jet(1, w.total, flipped))
+        # w_{-c}(z) in c at c0: the series of w at -c0 with odd terms negated
+        upper = [
+            [(-1.0) ** m * v for m, v in enumerate(univariate_w(-c0, z - u, md, order))]
+            for z in prob.positions
+        ]
         for i in range(len(prob.positions)):
             for j in range(len(prob.positions)):
-                prod = lower[i] * upper[j]
-                coeffs = [prod.coeff((m,)) for m in range(order + 1)]
-                jet = _linear_substitution(coeffs, alpha)
-                acc = acc + jet * (0.5 * prob._pair[k][i, j])
-    return acc
+                prod = dict_product(
+                    {(m,): v for m, v in enumerate(lower[i])},
+                    {(m,): v for m, v in enumerate(upper[j])},
+                    order,
+                )
+                jet = dict_substitution([prod[(m,)] for m in range(order + 1)], alpha)
+                pair = 0.5 * prob._pair[k][i, j]
+                acc = dict_sum(acc, {m: c * pair for m, c in jet.items()})
+    return as_jet(rs.rank, order, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -519,46 +600,40 @@ def potential_jet_reference(prob, H, u: complex, order: int = 0):
 def compose_reference(left, right):
     """Operator composition left after right, one Leibniz term at a time.
 
-    Every term differentiates the right coefficient's whole jet with
-    ``Jet.shift``, truncates both factors to the result's order and
-    multiplies them as jets.
+    Every term differentiates the right coefficient's whole dict jet,
+    truncates the left one to the result's order and multiplies them with
+    ``dict_product``; a result coefficient collects every term, zero or
+    not.
     """
     from ellgaudin.diffop import MAX_TOTAL_ORDER, DiffOperator
 
-    def _binom_multi(beta, delta) -> int:
-        out = 1
-        for b, d in zip(beta, delta):
-            out *= math.comb(b, d)
-        return out
-
-    def _sub_indices(beta):
-        """All delta <= beta componentwise."""
-        return list(product(*(range(b + 1) for b in beta)))
-
-    self, other = left, right
-    if self.nvars != other.nvars or self.dim != other.dim:
-        raise ValueError("operator shape mismatch")
-    if self.order + other.order > MAX_TOTAL_ORDER:
+    if left.order + right.order > MAX_TOTAL_ORDER:
         raise ValueError(
-            f"composition order {self.order + other.order} exceeds "
+            f"composition order {left.order + right.order} exceeds "
             f"{MAX_TOTAL_ORDER}"
         )
-    k = min(self.k, other.k - self.order)
+    k = min(left.k, right.k - left.order)
     if k < 0:
         raise ValueError(
-            f"coefficient jets of order {other.k} cannot be differentiated "
-            f"{self.order} times"
+            f"coefficient jets of order {right.k} cannot be differentiated "
+            f"{left.order} times"
         )
     out: dict = {}
-    for beta, a in self.coeffs.items():
-        a = a.truncate(k)
-        for gamma, b in other.coeffs.items():
-            for delta in _sub_indices(beta):
+    for beta, a in left.coeffs.items():
+        a = {m: c for m, c in dict_of(a).items() if sum(m) <= k}
+        for gamma, b in right.coeffs.items():
+            b = dict_of(b)
+            for delta in product(*(range(x + 1) for x in beta)):
                 mu = tuple(bt - d + g for bt, d, g in zip(beta, delta, gamma))
-                db = b.shift(delta).truncate(k)
-                t = (a * db) * _binom_multi(beta, delta)
-                out[mu] = out[mu] + t if mu in out else t
-    return DiffOperator(self.nvars, self.dim, out)
+                binom = math.prod(math.comb(x, d) for x, d in zip(beta, delta))
+                term = dict_product(a, dict_derivative(b, delta, k), k, np.matmul)
+                term = {m: c * binom for m, c in term.items()}
+                out[mu] = dict_sum(out.get(mu, {}), term)
+    return DiffOperator(
+        left.nvars,
+        left.dim,
+        {mu: as_jet(left.nvars, k, c) for mu, c in out.items()},
+    )
 
 
 def nearest_lattice_point_scan(z: complex, md) -> complex:

@@ -251,11 +251,9 @@ def test_vector_no_roots_is_constant_unit():
     sysb = BetheSystem(prob, assignment=())
     H = np.array([0.23 - 0.17j])
     jet = sysb.vector_jet(np.array([]), H, order=2)
-    assert jet.coeffs[(0,)].shape == (1,)
-    assert abs(jet.coeffs[(0,)][0] - 1.0) < 1e-14
-    for m, mat in jet.coeffs.items():
-        if sum(m):
-            assert np.max(np.abs(mat)) < 1e-14
+    assert jet.coeffs.shape == (3, 1)
+    assert abs(jet.value[0] - 1.0) < 1e-14
+    assert np.max(np.abs(jet.coeffs[1:])) < 1e-14
     assert abs(sysb.eigenvalue(np.array([]), 0.31 + 0.22j)) < 1e-14
 
 
@@ -305,9 +303,7 @@ def test_vector_jets_match_finite_differences():
     for idx in range(dim):
         for m, h in [((1,), 1e-5), ((2,), 1e-4)]:
             fd = fd_multi(comp(idx), H0, m, h=h)
-            an = jet.coeffs.get(m, np.zeros(dim))[idx] * math.factorial(
-                sum(m)
-            )
+            an = jet.coeff(m)[idx] * math.factorial(sum(m))
             assert abs(an - fd) / max(1.0, abs(fd)) < 1e-6
 
 
@@ -347,10 +343,11 @@ def test_vector_jet_matches_the_straight_line_reference(
     for order in (0, 1, 2):
         jet = sysb.vector_jet(t, H, order)
         ref = bethe_vector_reference(sysb, t, H, order)
-        for m, want in ref.coeffs.items():
+        assert jet.coeffs.shape == ref.coeffs.shape
+        for got, want in zip(jet.coeffs, ref.coeffs):
             scale = np.max(np.abs(want))
             assert scale > 0
-            assert np.max(np.abs(jet.coeff(m) - want)) <= 1e-12 * scale
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

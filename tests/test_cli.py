@@ -39,6 +39,7 @@ from ellgaudin.cli import (
     run,
 )
 from ellgaudin.diffop import DiffOperator
+from ellgaudin.elliptic import Jet, jet_indices
 from ellgaudin.liealg import TensorSpace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -302,12 +303,18 @@ def test_describe_algebra_exits_0(tmp_path, capsys):
     assert "algebra/cartan-orthonormal" in out
 
 
-def test_negative_control_exits_1(tmp_path):
+BETHE_CONFIGS = ["a1_bethe_m1", "a1_bethe_m1_sym", "a1_bethe_m2", "a1_bethe_m4", "a2_bethe_m2"]
+
+
+@pytest.mark.parametrize("name", BETHE_CONFIGS)
+def test_negative_control_exits_1(tmp_path, name):
+    # every [bethe] config, so the rank-2 and M = 4 paths of the Bethe
+    # vector and of apply have a failing control as well
     code = main(
         [
             "eigen-check",
             "--config",
-            str(CONFIGS / "a1_bethe_m1.ini"),
+            str(CONFIGS / f"{name}.ini"),
             "--negative-control",
             "--format",
             "json-lines",
@@ -502,7 +509,10 @@ def test_nan_residual_fails_its_record(monkeypatch):
     def nan_after_first(self, other):
         calls.append(None)
         out = true_commutator(self, other)
-        return out if len(calls) == 1 else out * np.nan
+        if len(calls) == 1:
+            return out
+        nan = {m: Jet(j.nvars, j.total, j.coeffs * np.nan) for m, j in out.coeffs.items()}
+        return DiffOperator(out.nvars, out.dim, nan)
 
     monkeypatch.setattr(DiffOperator, "commutator", nan_after_first)
     runner = CheckRunner(load_config(str(CONFIGS / "a1_n2_fund.ini")),
@@ -739,8 +749,8 @@ def test_jets_record_catches_a_perturbed_mixed_coefficient(monkeypatch):
 
     def skewed(c, z, md, order=0):
         jet = true_w_kernel(c, z, md, order)
-        if (1, 1) in jet.coeffs:
-            jet.coeffs[(1, 1)] *= 1 + 1e-8
+        if order >= 2:
+            jet.coeffs[jet_indices(2, order).index((1, 1))] *= 1 + 1e-8
         return jet
 
     monkeypatch.setattr(cli, "w_kernel", skewed)

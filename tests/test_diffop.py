@@ -3,8 +3,10 @@
 Oracles: exponential-type functions exp(a.xi) M have closed-form jets and
 closed-form images under coefficient * d^beta operators, so application
 and composition can be checked exactly; finite differences provide an
-independent cross-check for first-order actions.  Operators hold their
-coefficient jets at one base point H, so every oracle jet is built there.
+independent cross-check for first-order actions, and the straight-line
+dict-jet composition of ``tests/oracles.py`` a term-by-term one.
+Operators hold their coefficient jets at one base point H, so every
+oracle jet is built there.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from ellgaudin.diffop import DiffOperator, MAX_TOTAL_ORDER
-from ellgaudin.elliptic import Jet, jet_indices
+from ellgaudin.elliptic import Jet, array_jet_product, derivative_table, jet_indices
 
 RNG = np.random.default_rng(20240817)
 
@@ -32,17 +34,18 @@ def exp_jet(a, mat, H, order):
     mat = np.asarray(mat, dtype=complex)
     H = np.asarray(H, dtype=complex)
     val = np.exp(a @ H)
-    coeffs = {}
+    coeffs = []
     for m in jet_indices(len(a), order):
         c = val
         for ai, mi in zip(a, m):
             c *= ai**mi / math.factorial(mi)
-        coeffs[m] = c * mat
+        coeffs.append(c * mat)
     return Jet(len(a), order, coeffs)
 
 
 def constant(mat, nvars, order):
-    return Jet.constant(np.asarray(mat, dtype=complex), nvars, order)
+    """A constant jet, stored with length 1."""
+    return Jet(nvars, order, [mat])
 
 
 def exp_apply(a, mat, beta, b, vec, H):
@@ -63,28 +66,37 @@ def exp_apply(a, mat, beta, b, vec, H):
 
 def test_matrix_jet_constant_and_value():
     m = rand_matrix(3)
-    jet = Jet.constant(m, 2, 2)
+    jet = constant(m, 2, 2)
     assert np.allclose(jet.value, m)
     assert jet.value.shape == (3, 3)
-    assert np.allclose(jet.coeff((1, 0)), 0)
+    # beyond its stored prefix a jet reads zeros of its value's shape
+    for mm in jet_indices(2, 2)[1:]:
+        assert jet.coeff(mm).shape == (3, 3)
+        assert not np.any(jet.coeff(mm))
+    assert not np.any(jet.deriv((0, 2)))
 
 
 def test_matrix_jet_empty_shift_is_zero():
+    # composing after d_1 skips the derivative of a constant coefficient:
+    # the composition keeps only the term that carries d_1 on
     m = rand_matrix(2)
-    jet = Jet.constant(m, 2, 2)
-    shifted = jet.shift((1, 0))
-    assert shifted.coeffs == {}
-    assert (shifted.nvars, shifted.total) == (2, 1)
-    # a missing coefficient is the scalar zero, which every product absorbs
-    assert shifted.value == 0
-    assert (Jet.constant(m, 2, 1) * shifted).coeffs == {}
+    d1 = DiffOperator(2, 2, {(1, 0): constant(np.eye(2), 2, 2)})
+    mul = DiffOperator(2, 2, {(0, 0): constant(m, 2, 2)})
+    comp = d1.compose(mul)
+    assert set(comp.coeffs) == {(1, 0)}
+    assert comp.coeffs[(1, 0)].coeffs.shape == (1, 2, 2)
+    assert np.array_equal(comp.coeffs[(1, 0)].value, m)
 
 
 def test_matrix_jet_product_is_noncommutative_convolution():
     H = np.array([0.2, -0.4])
     ja = exp_jet([0.3, -0.2], rand_matrix(2), H, 2)
     jb = exp_jet([0.1, 0.7], rand_matrix(2), H, 2)
-    prod = ja * jb
+
+    def product(a, b):
+        return Jet(2, 2, array_jet_product(a.coeffs, b.coeffs, 2, 2, np.matmul))
+
+    prod = product(ja, jb)
     # value and first derivatives follow the Leibniz rule
     assert np.allclose(prod.value, ja.value @ jb.value)
     for r in range(2):
@@ -92,7 +104,7 @@ def test_matrix_jet_product_is_noncommutative_convolution():
         expect = ja.deriv(e) @ jb.value + ja.value @ jb.deriv(e)
         assert np.allclose(prod.deriv(e), expect)
     # matrix factors do not commute
-    anti = jb * ja
+    anti = product(jb, ja)
     assert not np.allclose(prod.value, anti.value)
 
 
@@ -101,7 +113,9 @@ def test_matrix_jet_shift_matches_analytic_derivative():
     mat = rand_matrix(2)
     H = np.array([0.1, 0.3])
     jet = exp_jet(a, mat, H, 3)
-    shifted = jet.shift((1, 1))
+    # the jet of d^(1,1) f to order 1, gathered off f's jet to order 3
+    at, weight = derivative_table(2, (1, 1), 1)
+    shifted = Jet(2, 1, jet.coeffs[at] * weight[:, None, None])
     # d^2/dxi1 dxi2 exp(a.xi) mat = a1 a2 exp(a.H) mat
     expect = a[0] * a[1] * np.exp(a @ H) * mat
     assert np.allclose(shifted.value, expect)
@@ -113,9 +127,10 @@ def test_matrix_jet_shift_matches_analytic_derivative():
 def test_matrix_jet_from_scalar():
     # a scalar jet times a constant matrix scales every coefficient
     nvars, total = 2, 2
-    s = Jet(nvars, total, {(0, 0): 1.5, (1, 0): 2.0, (0, 2): -1.0})
+    values = {(0, 0): 1.5, (1, 0): 2.0, (0, 2): -1.0}
+    s = Jet(nvars, total, [values.get(m, 0.0) for m in jet_indices(nvars, total)])
     m = rand_matrix(2)
-    jet = s * m
+    jet = Jet(nvars, total, array_jet_product(s.coeffs[:, None, None], m[None], nvars, total))
     assert np.allclose(jet.value, 1.5 * m)
     assert np.allclose(jet.coeff((1, 0)), 2.0 * m)
     assert np.allclose(jet.coeff((0, 2)), -1.0 * m)
@@ -286,8 +301,9 @@ def test_canonical_commutator_is_identity():
     r = 1
     H = np.array([0.4, -0.9])
     e_r = tuple(1 if i == r else 0 for i in range(nvars))
-    coordinate = Jet.constant(np.eye(dim) * H[r], nvars, 1)
-    coordinate.coeffs[e_r] = np.eye(dim, dtype=complex)
+    # xi_r = H_r + (xi_r - H_r), its jet at H to order 1
+    coordinate = Jet(nvars, 1, [np.eye(dim) * (m == e_r) for m in jet_indices(nvars, 1)])
+    coordinate.coeffs[0] = np.eye(dim) * H[r]
     dop = DiffOperator(nvars, dim, {e_r: constant(np.eye(dim), nvars, 1)})
     xop = DiffOperator(nvars, dim, {(0,) * nvars: coordinate})
     comm = dop.commutator(xop)
@@ -317,19 +333,6 @@ def test_commutator_jacobi_identity():
         assert np.max(np.abs(v)) < 1e-12 * max(scale, 1.0)
 
 
-def test_operator_linear_combinations():
-    dim, nvars = 2, 1
-    m1, m2 = rand_matrix(dim), rand_matrix(dim)
-    op1 = DiffOperator(nvars, dim, {(1,): constant(m1, nvars, 0)})
-    op2 = DiffOperator(
-        nvars, dim, {(1,): constant(m2, nvars, 0), (0,): constant(m1, nvars, 0)}
-    )
-    combo = op1 * 2.0 - op2
-    vals = combo.evaluate()
-    assert np.allclose(vals[(1,)], 2.0 * m1 - m2)
-    assert np.allclose(vals[(0,)], -m1)
-
-
 def test_sum_keeps_the_lower_jet_order():
     dim, nvars = 2, 1
     H = np.array([0.2])
@@ -338,9 +341,14 @@ def test_sum_keeps_the_lower_jet_order():
     op2 = DiffOperator(nvars, dim, {(1,): exp_jet([-0.7], b, H, 1)})
     total = op1 + op2
     assert total.k == 1
-    want = exp_jet([0.4], a, H, 1) + exp_jet([-0.7], b, H, 1)
-    for m in [(0,), (1,)]:
-        assert np.allclose(total.coeffs[(1,)].coeff(m), want.coeff(m))
+    want = exp_jet([0.4], a, H, 1).coeffs + exp_jet([-0.7], b, H, 1).coeffs
+    assert np.allclose(total.coeffs[(1,)].coeffs, want)
+    # a constant coefficient reads as zero beyond its stored value
+    total = op1 + DiffOperator(nvars, dim, {(1,): constant(b, nvars, 3)})
+    assert total.k == 3
+    want = exp_jet([0.4], a, H, 3).coeffs
+    want[0] += b
+    assert np.array_equal(total.coeffs[(1,)].coeffs, want)
 
 
 def test_coefficient_jets_share_one_order():
@@ -385,28 +393,30 @@ def test_second_order_commutator_top_terms_cancel():
 
 
 def random_coefficient(rng, dim, kind):
-    """A random complex scalar, a random matrix, or (sometimes) a scalar 0.
+    """A random matrix, a random multiple of the identity, or (sometimes)
+    zero.
 
-    The kind "batched" gives a stack of three matrices, shape (3, dim, dim),
-    or an unbatched matrix that serves every batch entry."""
+    The kind "mixed" picks a matrix or a multiple of the identity per
+    coefficient.  The kind "batched" gives a stack of three matrices,
+    shape (3, dim, dim)."""
     if kind == "mixed":
         kind = ("scalar", "matrix")[rng.integers(2)]
-    if kind == "batched":
-        kind = ("stack", "matrix")[rng.integers(2)]
+    shape = (3, dim, dim) if kind == "batched" else (dim, dim)
     if rng.random() < 0.1:
-        return 0j
+        return np.zeros(shape)
     if kind == "scalar":
-        return complex(rng.normal(), rng.normal())
-    shape = (3, dim, dim) if kind == "stack" else (dim, dim)
+        return complex(rng.normal(), rng.normal()) * np.eye(dim)
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def random_operator(rng, nvars, dim, order, k, kind):
     """Operator of the given order with coefficient jets of order k.
 
-    About a third of the derivative multi-indices below the top one and
-    of every jet's multi-indices are left out, so jets have missing
-    coefficients (some none at all) and some hold explicit scalar zeros.
+    About a third of the derivative multi-indices below the top one are
+    left out, and about a third of every jet's coefficients are zero.
+    About a quarter of the jets are constants, stored with length 1.  With
+    the kind "batched", every jet is batched or unbatched at random, so
+    the two meet in sums and products.
     """
     betas = [m for m in jet_indices(nvars, order)]
     top = [m for m in betas if sum(m) == order]
@@ -414,13 +424,24 @@ def random_operator(rng, nvars, dim, order, k, kind):
     keep |= {m for m in betas if rng.random() < 2 / 3}
     coeffs = {}
     for beta in sorted(keep):
-        jet = {
-            m: random_coefficient(rng, dim, kind)
-            for m in jet_indices(nvars, k)
-            if rng.random() < 2 / 3
-        }
+        jet_kind = kind
+        if kind == "batched":
+            jet_kind = ("batched", "matrix")[rng.integers(2)]
+        count = 1 if rng.random() < 0.25 else len(jet_indices(nvars, k))
+        jet = [
+            random_coefficient(rng, dim, jet_kind) * (rng.random() < 2 / 3)
+            for _ in range(count)
+        ]
         coeffs[beta] = Jet(nvars, k, jet)
     return DiffOperator(nvars, dim, coeffs)
+
+
+def coefficient_values(op, nvars, k):
+    """Every coefficient of every jet of op, with zeros where a coefficient
+    or a jet entry is not stored."""
+    return {
+        (mu, m): op.coeffs[mu].coeff(m) for mu in op.coeffs for m in jet_indices(nvars, k)
+    }
 
 
 @pytest.mark.parametrize("kind", ["scalar", "matrix", "mixed"])
@@ -443,54 +464,45 @@ def test_compose_matches_straight_line_reference(nvars, kind):
                 got = left.compose(right)
                 want = compose_reference(left, right)
                 assert got.k == want.k == k
-                assert set(got.coeffs) == set(want.coeffs)
-                scale = max(
-                    (
-                        float(np.max(np.abs(c)))
-                        for jet in want.coeffs.values()
-                        for c in jet.coeffs.values()
-                    ),
-                    default=0.0,
-                )
-                for mu, jet in want.coeffs.items():
-                    mine = got.coeffs[mu]
-                    assert mine.nvars == jet.nvars and mine.total == jet.total
-                    for m in set(mine.coeffs) | set(jet.coeffs):
-                        err = float(np.max(np.abs(mine.coeff(m) - jet.coeff(m))))
-                        assert err <= 1e-13 * scale
+                # a term that vanishes because it differentiates a constant
+                # is skipped, so got may lack a coefficient that is zero
+                assert set(got.coeffs) <= set(want.coeffs)
+                for jet in got.coeffs.values():
+                    assert jet.nvars == nvars and jet.total == k
+                mine = coefficient_values(got, nvars, k)
+                theirs = coefficient_values(want, nvars, k)
+                scale = max(float(np.max(np.abs(c))) for c in theirs.values())
+                for key, value in theirs.items():
+                    err = float(np.max(np.abs(mine.get(key, 0) - value)))
+                    assert err <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("kind", ["scalar", "matrix", "mixed", "batched"])
 @pytest.mark.parametrize("nvars", [1, 2])
 def test_commutator_equals_difference_of_compositions(nvars, kind):
-    # the one-pass commutator subtracts in place; negation is exact, so it
-    # must give the values of compose(a, b) - compose(b, a) to the bit,
-    # also when the two compositions carry different jet orders
+    # the commutator subtracts the two compositions' coefficient arrays;
+    # negation is exact, so it must give the values of compose(a, b) -
+    # compose(b, a) to the bit, also when the two compositions carry
+    # different jet orders
     rng = np.random.default_rng(90 + nvars + len(kind))
     for p, q, left_k, right_k in [
         (2, 2, 2, 2), (1, 2, 2, 2), (2, 1, 3, 2), (0, 2, 2, 1), (1, 1, 1, 3),
     ]:
         a = random_operator(rng, nvars, 2, p, left_k, kind)
         b = random_operator(rng, nvars, 2, q, right_k, kind)
-        before = [
-            {(m, mm): np.copy(c) for m, jet in op.coeffs.items()
-             for mm, c in jet.coeffs.items()}
-            for op in (a, b)
-        ]
+        before = [{m: np.copy(jet.coeffs) for m, jet in op.coeffs.items()} for op in (a, b)]
         got = a.commutator(b)
-        want = a.compose(b) - b.compose(a)
-        assert got.k == want.k
-        assert got.coeffs.keys() == want.coeffs.keys()
-        for m, jet in want.coeffs.items():
-            assert got.coeffs[m].total == jet.total
-            assert got.coeffs[m].coeffs.keys() == jet.coeffs.keys()
-            for mm, value in jet.coeffs.items():
-                mine = got.coeffs[m].coeffs[mm]
-                assert np.shape(mine) == np.shape(value)
-                assert np.array_equal(mine, value)
+        ab, ba = a.compose(b), b.compose(a)
+        k = min(ab.k, ba.k)
+        assert got.k == k
+        assert got.coeffs.keys() == ab.coeffs.keys() | ba.coeffs.keys()
+        mine = coefficient_values(got, nvars, k)
+        first = coefficient_values(ab, nvars, k)
+        second = coefficient_values(ba, nvars, k)
+        for key, value in mine.items():
+            want = first.get(key, 0) - second.get(key, 0)
+            assert np.array_equal(value, np.broadcast_to(want, value.shape))
         # the operators themselves are left as they were
         for op, saved in zip((a, b), before):
-            now = {(m, mm): c for m, jet in op.coeffs.items()
-                   for mm, c in jet.coeffs.items()}
-            assert now.keys() == saved.keys()
-            assert all(np.array_equal(now[key], saved[key]) for key in saved)
+            assert op.coeffs.keys() == saved.keys()
+            assert all(np.array_equal(op.coeffs[m].coeffs, saved[m]) for m in saved)

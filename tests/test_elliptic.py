@@ -14,6 +14,8 @@ from ellgaudin.elliptic import (
     PoleProximityError,
     Jet,
     SeriesConvergenceError,
+    array_jet_product,
+    derivative_table,
     jet_indices,
     lattice_distance,
     nearest_lattice_point,
@@ -27,6 +29,8 @@ from ellgaudin.elliptic import (
 )
 
 from oracles import (
+    dict_derivative,
+    dict_product,
     fd_derivative,
     fd_second,
     nearest_lattice_point_scan,
@@ -539,20 +543,82 @@ def test_jet_indices_shape(nvars, t):
     assert len(set(idx)) == len(idx) == math.comb(t + nvars, nvars)
 
 
-def test_jet_arithmetic_roundtrip():
-    # (f*g)/g == f on the retained indices
-    nvars, tot = 2, 4
-    rng = np.random.default_rng(0)
-    f = Jet(
-        nvars, tot, {m: complex(*rng.normal(size=2)) for m in jet_indices(nvars, tot)}
-    )
-    g = Jet(
-        nvars, tot, {m: complex(*rng.normal(size=2)) for m in jet_indices(nvars, tot)}
-    )
-    g.coeffs[(0, 0)] += 3.0  # keep g invertible
-    h = (f * g) / g
-    for m in jet_indices(nvars, tot):
-        assert abs(h.coeff(m) - f.coeff(m)) <= 1e-12 * (1 + abs(f.coeff(m)))
+# ---------------------------------------------------------------------------
+# Array jets against straight-line dict jets.
+# ---------------------------------------------------------------------------
+
+# (left value shape, right value shape, coefficient product): scalar,
+# vector, scalar (on an axis of its own) times vector, and batched
+# matrices in both orders
+PRODUCT_CASES = [
+    ((), (), np.multiply),
+    ((4,), (4,), np.multiply),
+    ((1,), (4,), np.multiply),
+    ((3, 2, 2), (3, 2, 2), np.matmul),
+]
+
+
+def random_array(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("total", range(5))
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_array_jet_product_matches_dict_convolution(nvars, total):
+    rng = np.random.default_rng(100 + 10 * nvars + total)
+    idx = jet_indices(nvars, total)
+    for left, right, op in PRODUCT_CASES:
+        a = random_array(rng, (len(idx),) + left)
+        b = random_array(rng, (len(idx),) + right)
+        for x, y in ((a, b), (b, a)) if op is np.matmul else ((a, b),):
+            # a full left factor, and a constant one stored with length 1
+            for left_factor in (x, x[:1]):
+                got = array_jet_product(left_factor, y, nvars, total, op)
+                want = dict_product(dict(zip(idx, left_factor)), dict(zip(idx, y)), total, op)
+                assert got.shape == (len(idx),) + np.broadcast_shapes(x.shape[1:], y.shape[1:])
+                scale = max(float(np.max(np.abs(c))) for c in want.values())
+                for m, c in zip(idx, got):
+                    assert np.max(np.abs(c - want[m])) <= 1e-14 * scale
+        # truncating the product is taking the product of the truncations,
+        # and both are prefixes, to the bit
+        full = array_jet_product(a, b, nvars, total, op)
+        for lower in range(total):
+            n = len(jet_indices(nvars, lower))
+            assert jet_indices(nvars, lower) == idx[:n]
+            low = array_jet_product(a[:n], b[:n], nvars, lower, op)
+            assert np.array_equal(low, full[:n])
+
+
+@pytest.mark.parametrize("total", range(5))
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_derivative_table_is_the_falling_factorial_gather(nvars, total):
+    rng = np.random.default_rng(130 + 10 * nvars + total)
+    idx = jet_indices(nvars, total)
+    f = random_array(rng, (len(idx), 2))
+    for delta in idx:
+        rest = total - sum(delta)
+        at, weight = derivative_table(nvars, delta, rest)
+        for p, mm in enumerate(jet_indices(nvars, rest)):
+            m = tuple(x + d for x, d in zip(mm, delta))
+            assert idx[at[p]] == m
+            literal = 1
+            for x, d in zip(m, delta):
+                for j in range(d):
+                    literal *= x - j
+            assert weight[p] == literal
+        # the gathered jet of d^delta f is the literal one
+        want = dict_derivative(dict(zip(idx, f)), delta, rest)
+        got = f[at] * weight[:, None]
+        for mm, c in zip(jet_indices(nvars, rest), got):
+            assert np.array_equal(c, want[mm])
+
+
+def test_jet_reads_zero_beyond_its_stored_prefix():
+    jet = Jet(2, 3, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(jet.value, [1.0, 2.0])
+    assert np.array_equal(jet.coeff((0, 1)), [3.0, 4.0])
+    assert np.array_equal(jet.deriv((1, 2)), [0.0, 0.0])
+    assert np.array_equal(jet.coeff((4, 0)), [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ellgaudin import gaudin
-from ellgaudin.elliptic import ModularData
+from ellgaudin.elliptic import Jet, ModularData, jet_indices
 from ellgaudin.gaudin import (
     GaudinError,
     GaudinProblem,
@@ -302,10 +302,9 @@ def test_potential_jet_matches_straight_line_reference(name, tau):
     for order in (0, 1, 2):
         got = prob.potential_jet(H, u, order)
         want = potential_jet_reference(prob, H, u, order)
-        scale = max(float(np.max(np.abs(c))) for c in want.coeffs.values())
-        for m in set(got.coeffs) | set(want.coeffs):
-            err = float(np.max(np.abs(got.coeff(m) - want.coeff(m))))
-            assert err <= 1e-12 * scale
+        assert got.coeffs.shape == want.coeffs.shape
+        scale = float(np.max(np.abs(want.coeffs)))
+        assert float(np.max(np.abs(got.coeffs - want.coeffs))) <= 1e-12 * scale
 
 
 def test_potential_small_q_trigonometric_limit():
@@ -421,21 +420,21 @@ def test_batched_transfer_rows_match_scalar_calls(rank, order, batch):
     for b, u in enumerate(us):
         one = prob.transfer(u, H, order)
         assert one.coeffs.keys() == op.coeffs.keys()
-        scale = max(
-            np.max(np.abs(c)) for jet in one.coeffs.values() for c in jet.coeffs.values()
-        )
+        scale = max(np.max(np.abs(jet.coeffs)) for jet in one.coeffs.values())
         for m, jet in one.coeffs.items():
-            assert jet.coeffs.keys() == op.coeffs[m].coeffs.keys()
-            for mm, want in jet.coeffs.items():
-                got = op.coeffs[m].coeffs[mm]
-                assert want.shape == (dim, dim)
-                if sum(m) == 2:
-                    # the constant 0.5 * identity stays unbatched
-                    assert got.shape == (dim, dim)
-                else:
-                    assert got.shape == (batch, dim, dim)
-                    got = got[b]
-                assert np.max(np.abs(got - want)) <= 1e-15 * scale
+            want, got = jet.coeffs, op.coeffs[m].coeffs
+            # only the potential varies with xi; the other coefficients are
+            # constants, stored with length 1
+            assert want.shape[1:] == (dim, dim)
+            stored = 1 if sum(m) else len(jet_indices(prob.rs.rank, order))
+            assert len(want) == len(got) == stored
+            if sum(m) == 2:
+                # the constant 0.5 * identity stays unbatched
+                assert got.shape == want.shape
+            else:
+                assert got.shape == (len(want), batch, dim, dim)
+                got = got[:, b]
+            assert np.max(np.abs(got - want)) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -537,7 +536,8 @@ def test_tilde_routes_disagree_without_the_tau_term(monkeypatch, rank):
 
     def without_tau_term(*args):
         data = original(*args)
-        return dataclasses.replace(data, dtau_log=data.dtau_log * 0.0)
+        zero = Jet(data.dtau_log.nvars, data.dtau_log.total, data.dtau_log.coeffs * 0.0)
+        return dataclasses.replace(data, dtau_log=zero)
 
     monkeypatch.setattr(gaudin, "weyl_kac_pi", without_tau_term)
     prob, u, hs = tilde_problem(rank)

@@ -8,8 +8,9 @@ the checks need a fixed number of evaluations per point:
   batched over spectral parameters, so the commute stage builds one for
   all first members of its pairs and one for all second members per
   point, however many pairs it checks, and takes theta once per operator;
-- composition reads each Leibniz term straight off the coefficient jets,
-  with no jet shift, truncation or jet product;
+- composition forms each Leibniz term from one derivative gather of the
+  coefficient array and one array jet product, and skips the terms that
+  differentiate a constant coefficient;
 - the eigenvector check builds the Bethe vector, which does not depend
   on the spectral parameter, once per point, at the operator's order, and
   one transfer operator per point for all its spectral parameters, with
@@ -21,17 +22,20 @@ the checks need a fixed number of evaluations per point:
   coefficients give -A_r(u), that is two theta calls per (u, H);
 - the exchange potential takes theta once per distinct argument, which
   theta's oddness brings down to N + |Phi+| (2N + 1) for N sites, all in
-  one call, and one substitution per positive root; the transfer operator
+  one call, and one substitution call for all positive roots; the
+  transfer operator
   reads A_r(u) off the same call's theta(z_i - u) rows, so it takes theta
   once per site and never calls zeta;
 - the Bethe vector takes its kernels from at most three theta calls, one
-  value per distinct argument, never calls ``w_kernel`` and does no dict
-  jet arithmetic: its site brackets come from a Held-Karp recursion over
+  value per distinct argument, and one substitution call, and never calls
+  ``w_kernel``; ``Jet`` has no arithmetic, and the vector's site brackets
+  come from a Held-Karp recursion over
   root subsets, one kernel-factor product per subset T, root j in T and
   root k in T - j, not one per factor of every ordering;
 - a theta call costs one sine and one cosine call, whatever the number of
-  arguments, terms and coefficients, and no factorial; zeta is a quotient
-  of theta's coefficients, with no jet shift, truncation or reciprocal;
+  arguments, terms and coefficients, and no factorial; zeta is one series
+  quotient of theta's coefficients, with no jet product, substitution or
+  reciprocal;
 - the Bethe equations take zeta once per (root, site) and, by zeta's
   oddness, once per unordered pair of roots, all in one call, and the
   eigenvalue takes it once per site and root, in one call;
@@ -46,6 +50,7 @@ arguments are the length of its first argument.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -53,7 +58,7 @@ import pytest
 
 from pathlib import Path
 
-from ellgaudin import bethe, elliptic, gaudin
+from ellgaudin import bethe, diffop, elliptic, gaudin
 from ellgaudin.bethe import BetheSystem
 from ellgaudin.cli import CheckRunner, load_config
 from ellgaudin.elliptic import Jet, ModularData
@@ -132,8 +137,23 @@ def test_commutator_at_one_point_builds_one_operator_per_point(monkeypatch):
     assert len(calls) == len(hs)
 
 
+def leibniz_terms(left, right) -> tuple:
+    """The Leibniz terms of left o right that do not differentiate a
+    constant coefficient, and how many of them differentiate at all."""
+    terms = gathers = 0
+    for beta in left.coeffs:
+        for jet in right.coeffs.values():
+            for delta in itertools.product(*(range(b + 1) for b in beta)):
+                if not any(delta):
+                    terms += 1
+                elif len(jet.coeffs) > 1:
+                    terms += 1
+                    gathers += 1
+    return terms, gathers
+
+
 @pytest.mark.parametrize("rank", [1, 2])
-def test_compose_takes_no_jet_shift_truncation_or_product(monkeypatch, rank):
+def test_compose_takes_one_gather_and_one_product_per_leibniz_term(monkeypatch, rank):
     prob = irrep_problem(rank)
     rng = np.random.default_rng(35 + rank)
     H = sample_regular_cartan(prob.rs, MD, rng, 1)[0]
@@ -144,13 +164,18 @@ def test_compose_takes_no_jet_shift_truncation_or_product(monkeypatch, rank):
     left = prob._mult_denominator(-1, H, 1)
     middle = prob.transfer(u1, H, 1)
     right = prob._mult_denominator(+1, H, 3)
-    counted = [
-        count_calls(monkeypatch, Jet, name)
-        for name in ("shift", "truncate", "__mul__")
-    ]
+    inner = middle.compose(right)
+    pairs = [(t1, t2), (t2, t1), (left, inner)]
+    products = count_calls(monkeypatch, diffop, "array_jet_product")
+    gathers = count_calls(monkeypatch, diffop, "derivative_table")
     assert t1.compose(t2).k == t2.compose(t1).k == 0
-    assert left.compose(middle.compose(right)).k == 1
-    assert counted == [[], [], []]
+    assert left.compose(inner).k == 1
+    want = [leibniz_terms(a, b) for a, b in pairs]
+    assert len(products) == sum(terms for terms, _ in want)
+    assert len(gathers) == sum(count for _, count in want)
+    # the transfer operator's second- and first-order coefficients are
+    # constants, so only d_r and d_r^2 of the potential are gathered
+    assert want[0][1] == 3 * rank
 
 
 def test_eigenvector_check_builds_the_vector_once_per_point(monkeypatch):
@@ -192,18 +217,17 @@ def test_explicit_tilde_reads_one_denominator_jet(monkeypatch, rank):
     hs = sample_regular_cartan(prob.rs, MD, rng, 2)
     calls = count_calls(monkeypatch, gaudin, "weyl_kac_pi")
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
-    shifts = count_calls(monkeypatch, Jet, "shift")
-    truncations = count_calls(monkeypatch, Jet, "truncate")
+    gathers = count_calls(monkeypatch, diffop, "derivative_table")
+    products = count_calls(monkeypatch, diffop, "array_jet_product")
     for H in hs:
-        prob.tilde_transfer(u, H, route="explicit")
-    assert len(calls) == len(hs)
+        assert prob.tilde_transfer(u, H, route="explicit").k == 0
+    # the denominator's jets come at the operator's order
+    assert [args[3:] for args, _ in calls] == [(0,)] * len(hs)
     # per (u, H) one call for the transfer operator, which also gives
     # A_r(u), and one for the denominator
     assert len(thetas) == 2 * len(hs)
-    # the denominator's jets come at the operator's order: no derivative
-    # is shifted off them, and the sum of operators truncates nothing
-    assert shifts == []
-    assert all(jet.total == total for (jet, total), _ in truncations)
+    # no derivative is gathered off them, and nothing is composed
+    assert gathers == products == []
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -226,12 +250,13 @@ def test_potential_takes_each_theta_value_once(monkeypatch, rank):
     hs = sample_regular_cartan(prob.rs, MD, rng, 2)
     us = sample_spectral_points(MD, prob.positions, rng, 2)
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
-    subs = count_calls(monkeypatch, gaudin, "_linear_substitution")
+    subs = count_calls(monkeypatch, gaudin, "linear_substitution_rows")
     for H, u in zip(hs, us):
         prob.potential_jet(H, u, order=2)
     per_call = nsites + npos * (2 * nsites + 1)  # 17 at rank 2, 2 sites
     assert arguments(thetas) == [per_call] * len(hs)
-    assert len(subs) == len(hs) * npos
+    # one substitution call per potential, one row per positive root
+    assert arguments(subs) == [npos] * len(hs)
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -310,10 +335,7 @@ def test_vector_jet_takes_three_theta_calls_and_no_dict_jet_arithmetic(monkeypat
     H = sample_regular_cartan(system.problem.rs, MD, np.random.default_rng(71), 1)[0]
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
     kernels = count_everywhere(monkeypatch, "w_kernel")
-    dict_ops = [
-        count_calls(monkeypatch, Jet, name)
-        for name in ("__mul__", "__rmul__", "__add__", "__radd__")
-    ]
+    subs = count_calls(monkeypatch, bethe, "linear_substitution_rows")
     jet = system.vector_jet(t, H, 2)
     assert np.any(jet.value)
     # theta at the distinct x, the distinct c0 and the distinct x - c0
@@ -322,7 +344,10 @@ def test_vector_jet_takes_three_theta_calls_and_no_dict_jet_arithmetic(monkeypat
         values = np.asarray(args[0]).tolist()
         assert len(set(values)) == len(values)
     assert kernels == []
-    assert dict_ops == [[], [], [], []]
+    assert len(subs) == 1
+    # a jet only holds its coefficient array
+    arithmetic = ("__add__", "__sub__", "__mul__", "__rmul__", "__truediv__", "__neg__")
+    assert not any(hasattr(Jet, name) for name in arithmetic)
 
 
 def one_site_system(M):
@@ -340,7 +365,9 @@ def test_bethe_bracket_kernel_products_follow_held_karp(monkeypatch, M):
     H = sample_regular_cartan(system.problem.rs, MD, np.random.default_rng(72), 1)[0]
     products = count_calls(monkeypatch, bethe, "array_jet_product")
     system.vector_jet(t, H, 2)
-    count = sum(math.prod(np.shape(args[0])[:-1]) for args, _ in products)
+    # axis 0 of each factor runs over the monomials, the others over the
+    # products taken at once
+    count = sum(math.prod(np.shape(args[0])[1:]) for args, _ in products)
     # one product per (T, j, k) with k in T - j, one per base case ({j}, j),
     # and one that starts the site-by-site contraction of the one
     # component from 1
@@ -379,13 +406,16 @@ def test_theta_series_term_takes_one_sine_and_no_factorial(monkeypatch, tau):
 
 def test_zeta_takes_no_jet_shift_truncation_or_reciprocal(monkeypatch):
     counted = [
-        count_calls(monkeypatch, Jet, name)
-        for name in ("shift", "truncate", "reciprocal")
+        count_calls(monkeypatch, elliptic, name)
+        for name in ("array_jet_product", "linear_substitution_rows", "_series_reciprocal")
     ]
+    quotients = count_calls(monkeypatch, elliptic, "_series_quotient")
     for order in range(4):
         for z in (0.31 + 0.2j, 1.7 - 0.9j):
             assert elliptic.zeta11(z, MD, order).total == order
     assert counted == [[], [], []]
+    # one quotient of theta' by theta per call
+    assert len(quotients) == 8
 
 
 def three_root_system():
