@@ -8,8 +8,9 @@ Layers, bottom up:
     ``Jet`` is the one jet type, one array of scalar, vector or matrix
     coefficients, and its arithmetic is three array routines.
 ``liealg``
-    Type A root systems, Chevalley generators in the defining
-    representation, finite irreducibles, truncated dual Verma modules.
+    Type A root systems with their root vectors in the defining
+    representation; finite irreducibles and truncated dual Verma modules,
+    each its weights and one stack of root-vector matrices.
 ``diffop``
     Matrix-coefficient differential operators in the Cartan coordinates,
     held as their coefficient arrays at one Cartan point, with

@@ -458,11 +458,13 @@ class BetheSystem:
                 layer[1].append([keys.setdefault(prefix + (j, k), len(keys)) for k in targets])
                 layer[2].append(blocks.setdefault((a, lab[j], counts[rest]), len(blocks)))
 
-        mats = np.zeros((len(blocks), width, width), dtype=complex)
+        f_blocks = np.zeros((len(blocks), width, width), dtype=complex)
         for (a, r, beta), b in blocks.items():
             src = spaces[a].get(beta, [])
             dst = spaces[a].get(tuple(x + (s == r) for s, x in enumerate(beta)), [])
-            mats[b, : len(dst), : len(src)] = mods[a].matrix(("F", r))[np.ix_(dst, src)]
+            # F_r is the root vector of -alpha_r, at n_positive + r
+            lower = mods[a].roots[self.problem.rs.n_positive + r]
+            f_blocks[b, : len(dst), : len(src)] = lower[np.ix_(dst, src)]
         members = [
             [rows[(a, counts[S], S, j)] for j in roots[S] or [M + a]] for a, S in brackets
         ]
@@ -470,7 +472,7 @@ class BetheSystem:
             np.array(list(keys), dtype=int).reshape(-1, l + 2),
             [np.asarray(m.j_covector)[spaces[a][(0,) * l][0]] for a, m in enumerate(mods)],
             [tuple(np.array(x, dtype=int) for x in layers[s]) for s in sorted(layers)],
-            mats,
+            f_blocks,
             (np.concatenate(members), np.cumsum([0] + [len(m) for m in members[:-1]])),
             levels,
         )
@@ -497,7 +499,7 @@ class BetheSystem:
         t = np.asarray(t, dtype=complex)
         H = np.asarray(H, dtype=complex)
         check_regular(self.problem.rs, self.problem.md, H)
-        keys, tops, layers, mats, (members, starts), levels = self._vector_plan()
+        keys, tops, layers, f_blocks, (members, starts), levels = self._vector_plan()
         l = self.problem.rs.rank
         n = len(jet_indices(l, order))
         kernels = np.zeros((n, 0), dtype=complex)
@@ -507,11 +509,11 @@ class BetheSystem:
             series = _kernel_series(-(prefixes @ H), xs, self.problem.md, order)
             kernels = linear_substitution_rows(series, -prefixes)
         start = len(tops)
-        G = np.zeros((n, start + sum(len(b) for *_, b in layers), mats.shape[1]), dtype=complex)
+        G = np.zeros((n, start + sum(len(b) for *_, b in layers), f_blocks.shape[1]), dtype=complex)
         G[0, :start, 0] = tops
         for pred, kern, blk in layers:
             terms = array_jet_product(kernels[:, kern, None], G[:, pred], l, order)
-            rows = np.einsum("lij,nlj->nli", mats[blk], terms.sum(axis=2))
+            rows = np.einsum("lij,nlj->nli", f_blocks[blk], terms.sum(axis=2))
             G[:, start : start + len(blk)] = rows
             start += len(blk)
         brackets = np.add.reduceat(G[:, members], starts, axis=1).reshape(n, -1)

@@ -53,6 +53,7 @@ from .gaudin import (
     commutativity_residual,
     sample_regular_cartan,
     sample_spectral_points,
+    site_depth,
 )
 from .liealg import (
     LieAlgebraError,
@@ -409,13 +410,15 @@ def _build_instance(cfg: ExperimentConfig) -> None:
         cfg.md = ModularData(cfg.tau)
         theta11_prime_at_zero(cfg.md)  # refuses a tau whose series cancels
     if cfg.sites:
-        modules = []
-        for site in cfg.sites:
-            lam = cfg.rs.weight_from_fundamental(site.weight)
-            if site.kind == "irrep":
-                modules.append(build_irrep(cfg.rs, lam))
-            else:
-                modules.append(build_dual_verma(cfg.rs, lam, site.depth))
+        weights = [cfg.rs.weight_from_fundamental(site.weight) for site in cfg.sites]
+        # a dual Verma site is exact at depth M + ht(theta) and only grows
+        # deeper, so every one is built there; depth_k has to reach it
+        depth = site_depth(cfg.rs, weights, [site.depth for site in cfg.sites])
+        modules = [
+            build_irrep(cfg.rs, lam) if site.kind == "irrep"
+            else build_dual_verma(cfg.rs, lam, depth)
+            for site, lam in zip(cfg.sites, weights)
+        ]
         cfg.problem = GaudinProblem(
             cfg.rs,
             cfg.md,

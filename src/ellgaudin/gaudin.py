@@ -264,6 +264,31 @@ def weyl_kac_pi(
 # ---------------------------------------------------------------------------
 
 
+def site_depth(rs: RootSystemData, weights, depths) -> int:
+    """The depth M + ht(theta) at which a dual Verma site is exact on the
+    zero-weight space (``liealg.min_dual_verma_depth``), for the site
+    highest weights and the depths asked for (None at an irreducible
+    site).  Raises GaudinError when the summed weights are not in the
+    positive root lattice (the charge condition) or a depth is below it.
+    """
+    need = min_dual_verma_depth(rs, weights)
+    if need is None:
+        raise GaudinError(
+            "charge condition violated: the summed site weights are not in "
+            "the positive root lattice, so the zero-weight subspace is "
+            "trivial"
+        )
+    for k, depth in enumerate(depths, start=1):
+        if depth is not None and depth < need:
+            raise GaudinError(
+                f"dual Verma site {k}: depth_{k} = {depth} is below "
+                f"M + ht(theta) = {need}; the raising-lowering terms of "
+                "the transfer operator would not be exact on the "
+                "zero-weight space"
+            )
+    return need
+
+
 class GaudinProblem:
     """Sites, modules, and the associated transfer operator family.
 
@@ -304,21 +329,8 @@ class GaudinProblem:
         self._units = [
             tuple(int(s == r) for s in range(rs.rank)) for r in range(rs.rank)
         ]
-        need = min_dual_verma_depth(rs, [mod.highest_weight for mod in modules])
-        if need is None:
-            raise GaudinError(
-                "charge condition violated: the summed site weights are not in "
-                "the positive root lattice, so the zero-weight subspace is "
-                "trivial"
-            )
-        for k, mod in enumerate(self.modules, start=1):
-            if mod.depth is not None and mod.depth < need:
-                raise GaudinError(
-                    f"dual Verma site {k}: depth_{k} = {mod.depth} is below "
-                    f"M + ht(theta) = {need}; the raising-lowering terms of "
-                    "the transfer operator would not be exact on the "
-                    "zero-weight space"
-                )
+        weights = [mod.highest_weight for mod in modules]
+        site_depth(rs, weights, [mod.depth for mod in modules])
         self.space = TensorSpace(modules)
         if self.space.dim0 == 0:
             raise GaudinError("the zero-weight subspace is trivial")
@@ -329,12 +341,14 @@ class GaudinProblem:
     def _build_site_operators(self):
         """h_r^(i) and the pair operators on the zero-weight space.
 
-        Entries are read off single-site matrices at the zero-weight
-        tuples.  Between tuples a and b, an operator on site i is
-        S_i[a_i, b_i] when a and b agree on every other site; the pair
-        term P(i, j, a) = e_{-a}^(j) e_a^(i) is R_j[a_j, b_j] L_i[a_i, b_i]
-        when they agree off {i, j}, and (R_i L_i)[a_i, b_i] when i = j.
-        The full tensor product is never formed.
+        h_r^(i) is diagonal on the weight basis: ``_site_weights[i, a]`` is
+        the weight of site i's factor of the a-th zero-weight tuple, shape
+        (N, dim0, l).  The pair operators' entries are read off
+        single-site matrices at the zero-weight tuples: between tuples a
+        and b, the pair term P(i, j, a) = e_{-a}^(j) e_a^(i) is
+        R_j[a_j, b_j] L_i[a_i, b_i] when a and b agree off {i, j}, and
+        (R_i L_i)[a_i, b_i] when i = j.  The full tensor product is never
+        formed.
 
         ``_pair`` stacks, for the k-th positive root alpha, the pair
         operators of alpha and -alpha that share a kernel product:
@@ -355,22 +369,15 @@ class GaudinProblem:
             off = mismatches - sum(differ[i] for i in set(sites))
             return np.where(off == 0, mat, 0)
 
-        self._hstar = [
-            [
-                on_sites(self.modules[i].dual_matrix(rs.h_ortho[r])[grid[i]], i)
-                for r in range(rs.rank)
-            ]
-            for i in range(nsites)
-        ]
+        self._site_weights = np.array(
+            [mod.weights[tuples[:, i]] for i, mod in enumerate(self.modules)]
+        )
 
         def pair(k):
             # P(i, j, root k) for every site pair, shape (N, N, dim0, dim0)
-            lower = [
-                mod.dual_matrix(rs.chevalley.root_vectors[k])
-                for mod in self.modules
-            ]
+            lower = [mod.dual_matrix(rs.root_vectors[k]) for mod in self.modules]
             raise_ = [
-                mod.dual_matrix(rs.chevalley.root_vectors[rs.negative_of(k)])
+                mod.dual_matrix(rs.root_vectors[rs.negative_of(k)])
                 for mod in self.modules
             ]
             out = np.empty((nsites, nsites) + mismatches.shape, dtype=complex)
@@ -390,19 +397,16 @@ class GaudinProblem:
 
     # -- coefficient data ------------------------------------------------
 
-    def _cartan_from(self, site_thetas: np.ndarray) -> list:
-        """A_r(u) = sum_i zeta(z_i - u) h_r^(i) on the zero-weight space for
-        a batch of B spectral parameters, from the first-order Taylor
-        coefficients of theta(z_i - u), shape (B, N, >= 2); each A_r has
-        shape (B, dim0, dim0)."""
+    def _cartan_from(self, site_thetas: np.ndarray) -> np.ndarray:
+        """The diagonals of A_r(u) = sum_i zeta(z_i - u) h_r^(i) on the
+        zero-weight space for a batch of B spectral parameters, from the
+        first-order Taylor coefficients of theta(z_i - u), shape
+        (B, N, >= 2); A_r(u) is diagonal on the weight basis, and entry
+        [b, a, r] is its a-th diagonal entry at u_b, shape (B, dim0, l).
+        The sum is elementwise, so each u is summed the same way whatever
+        the batch around it."""
         zvals = site_thetas[..., 1] * (1.0 / site_thetas[..., 0])
-        return [
-            sum(
-                zvals[:, i, None, None] * self._hstar[i][r]
-                for i in range(len(self.positions))
-            )
-            for r in range(self.rs.rank)
-        ]
+        return sum(z[:, None, None] * w for z, w in zip(zvals.T, self._site_weights))
 
     def _site_args(self, us: np.ndarray) -> np.ndarray:
         """x_i = z_i - u for each u of the batch us, shape (B, N)."""
@@ -508,13 +512,15 @@ class GaudinProblem:
         thetas = self._thetas(H, us, order)
         A = self._cartan_from(thetas[: len(us) * nsites].reshape(len(us), nsites, -1))
         zero = self.potential_jet(H, us, order, thetas).coeffs
-        zero[0] = zero[0] + sum((Ar @ Ar for Ar in A), np.zeros_like(eye)) * 0.5
+        zero[0] += (A * A).sum(axis=-1)[..., None] * eye * 0.5
+        # the first-order coefficients -A_r, the only dense form of A_r
+        first = -np.moveaxis(A, -1, 0)[..., None] * eye
         if scalar:
-            A, zero = [Ar[0] for Ar in A], zero[:, 0]
+            first, zero = first[:, 0], zero[:, 0]
         coeffs = {}
         for r, unit in enumerate(self._units):
             coeffs[tuple(2 * s for s in unit)] = Jet(l, order, [0.5 * eye])
-            coeffs[unit] = Jet(l, order, [-A[r]])
+            coeffs[unit] = Jet(l, order, first[r, None])
         coeffs[(0,) * l] = Jet(l, order, zero)
         return DiffOperator(l, self.space.dim0, coeffs)
 
@@ -530,8 +536,8 @@ class GaudinProblem:
         _pole_check(th[:, 0], xs, self.md, "z")
         ones = Jet(l, order, [np.eye(dim)])
         return [
-            DiffOperator(l, dim, {unit: ones, (0,) * l: Jet(l, order, -Ar)})
-            for Ar, unit in zip(self._cartan_from(th[None]), self._units)
+            DiffOperator(l, dim, {unit: ones, (0,) * l: Jet(l, order, -np.diag(a)[None])})
+            for a, unit in zip(self._cartan_from(th[None])[0].T, self._units)
         ]
 
     def _mult_denominator(self, sign: int, H, order: int) -> DiffOperator:

@@ -8,7 +8,10 @@ coordinate vectors in an orthonormal basis of the Cartan subalgebra, so
 pairings are plain (bilinear, unconjugated) dot products and evaluation
 against a Cartan point is a dot product as well.
 
-Modules come in two kinds:
+A module is its weight basis and one stack of root-vector matrices: the
+Cartan subalgebra acts diagonally by the weights, and every other element
+through its coefficients along the root vectors.  Modules come in two
+kinds:
 
 * finite irreducibles with dominant integral highest weight, built on the
   Gelfand-Tsetlin basis by its explicit formulas;
@@ -35,28 +38,8 @@ class LieAlgebraError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Root system and Chevalley generators.
+# Root system.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChevalleyBasis:
-    """Defining-representation matrices of the Chevalley generators.
-
-    ``root_vectors[k]`` realizes the root ``roots_ab[k]``; positive roots
-    come first, then their negatives in the same order, so the pairing
-    partner of index k is k +- s where s is the number of positive roots.
-    """
-
-    E: tuple
-    F: tuple
-    H: tuple
-    roots_ab: tuple
-    root_vectors: tuple
-
-    @property
-    def n_positive(self) -> int:
-        return len(self.roots_ab) // 2
 
 
 class RootSystemData:
@@ -69,8 +52,14 @@ class RootSystemData:
         root/weight.
     rho : ndarray
         Half sum of positive roots.
-    h_ortho : list of ndarray
-        Orthonormal Cartan basis as defining-representation matrices.
+    roots_ab, root_vectors :
+        ``root_vectors[k]`` is the matrix unit E_ab, (a, b) = ``roots_ab[k]``,
+        which realizes the root ``roots[k]`` in the defining representation;
+        positive roots come first, then their negatives in the same order,
+        so the pairing partner of index k is ``negative_of(k)``.
+    h_ortho : ndarray
+        Orthonormal Cartan basis as diagonal defining-representation
+        matrices, shape (rank, rank + 1, rank + 1).
     """
 
     def __init__(self, series: str, rank: int):
@@ -85,57 +74,43 @@ class RootSystemData:
         self.dual_coxeter = n
         self.dim_g = n * n - 1
 
-        def unit(a, b):
-            m = np.zeros((n, n), dtype=complex)
-            m[a, b] = 1.0
-            return m
-
-        E = tuple(unit(i, i + 1) for i in range(rank))
-        F = tuple(unit(i + 1, i) for i in range(rank))
-        H = tuple(unit(i, i) - unit(i + 1, i + 1) for i in range(rank))
-
-        # positive roots eps_a - eps_b, a < b, ordered by height then lex
+        # positive roots eps_a - eps_b, a < b, ordered by height then lex,
+        # so the simple roots come first
         pos_ab = sorted(
             ((a, b) for a in range(n) for b in range(a + 1, n)),
             key=lambda ab: (ab[1] - ab[0], ab),
         )
-        roots_ab = tuple(pos_ab) + tuple((b, a) for (a, b) in pos_ab)
-        root_vectors = tuple(unit(a, b) for (a, b) in roots_ab)
-        self.chevalley = ChevalleyBasis(
-            E=E, F=F, H=H, roots_ab=roots_ab, root_vectors=root_vectors
-        )
+        self.roots_ab = tuple(pos_ab) + tuple((b, a) for (a, b) in pos_ab)
+        self.root_vectors = np.zeros((len(self.roots_ab), n, n), dtype=complex)
+        for k, (a, b) in enumerate(self.roots_ab):
+            self.root_vectors[k, a, b] = 1.0
 
-        # Orthonormal Cartan basis via Gram-Schmidt on H_1..H_l under the
-        # trace form (equal to the normalized invariant form here).
-        h_ortho = []
+        # Orthonormal Cartan basis via Gram-Schmidt on the diagonals of
+        # H_i = E_ii - E_i+1,i+1 under the trace form (equal to the
+        # normalized invariant form here).
+        diags = []
         coeff = []  # h_r = sum_j coeff[r][j] * H_j
         for i in range(rank):
-            v = H[i].astype(complex)
+            v = np.zeros(n, dtype=complex)
+            v[i], v[i + 1] = 1.0, -1.0
             c = np.zeros(rank)
             c[i] = 1.0
-            for u, cu in zip(h_ortho, coeff):
-                proj = np.trace(u @ v).real
+            for u, cu in zip(diags, coeff):
+                proj = (u * v).sum().real
                 v = v - proj * u
                 c = c - proj * cu
-            nrm = math.sqrt(np.trace(v @ v).real)
-            h_ortho.append(v / nrm)
+            nrm = math.sqrt((v * v).sum().real)
+            diags.append(v / nrm)
             coeff.append(c / nrm)
-        self.h_ortho = h_ortho
-        self._h_coeff = np.array(coeff)  # (rank, rank)
+        self.h_ortho = np.array([np.diag(d) for d in diags])
 
-        def coords_of_functional(ab):
-            a, b = ab
-            return np.array(
-                [h[a, a].real - h[b, b].real for h in h_ortho]
-            )
-
-        self.positive_roots = np.array([coords_of_functional(ab) for ab in pos_ab])
+        # eps_a - eps_b evaluated on h_r
+        diags = np.array(diags).real
+        self.positive_roots = np.array([diags[:, a] - diags[:, b] for a, b in pos_ab])
         self.roots = np.vstack([self.positive_roots, -self.positive_roots])
-        self.simple_roots = np.array(
-            [coords_of_functional((i, i + 1)) for i in range(rank)]
-        )
+        self.simple_roots = self.positive_roots[:rank].copy()
         # omega_i(h_r) = coefficient of H_i in h_r
-        self.fundamental_weights = self._h_coeff.T.copy()
+        self.fundamental_weights = np.array(coeff).T.copy()
         self.rho = self.fundamental_weights.sum(axis=0)
         self.cartan_matrix = np.rint(
             self.simple_roots @ self.simple_roots.T
@@ -166,11 +141,19 @@ class RootSystemData:
             complex
         )
 
-    def cartan_coords(self, diag_matrix: np.ndarray) -> np.ndarray:
-        """Coordinates of a (traceless diagonal) Cartan element in h_r."""
-        return np.array(
-            [np.trace(diag_matrix @ h) for h in self.h_ortho], dtype=complex
-        )
+    def root_coords(self, x) -> np.ndarray:
+        """Coefficients along the root vectors of a defining matrix, or of
+        a stack of them along the leading axes: its off-diagonal entries."""
+        a, b = np.array(self.roots_ab).T
+        return np.asarray(x)[..., a, b]
+
+    def cartan_coords(self, x) -> np.ndarray:
+        """Coordinates in h_r of the Cartan part of a defining matrix, or
+        of a stack of them along the leading axes: the trace form of its
+        diagonal with the diagonals of h_r."""
+        return np.diagonal(x, axis1=-2, axis2=-1) @ np.diagonal(
+            self.h_ortho, axis1=1, axis2=2
+        ).T
 
 
 def build_root_system(series: str, rank: int) -> RootSystemData:
@@ -180,17 +163,14 @@ def build_root_system(series: str, rank: int) -> RootSystemData:
 
 def normalized_form(x: np.ndarray, y: np.ndarray, rs: RootSystemData) -> complex:
     """Invariant bilinear form: trace of ad(x) ad(y) over twice the dual
-    Coxeter number.  Arguments are defining-representation matrices."""
-    basis = list(rs.chevalley.root_vectors) + list(rs.h_ortho)
+    Coxeter number.  Arguments are defining-representation matrices; each
+    ad matrix brackets its argument with the whole basis (root vectors,
+    then h_r) in one stacked product and reads the coordinates off."""
+    basis = np.concatenate([rs.root_vectors, rs.h_ortho])
 
     def ad(m):
-        cols = []
-        for b in basis:
-            br = m @ b - b @ m
-            coords = [br[a, c] for (a, c) in rs.chevalley.roots_ab]
-            coords += [np.trace(br @ h) for h in rs.h_ortho]
-            cols.append(coords)
-        return np.array(cols, dtype=complex).T
+        br = m @ basis - basis @ m
+        return np.concatenate([rs.root_coords(br), rs.cartan_coords(br)], axis=1).T
 
     return complex(np.trace(ad(x) @ ad(y))) / (2 * rs.dual_coxeter)
 
@@ -249,24 +229,13 @@ class _TruncatedVerma:
         key = (g, d)
         if key not in self._brackets:
             rs = self.rs
-            m = (
-                rs.chevalley.root_vectors[g] @ rs.chevalley.root_vectors[d]
-                - rs.chevalley.root_vectors[d] @ rs.chevalley.root_vectors[g]
-            )
-            parts = []
-            for k, (a, b) in enumerate(rs.chevalley.roots_ab):
-                if m[a, b] != 0:
-                    parts.append((k, m[a, b]))
-            diag = np.diag(np.diag(m))
-            cart = rs.cartan_coords(diag) if np.any(np.diag(m)) else None
+            vecs = rs.root_vectors
+            m = vecs[g] @ vecs[d] - vecs[d] @ vecs[g]
+            coords = rs.root_coords(m)
+            parts = [(int(k), coords[k]) for k in np.flatnonzero(coords)]
+            cart = rs.cartan_coords(m) if np.any(np.diag(m)) else None
             self._brackets[key] = (parts, cart)
         return self._brackets[key]
-
-    def _weight_pairing(self, mono, cartan_coords: np.ndarray) -> complex:
-        # weight of the monomial evaluated against a Cartan element given
-        # by its orthonormal coordinates
-        w = self.weights[self.index[mono]]
-        return complex(w @ cartan_coords)
 
     def apply_root(self, g: int, mono) -> dict:
         """Action of the root vector with index g on a basis monomial.
@@ -311,9 +280,9 @@ class _TruncatedVerma:
                     for m3, c3 in self.apply_root(k, rest).items():
                         out[m3] = out.get(m3, 0j) + ck * c3
                 if cart is not None:
-                    out[rest] = out.get(rest, 0j) + self._weight_pairing(
-                        rest, cart
-                    )
+                    # the weight of rest, evaluated on the Cartan part
+                    w = self.weights[self.index[rest]]
+                    out[rest] = out.get(rest, 0j) + complex(w @ cart)
         out = {m: c for m, c in out.items() if c != 0}
         memo[key] = out
         return out
@@ -325,19 +294,6 @@ class _TruncatedVerma:
                 m[self.index[m2], j] = c
         return m
 
-    def matrix_of(self, x: np.ndarray) -> np.ndarray:
-        """Action of an arbitrary algebra element (defining matrix)."""
-        rs = self.rs
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, (a, b) in enumerate(rs.chevalley.roots_ab):
-            if x[a, b] != 0:
-                out += x[a, b] * self.matrix_of_root(k)
-        diag = np.diag(np.diag(x))
-        if np.any(np.diag(x)):
-            coords = rs.cartan_coords(diag)
-            out += np.diag(self.weights @ coords)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Represented modules.
@@ -346,21 +302,22 @@ class _TruncatedVerma:
 
 @dataclass
 class RepresentedModule:
-    """A g-module given by explicit matrices in a weight basis.
+    """A g-module on a weight basis.
 
-    ``mats`` holds the action of the Chevalley generators and of every
-    root vector; keys are ('E', i), ('F', i), ('H', i), ('h', r) and
-    ('root', k) with k indexing the full root list.  For dual Verma
-    modules ``j_covector`` extracts the coefficient along the highest
-    weight line (the pairing with the highest weight vector of the
-    underlying Verma module).
+    ``weights[i]`` is the weight of basis vector i in orthonormal
+    coordinates, so the Cartan subalgebra acts diagonally by the weights.
+    ``roots[k]`` is the matrix of the root vector with index k of the
+    root system (positives, then negatives), one stack of shape
+    (2 |Phi+|, dim, dim).  For dual Verma modules ``j_covector`` extracts
+    the coefficient along the highest weight line (the pairing with the
+    highest weight vector of the underlying Verma module).
     """
 
     rs: RootSystemData
     kind: str
     highest_weight: np.ndarray
     weights: np.ndarray
-    mats: dict
+    roots: np.ndarray
     j_covector: np.ndarray | None = None
     depth: int | None = None
 
@@ -368,21 +325,13 @@ class RepresentedModule:
     def dim(self) -> int:
         return len(self.weights)
 
-    def matrix(self, key) -> np.ndarray:
-        return self.mats[key]
-
     def represent(self, x: np.ndarray) -> np.ndarray:
-        """Action of an arbitrary algebra element (defining matrix)."""
+        """Action of an arbitrary algebra element (defining matrix): the
+        root-vector stack weighted by x's root coordinates, plus
+        diag(weights @ cartan_coords(x))."""
         rs = self.rs
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, (a, b) in enumerate(rs.chevalley.roots_ab):
-            if x[a, b] != 0:
-                out = out + x[a, b] * self.mats[("root", k)]
-        if np.any(np.diag(x)):
-            coords = rs.cartan_coords(np.diag(np.diag(x)))
-            for r in range(rs.rank):
-                out = out + coords[r] * self.mats[("h", r)]
-        return out
+        out = np.tensordot(rs.root_coords(x), self.roots, 1)
+        return out + np.diag(self.weights @ rs.cartan_coords(x))
 
     def dual_matrix(self, x: np.ndarray) -> np.ndarray:
         """Transpose action of x on the dual of the underlying space.
@@ -392,37 +341,12 @@ class RepresentedModule:
         is the plain transpose.  Dual Verma modules are stored already
         acting on the dual space via the transpose-compose-involution
         construction; undoing the involution (transposing the defining
-        matrix) recovers the plain transpose action.
+        matrix) recovers the plain transpose action.  Either way the
+        Cartan subalgebra acts on the dual basis by the weights.
         """
         if self.kind == "dual_verma":
             return self.represent(np.asarray(x).T)
         return self.represent(x).T
-
-
-def _generator_keys(rs: RootSystemData):
-    keys = []
-    for i in range(rs.rank):
-        keys += [("E", i), ("F", i), ("H", i)]
-    for r in range(rs.rank):
-        keys.append(("h", r))
-    for k in range(len(rs.chevalley.roots_ab)):
-        keys.append(("root", k))
-    return keys
-
-
-def _defining_matrix(rs: RootSystemData, key) -> np.ndarray:
-    kind = key[0]
-    if kind == "E":
-        return rs.chevalley.E[key[1]]
-    if kind == "F":
-        return rs.chevalley.F[key[1]]
-    if kind == "H":
-        return rs.chevalley.H[key[1]]
-    if kind == "h":
-        return rs.h_ortho[key[1]]
-    if kind == "root":
-        return rs.chevalley.root_vectors[key[1]]
-    raise KeyError(key)
 
 
 def build_dual_verma(
@@ -436,7 +360,9 @@ def build_dual_verma(
     twist that keeps the highest weight equal to lam: raising operators
     climb toward the highest covector, and the pairing functional applied
     after a string of simple raisings reproduces Verma matrix elements
-    exactly for heights below the truncation depth.
+    exactly for heights below the truncation depth.  Since the transpose
+    of the root vector with index k is the one with index -k, the stored
+    ``roots[k]`` is the transposed Verma matrix of root -k.
     """
     lam = np.asarray(lam, dtype=complex)
     if lam.shape != (rs.rank,):
@@ -446,10 +372,7 @@ def build_dual_verma(
     if depth < 1:
         raise LieAlgebraError("depth must be at least 1")
     tv = _TruncatedVerma(rs, lam, depth)
-    mats = {}
-    for key in _generator_keys(rs):
-        x = _defining_matrix(rs, key)
-        mats[key] = tv.matrix_of(x.T).T
+    roots = [tv.matrix_of_root(rs.negative_of(k)).T for k in range(len(rs.roots))]
     j = np.zeros(tv.dim, dtype=complex)
     j[tv.index[(0,) * rs.n_positive]] = 1.0
     return RepresentedModule(
@@ -457,7 +380,7 @@ def build_dual_verma(
         kind="dual_verma",
         highest_weight=lam,
         weights=tv.weights,
-        mats=mats,
+        roots=np.array(roots),
         j_covector=j,
         depth=depth,
     )
@@ -481,11 +404,11 @@ def build_irrep(rs: RootSystemData, lam) -> RepresentedModule:
 
     Built on the Gelfand-Tsetlin basis of the gl(n) irreducible with top
     row m_a = f_a + ... + f_l (m_n = 0), f the fundamental coordinates of
-    lam: E_kk, E_k,k+1 and E_k+1,k act by the rational formulas of
-    A. Molev, arXiv:math/0211289, section 2, in l_ki = m_ki - i + 1, and
-    the other root vectors are commutators.  Basis vectors are ordered by
-    weight, highest first; the dimension is checked against the Weyl
-    dimension formula.
+    lam: E_kk acts diagonally, which gives the weights, E_k,k+1 and
+    E_k+1,k act by the rational formulas of A. Molev, arXiv:math/0211289,
+    section 2, in l_ki = m_ki - i + 1, and the other root vectors are
+    commutators.  Basis vectors are ordered by weight, highest first; the
+    dimension is checked against the Weyl dimension formula.
     """
     lam = np.asarray(lam, dtype=complex)
     fund = rs.fundamental_coords(lam)
@@ -508,7 +431,7 @@ def build_irrep(rs: RootSystemData, lam) -> RepresentedModule:
     dim = len(pats)
     mu = np.array([weight[p] for p in pats], dtype=float)
 
-    E = {(a, a): np.diag(mu[:, a]).astype(complex) for a in range(n)}
+    E = {}
     for k in range(1, n):  # E_k,k+1 and E_k+1,k; rows numbered 1..n
         up = np.zeros((dim, dim), dtype=complex)
         down = np.zeros((dim, dim), dtype=complex)
@@ -531,17 +454,13 @@ def build_irrep(rs: RootSystemData, lam) -> RepresentedModule:
             for x, c, y in ((a, a + 1, a + d), (a + d, a + d - 1, a)):
                 E[x, y] = E[x, c] @ E[c, y] - E[c, y] @ E[x, c]
 
-    mats = {}
-    for key in _generator_keys(rs):
-        x = _defining_matrix(rs, key)
-        mats[key] = sum(x[ab] * E[ab] for ab in E if x[ab] != 0)
-    hdiag = np.array([np.diag(h).real for h in rs.h_ortho]).T  # (n, rank)
+    hdiag = np.diagonal(rs.h_ortho, axis1=1, axis2=2).real.T  # (n, rank)
     mod = RepresentedModule(
         rs=rs,
         kind="irrep",
         highest_weight=lam,
         weights=(mu @ hdiag).astype(complex),
-        mats=mats,
+        roots=np.array([E[ab] for ab in rs.roots_ab]),
     )
     expected = _weyl_dimension(rs, lam)
     if mod.dim != expected:

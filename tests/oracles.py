@@ -433,7 +433,7 @@ def bethe_vector_reference(system, t, H, order: int = 0):
         for sigma in _permutations(list(subset)):
             vec = np.asarray(mod.j_covector, dtype=complex)
             for j in reversed(sigma):
-                vec = mod.matrix(("F", system.assignment[j])) @ vec
+                vec = mod.roots[mod.rs.n_positive + system.assignment[j]] @ vec
             jet = {one: vec[k]}
             for pos, j in enumerate(sigma):
                 labels = [system.assignment[i] for i in sigma[: pos + 1]]

@@ -160,7 +160,12 @@ def test_sites_coincide_mod_lattice(tmp_path):
             load_config(write_config(tmp_path, three_sites(*zs)))
 
 
-def test_charge_condition_violation_named(tmp_path):
+def test_charge_condition_violation_named(tmp_path, monkeypatch):
+    # refused before any site module is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("site module built")
+
+    monkeypatch.setattr(cli, "build_dual_verma", refuse)
     text = MINIMAL_SITES.replace("kind_1 = irrep", "kind_1 = dual_verma")
     text = text.replace("kind_2 = irrep", "kind_2 = dual_verma")
     text = text.replace("weight_1 = 1", "weight_1 = 0.74+0.22i\ndepth_1 = 3")
@@ -569,6 +574,52 @@ def test_depth_below_m_plus_highest_root_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, commute, name="commute.ini")
     assert main(["commute-check", "--config", path]) == 2
     assert "M + ht(theta) = 4" in capsys.readouterr().err
+
+
+def _record_fields(report):
+    return [(r.name, r.residual, r.tolerance, r.passed, r.note) for r in report.records]
+
+
+def test_dual_verma_sites_are_built_at_m_plus_highest_root(tmp_path):
+    # depth_k only has to reach M + ht(theta) = 4; a deeper one is echoed
+    # as configured but builds the same 22-dimensional sites, not 252
+    text = (CONFIGS / "a2_bethe_m2.ini").read_text(encoding="utf-8")
+    deep = text.replace("depth_1 = 4", "depth_1 = 12").replace("depth_2 = 4", "depth_2 = 12")
+    cfg = load_config(write_config(tmp_path, deep))
+    assert [m.dim for m in cfg.problem.modules] == [22, 22]
+    assert [m.depth for m in cfg.problem.modules] == [4, 4]
+    assert "sites.depth_1 = 12" in cfg.echo_lines()
+    shipped = run("full-verify", load_config(str(CONFIGS / "a2_bethe_m2.ini")))
+    assert _record_fields(run("full-verify", cfg)) == _record_fields(shipped)
+
+
+_COMMON_RECORDS = {
+    "algebra/cartan-orthonormal", "algebra/dimension-count", "algebra/rho-half-sum",
+    "commute/distinct-points", "commute/same-point", "commute/top-order-coefficients",
+    "elliptic/jets-vs-contour", "elliptic/pole-normalization",
+    "elliptic/theta-period-1", "elliptic/theta-period-tau",
+    "elliptic/w-period-1", "elliptic/w-period-tau",
+    "elliptic/zeta-period-1", "elliptic/zeta-period-tau",
+}
+# Bethe solutions each shipped config reports (0: no [bethe] section); a
+# new config needs its entry
+_SHIPPED_SOLUTIONS = {
+    "a1_bethe_m1": 4, "a1_bethe_m1_sym": 3, "a1_bethe_m2": 4, "a1_bethe_m4": 4,
+    "a1_n2_fund": 0, "a1_n3_mixed": 0, "a2_bethe_m2": 4, "a2_n2_21_12": 0,
+    "a2_n2_33bar": 0,
+}
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in CONFIGS.glob("*.ini")))
+def test_shipped_config_passes_full_verify(config):
+    report = run("full-verify", load_config(str(CONFIGS / f"{config}.ini")))
+    assert report.verdict
+    assert all(r.passed for r in report.records)
+    expected = set(_COMMON_RECORDS)
+    for k in range(_SHIPPED_SOLUTIONS[config]):
+        expected |= {f"bethe/root-residual-{k:02d}", f"eigen/residual-{k:02d}"}
+    assert {r.name for r in report.records} == expected
+    assert len(report.records) == len(expected)
 
 
 def test_three_site_rank2_eigen_check_on_zero_weight_space(tmp_path, monkeypatch):

@@ -622,8 +622,9 @@ SITE_OPERATOR_CASES = {
 
 @pytest.mark.parametrize("name", sorted(SITE_OPERATOR_CASES))
 def test_site_operators_match_dense_reference(name):
-    # h_r^(i) and e_{-a}^(j) e_a^(i) built on the zero-weight space agree
-    # with the Kronecker products on the full space, restricted afterwards
+    # h_r^(i), held as the site weights at the zero-weight tuples, and
+    # e_{-a}^(j) e_a^(i) built on the zero-weight space agree with the
+    # Kronecker products on the full space, restricted afterwards
     modules = SITE_OPERATOR_CASES[name]()
     rs = modules[0].rs
     zs = [0.11, 0.43 + 0.27j, 0.74 + 0.58j][: len(modules)]
@@ -636,11 +637,12 @@ def test_site_operators_match_dense_reference(name):
             ref = space.restrict_zero(
                 space.op_full(i, modules[i].dual_matrix(rs.h_ortho[r]))
             )
-            assert np.max(np.abs(prob._hstar[i][r] - ref)) <= 1e-14
+            hstar = np.diag(prob._site_weights[i, :, r])
+            assert np.max(np.abs(hstar - ref)) <= 1e-14
 
     def pair_ref(i, j, k):
-        e_plus = rs.chevalley.root_vectors[k]
-        e_minus = rs.chevalley.root_vectors[rs.negative_of(k)]
+        e_plus = rs.root_vectors[k]
+        e_minus = rs.root_vectors[rs.negative_of(k)]
         return space.restrict_zero(
             space.op_full(j, modules[j].dual_matrix(e_minus))
             @ space.op_full(i, modules[i].dual_matrix(e_plus))

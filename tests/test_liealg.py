@@ -74,12 +74,17 @@ def test_rho_is_half_sum_and_sum_of_fundamentals():
         )
 
 
+def coroot(rs, k):
+    """H_alpha = [e_alpha, e_-alpha] in the defining representation."""
+    return comm(rs.root_vectors[k], rs.root_vectors[rs.negative_of(k)])
+
+
 def test_long_root_norm_via_ad_trace_oracle():
     # (alpha|alpha) = 2: oracle is Tr(ad H_alpha ad H_alpha) / (2 h),
     # computed from explicit ad matrices on an independent basis.
     for rs in (A1, A2, A3):
-        basis = list(rs.chevalley.root_vectors) + list(rs.h_ortho)
-        h_alpha = rs.chevalley.H[0]
+        basis = list(rs.root_vectors) + list(rs.h_ortho)
+        h_alpha = coroot(rs, 0)
         val = normalized_form_direct(h_alpha, h_alpha, basis, rs.dual_coxeter)
         # (H_alpha|H_alpha) = (alpha|alpha) under the identification
         assert abs(val - 2) < 1e-10
@@ -87,14 +92,29 @@ def test_long_root_norm_via_ad_trace_oracle():
 
 def test_normalized_form_examples():
     rs = A1
-    E1, F1 = rs.chevalley.E[0], rs.chevalley.F[0]
+    E1, F1 = rs.root_vectors
     assert abs(normalized_form(E1, F1, rs) - 1) < 1e-12
     assert abs(normalized_form(E1, E1, rs)) < 1e-12
-    basis = list(rs.chevalley.root_vectors) + list(rs.h_ortho)
+    basis = list(rs.root_vectors) + list(rs.h_ortho)
     assert (
         abs(normalized_form(E1, F1, rs) - normalized_form_direct(E1, F1, basis, 2))
         < 1e-12
     )
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_normalized_form_matches_direct_oracle(rank):
+    # random traceless complex elements; the oracle solves each ad column
+    # from the Gram matrix of the trace pairing
+    rs = (A1, A2, A3)[rank - 1]
+    basis = list(rs.root_vectors) + list(rs.h_ortho)
+    rng = np.random.default_rng(rank)
+    for _ in range(4):
+        x, y = rng.normal(size=(2, rs.n, rs.n)) + 1j * rng.normal(size=(2, rs.n, rs.n))
+        x, y = (m - np.trace(m) / rs.n * np.eye(rs.n) for m in (x, y))
+        got = normalized_form(x, y, rs)
+        want = normalized_form_direct(x, y, basis, rs.dual_coxeter)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_h_basis_orthonormal_under_normalized_form():
@@ -107,8 +127,7 @@ def test_h_basis_orthonormal_under_normalized_form():
 
 def test_root_vector_pairing_is_kronecker_delta():
     for rs in (A1, A2):
-        vecs = rs.chevalley.root_vectors
-        npos = rs.n_positive
+        vecs = rs.root_vectors
         for k, v in enumerate(vecs):
             for k2, v2 in enumerate(vecs):
                 val = normalized_form(v, v2, rs)
@@ -118,7 +137,7 @@ def test_root_vector_pairing_is_kronecker_delta():
 
 def test_jacobi_identity_exhaustive():
     for rs in (A1, A2, A3):
-        basis = list(rs.chevalley.root_vectors) + list(rs.h_ortho)
+        basis = list(rs.root_vectors) + list(rs.h_ortho)
         for a in basis:
             for b in basis:
                 for c in basis:
@@ -139,7 +158,7 @@ def test_coordinates_reproduce_pairings():
     rs = A2
     H = 0.3 * rs.h_ortho[0] + (0.1 - 0.7j) * rs.h_ortho[1]
     coords = np.array([0.3, 0.1 - 0.7j])
-    for k, (a, b) in enumerate(rs.chevalley.roots_ab):
+    for k, (a, b) in enumerate(rs.roots_ab):
         val = H[a, a] - H[b, b]
         root = rs.roots[k]
         assert abs(val - root @ coords) < 1e-12
@@ -152,19 +171,18 @@ def test_coordinates_reproduce_pairings():
 
 def _check_module_relations(mod: RepresentedModule, tol=1e-12):
     """[x, y] is represented by the commutator of the matrices of x and y,
-    for every pair of root vectors and h_r; the Chevalley generators' own
-    matrices represent them in terms of those."""
+    for every pair of root vectors and h_r, where root vector k acts by
+    ``roots[k]`` and h_r by the r-th weight coordinates; ``represent``
+    reproduces each of those matrices."""
     rs = mod.rs
-    gens = [(("root", k), v) for k, v in enumerate(rs.chevalley.root_vectors)]
-    gens += [(("h", r), h) for r, h in enumerate(rs.h_ortho)]
-    for (k1, x), (k2, y) in itertools.combinations(gens, 2):
-        lhs = comm(mod.matrix(k1), mod.matrix(k2))
+    gens = list(zip(mod.roots, rs.root_vectors))
+    gens += [(np.diag(mod.weights[:, r]), h) for r, h in enumerate(rs.h_ortho)]
+    for (a, (m1, x)), (b, (m2, y)) in itertools.combinations(enumerate(gens), 2):
+        lhs = comm(m1, m2)
         rhs = mod.represent(comm(x, y))
-        assert maxabs(lhs - rhs) <= tol * max(1.0, maxabs(lhs)), (k1, k2)
-    for kind in ("E", "F", "H"):
-        for i, x in enumerate(getattr(rs.chevalley, kind)):
-            got = mod.matrix((kind, i))
-            assert maxabs(got - mod.represent(x)) <= tol * max(1.0, maxabs(got))
+        assert maxabs(lhs - rhs) <= tol * max(1.0, maxabs(lhs)), (a, b)
+    for m, x in gens:
+        assert maxabs(m - mod.represent(x)) <= tol * max(1.0, maxabs(m))
 
 
 def _check_weight_grading(mod: RepresentedModule):
@@ -172,10 +190,10 @@ def _check_weight_grading(mod: RepresentedModule):
     weights' r-th coordinates."""
     rs = mod.rs
     for k, root in enumerate(rs.roots):
-        i, j = np.nonzero(np.abs(mod.matrix(("root", k))) > 1e-10)
+        i, j = np.nonzero(np.abs(mod.roots[k]) > 1e-10)
         assert np.allclose(mod.weights[i], mod.weights[j] + root, atol=1e-9)
     for r in range(rs.rank):
-        h = mod.matrix(("h", r))
+        h = mod.represent(rs.h_ortho[r])
         assert maxabs(h - np.diag(np.diag(h))) < 1e-10
         assert np.allclose(np.diag(h), mod.weights[:, r], atol=1e-10)
 
@@ -189,9 +207,8 @@ def test_a1_fundamental_matches_hand_written_sl2():
     assert np.allclose(mod.weights[0].real, omega, atol=1e-12)
     assert np.allclose(mod.weights[1].real, omega - alpha, atol=1e-12)
     # generators in this basis are the Pauli-type sl2 matrices
-    assert np.allclose(mod.matrix(("H", 0)), np.diag([1, -1]), atol=1e-10)
-    E = mod.matrix(("E", 0))
-    F = mod.matrix(("F", 0))
+    assert np.allclose(mod.represent(coroot(A1, 0)), np.diag([1, -1]), atol=1e-10)
+    E, F = mod.roots
     # phases of the basis are fixed up to sign; E and F entries multiply to 1
     assert abs(E[0, 1] * F[1, 0] - 1) < 1e-10
     assert abs(E[1, 0]) < 1e-12 and abs(F[0, 1]) < 1e-12
@@ -200,10 +217,10 @@ def test_a1_fundamental_matches_hand_written_sl2():
 def test_trivial_rep():
     mod = build_irrep(A1, np.zeros(1))
     assert mod.dim == 1
-    for i in range(A1.rank):
-        assert maxabs(mod.matrix(("E", i))) < 1e-14
-        assert maxabs(mod.matrix(("F", i))) < 1e-14
-        assert maxabs(mod.matrix(("H", i))) < 1e-14
+    assert mod.roots.shape == (2, 1, 1)
+    assert maxabs(mod.roots) < 1e-14
+    for x in (*A1.root_vectors, *A1.h_ortho):
+        assert maxabs(mod.represent(x)) < 1e-14
 
 
 # every dominant weight of coordinate sum <= 4 at ranks 1-3, and rank-1
@@ -228,10 +245,9 @@ def test_irrep_dimensions_against_weyl_oracle():
         assert np.allclose(mod.weights[0], lam.real, atol=1e-12)
         _check_module_relations(mod)
         _check_weight_grading(mod)
-        casimir = sum(mod.matrix(("h", r)) @ mod.matrix(("h", r))
-                      for r in range(rs.rank))
+        casimir = sum(mod.represent(h) @ mod.represent(h) for h in rs.h_ortho)
         casimir = casimir + sum(
-            mod.matrix(("root", k)) @ mod.matrix(("root", rs.negative_of(k)))
+            mod.roots[k] @ mod.roots[rs.negative_of(k)]
             for k in range(len(rs.roots))
         )
         scalar = casimir_scalar(lam, rs.rho)
@@ -288,8 +304,8 @@ def test_dual_verma_sl2_height_one_pairing():
     mod = build_dual_verma(A1, lam, depth=2)
     e0 = np.zeros(mod.dim, dtype=complex)
     e0[0] = 1.0
-    v1 = mod.matrix(("F", 0)) @ e0
-    out = mod.matrix(("E", 0)) @ v1
+    v1 = mod.roots[1] @ e0  # f_alpha
+    out = mod.roots[0] @ v1  # e_alpha
     assert abs(mod.j_covector @ out - lam_h1) < 1e-12
 
 
@@ -300,7 +316,7 @@ def test_dual_verma_weight_grading():
     assert np.allclose(mod.weights[0], lam)
     rs = A2
     for k in range(len(rs.roots)):
-        m = mod.matrix(("root", k))
+        m = mod.roots[k]
         for i in range(mod.dim):
             for j in range(mod.dim):
                 if abs(m[i, j]) > 1e-10:
@@ -314,7 +330,8 @@ def test_dual_verma_interior_commutation():
     lam = (0.6 + 0.2j) * A1.positive_roots[0]
     depth = 4
     mod = build_dual_verma(A1, lam, depth=depth)
-    E, F, H = (mod.matrix(("E", 0)), mod.matrix(("F", 0)), mod.matrix(("H", 0)))
+    E, F = mod.roots
+    H = mod.represent(coroot(A1, 0))
     lhs = comm(E, F) - H
     # columns of height < depth see exact actions; the boundary column may not
     for j in range(mod.dim - 1):
@@ -331,7 +348,7 @@ def test_dual_verma_truncation_stability():
         v = np.zeros(mod.dim, dtype=complex)
         v[start_mono_idx] = 1.0
         for i in word:
-            v = mod.matrix(("E", i)) @ v
+            v = mod.roots[i] @ v  # the simple root vectors come first
         return mod.j_covector @ v
 
     # Both enumerations sort monomials by (height, exponents), so the
@@ -349,8 +366,8 @@ def test_dual_verma_E_exact_below_depth():
     lam = (1.1 + 0.5j) * A1.positive_roots[0]
     m3 = build_dual_verma(A1, lam, depth=3)
     m5 = build_dual_verma(A1, lam, depth=5)
-    E3 = m3.matrix(("E", 0))
-    E5 = m5.matrix(("E", 0))
+    E3 = m3.roots[0]
+    E5 = m5.roots[0]
     assert maxabs(E3[: m3.dim, : m3.dim] - E5[: m3.dim, : m3.dim]) < 1e-12
 
 
@@ -362,8 +379,9 @@ def test_dual_verma_E_exact_below_depth():
 def test_dual_action_is_anti_homomorphism():
     mod = build_irrep(A2, A2.weight_from_fundamental([1, 0]))
     rs = A2
-    a = rs.chevalley.E[0] + 0.3 * rs.chevalley.F[1]
-    b = rs.chevalley.H[0] - 2j * rs.chevalley.E[1]
+    e, s = rs.root_vectors, rs.n_positive
+    a = e[0] + 0.3 * e[s + 1]
+    b = coroot(rs, 0) - 2j * e[1]
     lhs = mod.dual_matrix(a) @ mod.dual_matrix(b) - mod.dual_matrix(
         b
     ) @ mod.dual_matrix(a)
@@ -373,13 +391,13 @@ def test_dual_action_is_anti_homomorphism():
 
 def test_dual_action_fundamental_h():
     mod = build_irrep(A1, A1.fundamental_weights[0])
-    got = mod.dual_matrix(A1.chevalley.H[0])
+    got = mod.dual_matrix(coroot(A1, 0))
     assert np.allclose(got, np.diag([1, -1]).T, atol=1e-10)
 
 
 def test_dual_action_trivial_rep():
     mod = build_irrep(A1, np.zeros(1))
-    assert maxabs(mod.dual_matrix(A1.chevalley.E[0])) < 1e-14
+    assert maxabs(mod.dual_matrix(A1.root_vectors[0])) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +428,8 @@ def test_zero_weight_preserved_by_dual_pairs():
             for k in range(nroots):
                 kneg = rs.negative_of(k)
                 mat = (
-                    ts.op_full(j, ts.modules[j].matrix(("root", kneg))).T
-                    @ ts.op_full(i, ts.modules[i].matrix(("root", k))).T
+                    ts.op_full(j, ts.modules[j].roots[kneg]).T
+                    @ ts.op_full(i, ts.modules[i].roots[k]).T
                 )
                 block = mat[np.ix_(nonzero, ts.zero_indices)]
                 assert maxabs(block) < 1e-12
@@ -423,10 +441,8 @@ def test_zero_weight_projector_commutes_with_h():
     proj = np.zeros((ts.dim, ts.dim))
     for i in ts.zero_indices:
         proj[i, i] = 1.0
-    for r in range(A1.rank):
-        hfull = ts.op_full(0, fund.matrix(("h", r))) + ts.op_full(
-            1, fund.matrix(("h", r))
-        )
+    for h in A1.h_ortho:
+        hfull = ts.op_full(0, fund.represent(h)) + ts.op_full(1, fund.represent(h))
         assert maxabs(proj @ hfull.T - hfull.T @ proj) < 1e-12
 
 
