@@ -17,7 +17,7 @@ Layers, bottom up:
     composition, commutators, and application to a function's jet there.
 ``gaudin``
     The face-type elliptic Gaudin transfer matrix, the Weyl-Kac
-    denominator, and the commutativity certificate.
+    denominator, and the commutativity certificate in closed form.
 ``bethe``
     Bethe equations, a damped Newton solver, Bethe covectors, and the
     eigenvalue check for the transfer matrix.

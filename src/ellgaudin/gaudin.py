@@ -14,6 +14,8 @@ heat-type identity behind the conjugation is theta's heat equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -289,6 +291,27 @@ def site_depth(rs: RootSystemData, weights, depths) -> int:
     return need
 
 
+def _unit(l: int, r: int, times: int = 1) -> tuple:
+    """The multi-index times * e_r in l variables."""
+    return tuple(times * int(s == r) for s in range(l))
+
+
+def transfer_operator(zero: Jet, cartan: np.ndarray) -> DiffOperator:
+    """(1/2) Delta - sum_r A_r d_r + V as a differential operator, from V's
+    jet and the diagonals of A_r, shape ([B,] dim, l), as
+    ``GaudinProblem.transfer_parts`` returns them.  The first-order
+    coefficients -A_r are the only dense form of A_r."""
+    l, total, dim = zero.nvars, zero.total, cartan.shape[-2]
+    eye = np.eye(dim, dtype=complex)
+    first = -np.moveaxis(cartan, -1, 0)[..., None] * eye
+    coeffs = {}
+    for r in range(l):
+        coeffs[_unit(l, r, 2)] = Jet(l, total, [0.5 * eye])
+        coeffs[_unit(l, r)] = Jet(l, total, first[r, None])
+    coeffs[(0,) * l] = zero
+    return DiffOperator(l, dim, coeffs)
+
+
 class GaudinProblem:
     """Sites, modules, and the associated transfer operator family.
 
@@ -326,9 +349,7 @@ class GaudinProblem:
             raise GaudinError(
                 f"sites coincide mod lattice: z_{a[k] + 1} = z_{b[k] + 1}"
             )
-        self._units = [
-            tuple(int(s == r) for s in range(rs.rank)) for r in range(rs.rank)
-        ]
+        self._units = [_unit(rs.rank, r) for r in range(rs.rank)]
         weights = [mod.highest_weight for mod in modules]
         site_depth(rs, weights, [mod.depth for mod in modules])
         self.space = TensorSpace(modules)
@@ -491,38 +512,47 @@ class GaudinProblem:
 
     # -- operators ---------------------------------------------------------
 
+    def transfer_parts(self, u, H, order: int = 0) -> tuple:
+        """What the transfer operator at spectral parameter u varies by:
+        the jet at H, to the given order, of its zero-order coefficient
+        V = potential + (1/2) sum_r A_r(u)^2, and the diagonals of A_r(u),
+        shape ([B,] dim0, l).
+
+        ``u`` is a spectral parameter or a 1-D array of B of them; for an
+        array, V's coefficients are (n, B, dim0, dim0), and a scalar u is
+        the batch of one with that axis squeezed off.  One theta call
+        serves A_r(u) and the potential for the whole batch.  (1/2) A_r^2 is
+        added on the diagonal, elementwise.
+        """
+        us, scalar = _spectral_batch(u)
+        nsites = len(self.positions)
+        thetas = self._thetas(H, us, order)
+        A = self._cartan_from(thetas[: len(us) * nsites].reshape(len(us), nsites, -1))
+        zero = self.potential_jet(H, us, order, thetas).coeffs
+        diag = np.arange(self.space.dim0)
+        zero[0][..., diag, diag] += (A * A).sum(axis=-1) * 0.5
+        if scalar:
+            A, zero = A[0], zero[:, 0]
+        return Jet(self.rs.rank, order, zero), A
+
     def transfer(self, u, H, order: int = 0) -> DiffOperator:
         """The transfer operator at spectral parameter u,
-        (1/2) sum_r nabla_r^2 + potential, as a differential operator in xi
-        with its coefficient jets at H to the given order.
+        (1/2) sum_r nabla_r^2 + potential = (1/2) Delta - sum_r A_r(u) d_r + V,
+        Delta = sum_r d_r^2, as a differential operator in xi with its
+        coefficient jets at H to the given order: ``transfer_operator`` of
+        ``transfer_parts``.
 
         ``u`` is a spectral parameter or a 1-D array of B of them.  For an
         array, one operator serves the whole batch: its matrix coefficients
         carry a batch axis after the monomial one, (n, B, dim0, dim0), except
         the constant 0.5 * identity of the second-order terms, which stays
-        (1, dim0, dim0) and broadcasts; composition, commutators and ``apply``
-        then act entry by entry.  A scalar u is the batch of one with that
-        axis squeezed off.  One theta call serves the whole batch.
+        (1, dim0, dim0) and broadcasts; composition and ``apply`` then act
+        entry by entry.  A scalar u is the batch of one with that axis
+        squeezed off.  The commutator check does not build it: it takes
+        [transfer(u1), transfer(u2)] in closed form from the parts
+        (``commutator_values``).
         """
-        us, scalar = _spectral_batch(u)
-        l = self.rs.rank
-        nsites = len(self.positions)
-        eye = np.eye(self.space.dim0, dtype=complex)
-        # one theta call serves A_r(u) and the potential
-        thetas = self._thetas(H, us, order)
-        A = self._cartan_from(thetas[: len(us) * nsites].reshape(len(us), nsites, -1))
-        zero = self.potential_jet(H, us, order, thetas).coeffs
-        zero[0] += (A * A).sum(axis=-1)[..., None] * eye * 0.5
-        # the first-order coefficients -A_r, the only dense form of A_r
-        first = -np.moveaxis(A, -1, 0)[..., None] * eye
-        if scalar:
-            first, zero = first[:, 0], zero[:, 0]
-        coeffs = {}
-        for r, unit in enumerate(self._units):
-            coeffs[tuple(2 * s for s in unit)] = Jet(l, order, [0.5 * eye])
-            coeffs[unit] = Jet(l, order, first[r, None])
-        coeffs[(0,) * l] = Jet(l, order, zero)
-        return DiffOperator(l, self.space.dim0, coeffs)
+        return transfer_operator(*self.transfer_parts(u, H, order))
 
     def nabla(self, u: complex, order: int = 0) -> list:
         """The flat-connection operators nabla_r = d_r - A_r(u), with
@@ -586,6 +616,82 @@ class GaudinProblem:
 # ---------------------------------------------------------------------------
 
 
+def _principal(cartan: np.ndarray) -> dict:
+    """The constant derivative coefficients of (1/2) Delta - sum_r A_r d_r as
+    diagonals: 1/2 at 2 e_r and -A_r at e_r."""
+    l = cartan.shape[-1]
+    half = np.full(cartan.shape[:-1], 0.5, dtype=complex)
+    out = {}
+    for r in range(l):
+        out[_unit(l, r, 2)] = half
+        out[_unit(l, r)] = -cartan[..., r]
+    return out
+
+
+def commutator_values(first: tuple, second: tuple) -> dict:
+    """Coefficient values at H of [T1, T2] in closed form, for operators
+    T = (1/2) Delta - sum_r A_r d_r + V given as (V's jet, the diagonals of
+    A_r), as ``GaudinProblem.transfer_parts`` returns them; V's jets must
+    reach second order.
+
+    A_r is constant and diagonal, so the Leibniz rule leaves
+      C_0     = (1/2) Delta(V2 - V1) - sum_r A1_r d_r V2 + sum_r A2_r d_r V1
+                + V1 V2 - V2 V1,
+      C_{e_r} = d_r(V2 - V1) - [A1_r, V2] + [A2_r, V1],
+    where a diagonal acts on rows and [A_r, V]_ij = (a_i - a_j) V_ij: two
+    matrix products per sample.  The coefficients of order 2 to 4 come from
+    the constant parts alone, A1_r A2_s - A2_s A1_r, (1/2) A - A (1/2) and
+    (1/2)(1/2) - (1/2)(1/2), taken entrywise on the diagonals; on finite
+    data they are exactly zero, and NaN passes through them.  (The terms
+    (1/2) V2 - V2 (1/2) of order 2 cancel entrywise as well and are left
+    out.)  C_0 and C_{e_r} have shape ([B,] dim, dim), the coefficients
+    of order 2 to 4 are diagonals, shape ([B,] dim).  Each difference
+    pairs like terms of the two operators, so [T, T] is zero to the bit.
+    """
+    (v1, a1), (v2, a2) = first, second
+    l = v1.nvars
+    if min(v1.total, v2.total) < 2:
+        raise ValueError("the commutator's values need V's jets to second order")
+    units = [_unit(l, r) for r in range(l)]
+    d1 = [v1.coeff(e) for e in units]
+    d2 = [v2.coeff(e) for e in units]
+    m1, m2 = v1.value, v2.value
+
+    def rows(a, d):
+        # sum_r A_r d_r V, the diagonal acting on rows
+        return sum(a[..., r, None] * d[r] for r in range(l))
+
+    def bracket(a, v):
+        return (a[..., :, None] - a[..., None, :]) * v
+
+    # (1/2) d_r^2 V at H is V's Taylor coefficient at 2 e_r
+    half_laplacian = sum(
+        v2.coeff(_unit(l, r, 2)) - v1.coeff(_unit(l, r, 2)) for r in range(l)
+    )
+    out = {(0,) * l: half_laplacian + (rows(a2, d1) - rows(a1, d2)) + (m1 @ m2 - m2 @ m1)}
+    for r, e in enumerate(units):
+        out[e] = (d2[r] - d1[r]) + (bracket(a2[..., r], m1) - bracket(a1[..., r], m2))
+    principal = _principal(a2)
+    for beta, x in _principal(a1).items():
+        for gamma, y in principal.items():
+            mu = tuple(map(add, beta, gamma))
+            term = x * y - y * x
+            out[mu] = out[mu] + term if mu in out else term
+    return out
+
+
+def _batch_max(x: np.ndarray) -> np.ndarray:
+    """Largest entry modulus per entry of the leading batch axis, NaN kept."""
+    return np.max(np.abs(x).reshape(len(x), -1), axis=1)
+
+
+def _coeff_scale(zero: Jet, cartan: np.ndarray) -> np.ndarray:
+    """The largest coefficient entry of (1/2) Delta - sum_r A_r d_r + V at H,
+    max(1/2, |A_r|, |V(H)|), per batch entry: ``transfer``'s
+    ``max_coeff_norm``."""
+    return np.maximum(np.maximum(0.5, _batch_max(cartan)), _batch_max(zero.value))
+
+
 def commutativity_residual(
     problem: GaudinProblem,
     u1s,
@@ -596,14 +702,16 @@ def commutativity_residual(
     parameters and Cartan sample points.
 
     ``u1s`` and ``u2s`` are paired 1-D arrays of spectral parameters, or
-    two scalars for one pair.  Per Cartan point, one batched transfer
-    operator serves every u1 and one every u2 (the same operator when the
-    arrays are equal), and one batched commutator serves every pair; each
-    pair's residual is scaled by the product of its own two operators'
-    largest coefficients.  Returns the maximum relative residual over the
-    pairs and points together with the largest absolute top-degree (order
-    3 and 4) coefficients, which must vanish identically.  Every fold keeps
-    NaN.
+    two scalars for one pair.  Per Cartan point, one ``transfer_parts``
+    call serves every u1 and one every u2 (the same call when the arrays
+    are equal), and ``commutator_values`` gives the commutator's
+    coefficients in closed form for every pair at once; no
+    ``DiffOperator`` is built.  Each pair's residual is scaled by the
+    product of its two operators' largest coefficient entries,
+    max(1/2, |A_r|, |V(H)|), the ``max_coeff_norm`` of ``transfer``.
+    Returns the maximum relative residual over the pairs and points
+    together with the largest absolute top-degree (order 3 and 4)
+    coefficients, which must vanish identically.  Every fold keeps NaN.
     """
     u1s, _ = _spectral_batch(u1s)
     u2s, _ = _spectral_batch(u2s)
@@ -611,21 +719,22 @@ def commutativity_residual(
         raise GaudinError(
             f"paired spectral parameters differ in number: {len(u1s)} and {len(u2s)}"
         )
+    same = np.array_equal(u1s, u2s)
     max_rel = 0.0
     max_abs34 = {3: 0.0, 4: 0.0}
     for H in h_points:
-        # the commutator's coefficient values need both operators'
-        # coefficient jets to second order
-        t1 = problem.transfer(u1s, H, 2)
-        t2 = t1 if np.array_equal(u1s, u2s) else problem.transfer(u2s, H, 2)
-        comm = t1.commutator(t2)
-        scale = t1.max_coeff_norm() * t2.max_coeff_norm()
-        max_rel = np.maximum(max_rel, comm.max_coeff_norm() / np.maximum(scale, 1e-300))
-        for m, v in comm.evaluate().items():
+        # the commutator's values need V's jets to second order
+        first = problem.transfer_parts(u1s, H, 2)
+        second = first if same else problem.transfer_parts(u2s, H, 2)
+        values = commutator_values(first, second)
+        scale = _coeff_scale(*first) * _coeff_scale(*second)
+        norm = reduce(np.maximum, map(_batch_max, values.values()))
+        max_rel = np.maximum(max_rel, norm / np.maximum(scale, 1e-300))
+        for m, v in values.items():
             if sum(m) in (3, 4):
                 max_abs34[sum(m)] = np.maximum(max_abs34[sum(m)], np.max(np.abs(v)))
-        # this point's batched operators go before the next point's are built
-        del t1, t2, comm
+        # this point's arrays go before the next point's are built
+        del first, second, values
     return {
         "max_rel": float(np.max(max_rel)),
         "max_abs_order3": float(max_abs34[3]),

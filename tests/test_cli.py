@@ -38,8 +38,8 @@ from ellgaudin.cli import (
     render_sweep_csv,
     run,
 )
-from ellgaudin.diffop import DiffOperator
 from ellgaudin.elliptic import Jet, jet_indices
+from ellgaudin.gaudin import GaudinProblem
 from ellgaudin.liealg import TensorSpace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -508,18 +508,17 @@ def test_rank2_irreps_21_and_12_pass_commute_check():
 def test_nan_residual_fails_its_record(monkeypatch):
     # Python's max(1e-13, nan) is 1e-13: a NaN that follows a finite
     # residual in a fold must still reach the record and fail it
-    true_commutator = DiffOperator.commutator
+    true_parts = GaudinProblem.transfer_parts
     calls = []
 
-    def nan_after_first(self, other):
+    def nan_after_first(self, u, H, order=0):
         calls.append(None)
-        out = true_commutator(self, other)
+        zero, cartan = true_parts(self, u, H, order)
         if len(calls) == 1:
-            return out
-        nan = {m: Jet(j.nvars, j.total, j.coeffs * np.nan) for m, j in out.coeffs.items()}
-        return DiffOperator(out.nvars, out.dim, nan)
+            return zero, cartan
+        return Jet(zero.nvars, zero.total, zero.coeffs * np.nan), cartan * np.nan
 
-    monkeypatch.setattr(DiffOperator, "commutator", nan_after_first)
+    monkeypatch.setattr(GaudinProblem, "transfer_parts", nan_after_first)
     runner = CheckRunner(load_config(str(CONFIGS / "a1_n2_fund.ini")),
                          "commute-check", False)
     runner.stage_commute()
@@ -529,6 +528,44 @@ def test_nan_residual_fails_its_record(monkeypatch):
         "commute/top-order-coefficients",
     ]
     assert not any(r.passed for r in records.values())
+
+
+@pytest.mark.parametrize("config", ["a1_n2_fund", "a2_n2_33bar", "a2_bethe_m2"])
+def test_commute_check_fails_without_one_root_pair_term(monkeypatch, config):
+    # negative control: the second operator of every distinct pair loses
+    # the pair term of the first positive root from its potential, and
+    # the default commutator tolerance of 1e-8 must catch it
+    true_parts = GaudinProblem.transfer_parts
+    true_points = CheckRunner._spectral_points
+    drawn = []
+
+    def spectral_points(self, positions, count):
+        drawn.append(np.array(true_points(self, positions, count)))
+        return drawn[-1]
+
+    def drop_root(self, u, H, order=0):
+        if not np.array_equal(u, drawn[0][2::2]):
+            return true_parts(self, u, H, order)
+        full = self._pair
+        self._pair = full.copy()
+        self._pair[0] = 0.0
+        try:
+            return true_parts(self, u, H, order)
+        finally:
+            self._pair = full
+
+    monkeypatch.setattr(CheckRunner, "_spectral_points", spectral_points)
+    monkeypatch.setattr(GaudinProblem, "transfer_parts", drop_root)
+    cfg = load_config(str(CONFIGS / f"{config}.ini"))
+    assert cfg.tolerances["commutator"] == 1e-8
+    runner = CheckRunner(cfg, "commute-check", False)
+    runner.stage_commute()
+    records = {r.name: r for r in runner.report.records}
+    assert len(drawn) == 1
+    assert not records["commute/distinct-points"].passed
+    assert records["commute/distinct-points"].residual > 1e-3
+    assert records["commute/same-point"].passed
+    assert records["commute/top-order-coefficients"].passed
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +643,7 @@ _COMMON_RECORDS = {
 _SHIPPED_SOLUTIONS = {
     "a1_bethe_m1": 4, "a1_bethe_m1_sym": 3, "a1_bethe_m2": 4, "a1_bethe_m4": 4,
     "a1_n2_fund": 0, "a1_n3_mixed": 0, "a2_bethe_m2": 4, "a2_n2_21_12": 0,
-    "a2_n2_33bar": 0,
+    "a2_n2_33bar": 0, "a2_n3_adjoint": 0,
 }
 
 

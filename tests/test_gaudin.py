@@ -11,11 +11,13 @@ Key oracles:
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ellgaudin import gaudin
+from ellgaudin.cli import load_config
 from ellgaudin.elliptic import Jet, ModularData, jet_indices
 from ellgaudin.gaudin import (
     GaudinError,
@@ -38,6 +40,7 @@ RS3 = build_root_system("A", 3)
 MD = ModularData(0.8j)
 MD2 = ModularData(0.3 + 1.1j)
 MD3 = ModularData(-0.4 + 0.6j)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def fund_problem(md=MD, zs=(0.13, 0.41 + 0.2j)):
@@ -390,6 +393,92 @@ def test_transfer_family_commutes_dual_verma_sites():
     hs = sample_regular_cartan(RS1, MD, rng, 2)
     res = commutativity_residual(prob, us[0], us[1], hs)
     assert res["max_rel"] < 1e-12
+
+
+def _as_matrices(values, dim):
+    """Closed-form commutator values with the diagonals of order 2 to 4
+    laid out as matrices."""
+    eye = np.eye(dim)
+    return {m: v[..., None] * eye if sum(m) >= 2 else v for m, v in values.items()}
+
+
+def _values_gap(parts1, parts2):
+    """Largest entry gap between the closed-form commutator values and the
+    dense commutator of the two operators, and the dense values."""
+    dense = gaudin.transfer_operator(*parts1).commutator(
+        gaudin.transfer_operator(*parts2)
+    ).evaluate()
+    dim = parts1[1].shape[-2]
+    closed = _as_matrices(gaudin.commutator_values(parts1, parts2), dim)
+    assert closed.keys() == dense.keys()
+    gap = max(np.max(np.abs(closed[m] - dense[m])) for m in dense)
+    return gap, dense
+
+
+def random_parts(rng, nvars, dim, batch):
+    """A random order-2 jet of V and random diagonals of A_r, with a batch
+    axis of that length, or none for batch None."""
+    lead = () if batch is None else (batch,)
+    n = len(jet_indices(nvars, 2))
+    v = rng.normal(size=(n,) + lead + (dim, dim, 2)) @ [1, 1j]
+    a = rng.normal(size=lead + (dim, nvars, 2)) @ [1, 1j]
+    return Jet(nvars, 2, v), a
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_closed_form_commutator_matches_composition(nvars, batch):
+    # on random operators of the class (1/2) Delta - sum_r A_r d_r + V the
+    # commutator is O(1), so the closed form is compared to the dense
+    # Leibniz composition relative to the commutator's own size
+    rng = np.random.default_rng(600 + 10 * nvars + (batch or 0))
+    for dim in (1, 4):
+        first, second = (random_parts(rng, nvars, dim, batch) for _ in range(2))
+        gap, dense = _values_gap(first, second)
+        size = max(np.max(np.abs(v)) for v in dense.values())
+        assert size > 1.0
+        assert gap <= 1e-13 * size
+        if batch is not None:
+            # the residual's scale is max_coeff_norm, also where 1/2 wins
+            for v, a in (first, (Jet(nvars, 2, first[0].coeffs * 1e-3), first[1] * 1e-3)):
+                want = gaudin.transfer_operator(v, a).max_coeff_norm()
+                assert np.array_equal(gaudin._coeff_scale(v, a), want)
+            assert np.all(want == 0.5)
+        # [T, T] vanishes to the bit; NaN in A reaches every coefficient
+        # below order 4, which the constant 1/2 alone makes
+        same = gaudin.commutator_values(first, first)
+        assert all(np.max(np.abs(v)) == 0.0 for v in same.values())
+        nan = (first[0], first[1] * np.nan)
+        for m, v in gaudin.commutator_values(nan, second).items():
+            assert np.isnan(v).all() == (sum(m) < 4)
+
+
+def test_closed_form_commutator_needs_second_order_jets():
+    rng = np.random.default_rng(610)
+    zero, cartan = random_parts(rng, 2, 3, None)
+    short = Jet(2, 1, zero.coeffs[:3])
+    with pytest.raises(ValueError, match="second order"):
+        gaudin.commutator_values((short, cartan), (zero, cartan))
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in CONFIGS.glob("*.ini")))
+def test_closed_form_commutator_matches_composition_on_the_model(config):
+    # on the model the commutator vanishes, so the gap is measured against
+    # the product of the two operators' largest coefficients, the scale
+    # of the commute records
+    prob = load_config(str(CONFIGS / f"{config}.ini")).problem
+    rng = np.random.default_rng(620)
+    us = np.array(sample_spectral_points(prob.md, prob.positions, rng, 6))
+    for H in sample_regular_cartan(prob.rs, prob.md, rng, 2):
+        first = prob.transfer_parts(us[0::2], H, 2)
+        second = prob.transfer_parts(us[1::2], H, 2)
+        scale = (prob.transfer(us[0::2], H, 2).max_coeff_norm()
+                 * prob.transfer(us[1::2], H, 2).max_coeff_norm())
+        assert np.array_equal(
+            scale, gaudin._coeff_scale(*first) * gaudin._coeff_scale(*second)
+        )
+        gap, _ = _values_gap(first, second)
+        assert gap <= 1e-13 * np.min(scale)
 
 
 # ---------------------------------------------------------------------------

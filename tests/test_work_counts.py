@@ -2,12 +2,15 @@
 
 Each operator is assembled from coefficient jets at one Cartan point, so
 the checks need a fixed number of evaluations per point:
-- the commutator certificate builds each of its two transfer operators
-  once, at second order, so ``potential_jet`` runs twice per point, and
-  once when both spectral parameters are equal; a transfer operator is
-  batched over spectral parameters, so the commute stage builds one for
-  all first members of its pairs and one for all second members per
-  point, however many pairs it checks, and takes theta once per operator;
+- the commutator certificate takes each of its two transfer operators'
+  parts (V's jet and the diagonals of A_r) once, at second order, so
+  ``potential_jet`` runs twice per point, and once when both spectral
+  parameters are equal; the parts are batched over spectral parameters,
+  so the commute stage takes them once for all first members of its
+  pairs and once for all second members per point, however many pairs it
+  checks, and takes theta once per operator; the commutator is in closed
+  form, so no ``DiffOperator`` is built and nothing is composed, and the
+  stage's transient memory stays under a pinned tracemalloc peak;
 - composition forms each Leibniz term from one derivative gather of the
   coefficient array and one array jet product, and skips the terms that
   differentiate a constant coefficient;
@@ -52,6 +55,7 @@ arguments are the length of its first argument.
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +139,72 @@ def test_commutator_at_one_point_builds_one_operator_per_point(monkeypatch):
     res = commutativity_residual(prob, u, u, hs)
     assert res["max_rel"] == 0.0
     assert len(calls) == len(hs)
+
+
+def test_commutator_builds_no_operator_and_composes_nothing(monkeypatch):
+    prob = irrep_problem(2)
+    rng = np.random.default_rng(33)
+    hs = sample_regular_cartan(prob.rs, MD, rng, 3)
+    us = np.array(sample_spectral_points(MD, prob.positions, rng, 8))
+    built = count_calls(monkeypatch, diffop.DiffOperator, "__init__")
+    composed = count_calls(monkeypatch, diffop.DiffOperator, "compose")
+    parts = count_calls(monkeypatch, GaudinProblem, "transfer_parts")
+    res = commutativity_residual(prob, us[0::2], us[1::2], hs)
+    assert res["max_rel"] < 1e-12
+    assert built == [] and composed == []
+    assert len(parts) == 2 * len(hs)
+
+
+# four irreducible sites, dim0 15, at the sampling of the commute-large
+# benchmark workload (5 Cartan points, 8 pairs)
+A2_3_3_3BAR_3BAR = """\
+[algebra]
+series = A
+rank = 2
+
+[elliptic]
+tau = 0.8i
+
+[sites]
+count = 4
+z_1 = 0.11
+kind_1 = irrep
+weight_1 = 1, 0
+z_2 = 0.43+0.27i
+kind_2 = irrep
+weight_2 = 1, 0
+z_3 = 0.74+0.58i
+kind_3 = irrep
+weight_3 = 0, 1
+z_4 = 0.31+0.62i
+kind_4 = irrep
+weight_4 = 0, 1
+
+[sampling]
+cartan_count = 5
+pair_count = 8
+
+[rng]
+seed = 7
+"""
+
+
+def test_commute_stage_transient_memory(tmp_path):
+    # the closed-form commutator holds V's jets and two products per pair;
+    # the dense compositions it replaced peaked at 1.51 MB here, the closed
+    # form at 0.63 MB
+    path = tmp_path / "a2_3_3_3bar_3bar.ini"
+    path.write_text(A2_3_3_3BAR_3BAR, encoding="utf-8")
+    runner = CheckRunner(load_config(str(path)), "commute-check", False)
+    assert runner.problem.space.dim0 == 15
+    tracemalloc.start()
+    try:
+        runner.stage_commute()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in runner.report.records)
+    assert peak < 0.9e6
 
 
 def leibniz_terms(left, right) -> tuple:
