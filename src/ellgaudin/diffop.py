@@ -80,12 +80,6 @@ class DiffOperator:
     matrix-valued jet at H in nvars variables to total order k; ``k`` is
     the same for every coefficient.  Matrix coefficients act on
     vector-valued functions of xi by left multiplication.
-
-    The transfer operators are built as ``DiffOperator`` for ``apply`` in
-    the eigenvector check; their commutator is taken in closed form
-    (``gaudin.commutator_values``), not by ``compose``.  ``compose``
-    serves the conjugation route of ``gaudin.tilde_transfer`` and the
-    tests, ``commutator`` only the tests, as the closed form's reference.
     """
 
     def __init__(self, nvars: int, dim: int, coeffs: dict):

@@ -740,3 +740,18 @@ def commutativity_residual(
         "max_abs_order3": float(max_abs34[3]),
         "max_abs_order4": float(max_abs34[4]),
     }
+
+
+def composed_residual(problem: GaudinProblem, u1: complex, u2: complex, H) -> float:
+    """Relative size of [transfer(u1), transfer(u2)] at one pair and one
+    Cartan point by generic composition (``DiffOperator.commutator``),
+    scaled as in ``commutativity_residual``.
+
+    It shares none of ``commutator_values``' algebra, so a spot check with
+    it catches a closed form that loses a term of the commutator.  NaN is
+    kept.
+    """
+    first = problem.transfer(u1, H, 2)
+    second = problem.transfer(u2, H, 2)
+    scale = first.max_coeff_norm() * second.max_coeff_norm()
+    return float(first.commutator(second).max_coeff_norm() / np.maximum(scale, 1e-300))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ellgaudin import cli
+from ellgaudin import cli, gaudin
 from ellgaudin.bethe import BetheSystem
 from ellgaudin.cli import (
     COMMANDS,
@@ -562,6 +562,46 @@ def test_commute_check_fails_without_one_root_pair_term(monkeypatch, config):
     runner.stage_commute()
     records = {r.name: r for r in runner.report.records}
     assert len(drawn) == 1
+    assert not records["commute/distinct-points"].passed
+    assert records["commute/distinct-points"].residual > 1e-3
+    assert records["commute/same-point"].passed
+    assert records["commute/top-order-coefficients"].passed
+
+
+def test_composed_spot_check_catches_a_closed_form_that_hides_the_commutator(monkeypatch):
+    # a closed form that reads zero on a family that does not commute must
+    # still fail commute/distinct-points: the spot check composes the first
+    # pair at the first point generically
+    true_parts = GaudinProblem.transfer_parts
+    true_points = CheckRunner._spectral_points
+    drawn = []
+
+    def spectral_points(self, positions, count):
+        drawn.append(np.array(true_points(self, positions, count)))
+        return drawn[-1]
+
+    def drop_root(self, u, H, order=0):
+        if not np.isin(u, drawn[0][2::2]).all():
+            return true_parts(self, u, H, order)
+        full = self._pair
+        self._pair = full.copy()
+        self._pair[0] = 0.0
+        try:
+            return true_parts(self, u, H, order)
+        finally:
+            self._pair = full
+
+    true_values = gaudin.commutator_values
+
+    def hidden(first, second):
+        return {m: 0.0 * v for m, v in true_values(first, second).items()}
+
+    monkeypatch.setattr(CheckRunner, "_spectral_points", spectral_points)
+    monkeypatch.setattr(GaudinProblem, "transfer_parts", drop_root)
+    monkeypatch.setattr(gaudin, "commutator_values", hidden)
+    runner = CheckRunner(load_config(str(CONFIGS / "a1_n2_fund.ini")), "commute-check", False)
+    runner.stage_commute()
+    records = {r.name: r for r in runner.report.records}
     assert not records["commute/distinct-points"].passed
     assert records["commute/distinct-points"].residual > 1e-3
     assert records["commute/same-point"].passed

@@ -382,9 +382,10 @@ def test_commute_stage_work_does_not_grow_with_the_pair_count(monkeypatch, tmp_p
     few = commute_stage_counts(monkeypatch, tmp_path, 2)
     many = commute_stage_counts(monkeypatch, tmp_path, 8)
     # per Cartan point: the same-point operator, then one operator for the
-    # first and one for the second members of all pairs
+    # first and one for the second members of all pairs; and the two
+    # operators of the composed spot check at the first point
     cartan_count = load_config(str(CONFIGS / "a2_n2_33bar.ini")).sampling["cartan_count"]
-    assert few == many == (3 * cartan_count, 3 * cartan_count)
+    assert few == many == (3 * cartan_count + 2, 3 * cartan_count + 2)
 
 
 def bracket_system():
