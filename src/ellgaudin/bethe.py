@@ -29,7 +29,7 @@ from .elliptic import (
     linear_substitution_rows,
     zeta11_coeffs,
 )
-from .gaudin import GaudinError, GaudinProblem, _kernel_series, check_regular
+from .gaudin import GaudinError, GaudinProblem, _kernel_series, check_regular, root_values
 from .liealg import module_lowering, root_budget
 
 
@@ -481,12 +481,18 @@ class BetheSystem:
     def vector_jet(self, t, H, order: int = 0) -> Jet:
         """Jet of the Bethe vector over the zero-weight product basis.
 
+        ``t`` is one set of M roots and ``H`` one Cartan point, giving
+        coefficients (n, dim0), or ``t`` is an (E, M) stack paired with an
+        (E, l) stack ``H`` of entries, giving (n, E, dim0).  The entry axis
+        rides along every step below, so the whole batch takes one call of
+        each, and every entry is computed as it is alone.
+
         Component at a basis tuple (k_1..k_N): the sum over the splits of
         the roots into subsets S_a at the sites of the product of the site
         brackets <S_a; k_a; z_a, t>.  The work is on array jets, axis 0 in
         ``jet_indices`` order (``_vector_plan`` holds the indices):
-        - the kernels w_{-P(xi)}(t_j - target) take one ``_kernel_series``
-          call and one substitution into xi;
+        - the kernels w_{-P(xi)}(t_j - target) of every entry take one
+          ``_kernel_series`` call and one substitution into xi;
         - G_c(T, j), per site and label counts c the sum over the orderings
           of T that begin with j, is built for all basis indices at once by
           the Held-Karp recursion, one batched product per subset size:
@@ -498,39 +504,60 @@ class BetheSystem:
         """
         t = np.asarray(t, dtype=complex)
         H = np.asarray(H, dtype=complex)
-        check_regular(self.problem.rs, self.problem.md, H)
+        ts, Hs = np.atleast_2d(t), np.atleast_2d(H)
+        if t.ndim != H.ndim or len(ts) != len(Hs):
+            raise BetheError(
+                f"paired roots and Cartan points differ in number: {len(ts)} and {len(Hs)}"
+            )
+        count = len(ts)
+        check_regular(self.problem.rs, self.problem.md, Hs)
         keys, tops, layers, f_blocks, (members, starts), levels = self._vector_plan()
         l = self.problem.rs.rank
         n = len(jet_indices(l, order))
-        kernels = np.zeros((n, 0), dtype=complex)
+        kernels = np.zeros((n, count, 0), dtype=complex)
         if len(keys):
             prefixes = keys[:, :l] @ self._simple_roots
-            xs = t[keys[:, l]] - np.concatenate([t, self.problem.positions])[keys[:, l + 1]]
-            series = _kernel_series(-(prefixes @ H), xs, self.problem.md, order)
-            kernels = linear_substitution_rows(series, -prefixes)
+            zs = self.problem.positions
+            ends = np.concatenate([ts, np.broadcast_to(zs, (count, len(zs)))], axis=1)
+            xs = ts[:, keys[:, l]] - ends[:, keys[:, l + 1]]
+            c0s = -root_values(prefixes, Hs)
+            series = _kernel_series(c0s.ravel(), xs.ravel(), self.problem.md, order)
+            # one row per key, the entries after its coefficients
+            series = series.reshape(count, len(keys), -1).transpose(1, 2, 0)
+            kernels = linear_substitution_rows(series, -prefixes).swapaxes(1, 2)
         start = len(tops)
-        G = np.zeros((n, start + sum(len(b) for *_, b in layers), f_blocks.shape[1]), dtype=complex)
-        G[0, :start, 0] = tops
+        G = np.zeros(
+            (n, count, start + sum(len(b) for *_, b in layers), f_blocks.shape[1]),
+            dtype=complex,
+        )
+        G[0, :, :start, 0] = tops
         for pred, kern, blk in layers:
-            terms = array_jet_product(kernels[:, kern, None], G[:, pred], l, order)
-            rows = np.einsum("lij,nlj->nli", f_blocks[blk], terms.sum(axis=2))
-            G[:, start : start + len(blk)] = rows
+            # gathered in C order, entry-major, so that numpy sums each
+            # entry's terms in the order it does for the entry alone
+            factors = np.take(kernels, kern, axis=2)[..., None]
+            terms = array_jet_product(factors, np.take(G, pred, axis=2), l, order)
+            rows = np.einsum("lij,nelj->neli", f_blocks[blk], terms.sum(axis=3))
+            G[:, :, start : start + len(blk)] = rows
             start += len(blk)
-        brackets = np.add.reduceat(G[:, members], starts, axis=1).reshape(n, -1)
-        comps = np.eye(n, 1, dtype=complex)
+        brackets = np.add.reduceat(G[:, :, members], starts, axis=2).reshape(n, count, -1)
+        comps = np.zeros((n, count, 1), dtype=complex)
+        comps[0] = 1.0
         for prev, slots, firsts in levels:
-            products = array_jet_product(comps[:, prev], brackets[:, slots], l, order)
-            comps = np.add.reduceat(products, firsts, axis=1)
-        return Jet(l, order, comps)
+            products = array_jet_product(comps[:, :, prev], brackets[:, :, slots], l, order)
+            comps = np.add.reduceat(products, firsts, axis=2)
+        return Jet(l, order, comps[:, 0] if t.ndim == 1 else comps)
 
     # -- eigenvalue ----------------------------------------------------------
 
     def _zetas_at(self, t, us: np.ndarray) -> np.ndarray:
         """(zeta, zeta') at z_i - u for the sites, then at t_j - u for the
         roots, for every u of the 1-D array us, shape (len(us), N + M, 2),
-        in one kernel call."""
-        args = np.concatenate([self.problem.positions, np.asarray(t, dtype=complex)])
-        diffs = args[None, :] - us[:, None]
+        or per solution of an (S, M) stack t for every u of its row of the
+        (S, U) array us, shape (S, U, N + M, 2); in one kernel call."""
+        t = np.asarray(t, dtype=complex)
+        zs = self.problem.positions
+        args = np.concatenate([np.broadcast_to(zs, t.shape[:-1] + (len(zs),)), t], axis=-1)
+        diffs = args[..., None, :] - us[..., :, None]
         ze = zeta11_coeffs(diffs.ravel(), self.problem.md, 1)
         return ze.reshape(diffs.shape + (2,))
 
@@ -544,18 +571,21 @@ class BetheSystem:
         """tau_Psi(u) = 1/2 sum_r zeta_bar(h_r;u)^2 + d_u zeta_bar(rho;u).
 
         ``u`` is a spectral parameter, giving a complex number, or a 1-D
-        array of them, giving an array of values.  One kernel call serves
-        every u, Cartan direction and the rho term; each u's sums are
+        array of them, giving an array of values.  ``t`` may also be an
+        (S, M) stack of solutions, each with its own row of an (S, U)
+        array ``u``, giving (S, U) values.  One kernel call serves every
+        solution, u, Cartan direction and the rho term; each u's sums are
         their own matrix products, the same whatever the array around it.
         """
+        t = np.asarray(t, dtype=complex)
         us = np.asarray(u, dtype=complex)
-        ze = self._zetas_at(t, us.reshape(-1))
-        bars = ze[:, None, :, 0] @ self._charges
+        ze = self._zetas_at(t, us.reshape(t.shape[:-1] + (-1,)))
+        bars = ze[..., None, :, 0] @ self._charges
         rho = np.asarray(self.problem.rs.rho, dtype=complex)
         # d/du zeta(x - u) = -zeta'(x - u)
-        values = (0.5 * (bars @ bars.transpose(0, 2, 1)))[:, 0, 0] - (
-            (self._charges @ rho) @ ze[:, :, 1, None]
-        )[:, 0]
+        values = (0.5 * (bars @ np.swapaxes(bars, -1, -2)))[..., 0, 0] - (
+            (self._charges @ rho) @ ze[..., 1, None]
+        )[..., 0]
         return complex(values[0]) if us.ndim == 0 else values
 
     # -- verification ---------------------------------------------------------
@@ -563,32 +593,58 @@ class BetheSystem:
     def verify_eigenvector(self, t, h_points, u_points, tiny: float = 1e-12):
         """Relative residual of (transfer(u) - tau_Psi(u)) Psi over samples.
 
-        The eigenvalues at all ``u_points`` come from one ``eigenvalue``
-        call.  Per Cartan point the Bethe vector's jet is built once, and
-        one transfer operator batched over all ``u_points`` (a leading
-        batch axis on its coefficients) is applied to it in one ``apply``.
+        ``t`` is one solution, an M-vector, with its Cartan points
+        ``h_points``, shape (P, l), and spectral parameters ``u_points``,
+        shape (U,), giving one result; or an (S, M) stack of solutions,
+        each with its own samples, shapes (S, P, l) and (S, U), giving a
+        list of S results.  An entry is one (solution, Cartan point):
+        - one ``eigenvalue`` call gives every solution's eigenvalues;
+        - one ``vector_jet`` call builds the Bethe vector of every entry,
+          at the transfer operator's order, since it does not depend on u;
+        - one transfer operator, batched over every entry's spectral
+          parameters with the entry's Cartan point paired in, is applied
+          to the entries' jets in one ``apply``.  Entries whose vector is
+          numerically zero are left out of it.
+        Every entry's numbers are those it gets alone.
 
-        Returns a dict with the largest relative residual, the smallest
-        vector norm encountered, and a status flag; when the vector is
-        numerically zero everywhere the check is inconclusive.
+        Each result is a dict with the largest relative residual, the
+        smallest vector norm encountered, and a status flag; when the
+        vector is numerically zero at every point of a solution, its check
+        is inconclusive.
         """
-        max_rel = 0.0
-        min_norm = math.inf
-        seen_nonzero = False
-        us = np.asarray(u_points, dtype=complex).reshape(-1)
-        eigs = self.eigenvalue(t, us)
-        for H in h_points:
-            H = np.asarray(H, dtype=complex)
-            # the transfer operator is second order; one jet serves every u
-            psi_jet = self.vector_jet(t, H, 2)
-            psi = psi_jet.value
-            norm = float(np.max(np.abs(psi)))
-            min_norm = min(min_norm, norm)
-            if norm < tiny or not len(us):
-                continue
-            seen_nonzero = True
-            lhs = self.problem.transfer(us, H).apply(psi_jet)
-            rel = np.max(np.abs(lhs - eigs[:, None] * psi), axis=1) / norm
-            max_rel = np.maximum(max_rel, np.max(rel))
-        status = "ok" if seen_nonzero else "inconclusive"
-        return {"max_rel": float(max_rel), "min_norm": min_norm, "status": status}
+        t = np.asarray(t, dtype=complex)
+        single = t.ndim == 1
+        ts = t.reshape(-1, self.M)
+        count, l = len(ts), self.problem.rs.rank
+        hs = np.asarray(h_points, dtype=complex).reshape(count, -1, l)
+        us = np.asarray(u_points, dtype=complex).reshape(count, -1)
+        points, spectral = hs.shape[1], us.shape[1]
+        entries = hs.reshape(-1, l)
+        eigs = self.eigenvalue(ts, us)
+        norms, rels = [], {}
+        if len(entries):
+            # the transfer operator is second order
+            psi = self.vector_jet(np.repeat(ts, points, axis=0), entries, 2)
+            norms = np.max(np.abs(psi.value), axis=-1).tolist()
+        live = [e for e, norm in enumerate(norms) if not norm < tiny] if spectral else []
+        if live:
+            owners = np.array(live) // points
+            lanes = np.repeat(live, spectral)
+            operator = self.problem.transfer(us[owners].reshape(-1), entries[lanes])
+            lhs = operator.apply(Jet(l, 2, psi.coeffs[:, lanes]))
+            lhs = lhs.reshape(len(live), spectral, -1)
+            values = psi.value[live]
+            gap = np.abs(lhs - eigs[owners][..., None] * values[:, None])
+            rel = np.max(gap, axis=-1) / np.array(norms)[live][:, None]
+            rels = dict(zip(live, np.max(rel, axis=1)))
+        results = []
+        for s in range(count):
+            max_rel, min_norm, seen_nonzero = 0.0, math.inf, False
+            for e in range(s * points, (s + 1) * points):
+                min_norm = min(min_norm, norms[e])
+                if e in rels:
+                    seen_nonzero = True
+                    max_rel = np.maximum(max_rel, rels[e])
+            status = "ok" if seen_nonzero else "inconclusive"
+            results.append({"max_rel": float(max_rel), "min_norm": min_norm, "status": status})
+        return results[0] if single else results

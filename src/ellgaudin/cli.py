@@ -843,9 +843,14 @@ class CheckRunner:
             return  # bethe stage already recorded the failure
         tol = self.cfg.tolerances["eigen_residual"]
         sampling = self.cfg.sampling
-        for idx, t in enumerate(self._solutions):
+        note = ""
+        if self.negative:
+            note = "roots deliberately perturbed by 1e-3 (negative control)"
+        # every solution's samples first, in the order of the random stream,
+        # then one check for all of them
+        stack, h_points, u_points = [], [], []
+        for t in self._solutions:
             roots = np.array(t, dtype=complex)
-            note = ""
             if self.negative:
                 if roots.size == 0:
                     raise ConfigError(
@@ -853,18 +858,21 @@ class CheckRunner:
                     )
                 roots = roots.copy()
                 roots[0] += 1e-3
-                note = "roots deliberately perturbed by 1e-3 (negative control)"
-            h_points = sample_regular_cartan(
-                self.rs,
-                self.md,
-                self.rng,
-                sampling["cartan_count"],
-                box=sampling["box"],
-                guard=sampling["pole_guard"],
+            h_points.append(
+                sample_regular_cartan(
+                    self.rs,
+                    self.md,
+                    self.rng,
+                    sampling["cartan_count"],
+                    box=sampling["box"],
+                    guard=sampling["pole_guard"],
+                )
             )
             avoid = list(self.problem.positions) + list(roots)
-            u_points = self._spectral_points(avoid, sampling["u_count"])
-            result = system.verify_eigenvector(roots, h_points, u_points)
+            u_points.append(self._spectral_points(avoid, sampling["u_count"]))
+            stack.append(roots)
+        results = system.verify_eigenvector(np.array(stack), h_points, u_points)
+        for idx, result in enumerate(results):
             if result["status"] == "inconclusive":
                 # no eigenvector was checked, so the record cannot pass
                 self._record(

@@ -14,7 +14,8 @@ Matrix coefficients may carry a batch axis after the monomial one, shape
 (n, B, dim, dim): one operator then stands for B operators at the same
 point, such as the transfer operators at B spectral parameters.  An
 unbatched coefficient serves every entry, so composition, commutators
-and ``apply`` act entry by entry.
+and ``apply`` act entry by entry; ``apply`` also takes a function jet
+batched the same way, one function per entry.
 """
 
 from __future__ import annotations
@@ -194,9 +195,12 @@ class DiffOperator:
         """Value at the base point of the operator applied to a function.
 
         ``fjet`` is the function's jet at the same point, in nvars
-        variables with vector coefficients of length ``dim``; it must carry
-        at least the operator's order.  With batched coefficients the value
-        has shape (B, dim), one row per batch entry.
+        variables with vector coefficients of length ``dim``, shape
+        (n, dim), or batched like the operator, shape (n, B, dim), one
+        function per batch entry; it must carry at least the operator's
+        order.  With batched coefficients or a batched jet the value has
+        shape (B, dim), one row per batch entry.  Each entry is its own
+        matrix-vector product, the same whatever the batch around it.
         """
         if fjet.total < self.order:
             raise ValueError(
@@ -205,7 +209,7 @@ class DiffOperator:
             )
         out = np.zeros(self.dim, dtype=complex)
         for beta, jet in self.coeffs.items():
-            out = out + jet.value @ fjet.deriv(beta)
+            out = out + (jet.value @ fjet.deriv(beta)[..., None])[..., 0]
         return out
 
     def max_coeff_norm(self):

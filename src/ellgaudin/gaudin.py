@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -116,22 +115,56 @@ def _spectral_batch(u) -> tuple:
     return us.reshape(-1), us.ndim == 0
 
 
+def _cartan_batch(H, batch: int) -> tuple:
+    """The distinct Cartan points of H, shape (P, l), and the place of each
+    batch entry's point among them, shape (batch,).  H is one point for
+    the whole batch, P = 1, or a (batch, l) stack paired with it, whose
+    distinct rows are kept in order of first appearance."""
+    H = np.asarray(H, dtype=complex)
+    if H.ndim == 1:
+        return H[None], np.zeros(batch, dtype=int)
+    if len(H) != batch:
+        raise GaudinError(
+            f"paired Cartan points and spectral parameters differ in number: "
+            f"{len(H)} and {batch}"
+        )
+    places: dict = {}
+    at = [places.setdefault(tuple(h), len(places)) for h in H.tolist()]
+    points = np.array(list(places), dtype=complex).reshape(-1, H.shape[1])
+    return points, np.array(at, dtype=int)
+
+
 # ---------------------------------------------------------------------------
 # regularity of the Cartan point
 # ---------------------------------------------------------------------------
 
 
+def root_values(directions, H) -> np.ndarray:
+    """The pairings directions @ H of the rows of ``directions`` with a
+    Cartan point H, shape (K,), or with each row of a (P, l) stack of
+    points, shape (P, K): one matrix-vector product per point, which a
+    stacked product may round differently in the last bit."""
+    directions = np.asarray(directions, dtype=complex)
+    H = np.asarray(H, dtype=complex)
+    if H.ndim == 1:
+        return directions @ H
+    return np.array([directions @ h for h in H]).reshape(len(H), len(directions))
+
+
 def check_regular(rs: RootSystemData, md: ModularData, H, guard: float = 1e-9):
-    """Require alpha(H) to stay away from the period lattice for all roots.
+    """Require alpha(H) to stay away from the period lattice for all roots,
+    at a Cartan point H or at every row of a (P, l) stack of them, which
+    are checked in order.
 
     The exchange kernels w_{alpha(H)} and the Weyl-Kac denominator are
     singular when any root takes a lattice value on H.
     """
-    cs = np.asarray(rs.positive_roots, dtype=complex) @ np.asarray(H, dtype=complex)
+    cs = root_values(rs.positive_roots, H).reshape(-1)
     near = lattice_distance(cs, md) < guard
     if near.any():
         k = int(np.argmax(near))
         c = complex(cs[k])
+        k %= rs.n_positive
         lam = nearest_lattice_point(c, md)
         raise GaudinError(
             f"Cartan point is singular: root #{k} takes the value "
@@ -437,21 +470,23 @@ class GaudinProblem:
         """Theta's Taylor coefficients, to order max(order, 1), at every
         argument of the exchange potential for the batch us of B spectral
         parameters, in one kernel call: first the B N sites
-        x_bi = z_i - u_b, then c_k = alpha_k(H) for the positive roots,
-        which the whole batch shares, then x_bi - c_k and x_bi + c_k, each
-        ordered by (b, k, i).  H is checked for regularity once, and every
-        x_bi and c_k for a pole."""
-        H = np.asarray(H, dtype=complex)
-        check_regular(self.rs, self.md, H, self.pole_guard)
+        x_bi = z_i - u_b, then c_pk = alpha_k(H_p) for the positive roots
+        at each of the P distinct Cartan points (``_cartan_batch``), which
+        the entries at that point share, then x_bi - c_k and x_bi + c_k at
+        entry b's point, each ordered by (b, k, i).  Each distinct point is
+        checked for regularity once, in order, and every x_bi and c_pk for
+        a pole."""
+        points, at = _cartan_batch(H, len(us))
+        check_regular(self.rs, self.md, points, self.pole_guard)
         xs = self._site_args(us)
-        cs = np.asarray(self.rs.positive_roots, dtype=complex) @ H
-        minus = xs[:, None, :] - cs[None, :, None]
-        plus = xs[:, None, :] + cs[None, :, None]
-        args = np.concatenate([xs.ravel(), cs, minus.ravel(), plus.ravel()])
+        cs = root_values(self.rs.positive_roots, points)
+        minus = xs[:, None, :] - cs[at][:, :, None]
+        plus = xs[:, None, :] + cs[at][:, :, None]
+        args = np.concatenate([xs.ravel(), cs.ravel(), minus.ravel(), plus.ravel()])
         th = theta11_coeffs(args, self.md, max(order, 1))
         nx = xs.size
         _pole_check(th[:nx, 0], xs.ravel(), self.md, "z")
-        _pole_check(th[nx : nx + len(cs), 0], -cs, self.md, "c")
+        _pole_check(th[nx : nx + cs.size, 0], -cs.ravel(), self.md, "c")
         return th
 
     def _contract(self, jets: np.ndarray) -> np.ndarray:
@@ -472,19 +507,21 @@ class GaudinProblem:
         ``u`` is a spectral parameter or a 1-D array of B of them.  For an
         array, the jet's coefficients carry a batch axis after the monomial
         one, shape (n, B, dim0, dim0); a scalar u is the batch of one with
-        that axis squeezed off.
+        that axis squeezed off.  ``H`` is one Cartan point for the whole
+        batch, shape (l,), or a (B, l) stack paired with the array u, each
+        entry's jet then taken at its own point.
 
         For a positive root alpha, with c = alpha(H), h = alpha(xi - H) and
         x_i = z_i - u, theta's oddness gives
           w_{c+h}(x_i)  = -theta'(0) theta(x_i - c - h) / (theta(x_i) theta(c + h)),
           w_{-c-h}(x_i) =  theta'(0) theta(x_i + c + h) / (theta(x_i) theta(c + h)),
         and the root -alpha pairs the same two kernels with i and j swapped.
-        So theta is taken once per site and u, once per positive root for
-        the whole batch and once per (u, site, positive root) and sign, all
-        in one kernel call (``_thetas``); ``thetas`` passes in that call's
-        result where the caller already has it.  The kernels' coefficients
-        in h form arrays lo[a, b, k, i] and up[c, b, k, j] (``_w_coeffs``),
-        for all positive roots k at once; their products
+        So theta is taken once per site and u, once per positive root and
+        distinct Cartan point and once per (u, site, positive root) and
+        sign, all in one kernel call (``_thetas``); ``thetas`` passes in
+        that call's result where the caller already has it.  The kernels'
+        coefficients in h form arrays lo[a, b, k, i] and up[c, b, k, j]
+        (``_w_coeffs``), for all positive roots k at once; their products
         c[m, b, k, i, j] = sum_{a+c=m} lo[a, b, k, i] up[c, b, k, j] are
         substituted into the xi variables in one call, and the jets contract
         with the stacked pair operators ``_pair[k, i, j]`` of alpha and
@@ -496,12 +533,14 @@ class GaudinProblem:
             thetas = self._thetas(H, us, order)
         rs, md = self.rs, self.md
         batch, nsites, npos = len(us), len(self.positions), rs.n_positive
-        nx = batch * nsites
+        points, at = _cartan_batch(H, batch)
+        nx, nc = batch * nsites, len(points) * npos
         th = thetas[:, : order + 1]
         tz = thetas[:nx, 0].reshape(batch, 1, nsites)
-        scales = _inverse_theta(th[nx : nx + npos], md).T[:, None, :, None]
+        inverse = _inverse_theta(th[nx : nx + nc], md).reshape(len(points), npos, -1)
+        scales = np.moveaxis(inverse[at], -1, 0)[..., None]
         # theta(x - c) and theta(x + c), indexed (term, sign, b, k, i)
-        shifted = np.moveaxis(th[nx + npos :].reshape(2, batch, npos, nsites, -1), -1, 0)
+        shifted = np.moveaxis(th[nx + nc :].reshape(2, batch, npos, nsites, -1), -1, 0)
         # the potential's factor 1/2 rides on lo
         lo = _w_coeffs(shifted[:, 0], scales, tz) * 0.5
         up = array_jet_product(shifted[:, 1], scales, 1, order) * (1.0 / tz)
@@ -520,9 +559,12 @@ class GaudinProblem:
 
         ``u`` is a spectral parameter or a 1-D array of B of them; for an
         array, V's coefficients are (n, B, dim0, dim0), and a scalar u is
-        the batch of one with that axis squeezed off.  One theta call
-        serves A_r(u) and the potential for the whole batch.  (1/2) A_r^2 is
-        added on the diagonal, elementwise.
+        the batch of one with that axis squeezed off.  ``H`` is one Cartan
+        point for the whole batch, shape (l,), or a (B, l) stack paired
+        with the array u; theta then takes alpha(H) once per distinct
+        point, and each entry equals the call at its own point alone.  One
+        theta call serves A_r(u) and the potential for the whole batch.
+        (1/2) A_r^2 is added on the diagonal, elementwise.
         """
         us, scalar = _spectral_batch(u)
         nsites = len(self.positions)
@@ -542,10 +584,12 @@ class GaudinProblem:
         coefficient jets at H to the given order: ``transfer_operator`` of
         ``transfer_parts``.
 
-        ``u`` is a spectral parameter or a 1-D array of B of them.  For an
-        array, one operator serves the whole batch: its matrix coefficients
-        carry a batch axis after the monomial one, (n, B, dim0, dim0), except
-        the constant 0.5 * identity of the second-order terms, which stays
+        ``u`` is a spectral parameter or a 1-D array of B of them, and ``H``
+        one Cartan point or a (B, l) stack paired with u, as in
+        ``transfer_parts``.  For an array, one operator serves the whole
+        batch: its matrix coefficients carry a batch axis after the
+        monomial one, (n, B, dim0, dim0), except the constant
+        0.5 * identity of the second-order terms, which stays
         (1, dim0, dim0) and broadcasts; composition and ``apply`` then act
         entry by entry.  A scalar u is the batch of one with that axis
         squeezed off.  The commutator check does not build it: it takes
@@ -616,18 +660,6 @@ class GaudinProblem:
 # ---------------------------------------------------------------------------
 
 
-def _principal(cartan: np.ndarray) -> dict:
-    """The constant derivative coefficients of (1/2) Delta - sum_r A_r d_r as
-    diagonals: 1/2 at 2 e_r and -A_r at e_r."""
-    l = cartan.shape[-1]
-    half = np.full(cartan.shape[:-1], 0.5, dtype=complex)
-    out = {}
-    for r in range(l):
-        out[_unit(l, r, 2)] = half
-        out[_unit(l, r)] = -cartan[..., r]
-    return out
-
-
 def commutator_values(first: tuple, second: tuple) -> dict:
     """Coefficient values at H of [T1, T2] in closed form, for operators
     T = (1/2) Delta - sum_r A_r d_r + V given as (V's jet, the diagonals of
@@ -640,13 +672,13 @@ def commutator_values(first: tuple, second: tuple) -> dict:
       C_{e_r} = d_r(V2 - V1) - [A1_r, V2] + [A2_r, V1],
     where a diagonal acts on rows and [A_r, V]_ij = (a_i - a_j) V_ij: two
     matrix products per sample.  The coefficients of order 2 to 4 come from
-    the constant parts alone, A1_r A2_s - A2_s A1_r, (1/2) A - A (1/2) and
-    (1/2)(1/2) - (1/2)(1/2), taken entrywise on the diagonals; on finite
-    data they are exactly zero, and NaN passes through them.  (The terms
-    (1/2) V2 - V2 (1/2) of order 2 cancel entrywise as well and are left
-    out.)  C_0 and C_{e_r} have shape ([B,] dim, dim), the coefficients
-    of order 2 to 4 are diagonals, shape ([B,] dim).  Each difference
-    pairs like terms of the two operators, so [T, T] is zero to the bit.
+    the constant parts alone and commute entrywise, so they are
+    identically zero; only those of order 3 at 2 e_r + e_s,
+    (1/2) A_s - A_s (1/2) from either operator, are formed, as
+    diagonals of shape ([B,] dim), because they carry NaN in A into the
+    top-order check.  C_0 and C_{e_r} have shape ([B,] dim, dim).  Each
+    difference pairs like terms of the two operators, so [T, T] is zero to
+    the bit.
     """
     (v1, a1), (v2, a2) = first, second
     l = v1.nvars
@@ -671,12 +703,11 @@ def commutator_values(first: tuple, second: tuple) -> dict:
     out = {(0,) * l: half_laplacian + (rows(a2, d1) - rows(a1, d2)) + (m1 @ m2 - m2 @ m1)}
     for r, e in enumerate(units):
         out[e] = (d2[r] - d1[r]) + (bracket(a2[..., r], m1) - bracket(a1[..., r], m2))
-    principal = _principal(a2)
-    for beta, x in _principal(a1).items():
-        for gamma, y in principal.items():
-            mu = tuple(map(add, beta, gamma))
-            term = x * y - y * x
-            out[mu] = out[mu] + term if mu in out else term
+    for s in range(l):
+        # 0 on finite data, NaN where A is NaN
+        third = (0.5 * a2[..., s] - a2[..., s] * 0.5) + (a1[..., s] * 0.5 - 0.5 * a1[..., s])
+        for r in range(l):
+            out[tuple(2 * (i == r) + (i == s) for i in range(l))] = third
     return out
 
 
@@ -711,7 +742,8 @@ def commutativity_residual(
     max(1/2, |A_r|, |V(H)|), the ``max_coeff_norm`` of ``transfer``.
     Returns the maximum relative residual over the pairs and points
     together with the largest absolute top-degree (order 3 and 4)
-    coefficients, which must vanish identically.  Every fold keeps NaN.
+    coefficients, which must vanish identically; order 4 is never formed
+    and reads 0.  Every fold keeps NaN.
     """
     u1s, _ = _spectral_batch(u1s)
     u2s, _ = _spectral_batch(u2s)

@@ -112,9 +112,6 @@ class RootSystemData:
         # omega_i(h_r) = coefficient of H_i in h_r
         self.fundamental_weights = np.array(coeff).T.copy()
         self.rho = self.fundamental_weights.sum(axis=0)
-        self.cartan_matrix = np.rint(
-            self.simple_roots @ self.simple_roots.T
-        ).astype(int)
         self.root_heights = tuple(b - a for (a, b) in pos_ab)
 
     # -- helpers --------------------------------------------------------
@@ -130,10 +127,6 @@ class RootSystemData:
     def weight_from_fundamental(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=complex)
         return coeffs @ self.fundamental_weights
-
-    def weight_from_simple_roots(self, coeffs) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=complex)
-        return coeffs @ self.simple_roots.astype(complex)
 
     def fundamental_coords(self, weight) -> np.ndarray:
         """Pairings weight(H_i); integral dominant weights give ints."""

@@ -156,6 +156,17 @@ def normalized_form_direct(
     )
 
 
+def cartan_matrix(rs) -> np.ndarray:
+    """The Cartan matrix (alpha_i | alpha_j) of the simple roots, as
+    integers."""
+    return np.rint(rs.simple_roots @ rs.simple_roots.T).astype(int)
+
+
+def weight_from_simple_roots(rs, coeffs) -> np.ndarray:
+    """The weight sum_i coeffs[i] alpha_i."""
+    return np.asarray(coeffs, dtype=complex) @ rs.simple_roots.astype(complex)
+
+
 def weyl_dimension(lam, positive_roots, rho) -> int:
     """Weyl dimension formula; weights given in orthonormal coordinates."""
     num = 1.0
@@ -456,6 +467,32 @@ def bethe_vector_reference(system, t, H, order: int = 0):
         comps.append(acc)
     coeffs = {m: np.array([c.get(m, 0j) for c in comps]) for m in set().union(*comps)}
     return as_jet(rank, order, coeffs)
+
+
+def verify_eigenvector_reference(system, t, h_points, u_points, tiny: float = 1e-12):
+    """The eigen check of one solution as a loop over its Cartan points:
+    per point, the Bethe vector's jet alone and one transfer operator over
+    all ``u_points`` applied to it, folded point by point into the largest
+    relative residual, the smallest vector norm and a status."""
+    max_rel = 0.0
+    min_norm = math.inf
+    seen_nonzero = False
+    us = np.asarray(u_points, dtype=complex).reshape(-1)
+    eigs = system.eigenvalue(t, us)
+    for H in h_points:
+        H = np.asarray(H, dtype=complex)
+        psi_jet = system.vector_jet(t, H, 2)
+        psi = psi_jet.value
+        norm = float(np.max(np.abs(psi)))
+        min_norm = min(min_norm, norm)
+        if norm < tiny or not len(us):
+            continue
+        seen_nonzero = True
+        lhs = system.problem.transfer(us, H).apply(psi_jet)
+        rel = np.max(np.abs(lhs - eigs[:, None] * psi), axis=1) / norm
+        max_rel = np.maximum(max_rel, np.max(rel))
+    status = "ok" if seen_nonzero else "inconclusive"
+    return {"max_rel": float(max_rel), "min_norm": min_norm, "status": status}
 
 
 # ---------------------------------------------------------------------------

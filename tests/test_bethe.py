@@ -24,7 +24,7 @@ from ellgaudin.bethe import (
     default_assignment,
     halton_points,
 )
-from ellgaudin.cli import load_config
+from ellgaudin.cli import CheckRunner, load_config
 from ellgaudin.elliptic import (
     EllipticError,
     ModularData,
@@ -46,6 +46,7 @@ from oracles import (
     bethe_vector_bruteforce_a1,
     bethe_vector_reference,
     fd_multi,
+    verify_eigenvector_reference,
     w_direct,
 )
 
@@ -458,6 +459,126 @@ def test_verification_inconclusive_below_threshold():
         sols[0].t, hpts, [0.62 + 0.3j], tiny=np.inf
     )
     assert report["status"] == "inconclusive"
+
+
+# ---------------------------------------------------------------------------
+# one batched pass over (solution, Cartan point) entries
+# ---------------------------------------------------------------------------
+
+
+# rank 1, M = 6 on three sites: Held-Karp layers of five and more terms,
+# which numpy sums pairwise, so an entry axis in the wrong place in memory
+# changes the eigen residual (4.2e-8 here) in its third digit
+A1_M6 = """
+[algebra]
+series = A
+rank = 1
+[elliptic]
+tau = 0.8i
+[sites]
+count = 3
+z_1 = 0.11
+kind_1 = dual_verma
+weight_1 = 4.2660+0.0894i
+depth_1 = 7
+z_2 = 0.43+0.27i
+kind_2 = dual_verma
+weight_2 = 4.2405-0.2321i
+depth_2 = 7
+z_3 = 0.71+0.52i
+kind_3 = dual_verma
+weight_3 = 3.4935+0.1427i
+depth_3 = 7
+[bethe]
+n_seeds = 16
+max_solutions = 1
+[sampling]
+cartan_count = 3
+u_count = 2
+"""
+
+
+@pytest.mark.parametrize(
+    "config,negative,tiny",
+    [
+        ("a1_bethe_m4", False, 1e-12),
+        ("a1_bethe_m4", True, 1e-12),
+        ("a1_bethe_m4", False, np.inf),
+        ("a2_bethe_m2", False, 1e-12),
+        ("a2_bethe_m2", True, 1e-12),
+        ("a2_bethe_m2", False, np.inf),
+        ("a1_m6", False, 1e-12),
+    ],
+)
+def test_batched_eigen_stage_equals_per_point_reference(
+    monkeypatch, tmp_path, config, negative, tiny
+):
+    # the stage checks every solution in one call; each solution's result
+    # must be, to the bit, that of the loop over its Cartan points
+    if config == "a1_m6":
+        path = tmp_path / "a1_m6.ini"
+        path.write_text(A1_M6, encoding="utf-8")
+    else:
+        path = CONFIGS / f"{config}.ini"
+    calls = []
+    verify = BetheSystem.verify_eigenvector
+
+    def recording(self, t, h_points, u_points, tiny_=1e-12):
+        out = verify(self, t, h_points, u_points, tiny=tiny)
+        calls.append((self, t, h_points, u_points, out))
+        return out
+
+    monkeypatch.setattr(BetheSystem, "verify_eigenvector", recording)
+    runner = CheckRunner(load_config(str(path)), "eigen-check", negative)
+    runner.run()
+    (system, t, h_points, u_points, results), = calls
+    assert len(results) == len(t) >= 1
+    for k, result in enumerate(results):
+        want = verify_eigenvector_reference(system, t[k], h_points[k], u_points[k], tiny)
+        assert result == want
+        assert result["status"] == ("inconclusive" if tiny == np.inf else "ok")
+    records = [r for r in runner.report.records if r.name.startswith("eigen/")]
+    assert [r.passed for r in records] == [not negative and tiny < 1] * len(results)
+
+
+def test_batched_vector_jet_equals_single_entries():
+    system = BetheSystem(load_config(str(CONFIGS / "a2_bethe_m2.ini")).problem)
+    rng = np.random.default_rng(91)
+    hs = np.array(sample_regular_cartan(system.problem.rs, MD, rng, 4))
+    ts = np.array([[0.21 + 0.13j, 0.52 + 0.4j], [0.35 + 0.2j, 0.61 + 0.33j]] * 2)
+    for order in (0, 2):
+        batched = system.vector_jet(ts, hs, order).coeffs
+        assert batched.shape[1] == len(hs)
+        for e, (t, H) in enumerate(zip(ts, hs)):
+            assert np.array_equal(batched[:, e], system.vector_jet(t, H, order).coeffs)
+    for t, H in [(ts[:3], hs[:2]), (ts[0], hs)]:
+        with pytest.raises(BetheError, match="differ in number"):
+            system.vector_jet(t, H)
+
+
+def test_stacked_eigenvalue_equals_single_solutions():
+    c1 = 0.73 + 0.21j
+    sysb = make_system([c1, 2 - c1])
+    ts = np.array([[0.21 + 0.13j, 0.52 + 0.4j], [0.33 + 0.1j, 0.71 + 0.45j]])
+    us = np.array([[0.62 + 0.3j, -0.1 + 0.2j, 0.25 + 0.55j], [0.4 + 0.6j, 0.1 + 0.3j, 0.8 + 0.2j]])
+    values = sysb.eigenvalue(ts, us)
+    assert values.shape == us.shape
+    for t, u, row in zip(ts, us, values):
+        assert row.tolist() == sysb.eigenvalue(t, u).tolist()
+
+
+def test_verify_stack_with_differing_samples_per_solution():
+    c1 = 0.73 + 0.21j
+    sysb = make_system([c1, 2 - c1])
+    sols = sysb.solve(n_seeds=8)
+    rng = np.random.default_rng(93)
+    ts = np.array([sols[0].t, sols[0].t + 1e-3])
+    hs = [sample_regular_cartan(RS1, MD, rng, 3) for _ in ts]
+    us = [[0.62 + 0.3j, -0.1 + 0.2j], [0.25 + 0.55j, 0.4 + 0.6j]]
+    results = sysb.verify_eigenvector(ts, hs, us)
+    for t, h, u, result in zip(ts, hs, us, results):
+        assert result == verify_eigenvector_reference(sysb, t, h, u)
+    assert results[0]["max_rel"] < 1e-6 < 1e-4 < results[1]["max_rel"]
 
 
 # ---------------------------------------------------------------------------

@@ -506,3 +506,24 @@ def test_commutator_equals_difference_of_compositions(nvars, kind):
         for op, saved in zip((a, b), before):
             assert op.coeffs.keys() == saved.keys()
             assert all(np.array_equal(op.coeffs[m].coeffs, saved[m]) for m in saved)
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_batched_apply_equals_apply_per_entry(nvars, dim):
+    # a function jet batched like the operator, (n, B, dim), gives one row
+    # per entry, each to the bit what the entry's operator gives alone
+    rng = np.random.default_rng(700 + 10 * nvars + dim)
+    n = len(jet_indices(nvars, 2))
+    for _ in range(4):
+        op = random_operator(rng, nvars, dim, 2, 1, "batched")
+        fjet = Jet(nvars, 2, rng.normal(size=(n, 3, dim, 2)) @ [1, 1j])
+        got = op.apply(fjet)
+        assert got.shape == (3, dim)
+        for b in range(3):
+            entry = DiffOperator(nvars, dim, {
+                m: Jet(nvars, 1, jet.coeffs[:, b] if jet.coeffs.ndim == 4 else jet.coeffs)
+                for m, jet in op.coeffs.items()
+            })
+            alone = entry.apply(Jet(nvars, 2, fjet.coeffs[:, b]))
+            assert np.array_equal(got[b], alone)

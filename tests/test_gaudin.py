@@ -396,22 +396,24 @@ def test_transfer_family_commutes_dual_verma_sites():
 
 
 def _as_matrices(values, dim):
-    """Closed-form commutator values with the diagonals of order 2 to 4
-    laid out as matrices."""
+    """Closed-form commutator values with the order-3 diagonals laid out as
+    matrices."""
     eye = np.eye(dim)
     return {m: v[..., None] * eye if sum(m) >= 2 else v for m, v in values.items()}
 
 
 def _values_gap(parts1, parts2):
     """Largest entry gap between the closed-form commutator values and the
-    dense commutator of the two operators, and the dense values."""
+    dense commutator of the two operators, and the dense values.  The
+    closed form leaves out the coefficients that vanish identically, so an
+    absent key reads as zero."""
     dense = gaudin.transfer_operator(*parts1).commutator(
         gaudin.transfer_operator(*parts2)
     ).evaluate()
     dim = parts1[1].shape[-2]
     closed = _as_matrices(gaudin.commutator_values(parts1, parts2), dim)
-    assert closed.keys() == dense.keys()
-    gap = max(np.max(np.abs(closed[m] - dense[m])) for m in dense)
+    assert closed.keys() <= dense.keys()
+    gap = max(np.max(np.abs(closed.get(m, 0.0) - dense[m])) for m in dense)
     return gap, dense
 
 
@@ -445,12 +447,13 @@ def test_closed_form_commutator_matches_composition(nvars, batch):
                 assert np.array_equal(gaudin._coeff_scale(v, a), want)
             assert np.all(want == 0.5)
         # [T, T] vanishes to the bit; NaN in A reaches every coefficient
-        # below order 4, which the constant 1/2 alone makes
+        # formed, the order-3 ones among them
         same = gaudin.commutator_values(first, first)
         assert all(np.max(np.abs(v)) == 0.0 for v in same.values())
         nan = (first[0], first[1] * np.nan)
-        for m, v in gaudin.commutator_values(nan, second).items():
-            assert np.isnan(v).all() == (sum(m) < 4)
+        values = gaudin.commutator_values(nan, second)
+        assert {sum(m) for m in values} == {0, 1, 3}
+        assert all(np.isnan(v).all() for v in values.values())
 
 
 def test_closed_form_commutator_needs_second_order_jets():
@@ -524,6 +527,39 @@ def test_batched_transfer_rows_match_scalar_calls(rank, order, batch):
                 assert got.shape == (len(want), batch, dim, dim)
                 got = got[:, b]
             assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_paired_transfer_parts_equal_per_point_calls(rank, order):
+    # Cartan points paired with the spectral parameters, each repeated over
+    # its own batch of u as the eigen check pairs them: every entry equals
+    # the call at its point alone, to the bit
+    prob = irrep_pair_problem(rank)
+    rng = np.random.default_rng(97 + rank)
+    hs = np.array(sample_regular_cartan(prob.rs, prob.md, rng, 3))
+    us = np.array(sample_spectral_points(prob.md, prob.positions, rng, 6)).reshape(3, 2)
+    zero, cartan = prob.transfer_parts(us.ravel(), np.repeat(hs, 2, axis=0), order)
+    assert zero.coeffs.shape[1] == cartan.shape[0] == us.size
+    for p, (H, row) in enumerate(zip(hs, us)):
+        want_zero, want_cartan = prob.transfer_parts(row, H, order)
+        assert np.array_equal(zero.coeffs[:, 2 * p : 2 * p + 2], want_zero.coeffs)
+        assert np.array_equal(cartan[2 * p : 2 * p + 2], want_cartan)
+    with pytest.raises(GaudinError, match="differ in number"):
+        prob.transfer_parts(us.ravel(), hs, order)
+
+
+def test_paired_regularity_check_names_the_first_singular_point():
+    # a stack of points is checked in order; the first singular one names
+    # its root as a single point would
+    simple = np.asarray(RS2.simple_roots, dtype=complex)
+    good, bad, worse = (
+        np.linalg.solve(simple, np.array(values, dtype=complex))
+        for values in [(0.31 + 0.2j, 0.42 - 0.1j), (0.31 + 0.2j, 1.0), (0.8j, -0.8j)]
+    )
+    check_regular(RS2, MD, np.array([good, good]))
+    with pytest.raises(GaudinError, match="root #1 takes"):
+        check_regular(RS2, MD, np.array([good, bad, worse]))
 
 
 @pytest.mark.parametrize("rank", [1, 2])

@@ -14,10 +14,13 @@ the checks need a fixed number of evaluations per point:
 - composition forms each Leibniz term from one derivative gather of the
   coefficient array and one array jet product, and skips the terms that
   differentiate a constant coefficient;
-- the eigenvector check builds the Bethe vector, which does not depend
-  on the spectral parameter, once per point, at the operator's order, and
-  one transfer operator per point for all its spectral parameters, with
-  their eigenvalues from one call;
+- the eigenvector check takes every (solution, Cartan point) entry in
+  one pass: one ``vector_jet`` call builds the Bethe vector, which does
+  not depend on the spectral parameter, at every entry at the operator's
+  order; one transfer operator, its Cartan points paired with every
+  entry's spectral parameters, is built and applied once; and one
+  eigenvalue call serves every solution, so the eigen stage's call counts
+  do not grow with the number of solutions or Cartan points;
 - the explicit conjugated operator reads every log-derivative of the
   Weyl-Kac denominator, a product of theta values, off one call of
   ``weyl_kac_pi`` at the operator's order, which takes theta once, at 0
@@ -265,18 +268,59 @@ def test_eigenvector_check_builds_the_vector_once_per_point(monkeypatch):
     us = sample_spectral_points(MD, prob.positions + list(sols[0].t), rng, 4)
     calls = count_calls(monkeypatch, BetheSystem, "vector_jet")
     transfers = count_calls(monkeypatch, GaudinProblem, "transfer")
+    applies = count_calls(monkeypatch, diffop.DiffOperator, "apply")
     eigenvalues = count_calls(monkeypatch, BetheSystem, "eigenvalue")
     result = system.verify_eigenvector(sols[0].t, hs, us)
     assert result["status"] == "ok"
     assert result["max_rel"] < 1e-8
-    assert len(calls) == len(hs)
-    # each call carries the transfer operator's order
-    assert all(args[3:] == (2,) for args, _ in calls)
-    # one operator per point serves every spectral parameter, and one
-    # eigenvalue call serves them all
-    assert len(transfers) == len(hs)
-    assert all(len(args[1]) == len(us) for args, _ in transfers)
-    assert len(eigenvalues) == 1
+    # one call builds the vector at every point, at the transfer
+    # operator's order
+    assert len(calls) == 1
+    (_, t, H, order), _ = calls[0]
+    assert t.shape == (len(hs), system.M) and H.shape == (len(hs), 1)
+    assert order == 2
+    # one operator, its Cartan points paired with every point's spectral
+    # parameters, is applied once; one eigenvalue call serves them all
+    assert len(transfers) == len(applies) == len(eigenvalues) == 1
+    (_, u, H), _ = transfers[0]
+    assert len(u) == len(H) == len(hs) * len(us)
+
+
+def eigen_stage_counts(monkeypatch, tmp_path, max_solutions, cartan_count):
+    text = (CONFIGS / "a1_bethe_m2.ini").read_text(encoding="utf-8")
+    path = tmp_path / f"eigen{max_solutions}{cartan_count}.ini"
+    path.write_text(
+        text.replace("[bethe]", f"[bethe]\nmax_solutions = {max_solutions}")
+        + f"\n[sampling]\ncartan_count = {cartan_count}\n",
+        encoding="utf-8",
+    )
+    runner = CheckRunner(load_config(str(path)), "eigen-check", False)
+    runner.stage_bethe()
+    counted = [
+        count_calls(monkeypatch, BetheSystem, "vector_jet"),
+        count_calls(monkeypatch, GaudinProblem, "transfer"),
+        count_calls(monkeypatch, diffop.DiffOperator, "apply"),
+        count_calls(monkeypatch, BetheSystem, "eigenvalue"),
+        count_everywhere(monkeypatch, "theta11_coeffs"),
+    ]
+    runner.stage_eigen()
+    records = [r for r in runner.report.records if r.name.startswith("eigen/")]
+    assert len(records) == min(max_solutions, len(runner._solutions))
+    assert all(record.passed for record in records)
+    counts = tuple(len(calls) for calls in counted)
+    monkeypatch.undo()
+    return len(records), counts
+
+
+def test_eigen_stage_work_does_not_grow_with_solutions_or_points(monkeypatch, tmp_path):
+    # one vector_jet, one transfer, one apply and one eigenvalue call, plus
+    # the sweep's eigenvalue call, however many solutions and Cartan
+    # points the stage checks; theta calls stay as few
+    few = eigen_stage_counts(monkeypatch, tmp_path, 1, 1)
+    many = eigen_stage_counts(monkeypatch, tmp_path, 4, 5)
+    assert few[0] == 1 < many[0]
+    assert few[1] == many[1]
+    assert few[1][:4] == (1, 1, 1, 2)
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -362,6 +406,23 @@ def test_batched_transfer_takes_one_theta_call(monkeypatch, batch):
     # the roots' arguments are shared by the batch, the rest are per u
     assert arguments(thetas) == [batch * nsites + npos + 2 * npos * nsites * batch]
     assert len(regular) == 1
+
+
+def test_paired_transfer_takes_theta_once_per_distinct_point(monkeypatch):
+    # three Cartan points, each paired with four spectral parameters:
+    # alpha(H) is taken once per point, not once per entry
+    prob = irrep_problem(2)
+    nsites, npos = len(prob.positions), prob.rs.n_positive
+    rng = np.random.default_rng(66)
+    hs = np.array(sample_regular_cartan(prob.rs, MD, rng, 3))
+    us = np.array(sample_spectral_points(MD, prob.positions, rng, 12))
+    elliptic.theta11_prime_at_zero(MD)  # cached after its first call
+    thetas = count_everywhere(monkeypatch, "theta11_coeffs")
+    regular = count_calls(monkeypatch, gaudin, "check_regular")
+    prob.transfer(us, np.repeat(hs, 4, axis=0))
+    assert arguments(thetas) == [12 * nsites + 3 * npos + 2 * npos * nsites * 12]
+    assert len(regular) == 1
+    assert regular[0][0][2].shape == hs.shape
 
 
 def commute_stage_counts(monkeypatch, tmp_path, pair_count):
