@@ -23,6 +23,7 @@ import numpy as np
 from .elliptic import (
     EllipticError,
     Jet,
+    _cauchy_table,
     array_jet_product,
     jet_indices,
     lattice_distance,
@@ -31,6 +32,12 @@ from .elliptic import (
 )
 from .gaudin import GaudinError, GaudinProblem, _kernel_series, check_regular, root_values
 from .liealg import module_lowering, root_budget
+
+
+# The bytes that the largest arrays of one pass of
+# BetheSystem.verify_eigenvector may take, as BetheSystem._pass_size
+# estimates them; entries beyond that go to further passes.
+_PASS_BYTES = 1 << 21
 
 
 class BetheError(Exception):
@@ -590,6 +597,21 @@ class BetheSystem:
 
     # -- verification ---------------------------------------------------------
 
+    def _pass_size(self, spectral: int) -> int:
+        """How many (solution, Cartan point) entries one pass of
+        ``verify_eigenvector`` takes: as many as keep its largest arrays
+        within ``_PASS_BYTES``, and at least one.  Per entry these are the
+        widest Held-Karp layer of ``vector_jet`` (its two gathered factors
+        and their product, one block per term of the jet product) and, per
+        spectral parameter, the transfer operator's dense V and first-order
+        coefficients."""
+        _, _, layers, f_blocks, *_ = self._vector_plan()
+        l, dim = self.problem.rs.rank, self.problem.space.dim0
+        terms = len(_cauchy_table(l, 2)[0])
+        widest = max((pred.size for pred, *_ in layers), default=0) * f_blocks.shape[1]
+        entry = 16 * (3 * terms * widest + spectral * (l + 1) * dim * dim)
+        return max(1, _PASS_BYTES // entry)
+
     def verify_eigenvector(self, t, h_points, u_points, tiny: float = 1e-12):
         """Relative residual of (transfer(u) - tau_Psi(u)) Psi over samples.
 
@@ -599,12 +621,14 @@ class BetheSystem:
         each with its own samples, shapes (S, P, l) and (S, U), giving a
         list of S results.  An entry is one (solution, Cartan point):
         - one ``eigenvalue`` call gives every solution's eigenvalues;
-        - one ``vector_jet`` call builds the Bethe vector of every entry,
-          at the transfer operator's order, since it does not depend on u;
-        - one transfer operator, batched over every entry's spectral
-          parameters with the entry's Cartan point paired in, is applied
-          to the entries' jets in one ``apply``.  Entries whose vector is
-          numerically zero are left out of it.
+        - the entries go in passes of ``_pass_size`` of them, all of them
+          in one pass unless their arrays outgrow ``_PASS_BYTES``;
+        - per pass, one ``vector_jet`` call builds the Bethe vector of
+          every entry, at the transfer operator's order, since it does not
+          depend on u, and one transfer operator, batched over every
+          entry's spectral parameters with the entry's Cartan point paired
+          in, is applied to the entries' jets in one ``apply``.  Entries
+          whose vector is numerically zero are left out of it.
         Every entry's numbers are those it gets alone.
 
         Each result is a dict with the largest relative residual, the
@@ -614,29 +638,35 @@ class BetheSystem:
         """
         t = np.asarray(t, dtype=complex)
         single = t.ndim == 1
-        ts = t.reshape(-1, self.M)
+        ts, hs, us = (np.asarray(x, dtype=complex) for x in (t, h_points, u_points))
+        if single:
+            ts, hs, us = ts[None], hs[None], us[None]
         count, l = len(ts), self.problem.rs.rank
-        hs = np.asarray(h_points, dtype=complex).reshape(count, -1, l)
-        us = np.asarray(u_points, dtype=complex).reshape(count, -1)
         points, spectral = hs.shape[1], us.shape[1]
-        entries = hs.reshape(-1, l)
+        entries = hs.reshape(count * points, l)
+        owner = np.repeat(np.arange(count), points)
         eigs = self.eigenvalue(ts, us)
+        step = self._pass_size(spectral)
         norms, rels = [], {}
-        if len(entries):
+        for first in range(0, len(entries), step):
+            part = np.arange(first, min(first + step, len(entries)))
             # the transfer operator is second order
-            psi = self.vector_jet(np.repeat(ts, points, axis=0), entries, 2)
-            norms = np.max(np.abs(psi.value), axis=-1).tolist()
-        live = [e for e, norm in enumerate(norms) if not norm < tiny] if spectral else []
-        if live:
-            owners = np.array(live) // points
+            psi = self.vector_jet(ts[owner[part]], entries[part], 2)
+            sizes = np.max(np.abs(psi.value), axis=-1)
+            norms += sizes.tolist()
+            live = [k for k, size in enumerate(sizes) if not size < tiny] if spectral else []
+            if not live:
+                continue
+            whose = owner[part[live]]
             lanes = np.repeat(live, spectral)
-            operator = self.problem.transfer(us[owners].reshape(-1), entries[lanes])
+            # the operator is dropped before the next pass builds its own
+            operator = self.problem.transfer(us[whose].reshape(-1), entries[part[lanes]])
             lhs = operator.apply(Jet(l, 2, psi.coeffs[:, lanes]))
+            del operator
             lhs = lhs.reshape(len(live), spectral, -1)
-            values = psi.value[live]
-            gap = np.abs(lhs - eigs[owners][..., None] * values[:, None])
-            rel = np.max(gap, axis=-1) / np.array(norms)[live][:, None]
-            rels = dict(zip(live, np.max(rel, axis=1)))
+            gap = np.abs(lhs - eigs[whose][..., None] * psi.value[live][:, None])
+            rel = np.max(gap, axis=-1) / sizes[live][:, None]
+            rels.update(zip(part[live].tolist(), np.max(rel, axis=1)))
         results = []
         for s in range(count):
             max_rel, min_norm, seen_nonzero = 0.0, math.inf, False

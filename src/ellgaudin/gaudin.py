@@ -115,23 +115,19 @@ def _spectral_batch(u) -> tuple:
     return us.reshape(-1), us.ndim == 0
 
 
-def _cartan_batch(H, batch: int) -> tuple:
-    """The distinct Cartan points of H, shape (P, l), and the place of each
-    batch entry's point among them, shape (batch,).  H is one point for
-    the whole batch, P = 1, or a (batch, l) stack paired with it, whose
-    distinct rows are kept in order of first appearance."""
+def _cartan_rows(H, batch: int) -> np.ndarray:
+    """H as a (P, l) stack of Cartan points: P = 1 for one point, shape
+    (l,), shared by the whole batch, or P = batch for a (batch, l) stack
+    paired with it entry by entry."""
     H = np.asarray(H, dtype=complex)
     if H.ndim == 1:
-        return H[None], np.zeros(batch, dtype=int)
+        return H[None]
     if len(H) != batch:
         raise GaudinError(
             f"paired Cartan points and spectral parameters differ in number: "
             f"{len(H)} and {batch}"
         )
-    places: dict = {}
-    at = [places.setdefault(tuple(h), len(places)) for h in H.tolist()]
-    points = np.array(list(places), dtype=complex).reshape(-1, H.shape[1])
-    return points, np.array(at, dtype=int)
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +467,17 @@ class GaudinProblem:
         argument of the exchange potential for the batch us of B spectral
         parameters, in one kernel call: first the B N sites
         x_bi = z_i - u_b, then c_pk = alpha_k(H_p) for the positive roots
-        at each of the P distinct Cartan points (``_cartan_batch``), which
-        the entries at that point share, then x_bi - c_k and x_bi + c_k at
-        entry b's point, each ordered by (b, k, i).  Each distinct point is
-        checked for regularity once, in order, and every x_bi and c_pk for
-        a pole."""
-        points, at = _cartan_batch(H, len(us))
+        at each of the P rows of H (``_cartan_rows``), then x_bi - c_k and
+        x_bi + c_k at entry b's point, each ordered by (b, k, i).  Each row
+        of H is checked for regularity, in order, and every x_bi and c_pk
+        for a pole.  Theta acts elementwise, so every entry's values are
+        those it gets alone."""
+        points = _cartan_rows(H, len(us))
         check_regular(self.rs, self.md, points, self.pole_guard)
         xs = self._site_args(us)
         cs = root_values(self.rs.positive_roots, points)
-        minus = xs[:, None, :] - cs[at][:, :, None]
-        plus = xs[:, None, :] + cs[at][:, :, None]
+        minus = xs[:, None, :] - cs[:, :, None]
+        plus = xs[:, None, :] + cs[:, :, None]
         args = np.concatenate([xs.ravel(), cs.ravel(), minus.ravel(), plus.ravel()])
         th = theta11_coeffs(args, self.md, max(order, 1))
         nx = xs.size
@@ -517,7 +513,7 @@ class GaudinProblem:
           w_{-c-h}(x_i) =  theta'(0) theta(x_i + c + h) / (theta(x_i) theta(c + h)),
         and the root -alpha pairs the same two kernels with i and j swapped.
         So theta is taken once per site and u, once per positive root and
-        distinct Cartan point and once per (u, site, positive root) and
+        row of H and once per (u, site, positive root) and
         sign, all in one kernel call (``_thetas``); ``thetas`` passes in
         that call's result where the caller already has it.  The kernels'
         coefficients in h form arrays lo[a, b, k, i] and up[c, b, k, j]
@@ -533,12 +529,11 @@ class GaudinProblem:
             thetas = self._thetas(H, us, order)
         rs, md = self.rs, self.md
         batch, nsites, npos = len(us), len(self.positions), rs.n_positive
-        points, at = _cartan_batch(H, batch)
-        nx, nc = batch * nsites, len(points) * npos
+        nx, nc = batch * nsites, len(_cartan_rows(H, batch)) * npos
         th = thetas[:, : order + 1]
         tz = thetas[:nx, 0].reshape(batch, 1, nsites)
-        inverse = _inverse_theta(th[nx : nx + nc], md).reshape(len(points), npos, -1)
-        scales = np.moveaxis(inverse[at], -1, 0)[..., None]
+        inverse = _inverse_theta(th[nx : nx + nc], md).reshape(nc // npos, npos, -1)
+        scales = np.moveaxis(inverse, -1, 0)[..., None]
         # theta(x - c) and theta(x + c), indexed (term, sign, b, k, i)
         shifted = np.moveaxis(th[nx + nc :].reshape(2, batch, npos, nsites, -1), -1, 0)
         # the potential's factor 1/2 rides on lo
@@ -561,8 +556,8 @@ class GaudinProblem:
         array, V's coefficients are (n, B, dim0, dim0), and a scalar u is
         the batch of one with that axis squeezed off.  ``H`` is one Cartan
         point for the whole batch, shape (l,), or a (B, l) stack paired
-        with the array u; theta then takes alpha(H) once per distinct
-        point, and each entry equals the call at its own point alone.  One
+        with the array u; theta then takes alpha(H) once per entry, and
+        each entry equals the call at its own point alone.  One
         theta call serves A_r(u) and the potential for the whole batch.
         (1/2) A_r^2 is added on the diagonal, elementwise.
         """

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ellgaudin import bethe
 from ellgaudin.bethe import (
     BetheError,
     BetheSystem,
@@ -498,28 +499,68 @@ u_count = 2
 """
 
 
+# zero total charge: two rank-1 dual Verma sites of weights c and -c need
+# no Bethe roots, and the empty root vector is still checked
+ZERO_CHARGE = """
+[algebra]
+series = A
+rank = 1
+[elliptic]
+tau = 0.8i
+[sites]
+count = 2
+z_1 = 0.11
+kind_1 = dual_verma
+weight_1 = 1.3+0.2i
+depth_1 = 2
+z_2 = 0.43+0.27i
+kind_2 = dual_verma
+weight_2 = -1.3-0.2i
+depth_2 = 2
+[bethe]
+assignment = auto
+"""
+
+
 @pytest.mark.parametrize(
-    "config,negative,tiny",
+    "config,negative,tiny,one_per_pass",
     [
-        ("a1_bethe_m4", False, 1e-12),
-        ("a1_bethe_m4", True, 1e-12),
-        ("a1_bethe_m4", False, np.inf),
-        ("a2_bethe_m2", False, 1e-12),
-        ("a2_bethe_m2", True, 1e-12),
-        ("a2_bethe_m2", False, np.inf),
-        ("a1_m6", False, 1e-12),
+        ("a1_bethe_m4", False, 1e-12, False),
+        ("a1_bethe_m4", True, 1e-12, False),
+        ("a1_bethe_m4", False, np.inf, False),
+        ("a1_bethe_m4", True, 1e-12, True),
+        ("a2_bethe_m2", False, 1e-12, False),
+        ("a2_bethe_m2", True, 1e-12, False),
+        ("a2_bethe_m2", False, np.inf, False),
+        ("a2_bethe_m2", False, 1e-12, True),
+        ("a1_m6", False, 1e-12, False),
+        ("a1_m6", False, 1e-12, True),
+        ("zero_charge", False, 1e-12, False),
+        ("zero_charge", False, np.inf, False),
     ],
 )
 def test_batched_eigen_stage_equals_per_point_reference(
-    monkeypatch, tmp_path, config, negative, tiny
+    monkeypatch, tmp_path, config, negative, tiny, one_per_pass
 ):
     # the stage checks every solution in one call; each solution's result
-    # must be, to the bit, that of the loop over its Cartan points
-    if config == "a1_m6":
-        path = tmp_path / "a1_m6.ini"
-        path.write_text(A1_M6, encoding="utf-8")
+    # must be, to the bit, that of the loop over its Cartan points, also
+    # when the entries are split into passes of one
+    texts = {"a1_m6": A1_M6, "zero_charge": ZERO_CHARGE}
+    if config in texts:
+        path = tmp_path / f"{config}.ini"
+        path.write_text(texts[config], encoding="utf-8")
     else:
         path = CONFIGS / f"{config}.ini"
+    if one_per_pass:
+        monkeypatch.setattr(bethe, "_PASS_BYTES", 1)
+    transfers = []
+    transfer = GaudinProblem.transfer
+
+    def counted(self, *args, **kwargs):
+        transfers.append(args)
+        return transfer(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaudinProblem, "transfer", counted)
     calls = []
     verify = BetheSystem.verify_eigenvector
 
@@ -531,13 +572,19 @@ def test_batched_eigen_stage_equals_per_point_reference(
     monkeypatch.setattr(BetheSystem, "verify_eigenvector", recording)
     runner = CheckRunner(load_config(str(path)), "eigen-check", negative)
     runner.run()
+    passes = len(transfers)
     (system, t, h_points, u_points, results), = calls
     assert len(results) == len(t) >= 1
     for k, result in enumerate(results):
         want = verify_eigenvector_reference(system, t[k], h_points[k], u_points[k], tiny)
         assert result == want
+        # the one-solution form, M = 0 included
+        assert verify(system, t[k], h_points[k], u_points[k], tiny=tiny) == want
         assert result["status"] == ("inconclusive" if tiny == np.inf else "ok")
+    entries = sum(len(h) for h in h_points) if tiny < 1 else 0
+    assert passes == (entries if one_per_pass else min(entries, 1))
     records = [r for r in runner.report.records if r.name.startswith("eigen/")]
+    assert [r.name for r in records] == [f"eigen/residual-{k:02d}" for k in range(len(t))]
     assert [r.passed for r in records] == [not negative and tiny < 1] * len(results)
 
 

@@ -15,12 +15,14 @@ the checks need a fixed number of evaluations per point:
   coefficient array and one array jet product, and skips the terms that
   differentiate a constant coefficient;
 - the eigenvector check takes every (solution, Cartan point) entry in
-  one pass: one ``vector_jet`` call builds the Bethe vector, which does
-  not depend on the spectral parameter, at every entry at the operator's
-  order; one transfer operator, its Cartan points paired with every
-  entry's spectral parameters, is built and applied once; and one
-  eigenvalue call serves every solution, so the eigen stage's call counts
-  do not grow with the number of solutions or Cartan points;
+  one pass while their arrays fit its byte budget: one ``vector_jet``
+  call builds the Bethe vector, which does not depend on the spectral
+  parameter, at every entry at the operator's order; one transfer
+  operator, its Cartan points paired with every entry's spectral
+  parameters, is built and applied once; and one eigenvalue call serves
+  every solution, so the eigen stage's call counts do not grow with the
+  number of solutions or Cartan points; passes of one entry hold its
+  transient memory to that of one entry;
 - the explicit conjugated operator reads every log-derivative of the
   Weyl-Kac denominator, a product of theta values, off one call of
   ``weyl_kac_pi`` at the operator's order, which takes theta once, at 0
@@ -408,9 +410,11 @@ def test_batched_transfer_takes_one_theta_call(monkeypatch, batch):
     assert len(regular) == 1
 
 
-def test_paired_transfer_takes_theta_once_per_distinct_point(monkeypatch):
-    # three Cartan points, each paired with four spectral parameters:
-    # alpha(H) is taken once per point, not once per entry
+def test_paired_transfer_takes_theta_in_one_call(monkeypatch):
+    # three Cartan points, each paired with four spectral parameters: one
+    # theta call takes alpha(H) at every entry's point, and one regularity
+    # check covers them all; one point for the whole batch, as the commute
+    # check passes it, takes alpha(H) once
     prob = irrep_problem(2)
     nsites, npos = len(prob.positions), prob.rs.n_positive
     rng = np.random.default_rng(66)
@@ -420,9 +424,40 @@ def test_paired_transfer_takes_theta_once_per_distinct_point(monkeypatch):
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
     regular = count_calls(monkeypatch, gaudin, "check_regular")
     prob.transfer(us, np.repeat(hs, 4, axis=0))
-    assert arguments(thetas) == [12 * nsites + 3 * npos + 2 * npos * nsites * 12]
-    assert len(regular) == 1
-    assert regular[0][0][2].shape == hs.shape
+    prob.transfer(us, hs[0])
+    shared = 12 * nsites + 2 * npos * nsites * 12
+    assert arguments(thetas) == [shared + 12 * npos, shared + npos]
+    assert [args[2].shape for args, _ in regular] == [(12, 2), (1, 2)]
+
+
+def eigen_stage_peak(tmp_path, max_solutions, cartan_count):
+    text = (CONFIGS / "a1_bethe_m4.ini").read_text(encoding="utf-8")
+    path = tmp_path / f"peak{max_solutions}{cartan_count}.ini"
+    path.write_text(
+        text.replace("[bethe]", f"[bethe]\nmax_solutions = {max_solutions}")
+        + f"\n[sampling]\ncartan_count = {cartan_count}\n",
+        encoding="utf-8",
+    )
+    runner = CheckRunner(load_config(str(path)), "eigen-check", False)
+    runner.stage_bethe()
+    runner.system._vector_plan()
+    tracemalloc.start()
+    try:
+        runner.stage_eigen()
+        return len(runner._solutions), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eigen_stage_memory_does_not_grow_with_solutions_or_points(monkeypatch, tmp_path):
+    # with every pass held to one entry, the stage holds one entry's vector
+    # and operator at a time: 40 entries peak as one does (0.57 and 0.60
+    # MB measured), where one pass over all 40 peaks at 2.4 MB
+    monkeypatch.setattr(bethe, "_PASS_BYTES", 1)
+    one, few = eigen_stage_peak(tmp_path, 1, 1)
+    many, lots = eigen_stage_peak(tmp_path, 4, 10)
+    assert one == 1 < many
+    assert lots < 1.2 * few
 
 
 def commute_stage_counts(monkeypatch, tmp_path, pair_count):
