@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, permutations, product as _iproduct
+from itertools import count, product as _iproduct
 
 import numpy as np
 
@@ -80,6 +80,24 @@ def halton_points(count: int, dim: int) -> np.ndarray:
     return pts
 
 
+def _has_permutation(close) -> bool:
+    """Whether the boolean (M, M) matrix close holds a permutation pi, all
+    close[j, pi(j)]: a perfect matching, grown along augmenting paths."""
+    columns = [[k for k, x in enumerate(row) if x] for row in close.tolist()]
+    owner: dict = {}  # column -> the row matched to it
+
+    def augment(j, seen) -> bool:
+        for k in columns[j]:
+            if k not in seen:
+                seen.add(k)
+                if k not in owner or augment(owner[k], seen):
+                    owner[k] = j
+                    return True
+        return False
+
+    return all(augment(j, set()) for j in range(len(columns)))
+
+
 @dataclass
 class BetheSolution:
     t: np.ndarray
@@ -128,19 +146,8 @@ class BetheSystem:
             [np.reshape(self.weights, (-1, rs.rank)), -alphas]
         )
         self._simple_roots = np.asarray(rs.simple_roots, dtype=complex)
-        # the maps j -> pi(j) of the permutations pi within the groups of
-        # roots sharing a label, one row each
-        groups: dict = {}
-        for j, a in enumerate(self.assignment):
-            groups.setdefault(a, []).append(j)
-        maps = []
-        for choice in _iproduct(*(permutations(idx) for idx in groups.values())):
-            mapping = [0] * self.M
-            for orig, permed in zip(groups.values(), choice):
-                for x, y in zip(orig, permed):
-                    mapping[x] = y
-            maps.append(mapping)
-        self._relabellings = np.array(maps, dtype=int).reshape(len(maps), self.M)
+        # the root pairs that share a label, which a relabelling may swap
+        self._same_label = np.equal.outer(self.assignment, self.assignment)
         # the index tables of vector_jet, built by its first call
         self._plan = None
 
@@ -355,11 +362,28 @@ class BetheSystem:
 
     def _equivalent(self, t, others, tol: float = 1e-8) -> bool:
         """Whether t is the same solution as a row of others up to integer
-        shifts and permutations of roots sharing a label: one comparison
-        against every relabelling of every row."""
-        d = np.asarray(t)[None, None, :] - np.asarray(others)[:, self._relabellings]
-        off = (np.abs(d.imag) > tol) | (np.abs(d.real - np.round(d.real)) > tol)
-        return bool(np.any(~np.any(off, axis=-1)))
+        shifts and permutations of roots sharing a label.
+
+        close[f, j, k]: t_j and root k of row f share a label and agree
+        within tol modulo 1.  The rows where every root on both sides has
+        a partner go to ``_has_permutation``, which decides exactly, also
+        for roots within 2 tol of each other; no relabelling is listed.
+        """
+        d = np.asarray(t)[:, None] - np.asarray(others)[:, None, :]
+        off = (np.abs(d.imag) > tol) | (np.abs(d.real - np.rint(d.real)) > tol)
+        close = self._same_label & ~off
+        full = (close.any(axis=2) & close.any(axis=1)).all(axis=1)
+        return any(_has_permutation(close[f]) for f in np.flatnonzero(full))
+
+    def screened_seeds(self, n_seeds: int = 32, guard: float = 0.05, seeds=None):
+        """The (S, M) stack of seeds ``solve`` starts from: ``n_seeds``
+        points of a low-discrepancy grid over the cell, or the explicit
+        list ``seeds``, less those with a root within ``guard`` of a site
+        or of another root."""
+        if seeds is None:
+            seeds = self._seed_points(n_seeds)
+        points = np.asarray(seeds, dtype=complex).reshape(len(seeds), self.M)
+        return points[~self._too_close(points, guard)]
 
     def solve(
         self,
@@ -371,21 +395,15 @@ class BetheSystem:
     ):
         """All distinct Bethe roots reachable from the seed list.
 
-        Seeds default to a low-discrepancy grid over the fundamental cell;
-        an explicit list of complex M-vectors overrides it.  Seeds with a
-        root within ``guard`` of a site or of another root are dropped, and
-        Newton runs from all the others in lockstep (``_lockstep``), one
-        kernel call per round for all of them.  The equations are invariant
-        under unit shifts t_j -> t_j + 1 and under permutations of roots
-        sharing a simple-root label, so solutions are deduplicated modulo
-        both, in seed order, and sorted.
+        Newton runs from every seed of ``screened_seeds`` in lockstep
+        (``_lockstep``), one kernel call per round for all of them.  The
+        equations are invariant under unit shifts t_j -> t_j + 1 and under
+        permutations of roots sharing a simple-root label, so each solution
+        is kept, in seed order, unless it matches one kept before modulo
+        both (``_equivalent``); the kept ones are sorted.
         """
-        if seeds is None:
-            seeds = self._seed_points(n_seeds)
-        points = np.asarray(seeds, dtype=complex).reshape(len(seeds), self.M)
-        points = points[~self._too_close(points, guard)]
         found = []
-        for sol in self._lockstep(points, tol, max_iter):
+        for sol in self._lockstep(self.screened_seeds(n_seeds, guard, seeds), tol, max_iter):
             if sol is None or (found and self._equivalent(sol.t, [f.t for f in found])):
                 continue
             found.append(sol)

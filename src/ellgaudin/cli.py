@@ -14,8 +14,8 @@ and, with a ``[bethe]`` section, the ``BetheSystem``, once; an error the
 library raises while building them becomes a ``ConfigError`` (exit 2).
 The CLI repeats none of the library's checks.  Each check stage names the
 section whose built object it reads, and a command whose stages lack one
-is a ``ConfigError`` as well, as is a ``pole_guard`` that leaves the
-spectral sampler no room, found when a stage samples.
+is a ``ConfigError`` as well, as is a ``pole_guard`` or ``box`` that
+leaves a sampler no room, found when a stage samples.
 """
 
 from __future__ import annotations
@@ -628,6 +628,19 @@ class CheckRunner:
                 f"[sampling] pole_guard = {guard} leaves no room in the cell: {exc}"
             ) from None
 
+    def _cartan_points(self):
+        """``cartan_count`` regular Cartan points; a box or pole_guard that
+        leaves none is the config's error, not a failed check."""
+        s = self.cfg.sampling
+        try:
+            return sample_regular_cartan(
+                self.rs, self.md, self.rng, s["cartan_count"], s["box"], s["pole_guard"]
+            )
+        except GaudinError as exc:
+            raise ConfigError(
+                f"[sampling] box and pole_guard leave no room for regular Cartan points: {exc}"
+            ) from None
+
     # -- stages ----------------------------------------------------------------
 
     def stage_elliptic(self):
@@ -759,16 +772,8 @@ class CheckRunner:
         problem = self.problem
         tol = self.cfg.tolerances["commutator"]
         tol_top = self.cfg.tolerances["commutator_top_order"]
-        sampling = self.cfg.sampling
-        h_points = sample_regular_cartan(
-            self.rs,
-            self.md,
-            self.rng,
-            sampling["cartan_count"],
-            box=sampling["box"],
-            guard=sampling["pole_guard"],
-        )
-        n_pairs = sampling["pair_count"]
+        h_points = self._cartan_points()
+        n_pairs = self.cfg.sampling["pair_count"]
         us = self._spectral_points(problem.positions, 2 * n_pairs + 1)
         same = commutativity_residual(problem, us[:1], us[:1], h_points)
         self._record(
@@ -809,21 +814,22 @@ class CheckRunner:
                 note="no Bethe roots required (zero total charge)",
             )
             return
+        guard = self.cfg.sampling["pole_guard"]
         sols = system.solve(
             n_seeds=bcfg["n_seeds"],
             tol=bcfg["newton_tol"],
             max_iter=bcfg["max_iter"],
-            guard=self.cfg.sampling["pole_guard"],
+            guard=guard,
         )
         if not sols:
             self._solutions = []
-            self._record(
-                "bethe/no-solution",
-                math.inf,
-                bcfg["newton_tol"],
-                note=f"no Bethe roots found from {bcfg['n_seeds']} seeds",
-                passed=False,
+            n = bcfg["n_seeds"]
+            ran = len(system.screened_seeds(n, guard))
+            note = (
+                f"no Bethe roots found from {ran} of {n} seeds; {n - ran} had a root "
+                f"within [sampling] pole_guard = {guard} of a site or another root"
             )
+            self._record("bethe/no-solution", math.inf, bcfg["newton_tol"], note, False)
             return
         self._solutions = [sol.t for sol in sols[: bcfg["max_solutions"]]]
         for idx, sol in enumerate(sols[: bcfg["max_solutions"]]):
@@ -858,16 +864,7 @@ class CheckRunner:
                     )
                 roots = roots.copy()
                 roots[0] += 1e-3
-            h_points.append(
-                sample_regular_cartan(
-                    self.rs,
-                    self.md,
-                    self.rng,
-                    sampling["cartan_count"],
-                    box=sampling["box"],
-                    guard=sampling["pole_guard"],
-                )
-            )
+            h_points.append(self._cartan_points())
             avoid = list(self.problem.positions) + list(roots)
             u_points.append(self._spectral_points(avoid, sampling["u_count"]))
             stack.append(roots)

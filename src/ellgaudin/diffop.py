@@ -10,12 +10,11 @@ rule, each term one derivative gather and one array jet product, and
 keeps as many orders as the inputs determine; nothing is ever sampled on
 a grid.
 
-Matrix coefficients may carry a batch axis after the monomial one, shape
-(n, B, dim, dim): one operator then stands for B operators at the same
-point, such as the transfer operators at B spectral parameters.  An
-unbatched coefficient serves every entry, so composition, commutators
-and ``apply`` act entry by entry; ``apply`` also takes a function jet
-batched the same way, one function per entry.
+For ``apply`` alone, matrix coefficients may carry a batch axis after the
+monomial one, shape (n, B, dim, dim): one operator then stands for B
+operators at the same point, such as the transfer operators at B spectral
+parameters, and so may the function jet; broadcasting gives each entry
+its own product.  Composition refuses batched coefficients.
 """
 
 from __future__ import annotations
@@ -44,20 +43,9 @@ def _leibniz_splits(beta: tuple) -> tuple:
     return tuple(out)
 
 
-def _align(a, b) -> tuple:
-    """Two coefficient arrays, where only one has a batch axis: the other
-    gains one of length 1 after its monomial axis."""
-    if a.ndim < b.ndim:
-        return a[:, None], b
-    if b.ndim < a.ndim:
-        return a, b[:, None]
-    return a, b
-
-
 def _jet_sum(a, b) -> np.ndarray:
     """a + b for coefficient arrays whose stored prefixes may differ in
     length, the shorter one reading as zero beyond its own."""
-    a, b = _align(a, b)
     if len(a) < len(b):
         a, b = b, a
     if len(a) == len(b):
@@ -65,13 +53,6 @@ def _jet_sum(a, b) -> np.ndarray:
     out = a + np.zeros_like(b[:1])
     out[: len(b)] += b
     return out
-
-
-def _entry_norm(value):
-    """Largest entry modulus of a coefficient value, one per batch entry
-    when it carries a leading batch axis."""
-    a = np.abs(value)
-    return np.max(a, axis=(-2, -1)) if a.ndim == 3 else np.max(a)
 
 
 class DiffOperator:
@@ -138,9 +119,12 @@ class DiffOperator:
         multiplied with a truncated to order k by ``array_jet_product``
         with ``@``.  The derivative of a constant coefficient vanishes, so
         its term is skipped.  At k = 0 every term is one matrix product.
+        Batched coefficients are refused: composition has no batch axis.
         """
         if self.nvars != other.nvars or self.dim != other.dim:
             raise ValueError("operator shape mismatch")
+        if any(jet.coeffs.ndim != 3 for op in (self, other) for jet in op.coeffs.values()):
+            raise ValueError("composition takes unbatched coefficients, shape (n, dim, dim)")
         if self.order + other.order > MAX_TOTAL_ORDER:
             raise ValueError(
                 f"composition order {self.order + other.order} exceeds "
@@ -164,8 +148,8 @@ class DiffOperator:
                         continue  # a constant's derivative vanishes
                     else:
                         at, weight = derivative_table(self.nvars, delta, k)
-                        db = b[at] * weight.reshape((-1,) + (1,) * (b.ndim - 1))
-                    term = array_jet_product(*_align(a, db), self.nvars, k, np.matmul) * binom
+                        db = b[at] * weight[:, None, None]
+                    term = array_jet_product(a, db, self.nvars, k, np.matmul) * binom
                     mu = tuple(map(add, rest, gamma))
                     out[mu] = _jet_sum(out[mu], term) if mu in out else term
         return self._like(k, out)
@@ -216,4 +200,5 @@ class DiffOperator:
         """Largest entry modulus of any coefficient at the base point, NaN
         kept; with batched coefficients, an array of one value per batch
         entry."""
-        return reduce(np.maximum, map(_entry_norm, self.evaluate().values()), 0.0)
+        norms = (np.max(np.abs(v), axis=(-2, -1)) for v in self.evaluate().values())
+        return reduce(np.maximum, norms, 0.0)

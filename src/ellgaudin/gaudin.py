@@ -177,13 +177,17 @@ def sample_regular_cartan(
     box: float = 0.8,
     guard: float = 0.05,
 ):
-    """Random complex Cartan coordinates avoiding all root-lattice walls."""
+    """Random complex Cartan coordinates in the box avoiding all root-lattice
+    walls by guard; :class:`GaudinError` after _MAX_TRIES draws."""
     out = []
     tries = 0
     while len(out) < count:
         tries += 1
         if tries > _MAX_TRIES:
-            raise GaudinError("could not sample enough regular Cartan points")
+            raise GaudinError(
+                f"could not sample {count} regular Cartan points with parts in [-{box}, "
+                f"{box}] and every root {guard} from the lattice in {_MAX_TRIES} draws"
+            )
         H = rng.uniform(-box, box, rs.rank) + 1j * rng.uniform(-box, box, rs.rank)
         try:
             check_regular(rs, md, H, guard)
@@ -582,14 +586,12 @@ class GaudinProblem:
         ``u`` is a spectral parameter or a 1-D array of B of them, and ``H``
         one Cartan point or a (B, l) stack paired with u, as in
         ``transfer_parts``.  For an array, one operator serves the whole
-        batch: its matrix coefficients carry a batch axis after the
-        monomial one, (n, B, dim0, dim0), except the constant
-        0.5 * identity of the second-order terms, which stays
-        (1, dim0, dim0) and broadcasts; composition and ``apply`` then act
-        entry by entry.  A scalar u is the batch of one with that axis
-        squeezed off.  The commutator check does not build it: it takes
-        [transfer(u1), transfer(u2)] in closed form from the parts
-        (``commutator_values``).
+        batch for ``apply``: its coefficients carry a batch axis after the
+        monomial one, (n, B, dim0, dim0), but for the constant 0.5 *
+        identity, (1, dim0, dim0).  A scalar u, which composition needs, is
+        the batch of one with that axis squeezed off.  The commutator check
+        takes [transfer(u1), transfer(u2)] in closed form from the parts
+        (``commutator_values``) instead.
         """
         return transfer_operator(*self.transfer_parts(u, H, order))
 

@@ -13,7 +13,9 @@ Key oracles:
 """
 
 import math
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from oracles import (
     bethe_vector_bruteforce_a1,
     bethe_vector_reference,
     fd_multi,
+    same_bethe_solution,
     verify_eigenvector_reference,
     w_direct,
 )
@@ -60,6 +63,8 @@ ALPHA = np.asarray(RS1.simple_roots[0], dtype=complex)
 
 Z2 = [0.11 + 0j, 0.43 + 0.27j]
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# rank-1 probes with 10 and 12 roots of one label on three dual-Verma sites
+PROBES = Path(__file__).resolve().parent / "data"
 
 
 def dual_verma_sites(cs, depth):
@@ -791,3 +796,108 @@ def test_lockstep_matches_reference_at_the_max_iter_exit():
             assert (a.t.tobytes(), a.residual, a.iterations) == (
                 b.t.tobytes(), b.residual, b.iterations
             )
+
+
+# ---------------------------------------------------------------------------
+# solutions identified modulo shifts and relabellings
+# ---------------------------------------------------------------------------
+
+
+def random_relabelling_case(rng, tol):
+    """Labels, roots t and a few rows of roots to compare them with.
+
+    Roots of one group lie within 2 tol of each other at times.  Each row
+    is t with the roots of every label group permuted, integer shifts and
+    noise of up to 1.2 tol per part.  At times one of its roots is moved
+    off by 1 to 3 tol, or, where t_j lies near t_(j-1), the partner of t_j
+    is moved onto a third root of the group: every root still has a
+    partner, but two roots of t may share one."""
+    M = int(rng.integers(1, 7))
+    labels = tuple(sorted(rng.integers(0, int(rng.integers(1, 4)), size=M).tolist()))
+    t = rng.uniform(0, 1, M) + 1j * rng.uniform(0, 0.8, M)
+    near = []
+    for j in range(1, M):
+        if labels[j] == labels[j - 1] and rng.random() < 0.4:
+            t[j] = t[j - 1] + tol * (rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2))
+            near.append(j)
+    rows = []
+    for _ in range(int(rng.integers(1, 3))):
+        perm = np.arange(M)
+        for a in set(labels):
+            group = [j for j in range(M) if labels[j] == a]
+            perm[group] = rng.permutation(group)
+        noise = rng.uniform(-1.2, 1.2, M) + 1j * rng.uniform(-1.2, 1.2, M)
+        row = t[perm] + rng.integers(-3, 4, M) + tol * noise
+        move = rng.random()
+        if move < 0.3:
+            row[rng.integers(M)] += tol * rng.uniform(1, 3) * np.exp(2j * np.pi * rng.random())
+        elif move < 0.6 and near:
+            j = near[rng.integers(len(near))]
+            third = [k for k in range(M) if labels[k] == labels[j] and k not in (j, j - 1)]
+            if third:
+                k = third[rng.integers(len(third))]
+                row[np.flatnonzero(perm == j)[0]] = row[np.flatnonzero(perm == k)[0]] + 2
+        rows.append(row)
+    return labels, t, rows
+
+
+def test_equivalent_matches_the_permutation_oracle():
+    # _equivalent reads only which roots share a label; the oracle tries
+    # every permutation within every label group
+    rng = np.random.default_rng(2110)
+    tol = 1e-8
+    outcomes = {True: 0, False: 0}
+    # cases where every root of t and of some row has a partner there, and
+    # a root has two or more: only a matching decides these
+    crowded = {True: 0, False: 0}
+    for _ in range(5000):
+        labels, t, rows = random_relabelling_case(rng, tol)
+        stub = SimpleNamespace(assignment=labels, _same_label=np.equal.outer(labels, labels))
+        got = BetheSystem._equivalent(stub, t, rows, tol)
+        assert got == any(same_bethe_solution(stub, t, row, tol) for row in rows)
+        outcomes[got] += 1
+        d = t[:, None] - np.array(rows)[:, None, :]
+        close = (np.abs(d.imag) <= tol) & (np.abs(d.real - np.round(d.real)) <= tol)
+        close &= stub._same_label
+        partners = np.minimum(close.sum(axis=2), close.sum(axis=1))
+        if np.any((partners.min(axis=1) > 0) & (close.sum(axis=2).max(axis=1) > 1)):
+            crowded[got] += 1
+    assert min(outcomes.values()) > 1000
+    assert min(crowded.values()) > 50
+
+
+def test_equivalent_on_solutions_of_a_config():
+    cfg = load_config(str(CONFIGS / "a1_bethe_m4.ini"))
+    sysb = cfg.system
+    found = [s.t for s in sysb.solve(n_seeds=64)]
+    assert len(found) > 2
+    for k, t in enumerate(found):
+        copy = t[[2, 0, 3, 1]] + np.array([1, -2, 0, 3])
+        assert sysb._equivalent(copy, found)
+        assert not sysb._equivalent(copy, found[:k] + found[k + 1 :])
+        assert not sysb._equivalent(copy + 1e-6, found)
+
+
+def test_many_roots_of_one_label_load_without_a_relabelling_table():
+    # 12! relabellings once raised MemoryError at load
+    path = str(PROBES / "a1_dual_verma_m12.ini")
+    tracemalloc.start()
+    try:
+        cfg = load_config(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.system.M == 12
+    assert peak < 50e6
+
+
+def test_ten_roots_of_one_label_solve():
+    cfg = load_config(str(PROBES / "a1_dual_verma_m10.ini"))
+    sysb = cfg.system
+    sols = sysb.solve(n_seeds=256, guard=cfg.sampling["pole_guard"])
+    assert sols
+    for s in sols:
+        assert s.residual < 1e-12
+    # distinct solutions stay distinct modulo shifts and relabellings
+    for k, s in enumerate(sols[1:], start=1):
+        assert not sysb._equivalent(s.t, [f.t for f in sols[:k]])

@@ -831,6 +831,59 @@ def test_pole_guard_without_room_for_spectral_points_exits_2(
     assert "spectral points" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, config, key, value",
+    [
+        ("commute-check", "a2_n2_33bar.ini", "box", "1e-6"),
+        ("commute-check", "a2_n2_33bar.ini", "pole_guard", "0.45"),
+        ("full-verify", "a2_n2_33bar.ini", "box", "1e-6"),
+        ("eigen-check", "a1_bethe_m1.ini", "box", "1e-6"),
+        ("full-verify", "a1_bethe_m1.ini", "box", "1e-6"),
+    ],
+)
+def test_cartan_box_without_regular_points_exits_2(
+    tmp_path, capsys, command, config, key, value
+):
+    # every Cartan point of a tiny box lies near the wall alpha(H) = 0, and
+    # a wide guard leaves no point of the box; both ended in a failing
+    # commute/error record before
+    text = (CONFIGS / config).read_text(encoding="utf-8")
+    path = write_config(tmp_path, text + f"\n[sampling]\n{key} = {value}\n")
+    assert main([command, "--config", path, "--format", "json-lines"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: [sampling] box and pole_guard leave no room" in captured.err
+    assert "could not sample 5 regular Cartan points" in captured.err
+    assert "in 10000 draws" in captured.err
+
+
+@pytest.mark.parametrize(
+    "path, extra, ran, seeds",
+    [
+        # one iteration is too few for any seed
+        (CONFIGS / "a1_bethe_m4.ini", "max_iter = 1\n", 22, 32),
+        # the pole_guard screen drops every seed of the 12-root probe
+        (Path(__file__).resolve().parent / "data" / "a1_dual_verma_m12.ini", "", 0, 16),
+    ],
+)
+def test_no_solution_note_counts_the_seeds_that_ran(tmp_path, capsys, path, extra, ran, seeds):
+    text = path.read_text(encoding="utf-8").replace("[bethe]\n", "[bethe]\n" + extra)
+    cfg = load_config(write_config(tmp_path, text))
+    assert len(cfg.system.screened_seeds(seeds, cfg.sampling["pole_guard"])) == ran
+    report = run("bethe-solve", cfg)
+    (record,) = report.records
+    assert record.name == "bethe/no-solution" and not record.passed
+    assert record.note == (
+        f"no Bethe roots found from {ran} of {seeds} seeds; {seeds - ran} had a "
+        "root within [sampling] pole_guard = 0.05 of a site or another root"
+    )
+
+
+def test_twelve_root_probe_passes_elliptic_check(capsys):
+    path = Path(__file__).resolve().parent / "data" / "a1_dual_verma_m12.ini"
+    assert main(["elliptic-check", "--config", str(path), "--format", "json-lines"]) == 0
+
+
 def test_loaded_config_carries_its_built_instance():
     cfg = load_config(str(CONFIGS / "a1_bethe_m1.ini"))
     runner = CheckRunner(cfg, "eigen-check", False)

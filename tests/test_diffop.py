@@ -477,7 +477,7 @@ def test_compose_matches_straight_line_reference(nvars, kind):
                     assert err <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("kind", ["scalar", "matrix", "mixed", "batched"])
+@pytest.mark.parametrize("kind", ["scalar", "matrix", "mixed"])
 @pytest.mark.parametrize("nvars", [1, 2])
 def test_commutator_equals_difference_of_compositions(nvars, kind):
     # the commutator subtracts the two compositions' coefficient arrays;
@@ -527,3 +527,17 @@ def test_batched_apply_equals_apply_per_entry(nvars, dim):
             })
             alone = entry.apply(Jet(nvars, 2, fjet.coeffs[:, b]))
             assert np.array_equal(got[b], alone)
+
+
+def test_compose_refuses_batched_coefficients():
+    # composition has no batch axis; a batched coefficient on either side
+    # is refused rather than broadcast against the monomial axis
+    rng = np.random.default_rng(710)
+    plain = random_operator(rng, 1, 2, 1, 2, "matrix")
+    stack = Jet(1, 2, [random_coefficient(rng, 2, "batched")])
+    batched = DiffOperator(1, 2, {(1,): stack, (0,): plain.coeffs[(1,)]})
+    for left, right in ((batched, plain), (plain, batched)):
+        with pytest.raises(ValueError, match="unbatched"):
+            left.compose(right)
+        with pytest.raises(ValueError, match="unbatched"):
+            left.commutator(right)

@@ -402,14 +402,31 @@ def _as_matrices(values, dim):
     return {m: v[..., None] * eye if sum(m) >= 2 else v for m, v in values.items()}
 
 
+def _dense_commutator(parts1, parts2):
+    """The values at H of the commutator of the two operators by generic
+    composition, which has no batch axis: batched parts are composed entry
+    by entry and the values stacked."""
+    (v1, a1), (v2, a2) = parts1, parts2
+    if a1.ndim == 2:
+        return gaudin.transfer_operator(v1, a1).commutator(
+            gaudin.transfer_operator(v2, a2)
+        ).evaluate()
+    entries = [
+        _dense_commutator(
+            (Jet(v1.nvars, v1.total, v1.coeffs[:, b]), a1[b]),
+            (Jet(v2.nvars, v2.total, v2.coeffs[:, b]), a2[b]),
+        )
+        for b in range(len(a1))
+    ]
+    return {m: np.stack([values[m] for values in entries]) for m in entries[0]}
+
+
 def _values_gap(parts1, parts2):
     """Largest entry gap between the closed-form commutator values and the
     dense commutator of the two operators, and the dense values.  The
     closed form leaves out the coefficients that vanish identically, so an
     absent key reads as zero."""
-    dense = gaudin.transfer_operator(*parts1).commutator(
-        gaudin.transfer_operator(*parts2)
-    ).evaluate()
+    dense = _dense_commutator(parts1, parts2)
     dim = parts1[1].shape[-2]
     closed = _as_matrices(gaudin.commutator_values(parts1, parts2), dim)
     assert closed.keys() <= dense.keys()
