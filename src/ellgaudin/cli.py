@@ -843,10 +843,8 @@ class CheckRunner:
 
     def stage_eigen(self):
         system = self.system
-        if self._solutions is None:
-            self.stage_bethe()
         if not self._solutions:
-            return  # bethe stage already recorded the failure
+            return  # the Bethe stage recorded its failure or found no solution
         tol = self.cfg.tolerances["eigen_residual"]
         sampling = self.cfg.sampling
         note = ""

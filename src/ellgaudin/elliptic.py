@@ -4,10 +4,10 @@ Everything here is a function of a point on the curve C/(Z + tau*Z) with
 Im(tau) > 0.  Values are produced as truncated Taylor jets so that callers
 can differentiate analytically instead of by finite differences.
 
-The evaluation strategy for the theta series is always: reduce the
-argument to the fundamental cell, sum the defining series there (it
-converges in a handful of terms), then restore the exact quasi-periodicity
-factor.  This keeps magnitudes bounded for arbitrary arguments.
+The theta series is one exponential sum: each argument is split into a
+point of the fundamental cell and a lattice shift, and the shift goes into
+the exponent of each of a handful of terms, which then leave the double
+range only about where theta does; no factor is restored after the sum.
 """
 
 from __future__ import annotations
@@ -38,14 +38,6 @@ _N_MAX = 64
 # sum |terms| / |sum|, times the double-precision unit roundoff exceeds this.
 _CANCELLATION_LIMIT = 1e-8
 _UNIT_ROUNDOFF = 2.2e-16
-
-# Largest imaginary part y of a theta-series sine taken as
-# sin x cosh y + i cos x sinh y; above it e^{-2y} is far below the roundoff,
-# so sin(x + iy) = (i/2) e^{y-ix}, which is taken from one summed exponent.
-_SINE_GROWTH = 600.0
-
-# Largest real part of an exponent whose exponential is a finite double.
-_EXP_LIMIT = math.log(sys.float_info.max)
 
 
 class EllipticError(ValueError):
@@ -339,195 +331,50 @@ def linear_substitution_rows(g, directions) -> np.ndarray:
 # Theta series.
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _TermPlan:
-    """The parts of the theta series that do not depend on z, at one tau
-    and jet order, for its first T terms n.
-
-    ``beta[n]`` is (2n+1) pi and ``amps[n]`` the amplitude
-    -2 (-1)^n q^{(n+1/2)^2 / 2}.  Coefficient k of term n is its amplitude
-    times beta^k / k! sin(beta z0 + k pi/2), and the sines cycle through
-    s, c, -s, -c.  With w = x + iy = beta z0,
-    sin w = sin x cosh y + i cos x sinh y and
-    cos w = cos x cosh y - i sin x sinh y, so ``trig`` contracts the four
-    products (sin x, cos x) x (cosh y, sinh y), stacked as rows of T, into
-    every coefficient at once.
-
-    A term whose sine grows past _SINE_GROWTH takes sin w as (i/2) e^{-iw}
-    from one summed exponent, with the log of its power of the nome,
-    ``logs[n]``, from the principal log of the nome e^{i pi tau} as the
-    power itself; ``large[n, k]`` is -i (-1)^n beta[n]^k / k! times the
-    cycle of e^{-iw}'s derivatives.  ``grows`` says whether any term of the
-    plan can reach _SINE_GROWTH inside the cell.
-    """
-
-    beta: np.ndarray
-    amps: np.ndarray
-    trig: np.ndarray
-    logs: np.ndarray
-    large: np.ndarray
-    grows: bool
-
-
-# the place and sign of sin(w + k pi/2) in (sin w, cos w), and of its
-# large-sine form relative to e^{-iw}, for k = 0..3
-_SINE_CYCLE = np.array([1.0, 0.0, -1.0, 0.0])
-_COSINE_CYCLE = np.array([0.0, 1.0, 0.0, -1.0])
-_LARGE_SINE_CYCLE = np.array([1.0, -1j, -1.0, 1j])
+# Rows of a theta11_coeffs call summed at once; a row does not depend on the
+# rows beside it, so the block only bounds the (rows, terms) arrays.
+_BLOCK = 256
 
 
 @lru_cache(maxsize=None)
-def _term_plan(md: ModularData, order: int) -> _TermPlan:
-    """The theta series' plan at md.tau and the given jet order.
+def _term_plan(md: ModularData, order: int) -> tuple:
+    """The theta series' term count T at md.tau and the given jet order,
+    and L, the principal log of the nome e^{i pi tau}.
 
-    Fixes the term count T once, for the worst case of the cell
-    (|Im z0| < Im tau): T is the first count at which the envelope of the
-    next term, with its sine at the top of the cell, falls below _EPS_TERM
-    times the natural scale 2 |e^{i pi tau}|^{1/4} of theta, for every
-    coefficient.  A test against the partial sums as well could only stop
-    earlier, so T is never below the count such a test takes.
+    theta11(z) = sum_K i (-1)^K e^{L (K + 1/2)^2 + i pi (2K + 1) z}, summed
+    over the 2T terms K = -T..T-1.  T is fixed once, for the worst case of
+    the cell (0 <= Im z0 < Im tau): T is the first count at which the
+    envelope of the next pair of terms, at the top of the cell, falls below
+    _EPS_TERM times the natural scale 2 |e^{i pi tau}|^{1/4} of theta, for
+    every coefficient.  A test against the partial sums as well could only
+    stop earlier, so T is never below the count such a test takes.
 
     Raises :class:`SeriesConvergenceError` once the nome e^{i pi tau} is no
     longer a normal double (Im tau > 225.5), since its phase is then lost,
     and when no T up to _N_MAX passes, as |q| is then too close to 1.
     """
     qt = cmath.exp(1j * _PI * md.tau)
-    aqt = abs(qt)
-    if aqt < sys.float_info.min:
+    if abs(qt) < sys.float_info.min:
         raise SeriesConvergenceError(
-            f"the nome exp(i pi tau) = {aqt:.3g} underflows double precision "
+            f"the nome exp(i pi tau) = {abs(qt):.3g} underflows double precision "
             f"at tau={md.tau}; Im tau is too large"
         )
     y = md.tau.imag
     bound = math.log(_EPS_TERM) + math.log(2.0) - _PI * y / 4
     for nn in range(_N_MAX):
         nxt = (2 * nn + 3) * _PI
-        # log of term nn + 1's envelope at the top of the cell, without its
-        # factor nxt^k / k!
+        # log of the envelope of terms K = nn + 1 and -nn - 2 at the top of
+        # the cell, without their factor nxt^k / k!
         env = math.log(2.0) - _PI * y * (nn + 1.5) ** 2 + nxt * y
         if all(
             env + k * math.log(nxt) - math.lgamma(k + 1) <= bound
             for k in range(order + 1)
         ):
-            break
-    else:
-        raise SeriesConvergenceError(
-            f"theta series did not converge within {_N_MAX} terms for "
-            f"tau={md.tau}; |q| is too close to 1"
-        )
-    terms = np.arange(nn + 1)
-    beta = (2 * terms + 1) * _PI
-    signs = (-1.0) ** terms
-    amps = np.array([-2.0 * s * qt ** ((t + 0.5) ** 2) for t, s in zip(terms, signs)])
-    # powers[n, k] = beta_n^k / k!
-    powers = np.ones((len(terms), order + 1))
-    for k in range(order):
-        powers[:, k + 1] = powers[:, k] * beta / (k + 1)
-    cycle = np.arange(order + 1) & 3
-    sines = amps[:, None] * powers * _SINE_CYCLE[cycle]
-    cosines = amps[:, None] * powers * _COSINE_CYCLE[cycle]
-    return _TermPlan(
-        beta=beta,
-        amps=amps,
-        # rows for sin x cosh y, sin x sinh y, cos x cosh y, cos x sinh y
-        trig=np.concatenate([sines, -1j * cosines, cosines, 1j * sines]),
-        logs=(terms + 0.5) ** 2 * cmath.log(qt),
-        large=(-1j * signs)[:, None] * powers * _LARGE_SINE_CYCLE[cycle],
-        grows=bool(beta[-1] * y > _SINE_GROWTH),
+            return nn + 1, cmath.log(qt)
+    raise SeriesConvergenceError(
+        f"theta series did not converge within {_N_MAX} terms for "
+        f"tau={md.tau}; |q| is too close to 1"
     )
-
-
-def _theta_series(z0: np.ndarray, phases: np.ndarray, plan: _TermPlan) -> tuple:
-    """Taylor coefficients of the theta series at each reduced point of z0,
-    one row per point, with the cosines and sines of ``phases`` (one per
-    point, or one for all) taken in the same calls.
-
-    The sines and cosines of the real parts of the (B, T) matrix of
-    beta_n z0, times the hyperbolic cosines and sines of its imaginary
-    parts, contract with the plan's coefficient matrix.  (NumPy's real
-    sin, cos, sinh and cosh are vectorised; its complex sin goes through
-    libm one value at a time.)  The phases ride as one more column.
-
-    Near the top of the cell at large Im tau a term's sine overflows on its
-    own while the term is representable; those entries are masked out of
-    the products and summed in the large-sine form instead.
-    """
-    count, terms = len(z0), len(plan.beta)
-    x = np.empty((count, terms + 1))
-    np.multiply(z0.real[:, None], plan.beta, out=x[:, :terms])
-    x[:, terms] = phases
-    y = z0.imag[:, None] * plan.beta
-    large = y > _SINE_GROWTH if plan.grows else None
-    if large is not None and large.any():
-        rows, cols = np.nonzero(large)
-        y_large = y[rows, cols]
-        y = np.where(large, 0.0, y)
-    else:
-        large = None
-    trig = np.empty((count, 2, terms + 1))
-    np.sin(x, out=trig[:, 0])
-    np.cos(x, out=trig[:, 1])
-    hyp = np.empty((count, 2, terms))
-    np.cosh(y, out=hyp[:, 0])
-    np.sinh(y, out=hyp[:, 1])
-    prods = trig[:, :, None, :terms] * hyp[:, None, :, :]
-    if large is not None:
-        prods[rows, :, :, cols] = 0.0
-    # einsum's sums run the same way for every row, so a row does not
-    # depend on the batch around it, as a BLAS product's may
-    out = np.einsum("bp,pk->bk", prods.reshape(count, 4 * terms), plan.trig)
-    if large is not None:
-        big = np.zeros((count, terms), dtype=complex)
-        big[rows, cols] = np.exp(plan.logs[cols] + y_large - 1j * x[rows, cols])
-        out += np.einsum("bn,nk->bk", big, plan.large)
-    return out, trig[:, 1, terms], trig[:, 0, terms]
-
-
-@lru_cache(maxsize=None)
-def _shift_powers(order: int) -> tuple:
-    """Exponents k - j (clipped at 0) and weights [j <= k] / (k - j)! that
-    turn powers of w into the matrices W[j, k] = w^{k-j} / (k-j)!, whose
-    product with a row of Taylor coefficients multiplies it by e^{w h}."""
-    steps = np.subtract.outer(np.arange(order + 1), np.arange(order + 1)).T
-    factorials = np.array([math.factorial(max(d, 0)) for d in steps.flat])
-    weights = np.where(steps >= 0, 1.0 / factorials.reshape(steps.shape), 0.0)
-    return np.maximum(steps, 0).astype(float), weights
-
-
-def _quasi_periodic(a, m, expo, cos_phase, sin_phase) -> np.ndarray:
-    """Theta's coefficients at z0 + m tau from those at z0 (rows of a), up
-    to the sign (-1)^m: each row times the exact quasi-periodicity factor
-    e^{expo}, expo = -i pi m^2 tau - 2 pi i m z, expanded as a jet in z,
-    with the cosine and sine of Im(expo) given.  A row with m = 0 comes
-    back unchanged.
-
-    Far above the cell at large Im tau the factor overflows on its own
-    while the series is tiny; in such a row the factor and each coefficient
-    enter one exponent.  Every other row is computed as it is when no row
-    folds, so that no row depends on the batch around it.  Called with
-    numpy's overflow raising, as :func:`theta11_coeffs` does.
-    """
-    acc = a
-    if a.shape[1] > 1:
-        # the series times the factor's Taylor coefficients over its value
-        steps, weights = _shift_powers(a.shape[1] - 1)
-        shift = np.power((-_TWO_PI_I * m)[:, None, None], steps) * weights
-        acc = np.einsum("rj,rjk->rk", a, shift)
-    phase = cos_phase + 1j * sin_phase
-    try:
-        return (phase * np.exp(expo.real))[:, None] * acc
-    except FloatingPointError:
-        # some factor overflows alone; a product that overflows as well
-        # raises again below
-        pass
-    folded = expo.real > _EXP_LIMIT
-    factor = np.where(folded, 1.0, phase * np.exp(np.where(folded, 0.0, expo.real)))
-    out = factor[:, None] * acc
-    live = folded[:, None] & (acc != 0)
-    merged = np.broadcast_to(expo[:, None], acc.shape)[live] + np.log(acc[live])
-    out[live] = np.exp(merged)
-    return out
 
 
 def _check_order(order: int):
@@ -540,31 +387,55 @@ def theta11_coeffs(zs, md: ModularData, order: int = 0) -> np.ndarray:
     order at every z of the 1-D array zs: row b of the (len(zs), order + 1)
     result holds those at zs[b].
 
-    Each argument is reduced to the fundamental cell, the series is summed
-    there with the plan's fixed term count, and the exact quasi-periodicity
-    factor is restored.  Raises OverflowError where a coefficient leaves
-    the double range or an argument is infinite; a NaN argument gives NaN
-    coefficients.
+    Each z is written z0 + m tau + n with z0 in the fundamental cell, and
+    the shift goes into each term's exponent (DLMF 20.2(i), re-indexed by
+    m): theta11(z) = (-1)^(m + n) sum_K i (-1)^K e^{E_K} with
+    E_K = L (K + 1/2)^2 - i pi tau m^2 + i pi (2K + 1 - 2m) z0, so a term
+    leaves the double range only about where theta does.  Coefficient k
+    is the sum of the terms times (i pi (2K + 1 - 2m))^k / k!, from
+    NumPy's vectorised real exp, cos and sin (its complex exp goes through
+    libm one value at a time), _BLOCK rows at a time.
+
+    Raises OverflowError where a term leaves the double range or an
+    argument is infinite; a NaN argument gives NaN coefficients.
     """
     _check_order(order)
-    plan = _term_plan(md, order)
+    count, log_nome = _term_plan(md, order)
+    ks = np.arange(-count, count)
+    base = log_nome * (ks + 0.5) ** 2
+    signs = 1.0 - 2.0 * (ks % 2)
+    # i^(k + 1): the i of every term times i^k from its frequency's k-th power
+    cycle = np.array([1j, -1, -1j, 1])[np.arange(order + 1) % 4]
+    zs = np.asarray(zs, dtype=complex)
+    out = np.empty((len(zs), order + 1), dtype=complex)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            z0, m, n = reduce_to_cell(zs, md)
-            shifted = m.any()
-            if shifted:
-                expo = m * (-1j * _PI * md.tau * m - _TWO_PI_I * z0)
-            out, cos_phase, sin_phase = _theta_series(
-                z0, expo.imag if shifted else 0.0, plan
-            )
-            if shifted:
-                out = _quasi_periodic(out, m, expo, cos_phase, sin_phase)
+            for start in range(0, len(zs), _BLOCK):
+                rows = slice(start, start + _BLOCK)
+                z0, m, n = reduce_to_cell(zs[rows], md)
+                freq = _PI * (2.0 * (ks - m[:, None]) + 1.0)
+                shift = -1j * _PI * md.tau * m**2
+                re = (base.real + shift.real[:, None]) - freq * z0.imag[:, None]
+                im = (base.imag + shift.imag[:, None]) + freq * z0.real[:, None]
+                # (-1)^K e^{Re E} times cos and sin of Im E, (rows, 2, terms)
+                parts = np.stack([np.cos(im), np.sin(im)], axis=1)
+                parts *= (np.exp(re) * signs)[:, None]
+                # freq^k / k!, (rows, order + 1, terms)
+                powers = np.empty((len(z0), order + 1, 2 * count))
+                powers[:, 0] = 1.0
+                for k in range(order):
+                    powers[:, k + 1] = powers[:, k] * freq / (k + 1)
+                # einsum sums every row the same way, so a row does not
+                # depend on the batch around it, as a BLAS product's may
+                sums = np.einsum("bct,bkt->bck", parts, powers)
+                if np.isinf(sums).any():  # einsum does not raise on overflow
+                    raise FloatingPointError("overflow encountered in einsum")
+                sign = 1.0 - 2.0 * ((m + n) % 2)
+                out[rows] = (sums[:, 0] + 1j * sums[:, 1]) * (sign[:, None] * cycle)
     except FloatingPointError as exc:
         raise OverflowError(
             f"theta11 leaves the double range at tau={md.tau} ({exc})"
         ) from None
-    # the sign (-1)^(m + n) of the shifts
-    out *= (1.0 - 2.0 * ((m + n) % 2))[:, None]
     return out
 
 
@@ -590,8 +461,9 @@ def theta11_prime_at_zero(md: ModularData) -> complex:
     (Im tau > 225.5).
     """
     value = complex(theta11_coeffs([0.0], md, 1)[0, 1])
-    plan = _term_plan(md, 1)
-    spread = float(np.sum(np.abs(plan.amps) * plan.beta))
+    count, log_nome = _term_plan(md, 1)
+    ks = np.arange(-count, count) + 0.5
+    spread = float(np.sum(np.exp(log_nome.real * ks**2) * np.abs(2 * _PI * ks)))
     if spread * _UNIT_ROUNDOFF > _CANCELLATION_LIMIT * abs(value):
         raise SeriesConvergenceError(
             f"theta11'(0) cancels to {abs(value):.3g} from terms summing to "
@@ -646,13 +518,18 @@ def zeta11_coeffs(zs, md: ModularData, order: int = 0) -> np.ndarray:
     """Taylor coefficients of zeta11 = theta11'/theta11 to the given order at
     every z of the 1-D array zs, one row per argument, as the series
     quotient of theta's coefficients.  Raises :class:`PoleProximityError`
-    near the lattice."""
+    near the lattice, and OverflowError where theta or the quotient leaves
+    the double range."""
     _check_order(order)
     zs = np.asarray(zs, dtype=complex)
     a = theta11_coeffs(zs, md, order + 1)
     _pole_check(a[:, 0], zs, md, "z")
-    # theta' has the coefficients (k + 1) a[k + 1]
-    return _series_quotient(a[:, 1:] * np.arange(1, order + 2), a)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            # theta' has the coefficients (k + 1) a[k + 1]
+            return _series_quotient(a[:, 1:] * np.arange(1, order + 2), a)
+    except FloatingPointError as exc:
+        raise OverflowError(f"zeta11 overflows at tau={md.tau} ({exc})") from None
 
 
 def zeta11(z: complex, md: ModularData, order: int = 0) -> Jet:

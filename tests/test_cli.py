@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from ellgaudin import cli, gaudin
-from ellgaudin.bethe import BetheSystem
+from ellgaudin.bethe import BetheError, BetheSystem
 from ellgaudin.cli import (
     COMMANDS,
     CheckRecord,
@@ -284,6 +284,28 @@ def test_module_run_prints_no_runtime_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["bethe-solve", "eigen-check"])
+def test_diverging_seeds_print_no_runtime_warning(command):
+    # some of the 256 seeds diverge until zeta overflows; the solve drops
+    # them, with no numpy warning and no traceback
+    root = Path(__file__).resolve().parent.parent
+    config = root / "tests" / "data" / "a1_bethe_m4_seeds256.ini"
+    proc = subprocess.run(
+        [
+            sys.executable, "-W", "error", "-m", "ellgaudin.cli",
+            command, "--config", str(config), "--format", "json-lines",
+        ],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    names = [json.loads(line)["name"] for line in proc.stdout.splitlines()]
+    assert names[:4] == [f"bethe/root-residual-0{i}" for i in range(4)]
 
 
 def test_record_walls_are_per_check(tmp_path, capsys):
@@ -631,6 +653,25 @@ def test_inconclusive_eigen_check_fails_and_exits_1(monkeypatch, capsys):
         assert record["pass"] is False
         assert record["residual"] == 0.0
         assert record["note"] == "inconclusive: eigenvector vanished at all samples"
+
+
+@pytest.mark.parametrize("command", ["eigen-check", "full-verify"])
+def test_failed_bethe_stage_is_solved_once_and_recorded_once(monkeypatch, command):
+    # the eigen stage checks what the Bethe stage found; after a Bethe
+    # failure it neither solves again nor repeats the failure
+    calls = []
+
+    def failing(self, *args, **kwargs):
+        calls.append(args)
+        raise BetheError("no convergent seed")
+
+    monkeypatch.setattr(BetheSystem, "solve", failing)
+    report = run(command, load_config(str(CONFIGS / "a1_bethe_m1.ini")))
+    assert len(calls) == 1
+    failed = [r for r in report.records if not r.passed]
+    assert [r.name for r in failed] == ["bethe/error"]
+    assert failed[0].note == "BetheError: no convergent seed"
+    assert not any(r.name.startswith("eigen/") for r in report.records)
 
 
 def test_rank2_bethe_config_passes_eigen_check():

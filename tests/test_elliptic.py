@@ -189,8 +189,9 @@ def test_theta_tau_quasi_periodicity():
 
 
 def test_theta_large_argument_stays_finite():
-    # Far from the cell the raw series would overflow; reduction keeps the
-    # relation to the oracle value exact through the restored factor.
+    # Far from the cell the raw series would overflow; with the lattice
+    # shift in each term's exponent, theta still equals the oracle's value
+    # in the cell times the quasi-periodicity factor.
     z = 7.3 + 6.1j
     val = theta11(z, MD).value
     (z0,), (m,), (n,) = reduce_to_cell(np.array([z]), MD)
@@ -491,6 +492,62 @@ def test_a_folded_row_leaves_the_other_rows_bit_for_bit():
         assert np.all(np.isfinite(rows))
         for z, row in zip(others, rows[1:]):
             assert np.array_equal(row, theta11_coeffs([z], md, order)[0])
+
+
+@pytest.mark.parametrize("tau", [0.8j, 0.3 + 0.06j, 1.5 + 100j, 200j])
+def test_rows_across_blocks_equal_rows_taken_alone(tau):
+    # up to 600 rows, more than one block of theta11_coeffs: in the cell,
+    # up to 12 cells above or below it, and a period to its left; the rows
+    # whose theta leaves the double range are left out, since one of them
+    # fails the whole call
+    md = ModularData(tau)
+    rng = np.random.default_rng(45)
+
+    def cell(count):
+        return rng.uniform(0, 1, count) + rng.uniform(0, 1, count) * md.tau
+
+    shifts = rng.integers(-12, 13, 240)
+    batch = np.concatenate([cell(240), cell(240) + shifts * md.tau, cell(120) - 1])
+    rng.shuffle(batch)
+    fits = []
+    for z in batch:
+        try:
+            theta11_coeffs([z], md, 3)
+            fits.append(z)
+        except OverflowError:
+            pass
+    # more than one block of 256 rows at every tau
+    assert len(fits) > 300
+    for order in range(4):
+        rows = theta11_coeffs(fits, md, order)
+        for z, row in zip(fits, rows):
+            assert np.array_equal(row, theta11_coeffs([z], md, order)[0])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_overflowing_zeta_raises_and_never_warns(order):
+    # about 16 cells above the cell, theta's coefficients approach the
+    # double range; just below where they leave it, zeta's quotient leaves
+    # it first; each must be an error a Newton solve can catch, never a
+    # warning or a non-finite value
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in np.arange(13.3, 13.45, 0.001):
+            z = 0.3 + y * 1j
+            try:
+                assert np.all(np.isfinite(theta11_coeffs([z], MD, order + 1)))
+            except OverflowError:
+                outcomes.append("theta")
+                continue
+            try:
+                assert np.all(np.isfinite(zeta11_coeffs([z], MD, order)))
+                outcomes.append("finite")
+            except OverflowError as exc:
+                assert "zeta11" in str(exc)
+                outcomes.append("zeta")
+    assert outcomes[0] == "finite" and outcomes[-1] == "theta"
+    assert "zeta" in outcomes
 
 
 @pytest.mark.parametrize("tau", [40j, 200j, 1.5 + 100j])

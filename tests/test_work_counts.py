@@ -40,8 +40,9 @@ the checks need a fixed number of evaluations per point:
   come from a Held-Karp recursion over
   root subsets, one kernel-factor product per subset T, root j in T and
   root k in T - j, not one per factor of every ordering;
-- a theta call costs one sine and one cosine call, whatever the number of
-  arguments, terms and coefficients, and no factorial; zeta is one series
+- a theta call costs one sine and one cosine call per block of 256
+  arguments, whatever the number of terms and coefficients, and no
+  factorial; zeta is one series
   quotient of theta's coefficients, with no jet product, substitution or
   reciprocal;
 - the Bethe equations take zeta once per (root, site) and, by zeta's
@@ -548,12 +549,13 @@ def test_bethe_bracket_kernel_products_follow_held_karp(monkeypatch, M):
 def test_theta_series_term_takes_one_sine_and_no_factorial(monkeypatch, tau):
     md = ModularData(tau)
     for order in range(4):
-        # builds the per-tau term plans and the per-order shift tables
+        # builds the per-tau term plans
         elliptic.theta11_coeffs([0.5, 0.5 + md.tau], md, order)
     # inside the cell, a cell above, a cell below and a period to the left;
     # at 200i the first point sits near the top of the cell, where a term's
-    # sine is summed in its large form, and the second is 0.62 + 213i, whose
-    # quasi-periodicity factor alone leaves the double range
+    # sine alone would leave the double range, and the second is
+    # 0.62 + 213i, whose quasi-periodicity factor alone would: each term's
+    # shift and sine share one exponent
     points = [0.31 + 0.97 * md.tau, 0.62 + 1.065 * md.tau, 0.2 - 0.6 * md.tau - 1]
     factorials = count_calls(monkeypatch, math, "factorial")
     sines = count_calls(monkeypatch, np, "sin")
