@@ -586,12 +586,6 @@ class BetheSystem:
         ze = zeta11_coeffs(diffs.ravel(), self.problem.md, 1)
         return ze.reshape(diffs.shape + (2,))
 
-    def zeta_bar(self, direction, t, u: complex) -> complex:
-        """sum_i lam_i(h) zeta(z_i-u) - sum_j a_j(h) zeta(t_j-u) contracted
-        with the given coordinate vector."""
-        ze = self._zetas_at(t, np.array([u], dtype=complex))[0]
-        return complex((self._charges @ np.asarray(direction)) @ ze[:, 0])
-
     def eigenvalue(self, t, u):
         """tau_Psi(u) = 1/2 sum_r zeta_bar(h_r;u)^2 + d_u zeta_bar(rho;u).
 

@@ -1,21 +1,23 @@
 """Command-line front end: config ingestion, check orchestration, reports.
 
-Commands map onto the library layers: ``elliptic-check`` exercises the
-theta-function kernels, ``describe-algebra`` the root-system tables,
-``commute-check`` the family of transfer operators, ``bethe-solve`` and
-``eigen-check`` the Bethe ansatz layer, and ``full-verify`` chains all of
-them.  Runs are deterministic for a fixed config and seed; reports can be
-emitted as human-readable text, JSON lines (byte-stable) or CSV.
+``COMMANDS`` maps each command onto its check stages: ``elliptic-check``
+exercises the theta-function kernels, ``describe-algebra`` the root-system
+tables, ``commute-check`` the family of transfer operators, ``bethe-solve``
+and ``eigen-check`` the Bethe ansatz layer, and ``full-verify`` chains all
+of them.  Runs are deterministic for a fixed config and seed; reports can
+be emitted as human-readable text, JSON lines (byte-stable) or CSV.
 
-One rule decides whether a config is valid: it parses, its values are in
-range, and its instance builds.  ``load_config`` builds the root system,
-the curve (theta11'(0) included), the site modules, the ``GaudinProblem``
-and, with a ``[bethe]`` section, the ``BetheSystem``, once; an error the
-library raises while building them becomes a ``ConfigError`` (exit 2).
-The CLI repeats none of the library's checks.  Each check stage names the
-section whose built object it reads, and a command whose stages lack one
-is a ``ConfigError`` as well, as is a ``pole_guard`` or ``box`` that
-leaves a sampler no room, found when a stage samples.
+``SCHEMA`` holds every config section and key with its default; a value's
+parse rule follows its default's type, and ``echo_lines`` its order.  A
+config is valid iff it parses, its values are in range, and its instance
+builds.  ``load_config`` builds the root system, the curve (theta11'(0)
+included), the site modules, the ``GaudinProblem`` and, with a ``[bethe]``
+section, the ``BetheSystem``, once; an error the library raises while
+building them, such as an unsupported series or Im tau <= 0, becomes a
+``ConfigError`` (exit 2).  Each check stage names the section whose built
+object it reads, and a command whose stages lack one is a ``ConfigError``
+as well, as is a ``pole_guard`` or ``box`` that leaves a sampler no room,
+found when a stage samples.
 """
 
 from __future__ import annotations
@@ -67,14 +69,16 @@ from .liealg import (
 
 TWO_PI_I = 2j * math.pi
 
-COMMANDS = (
-    "elliptic-check",
-    "describe-algebra",
-    "commute-check",
-    "bethe-solve",
-    "eigen-check",
-    "full-verify",
-)
+# command -> (the check stages it runs, the stages it adds where the config
+# builds what they read)
+COMMANDS = {
+    "elliptic-check": (("elliptic",), ()),
+    "describe-algebra": (("algebra",), ()),
+    "commute-check": (("commute",), ()),
+    "bethe-solve": (("bethe",), ()),
+    "eigen-check": (("bethe", "eigen"), ()),
+    "full-verify": (("elliptic", "algebra"), ("commute", "bethe", "eigen")),
+}
 
 FORMATS = ("human-text", "json-lines", "csv")
 
@@ -87,44 +91,47 @@ class ConfigError(ValueError):
 # configuration
 # --------------------------------------------------------------------------
 
-TOLERANCE_DEFAULTS = {
-    "elliptic_identities": 1e-10,
-    "pole_normalization": 1e-12,
-    "jets": 1e-12,
-    "commutator": 1e-8,
-    "commutator_top_order": 1e-12,
-    "structure": 1e-12,
-    "eigen_residual": 1e-7,
+# Every config section and key with its default, in the order of
+# ``echo_lines``, which each instance digest hashes.  A key's parse rule
+# follows its default's type (``_parse_value``).  [sites] has numbered keys
+# (``_parse_sites``).
+SCHEMA = {
+    "algebra": {"series": "A", "rank": 1},
+    "elliptic": {"tau": 0.8j},
+    "sites": None,
+    "bethe": {
+        "assignment": "auto",
+        "n_seeds": 32,
+        "newton_tol": 1e-12,
+        "max_iter": 200,
+        "max_solutions": 4,
+    },
+    "tolerances": {
+        "commutator": 1e-8,
+        "commutator_top_order": 1e-12,
+        "eigen_residual": 1e-7,
+        "elliptic_identities": 1e-10,
+        "jets": 1e-12,
+        "pole_normalization": 1e-12,
+        "structure": 1e-12,
+    },
+    "sampling": {
+        "box": 0.8,
+        "cartan_count": 5,
+        "elliptic_points": 100,
+        "jet_points": 5,
+        "pair_count": 20,
+        "pole_guard": 0.05,
+        "sweep_points": 100,
+        "u_count": 5,
+    },
+    "rng": {"seed": 0},
 }
 
-SAMPLING_DEFAULTS = {
-    "elliptic_points": 100,
-    "jet_points": 5,
-    "cartan_count": 5,
-    "u_count": 5,
-    "pair_count": 20,
-    "box": 0.8,
-    "pole_guard": 0.05,
-    "sweep_points": 100,
-}
-
-BETHE_DEFAULTS = {
-    "assignment": "auto",
-    "n_seeds": 32,
-    "newton_tol": 1e-12,
-    "max_iter": 200,
-    "max_solutions": 4,
-}
-
-_SECTION_KEYS = {
-    "algebra": {"series", "rank"},
-    "elliptic": {"tau"},
-    "sites": None,  # validated separately (numbered keys)
-    "bethe": set(BETHE_DEFAULTS),
-    "tolerances": set(TOLERANCE_DEFAULTS),
-    "sampling": set(SAMPLING_DEFAULTS),
-    "rng": {"seed"},
-}
+# the instance's sections: absent, they are None (no sites), not defaults
+_INSTANCE_SECTIONS = ("elliptic", "sites", "bethe")
+# each held as one dict field of ExperimentConfig; other keys are fields
+_DICT_SECTIONS = ("bethe", "tolerances", "sampling")
 
 
 def parse_complex(text: str) -> complex:
@@ -156,6 +163,44 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
+def _parse_value(section: str, key: str, raw: str, default):
+    """One config value, parsed by the type of its default: an integer no
+    less than min(1, default), a positive finite float, a complex literal
+    or text.  ``assignment`` is 'auto' or simple-root labels."""
+    raw = raw.strip()
+    if key == "assignment" and raw != "auto":
+        try:
+            return tuple(int(part) for part in raw.replace(",", " ").split())
+        except ValueError:
+            raise ConfigError(
+                f"[{section}] assignment = {raw!r}: expected 'auto' or "
+                "simple-root labels like '1, 1, 2'"
+            ) from None
+    if isinstance(default, str):
+        return raw
+    if isinstance(default, complex):
+        return parse_complex(raw)
+    kind = type(default)
+    try:
+        value = kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not {noun}") from None
+    if kind is int and value < min(1, default):
+        raise ConfigError(f"[{section}] {key} must be >= {min(1, default)}, got {value}")
+    if kind is float and not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"[{section}] {key} must be a positive finite number")
+    return value
+
+
+def _echo(value) -> str:
+    if isinstance(value, complex):
+        return format_complex(value)
+    if isinstance(value, tuple):
+        return ", ".join(str(i) for i in value)
+    return str(value)
+
+
 @dataclass
 class SiteSpec:
     z: complex
@@ -163,18 +208,31 @@ class SiteSpec:
     weight: tuple  # coefficients in the fundamental-weight basis
     depth: int | None = None
 
+    def echo_lines(self, k: int) -> list:
+        lines = [
+            f"sites.z_{k} = {format_complex(self.z)}",
+            f"sites.kind_{k} = {self.kind}",
+            f"sites.weight_{k} = " + ", ".join(format_complex(w) for w in self.weight),
+        ]
+        if self.depth is not None:
+            lines.append(f"sites.depth_{k} = {self.depth}")
+        return lines
+
 
 @dataclass
 class ExperimentConfig:
+    """The settings of one config, a field per ``SCHEMA`` key (a dict per
+    section in ``_DICT_SECTIONS``), and the instance they build."""
+
     path: str
-    series: str = "A"
-    rank: int = 1
+    series: str
+    rank: int
+    tolerances: dict
+    sampling: dict
+    seed: int
     tau: complex | None = None
     sites: list = field(default_factory=list)
     bethe: dict | None = None
-    tolerances: dict = field(default_factory=dict)
-    sampling: dict = field(default_factory=dict)
-    seed: int = 0
     # the instance, built once by load_config; None where a section is absent
     rs: RootSystemData | None = field(default=None, init=False, repr=False)
     md: ModularData | None = field(default=None, init=False, repr=False)
@@ -182,66 +240,26 @@ class ExperimentConfig:
     system: BetheSystem | None = field(default=None, init=False, repr=False)
 
     def echo_lines(self):
-        """Effective settings, defaults materialized, in a fixed order."""
-        lines = [
-            f"algebra.series = {self.series}",
-            f"algebra.rank = {self.rank}",
-        ]
-        if self.tau is not None:
-            lines.append(f"elliptic.tau = {format_complex(self.tau)}")
-        if self.sites:
-            lines.append(f"sites.count = {len(self.sites)}")
-            for k, site in enumerate(self.sites, start=1):
-                lines.append(f"sites.z_{k} = {format_complex(site.z)}")
-                lines.append(f"sites.kind_{k} = {site.kind}")
-                weight = ", ".join(format_complex(w) for w in site.weight)
-                lines.append(f"sites.weight_{k} = {weight}")
-                if site.depth is not None:
-                    lines.append(f"sites.depth_{k} = {site.depth}")
-        if self.bethe is not None:
-            assignment = self.bethe["assignment"]
-            if assignment != "auto":
-                assignment = ", ".join(str(i) for i in assignment)
-            lines.append(f"bethe.assignment = {assignment}")
-            lines.append(f"bethe.n_seeds = {self.bethe['n_seeds']}")
-            lines.append(f"bethe.newton_tol = {self.bethe['newton_tol']!r}")
-            lines.append(f"bethe.max_iter = {self.bethe['max_iter']}")
-            lines.append(
-                f"bethe.max_solutions = {self.bethe['max_solutions']}"
-            )
-        for key in sorted(self.tolerances):
-            lines.append(f"tolerances.{key} = {self.tolerances[key]!r}")
-        for key in sorted(self.sampling):
-            lines.append(f"sampling.{key} = {self.sampling[key]!r}")
-        lines.append(f"rng.seed = {self.seed}")
+        """Effective settings, defaults materialized, in ``SCHEMA`` order."""
+        lines = []
+        for section, keys in SCHEMA.items():
+            if section == "sites":
+                if self.sites:
+                    lines.append(f"sites.count = {len(self.sites)}")
+                for k, site in enumerate(self.sites, start=1):
+                    lines += site.echo_lines(k)
+                continue
+            values = (getattr(self, section) if section in _DICT_SECTIONS
+                      else {key: getattr(self, key) for key in keys})
+            if values is not None and None not in values.values():
+                lines += [f"{section}.{key} = {_echo(values[key])}" for key in keys]
         return lines
 
 
-def _parse_int(section: str, key: str, raw: str, minimum: int | None = None):
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"[{section}] {key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        value = float(raw.strip())
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from None
-    if not math.isfinite(value) or value <= 0:
-        raise ConfigError(f"[{section}] {key} must be a positive finite number")
-    return value
-
-
-def _parse_sites(parser: configparser.ConfigParser, rank: int) -> list:
-    section = parser["sites"]
+def _parse_sites(section, rank: int) -> list:
     if "count" not in section:
         raise ConfigError("[sites] requires a count key")
-    count = _parse_int("sites", "count", section["count"], minimum=1)
+    count = _parse_value("sites", "count", section["count"], 1)
     allowed = {"count"}
     for k in range(1, count + 1):
         allowed.update({f"z_{k}", f"kind_{k}", f"weight_{k}", f"depth_{k}"})
@@ -290,7 +308,7 @@ def _parse_sites(parser: configparser.ConfigParser, rank: int) -> list:
                 raise ConfigError(
                     f"[sites] dual_verma site {k} requires depth_{k}"
                 )
-            depth = _parse_int("sites", f"depth_{k}", section[f"depth_{k}"], 1)
+            depth = _parse_value("sites", f"depth_{k}", section[f"depth_{k}"], 1)
         sites.append(SiteSpec(z=z, kind=kind, weight=tuple(coeffs), depth=depth))
     return sites
 
@@ -313,90 +331,41 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"parse error in {path!r}: {exc}") from None
 
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        allowed = _SECTION_KEYS[section]
-        if allowed is not None:
-            for key in parser[section]:
-                if key not in allowed:
-                    raise ConfigError(
-                        f"unknown key {key!r} in section [{section}]"
-                    )
+        for key in parser[section]:
+            if SCHEMA[section] is not None and key not in SCHEMA[section]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    cfg = ExperimentConfig(path=path)
-
-    if parser.has_section("algebra"):
-        algebra = parser["algebra"]
-        cfg.series = algebra.get("series", "A").strip()
-        if cfg.series != "A":
-            raise ConfigError(
-                f"unsupported algebra series {cfg.series!r}; only A is available"
-            )
-        cfg.rank = _parse_int("algebra", "rank", algebra.get("rank", "1"), 1)
-
-    if parser.has_section("elliptic"):
-        cfg.tau = parse_complex(parser["elliptic"].get("tau", "0.8i"))
-        if cfg.tau.imag <= 0:
-            raise ConfigError("elliptic.tau must have positive imaginary part")
-
-    if parser.has_section("sites"):
-        if cfg.tau is None:
-            raise ConfigError("[sites] requires an [elliptic] section with tau")
-        cfg.sites = _parse_sites(parser, cfg.rank)
-
-    if parser.has_section("bethe"):
-        if not cfg.sites:
+    fields = {}
+    for section, defaults in SCHEMA.items():
+        if not parser.has_section(section) and section in _INSTANCE_SECTIONS:
+            continue
+        given = parser[section] if parser.has_section(section) else {}
+        if section == "sites":
+            if "tau" not in fields:
+                raise ConfigError("[sites] requires an [elliptic] section with tau")
+            fields["sites"] = _parse_sites(given, fields["rank"])
+            continue
+        if section == "bethe" and "sites" not in fields:
             raise ConfigError("[bethe] requires a [sites] section")
-        section = parser["bethe"]
-        bethe = dict(BETHE_DEFAULTS)
-        if "assignment" in section:
-            raw = section["assignment"].strip()
-            if raw != "auto":
-                try:
-                    bethe["assignment"] = tuple(
-                        int(part) for part in raw.replace(",", " ").split()
-                    )
-                except ValueError:
-                    raise ConfigError(
-                        f"[bethe] assignment = {raw!r}: expected 'auto' or "
-                        "simple-root labels like '1, 1, 2'"
-                    ) from None
-        if "n_seeds" in section:
-            bethe["n_seeds"] = _parse_int("bethe", "n_seeds", section["n_seeds"], 1)
-        if "newton_tol" in section:
-            bethe["newton_tol"] = _parse_float(
-                "bethe", "newton_tol", section["newton_tol"]
-            )
-        if "max_iter" in section:
-            bethe["max_iter"] = _parse_int("bethe", "max_iter", section["max_iter"], 1)
-        if "max_solutions" in section:
-            bethe["max_solutions"] = _parse_int(
-                "bethe", "max_solutions", section["max_solutions"], 1
-            )
-        cfg.bethe = bethe
-
-    cfg.tolerances = dict(TOLERANCE_DEFAULTS)
-    if parser.has_section("tolerances"):
-        for key, raw in parser["tolerances"].items():
-            cfg.tolerances[key] = _parse_float("tolerances", key, raw)
-
-    cfg.sampling = dict(SAMPLING_DEFAULTS)
-    if parser.has_section("sampling"):
-        for key, raw in parser["sampling"].items():
-            if key in ("box", "pole_guard"):
-                cfg.sampling[key] = _parse_float("sampling", key, raw)
-            else:
-                cfg.sampling[key] = _parse_int("sampling", key, raw, 1)
-    if cfg.sampling["pole_guard"] >= 0.5:
+        values = {
+            key: _parse_value(section, key, given[key], default)
+            if key in given else default
+            for key, default in defaults.items()
+        }
+        if section in _DICT_SECTIONS:
+            fields[section] = values
+        else:
+            fields.update(values)
+    if fields["sampling"]["pole_guard"] >= 0.5:
         # the cell samples keep pole_guard away from each edge of the cell
         raise ConfigError(
             "[sampling] pole_guard must be below 0.5, got "
-            f"{cfg.sampling['pole_guard']}"
+            f"{fields['sampling']['pole_guard']}"
         )
 
-    if parser.has_section("rng"):
-        cfg.seed = _parse_int("rng", "seed", parser["rng"].get("seed", "0"), 0)
-
+    cfg = ExperimentConfig(path=path, **fields)
     try:
         _build_instance(cfg)
     except (LieAlgebraError, GaudinError, BetheError, EllipticError) as exc:
@@ -425,7 +394,6 @@ def _build_instance(cfg: ExperimentConfig) -> None:
             cfg.md,
             [site.z for site in cfg.sites],
             modules,
-            pole_guard=min(cfg.sampling["pole_guard"], 1e-2),
         )
     if cfg.bethe is not None:
         assignment = cfg.bethe["assignment"]
@@ -920,21 +888,11 @@ class CheckRunner:
     # -- dispatch ---------------------------------------------------------------
 
     def run(self) -> Report:
-        plans = {
-            "elliptic-check": ["elliptic"],
-            "describe-algebra": ["algebra"],
-            "commute-check": ["commute"],
-            "bethe-solve": ["bethe"],
-            "eigen-check": ["bethe", "eigen"],
-        }
-        if self.command in plans:
-            plan = plans[self.command]
-        else:  # full-verify
-            plan = ["elliptic", "algebra"]
-            if self.problem is not None:
-                plan.append("commute")
-            if self.system is not None:
-                plan += ["bethe", "eigen"]
+        stages, optional = COMMANDS[self.command]
+        plan = list(stages) + [
+            name for name in optional
+            if getattr(self, _STAGE_NEEDS[name][1]) is not None
+        ]
         for name in plan:
             if name in _STAGE_NEEDS:
                 section, built = _STAGE_NEEDS[name]

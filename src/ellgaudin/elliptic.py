@@ -88,7 +88,7 @@ class ModularData:
     def __post_init__(self):
         tau = complex(self.tau)
         if not tau.imag > 0:
-            raise ValueError(f"Im(tau) must be positive, got tau={tau}")
+            raise EllipticError(f"Im(tau) must be positive, got tau={tau}")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "q", cmath.exp(_TWO_PI_I * tau))
         object.__setattr__(self, "basis", _gauss_reduce(tau))

@@ -354,14 +354,7 @@ class GaudinProblem:
     transpose.
     """
 
-    def __init__(
-        self,
-        rs: RootSystemData,
-        md: ModularData,
-        positions,
-        modules,
-        pole_guard: float = 1e-9,
-    ):
+    def __init__(self, rs: RootSystemData, md: ModularData, positions, modules):
         if len(positions) != len(modules):
             raise GaudinError("one position per module is required")
         if not modules:
@@ -373,7 +366,6 @@ class GaudinProblem:
         self.md = md
         self.positions = [complex(z) for z in positions]
         self.modules = list(modules)
-        self.pole_guard = pole_guard
         a, b = np.triu_indices(len(self.positions), 1)
         zs = np.array(self.positions)
         near = lattice_distance(zs[a] - zs[b], md) < 1e-9
@@ -477,7 +469,7 @@ class GaudinProblem:
         for a pole.  Theta acts elementwise, so every entry's values are
         those it gets alone."""
         points = _cartan_rows(H, len(us))
-        check_regular(self.rs, self.md, points, self.pole_guard)
+        check_regular(self.rs, self.md, points)
         xs = self._site_args(us)
         cs = root_values(self.rs.positive_roots, points)
         minus = xs[:, None, :] - cs[:, :, None]
@@ -594,22 +586,6 @@ class GaudinProblem:
         (``commutator_values``) instead.
         """
         return transfer_operator(*self.transfer_parts(u, H, order))
-
-    def nabla(self, u: complex, order: int = 0) -> list:
-        """The flat-connection operators nabla_r = d_r - A_r(u), with
-        A_r(u) = sum_i zeta(z_i - u) h_r^(i) on the zero-weight space.
-
-        Their coefficients are constant, so the base point does not enter.
-        """
-        l, dim = self.rs.rank, self.space.dim0
-        xs = self._site_args(np.array([u], dtype=complex))[0]
-        th = theta11_coeffs(xs, self.md, 1)
-        _pole_check(th[:, 0], xs, self.md, "z")
-        ones = Jet(l, order, [np.eye(dim)])
-        return [
-            DiffOperator(l, dim, {unit: ones, (0,) * l: Jet(l, order, -np.diag(a)[None])})
-            for a, unit in zip(self._cartan_from(th[None])[0].T, self._units)
-        ]
 
     def _mult_denominator(self, sign: int, H, order: int) -> DiffOperator:
         """Multiplication by Pi(H)^sign, up to a factor depending on tau

@@ -362,18 +362,6 @@ def test_vector_jet_matches_the_straight_line_reference(
 # ---------------------------------------------------------------------------
 
 
-def test_zeta_bar_is_linear_in_direction():
-    c1 = 0.73 + 0.21j
-    sysb = make_system([c1, 2 - c1])
-    t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
-    u = 0.62 + 0.3j
-    a, b = 0.7 - 0.2j, -1.3 + 0.4j
-    h1, h2 = np.array([1.0]), np.array([0.6 + 0.1j])
-    lhs = sysb.zeta_bar(a * h1 + b * h2, t, u)
-    rhs = a * sysb.zeta_bar(h1, t, u) + b * sysb.zeta_bar(h2, t, u)
-    assert abs(lhs - rhs) < 1e-12
-
-
 def test_eigenvalue_period_one_in_u():
     c1 = 0.73 + 0.21j
     sysb = make_system([c1, 2 - c1])

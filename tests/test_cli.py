@@ -255,6 +255,40 @@ def test_rank_outside_supported_range_exits_2(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("tau = 0.8i", "tau = 0.5-0.2i"),
+        ("tau = 0.8i", "tau = 0.8"),
+        ("series = A", "series = B"),
+        ("seed = 11", "seed = -1"),
+        ("n_seeds = 32", "n_seeds = 0"),
+        ("n_seeds = 32", "n_seeds = 32\nnewton_tol = -1e-12"),
+        ("assignment = auto", "assignment = x"),
+        ("[rng]", "[sampling]\nbox = nan\n\n[rng]"),
+    ],
+    ids=["tau-below", "tau-real", "series-B", "seed-negative", "n_seeds-0",
+         "newton_tol-negative", "assignment-x", "box-nan"],
+)
+def test_out_of_range_value_exits_2_with_config_error(tmp_path, capsys, old, new):
+    # tau and series are refused by the library while the instance builds
+    text = (CONFIGS / "a1_bethe_m1.ini").read_text(encoding="utf-8")
+    assert old in text
+    path = write_config(tmp_path, text.replace(old, new))
+    assert main(["describe-algebra", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("ellgaudin: config error")
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| `([^`]*)` \|", readme, re.M)
+    assert rows == [
+        (section, key, cli._echo(default))
+        for section, keys in cli.SCHEMA.items() if keys
+        for key, default in keys.items()
+    ]
+
+
 def test_import_leaves_scipy_unloaded():
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = "import sys, ellgaudin.cli; print('scipy' in sys.modules)"

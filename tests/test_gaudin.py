@@ -615,21 +615,6 @@ def test_regularity_check_names_the_first_singular_root(values, first):
         check_regular(RS2, MD, H)
 
 
-def test_nabla_operators_commute():
-    # flatness of the connection: [nabla_r, nabla_s] = 0
-    mods = [
-        build_irrep(RS2, RS2.weight_from_fundamental([1, 0])),
-        build_irrep(RS2, RS2.weight_from_fundamental([0, 1])),
-    ]
-    prob = GaudinProblem(RS2, MD2, [0.05, 0.52 + 0.31j], mods)
-    rng = np.random.default_rng(14)
-    u = sample_spectral_points(MD2, prob.positions, rng, 1)[0]
-    nab = prob.nabla(u, order=1)
-    comm = nab[0].commutator(nab[1])
-    for v in comm.evaluate().values():
-        assert np.max(np.abs(v)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # conjugated transfer operator
 # ---------------------------------------------------------------------------
