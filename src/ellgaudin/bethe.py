@@ -30,12 +30,13 @@ from .elliptic import (
     linear_substitution_rows,
     zeta11_coeffs,
 )
-from .gaudin import GaudinError, GaudinProblem, _kernel_series, check_regular, root_values
+from .gaudin import (GaudinError, GaudinProblem, _kernel_series, check_regular,
+                     pass_slices, root_values)
 from .liealg import module_lowering, root_budget
 
 
 # The bytes that the largest arrays of one pass of
-# BetheSystem.verify_eigenvector may take, as BetheSystem._pass_size
+# BetheSystem.verify_eigenvector may take, as BetheSystem._entry_bytes
 # estimates them; entries beyond that go to further passes.
 _PASS_BYTES = 1 << 21
 
@@ -609,20 +610,18 @@ class BetheSystem:
 
     # -- verification ---------------------------------------------------------
 
-    def _pass_size(self, spectral: int) -> int:
-        """How many (solution, Cartan point) entries one pass of
-        ``verify_eigenvector`` takes: as many as keep its largest arrays
-        within ``_PASS_BYTES``, and at least one.  Per entry these are the
-        widest Held-Karp layer of ``vector_jet`` (its two gathered factors
-        and their product, one block per term of the jet product) and, per
+    def _entry_bytes(self, spectral: int) -> int:
+        """The bytes of the largest arrays one (solution, Cartan point)
+        entry of ``verify_eigenvector`` holds in its pass: the widest
+        Held-Karp layer of ``vector_jet`` (its two gathered factors and
+        their product, one block per term of the jet product) and, per
         spectral parameter, the transfer operator's dense V and first-order
         coefficients."""
         _, _, layers, f_blocks, *_ = self._vector_plan()
         l, dim = self.problem.rs.rank, self.problem.space.dim0
         terms = len(_cauchy_table(l, 2)[0])
         widest = max((pred.size for pred, *_ in layers), default=0) * f_blocks.shape[1]
-        entry = 16 * (3 * terms * widest + spectral * (l + 1) * dim * dim)
-        return max(1, _PASS_BYTES // entry)
+        return 16 * (3 * terms * widest + spectral * (l + 1) * dim * dim)
 
     def verify_eigenvector(self, t, h_points, u_points, tiny: float = 1e-12):
         """Relative residual of (transfer(u) - tau_Psi(u)) Psi over samples.
@@ -633,8 +632,8 @@ class BetheSystem:
         each with its own samples, shapes (S, P, l) and (S, U), giving a
         list of S results.  An entry is one (solution, Cartan point):
         - one ``eigenvalue`` call gives every solution's eigenvalues;
-        - the entries go in passes of ``_pass_size`` of them, all of them
-          in one pass unless their arrays outgrow ``_PASS_BYTES``;
+        - the entries go in passes of ``pass_slices``, all of them in one
+          pass unless their arrays outgrow ``_PASS_BYTES``;
         - per pass, one ``vector_jet`` call builds the Bethe vector of
           every entry, at the transfer operator's order, since it does not
           depend on u, and one transfer operator, batched over every
@@ -658,10 +657,8 @@ class BetheSystem:
         entries = hs.reshape(count * points, l)
         owner = np.repeat(np.arange(count), points)
         eigs = self.eigenvalue(ts, us)
-        step = self._pass_size(spectral)
         norms, rels = [], {}
-        for first in range(0, len(entries), step):
-            part = np.arange(first, min(first + step, len(entries)))
+        for part in pass_slices(len(entries), self._entry_bytes(spectral), _PASS_BYTES):
             # the transfer operator is second order
             psi = self.vector_jet(ts[owner[part]], entries[part], 2)
             sizes = np.max(np.abs(psi.value), axis=-1)

@@ -53,7 +53,6 @@ from .gaudin import (
     GaudinError,
     GaudinProblem,
     commutativity_residual,
-    composed_residual,
     sample_regular_cartan,
     sample_spectral_points,
     site_depth,
@@ -460,37 +459,33 @@ def _contour_radius(distance: float) -> float:
     return min(0.05, distance / 8)
 
 
-def _contour_coeffs(f, z0: complex, r: float) -> dict:
+_UNIT = np.exp(2j * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS)
+
+
+def _ring(z0: complex, r: float) -> np.ndarray:
+    return z0 + r * _UNIT
+
+
+def _contour_coeffs(vals: np.ndarray, r: float) -> dict:
     """{k: (a_k, max|f|/r^k)} for k = -1..2: the Laurent coefficients of f
     about z0 by the trapezoidal rule on |z - z0| = r, each with its Cauchy
-    bound.  f takes the array of contour points and returns its values
-    there.  The four DFT terms are summed directly; numpy.fft would load
-    one more extension module (about 0.5 MB) on every run.
-    """
-    unit = np.exp(2j * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS)
-    vals = np.asarray(f(z0 + r * unit))
+    bound, from f's values on ``_ring(z0, r)``, which callers take for all
+    their rings in one kernel call per function.  The four DFT terms are
+    summed directly; numpy.fft would load one more extension module (about
+    0.5 MB) on every run."""
     peak = float(np.abs(vals).max())
-    return {k: (vals @ unit**-k / _CONTOUR_POINTS / r**k, peak / r**k)
+    return {k: (vals @ _UNIT**-k / _CONTOUR_POINTS / r**k, peak / r**k)
             for k in (-1, 0, 1, 2)}
 
 
-def _w_values(tz, tzc, tc, md: ModularData) -> np.ndarray:
+def _w_on(pairs, md: ModularData) -> np.ndarray:
     """w_c(z) = theta'(0) theta(z - c) / (theta(z) theta(-c)), the value of
-    ``w_kernel``, from the values tz, tzc and tc of theta(z), theta(z - c)
-    and theta(-c)."""
+    ``w_kernel``, for each (c, z) of ``pairs``, arrays or scalars broadcast
+    together, their values concatenated, from one theta call."""
+    cs, zs = map(np.concatenate, zip(*(np.broadcast_arrays(c, z) for c, z in pairs)))
+    tz, tzc, tc = theta11_coeffs(np.concatenate([zs, zs - cs, -cs]), md)[:, 0].reshape(3, -1)
     # theta(z - c) / theta(z) first: at large Im tau each is far from 1
     return theta11_prime_at_zero(md) * (tzc / tz) / tc
-
-
-def _w_on(cs, zs, md: ModularData) -> np.ndarray:
-    """w_c(z) at arrays of c and z, broadcast together, from one theta
-    call."""
-    cs, zs = np.broadcast_arrays(
-        np.asarray(cs, dtype=complex), np.asarray(zs, dtype=complex)
-    )
-    args = np.concatenate([zs, zs - cs, -cs])
-    tz, tzc, tc = theta11_coeffs(args, md)[:, 0].reshape(3, -1)
-    return _w_values(tz, tzc, tc, md)
 
 
 def _contour_error(coeffs: dict, expected: dict) -> float:
@@ -620,17 +615,14 @@ class CheckRunner:
         zs = self._cell_points(n)
         cs = self._cell_points(n)
 
-        # theta, zeta and w at z, z + 1 and z + tau, a kernel call per shift
-        # and function over all sample points
+        # theta, zeta and w at z, z + 1 and z + tau, one kernel call per
+        # function over all sample points and shifts
         base, cbase = np.array(zs), np.array(cs)
-        tc = theta11_coeffs(-cbase, md)[:, 0]
-        th, ze, wv = [], [], []
-        for shift in (0, 1, md.tau):
-            points = base + shift
-            th.append(theta11_coeffs(points, md)[:, 0])
-            ze.append(zeta11_coeffs(points, md)[:, 0])
-            tzc = theta11_coeffs(points - cbase, md)[:, 0]
-            wv.append(_w_values(th[-1], tzc, tc, md))
+        shifted = [base + shift for shift in (0, 1, md.tau)]
+        points = np.concatenate(shifted)
+        th = theta11_coeffs(points, md)[:, 0].reshape(3, n)
+        ze = zeta11_coeffs(points, md)[:, 0].reshape(3, n)
+        wv = _w_on([(cbase, x) for x in shifted], md).reshape(3, n)
         factor = -np.exp(-1j * math.pi * md.tau - TWO_PI_I * base)
         worst = {
             "theta-period-1": _rel(th[1], -th[0]),
@@ -653,13 +645,12 @@ class CheckRunner:
         # w_c(z) in c at 0 are 1, 1 and -1.
         (n1, m1), _ = md.basis
         r0 = _contour_radius(abs(n1 + m1 * md.tau))
+        ring = _ring(0, r0)
+        zeta = zeta11_coeffs(ring, md)[:, 0]
+        w_z, w_c = _w_on([(cs[0], ring), (ring, zs[0])], md).reshape(2, -1)
         pole_res = np.max([
-            _contour_error(_contour_coeffs(f, 0, r0), {-1: target})
-            for f, target in (
-                (lambda h: zeta11_coeffs(h, md)[:, 0], 1),
-                (lambda h: _w_on(cs[0], h, md), 1),
-                (lambda h: _w_on(h, zs[0], md), -1),
-            )
+            _contour_error(_contour_coeffs(vals, r0), {-1: target})
+            for vals, target in ((zeta, 1), (w_z, 1), (w_c, -1))
         ])
         self._record(
             "elliptic/pole-normalization",
@@ -670,29 +661,35 @@ class CheckRunner:
 
         # Jets against contour coefficients: theta and zeta in z, w in c, w
         # in z, and w along the diagonal (c + h, z + h), whose h^2
-        # coefficient is a20 + a11 + a02.
-        jet_res = 0.0
+        # coefficient is a20 + a11 + a02.  Every ring is built first; theta,
+        # zeta and w then take one call each for all of them.
         jet_pairs = list(zip(zs[: self.cfg.sampling["jet_points"]], cs))
-        for z, c in jet_pairs:
-            rz, rc = (_contour_radius(lattice_distance(x, md)) for x in (z, c))
+        radii = [map(_contour_radius, lattice_distance(np.array(x), md).tolist())
+                 for x in zip(*jet_pairs)]
+        z_rings, w_pairs, expected = [], [], []
+        for (z, c), rz, rc in zip(jet_pairs, *radii):
             jt = theta11(z, md, order=2).coeff
             jz = zeta11(z, md, order=2).coeff
             jw = w_kernel(c, z, md, 2).coeff
-            for f, z0, r, expected in (
-                (lambda x: theta11_coeffs(x, md)[:, 0], z, rz,
-                 {1: jt((1,)), 2: jt((2,))}),
-                (lambda x: zeta11_coeffs(x, md)[:, 0], z, rz,
-                 {1: jz((1,)), 2: jz((2,))}),
-                (lambda x: _w_on(x, z, md), c, rc,
-                 {1: jw((1, 0)), 2: jw((2, 0))}),
-                (lambda x: _w_on(c, x, md), z, rz,
-                 {1: jw((0, 1)), 2: jw((0, 2))}),
-                (lambda h: _w_on(c + h, z + h, md), 0, min(rz, rc),
-                 {2: jw((2, 0)) + jw((1, 1)) + jw((0, 2))}),
-            ):
-                jet_res = np.maximum(
-                    jet_res, _contour_error(_contour_coeffs(f, z0, r), expected)
-                )
+            h = _ring(0, min(rz, rc))
+            z_rings.append(_ring(z, rz))
+            w_pairs += [(_ring(c, rc), z), (c, z_rings[-1]), (c + h, z + h)]
+            expected += [
+                (rz, {1: jt((1,)), 2: jt((2,))}),
+                (rz, {1: jz((1,)), 2: jz((2,))}),
+                (rc, {1: jw((1, 0)), 2: jw((2, 0))}),
+                (rz, {1: jw((0, 1)), 2: jw((0, 2))}),
+                (min(rz, rc), {2: jw((2, 0)) + jw((1, 1)) + jw((0, 2))}),
+            ]
+        rings = np.concatenate(z_rings)
+        per_point = np.concatenate([
+            theta11_coeffs(rings, md)[:, 0].reshape(-1, 1, _CONTOUR_POINTS),
+            zeta11_coeffs(rings, md)[:, 0].reshape(-1, 1, _CONTOUR_POINTS),
+            _w_on(w_pairs, md).reshape(-1, 3, _CONTOUR_POINTS),
+        ], axis=1)
+        jet_res = 0.0
+        for vals, (r, want) in zip(per_point.reshape(-1, _CONTOUR_POINTS), expected):
+            jet_res = np.maximum(jet_res, _contour_error(_contour_coeffs(vals, r), want))
         self._record(
             "elliptic/jets-vs-contour",
             jet_res,
@@ -737,35 +734,34 @@ class CheckRunner:
         )
 
     def stage_commute(self):
+        """One ``commutativity_residual`` call: the same-point pair u' = u
+        is pair 0, and the first distinct pair at the first point is also
+        composed generically, a route independent of the closed form."""
         problem = self.problem
         tol = self.cfg.tolerances["commutator"]
         tol_top = self.cfg.tolerances["commutator_top_order"]
         h_points = self._cartan_points()
         n_pairs = self.cfg.sampling["pair_count"]
         us = self._spectral_points(problem.positions, 2 * n_pairs + 1)
-        same = commutativity_residual(problem, us[:1], us[:1], h_points)
+        res = commutativity_residual(
+            problem, [us[0], *us[1::2]], [us[0], *us[2::2]], h_points, compose=1
+        )
+        per_pair = res["per_pair"]
         self._record(
             "commute/same-point",
-            same["max_rel"],
+            per_pair[0],
             tol,
             note="u' = u, trivially commuting",
         )
-        # one batched transfer operator per Cartan point for all first
-        # members of the pairs, and one for all second members
-        res = commutativity_residual(problem, us[1::2], us[2::2], h_points)
-        # the first pair at the first point again, by generic composition:
-        # a route independent of the closed form
-        spot = composed_residual(problem, us[1], us[2], h_points[0])
-        worst_top = np.max([res["max_abs_order3"], res["max_abs_order4"]])
         self._record(
             "commute/distinct-points",
-            np.maximum(res["max_rel"], spot),
+            np.maximum(np.max(per_pair[1:]), res["composed"]),
             tol,
             note=f"max over {n_pairs} spectral-parameter pairs",
         )
         self._record(
             "commute/top-order-coefficients",
-            worst_top,
+            np.max([res["max_abs_order3"], res["max_abs_order4"]]),
             tol_top,
             note="order-3 and order-4 coefficients of the commutator",
         )

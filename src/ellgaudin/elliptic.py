@@ -524,6 +524,10 @@ def zeta11_coeffs(zs, md: ModularData, order: int = 0) -> np.ndarray:
     zs = np.asarray(zs, dtype=complex)
     a = theta11_coeffs(zs, md, order + 1)
     _pole_check(a[:, 0], zs, md, "z")
+    # 2^-e, e the exponent of a0's larger part, keeps each row near 1 and,
+    # as a power of two, leaves its quotient unchanged to the bit
+    _, e = np.frexp(np.maximum(abs(a[:, 0].real), abs(a[:, 0].imag)))
+    a = a * np.ldexp(1.0, -e)[:, None]
     try:
         with np.errstate(over="raise", invalid="raise"):
             # theta' has the coefficients (k + 1) a[k + 1]

@@ -26,6 +26,7 @@ from .elliptic import (
     _series_quotient,
     _series_reciprocal,
     array_jet_product,
+    jet_indices,
     lattice_distance,
     linear_substitution_rows,
     nearest_lattice_point,
@@ -46,6 +47,17 @@ class GaudinError(Exception):
 
 # Rejection-sampling budget of the Cartan and spectral-point samplers.
 _MAX_TRIES = 10_000
+
+# The bytes one pass of commutativity_residual may hold, by its estimate;
+# entries beyond that go to further passes.
+_COMMUTE_PASS_BYTES = 768 << 10
+
+
+def pass_slices(count: int, entry_bytes: int, budget: int) -> list:
+    """range(count) cut into consecutive passes of as many entries as keep
+    entry_bytes each within budget bytes, and at least one."""
+    step = max(1, budget // entry_bytes)
+    return [np.arange(first, min(first + step, count)) for first in range(0, count, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -696,27 +708,22 @@ def _coeff_scale(zero: Jet, cartan: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(0.5, _batch_max(cartan)), _batch_max(zero.value))
 
 
-def commutativity_residual(
-    problem: GaudinProblem,
-    u1s,
-    u2s,
-    h_points,
-) -> dict:
+def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points, compose=None) -> dict:
     """Relative size of [transfer(u1), transfer(u2)] over paired spectral
-    parameters and Cartan sample points.
+    parameters, 1-D arrays or two scalars, and Cartan sample points.
 
-    ``u1s`` and ``u2s`` are paired 1-D arrays of spectral parameters, or
-    two scalars for one pair.  Per Cartan point, one ``transfer_parts``
-    call serves every u1 and one every u2 (the same call when the arrays
-    are equal), and ``commutator_values`` gives the commutator's
-    coefficients in closed form for every pair at once; no
-    ``DiffOperator`` is built.  Each pair's residual is scaled by the
-    product of its two operators' largest coefficient entries,
-    max(1/2, |A_r|, |V(H)|), the ``max_coeff_norm`` of ``transfer``.
-    Returns the maximum relative residual over the pairs and points
-    together with the largest absolute top-degree (order 3 and 4)
-    coefficients, which must vanish identically; order 4 is never formed
-    and reads 0.  Every fold keeps NaN.
+    The (Cartan point, pair) entries go in ``pass_slices`` passes, one
+    unless they outgrow ``_COMMUTE_PASS_BYTES``.  Per pass, one
+    ``transfer_parts`` call with H paired in serves every u1 and one every
+    u2 (the same call when the arrays are equal), and
+    ``commutator_values`` gives every entry's commutator in closed form;
+    each entry's numbers are those it gets alone.  A residual is scaled by
+    the product of its operators' ``max_coeff_norm``, max(1/2, |A_r|,
+    |V(H)|).  Returns the largest relative residual, overall and per pair,
+    the largest absolute top-degree coefficients, which must vanish
+    (order 4 is never formed and reads 0), and for the index ``compose``
+    of a pair its ``composed_residual`` at the first point, from its
+    pass's parts.  Every fold keeps NaN.
     """
     u1s, _ = _spectral_batch(u1s)
     u2s, _ = _spectral_batch(u2s)
@@ -725,38 +732,52 @@ def commutativity_residual(
             f"paired spectral parameters differ in number: {len(u1s)} and {len(u2s)}"
         )
     same = np.array_equal(u1s, u2s)
-    max_rel = 0.0
-    max_abs34 = {3: 0.0, 4: 0.0}
-    for H in h_points:
+    points = np.asarray(h_points, dtype=complex).reshape(-1, problem.rs.rank)
+    hs = np.repeat(points, len(u1s), axis=0)
+    lanes1, lanes2 = np.tile(u1s, len(points)), np.tile(u2s, len(points))
+    # an entry's bytes: both sides' V jets and the pair jets their potentials
+    # contract, the commutator's l + 1 matrices, four temporaries and theta
+    l, dim = problem.rs.rank, problem.space.dim0
+    n, k = len(problem.positions), problem.rs.n_positive
+    matrices = len(jet_indices(l, 2)) * (2 * dim * dim + k * n * n) + (l + 5) * dim * dim
+    entry = 16 * (matrices + 6 * (n + k * (2 * n + 1)))
+    rel = np.zeros(len(hs))
+    top, composed = 0.0, None
+    for part in pass_slices(len(hs), entry, _COMMUTE_PASS_BYTES):
         # the commutator's values need V's jets to second order
-        first = problem.transfer_parts(u1s, H, 2)
-        second = first if same else problem.transfer_parts(u2s, H, 2)
+        first = problem.transfer_parts(lanes1[part], hs[part], 2)
+        second = first if same else problem.transfer_parts(lanes2[part], hs[part], 2)
         values = commutator_values(first, second)
         scale = _coeff_scale(*first) * _coeff_scale(*second)
         norm = reduce(np.maximum, map(_batch_max, values.values()))
-        max_rel = np.maximum(max_rel, norm / np.maximum(scale, 1e-300))
-        for m, v in values.items():
-            if sum(m) in (3, 4):
-                max_abs34[sum(m)] = np.maximum(max_abs34[sum(m)], np.max(np.abs(v)))
-        # this point's arrays go before the next point's are built
+        rel[part] = norm / np.maximum(scale, 1e-300)
+        third = (np.max(abs(v)) for m, v in values.items() if sum(m) == 3)
+        top = reduce(np.maximum, third, top)
+        if compose is not None and compose in part:
+            lane = compose - part[0]
+            composed = composed_residual(*(
+                (Jet(v.nvars, 2, v.coeffs[:, lane]), a[lane]) for v, a in (first, second)
+            ))
+        # this pass's arrays go before the next pass builds its own
         del first, second, values
+    per_pair = np.max(rel.reshape(len(points), len(u1s)), axis=0, initial=0.0)
     return {
-        "max_rel": float(np.max(max_rel)),
-        "max_abs_order3": float(max_abs34[3]),
-        "max_abs_order4": float(max_abs34[4]),
+        "max_rel": float(np.max(per_pair, initial=0.0)),
+        "per_pair": per_pair,
+        "max_abs_order3": float(top),
+        "max_abs_order4": 0.0,
+        "composed": composed,
     }
 
 
-def composed_residual(problem: GaudinProblem, u1: complex, u2: complex, H) -> float:
-    """Relative size of [transfer(u1), transfer(u2)] at one pair and one
-    Cartan point by generic composition (``DiffOperator.commutator``),
-    scaled as in ``commutativity_residual``.
-
-    It shares none of ``commutator_values``' algebra, so a spot check with
-    it catches a closed form that loses a term of the commutator.  NaN is
+def composed_residual(first: tuple, second: tuple) -> float:
+    """Relative size of [T1, T2] by generic composition
+    (``DiffOperator.commutator``), scaled as in ``commutativity_residual``,
+    for operators given by their parts at one u (``transfer_parts``).  It
+    shares none of ``commutator_values``' algebra, so a spot check with it
+    catches a closed form that loses a term of the commutator.  NaN is
     kept.
     """
-    first = problem.transfer(u1, H, 2)
-    second = problem.transfer(u2, H, 2)
+    first, second = transfer_operator(*first), transfer_operator(*second)
     scale = first.max_coeff_norm() * second.max_coeff_norm()
     return float(first.commutator(second).max_coeff_norm() / np.maximum(scale, 1e-300))

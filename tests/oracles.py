@@ -689,3 +689,123 @@ def nearest_lattice_point_scan(z: complex, md) -> complex:
         if best is None or abs(z - cand) < abs(z - best):
             best = cand
     return best
+
+
+# ---------------------------------------------------------------------------
+# Check stages one kernel call per point, pair and contour.
+# ---------------------------------------------------------------------------
+
+
+def commutativity_residual_reference(prob, u1s, u2s, h_points) -> dict:
+    """``gaudin.commutativity_residual`` point by point: per Cartan point,
+    one ``transfer_parts`` call for all u1 and one for all u2 (the same
+    call when they are equal), each pair's relative residual folded into a
+    running per-pair maximum over the points."""
+    from functools import reduce
+
+    from ellgaudin.gaudin import _batch_max, _coeff_scale, commutator_values
+
+    u1s = np.asarray(u1s, dtype=complex).reshape(-1)
+    u2s = np.asarray(u2s, dtype=complex).reshape(-1)
+    same = np.array_equal(u1s, u2s)
+    per_pair = 0.0
+    max_abs34 = {3: 0.0, 4: 0.0}
+    for H in h_points:
+        first = prob.transfer_parts(u1s, H, 2)
+        second = first if same else prob.transfer_parts(u2s, H, 2)
+        values = commutator_values(first, second)
+        scale = _coeff_scale(*first) * _coeff_scale(*second)
+        norm = reduce(np.maximum, map(_batch_max, values.values()))
+        per_pair = np.maximum(per_pair, norm / np.maximum(scale, 1e-300))
+        for m, v in values.items():
+            if sum(m) in (3, 4):
+                max_abs34[sum(m)] = np.maximum(max_abs34[sum(m)], np.max(np.abs(v)))
+    return {
+        "max_rel": float(np.max(per_pair)),
+        "per_pair": per_pair,
+        "max_abs_order3": float(max_abs34[3]),
+        "max_abs_order4": float(max_abs34[4]),
+    }
+
+
+def contour_coeffs(f, z0: complex, r: float) -> dict:
+    """{k: (a_k, max|f|/r^k)} for k = -1..2 by the 16-point trapezoidal
+    rule on |z - z0| = r, f called on that contour's points alone."""
+    unit = np.exp(2j * np.pi * np.arange(16) / 16)
+    vals = np.asarray(f(z0 + r * unit))
+    peak = float(np.abs(vals).max())
+    return {k: (vals @ unit**-k / 16 / r**k, peak / r**k) for k in (-1, 0, 1, 2)}
+
+
+def elliptic_stage_reference(md, zs, cs, jet_points: int) -> dict:
+    """The residuals of the elliptic stage's records, record name ->
+    value, with one kernel call per shift and function for the period
+    records and one per contour (``contour_coeffs``) for the others, at the
+    stage's sample points zs and cs."""
+    from ellgaudin.cli import _contour_error, _contour_radius, _rel
+    from ellgaudin.elliptic import (
+        lattice_distance,
+        theta11,
+        theta11_coeffs,
+        theta11_prime_at_zero,
+        w_kernel,
+        zeta11,
+        zeta11_coeffs,
+    )
+
+    def theta(x):
+        return theta11_coeffs(x, md)[:, 0]
+
+    def zeta(x):
+        return zeta11_coeffs(x, md)[:, 0]
+
+    def w_on(c, z):
+        c, z = np.broadcast_arrays(np.asarray(c, dtype=complex), np.asarray(z, dtype=complex))
+        return theta11_prime_at_zero(md) * (theta(z - c) / theta(z)) / theta(-c)
+
+    two_pi_i = 2j * math.pi
+    base, cbase = np.array(zs), np.array(cs)
+    tc = theta(-cbase)
+    th, ze, wv = [], [], []
+    for shift in (0, 1, md.tau):
+        points = base + shift
+        th.append(theta(points))
+        ze.append(zeta(points))
+        wv.append(theta11_prime_at_zero(md) * (theta(points - cbase) / th[-1]) / tc)
+    factor = -np.exp(-1j * math.pi * md.tau - two_pi_i * base)
+    out = {
+        "theta-period-1": _rel(th[1], -th[0]),
+        "theta-period-tau": _rel(th[2], factor * th[0]),
+        "zeta-period-1": _rel(ze[1], ze[0]),
+        "zeta-period-tau": float(np.max(np.abs(ze[2] - (ze[0] - two_pi_i))))
+        / abs(two_pi_i),
+        "w-period-1": _rel(wv[1], wv[0]),
+        "w-period-tau": _rel(wv[2], np.exp(two_pi_i * cbase) * wv[0]),
+    }
+    (n1, m1), _ = md.basis
+    r0 = _contour_radius(abs(n1 + m1 * md.tau))
+    out["pole-normalization"] = np.max([
+        _contour_error(contour_coeffs(f, 0, r0), {-1: target})
+        for f, target in (
+            (zeta, 1),
+            (lambda h: w_on(cs[0], h), 1),
+            (lambda h: w_on(h, zs[0]), -1),
+        )
+    ])
+    jet_res = 0.0
+    for z, c in zip(zs[:jet_points], cs):
+        rz, rc = (_contour_radius(lattice_distance(x, md)) for x in (z, c))
+        jt = theta11(z, md, order=2).coeff
+        jz = zeta11(z, md, order=2).coeff
+        jw = w_kernel(c, z, md, 2).coeff
+        for f, z0, r, expected in (
+            (theta, z, rz, {1: jt((1,)), 2: jt((2,))}),
+            (zeta, z, rz, {1: jz((1,)), 2: jz((2,))}),
+            (lambda x: w_on(x, z), c, rc, {1: jw((1, 0)), 2: jw((2, 0))}),
+            (lambda x: w_on(c, x), z, rz, {1: jw((0, 1)), 2: jw((0, 2))}),
+            (lambda h: w_on(c + h, z + h), 0, min(rz, rc),
+             {2: jw((2, 0)) + jw((1, 1)) + jw((0, 2))}),
+        ):
+            jet_res = np.maximum(jet_res, _contour_error(contour_coeffs(f, z0, r), expected))
+    out["jets-vs-contour"] = jet_res
+    return {f"elliptic/{key}": value for key, value in out.items()}

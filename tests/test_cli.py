@@ -42,6 +42,8 @@ from ellgaudin.elliptic import Jet, jet_indices
 from ellgaudin.gaudin import GaudinProblem
 from ellgaudin.liealg import TensorSpace
 
+from oracles import elliptic_stage_reference
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -586,11 +588,13 @@ def test_nan_residual_fails_its_record(monkeypatch):
     assert not any(r.passed for r in records.values())
 
 
-@pytest.mark.parametrize("config", ["a1_n2_fund", "a2_n2_33bar", "a2_bethe_m2"])
-def test_commute_check_fails_without_one_root_pair_term(monkeypatch, config):
-    # negative control: the second operator of every distinct pair loses
-    # the pair term of the first positive root from its potential, and
-    # the default commutator tolerance of 1e-8 must catch it
+def drop_root_on_second_members(monkeypatch) -> list:
+    """Make the commute stage's second operator of every distinct pair
+    lose the pair term of the first positive root from its potential:
+    ``transfer_parts`` drops it on the lanes whose u is a second member of
+    a distinct pair (u_2, u_4, ... of the stage's draw) and keeps every
+    other lane, the same-point pair's included.  Returns the list that
+    records the stage's spectral draws."""
     true_parts = GaudinProblem.transfer_parts
     true_points = CheckRunner._spectral_points
     drawn = []
@@ -600,18 +604,31 @@ def test_commute_check_fails_without_one_root_pair_term(monkeypatch, config):
         return drawn[-1]
 
     def drop_root(self, u, H, order=0):
-        if not np.array_equal(u, drawn[0][2::2]):
-            return true_parts(self, u, H, order)
-        full = self._pair
-        self._pair = full.copy()
+        full, cartan = true_parts(self, u, H, order)
+        lanes = np.isin(u, drawn[0][2::2])
+        if not lanes.any():
+            return full, cartan
+        pair = self._pair
+        self._pair = pair.copy()
         self._pair[0] = 0.0
         try:
-            return true_parts(self, u, H, order)
+            dropped = true_parts(self, u, H, order)[0]
         finally:
-            self._pair = full
+            self._pair = pair
+        coeffs = np.where(lanes[:, None, None], dropped.coeffs, full.coeffs)
+        return Jet(full.nvars, full.total, coeffs), cartan
 
     monkeypatch.setattr(CheckRunner, "_spectral_points", spectral_points)
     monkeypatch.setattr(GaudinProblem, "transfer_parts", drop_root)
+    return drawn
+
+
+@pytest.mark.parametrize("config", ["a1_n2_fund", "a2_n2_33bar", "a2_bethe_m2"])
+def test_commute_check_fails_without_one_root_pair_term(monkeypatch, config):
+    # negative control: the second operator of every distinct pair loses
+    # the pair term of the first positive root from its potential, in
+    # every pass, and the default commutator tolerance of 1e-8 must catch it
+    drawn = drop_root_on_second_members(monkeypatch)
     cfg = load_config(str(CONFIGS / f"{config}.ini"))
     assert cfg.tolerances["commutator"] == 1e-8
     runner = CheckRunner(cfg, "commute-check", False)
@@ -628,32 +645,12 @@ def test_composed_spot_check_catches_a_closed_form_that_hides_the_commutator(mon
     # a closed form that reads zero on a family that does not commute must
     # still fail commute/distinct-points: the spot check composes the first
     # pair at the first point generically
-    true_parts = GaudinProblem.transfer_parts
-    true_points = CheckRunner._spectral_points
-    drawn = []
-
-    def spectral_points(self, positions, count):
-        drawn.append(np.array(true_points(self, positions, count)))
-        return drawn[-1]
-
-    def drop_root(self, u, H, order=0):
-        if not np.isin(u, drawn[0][2::2]).all():
-            return true_parts(self, u, H, order)
-        full = self._pair
-        self._pair = full.copy()
-        self._pair[0] = 0.0
-        try:
-            return true_parts(self, u, H, order)
-        finally:
-            self._pair = full
-
+    drop_root_on_second_members(monkeypatch)
     true_values = gaudin.commutator_values
 
     def hidden(first, second):
         return {m: 0.0 * v for m, v in true_values(first, second).items()}
 
-    monkeypatch.setattr(CheckRunner, "_spectral_points", spectral_points)
-    monkeypatch.setattr(GaudinProblem, "transfer_parts", drop_root)
     monkeypatch.setattr(gaudin, "commutator_values", hidden)
     runner = CheckRunner(load_config(str(CONFIGS / "a1_n2_fund.ini")), "commute-check", False)
     runner.stage_commute()
@@ -989,6 +986,19 @@ def _elliptic_records(cfg):
     return {r.name: r for r in runner.report.records}
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+def test_elliptic_stage_equals_per_contour_reference(path):
+    # the stage takes each function once for all its rings; every record
+    # equals the one kernel call per shift and per contour gives
+    cfg = load_config(str(path))
+    records = _elliptic_records(cfg)
+    sampler = CheckRunner(cfg, "elliptic-check", False)
+    n = cfg.sampling["elliptic_points"]
+    zs, cs = sampler._cell_points(n), sampler._cell_points(n)
+    want = elliptic_stage_reference(cfg.md, zs, cs, cfg.sampling["jet_points"])
+    assert {name: r.residual for name, r in records.items()} == want
+
+
 def test_jets_note_counts_the_points_checked(tmp_path):
     # jet points are taken from the elliptic sample, so at most
     # elliptic_points of them are checked
@@ -1018,13 +1028,14 @@ def test_jets_record_catches_a_perturbed_mixed_coefficient(monkeypatch):
 
 def test_contour_coeffs_taylor_and_residue():
     z0, r = 0.3 + 0.1j, 0.05
-    coeffs = cli._contour_coeffs(lambda z: np.exp(2 * z), z0, r)
+    coeffs = cli._contour_coeffs(np.exp(2 * cli._ring(z0, r)), r)
     for k, exact in ((0, 1), (1, 2), (2, 2)):
         a, bound = coeffs[k]
         assert abs(a - exact * cmath.exp(2 * z0)) <= 1e-14 * bound
     a, bound = coeffs[-1]
     assert abs(a) <= 1e-14 * bound
-    coeffs = cli._contour_coeffs(lambda z: 1 / z + 2 + z, 0, r)
+    ring = cli._ring(0, r)
+    coeffs = cli._contour_coeffs(1 / ring + 2 + ring, r)
     for k, exact in ((-1, 1), (0, 2), (1, 1), (2, 0)):
         a, bound = coeffs[k]
         assert abs(a - exact) <= 1e-14 * bound

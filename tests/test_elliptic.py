@@ -527,9 +527,10 @@ def test_rows_across_blocks_equal_rows_taken_alone(tau):
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_overflowing_zeta_raises_and_never_warns(order):
     # about 16 cells above the cell, theta's coefficients approach the
-    # double range; just below where they leave it, zeta's quotient leaves
-    # it first; each must be an error a Newton solve can catch, never a
-    # warning or a non-finite value
+    # double range; zeta, about -100i there, stays finite wherever theta
+    # does, since its quotient is taken of rows scaled by a power of two;
+    # where theta leaves the range, the error is one a Newton solve can
+    # catch, never a warning or a non-finite value
     outcomes = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -547,7 +548,18 @@ def test_overflowing_zeta_raises_and_never_warns(order):
                 assert "zeta11" in str(exc)
                 outcomes.append("zeta")
     assert outcomes[0] == "finite" and outcomes[-1] == "theta"
-    assert "zeta" in outcomes
+    assert "zeta" not in outcomes
+
+
+def test_zeta_far_above_the_cell_is_quasi_periodic():
+    # 16 cells above the cell, where theta's coefficients near the double
+    # range, zeta(z) is zeta at the cell representative minus 2 pi i m
+    z = 0.3 + 13.40j
+    (z0,), (m,), (n,) = reduce_to_cell(np.array([z]), MD)
+    assert (m, n) == (16, 0)
+    want = zeta11_coeffs([z0], MD)[0, 0] - 2j * math.pi * m
+    got = zeta11_coeffs([z], MD)[0, 0]
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("tau", [40j, 200j, 1.5 + 100j])

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ellgaudin import gaudin
-from ellgaudin.cli import load_config
+from ellgaudin.cli import CheckRunner, load_config
 from ellgaudin.elliptic import Jet, ModularData, jet_indices
 from ellgaudin.gaudin import (
     GaudinError,
@@ -30,7 +30,12 @@ from ellgaudin.gaudin import (
 )
 from ellgaudin.liealg import build_dual_verma, build_irrep, build_root_system
 
-from oracles import potential_jet_reference, w_direct, zeta11_direct
+from oracles import (
+    commutativity_residual_reference,
+    potential_jet_reference,
+    w_direct,
+    zeta11_direct,
+)
 
 RNG = np.random.default_rng(424242)
 
@@ -592,11 +597,51 @@ def test_paired_commutativity_residual_is_the_max_over_single_pairs(rank):
     ]
     assert got["max_rel"] < 1e-12
     for key, value in got.items():
-        assert value == max(single[key] for single in singles)
+        if key == "per_pair":
+            assert value.tolist() == [single["max_rel"] for single in singles]
+        elif key == "composed":
+            assert value is None  # no pair asked to be composed
+        else:
+            assert value == max(single[key] for single in singles)
     same = commutativity_residual(prob, us[:3], us[:3], hs)
     assert same["max_rel"] == 0.0
     with pytest.raises(GaudinError, match="differ in number"):
         commutativity_residual(prob, us[:2], us[:3], hs)
+
+
+# every config whose zero-weight space has dim0 <= 60; the M = 10 and 12
+# probes of tests/data have dim0 66 and 91
+SMALL_COMMUTE_CONFIGS = [
+    *sorted(CONFIGS.glob("*.ini")),
+    CONFIGS.parent / "tests" / "data" / "a1_bethe_m4_seeds256.ini",
+]
+
+
+@pytest.mark.parametrize("one_per_pass", [False, True])
+@pytest.mark.parametrize("path", SMALL_COMMUTE_CONFIGS, ids=lambda p: p.stem)
+def test_batched_commutativity_residual_equals_per_point_reference(
+    monkeypatch, path, one_per_pass
+):
+    # the commute stage's samples and call: every (Cartan point, pair)
+    # entry matches the point-by-point loop to the bit, whether the
+    # entries share one pass or take one pass each, and so does the
+    # composed spot check read off a pass against its own lone operators
+    if one_per_pass:
+        monkeypatch.setattr(gaudin, "_COMMUTE_PASS_BYTES", 1)
+    runner = CheckRunner(load_config(str(path)), "commute-check", False)
+    prob = runner.problem
+    assert prob.space.dim0 <= 60
+    hs = runner._cartan_points()
+    us = runner._spectral_points(prob.positions, 2 * runner.cfg.sampling["pair_count"] + 1)
+    u1s, u2s = [us[0], *us[1::2]], [us[0], *us[2::2]]
+    got = commutativity_residual(prob, u1s, u2s, hs, compose=1)
+    want = commutativity_residual_reference(prob, u1s, u2s, hs)
+    assert got["per_pair"].tolist() == want["per_pair"].tolist()
+    assert got["per_pair"][0] == 0.0
+    for key in ("max_rel", "max_abs_order3", "max_abs_order4"):
+        assert got[key] == want[key]
+    lone = [prob.transfer_parts(u, hs[0], 2) for u in us[1:3]]
+    assert got["composed"] == gaudin.composed_residual(*lone)
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,23 @@
 """How often the checks build their expensive pieces.
 
-Each operator is assembled from coefficient jets at one Cartan point, so
-the checks need a fixed number of evaluations per point:
-- the commutator certificate takes each of its two transfer operators'
-  parts (V's jet and the diagonals of A_r) once, at second order, so
-  ``potential_jet`` runs twice per point, and once when both spectral
-  parameters are equal; the parts are batched over spectral parameters,
-  so the commute stage takes them once for all first members of its
-  pairs and once for all second members per point, however many pairs it
-  checks, and takes theta once per operator; the commutator is in closed
+Each operator is assembled from coefficient jets at one Cartan point, and
+the checks batch those points, so they need a fixed number of
+evaluations per pass:
+- the commutator certificate takes every (Cartan point, pair) entry in
+  one pass while their arrays fit its byte budget, and its two transfer
+  operators' parts (V's jet and the diagonals of A_r) once per pass and
+  side, at second order, so ``potential_jet`` runs twice per pass, and
+  once when both spectral parameters are equal; the commute stage's
+  call counts do not grow with its Cartan points or pairs while the
+  entries fit one pass, the same-point pair rides along as one more
+  pair, the composed spot check reads its operators off a pass, and
+  theta is taken once per operator batch; the commutator is in closed
   form, so no ``DiffOperator`` is built and nothing is composed, and the
   stage's transient memory stays under a pinned tracemalloc peak;
+- the elliptic stage takes theta, zeta and w once each for all sample
+  points and shifts of its period records, and builds all of a record's
+  16-point contours before taking each function once for all of them;
+  only the per-point jets it checks are taken point by point;
 - composition forms each Leibniz term from one derivative gather of the
   coefficient array and one array jet product, and skips the terms that
   differentiate a constant coefficient;
@@ -68,7 +75,7 @@ import pytest
 
 from pathlib import Path
 
-from ellgaudin import bethe, diffop, elliptic, gaudin
+from ellgaudin import bethe, cli, diffop, elliptic, gaudin
 from ellgaudin.bethe import BetheSystem
 from ellgaudin.cli import CheckRunner, load_config
 from ellgaudin.elliptic import Jet, ModularData
@@ -100,11 +107,11 @@ def count_calls(monkeypatch, owner, name):
 
 
 def count_everywhere(monkeypatch, name):
-    """Count the calls of elliptic.name, also where gaudin or bethe
+    """Count the calls of elliptic.name, also where gaudin, bethe or cli
     imported it."""
     original = getattr(elliptic, name)
     calls = count_calls(monkeypatch, elliptic, name)
-    for module in (gaudin, bethe):
+    for module in (gaudin, bethe, cli):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, getattr(elliptic, name))
     return calls
@@ -133,7 +140,8 @@ def test_commutator_builds_each_operator_once_per_point(monkeypatch, rank):
     calls = count_calls(monkeypatch, GaudinProblem, "potential_jet")
     res = commutativity_residual(prob, u1, u2, hs)
     assert res["max_rel"] < 1e-12
-    assert len(calls) == 2 * len(hs)
+    # every point's entry fits one pass: one batched call per side
+    assert [len(args[2]) for args, _ in calls] == [len(hs)] * 2
 
 
 def test_commutator_at_one_point_builds_one_operator_per_point(monkeypatch):
@@ -144,7 +152,7 @@ def test_commutator_at_one_point_builds_one_operator_per_point(monkeypatch):
     calls = count_calls(monkeypatch, GaudinProblem, "potential_jet")
     res = commutativity_residual(prob, u, u, hs)
     assert res["max_rel"] == 0.0
-    assert len(calls) == len(hs)
+    assert [len(args[2]) for args, _ in calls] == [len(hs)]
 
 
 def test_commutator_builds_no_operator_and_composes_nothing(monkeypatch):
@@ -158,7 +166,7 @@ def test_commutator_builds_no_operator_and_composes_nothing(monkeypatch):
     res = commutativity_residual(prob, us[0::2], us[1::2], hs)
     assert res["max_rel"] < 1e-12
     assert built == [] and composed == []
-    assert len(parts) == 2 * len(hs)
+    assert [len(args[1]) for args, _ in parts] == [4 * len(hs)] * 2
 
 
 # four irreducible sites, dim0 15, at the sampling of the commute-large
@@ -198,7 +206,9 @@ seed = 7
 def test_commute_stage_transient_memory(tmp_path):
     # the closed-form commutator holds V's jets and two products per pair;
     # the dense compositions it replaced peaked at 1.51 MB here, the closed
-    # form at 0.63 MB
+    # form at 0.63 MB point by point; its 45 entries in one pass would
+    # peak at 3.3 MB, and passes of ten entries under the byte budget
+    # peak at 0.77 MB
     path = tmp_path / "a2_3_3_3bar_3bar.ini"
     path.write_text(A2_3_3_3BAR_3BAR, encoding="utf-8")
     runner = CheckRunner(load_config(str(path)), "commute-check", False)
@@ -461,10 +471,13 @@ def test_eigen_stage_memory_does_not_grow_with_solutions_or_points(monkeypatch, 
     assert lots < 1.2 * few
 
 
-def commute_stage_counts(monkeypatch, tmp_path, pair_count):
+def commute_stage_counts(monkeypatch, tmp_path, cartan_count, pair_count):
     text = (CONFIGS / "a2_n2_33bar.ini").read_text(encoding="utf-8")
-    path = tmp_path / f"pairs{pair_count}.ini"
-    path.write_text(text + f"\n[sampling]\npair_count = {pair_count}\n", encoding="utf-8")
+    path = tmp_path / f"points{cartan_count}_pairs{pair_count}.ini"
+    path.write_text(
+        text + f"\n[sampling]\ncartan_count = {cartan_count}\npair_count = {pair_count}\n",
+        encoding="utf-8",
+    )
     runner = CheckRunner(load_config(str(path)), "commute-check", False)
     potentials = count_calls(monkeypatch, GaudinProblem, "potential_jet")
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
@@ -476,13 +489,34 @@ def commute_stage_counts(monkeypatch, tmp_path, pair_count):
 
 
 def test_commute_stage_work_does_not_grow_with_the_pair_count(monkeypatch, tmp_path):
-    few = commute_stage_counts(monkeypatch, tmp_path, 2)
-    many = commute_stage_counts(monkeypatch, tmp_path, 8)
-    # per Cartan point: the same-point operator, then one operator for the
-    # first and one for the second members of all pairs; and the two
-    # operators of the composed spot check at the first point
-    cartan_count = load_config(str(CONFIGS / "a2_n2_33bar.ini")).sampling["cartan_count"]
-    assert few == many == (3 * cartan_count + 2, 3 * cartan_count + 2)
+    # while the (Cartan point, pair) entries fit one pass: one operator
+    # batch for the first and one for the second members of all pairs,
+    # the same-point pair among them, each taking theta once; the
+    # composed spot check reads its two operators off that pass
+    few = commute_stage_counts(monkeypatch, tmp_path, 2, 2)
+    more_pairs = commute_stage_counts(monkeypatch, tmp_path, 2, 8)
+    more_points = commute_stage_counts(monkeypatch, tmp_path, 8, 8)
+    assert few == more_pairs == more_points == (2, 2)
+
+
+def test_full_verify_kernel_calls_on_a2_n2_33bar(monkeypatch):
+    # the elliptic stage takes theta, zeta and w once each for the period
+    # records over all shifts, one zeta and one w call for the pole rings,
+    # the per-point jets, and one theta, zeta and w call for all the jets'
+    # rings; the commute
+    # stage's 105 (Cartan point, pair) entries fit one pass of two
+    # operator batches
+    cfg = load_config(str(CONFIGS / "a2_n2_33bar.ini"))
+    runner = CheckRunner(cfg, "full-verify", False)
+    thetas = count_everywhere(monkeypatch, "theta11_coeffs")
+    distances = count_everywhere(monkeypatch, "lattice_distance")
+    runner.stage_elliptic()
+    jet_points = cfg.sampling["jet_points"]
+    assert (len(thetas), len(distances)) == (3 + 2 + 3 * jet_points + 3, 2)
+    parts = count_calls(monkeypatch, GaudinProblem, "transfer_parts")
+    runner.stage_commute()
+    assert all(record.passed for record in runner.report.records)
+    assert [len(args[1]) for args, _ in parts] == [105, 105]
 
 
 def bracket_system():
