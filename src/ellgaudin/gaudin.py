@@ -708,7 +708,7 @@ def _coeff_scale(zero: Jet, cartan: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(0.5, _batch_max(cartan)), _batch_max(zero.value))
 
 
-def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points, compose=None) -> dict:
+def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points) -> dict:
     """Relative size of [transfer(u1), transfer(u2)] over paired spectral
     parameters, 1-D arrays or two scalars, and Cartan sample points.
 
@@ -720,10 +720,8 @@ def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points, compose=N
     each entry's numbers are those it gets alone.  A residual is scaled by
     the product of its operators' ``max_coeff_norm``, max(1/2, |A_r|,
     |V(H)|).  Returns the largest relative residual, overall and per pair,
-    the largest absolute top-degree coefficients, which must vanish
-    (order 4 is never formed and reads 0), and for the index ``compose``
-    of a pair its ``composed_residual`` at the first point, from its
-    pass's parts.  Every fold keeps NaN.
+    and the largest absolute order-3 coefficient, which must vanish (order
+    4 is never formed).  Every fold keeps NaN.
     """
     u1s, _ = _spectral_batch(u1s)
     u2s, _ = _spectral_batch(u2s)
@@ -742,7 +740,7 @@ def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points, compose=N
     matrices = len(jet_indices(l, 2)) * (2 * dim * dim + k * n * n) + (l + 5) * dim * dim
     entry = 16 * (matrices + 6 * (n + k * (2 * n + 1)))
     rel = np.zeros(len(hs))
-    top, composed = 0.0, None
+    top = 0.0
     for part in pass_slices(len(hs), entry, _COMMUTE_PASS_BYTES):
         # the commutator's values need V's jets to second order
         first = problem.transfer_parts(lanes1[part], hs[part], 2)
@@ -753,11 +751,6 @@ def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points, compose=N
         rel[part] = norm / np.maximum(scale, 1e-300)
         third = (np.max(abs(v)) for m, v in values.items() if sum(m) == 3)
         top = reduce(np.maximum, third, top)
-        if compose is not None and compose in part:
-            lane = compose - part[0]
-            composed = composed_residual(*(
-                (Jet(v.nvars, 2, v.coeffs[:, lane]), a[lane]) for v, a in (first, second)
-            ))
         # this pass's arrays go before the next pass builds its own
         del first, second, values
     per_pair = np.max(rel.reshape(len(points), len(u1s)), axis=0, initial=0.0)
@@ -765,19 +758,19 @@ def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points, compose=N
         "max_rel": float(np.max(per_pair, initial=0.0)),
         "per_pair": per_pair,
         "max_abs_order3": float(top),
-        "max_abs_order4": 0.0,
-        "composed": composed,
     }
 
 
-def composed_residual(first: tuple, second: tuple) -> float:
-    """Relative size of [T1, T2] by generic composition
-    (``DiffOperator.commutator``), scaled as in ``commutativity_residual``,
-    for operators given by their parts at one u (``transfer_parts``).  It
-    shares none of ``commutator_values``' algebra, so a spot check with it
-    catches a closed form that loses a term of the commutator.  NaN is
+def composed_residual(problem: GaudinProblem, u1: complex, u2: complex, H) -> float:
+    """Relative size of [transfer(u1), transfer(u2)] at one pair and one
+    Cartan point by generic composition (``DiffOperator.commutator``),
+    scaled as in ``commutativity_residual``.
+
+    It shares none of ``commutator_values``' algebra, so a spot check with
+    it catches a closed form that loses a term of the commutator.  NaN is
     kept.
     """
-    first, second = transfer_operator(*first), transfer_operator(*second)
+    first = problem.transfer(u1, H, 2)
+    second = problem.transfer(u2, H, 2)
     scale = first.max_coeff_norm() * second.max_coeff_norm()
     return float(first.commutator(second).max_coeff_norm() / np.maximum(scale, 1e-300))

@@ -709,7 +709,7 @@ def commutativity_residual_reference(prob, u1s, u2s, h_points) -> dict:
     u2s = np.asarray(u2s, dtype=complex).reshape(-1)
     same = np.array_equal(u1s, u2s)
     per_pair = 0.0
-    max_abs34 = {3: 0.0, 4: 0.0}
+    top = 0.0
     for H in h_points:
         first = prob.transfer_parts(u1s, H, 2)
         second = first if same else prob.transfer_parts(u2s, H, 2)
@@ -718,13 +718,12 @@ def commutativity_residual_reference(prob, u1s, u2s, h_points) -> dict:
         norm = reduce(np.maximum, map(_batch_max, values.values()))
         per_pair = np.maximum(per_pair, norm / np.maximum(scale, 1e-300))
         for m, v in values.items():
-            if sum(m) in (3, 4):
-                max_abs34[sum(m)] = np.maximum(max_abs34[sum(m)], np.max(np.abs(v)))
+            if sum(m) == 3:
+                top = np.maximum(top, np.max(np.abs(v)))
     return {
         "max_rel": float(np.max(per_pair)),
         "per_pair": per_pair,
-        "max_abs_order3": float(max_abs34[3]),
-        "max_abs_order4": float(max_abs34[4]),
+        "max_abs_order3": float(top),
     }
 
 

@@ -615,7 +615,7 @@ def drop_root_on_second_members(monkeypatch) -> list:
             dropped = true_parts(self, u, H, order)[0]
         finally:
             self._pair = pair
-        coeffs = np.where(lanes[:, None, None], dropped.coeffs, full.coeffs)
+        coeffs = np.where(lanes[..., None, None], dropped.coeffs, full.coeffs)
         return Jet(full.nvars, full.total, coeffs), cartan
 
     monkeypatch.setattr(CheckRunner, "_spectral_points", spectral_points)

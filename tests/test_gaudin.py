@@ -369,7 +369,6 @@ def test_transfer_family_commutes_rank1():
     res = commutativity_residual(prob, us[0], us[1], hs)
     assert res["max_rel"] < 1e-12
     assert res["max_abs_order3"] == 0.0
-    assert res["max_abs_order4"] == 0.0
 
 
 def test_transfer_family_commutes_rank2():
@@ -599,8 +598,6 @@ def test_paired_commutativity_residual_is_the_max_over_single_pairs(rank):
     for key, value in got.items():
         if key == "per_pair":
             assert value.tolist() == [single["max_rel"] for single in singles]
-        elif key == "composed":
-            assert value is None  # no pair asked to be composed
         else:
             assert value == max(single[key] for single in singles)
     same = commutativity_residual(prob, us[:3], us[:3], hs)
@@ -624,8 +621,7 @@ def test_batched_commutativity_residual_equals_per_point_reference(
 ):
     # the commute stage's samples and call: every (Cartan point, pair)
     # entry matches the point-by-point loop to the bit, whether the
-    # entries share one pass or take one pass each, and so does the
-    # composed spot check read off a pass against its own lone operators
+    # entries share one pass or take one pass each
     if one_per_pass:
         monkeypatch.setattr(gaudin, "_COMMUTE_PASS_BYTES", 1)
     runner = CheckRunner(load_config(str(path)), "commute-check", False)
@@ -634,14 +630,12 @@ def test_batched_commutativity_residual_equals_per_point_reference(
     hs = runner._cartan_points()
     us = runner._spectral_points(prob.positions, 2 * runner.cfg.sampling["pair_count"] + 1)
     u1s, u2s = [us[0], *us[1::2]], [us[0], *us[2::2]]
-    got = commutativity_residual(prob, u1s, u2s, hs, compose=1)
+    got = commutativity_residual(prob, u1s, u2s, hs)
     want = commutativity_residual_reference(prob, u1s, u2s, hs)
     assert got["per_pair"].tolist() == want["per_pair"].tolist()
     assert got["per_pair"][0] == 0.0
-    for key in ("max_rel", "max_abs_order3", "max_abs_order4"):
+    for key in ("max_rel", "max_abs_order3"):
         assert got[key] == want[key]
-    lone = [prob.transfer_parts(u, hs[0], 2) for u in us[1:3]]
-    assert got["composed"] == gaudin.composed_residual(*lone)
 
 
 @pytest.mark.parametrize(

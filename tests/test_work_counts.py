@@ -10,7 +10,7 @@ evaluations per pass:
   once when both spectral parameters are equal; the commute stage's
   call counts do not grow with its Cartan points or pairs while the
   entries fit one pass, the same-point pair rides along as one more
-  pair, the composed spot check reads its operators off a pass, and
+  pair, the composed spot check builds its two lone operators, and
   theta is taken once per operator batch; the commutator is in closed
   form, so no ``DiffOperator`` is built and nothing is composed, and the
   stage's transient memory stays under a pinned tracemalloc peak;
@@ -491,21 +491,21 @@ def commute_stage_counts(monkeypatch, tmp_path, cartan_count, pair_count):
 def test_commute_stage_work_does_not_grow_with_the_pair_count(monkeypatch, tmp_path):
     # while the (Cartan point, pair) entries fit one pass: one operator
     # batch for the first and one for the second members of all pairs,
-    # the same-point pair among them, each taking theta once; the
-    # composed spot check reads its two operators off that pass
+    # the same-point pair among them, and the composed spot check's two
+    # lone operators, each taking theta once
     few = commute_stage_counts(monkeypatch, tmp_path, 2, 2)
     more_pairs = commute_stage_counts(monkeypatch, tmp_path, 2, 8)
     more_points = commute_stage_counts(monkeypatch, tmp_path, 8, 8)
-    assert few == more_pairs == more_points == (2, 2)
+    assert few == more_pairs == more_points == (4, 4)
 
 
 def test_full_verify_kernel_calls_on_a2_n2_33bar(monkeypatch):
     # the elliptic stage takes theta, zeta and w once each for the period
     # records over all shifts, one zeta and one w call for the pole rings,
     # the per-point jets, and one theta, zeta and w call for all the jets'
-    # rings; the commute
-    # stage's 105 (Cartan point, pair) entries fit one pass of two
-    # operator batches
+    # rings; the commute stage's 105 (Cartan point, pair) entries fit one
+    # pass of two operator batches, and the composed spot check builds
+    # two lone operators
     cfg = load_config(str(CONFIGS / "a2_n2_33bar.ini"))
     runner = CheckRunner(cfg, "full-verify", False)
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
@@ -516,7 +516,7 @@ def test_full_verify_kernel_calls_on_a2_n2_33bar(monkeypatch):
     parts = count_calls(monkeypatch, GaudinProblem, "transfer_parts")
     runner.stage_commute()
     assert all(record.passed for record in runner.report.records)
-    assert [len(args[1]) for args, _ in parts] == [105, 105]
+    assert [np.size(args[1]) for args, _ in parts] == [105, 105, 1, 1]
 
 
 def bracket_system():
