@@ -181,6 +181,22 @@ def check_regular(rs: RootSystemData, md: ModularData, H, guard: float = 1e-9):
         )
 
 
+def _rejection_sample(draw, accept, count: int, failure: str) -> list:
+    """``count`` draws that ``accept`` keeps: each round calls ``draw`` once
+    per missing draw, within _MAX_TRIES calls in all, and ``accept`` once
+    on the round's draws, so the draws and the stream are a one-at-a-time
+    loop's; :class:`GaudinError` with ``failure`` once the calls run out."""
+    out, tries = [], 0
+    while len(out) < count:
+        need = min(count - len(out), _MAX_TRIES - tries)
+        if need == 0:
+            raise GaudinError(failure)
+        tries += need
+        drawn = [draw() for _ in range(need)]
+        out += [d for d, ok in zip(drawn, accept(drawn)) if ok]
+    return out
+
+
 def sample_regular_cartan(
     rs: RootSystemData,
     md: ModularData,
@@ -190,23 +206,15 @@ def sample_regular_cartan(
     guard: float = 0.05,
 ):
     """Random complex Cartan coordinates in the box avoiding all root-lattice
-    walls by guard; :class:`GaudinError` after _MAX_TRIES draws."""
-    out = []
-    tries = 0
-    while len(out) < count:
-        tries += 1
-        if tries > _MAX_TRIES:
-            raise GaudinError(
-                f"could not sample {count} regular Cartan points with parts in [-{box}, "
-                f"{box}] and every root {guard} from the lattice in {_MAX_TRIES} draws"
-            )
-        H = rng.uniform(-box, box, rs.rank) + 1j * rng.uniform(-box, box, rs.rank)
-        try:
-            check_regular(rs, md, H, guard)
-        except GaudinError:
-            continue
-        out.append(H)
-    return out
+    walls by guard, one ``lattice_distance`` call per round of draws
+    (``_rejection_sample``); :class:`GaudinError` after _MAX_TRIES draws."""
+    return _rejection_sample(
+        lambda: rng.uniform(-box, box, rs.rank) + 1j * rng.uniform(-box, box, rs.rank),
+        lambda hs: ~np.any(lattice_distance(root_values(rs.positive_roots, hs), md) < guard, 1),
+        count,
+        f"could not sample {count} regular Cartan points with parts in [-{box}, "
+        f"{box}] and every root {guard} from the lattice in {_MAX_TRIES} draws",
+    )
 
 
 def sample_spectral_points(
@@ -217,23 +225,17 @@ def sample_spectral_points(
     guard: float = 0.05,
 ):
     """Random spectral parameters in the fundamental cell, each at least
-    ``guard`` from every point of ``positions`` modulo the lattice.  Raises
-    :class:`GaudinError` after _MAX_TRIES draws."""
+    ``guard`` from every point of ``positions`` modulo the lattice, one
+    ``lattice_distance`` call per round of draws (``_rejection_sample``).
+    Raises :class:`GaudinError` after _MAX_TRIES draws."""
     positions = np.asarray(positions, dtype=complex)
-    out = []
-    tries = 0
-    while len(out) < count:
-        tries += 1
-        if tries > _MAX_TRIES:
-            raise GaudinError(
-                f"could not sample {count} spectral points at least {guard} "
-                f"from {len(positions)} poles in {_MAX_TRIES} draws"
-            )
-        u = rng.uniform(0.0, 1.0) + rng.uniform(0.05, 0.95) * md.tau
-        if np.any(lattice_distance(positions - u, md) < guard):
-            continue
-        out.append(u)
-    return out
+    return _rejection_sample(
+        lambda: rng.uniform(0.0, 1.0) + rng.uniform(0.05, 0.95) * md.tau,
+        lambda us: ~np.any(lattice_distance(positions - np.array(us)[:, None], md) < guard, 1),
+        count,
+        f"could not sample {count} spectral points at least {guard} "
+        f"from {len(positions)} poles in {_MAX_TRIES} draws",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -473,24 +475,25 @@ class GaudinProblem:
     def _thetas(self, H, us: np.ndarray, order: int) -> np.ndarray:
         """Theta's Taylor coefficients, to order max(order, 1), at every
         argument of the exchange potential for the batch us of B spectral
-        parameters, in one kernel call: first the B N sites
-        x_bi = z_i - u_b, then c_pk = alpha_k(H_p) for the positive roots
-        at each of the P rows of H (``_cartan_rows``), then x_bi - c_k and
-        x_bi + c_k at entry b's point, each ordered by (b, k, i).  Each row
-        of H is checked for regularity, in order, and every x_bi and c_pk
-        for a pole.  Theta acts elementwise, so every entry's values are
-        those it gets alone."""
+        parameters: first the B N sites x_bi = z_i - u_b, then
+        c_pk = alpha_k(H_p) for the positive roots at each of the P rows of
+        H (``_cartan_rows``), then x_bi - c_k and x_bi + c_k at entry b's
+        point, each ordered by (b, k, i).  One kernel call takes each
+        distinct x_bi and c_pk once, so a repeated point shares its
+        alpha(H) values.  Each row of H is checked for regularity, in
+        order, and every x_bi and c_pk for a pole.  Theta acts elementwise,
+        so every entry's values are those it gets alone."""
         points = _cartan_rows(H, len(us))
         check_regular(self.rs, self.md, points)
         xs = self._site_args(us)
         cs = root_values(self.rs.positive_roots, points)
-        minus = xs[:, None, :] - cs[:, :, None]
-        plus = xs[:, None, :] + cs[:, :, None]
-        args = np.concatenate([xs.ravel(), cs.ravel(), minus.ravel(), plus.ravel()])
-        th = theta11_coeffs(args, self.md, max(order, 1))
-        nx = xs.size
-        _pole_check(th[:nx, 0], xs.ravel(), self.md, "z")
-        _pole_check(th[nx : nx + cs.size, 0], -cs.ravel(), self.md, "c")
+        shifted = np.ravel([xs[:, None, :] - cs[:, :, None], xs[:, None, :] + cs[:, :, None]])
+        heads = np.concatenate([xs.ravel(), cs.ravel()])
+        distinct, at = _distinct(heads)
+        th = theta11_coeffs(np.concatenate([distinct, shifted]), self.md, max(order, 1))
+        th = np.concatenate([th[at], th[len(distinct) :]])
+        _pole_check(th[: xs.size, 0], heads[: xs.size], self.md, "z")
+        _pole_check(th[xs.size : len(heads), 0], -heads[xs.size :], self.md, "c")
         return th
 
     def _contract(self, jets: np.ndarray) -> np.ndarray:
@@ -714,14 +717,15 @@ def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points) -> dict:
 
     The (Cartan point, pair) entries go in ``pass_slices`` passes, one
     unless they outgrow ``_COMMUTE_PASS_BYTES``.  Per pass, one
-    ``transfer_parts`` call with H paired in serves every u1 and one every
-    u2 (the same call when the arrays are equal), and
-    ``commutator_values`` gives every entry's commutator in closed form;
-    each entry's numbers are those it gets alone.  A residual is scaled by
-    the product of its operators' ``max_coeff_norm``, max(1/2, |A_r|,
-    |V(H)|).  Returns the largest relative residual, overall and per pair,
-    and the largest absolute order-3 coefficient, which must vanish (order
-    4 is never formed).  Every fold keeps NaN.
+    ``transfer_parts`` call with H paired in serves both sides, the u1
+    lanes and then the u2 lanes, which split at the middle (the u1 lanes
+    alone when the arrays are equal), and ``commutator_values`` gives
+    every entry's commutator in closed form; each entry's numbers are
+    those it gets alone.  A residual is scaled by the product of its
+    operators' ``max_coeff_norm``, max(1/2, |A_r|, |V(H)|).  Returns the
+    largest relative residual, overall and per pair, and the largest
+    absolute order-3 coefficient, which must vanish (order 4 is never
+    formed).  Every fold keeps NaN.
     """
     u1s, _ = _spectral_batch(u1s)
     u2s, _ = _spectral_batch(u2s)
@@ -733,18 +737,22 @@ def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points) -> dict:
     points = np.asarray(h_points, dtype=complex).reshape(-1, problem.rs.rank)
     hs = np.repeat(points, len(u1s), axis=0)
     lanes1, lanes2 = np.tile(u1s, len(points)), np.tile(u2s, len(points))
-    # an entry's bytes: both sides' V jets and the pair jets their potentials
-    # contract, the commutator's l + 1 matrices, four temporaries and theta
+    sides = 1 if same else 2
+    # an entry's bytes: per side (one call holds both) V's jet, the pair jets
+    # and theta's rows; the commutator's l + 1 matrices and four temporaries
     l, dim = problem.rs.rank, problem.space.dim0
     n, k = len(problem.positions), problem.rs.n_positive
-    matrices = len(jet_indices(l, 2)) * (2 * dim * dim + k * n * n) + (l + 5) * dim * dim
-    entry = 16 * (matrices + 6 * (n + k * (2 * n + 1)))
+    side = len(jet_indices(l, 2)) * (dim * dim + k * n * n) + 3 * (n + k * (2 * n + 1))
+    entry = 16 * (sides * side + (l + 5) * dim * dim)
     rel = np.zeros(len(hs))
     top = 0.0
     for part in pass_slices(len(hs), entry, _COMMUTE_PASS_BYTES):
+        lanes = lanes1[part] if same else np.concatenate([lanes1[part], lanes2[part]])
         # the commutator's values need V's jets to second order
-        first = problem.transfer_parts(lanes1[part], hs[part], 2)
-        second = first if same else problem.transfer_parts(lanes2[part], hs[part], 2)
+        zero, cartan = problem.transfer_parts(lanes, np.tile(hs[part], (sides, 1)), 2)
+        halves = zip(np.split(zero.coeffs, sides, axis=1), np.split(cartan, sides))
+        halves = [(Jet(l, 2, v), a) for v, a in halves]
+        first, second = halves[0], halves[-1]
         values = commutator_values(first, second)
         scale = _coeff_scale(*first) * _coeff_scale(*second)
         norm = reduce(np.maximum, map(_batch_max, values.values()))
@@ -752,7 +760,7 @@ def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points) -> dict:
         third = (np.max(abs(v)) for m, v in values.items() if sum(m) == 3)
         top = reduce(np.maximum, third, top)
         # this pass's arrays go before the next pass builds its own
-        del first, second, values
+        del zero, cartan, halves, first, second, values
     per_pair = np.max(rel.reshape(len(points), len(u1s)), axis=0, initial=0.0)
     return {
         "max_rel": float(np.max(per_pair, initial=0.0)),
@@ -764,13 +772,16 @@ def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points) -> dict:
 def composed_residual(problem: GaudinProblem, u1: complex, u2: complex, H) -> float:
     """Relative size of [transfer(u1), transfer(u2)] at one pair and one
     Cartan point by generic composition (``DiffOperator.commutator``),
-    scaled as in ``commutativity_residual``.
+    scaled as in ``commutativity_residual``.  Its two operators come from
+    one 2-lane ``transfer_parts`` call of its own, one lane each.
 
     It shares none of ``commutator_values``' algebra, so a spot check with
     it catches a closed form that loses a term of the commutator.  NaN is
     kept.
     """
-    first = problem.transfer(u1, H, 2)
-    second = problem.transfer(u2, H, 2)
+    zero, cartan = problem.transfer_parts(np.array([u1, u2], dtype=complex), H, 2)
+    first, second = (
+        transfer_operator(Jet(zero.nvars, 2, zero.coeffs[:, b]), cartan[b]) for b in (0, 1)
+    )
     scale = first.max_coeff_norm() * second.max_coeff_norm()
     return float(first.commutator(second).max_coeff_norm() / np.maximum(scale, 1e-300))

@@ -692,6 +692,57 @@ def nearest_lattice_point_scan(z: complex, md) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# Samplers one draw at a time.
+# ---------------------------------------------------------------------------
+
+
+def sample_regular_cartan_per_draw(rs, md, rng, count, box=0.8, guard=0.05):
+    """``gaudin.sample_regular_cartan`` one draw and one regularity check
+    at a time."""
+    from ellgaudin.gaudin import _MAX_TRIES, GaudinError, check_regular
+
+    out = []
+    tries = 0
+    while len(out) < count:
+        tries += 1
+        if tries > _MAX_TRIES:
+            raise GaudinError(
+                f"could not sample {count} regular Cartan points with parts in [-{box}, "
+                f"{box}] and every root {guard} from the lattice in {_MAX_TRIES} draws"
+            )
+        H = rng.uniform(-box, box, rs.rank) + 1j * rng.uniform(-box, box, rs.rank)
+        try:
+            check_regular(rs, md, H, guard)
+        except GaudinError:
+            continue
+        out.append(H)
+    return out
+
+
+def sample_spectral_points_per_draw(md, positions, rng, count, guard=0.05):
+    """``gaudin.sample_spectral_points`` one draw and one
+    ``lattice_distance`` call at a time."""
+    from ellgaudin.elliptic import lattice_distance
+    from ellgaudin.gaudin import _MAX_TRIES, GaudinError
+
+    positions = np.asarray(positions, dtype=complex)
+    out = []
+    tries = 0
+    while len(out) < count:
+        tries += 1
+        if tries > _MAX_TRIES:
+            raise GaudinError(
+                f"could not sample {count} spectral points at least {guard} "
+                f"from {len(positions)} poles in {_MAX_TRIES} draws"
+            )
+        u = rng.uniform(0.0, 1.0) + rng.uniform(0.05, 0.95) * md.tau
+        if np.any(lattice_distance(positions - u, md) < guard):
+            continue
+        out.append(u)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Check stages one kernel call per point, pair and contour.
 # ---------------------------------------------------------------------------
 

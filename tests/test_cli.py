@@ -565,18 +565,20 @@ def test_rank2_irreps_21_and_12_pass_commute_check():
 
 def test_nan_residual_fails_its_record(monkeypatch):
     # Python's max(1e-13, nan) is 1e-13: a NaN that follows a finite
-    # residual in a fold must still reach the record and fail it
+    # residual in a fold must still reach the record and fail it.  Every
+    # call takes the first side's lanes and then the second side's (the
+    # commutator's one call per pass, and the spot check's two lone
+    # operators), and the second side's come out NaN
     true_parts = GaudinProblem.transfer_parts
-    calls = []
 
-    def nan_after_first(self, u, H, order=0):
-        calls.append(None)
+    def nan_on_second_side(self, u, H, order=0):
         zero, cartan = true_parts(self, u, H, order)
-        if len(calls) == 1:
-            return zero, cartan
-        return Jet(zero.nvars, zero.total, zero.coeffs * np.nan), cartan * np.nan
+        second = np.arange(np.size(u)) >= np.size(u) // 2
+        coeffs = np.where(second[:, None, None], np.nan, zero.coeffs)
+        cartan = np.where(second[:, None, None], np.nan, cartan)
+        return Jet(zero.nvars, zero.total, coeffs), cartan
 
-    monkeypatch.setattr(GaudinProblem, "transfer_parts", nan_after_first)
+    monkeypatch.setattr(GaudinProblem, "transfer_parts", nan_on_second_side)
     runner = CheckRunner(load_config(str(CONFIGS / "a1_n2_fund.ini")),
                          "commute-check", False)
     runner.stage_commute()

@@ -750,6 +750,74 @@ def test_sampler_respects_guard():
             assert abs((z - u) - nearest_lattice_point(z - u, MD)) >= 0.05
 
 
+def sampler_cases():
+    """240 seeded sampler calls: three root systems and four curves, the
+    thin one at 0.3+0.06i among them, counts 0 to 12, and guards from
+    0.01 up to ones that reject most draws."""
+    rng = np.random.default_rng(17)
+    curves = [MD, MD2, MD3, ModularData(0.3 + 0.06j)]
+    for case in range(240):
+        rs = (RS1, RS2, RS3)[case % 3]
+        md = curves[case % 4]
+        nsites = 1 + case % 5
+        zs = rng.uniform(0, 1, nsites) + rng.uniform(0, 1, nsites) * md.tau
+        box = float(rng.uniform(0.2, 1.5))
+        guard = float(rng.choice([0.01, 0.03, 0.05]))
+        if case % 8 == 0:
+            # rejects most draws: about 0.4 of the Cartan points and 0.2 of
+            # the spectral points pass
+            rs, md, box, guard = RS2, MD, 1.5, 0.25
+            zs = rng.uniform(0, 1, 5) + rng.uniform(0, 1, 5) * md.tau
+        yield case, rs, md, zs, int(rng.integers(0, 13)), box, guard
+
+
+def test_samplers_equal_draw_by_draw_loops_to_the_bit():
+    # one lattice_distance call per round of draws leaves every draw, every
+    # accept or reject decision and the stream after it as they were
+    from oracles import sample_regular_cartan_per_draw, sample_spectral_points_per_draw
+
+    rejected = 0
+    for case, rs, md, zs, count, box, guard in sampler_cases():
+        batched, looped = np.random.default_rng(case), np.random.default_rng(case)
+        hs = sample_regular_cartan(rs, md, batched, count, box, guard)
+        want = sample_regular_cartan_per_draw(rs, md, looped, count, box, guard)
+        assert len(hs) == len(want) == count
+        assert all(np.array_equal(h, w) for h, w in zip(hs, want))
+        assert batched.bit_generator.state == looped.bit_generator.state
+        us = sample_spectral_points(md, zs, batched, count, guard)
+        want = sample_spectral_points_per_draw(md, zs, looped, count, guard)
+        assert [complex(u) for u in us] == want
+        assert batched.bit_generator.state == looped.bit_generator.state
+        # draws the loop rejected show as a stream advanced past count draws
+        probe = np.random.default_rng(case)
+        sample_regular_cartan_per_draw(rs, md, probe, count, box, guard)
+        sample_spectral_points_per_draw(md, zs, probe, count, guard)
+        fresh = np.random.default_rng(case)
+        fresh.uniform(size=2 * count * rs.rank + 2 * count)
+        rejected += probe.bit_generator.state != fresh.bit_generator.state
+    assert rejected >= 30
+
+
+def test_samplers_give_up_after_as_many_draws_as_the_loop():
+    from oracles import sample_regular_cartan_per_draw, sample_spectral_points_per_draw
+
+    zs = [0.13, 0.41 + 0.2j]
+    calls = [
+        (sample_regular_cartan, sample_regular_cartan_per_draw, (RS2, MD), dict(box=0.8, guard=5.0)),
+        (sample_spectral_points, sample_spectral_points_per_draw, (MD, zs), dict(guard=5.0)),
+    ]
+    for batched_call, looped_call, head, kwargs in calls:
+        for count in (1, 3):
+            batched, looped = np.random.default_rng(9), np.random.default_rng(9)
+            with pytest.raises(GaudinError) as got:
+                batched_call(*head, batched, count, **kwargs)
+            with pytest.raises(GaudinError) as want:
+                looped_call(*head, looped, count, **kwargs)
+            assert str(got.value) == str(want.value)
+            assert f"in {gaudin._MAX_TRIES} draws" in str(got.value)
+            assert batched.bit_generator.state == looped.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # site operators against the dense tensor-product reference
 # ---------------------------------------------------------------------------

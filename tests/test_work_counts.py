@@ -4,14 +4,15 @@ Each operator is assembled from coefficient jets at one Cartan point, and
 the checks batch those points, so they need a fixed number of
 evaluations per pass:
 - the commutator certificate takes every (Cartan point, pair) entry in
-  one pass while their arrays fit its byte budget, and its two transfer
-  operators' parts (V's jet and the diagonals of A_r) once per pass and
-  side, at second order, so ``potential_jet`` runs twice per pass, and
-  once when both spectral parameters are equal; the commute stage's
+  one pass while their arrays fit its byte budget, and both transfer
+  operators' parts (V's jet and the diagonals of A_r) from one call per
+  pass, at second order, the first members' lanes and then the second
+  members', so ``potential_jet`` runs once per pass; the commute stage's
   call counts do not grow with its Cartan points or pairs while the
   entries fit one pass, the same-point pair rides along as one more
-  pair, the composed spot check builds its two lone operators, and
-  theta is taken once per operator batch; the commutator is in closed
+  pair, the composed spot check builds its two lone operators from one
+  2-lane call, and theta is taken once per operator batch, once per
+  distinct site argument and alpha(H); the commutator is in closed
   form, so no ``DiffOperator`` is built and nothing is composed, and the
   stage's transient memory stays under a pinned tracemalloc peak;
 - the elliptic stage takes theta, zeta and w once each for all sample
@@ -140,8 +141,8 @@ def test_commutator_builds_each_operator_once_per_point(monkeypatch, rank):
     calls = count_calls(monkeypatch, GaudinProblem, "potential_jet")
     res = commutativity_residual(prob, u1, u2, hs)
     assert res["max_rel"] < 1e-12
-    # every point's entry fits one pass: one batched call per side
-    assert [len(args[2]) for args, _ in calls] == [len(hs)] * 2
+    # every point's entry fits one pass: one call for both sides' lanes
+    assert [len(args[2]) for args, _ in calls] == [2 * len(hs)]
 
 
 def test_commutator_at_one_point_builds_one_operator_per_point(monkeypatch):
@@ -166,7 +167,7 @@ def test_commutator_builds_no_operator_and_composes_nothing(monkeypatch):
     res = commutativity_residual(prob, us[0::2], us[1::2], hs)
     assert res["max_rel"] < 1e-12
     assert built == [] and composed == []
-    assert [len(args[1]) for args, _ in parts] == [4 * len(hs)] * 2
+    assert [len(args[1]) for args, _ in parts] == [2 * 4 * len(hs)]
 
 
 # four irreducible sites, dim0 15, at the sampling of the commute-large
@@ -207,8 +208,8 @@ def test_commute_stage_transient_memory(tmp_path):
     # the closed-form commutator holds V's jets and two products per pair;
     # the dense compositions it replaced peaked at 1.51 MB here, the closed
     # form at 0.63 MB point by point; its 45 entries in one pass would
-    # peak at 3.3 MB, and passes of ten entries under the byte budget
-    # peak at 0.77 MB
+    # peak at 3.3 MB, and passes of nine entries under the byte budget,
+    # both sides in one call, peak at 0.68 MB
     path = tmp_path / "a2_3_3_3bar_3bar.ini"
     path.write_text(A2_3_3_3BAR_3BAR, encoding="utf-8")
     runner = CheckRunner(load_config(str(path)), "commute-check", False)
@@ -423,9 +424,9 @@ def test_batched_transfer_takes_one_theta_call(monkeypatch, batch):
 
 def test_paired_transfer_takes_theta_in_one_call(monkeypatch):
     # three Cartan points, each paired with four spectral parameters: one
-    # theta call takes alpha(H) at every entry's point, and one regularity
-    # check covers them all; one point for the whole batch, as the commute
-    # check passes it, takes alpha(H) once
+    # theta call takes alpha(H) once per distinct point, and one
+    # regularity check covers them all; one point for the whole batch, as
+    # the composed spot check passes it, takes alpha(H) once
     prob = irrep_problem(2)
     nsites, npos = len(prob.positions), prob.rs.n_positive
     rng = np.random.default_rng(66)
@@ -437,7 +438,7 @@ def test_paired_transfer_takes_theta_in_one_call(monkeypatch):
     prob.transfer(us, np.repeat(hs, 4, axis=0))
     prob.transfer(us, hs[0])
     shared = 12 * nsites + 2 * npos * nsites * 12
-    assert arguments(thetas) == [shared + 12 * npos, shared + npos]
+    assert arguments(thetas) == [shared + len(hs) * npos, shared + npos]
     assert [args[2].shape for args, _ in regular] == [(12, 2), (1, 2)]
 
 
@@ -490,13 +491,13 @@ def commute_stage_counts(monkeypatch, tmp_path, cartan_count, pair_count):
 
 def test_commute_stage_work_does_not_grow_with_the_pair_count(monkeypatch, tmp_path):
     # while the (Cartan point, pair) entries fit one pass: one operator
-    # batch for the first and one for the second members of all pairs,
-    # the same-point pair among them, and the composed spot check's two
-    # lone operators, each taking theta once
+    # batch for the first and second members of all pairs, the same-point
+    # pair among them, and one for the composed spot check's two lone
+    # operators, each taking theta once
     few = commute_stage_counts(monkeypatch, tmp_path, 2, 2)
     more_pairs = commute_stage_counts(monkeypatch, tmp_path, 2, 8)
     more_points = commute_stage_counts(monkeypatch, tmp_path, 8, 8)
-    assert few == more_pairs == more_points == (4, 4)
+    assert few == more_pairs == more_points == (2, 2)
 
 
 def test_full_verify_kernel_calls_on_a2_n2_33bar(monkeypatch):
@@ -504,8 +505,9 @@ def test_full_verify_kernel_calls_on_a2_n2_33bar(monkeypatch):
     # records over all shifts, one zeta and one w call for the pole rings,
     # the per-point jets, and one theta, zeta and w call for all the jets'
     # rings; the commute stage's 105 (Cartan point, pair) entries fit one
-    # pass of two operator batches, and the composed spot check builds
-    # two lone operators
+    # pass of one operator batch over both sides' 210 lanes, and the
+    # composed spot check builds its two lone operators from one 2-lane
+    # call
     cfg = load_config(str(CONFIGS / "a2_n2_33bar.ini"))
     runner = CheckRunner(cfg, "full-verify", False)
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
@@ -516,7 +518,7 @@ def test_full_verify_kernel_calls_on_a2_n2_33bar(monkeypatch):
     parts = count_calls(monkeypatch, GaudinProblem, "transfer_parts")
     runner.stage_commute()
     assert all(record.passed for record in runner.report.records)
-    assert [np.size(args[1]) for args, _ in parts] == [105, 105, 1, 1]
+    assert [np.size(args[1]) for args, _ in parts] == [210, 2]
 
 
 def bracket_system():
