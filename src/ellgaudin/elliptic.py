@@ -331,9 +331,9 @@ def linear_substitution_rows(g, directions) -> np.ndarray:
 # Theta series.
 # ---------------------------------------------------------------------------
 
-# Rows of a theta11_coeffs call summed at once; a row does not depend on the
-# rows beside it, so the block only bounds the (rows, terms) arrays.
-_BLOCK = 256
+# Terms (rows times 2T) of a theta11_coeffs call summed at once; a row does
+# not depend on the rows beside it, so the block only bounds its arrays.
+_BLOCK = 4096
 
 
 @lru_cache(maxsize=None)
@@ -377,6 +377,17 @@ def _term_plan(md: ModularData, order: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def _term_constants(md: ModularData, order: int) -> tuple:
+    """For the terms K = -T..T-1 of ``_term_plan``: 2K + 1, Re L (K + 1/2)^2
+    and i (-1)^K cis(Im L (K + 1/2)^2), each a (2T,) array."""
+    count, log_nome = _term_plan(md, order)
+    ks = np.arange(-count, count)
+    square = (ks + 0.5) ** 2
+    phases = 1j * (1.0 - 2.0 * (ks % 2)) * np.exp(1j * (log_nome.imag * square))
+    return 2.0 * ks + 1.0, log_nome.real * square, phases
+
+
 def _check_order(order: int):
     if not 0 <= order <= _MAX_JET_ORDER:
         raise ValueError(f"jet order must lie in [0, {_MAX_JET_ORDER}], got {order}")
@@ -387,55 +398,63 @@ def theta11_coeffs(zs, md: ModularData, order: int = 0) -> np.ndarray:
     order at every z of the 1-D array zs: row b of the (len(zs), order + 1)
     result holds those at zs[b].
 
-    Each z is written z0 + m tau + n with z0 in the fundamental cell, and
-    the shift goes into each term's exponent (DLMF 20.2(i), re-indexed by
-    m): theta11(z) = (-1)^(m + n) sum_K i (-1)^K e^{E_K} with
-    E_K = L (K + 1/2)^2 - i pi tau m^2 + i pi (2K + 1 - 2m) z0, so a term
-    leaves the double range only about where theta does.  Coefficient k
-    is the sum of the terms times (i pi (2K + 1 - 2m))^k / k!, from
-    NumPy's vectorised real exp, cos and sin (its complex exp goes through
-    libm one value at a time), _BLOCK rows at a time.
+    Each z is written z0 + m tau + n, z0 = x + i y in the fundamental cell,
+    and the shift goes into each term's exponent (DLMF 20.2(i), re-indexed
+    by m): theta11(z) = (-1)^(m + n) sum_K i (-1)^K e^{E_K} with
+    E_K = L (K + 1/2)^2 - i pi tau m^2 + i f_K z0, f_K = pi (2K + 1 - 2m),
+    so a term leaves the double range only about where theta does.
+    Coefficient k sums the terms times (i f_K)^k / k!.  A term's modulus
+    comes from NumPy's vectorised real exp, its phase is the product of
+    i (-1)^K cis(Im L (K + 1/2)^2) (``_term_constants``), one angle per row
+    and cis(2 pi x)^(K + T), a cumulative product along the row: one cosine
+    and one sine call per block, over two angles per row.  An order is one
+    multiply and one sum over a C-contiguous (rows, terms) array, which
+    sums a row the same way whatever the batch.
 
     Raises OverflowError where a term leaves the double range or an
     argument is infinite; a NaN argument gives NaN coefficients.
     """
     _check_order(order)
-    count, log_nome = _term_plan(md, order)
-    ks = np.arange(-count, count)
-    base = log_nome * (ks + 0.5) ** 2
-    signs = 1.0 - 2.0 * (ks % 2)
-    # i^(k + 1): the i of every term times i^k from its frequency's k-th power
-    cycle = np.array([1j, -1, -1j, 1])[np.arange(order + 1) % 4]
+    count, _ = _term_plan(md, order)
+    odd, base, phases = _term_constants(md, order)
+    # Re and Im of -i pi tau, the factor of m^2 in E_K
+    lift_re, lift_im = _PI * md.tau.imag, -_PI * md.tau.real
     zs = np.asarray(zs, dtype=complex)
     out = np.empty((len(zs), order + 1), dtype=complex)
+    step = max(1, _BLOCK // (2 * count))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for start in range(0, len(zs), _BLOCK):
-                rows = slice(start, start + _BLOCK)
+            for start in range(0, len(zs), step):
+                rows = slice(start, start + step)
                 z0, m, n = reduce_to_cell(zs[rows], md)
-                freq = _PI * (2.0 * (ks - m[:, None]) + 1.0)
-                shift = -1j * _PI * md.tau * m**2
-                re = (base.real + shift.real[:, None]) - freq * z0.imag[:, None]
-                im = (base.imag + shift.imag[:, None]) + freq * z0.real[:, None]
-                # (-1)^K e^{Re E} times cos and sin of Im E, (rows, 2, terms)
-                parts = np.stack([np.cos(im), np.sin(im)], axis=1)
-                parts *= (np.exp(re) * signs)[:, None]
-                # freq^k / k!, (rows, order + 1, terms)
-                powers = np.empty((len(z0), order + 1, 2 * count))
-                powers[:, 0] = 1.0
-                for k in range(order):
-                    powers[:, k + 1] = powers[:, k] * freq / (k + 1)
-                # einsum sums every row the same way, so a row does not
-                # depend on the batch around it, as a BLAS product's may
-                sums = np.einsum("bct,bkt->bck", parts, powers)
-                if np.isinf(sums).any():  # einsum does not raise on overflow
-                    raise FloatingPointError("overflow encountered in einsum")
-                sign = 1.0 - 2.0 * ((m + n) % 2)
-                out[rows] = (sums[:, 0] + 1j * sums[:, 1]) * (sign[:, None] * cycle)
+                mm = m * m
+                freq = _PI * np.add.outer(-2.0 * m, odd)
+                # the moduli e^{Re E_K}, in place
+                scale = freq * z0.imag[:, None]
+                np.subtract(base + (lift_re * mm)[:, None], scale, out=scale)
+                np.exp(scale, out=scale)
+                # the row's angle and sign (-1)^(m + n) times cis(2 pi x)^j
+                angles = np.empty((2, len(z0)))
+                np.multiply(2.0 * _PI, z0.real, out=angles[1])
+                angles[0] = lift_im * mm + ((0.5 - count) - m) * angles[1]
+                cis = np.empty((2, len(z0)), dtype=complex)
+                np.cos(angles, out=cis.real)
+                np.sin(angles, out=cis.imag)
+                terms = np.empty((len(z0), 2 * count), dtype=complex)
+                terms[:, 0] = cis[0] * (1.0 - 2.0 * ((m + n) % 2))
+                terms[:, 1:] = cis[1, :, None]
+                np.multiply.accumulate(terms, axis=1, out=terms)
+                terms *= phases
+                terms *= scale
+                out[rows, 0] = terms.sum(axis=1)
+                for k in range(1, order + 1):
+                    terms *= np.divide(freq, k, out=scale)
+                    out[rows, k] = terms.sum(axis=1)
     except FloatingPointError as exc:
         raise OverflowError(
             f"theta11 leaves the double range at tau={md.tau} ({exc})"
         ) from None
+    out *= 1j ** np.arange(order + 1)  # i^k from (i f_K)^k
     return out
 
 
@@ -461,9 +480,8 @@ def theta11_prime_at_zero(md: ModularData) -> complex:
     (Im tau > 225.5).
     """
     value = complex(theta11_coeffs([0.0], md, 1)[0, 1])
-    count, log_nome = _term_plan(md, 1)
-    ks = np.arange(-count, count) + 0.5
-    spread = float(np.sum(np.exp(log_nome.real * ks**2) * np.abs(2 * _PI * ks)))
+    odd, base, _ = _term_constants(md, 1)
+    spread = float(np.sum(np.exp(base) * np.abs(_PI * odd)))
     if spread * _UNIT_ROUNDOFF > _CANCELLATION_LIMIT * abs(value):
         raise SeriesConvergenceError(
             f"theta11'(0) cancels to {abs(value):.3g} from terms summing to "

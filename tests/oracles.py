@@ -53,6 +53,48 @@ def w_direct(c: complex, z: complex, tau: complex, nterms: int = 40) -> complex:
     )
 
 
+def theta11_coeffs_reference(zs, md, order: int = 0) -> np.ndarray:
+    """``elliptic.theta11_coeffs`` summed term by term: every term's phase
+    from its own cosine and sine, its powers of the frequency from a loop
+    over the orders, and one einsum per block of 256 rows.  Raises
+    OverflowError where a term leaves the double range or an argument is
+    infinite; a NaN argument gives NaN coefficients."""
+    from ellgaudin.elliptic import _check_order, _term_plan, reduce_to_cell
+
+    _check_order(order)
+    count, log_nome = _term_plan(md, order)
+    ks = np.arange(-count, count)
+    base = log_nome * (ks + 0.5) ** 2
+    signs = 1.0 - 2.0 * (ks % 2)
+    # i^(k + 1): the i of every term times i^k from its frequency's k-th power
+    cycle = np.array([1j, -1, -1j, 1])[np.arange(order + 1) % 4]
+    zs = np.asarray(zs, dtype=complex)
+    out = np.empty((len(zs), order + 1), dtype=complex)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for start in range(0, len(zs), 256):
+                rows = slice(start, start + 256)
+                z0, m, n = reduce_to_cell(zs[rows], md)
+                freq = _PI * (2.0 * (ks - m[:, None]) + 1.0)
+                shift = -1j * _PI * md.tau * m**2
+                re = (base.real + shift.real[:, None]) - freq * z0.imag[:, None]
+                im = (base.imag + shift.imag[:, None]) + freq * z0.real[:, None]
+                parts = np.stack([np.cos(im), np.sin(im)], axis=1)
+                parts *= (np.exp(re) * signs)[:, None]
+                powers = np.empty((len(z0), order + 1, 2 * count))
+                powers[:, 0] = 1.0
+                for k in range(order):
+                    powers[:, k + 1] = powers[:, k] * freq / (k + 1)
+                sums = np.einsum("bct,bkt->bck", parts, powers)
+                if np.isinf(sums).any():
+                    raise FloatingPointError("overflow encountered in einsum")
+                sign = 1.0 - 2.0 * ((m + n) % 2)
+                out[rows] = (sums[:, 0] + 1j * sums[:, 1]) * (sign[:, None] * cycle)
+    except FloatingPointError as exc:
+        raise OverflowError(f"theta11 leaves the double range ({exc})") from None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Finite differences.
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellgaudin import elliptic
 from ellgaudin.elliptic import (
     ModularData,
     PoleProximityError,
@@ -35,6 +36,7 @@ from oracles import (
     fd_second,
     nearest_lattice_point_scan,
     richardson_pole_limit,
+    theta11_coeffs_reference,
     theta11_direct,
     w_direct,
     zeta11_direct,
@@ -454,6 +456,24 @@ def test_batched_theta_matches_mpmath_jtheta(tau):
 
 
 @pytest.mark.parametrize("tau", BATCH_TAUS)
+def test_theta_kernel_matches_its_term_by_term_reference(tau):
+    # the phase-recurrence kernel against the series summed term by term,
+    # each term's phase from its own cosine and sine: within 1e-13 of each
+    # row's largest coefficient, and OverflowError on the same rows
+    md = ModularData(tau)
+    for z in mixed_batch(md):
+        for order in range(4):
+            try:
+                want = theta11_coeffs_reference([z], md, order)[0]
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    theta11_coeffs([z], md, order)
+                continue
+            got = theta11_coeffs([z], md, order)[0]
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("tau", BATCH_TAUS)
 def test_batched_rows_match_arguments_taken_alone(tau):
     md = ModularData(tau)
     batch = mixed_batch(md, seed=43)
@@ -495,11 +515,13 @@ def test_a_folded_row_leaves_the_other_rows_bit_for_bit():
 
 
 @pytest.mark.parametrize("tau", [0.8j, 0.3 + 0.06j, 1.5 + 100j, 200j])
-def test_rows_across_blocks_equal_rows_taken_alone(tau):
-    # up to 600 rows, more than one block of theta11_coeffs: in the cell,
-    # up to 12 cells above or below it, and a period to its left; the rows
-    # whose theta leaves the double range are left out, since one of them
-    # fails the whole call
+def test_rows_across_blocks_equal_rows_taken_alone(monkeypatch, tau):
+    # up to 600 rows: in the cell, up to 12 cells above or below it, and a
+    # period to its left; the rows whose theta leaves the double range are
+    # left out, since one of them fails the whole call.  A block holds
+    # about elliptic._BLOCK terms, so at 100i and 200i, whose series has
+    # four, the rows fill one default block; blocks of 64 terms cut them
+    # into many at every tau
     md = ModularData(tau)
     rng = np.random.default_rng(45)
 
@@ -516,12 +538,14 @@ def test_rows_across_blocks_equal_rows_taken_alone(tau):
             fits.append(z)
         except OverflowError:
             pass
-    # more than one block of 256 rows at every tau
+    # more than one block of 4,096 terms at 0.8i and 0.3+0.06i
     assert len(fits) > 300
-    for order in range(4):
-        rows = theta11_coeffs(fits, md, order)
-        for z, row in zip(fits, rows):
-            assert np.array_equal(row, theta11_coeffs([z], md, order)[0])
+    for block in (elliptic._BLOCK, 64):
+        monkeypatch.setattr(elliptic, "_BLOCK", block)
+        for order in range(4):
+            rows = theta11_coeffs(fits, md, order)
+            for z, row in zip(fits, rows):
+                assert np.array_equal(row, theta11_coeffs([z], md, order)[0])
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

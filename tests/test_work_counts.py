@@ -48,11 +48,11 @@ evaluations per pass:
   come from a Held-Karp recursion over
   root subsets, one kernel-factor product per subset T, root j in T and
   root k in T - j, not one per factor of every ordering;
-- a theta call costs one sine and one cosine call per block of 256
-  arguments, whatever the number of terms and coefficients, and no
-  factorial; zeta is one series
-  quotient of theta's coefficients, with no jet product, substitution or
-  reciprocal;
+- a theta call costs one sine and one cosine call per block, whatever the
+  number of terms and coefficients, and no factorial, and a block holds
+  about as many terms, so a long series peaks as a short one; zeta is one
+  series quotient of theta's coefficients, with no jet product,
+  substitution or reciprocal;
 - the Bethe equations take zeta once per (root, site) and, by zeta's
   oddness, once per unordered pair of roots, all in one call, and the
   eigenvalue takes it once per site and root, in one call;
@@ -579,6 +579,31 @@ def test_bethe_bracket_kernel_products_follow_held_karp(monkeypatch, M):
     assert count <= 2**M * M**2
     # the sum over orderings takes M products for each of the M! chains
     assert count < math.factorial(M) * M
+
+
+def theta_call_peak(tau, rows, order):
+    """tracemalloc peak of one theta11_coeffs call over rows in-cell
+    arguments, after a small call has built the per-tau constants."""
+    md = ModularData(tau)
+    rng = np.random.default_rng(48)
+    zs = rng.uniform(0, 1, rows) + rng.uniform(0, 1, rows) * md.tau
+    elliptic.theta11_coeffs(zs[:2], md, order)
+    tracemalloc.start()
+    try:
+        elliptic.theta11_coeffs(zs, md, order)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_theta_blocks_hold_as_many_terms_whatever_the_series_length():
+    # a block holds about _BLOCK terms, not a fixed number of rows, so a
+    # long series (2T = 34 terms at 0.3+0.06i) peaks as a short one
+    # (2T = 10 at 0.8i) does: 0.29 and 0.32 MB for 1,000 rows at order 2,
+    # where blocks of 256 rows peaked at 0.91 and 0.32 MB
+    short = theta_call_peak(0.8j, 1000, 2)
+    long = theta_call_peak(0.3 + 0.06j, 1000, 2)
+    assert long <= 1.1 * short
 
 
 @pytest.mark.parametrize("tau", [0.8j, 0.3 + 0.06j, 40j, 200j])
