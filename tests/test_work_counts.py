@@ -516,9 +516,14 @@ def test_full_verify_kernel_calls_on_a2_n2_33bar(monkeypatch):
     jet_points = cfg.sampling["jet_points"]
     assert (len(thetas), len(distances)) == (3 + 2 + 3 * jet_points + 3, 2)
     parts = count_calls(monkeypatch, GaudinProblem, "transfer_parts")
+    distances.clear()
     runner.stage_commute()
     assert all(record.passed for record in runner.report.records)
     assert [np.size(args[1]) for args, _ in parts] == [210, 2]
+    # one lattice_distance call per round of draws, one round for the
+    # Cartan points and two for the spectral points here, and one
+    # regularity check per transfer_parts call
+    assert len(distances) == 1 + 2 + 2
 
 
 def bracket_system():
