@@ -658,7 +658,7 @@ class BetheSystem:
         owner = np.repeat(np.arange(count), points)
         eigs = self.eigenvalue(ts, us)
         norms, rels = [], {}
-        for part in pass_slices(len(entries), self._entry_bytes(spectral), _PASS_BYTES):
+        for part in pass_slices(len(entries), _PASS_BYTES // self._entry_bytes(spectral)):
             # the transfer operator is second order
             psi = self.vector_jet(ts[owner[part]], entries[part], 2)
             sizes = np.max(np.abs(psi.value), axis=-1)

@@ -108,7 +108,6 @@ SCHEMA = {
     },
     "tolerances": {
         "commutator": 1e-8,
-        "commutator_top_order": 1e-12,
         "eigen_residual": 1e-7,
         "elliptic_identities": 1e-10,
         "jets": 1e-12,
@@ -735,37 +734,19 @@ class CheckRunner:
         )
 
     def stage_commute(self):
-        """One ``commutativity_residual`` call, with the same-point pair
-        u' = u as pair 0, and the first distinct pair at the first point
-        again by generic composition, a route independent of the closed
-        form."""
-        problem = self.problem
-        tol = self.cfg.tolerances["commutator"]
-        tol_top = self.cfg.tolerances["commutator_top_order"]
+        """One ``commutativity_residual`` call over pair_count pairs of
+        spectral points, and the first pair at the first Cartan point again
+        by generic composition, a route independent of the closed form."""
         h_points = self._cartan_points()
         n_pairs = self.cfg.sampling["pair_count"]
-        us = self._spectral_points(problem.positions, 2 * n_pairs + 1)
-        res = commutativity_residual(problem, [us[0], *us[1::2]], [us[0], *us[2::2]], h_points)
-        spot = composed_residual(problem, us[1], us[2], h_points[0])
-        per_pair = res["per_pair"]
-        self._record(
-            "commute/same-point",
-            per_pair[0],
-            tol,
-            note="u' = u, trivially commuting",
-        )
+        us = self._spectral_points(self.problem.positions, 2 * n_pairs)
+        res = commutativity_residual(self.problem, us[0::2], us[1::2], h_points)
+        spot = composed_residual(self.problem, us[0], us[1], h_points[0])
         self._record(
             "commute/distinct-points",
-            np.maximum(np.max(per_pair[1:]), spot),
-            tol,
+            np.maximum(res["max_rel"], spot),
+            self.cfg.tolerances["commutator"],
             note=f"max over {n_pairs} spectral-parameter pairs",
-        )
-        # order 4 is never formed: it is identically zero
-        self._record(
-            "commute/top-order-coefficients",
-            res["max_abs_order3"],
-            tol_top,
-            note="order-3 and order-4 coefficients of the commutator",
         )
 
     def stage_bethe(self):

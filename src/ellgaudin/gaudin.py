@@ -22,6 +22,7 @@ from .diffop import DiffOperator
 from .elliptic import (
     Jet,
     ModularData,
+    _BLOCK,
     _pole_check,
     _series_quotient,
     _series_reciprocal,
@@ -53,10 +54,9 @@ _MAX_TRIES = 10_000
 _COMMUTE_PASS_BYTES = 768 << 10
 
 
-def pass_slices(count: int, entry_bytes: int, budget: int) -> list:
-    """range(count) cut into consecutive passes of as many entries as keep
-    entry_bytes each within budget bytes, and at least one."""
-    step = max(1, budget // entry_bytes)
+def pass_slices(count: int, step: int) -> list:
+    """range(count) cut into consecutive passes of step entries, at least 1."""
+    step = max(1, step)
     return [np.arange(first, min(first + step, count)) for first in range(0, count, step)]
 
 
@@ -498,13 +498,16 @@ class GaudinProblem:
 
     def _contract(self, jets: np.ndarray) -> np.ndarray:
         """sum_{k,i,j} jets[p, k, b, i, j] _pair[k, i, j] over the positive
-        roots k and the site pairs (i, j), as an array of shape
-        (n, B, dim0, dim0).  Each batch entry is its own matrix product, so
-        it is summed the same way whatever the batch around it."""
+        roots k and the site pairs (i, j), shape (n, B, dim0, dim0).  Each
+        batch entry is its own matrix product, summed the same way whatever
+        the batch around it; the jets are copied 64 entries at a time."""
         terms, _, batch = jets.shape[:3]
         dim = self.space.dim0
-        flat = jets.transpose(2, 0, 1, 3, 4).reshape(batch, terms, -1)
-        total = flat @ self._pair.reshape(flat.shape[-1], dim * dim)
+        pair = self._pair.reshape(-1, dim * dim)
+        total = np.empty((batch, terms, dim * dim), dtype=complex)
+        for b in range(0, batch, 64):
+            chunk = jets[:, :, b : b + 64].transpose(2, 0, 1, 3, 4)
+            np.matmul(chunk.reshape(len(chunk), terms, -1), pair, out=total[b : b + 64])
         return total.reshape(batch, terms, dim, dim).swapaxes(0, 1)
 
     def potential_jet(self, H, u, order: int = 0, thetas=None) -> Jet:
@@ -524,16 +527,17 @@ class GaudinProblem:
           w_{-c-h}(x_i) =  theta'(0) theta(x_i + c + h) / (theta(x_i) theta(c + h)),
         and the root -alpha pairs the same two kernels with i and j swapped.
         So theta is taken once per site and u, once per positive root and
-        row of H and once per (u, site, positive root) and
-        sign, all in one kernel call (``_thetas``); ``thetas`` passes in
-        that call's result where the caller already has it.  The kernels'
-        coefficients in h form arrays lo[a, b, k, i] and up[c, b, k, j]
-        (``_w_coeffs``), for all positive roots k at once; their products
-        c[m, b, k, i, j] = sum_{a+c=m} lo[a, b, k, i] up[c, b, k, j] are
-        substituted into the xi variables in one call, and the jets contract
-        with the stacked pair operators ``_pair[k, i, j]`` of alpha and
-        -alpha over the roots and site pairs in one matrix product per u
-        (``_contract``).
+        row of H and once per (u, site, positive root) and sign, all in one
+        kernel call (``_thetas``); ``thetas`` passes in that call's result
+        where the caller already has it.  The kernels' coefficients in h
+        form arrays lo[a, b, k, i] and up[c, b, k, j] (``_w_coeffs``), for
+        all positive roots k at once; their products
+        c[m, b, k, i, j] = sum_{a+c=m} lo[a, b, k, i] up[c, b, k, j], added
+        one term at a time, a from m down, as array_jet_product adds them to
+        order 2, but with no gather of every term held, are substituted into
+        the xi variables in one call, and the jets contract with the stacked
+        pair operators ``_pair[k, i, j]`` of alpha and -alpha over the roots
+        and site pairs in one matrix product per u (``_contract``).
         """
         us, scalar = _spectral_batch(u)
         if thetas is None:
@@ -550,8 +554,13 @@ class GaudinProblem:
         # the potential's factor 1/2 rides on lo
         lo = _w_coeffs(shifted[:, 0], scales, tz) * 0.5
         up = array_jet_product(shifted[:, 1], scales, 1, order) * (1.0 / tz)
-        pairs = array_jet_product(lo[..., :, None], up[..., None, :], 1, order)
+        pairs = np.zeros(lo.shape + (nsites,), dtype=complex)
+        for m in range(order + 1):
+            for a in reversed(range(m + 1)):
+                pairs[m] += lo[a, ..., :, None] * up[m - a, ..., None, :]
+        del lo, up
         jets = linear_substitution_rows(np.moveaxis(pairs, 2, 0), rs.positive_roots)
+        del pairs
         jet = self._contract(jets)
         return Jet(rs.rank, order, jet[:, 0] if scalar else jet)
 
@@ -596,9 +605,7 @@ class GaudinProblem:
         batch for ``apply``: its coefficients carry a batch axis after the
         monomial one, (n, B, dim0, dim0), but for the constant 0.5 *
         identity, (1, dim0, dim0).  A scalar u, which composition needs, is
-        the batch of one with that axis squeezed off.  The commutator check
-        takes [transfer(u1), transfer(u2)] in closed form from the parts
-        (``commutator_values``) instead.
+        the batch of one with that axis squeezed off.
         """
         return transfer_operator(*self.transfer_parts(u, H, order))
 
@@ -661,20 +668,17 @@ def commutator_values(first: tuple, second: tuple) -> dict:
     where a diagonal acts on rows and [A_r, V]_ij = (a_i - a_j) V_ij: two
     matrix products per sample.  The coefficients of order 2 to 4 come from
     the constant parts alone and commute entrywise, so they are
-    identically zero; only those of order 3 at 2 e_r + e_s,
-    (1/2) A_s - A_s (1/2) from either operator, are formed, as
-    diagonals of shape ([B,] dim), because they carry NaN in A into the
-    top-order check.  C_0 and C_{e_r} have shape ([B,] dim, dim).  Each
-    difference pairs like terms of the two operators, so [T, T] is zero to
-    the bit.
+    identically zero and not formed; NaN or inf in A still reaches C_0
+    and C_{e_r} through A_r d_r V and [A_r, V].  Both have shape
+    ([B,] dim, dim).  Each difference pairs like terms of the two
+    operators, so [T, T] is zero to the bit.
     """
     (v1, a1), (v2, a2) = first, second
     l = v1.nvars
     if min(v1.total, v2.total) < 2:
         raise ValueError("the commutator's values need V's jets to second order")
     units = [_unit(l, r) for r in range(l)]
-    d1 = [v1.coeff(e) for e in units]
-    d2 = [v2.coeff(e) for e in units]
+    d1, d2 = ([v.coeff(e) for e in units] for v in (v1, v2))
     m1, m2 = v1.value, v2.value
 
     def rows(a, d):
@@ -691,11 +695,6 @@ def commutator_values(first: tuple, second: tuple) -> dict:
     out = {(0,) * l: half_laplacian + (rows(a2, d1) - rows(a1, d2)) + (m1 @ m2 - m2 @ m1)}
     for r, e in enumerate(units):
         out[e] = (d2[r] - d1[r]) + (bracket(a2[..., r], m1) - bracket(a1[..., r], m2))
-    for s in range(l):
-        # 0 on finite data, NaN where A is NaN
-        third = (0.5 * a2[..., s] - a2[..., s] * 0.5) + (a1[..., s] * 0.5 - 0.5 * a1[..., s])
-        for r in range(l):
-            out[tuple(2 * (i == r) + (i == s) for i in range(l))] = third
     return out
 
 
@@ -711,62 +710,58 @@ def _coeff_scale(zero: Jet, cartan: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(0.5, _batch_max(cartan)), _batch_max(zero.value))
 
 
+def _commute_pass_bytes(problem: GaudinProblem) -> tuple:
+    """(block, rows, entry): by estimate, a commutativity pass of e entries
+    peaks at max(block + e rows, e entry) bytes.  Theta holds _BLOCK terms
+    at 64 bytes, and 112 bytes per argument, N + |Phi+| (2N + 1) a side.
+    Then an entry holds per side theta, V, the pair jets and pair series,
+    or both sides' V, the commutator's l + 1 matrices and 7 temporaries."""
+    l, dim = problem.rs.rank, problem.space.dim0
+    n, k = len(problem.positions), problem.rs.n_positive
+    terms, args = len(jet_indices(l, 2)), n + k * (2 * n + 1)
+    side = terms * dim * dim + (terms + 3) * k * n * n + 4 * args
+    entry = max(2 * side, (2 * terms + l + 8) * dim * dim)
+    return 64 * _BLOCK, 2 * 112 * args, 16 * entry
+
+
 def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points) -> dict:
     """Relative size of [transfer(u1), transfer(u2)] over paired spectral
     parameters, 1-D arrays or two scalars, and Cartan sample points.
 
     The (Cartan point, pair) entries go in ``pass_slices`` passes, one
-    unless they outgrow ``_COMMUTE_PASS_BYTES``.  Per pass, one
-    ``transfer_parts`` call with H paired in serves both sides, the u1
-    lanes and then the u2 lanes, which split at the middle (the u1 lanes
-    alone when the arrays are equal), and ``commutator_values`` gives
+    unless ``_commute_pass_bytes`` puts them over ``_COMMUTE_PASS_BYTES``.
+    Per pass, one ``transfer_parts`` call, at the second order that
+    ``commutator_values`` needs and with H paired in, serves both sides,
+    the u1 lanes and then the u2 lanes, and ``commutator_values`` gives
     every entry's commutator in closed form; each entry's numbers are
     those it gets alone.  A residual is scaled by the product of its
     operators' ``max_coeff_norm``, max(1/2, |A_r|, |V(H)|).  Returns the
-    largest relative residual, overall and per pair, and the largest
-    absolute order-3 coefficient, which must vanish (order 4 is never
-    formed).  Every fold keeps NaN.
+    largest relative residual, overall and per pair; every fold keeps NaN.
     """
-    u1s, _ = _spectral_batch(u1s)
-    u2s, _ = _spectral_batch(u2s)
+    u1s, u2s = (_spectral_batch(u)[0] for u in (u1s, u2s))
     if u1s.shape != u2s.shape:
         raise GaudinError(
             f"paired spectral parameters differ in number: {len(u1s)} and {len(u2s)}"
         )
-    same = np.array_equal(u1s, u2s)
     points = np.asarray(h_points, dtype=complex).reshape(-1, problem.rs.rank)
     hs = np.repeat(points, len(u1s), axis=0)
-    lanes1, lanes2 = np.tile(u1s, len(points)), np.tile(u2s, len(points))
-    sides = 1 if same else 2
-    # an entry's bytes: per side (one call holds both) V's jet, the pair jets
-    # and theta's rows; the commutator's l + 1 matrices and four temporaries
-    l, dim = problem.rs.rank, problem.space.dim0
-    n, k = len(problem.positions), problem.rs.n_positive
-    side = len(jet_indices(l, 2)) * (dim * dim + k * n * n) + 3 * (n + k * (2 * n + 1))
-    entry = 16 * (sides * side + (l + 5) * dim * dim)
+    lanes = np.tile(np.stack([u1s, u2s]), len(points))
+    block, rows, entry = _commute_pass_bytes(problem)
+    step = min((_COMMUTE_PASS_BYTES - block) // rows, _COMMUTE_PASS_BYTES // entry)
     rel = np.zeros(len(hs))
-    top = 0.0
-    for part in pass_slices(len(hs), entry, _COMMUTE_PASS_BYTES):
-        lanes = lanes1[part] if same else np.concatenate([lanes1[part], lanes2[part]])
-        # the commutator's values need V's jets to second order
-        zero, cartan = problem.transfer_parts(lanes, np.tile(hs[part], (sides, 1)), 2)
-        halves = zip(np.split(zero.coeffs, sides, axis=1), np.split(cartan, sides))
-        halves = [(Jet(l, 2, v), a) for v, a in halves]
-        first, second = halves[0], halves[-1]
+    for part in pass_slices(len(hs), step):
+        H = np.tile(hs[part], (2, 1))
+        zero, cartan = problem.transfer_parts(lanes[:, part].ravel(), H, 2)
+        first, second = ((Jet(zero.nvars, 2, v), a) for v, a in zip(
+            np.split(zero.coeffs, 2, axis=1), np.split(cartan, 2)))
         values = commutator_values(first, second)
         scale = _coeff_scale(*first) * _coeff_scale(*second)
         norm = reduce(np.maximum, map(_batch_max, values.values()))
         rel[part] = norm / np.maximum(scale, 1e-300)
-        third = (np.max(abs(v)) for m, v in values.items() if sum(m) == 3)
-        top = reduce(np.maximum, third, top)
         # this pass's arrays go before the next pass builds its own
-        del zero, cartan, halves, first, second, values
+        del zero, cartan, first, second, values
     per_pair = np.max(rel.reshape(len(points), len(u1s)), axis=0, initial=0.0)
-    return {
-        "max_rel": float(np.max(per_pair, initial=0.0)),
-        "per_pair": per_pair,
-        "max_abs_order3": float(top),
-    }
+    return {"max_rel": float(np.max(per_pair, initial=0.0)), "per_pair": per_pair}
 
 
 def composed_residual(problem: GaudinProblem, u1: complex, u2: complex, H) -> float:

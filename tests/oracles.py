@@ -791,33 +791,24 @@ def sample_spectral_points_per_draw(md, positions, rng, count, guard=0.05):
 
 def commutativity_residual_reference(prob, u1s, u2s, h_points) -> dict:
     """``gaudin.commutativity_residual`` point by point: per Cartan point,
-    one ``transfer_parts`` call for all u1 and one for all u2 (the same
-    call when they are equal), each pair's relative residual folded into a
-    running per-pair maximum over the points."""
+    one ``transfer_parts`` call for all u1 and one for all u2, each pair's
+    relative residual folded into a running per-pair maximum over the
+    points."""
     from functools import reduce
 
     from ellgaudin.gaudin import _batch_max, _coeff_scale, commutator_values
 
     u1s = np.asarray(u1s, dtype=complex).reshape(-1)
     u2s = np.asarray(u2s, dtype=complex).reshape(-1)
-    same = np.array_equal(u1s, u2s)
     per_pair = 0.0
-    top = 0.0
     for H in h_points:
         first = prob.transfer_parts(u1s, H, 2)
-        second = first if same else prob.transfer_parts(u2s, H, 2)
+        second = prob.transfer_parts(u2s, H, 2)
         values = commutator_values(first, second)
         scale = _coeff_scale(*first) * _coeff_scale(*second)
         norm = reduce(np.maximum, map(_batch_max, values.values()))
         per_pair = np.maximum(per_pair, norm / np.maximum(scale, 1e-300))
-        for m, v in values.items():
-            if sum(m) == 3:
-                top = np.maximum(top, np.max(np.abs(v)))
-    return {
-        "max_rel": float(np.max(per_pair)),
-        "per_pair": per_pair,
-        "max_abs_order3": float(top),
-    }
+    return {"max_rel": float(np.max(per_pair)), "per_pair": per_pair}
 
 
 def contour_coeffs(f, z0: complex, r: float) -> dict:

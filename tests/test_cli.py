@@ -133,12 +133,17 @@ def test_unknown_section_rejected(tmp_path):
         load_config(path)
 
 
-def test_unknown_key_rejected(tmp_path):
+def test_unknown_key_rejected(tmp_path, capsys):
     path = write_config(tmp_path, MINIMAL_SITES.replace(
         "[elliptic]\ntau = 0.8i", "[elliptic]\ntau = 0.8i\nbogus = 1"
     ))
     with pytest.raises(ConfigError, match="unknown key 'bogus'"):
         load_config(path)
+    # the order-3 commutator tolerance left with its record
+    removed = "\n[tolerances]\ncommutator_top_order = 1e-12\n"
+    path = write_config(tmp_path, MINIMAL_SITES + removed)
+    assert main(["commute-check", "--config", path]) == 2
+    assert "unknown key 'commutator_top_order'" in capsys.readouterr().err
 
 
 def test_sites_coincide_mod_lattice(tmp_path):
@@ -521,10 +526,11 @@ def test_commute_check_same_point_record(tmp_path):
         json.loads(line)["name"]: json.loads(line)
         for line in (out / "report.jsonl").read_text().splitlines()
     }
-    assert records["commute/same-point"]["pass"]
-    assert records["commute/same-point"]["residual"] <= 1e-12
+    # the same-point and top-order records read 0 by construction and are
+    # gone: commute/distinct-points is the one commute record
+    assert list(records) == ["commute/distinct-points"]
     assert records["commute/distinct-points"]["pass"]
-    assert records["commute/top-order-coefficients"]["residual"] <= 1e-12
+    assert records["commute/distinct-points"]["residual"] <= 1e-12
 
 
 def test_full_verify_without_bethe_runs_three_stages(tmp_path):
@@ -583,20 +589,41 @@ def test_nan_residual_fails_its_record(monkeypatch):
                          "commute-check", False)
     runner.stage_commute()
     records = {r.name: r for r in runner.report.records}
-    assert sorted(records) == [
-        "commute/distinct-points", "commute/same-point",
-        "commute/top-order-coefficients",
-    ]
+    assert sorted(records) == ["commute/distinct-points"]
     assert not any(r.passed for r in records.values())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_cartan_diagonal_on_one_lane_fails_the_record(monkeypatch, bad):
+    # NaN or inf confined to the diagonals A_r of one lane of the
+    # commutator's pass, with V finite there, reaches [A_r, V] and A_r d_r V
+    # and fails commute/distinct-points; the spot check's call is untouched
+    true_parts = GaudinProblem.transfer_parts
+
+    def bad_lane(self, u, H, order=0):
+        zero, cartan = true_parts(self, u, H, order)
+        if np.size(u) > 2:
+            cartan = cartan.copy()
+            cartan[3] = bad
+        return zero, cartan
+
+    monkeypatch.setattr(GaudinProblem, "transfer_parts", bad_lane)
+    runner = CheckRunner(load_config(str(CONFIGS / "a1_n2_fund.ini")), "commute-check", False)
+    # inf - inf on the diagonal of [A_r, V] is NumPy's invalid operation
+    with np.errstate(invalid="ignore"):
+        runner.stage_commute()
+    (record,) = runner.report.records
+    assert record.name == "commute/distinct-points"
+    assert not record.passed
+
+
 def drop_root_on_second_members(monkeypatch) -> list:
-    """Make the commute stage's second operator of every distinct pair
-    lose the pair term of the first positive root from its potential:
+    """Make the commute stage's second operator of every pair lose the
+    pair term of the first positive root from its potential:
     ``transfer_parts`` drops it on the lanes whose u is a second member of
-    a distinct pair (u_2, u_4, ... of the stage's draw) and keeps every
-    other lane, the same-point pair's included.  Returns the list that
-    records the stage's spectral draws."""
+    a pair (u_1, u_3, ... of the stage's draw, counted from 0) and keeps
+    every other lane.  Returns the list that records the stage's spectral
+    draws."""
     true_parts = GaudinProblem.transfer_parts
     true_points = CheckRunner._spectral_points
     drawn = []
@@ -607,7 +634,7 @@ def drop_root_on_second_members(monkeypatch) -> list:
 
     def drop_root(self, u, H, order=0):
         full, cartan = true_parts(self, u, H, order)
-        lanes = np.isin(u, drawn[0][2::2])
+        lanes = np.isin(u, drawn[0][1::2])
         if not lanes.any():
             return full, cartan
         pair = self._pair
@@ -627,9 +654,9 @@ def drop_root_on_second_members(monkeypatch) -> list:
 
 @pytest.mark.parametrize("config", ["a1_n2_fund", "a2_n2_33bar", "a2_bethe_m2"])
 def test_commute_check_fails_without_one_root_pair_term(monkeypatch, config):
-    # negative control: the second operator of every distinct pair loses
-    # the pair term of the first positive root from its potential, in
-    # every pass, and the default commutator tolerance of 1e-8 must catch it
+    # negative control: the second operator of every pair loses the pair
+    # term of the first positive root from its potential, in every pass,
+    # and the default commutator tolerance of 1e-8 must catch it
     drawn = drop_root_on_second_members(monkeypatch)
     cfg = load_config(str(CONFIGS / f"{config}.ini"))
     assert cfg.tolerances["commutator"] == 1e-8
@@ -639,8 +666,6 @@ def test_commute_check_fails_without_one_root_pair_term(monkeypatch, config):
     assert len(drawn) == 1
     assert not records["commute/distinct-points"].passed
     assert records["commute/distinct-points"].residual > 1e-3
-    assert records["commute/same-point"].passed
-    assert records["commute/top-order-coefficients"].passed
 
 
 def test_composed_spot_check_catches_a_closed_form_that_hides_the_commutator(monkeypatch):
@@ -659,8 +684,6 @@ def test_composed_spot_check_catches_a_closed_form_that_hides_the_commutator(mon
     records = {r.name: r for r in runner.report.records}
     assert not records["commute/distinct-points"].passed
     assert records["commute/distinct-points"].residual > 1e-3
-    assert records["commute/same-point"].passed
-    assert records["commute/top-order-coefficients"].passed
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +769,7 @@ def test_dual_verma_sites_are_built_at_m_plus_highest_root(tmp_path):
 
 _COMMON_RECORDS = {
     "algebra/cartan-orthonormal", "algebra/dimension-count", "algebra/rho-half-sum",
-    "commute/distinct-points", "commute/same-point", "commute/top-order-coefficients",
+    "commute/distinct-points",
     "elliptic/jets-vs-contour", "elliptic/pole-normalization",
     "elliptic/theta-period-1", "elliptic/theta-period-tau",
     "elliptic/w-period-1", "elliptic/w-period-tau",

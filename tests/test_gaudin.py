@@ -368,7 +368,6 @@ def test_transfer_family_commutes_rank1():
     hs = sample_regular_cartan(RS1, MD, rng, 3)
     res = commutativity_residual(prob, us[0], us[1], hs)
     assert res["max_rel"] < 1e-12
-    assert res["max_abs_order3"] == 0.0
 
 
 def test_transfer_family_commutes_rank2():
@@ -399,13 +398,6 @@ def test_transfer_family_commutes_dual_verma_sites():
     assert res["max_rel"] < 1e-12
 
 
-def _as_matrices(values, dim):
-    """Closed-form commutator values with the order-3 diagonals laid out as
-    matrices."""
-    eye = np.eye(dim)
-    return {m: v[..., None] * eye if sum(m) >= 2 else v for m, v in values.items()}
-
-
 def _dense_commutator(parts1, parts2):
     """The values at H of the commutator of the two operators by generic
     composition, which has no batch axis: batched parts are composed entry
@@ -431,8 +423,7 @@ def _values_gap(parts1, parts2):
     closed form leaves out the coefficients that vanish identically, so an
     absent key reads as zero."""
     dense = _dense_commutator(parts1, parts2)
-    dim = parts1[1].shape[-2]
-    closed = _as_matrices(gaudin.commutator_values(parts1, parts2), dim)
+    closed = gaudin.commutator_values(parts1, parts2)
     assert closed.keys() <= dense.keys()
     gap = max(np.max(np.abs(closed.get(m, 0.0) - dense[m])) for m in dense)
     return gap, dense
@@ -468,12 +459,12 @@ def test_closed_form_commutator_matches_composition(nvars, batch):
                 assert np.array_equal(gaudin._coeff_scale(v, a), want)
             assert np.all(want == 0.5)
         # [T, T] vanishes to the bit; NaN in A reaches every coefficient
-        # formed, the order-3 ones among them
+        # formed, those of order 0 and 1
         same = gaudin.commutator_values(first, first)
         assert all(np.max(np.abs(v)) == 0.0 for v in same.values())
         nan = (first[0], first[1] * np.nan)
         values = gaudin.commutator_values(nan, second)
-        assert {sum(m) for m in values} == {0, 1, 3}
+        assert {sum(m) for m in values} == {0, 1}
         assert all(np.isnan(v).all() for v in values.values())
 
 
@@ -628,14 +619,11 @@ def test_batched_commutativity_residual_equals_per_point_reference(
     prob = runner.problem
     assert prob.space.dim0 <= 60
     hs = runner._cartan_points()
-    us = runner._spectral_points(prob.positions, 2 * runner.cfg.sampling["pair_count"] + 1)
-    u1s, u2s = [us[0], *us[1::2]], [us[0], *us[2::2]]
-    got = commutativity_residual(prob, u1s, u2s, hs)
-    want = commutativity_residual_reference(prob, u1s, u2s, hs)
+    us = runner._spectral_points(prob.positions, 2 * runner.cfg.sampling["pair_count"])
+    got = commutativity_residual(prob, us[0::2], us[1::2], hs)
+    want = commutativity_residual_reference(prob, us[0::2], us[1::2], hs)
     assert got["per_pair"].tolist() == want["per_pair"].tolist()
-    assert got["per_pair"][0] == 0.0
-    for key in ("max_rel", "max_abs_order3"):
-        assert got[key] == want[key]
+    assert got["max_rel"] == want["max_rel"]
 
 
 @pytest.mark.parametrize(

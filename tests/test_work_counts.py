@@ -9,12 +9,12 @@ evaluations per pass:
   pass, at second order, the first members' lanes and then the second
   members', so ``potential_jet`` runs once per pass; the commute stage's
   call counts do not grow with its Cartan points or pairs while the
-  entries fit one pass, the same-point pair rides along as one more
-  pair, the composed spot check builds its two lone operators from one
-  2-lane call, and theta is taken once per operator batch, once per
-  distinct site argument and alpha(H); the commutator is in closed
-  form, so no ``DiffOperator`` is built and nothing is composed, and the
-  stage's transient memory stays under a pinned tracemalloc peak;
+  entries fit one pass, the composed spot check builds its two lone
+  operators from one 2-lane call, and theta is taken once per operator
+  batch, once per distinct site argument and alpha(H); the commutator is
+  in closed form, so no ``DiffOperator`` is built and nothing is
+  composed, and the stage's transient memory stays under a pinned
+  tracemalloc peak, each pass within its byte estimate;
 - the elliptic stage takes theta, zeta and w once each for all sample
   points and shifts of its period records, and builds all of a record's
   16-point contours before taking each function once for all of them;
@@ -145,17 +145,6 @@ def test_commutator_builds_each_operator_once_per_point(monkeypatch, rank):
     assert [len(args[2]) for args, _ in calls] == [2 * len(hs)]
 
 
-def test_commutator_at_one_point_builds_one_operator_per_point(monkeypatch):
-    prob = irrep_problem(2)
-    rng = np.random.default_rng(34)
-    hs = sample_regular_cartan(prob.rs, MD, rng, 3)
-    u = sample_spectral_points(MD, prob.positions, rng, 1)[0]
-    calls = count_calls(monkeypatch, GaudinProblem, "potential_jet")
-    res = commutativity_residual(prob, u, u, hs)
-    assert res["max_rel"] == 0.0
-    assert [len(args[2]) for args, _ in calls] == [len(hs)]
-
-
 def test_commutator_builds_no_operator_and_composes_nothing(monkeypatch):
     prob = irrep_problem(2)
     rng = np.random.default_rng(33)
@@ -207,8 +196,8 @@ seed = 7
 def test_commute_stage_transient_memory(tmp_path):
     # the closed-form commutator holds V's jets and two products per pair;
     # the dense compositions it replaced peaked at 1.51 MB here, the closed
-    # form at 0.63 MB point by point; its 45 entries in one pass would
-    # peak at 3.3 MB, and passes of nine entries under the byte budget,
+    # form at 0.63 MB point by point; its 40 entries in one pass would
+    # peak at 2.9 MB, and passes of nine entries under the byte budget,
     # both sides in one call, peak at 0.68 MB
     path = tmp_path / "a2_3_3_3bar_3bar.ini"
     path.write_text(A2_3_3_3BAR_3BAR, encoding="utf-8")
@@ -222,6 +211,39 @@ def test_commute_stage_transient_memory(tmp_path):
         tracemalloc.stop()
     assert all(r.passed for r in runner.report.records)
     assert peak < 0.9e6
+
+
+@pytest.mark.parametrize("config", ["a2_n2_33bar", "A2_3_3_3BAR_3BAR"])
+def test_commute_pass_peak_stays_within_its_estimate(monkeypatch, tmp_path, config):
+    # each pass of the commute stage's entries holds at most its estimate,
+    # max(block + e rows, e entry) bytes for e entries: a2_n2_33bar's 100
+    # entries take one pass (peak 0.70 MB against 0.74 MB), the dim0-15
+    # instance's 40 take passes of nine (0.68 MB against 0.71 MB); the
+    # estimate once read 0.70 MB where a2_n2_33bar peaked at 1.11 MB
+    if config == "A2_3_3_3BAR_3BAR":
+        text = A2_3_3_3BAR_3BAR
+    else:
+        text = (CONFIGS / f"{config}.ini").read_text(encoding="utf-8")
+    path = tmp_path / "commute.ini"
+    path.write_text(text, encoding="utf-8")
+    runner = CheckRunner(load_config(str(path)), "commute-check", False)
+    prob = runner.problem
+    hs = runner._cartan_points()
+    us = runner._spectral_points(prob.positions, 2 * runner.cfg.sampling["pair_count"])
+    # theta's cached constants are built before the measured call
+    gaudin.commutativity_residual(prob, us[0], us[1], hs[0])
+    parts = count_calls(monkeypatch, GaudinProblem, "transfer_parts")
+    tracemalloc.start()
+    try:
+        res = gaudin.commutativity_residual(prob, us[0::2], us[1::2], hs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res["max_rel"] < 1e-12
+    entries = max(len(args[1]) for args, _ in parts) // 2
+    assert entries == {"a2_n2_33bar": 100, "A2_3_3_3BAR_3BAR": 9}[config]
+    block, rows, entry = gaudin._commute_pass_bytes(prob)
+    assert peak <= max(block + entries * rows, entries * entry) <= gaudin._COMMUTE_PASS_BYTES
 
 
 def leibniz_terms(left, right) -> tuple:
@@ -491,9 +513,8 @@ def commute_stage_counts(monkeypatch, tmp_path, cartan_count, pair_count):
 
 def test_commute_stage_work_does_not_grow_with_the_pair_count(monkeypatch, tmp_path):
     # while the (Cartan point, pair) entries fit one pass: one operator
-    # batch for the first and second members of all pairs, the same-point
-    # pair among them, and one for the composed spot check's two lone
-    # operators, each taking theta once
+    # batch for the first and second members of all pairs, and one for the
+    # composed spot check's two lone operators, each taking theta once
     few = commute_stage_counts(monkeypatch, tmp_path, 2, 2)
     more_pairs = commute_stage_counts(monkeypatch, tmp_path, 2, 8)
     more_points = commute_stage_counts(monkeypatch, tmp_path, 8, 8)
@@ -504,8 +525,8 @@ def test_full_verify_kernel_calls_on_a2_n2_33bar(monkeypatch):
     # the elliptic stage takes theta, zeta and w once each for the period
     # records over all shifts, one zeta and one w call for the pole rings,
     # the per-point jets, and one theta, zeta and w call for all the jets'
-    # rings; the commute stage's 105 (Cartan point, pair) entries fit one
-    # pass of one operator batch over both sides' 210 lanes, and the
+    # rings; the commute stage's 100 (Cartan point, pair) entries fit one
+    # pass of one operator batch over both sides' 200 lanes, and the
     # composed spot check builds its two lone operators from one 2-lane
     # call
     cfg = load_config(str(CONFIGS / "a2_n2_33bar.ini"))
@@ -519,7 +540,7 @@ def test_full_verify_kernel_calls_on_a2_n2_33bar(monkeypatch):
     distances.clear()
     runner.stage_commute()
     assert all(record.passed for record in runner.report.records)
-    assert [np.size(args[1]) for args, _ in parts] == [210, 2]
+    assert [np.size(args[1]) for args, _ in parts] == [200, 2]
     # one lattice_distance call per round of draws, one round for the
     # Cartan points and two for the spectral points here, and one
     # regularity check per transfer_parts call
