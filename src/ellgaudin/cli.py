@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import hashlib
 import io
 import json
 import math
@@ -36,6 +34,14 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+try:  # the builtin module: hashlib would load OpenSSL's _hashlib too
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .bethe import BetheError, BetheSystem
 from .elliptic import (
@@ -440,7 +446,7 @@ def _instance_digest(cfg: ExperimentConfig, command: str, negative: bool) -> str
     payload = "\n".join(
         [command, f"negative-control={negative}", *cfg.echo_lines()]
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+    return sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
 # --------------------------------------------------------------------------
@@ -500,6 +506,69 @@ def _rel(values, references, floor: float = 1e-30) -> float:
     )
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(const: int, step: int):
+    """SeedSequence's hash: each call XORs a 32-bit word with a running
+    constant, advances the constant by ``step`` and multiplies by it."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * step & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+class _Uniforms:
+    """The stream of ``numpy.random.default_rng(seed).uniform``, reproduced
+    to the bit without loading ``numpy.random``.  SeedSequence hash-mixes
+    the seed's little-endian 32-bit words into a pool of four and draws
+    four 64-bit words from it; PCG64 (XSL-RR 128/64) takes two as its
+    state and two as its increment; a draw is low + (high - low) x 2^-53,
+    x the top 53 bits of the generator's next 64-bit output."""
+
+    def __init__(self, seed: int):
+        words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+
+        def mix(x, y):
+            value = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+            return value ^ value >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        out = _hashmix(0x8B51F9DD, 0x58F38DED)
+        state = [out(pool[i % 4]) for i in range(8)]
+        s0, s1, s2, s3 = (state[2 * i] | state[2 * i + 1] << 32 for i in range(4))
+        self._inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        self._state = 0
+        self._next64()
+        self._state = (self._state + (s0 << 64 | s1)) & _MASK128
+        self._next64()
+
+    def _next64(self) -> int:
+        self._state = state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        return (x >> rot | x << (-rot & 63)) & _MASK64
+
+    def uniform(self, low: float, high: float, size: int | None = None):
+        """One float, or an array of ``size``, uniform in [low, high)."""
+        if size is None:
+            return low + (high - low) * ((self._next64() >> 11) * 2.0**-53)
+        return np.array([self.uniform(low, high) for _ in range(size)], dtype=float)
+
+
 # stage -> (the config section it needs, the built object it reads)
 _STAGE_NEEDS = {
     "elliptic": ("an [elliptic]", "md"),
@@ -516,7 +585,7 @@ class CheckRunner:
         self.cfg = cfg
         self.command = command
         self.negative = negative
-        self.rng = np.random.default_rng(cfg.seed)
+        self.rng = _Uniforms(cfg.seed)
         self.report = Report(
             command=command,
             instance=_instance_digest(cfg, command, negative),
@@ -947,6 +1016,8 @@ def render_jsonl(report: Report) -> str:
 
 
 def render_csv(report: Report) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(["name", "instance", "residual", "tolerance", "pass", "note"])
@@ -965,6 +1036,8 @@ def render_csv(report: Report) -> str:
 
 
 def render_sweep_csv(report: Report) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(["u", "re_tau_psi", "im_tau_psi"])

@@ -200,14 +200,15 @@ def _rejection_sample(draw, accept, count: int, failure: str) -> list:
 def sample_regular_cartan(
     rs: RootSystemData,
     md: ModularData,
-    rng: np.random.Generator,
+    rng,
     count: int,
     box: float = 0.8,
     guard: float = 0.05,
 ):
     """Random complex Cartan coordinates in the box avoiding all root-lattice
     walls by guard, one ``lattice_distance`` call per round of draws
-    (``_rejection_sample``); :class:`GaudinError` after _MAX_TRIES draws."""
+    (``_rejection_sample``); :class:`GaudinError` after _MAX_TRIES draws.
+    ``rng`` is any source with NumPy's ``Generator.uniform(low, high[, size])``."""
     return _rejection_sample(
         lambda: rng.uniform(-box, box, rs.rank) + 1j * rng.uniform(-box, box, rs.rank),
         lambda hs: ~np.any(lattice_distance(root_values(rs.positive_roots, hs), md) < guard, 1),
@@ -220,14 +221,15 @@ def sample_regular_cartan(
 def sample_spectral_points(
     md: ModularData,
     positions,
-    rng: np.random.Generator,
+    rng,
     count: int,
     guard: float = 0.05,
 ):
     """Random spectral parameters in the fundamental cell, each at least
     ``guard`` from every point of ``positions`` modulo the lattice, one
     ``lattice_distance`` call per round of draws (``_rejection_sample``).
-    Raises :class:`GaudinError` after _MAX_TRIES draws."""
+    Raises :class:`GaudinError` after _MAX_TRIES draws.  ``rng`` is as in
+    :func:`sample_regular_cartan`."""
     positions = np.asarray(positions, dtype=complex)
     return _rejection_sample(
         lambda: rng.uniform(0.0, 1.0) + rng.uniform(0.05, 0.95) * md.tau,
@@ -669,9 +671,12 @@ def commutator_values(first: tuple, second: tuple) -> dict:
     matrix products per sample.  The coefficients of order 2 to 4 come from
     the constant parts alone and commute entrywise, so they are
     identically zero and not formed; NaN or inf in A still reaches C_0
-    and C_{e_r} through A_r d_r V and [A_r, V].  Both have shape
-    ([B,] dim, dim).  Each difference pairs like terms of the two
-    operators, so [T, T] is zero to the bit.
+    and C_{e_r} through A_r d_r V and [A_r, V], inf - inf included, which
+    gives NaN without a warning.  Both have shape ([B,] dim, dim).  Each
+    difference pairs like terms of the two operators, so [T, T] is zero to
+    the bit.  Each coefficient is summed into one buffer, in the order and
+    grouping written: C_0 takes three work buffers of its shape and each
+    C_{e_r} one, shared.
     """
     (v1, a1), (v2, a2) = first, second
     l = v1.nvars
@@ -680,21 +685,36 @@ def commutator_values(first: tuple, second: tuple) -> dict:
     units = [_unit(l, r) for r in range(l)]
     d1, d2 = ([v.coeff(e) for e in units] for v in (v1, v2))
     m1, m2 = v1.value, v2.value
+    shape, dtype = np.broadcast_shapes(m1.shape, m2.shape), np.result_type(m1, m2, a1, a2)
+    c0, left, right, term = (np.zeros(shape, dtype) for _ in range(4))
 
-    def rows(a, d):
-        # sum_r A_r d_r V, the diagonal acting on rows
-        return sum(a[..., r, None] * d[r] for r in range(l))
+    def rows(a, d, out):
+        # sum_r A_r d_r V added to out's zeros, the diagonal acting on rows
+        for r in range(l):
+            out += np.multiply(a[..., r, None], d[r], out=term)
+        return out
 
-    def bracket(a, v):
-        return (a[..., :, None] - a[..., None, :]) * v
+    def bracket(a, v, out):
+        # a_j goes into out first: NumPy's iterator buffers each broadcast
+        # operand, and this leaves one
+        out[...] = a[..., None, :]
+        np.subtract(a[..., :, None], out, out=out)
+        out *= v
+        return out
 
-    # (1/2) d_r^2 V at H is V's Taylor coefficient at 2 e_r
-    half_laplacian = sum(
-        v2.coeff(_unit(l, r, 2)) - v1.coeff(_unit(l, r, 2)) for r in range(l)
-    )
-    out = {(0,) * l: half_laplacian + (rows(a2, d1) - rows(a1, d2)) + (m1 @ m2 - m2 @ m1)}
-    for r, e in enumerate(units):
-        out[e] = (d2[r] - d1[r]) + (bracket(a2[..., r], m1) - bracket(a1[..., r], m2))
+    with np.errstate(invalid="ignore"):
+        # (1/2) d_r^2 V at H is V's Taylor coefficient at 2 e_r
+        for r in range(l):
+            c0 += np.subtract(v2.coeff(_unit(l, r, 2)), v1.coeff(_unit(l, r, 2)), out=term)
+        c0 += np.subtract(rows(a2, d1, left), rows(a1, d2, right), out=left)
+        c0 += np.subtract(np.matmul(m1, m2, out=left), np.matmul(m2, m1, out=right), out=left)
+        out = {(0,) * l: c0}
+        del right, term  # freed before the C_{e_r} take their buffers
+        for r, e in enumerate(units):
+            # C_{e_r} is formed in the buffer of [A1_r, V2]
+            ce = bracket(a1[..., r], m2, np.empty(shape, dtype))
+            np.subtract(bracket(a2[..., r], m1, left), ce, out=left)
+            out[e] = np.add(np.subtract(d2[r], d1[r], out=ce), left, out=ce)
     return out
 
 
@@ -715,12 +735,16 @@ def _commute_pass_bytes(problem: GaudinProblem) -> tuple:
     peaks at max(block + e rows, e entry) bytes.  Theta holds _BLOCK terms
     at 64 bytes, and 112 bytes per argument, N + |Phi+| (2N + 1) a side.
     Then an entry holds per side theta, V, the pair jets and pair series,
-    or both sides' V, the commutator's l + 1 matrices and 7 temporaries."""
+    or both sides' V and max(l, 2) + 6 matrices for the commutator: its
+    l + 1 coefficients, one work buffer (three while C_0, the first, is
+    formed), up to two buffers of NumPy's iterator, which copies strided
+    operands, and a measured margin of two for the pass's small arrays,
+    A_r among them, and theta's constants cached per batch size."""
     l, dim = problem.rs.rank, problem.space.dim0
     n, k = len(problem.positions), problem.rs.n_positive
     terms, args = len(jet_indices(l, 2)), n + k * (2 * n + 1)
     side = terms * dim * dim + (terms + 3) * k * n * n + 4 * args
-    entry = max(2 * side, (2 * terms + l + 8) * dim * dim)
+    entry = max(2 * side, (2 * terms + max(l, 2) + 6) * dim * dim)
     return 64 * _BLOCK, 2 * 112 * args, 16 * entry
 
 

@@ -234,6 +234,69 @@ def test_seed_changes_instance_digest(tmp_path):
     assert _instance_digest(cfg, "full-verify", True) != d0
 
 
+# The sample stream and the instance digest are computed in-process;
+# NumPy's generator and hashlib are their oracles.
+_SEED_BYTES = np.random.default_rng(27).bytes(9 * 50)
+_STREAM_SEEDS = [0, 1, 11, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1, 3**90] + [
+    int.from_bytes(_SEED_BYTES[k : k + 9], "little") >> 2  # below 2^70
+    for k in range(0, len(_SEED_BYTES), 9)
+]
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_sample_stream_equals_numpy_default_rng(seed):
+    ours, numpy_rng = cli._Uniforms(seed), np.random.default_rng(seed)
+    for k in range(60):
+        low, high = (-0.8, 0.8) if k % 2 else (0.05, 0.95)
+        if k % 3 == 0:
+            x, y = ours.uniform(low, high), numpy_rng.uniform(low, high)
+            assert type(x) is float and type(y) is float
+            assert np.float64(x).tobytes() == np.float64(y).tobytes()
+        else:
+            # sized calls as the samplers make them: by keyword and by position
+            x, y = ours.uniform(low, high, k % 5), numpy_rng.uniform(low, high, size=k % 5)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+
+def test_instance_digest_equals_hashlib_sha256():
+    import hashlib
+
+    paths = sorted(CONFIGS.glob("*.ini")) + sorted((CONFIGS.parent / "tests" / "data").glob("*.ini"))
+    assert paths
+    for path in paths:
+        cfg = load_config(str(path))
+        for command in COMMANDS:
+            for negative in (False, True):
+                payload = "\n".join([command, f"negative-control={negative}", *cfg.echo_lines()])
+                want = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+                assert _instance_digest(cfg, command, negative) == want
+
+
+def test_commands_load_neither_numpy_random_nor_openssl_nor_csv():
+    # NumPy 1.x imports numpy.random and hashlib itself, so what numpy alone
+    # loads is excused; on NumPy 2 none of the three may load
+    root = Path(__file__).resolve().parent.parent
+    config = str(CONFIGS / "a1_bethe_m1.ini")
+    code = (
+        "import sys, numpy\n"
+        "watch = ('numpy.random', '_hashlib', 'csv')\n"
+        "before = {m for m in watch if m in sys.modules}\n"
+        "from ellgaudin import cli\n"
+        f"code = cli.main(['full-verify', '--config', {config!r}, '--format', 'json-lines'])\n"
+        "print(code, sorted(m for m in watch if m in sys.modules and m not in before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -609,9 +672,9 @@ def test_nonfinite_cartan_diagonal_on_one_lane_fails_the_record(monkeypatch, bad
 
     monkeypatch.setattr(GaudinProblem, "transfer_parts", bad_lane)
     runner = CheckRunner(load_config(str(CONFIGS / "a1_n2_fund.ini")), "commute-check", False)
-    # inf - inf on the diagonal of [A_r, V] is NumPy's invalid operation
-    with np.errstate(invalid="ignore"):
-        runner.stage_commute()
+    # inf - inf on the diagonal of [A_r, V] gives NaN without a warning, so
+    # under -W error as well the record fails rather than the stage erring
+    runner.stage_commute()
     (record,) = runner.report.records
     assert record.name == "commute/distinct-points"
     assert not record.passed

@@ -197,7 +197,7 @@ def test_commute_stage_transient_memory(tmp_path):
     # the closed-form commutator holds V's jets and two products per pair;
     # the dense compositions it replaced peaked at 1.51 MB here, the closed
     # form at 0.63 MB point by point; its 40 entries in one pass would
-    # peak at 2.9 MB, and passes of nine entries under the byte budget,
+    # peak at 2.9 MB, and passes of ten entries under the byte budget,
     # both sides in one call, peak at 0.68 MB
     path = tmp_path / "a2_3_3_3bar_3bar.ini"
     path.write_text(A2_3_3_3BAR_3BAR, encoding="utf-8")
@@ -218,7 +218,7 @@ def test_commute_pass_peak_stays_within_its_estimate(monkeypatch, tmp_path, conf
     # each pass of the commute stage's entries holds at most its estimate,
     # max(block + e rows, e entry) bytes for e entries: a2_n2_33bar's 100
     # entries take one pass (peak 0.70 MB against 0.74 MB), the dim0-15
-    # instance's 40 take passes of nine (0.68 MB against 0.71 MB); the
+    # instance's 40 take passes of ten (0.67 MB against 0.72 MB); the
     # estimate once read 0.70 MB where a2_n2_33bar peaked at 1.11 MB
     if config == "A2_3_3_3BAR_3BAR":
         text = A2_3_3_3BAR_3BAR
@@ -241,7 +241,7 @@ def test_commute_pass_peak_stays_within_its_estimate(monkeypatch, tmp_path, conf
         tracemalloc.stop()
     assert res["max_rel"] < 1e-12
     entries = max(len(args[1]) for args, _ in parts) // 2
-    assert entries == {"a2_n2_33bar": 100, "A2_3_3_3BAR_3BAR": 9}[config]
+    assert entries == {"a2_n2_33bar": 100, "A2_3_3_3BAR_3BAR": 10}[config]
     block, rows, entry = gaudin._commute_pass_bytes(prob)
     assert peak <= max(block + entries * rows, entries * entry) <= gaudin._COMMUTE_PASS_BYTES
 
