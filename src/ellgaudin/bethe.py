@@ -507,11 +507,10 @@ class BetheSystem:
     def vector_jet(self, t, H, order: int = 0) -> Jet:
         """Jet of the Bethe vector over the zero-weight product basis.
 
-        ``t`` is one set of M roots and ``H`` one Cartan point, giving
-        coefficients (n, dim0), or ``t`` is an (E, M) stack paired with an
-        (E, l) stack ``H`` of entries, giving (n, E, dim0).  The entry axis
-        rides along every step below, so the whole batch takes one call of
-        each, and every entry is computed as it is alone.
+        Entry e pairs the roots t[e] of the (E, M) stack t with the Cartan
+        point H[e] of the (E, l) stack H, giving coefficients (n, E, dim0).
+        The entry axis rides along every step below, so the whole batch
+        takes one call of each, and every entry is computed as it is alone.
 
         Component at a basis tuple (k_1..k_N): the sum over the splits of
         the roots into subsets S_a at the sites of the product of the site
@@ -528,10 +527,8 @@ class BetheSystem:
           components contract the brackets site by site over the root
           subsets used so far, along the prefixes of the zero-weight tuples.
         """
-        t = np.asarray(t, dtype=complex)
-        H = np.asarray(H, dtype=complex)
-        ts, Hs = np.atleast_2d(t), np.atleast_2d(H)
-        if t.ndim != H.ndim or len(ts) != len(Hs):
+        ts, Hs = (np.asarray(x, dtype=complex) for x in (t, H))
+        if len(ts) != len(Hs):
             raise BetheError(
                 f"paired roots and Cartan points differ in number: {len(ts)} and {len(Hs)}"
             )
@@ -571,7 +568,7 @@ class BetheSystem:
         for prev, slots, firsts in levels:
             products = array_jet_product(comps[:, :, prev], brackets[:, :, slots], l, order)
             comps = np.add.reduceat(products, firsts, axis=2)
-        return Jet(l, order, comps[:, 0] if t.ndim == 1 else comps)
+        return Jet(l, order, comps)
 
     # -- eigenvalue ----------------------------------------------------------
 
@@ -626,11 +623,10 @@ class BetheSystem:
     def verify_eigenvector(self, t, h_points, u_points, tiny: float = 1e-12):
         """Relative residual of (transfer(u) - tau_Psi(u)) Psi over samples.
 
-        ``t`` is one solution, an M-vector, with its Cartan points
-        ``h_points``, shape (P, l), and spectral parameters ``u_points``,
-        shape (U,), giving one result; or an (S, M) stack of solutions,
-        each with its own samples, shapes (S, P, l) and (S, U), giving a
-        list of S results.  An entry is one (solution, Cartan point):
+        ``t`` is an (S, M) stack of solutions, each with its own Cartan
+        points ``h_points``, shape (S, P, l), and spectral parameters
+        ``u_points``, shape (S, U), giving a list of S results.  An entry
+        is one (solution, Cartan point):
         - one ``eigenvalue`` call gives every solution's eigenvalues;
         - the entries go in passes of ``pass_slices``, all of them in one
           pass unless their arrays outgrow ``_PASS_BYTES``;
@@ -647,11 +643,7 @@ class BetheSystem:
         vector is numerically zero at every point of a solution, its check
         is inconclusive.
         """
-        t = np.asarray(t, dtype=complex)
-        single = t.ndim == 1
         ts, hs, us = (np.asarray(x, dtype=complex) for x in (t, h_points, u_points))
-        if single:
-            ts, hs, us = ts[None], hs[None], us[None]
         count, l = len(ts), self.problem.rs.rank
         points, spectral = hs.shape[1], us.shape[1]
         entries = hs.reshape(count * points, l)
@@ -686,4 +678,4 @@ class BetheSystem:
                     max_rel = np.maximum(max_rel, rels[e])
             status = "ok" if seen_nonzero else "inconclusive"
             results.append({"max_rel": float(max_rel), "min_norm": min_norm, "status": status})
-        return results[0] if single else results
+        return results

@@ -265,11 +265,13 @@ def _parse_sites(section, rank: int) -> list:
     if "count" not in section:
         raise ConfigError("[sites] requires a count key")
     count = _parse_value("sites", "count", section["count"], 1)
-    allowed = {"count"}
-    for k in range(1, count + 1):
-        allowed.update({f"z_{k}", f"kind_{k}", f"weight_{k}", f"depth_{k}"})
     for key in section:
-        if key not in allowed:
+        # z_k, kind_k, weight_k or depth_k, k in 1..count with no leading
+        # zero, read off the key: the work stays with the keys given
+        name, _, k = key.rpartition("_")
+        numbered = k.isdecimal() and len(k) <= len(str(count)) and k == str(int(k))
+        known = name in ("z", "kind", "weight", "depth") and numbered and 1 <= int(k) <= count
+        if key != "count" and not known:
             raise ConfigError(f"unknown key {key!r} in section [sites]")
     sites = []
     for k in range(1, count + 1):

@@ -120,49 +120,23 @@ def _times_eye(jet: Jet, dim: int) -> np.ndarray:
     return jet.coeffs[:, None, None] * np.eye(dim, dtype=complex)
 
 
-def _spectral_batch(u) -> tuple:
-    """The spectral parameters u as a 1-D complex array, and whether u was
-    a scalar, which stands for the batch of one."""
-    us = np.asarray(u, dtype=complex)
-    return us.reshape(-1), us.ndim == 0
-
-
-def _cartan_rows(H, batch: int) -> np.ndarray:
-    """H as a (P, l) stack of Cartan points: P = 1 for one point, shape
-    (l,), shared by the whole batch, or P = batch for a (batch, l) stack
-    paired with it entry by entry."""
-    H = np.asarray(H, dtype=complex)
-    if H.ndim == 1:
-        return H[None]
-    if len(H) != batch:
-        raise GaudinError(
-            f"paired Cartan points and spectral parameters differ in number: "
-            f"{len(H)} and {batch}"
-        )
-    return H
-
-
 # ---------------------------------------------------------------------------
 # regularity of the Cartan point
 # ---------------------------------------------------------------------------
 
 
 def root_values(directions, H) -> np.ndarray:
-    """The pairings directions @ H of the rows of ``directions`` with a
-    Cartan point H, shape (K,), or with each row of a (P, l) stack of
-    points, shape (P, K): one matrix-vector product per point, which a
-    stacked product may round differently in the last bit."""
+    """The pairings of the rows of ``directions`` with each row of a (P, l)
+    stack H of Cartan points, shape (P, K): one matrix-vector product per
+    point, which a stacked product may round differently in the last bit."""
     directions = np.asarray(directions, dtype=complex)
     H = np.asarray(H, dtype=complex)
-    if H.ndim == 1:
-        return directions @ H
     return np.array([directions @ h for h in H]).reshape(len(H), len(directions))
 
 
 def check_regular(rs: RootSystemData, md: ModularData, H, guard: float = 1e-9):
     """Require alpha(H) to stay away from the period lattice for all roots,
-    at a Cartan point H or at every row of a (P, l) stack of them, which
-    are checked in order.
+    at every row of a (P, l) stack H of Cartan points, in order.
 
     The exchange kernels w_{alpha(H)} and the Weyl-Kac denominator are
     singular when any root takes a lattice value on H.
@@ -281,7 +255,7 @@ def weyl_kac_pi(
     and 1/theta series, so no multivariate reciprocal is taken.
     """
     H = np.asarray(H, dtype=complex)
-    check_regular(rs, md, H)
+    check_regular(rs, md, H[None])
     l = rs.rank
     roots = np.asarray(rs.positive_roots, dtype=complex)
     th = theta11_coeffs(np.concatenate([[0.0], roots @ H]), md, max(order + 2, 3))
@@ -347,9 +321,10 @@ def _unit(l: int, r: int, times: int = 1) -> tuple:
 
 def transfer_operator(zero: Jet, cartan: np.ndarray) -> DiffOperator:
     """(1/2) Delta - sum_r A_r d_r + V as a differential operator, from V's
-    jet and the diagonals of A_r, shape ([B,] dim, l), as
-    ``GaudinProblem.transfer_parts`` returns them.  The first-order
-    coefficients -A_r are the only dense form of A_r."""
+    jet and the diagonals of A_r, shape (B, dim, l), as
+    ``GaudinProblem.transfer_parts`` returns them, or one lane's, as
+    ``_lane`` takes it.  The first-order coefficients -A_r are the only
+    dense form of A_r."""
     l, total, dim = zero.nvars, zero.total, cartan.shape[-2]
     eye = np.eye(dim, dtype=complex)
     first = -np.moveaxis(cartan, -1, 0)[..., None] * eye
@@ -359,6 +334,13 @@ def transfer_operator(zero: Jet, cartan: np.ndarray) -> DiffOperator:
         coeffs[_unit(l, r)] = Jet(l, total, first[r, None])
     coeffs[(0,) * l] = zero
     return DiffOperator(l, dim, coeffs)
+
+
+def _lane(parts: tuple, b: int) -> DiffOperator:
+    """The transfer operator of lane b of ``transfer_parts``' result, with
+    no batch axis, as composition needs it."""
+    zero, cartan = parts
+    return transfer_operator(Jet(zero.nvars, zero.total, zero.coeffs[:, b]), cartan[b])
 
 
 class GaudinProblem:
@@ -476,19 +458,23 @@ class GaudinProblem:
 
     def _thetas(self, H, us: np.ndarray, order: int) -> np.ndarray:
         """Theta's Taylor coefficients, to order max(order, 1), at every
-        argument of the exchange potential for the batch us of B spectral
-        parameters: first the B N sites x_bi = z_i - u_b, then
-        c_pk = alpha_k(H_p) for the positive roots at each of the P rows of
-        H (``_cartan_rows``), then x_bi - c_k and x_bi + c_k at entry b's
-        point, each ordered by (b, k, i).  One kernel call takes each
-        distinct x_bi and c_pk once, so a repeated point shares its
-        alpha(H) values.  Each row of H is checked for regularity, in
-        order, and every x_bi and c_pk for a pole.  Theta acts elementwise,
-        so every entry's values are those it gets alone."""
-        points = _cartan_rows(H, len(us))
-        check_regular(self.rs, self.md, points)
+        argument of the exchange potential for the lanes (us[b], H[b]):
+        first the B N sites x_bi = z_i - u_b, then c_bk = alpha_k(H_b) for
+        the positive roots, then x_bi - c_bk and x_bi + c_bk, each ordered
+        by (b, k, i).  One kernel call takes each distinct x_bi and c_bk
+        once, so lanes at one point share their alpha(H) values.  Each H_b
+        is checked for regularity, in order, and every x_bi and c_bk for a
+        pole.  Theta acts elementwise, so every lane's values are those it
+        gets alone."""
+        H = np.asarray(H, dtype=complex)
+        if len(H) != len(us):
+            raise GaudinError(
+                f"paired Cartan points and spectral parameters differ in number: "
+                f"{len(H)} and {len(us)}"
+            )
+        check_regular(self.rs, self.md, H)
         xs = self._site_args(us)
-        cs = root_values(self.rs.positive_roots, points)
+        cs = root_values(self.rs.positive_roots, H)
         shifted = np.ravel([xs[:, None, :] - cs[:, :, None], xs[:, None, :] + cs[:, :, None]])
         heads = np.concatenate([xs.ravel(), cs.ravel()])
         distinct, at = _distinct(heads)
@@ -500,38 +486,37 @@ class GaudinProblem:
 
     def _contract(self, jets: np.ndarray) -> np.ndarray:
         """sum_{k,i,j} jets[p, k, b, i, j] _pair[k, i, j] over the positive
-        roots k and the site pairs (i, j), shape (n, B, dim0, dim0).  Each
-        batch entry is its own matrix product, summed the same way whatever
-        the batch around it; the jets are copied 64 entries at a time."""
+        roots k and the site pairs (i, j), shape (n, B, dim0, dim0), C
+        contiguous.  Each lane is its own matrix product, summed the same
+        way whatever the lanes around it; the jets are copied 64 lanes at a
+        time."""
         terms, _, batch = jets.shape[:3]
         dim = self.space.dim0
         pair = self._pair.reshape(-1, dim * dim)
-        total = np.empty((batch, terms, dim * dim), dtype=complex)
+        total = np.empty((terms, batch, dim * dim), dtype=complex)
         for b in range(0, batch, 64):
             chunk = jets[:, :, b : b + 64].transpose(2, 0, 1, 3, 4)
-            np.matmul(chunk.reshape(len(chunk), terms, -1), pair, out=total[b : b + 64])
-        return total.reshape(batch, terms, dim, dim).swapaxes(0, 1)
+            out = total[:, b : b + 64].swapaxes(0, 1)
+            np.matmul(chunk.reshape(len(chunk), terms, -1), pair, out=out)
+        return total.reshape(terms, batch, dim, dim)
 
     def potential_jet(self, H, u, order: int = 0, thetas=None) -> Jet:
         """Jet of the exchange potential
         (1/2) sum_{i,j,alpha} w_{a(H)}(z_i-u) w_{-a(H)}(z_j-u) e_{-a}^(j) e_a^(i).
 
-        ``u`` is a spectral parameter or a 1-D array of B of them.  For an
-        array, the jet's coefficients carry a batch axis after the monomial
-        one, shape (n, B, dim0, dim0); a scalar u is the batch of one with
-        that axis squeezed off.  ``H`` is one Cartan point for the whole
-        batch, shape (l,), or a (B, l) stack paired with the array u, each
-        entry's jet then taken at its own point.
+        Lane b pairs the spectral parameter u[b] of the 1-D array u with the
+        Cartan point H[b] of the (B, l) stack H; the jet's coefficients
+        carry the lane axis after the monomial one, shape (n, B, dim0, dim0).
 
         For a positive root alpha, with c = alpha(H), h = alpha(xi - H) and
         x_i = z_i - u, theta's oddness gives
           w_{c+h}(x_i)  = -theta'(0) theta(x_i - c - h) / (theta(x_i) theta(c + h)),
           w_{-c-h}(x_i) =  theta'(0) theta(x_i + c + h) / (theta(x_i) theta(c + h)),
         and the root -alpha pairs the same two kernels with i and j swapped.
-        So theta is taken once per site and u, once per positive root and
-        row of H and once per (u, site, positive root) and sign, all in one
-        kernel call (``_thetas``); ``thetas`` passes in that call's result
-        where the caller already has it.  The kernels' coefficients in h
+        So theta is taken once per site and lane, once per positive root
+        and distinct point and once per (lane, site, positive root) and
+        sign, all in one kernel call (``_thetas``); ``thetas`` passes in
+        that call's result where the caller already has it.  The kernels' coefficients in h
         form arrays lo[a, b, k, i] and up[c, b, k, j] (``_w_coeffs``), for
         all positive roots k at once; their products
         c[m, b, k, i, j] = sum_{a+c=m} lo[a, b, k, i] up[c, b, k, j], added
@@ -539,17 +524,17 @@ class GaudinProblem:
         order 2, but with no gather of every term held, are substituted into
         the xi variables in one call, and the jets contract with the stacked
         pair operators ``_pair[k, i, j]`` of alpha and -alpha over the roots
-        and site pairs in one matrix product per u (``_contract``).
+        and site pairs in one matrix product per lane (``_contract``).
         """
-        us, scalar = _spectral_batch(u)
+        us = np.asarray(u, dtype=complex)
         if thetas is None:
             thetas = self._thetas(H, us, order)
         rs, md = self.rs, self.md
         batch, nsites, npos = len(us), len(self.positions), rs.n_positive
-        nx, nc = batch * nsites, len(_cartan_rows(H, batch)) * npos
+        nx, nc = batch * nsites, batch * npos
         th = thetas[:, : order + 1]
         tz = thetas[:nx, 0].reshape(batch, 1, nsites)
-        inverse = _inverse_theta(th[nx : nx + nc], md).reshape(nc // npos, npos, -1)
+        inverse = _inverse_theta(th[nx : nx + nc], md).reshape(batch, npos, -1)
         scales = np.moveaxis(inverse, -1, 0)[..., None]
         # theta(x - c) and theta(x + c), indexed (term, sign, b, k, i)
         shifted = np.moveaxis(th[nx + nc :].reshape(2, batch, npos, nsites, -1), -1, 0)
@@ -563,51 +548,36 @@ class GaudinProblem:
         del lo, up
         jets = linear_substitution_rows(np.moveaxis(pairs, 2, 0), rs.positive_roots)
         del pairs
-        jet = self._contract(jets)
-        return Jet(rs.rank, order, jet[:, 0] if scalar else jet)
+        return Jet(rs.rank, order, self._contract(jets))
 
     # -- operators ---------------------------------------------------------
 
     def transfer_parts(self, u, H, order: int = 0) -> tuple:
-        """What the transfer operator at spectral parameter u varies by:
-        the jet at H, to the given order, of its zero-order coefficient
-        V = potential + (1/2) sum_r A_r(u)^2, and the diagonals of A_r(u),
-        shape ([B,] dim0, l).
-
-        ``u`` is a spectral parameter or a 1-D array of B of them; for an
-        array, V's coefficients are (n, B, dim0, dim0), and a scalar u is
-        the batch of one with that axis squeezed off.  ``H`` is one Cartan
-        point for the whole batch, shape (l,), or a (B, l) stack paired
-        with the array u; theta then takes alpha(H) once per entry, and
-        each entry equals the call at its own point alone.  One
-        theta call serves A_r(u) and the potential for the whole batch.
-        (1/2) A_r^2 is added on the diagonal, elementwise.
+        """What the transfer operator varies by, per lane (u[b], H[b]) as in
+        ``potential_jet``: the jet at H[b], to the given order, of its
+        zero-order coefficient V = potential + (1/2) sum_r A_r(u[b])^2,
+        shape (n, B, dim0, dim0), and the diagonals of A_r(u[b]), shape
+        (B, dim0, l).  One theta call serves A_r and the potential for
+        every lane, and each lane equals the call of it alone.  (1/2) A_r^2
+        is added on the diagonal, elementwise.
         """
-        us, scalar = _spectral_batch(u)
+        us = np.asarray(u, dtype=complex)
         nsites = len(self.positions)
         thetas = self._thetas(H, us, order)
         A = self._cartan_from(thetas[: len(us) * nsites].reshape(len(us), nsites, -1))
         zero = self.potential_jet(H, us, order, thetas).coeffs
         diag = np.arange(self.space.dim0)
         zero[0][..., diag, diag] += (A * A).sum(axis=-1) * 0.5
-        if scalar:
-            A, zero = A[0], zero[:, 0]
         return Jet(self.rs.rank, order, zero), A
 
     def transfer(self, u, H, order: int = 0) -> DiffOperator:
-        """The transfer operator at spectral parameter u,
-        (1/2) sum_r nabla_r^2 + potential = (1/2) Delta - sum_r A_r(u) d_r + V,
-        Delta = sum_r d_r^2, as a differential operator in xi with its
-        coefficient jets at H to the given order: ``transfer_operator`` of
-        ``transfer_parts``.
-
-        ``u`` is a spectral parameter or a 1-D array of B of them, and ``H``
-        one Cartan point or a (B, l) stack paired with u, as in
-        ``transfer_parts``.  For an array, one operator serves the whole
-        batch for ``apply``: its coefficients carry a batch axis after the
-        monomial one, (n, B, dim0, dim0), but for the constant 0.5 *
-        identity, (1, dim0, dim0).  A scalar u, which composition needs, is
-        the batch of one with that axis squeezed off.
+        """The transfer operators (1/2) sum_r nabla_r^2 + potential =
+        (1/2) Delta - sum_r A_r(u) d_r + V, Delta = sum_r d_r^2, at the
+        lanes of ``transfer_parts``, as one differential operator in xi for
+        ``apply``: its coefficient jets at H to the given order carry the
+        lane axis after the monomial one, (n, B, dim0, dim0), but for the
+        constant 0.5 * identity, (1, dim0, dim0).  ``_lane`` gives one lane
+        alone, which composition needs.
         """
         return transfer_operator(*self.transfer_parts(u, H, order))
 
@@ -631,17 +601,16 @@ class GaudinProblem:
         coefficients.  Both must agree; the equality encodes theta's heat
         equation.
         """
-        l = self.rs.rank
+        if route not in ("conjugation", "explicit"):
+            raise GaudinError(f"unknown route {route!r}")
+        l, dim = self.rs.rank, self.space.dim0
+        transfer = _lane(self.transfer_parts([u], [H], order), 0)
         if route == "conjugation":
             # composing after the second-order transfer operator costs the
             # right factor two jet orders
             left = self._mult_denominator(-1, H, order)
             right = self._mult_denominator(+1, H, order + 2)
-            return left.compose(self.transfer(u, H, order).compose(right))
-        if route != "explicit":
-            raise GaudinError(f"unknown route {route!r}")
-        dim = self.space.dim0
-        transfer = self.transfer(u, H, order)
+            return left.compose(transfer.compose(right))
         data = weyl_kac_pi(self.rs, self.md, H, order)
         zero = (2j * np.pi * self.rs.dual_coxeter) * _times_eye(data.dtau_log, dim)
         coeffs = {}
@@ -737,9 +706,11 @@ def _commute_pass_bytes(problem: GaudinProblem) -> tuple:
     Then an entry holds per side theta, V, the pair jets and pair series,
     or both sides' V and max(l, 2) + 6 matrices for the commutator: its
     l + 1 coefficients, one work buffer (three while C_0, the first, is
-    formed), up to two buffers of NumPy's iterator, which copies strided
-    operands, and a measured margin of two for the pass's small arrays,
-    A_r among them, and theta's constants cached per batch size."""
+    formed), one buffer of NumPy's iterator, which copies the broadcast
+    A_r, and a measured margin of three for small arrays: the pass's, A_r
+    among them, theta's constants cached per batch size, and those that
+    earlier passes leave cached, which stay bounded (a2_n3_adjoint at one
+    entry a pass: 94, 117 and 83 KB after 100, 500 and 2,000 passes)."""
     l, dim = problem.rs.rank, problem.space.dim0
     n, k = len(problem.positions), problem.rs.n_positive
     terms, args = len(jet_indices(l, 2)), n + k * (2 * n + 1)
@@ -749,8 +720,8 @@ def _commute_pass_bytes(problem: GaudinProblem) -> tuple:
 
 
 def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points) -> dict:
-    """Relative size of [transfer(u1), transfer(u2)] over paired spectral
-    parameters, 1-D arrays or two scalars, and Cartan sample points.
+    """Relative size of [transfer(u1), transfer(u2)] over the pairs of the
+    1-D arrays u1s and u2s and the (P, l) stack of Cartan points h_points.
 
     The (Cartan point, pair) entries go in ``pass_slices`` passes, one
     unless ``_commute_pass_bytes`` puts them over ``_COMMUTE_PASS_BYTES``.
@@ -762,12 +733,12 @@ def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points) -> dict:
     operators' ``max_coeff_norm``, max(1/2, |A_r|, |V(H)|).  Returns the
     largest relative residual, overall and per pair; every fold keeps NaN.
     """
-    u1s, u2s = (_spectral_batch(u)[0] for u in (u1s, u2s))
+    u1s, u2s = (np.asarray(u, dtype=complex) for u in (u1s, u2s))
     if u1s.shape != u2s.shape:
         raise GaudinError(
             f"paired spectral parameters differ in number: {len(u1s)} and {len(u2s)}"
         )
-    points = np.asarray(h_points, dtype=complex).reshape(-1, problem.rs.rank)
+    points = np.asarray(h_points, dtype=complex)
     hs = np.repeat(points, len(u1s), axis=0)
     lanes = np.tile(np.stack([u1s, u2s]), len(points))
     block, rows, entry = _commute_pass_bytes(problem)
@@ -791,16 +762,14 @@ def commutativity_residual(problem: GaudinProblem, u1s, u2s, h_points) -> dict:
 def composed_residual(problem: GaudinProblem, u1: complex, u2: complex, H) -> float:
     """Relative size of [transfer(u1), transfer(u2)] at one pair and one
     Cartan point by generic composition (``DiffOperator.commutator``),
-    scaled as in ``commutativity_residual``.  Its two operators come from
-    one 2-lane ``transfer_parts`` call of its own, one lane each.
+    scaled as in ``commutativity_residual``.  Its two operators are the
+    lanes of one 2-lane ``transfer_parts`` call of its own.
 
     It shares none of ``commutator_values``' algebra, so a spot check with
     it catches a closed form that loses a term of the commutator.  NaN is
     kept.
     """
-    zero, cartan = problem.transfer_parts(np.array([u1, u2], dtype=complex), H, 2)
-    first, second = (
-        transfer_operator(Jet(zero.nvars, 2, zero.coeffs[:, b]), cartan[b]) for b in (0, 1)
-    )
+    parts = problem.transfer_parts([u1, u2], [H, H], 2)
+    first, second = (_lane(parts, b) for b in (0, 1))
     scale = first.max_coeff_norm() * second.max_coeff_norm()
     return float(first.commutator(second).max_coeff_norm() / np.maximum(scale, 1e-300))

@@ -523,14 +523,14 @@ def verify_eigenvector_reference(system, t, h_points, u_points, tiny: float = 1e
     eigs = system.eigenvalue(t, us)
     for H in h_points:
         H = np.asarray(H, dtype=complex)
-        psi_jet = system.vector_jet(t, H, 2)
+        psi_jet = system.vector_jet([t], [H], 2)
         psi = psi_jet.value
         norm = float(np.max(np.abs(psi)))
         min_norm = min(min_norm, norm)
         if norm < tiny or not len(us):
             continue
         seen_nonzero = True
-        lhs = system.problem.transfer(us, H).apply(psi_jet)
+        lhs = system.problem.transfer(us, [H] * len(us)).apply(psi_jet)
         rel = np.max(np.abs(lhs - eigs[:, None] * psi), axis=1) / norm
         max_rel = np.maximum(max_rel, np.max(rel))
     status = "ok" if seen_nonzero else "inconclusive"
@@ -754,7 +754,7 @@ def sample_regular_cartan_per_draw(rs, md, rng, count, box=0.8, guard=0.05):
             )
         H = rng.uniform(-box, box, rs.rank) + 1j * rng.uniform(-box, box, rs.rank)
         try:
-            check_regular(rs, md, H, guard)
+            check_regular(rs, md, [H], guard)
         except GaudinError:
             continue
         out.append(H)
@@ -802,8 +802,8 @@ def commutativity_residual_reference(prob, u1s, u2s, h_points) -> dict:
     u2s = np.asarray(u2s, dtype=complex).reshape(-1)
     per_pair = 0.0
     for H in h_points:
-        first = prob.transfer_parts(u1s, H, 2)
-        second = prob.transfer_parts(u2s, H, 2)
+        first = prob.transfer_parts(u1s, [H] * len(u1s), 2)
+        second = prob.transfer_parts(u2s, [H] * len(u2s), 2)
         values = commutator_values(first, second)
         scale = _coeff_scale(*first) * _coeff_scale(*second)
         norm = reduce(np.maximum, map(_batch_max, values.values()))

@@ -20,6 +20,7 @@ from ellgaudin.cli import main as cli_main
 from ellgaudin.elliptic import ModularData, theta11, w_kernel, zeta11
 from ellgaudin.gaudin import (
     GaudinProblem,
+    _lane,
     commutativity_residual,
     sample_regular_cartan,
     sample_spectral_points,
@@ -160,15 +161,15 @@ def test_02_all_jets_match_finite_differences():
     t = np.array([0.2 + 0.15j])
     dim = len(sysb.problem.space.zero_tuples())
     for H0 in sample_regular_cartan(RS1, MD, rng, 10):
-        jet = sysb.vector_jet(t, H0, order=1)
+        jet = sysb.vector_jet([t], [H0], order=1)
         for idx in range(dim):
             fd = fd_multi(
-                lambda H, _i=idx: sysb.vector_jet(t, H).value[_i],
+                lambda H, _i=idx: sysb.vector_jet([t], [H]).value[0, _i],
                 H0,
                 (1,),
                 h=1e-5,
             )
-            an = jet.coeff((1,))[idx]
+            an = jet.coeff((1,))[0, idx]
             worst = max(worst, abs(an - fd) / max(1.0, abs(fd)))
 
     assert worst <= 1e-6
@@ -211,11 +212,12 @@ def test_03_transfer_operators_commute_on_three_instances():
         for _ in range(4):
             u1, u2 = sample_spectral_points(md, prob.positions, rng, 2)
             hs = sample_regular_cartan(rs, md, rng, 5)
-            res = commutativity_residual(prob, u1, u2, hs)
+            res = commutativity_residual(prob, [u1], [u2], hs)
             worst = max(worst, res["max_rel"])
             # the closed form does not form the order-3 coefficients, so
             # they come from generic composition, at the pair's first point
-            t1, t2 = (prob.transfer(u, hs[0], 2) for u in (u1, u2))
+            parts = prob.transfer_parts([u1, u2], [hs[0], hs[0]], 2)
+            t1, t2 = (_lane(parts, b) for b in (0, 1))
             values = t1.commutator(t2).evaluate()
             third = [np.max(np.abs(v)) for m, v in values.items() if sum(m) == 3]
             assert third
@@ -235,7 +237,7 @@ def test_04_one_root_eigenvector_closed_form_and_negative_control():
     t = sols[0].t
     hs = sample_regular_cartan(RS1, MD, rng, 5)
     us = sample_spectral_points(MD, list(Z2) + list(t), rng, 5)
-    report = sysb.verify_eigenvector(t, hs, us)
+    (report,) = sysb.verify_eigenvector([t], [hs], [us])
     assert report["status"] == "ok"
     assert report["max_rel"] <= 1e-7
 
@@ -251,7 +253,7 @@ def test_04_one_root_eigenvector_closed_form_and_negative_control():
     # negative control: perturbing the root must break the identity
     perturbed = np.array(t, dtype=complex)
     perturbed[0] += 1e-3
-    bad = sysb.verify_eigenvector(perturbed, hs, us)
+    (bad,) = sysb.verify_eigenvector([perturbed], [hs], [us])
     assert bad["max_rel"] > 1e-4
     assert time.perf_counter() - start < 30.0
 
@@ -266,14 +268,14 @@ def test_05_two_root_eigenvector_and_bruteforce_vector():
     t = sols[0].t
     hs = sample_regular_cartan(RS1, MD, rng, 5)
     us = sample_spectral_points(MD, list(Z2) + list(t), rng, 5)
-    report = sysb.verify_eigenvector(t, hs, us)
+    (report,) = sysb.verify_eigenvector([t], [hs], [us])
     assert report["status"] == "ok"
     assert report["max_rel"] <= 1e-6
 
     tuples = sysb.problem.space.zero_tuples()
     for H in sample_regular_cartan(RS1, MD, rng, 5):
         cval = complex(ALPHA @ H)
-        psi = sysb.vector_jet(t, H).value
+        psi = sysb.vector_jet([t], [H]).value[0]
         oracle = bethe_vector_bruteforce_a1(t, Z2, [c, 2 - c], cval, 0.8j)
         scale = max(abs(v) for v in oracle.values())
         for tup, comp in zip(tuples, psi):
@@ -338,7 +340,7 @@ def test_07_small_q_degeneration_to_trigonometric_limits():
                         * (kron(j, em.T) @ kron(i, ep.T))
                     )
         want = W[np.ix_(zero, zero)]
-        got = prob.potential_jet(H, u).value
+        got = prob.potential_jet([H], [u]).value[0]
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-6 * scale
     assert time.perf_counter() - start < 5.0

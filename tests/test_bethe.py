@@ -257,9 +257,9 @@ def test_vector_no_roots_is_constant_unit():
     prob = GaudinProblem(RS1, MD, Z2, mods)
     sysb = BetheSystem(prob, assignment=())
     H = np.array([0.23 - 0.17j])
-    jet = sysb.vector_jet(np.array([]), H, order=2)
-    assert jet.coeffs.shape == (3, 1)
-    assert abs(jet.value[0] - 1.0) < 1e-14
+    jet = sysb.vector_jet(np.zeros((1, 0)), [H], order=2)
+    assert jet.coeffs.shape == (3, 1, 1)
+    assert abs(jet.value[0, 0] - 1.0) < 1e-14
     assert np.max(np.abs(jet.coeffs[1:])) < 1e-14
     assert abs(sysb.eigenvalue(np.array([]), 0.31 + 0.22j)) < 1e-14
 
@@ -271,7 +271,7 @@ def test_vector_single_root_closed_form():
     t = np.array([0.2 + 0.15j])
     H = np.array([0.21 - 0.16j])
     cval = complex(ALPHA @ H)
-    psi = sysb.vector_jet(t, H).value
+    psi = sysb.vector_jet([t], [H]).value[0]
     tuples = sysb.problem.space.zero_tuples()
     expected = {
         (1, 0): 2 * c1 * w_direct(-cval, complex(t[0] - Z2[0]), TAU),
@@ -289,7 +289,7 @@ def test_vector_two_roots_match_bruteforce_enumeration():
     tuples = sysb.problem.space.zero_tuples()
     for H in sample_regular_cartan(RS1, MD, RNG, 5):
         cval = complex(ALPHA @ H)
-        psi = sysb.vector_jet(t, H).value
+        psi = sysb.vector_jet([t], [H]).value[0]
         oracle = bethe_vector_bruteforce_a1(t, Z2, [c1, c2], cval, TAU)
         scale = max(abs(v) for v in oracle.values())
         for tup, comp in zip(tuples, psi):
@@ -301,16 +301,16 @@ def test_vector_jets_match_finite_differences():
     sysb = make_system([c1, 2 - c1])
     t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
     H0 = np.array([0.31 - 0.22j])
-    jet = sysb.vector_jet(t, H0, order=2)
+    jet = sysb.vector_jet([t], [H0], order=2)
 
     def comp(idx):
-        return lambda H: sysb.vector_jet(t, H).value[idx]
+        return lambda H: sysb.vector_jet([t], [H]).value[0, idx]
 
     dim = len(sysb.problem.space.zero_tuples())
     for idx in range(dim):
         for m, h in [((1,), 1e-5), ((2,), 1e-4)]:
             fd = fd_multi(comp(idx), H0, m, h=h)
-            an = jet.coeff(m)[idx] * math.factorial(sum(m))
+            an = jet.coeff(m)[0, idx] * math.factorial(sum(m))
             assert abs(an - fd) / max(1.0, abs(fd)) < 1e-6
 
 
@@ -348,10 +348,10 @@ def test_vector_jet_matches_the_straight_line_reference(
     t = np.array([0.2 + 0.13j + (0.17 + 0.05j) * j for j in range(sysb.M)])
     H = sample_regular_cartan(sysb.problem.rs, MD, np.random.default_rng(91), 1)[0]
     for order in (0, 1, 2):
-        jet = sysb.vector_jet(t, H, order)
+        jet = sysb.vector_jet([t], [H], order).coeffs[:, 0]
         ref = bethe_vector_reference(sysb, t, H, order)
-        assert jet.coeffs.shape == ref.coeffs.shape
-        for got, want in zip(jet.coeffs, ref.coeffs):
+        assert jet.shape == ref.coeffs.shape
+        for got, want in zip(jet, ref.coeffs):
             scale = np.max(np.abs(want))
             assert scale > 0
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -391,8 +391,8 @@ def test_batched_eigen_residual_is_the_max_over_single_points():
     t = sysb.solve(n_seeds=8)[0].t
     hpts = sample_regular_cartan(RS1, MD, np.random.default_rng(81), 2)
     upts = [0.62 + 0.3j, -0.1 + 0.2j, 0.25 + 0.55j]
-    report = sysb.verify_eigenvector(t, hpts, upts)
-    singles = [sysb.verify_eigenvector(t, hpts, [u]) for u in upts]
+    (report,) = sysb.verify_eigenvector([t], [hpts], [upts])
+    singles = [sysb.verify_eigenvector([t], [hpts], [[u]])[0] for u in upts]
     assert report["max_rel"] == max(r["max_rel"] for r in singles)
     assert report["min_norm"] == singles[0]["min_norm"]
     assert report["status"] == "ok"
@@ -404,8 +404,8 @@ def test_eigenvalue_matches_rayleigh_quotient():
     t = sols[0].t
     u = 0.62 + 0.3j
     H = np.array([0.31 - 0.22j])
-    psi = sysb.vector_jet(t, H).value
-    lhs = sysb.problem.transfer(u, H).apply(sysb.vector_jet(t, H, 2))
+    psi = sysb.vector_jet([t], [H]).value[0]
+    lhs = sysb.problem.transfer([u], [H]).apply(sysb.vector_jet([t], [H], 2))[0]
     quotients = lhs[np.abs(psi) > 1e-8] / psi[np.abs(psi) > 1e-8]
     eig = sysb.eigenvalue(t, u)
     assert np.max(np.abs(quotients - eig)) / abs(eig) < 1e-7
@@ -418,7 +418,7 @@ def test_eigen_residual_single_root_instances():
         assert sols
         hpts = sample_regular_cartan(RS1, MD, RNG, 2)
         upts = [0.62 + 0.3j, 0.25 + 0.55j]
-        report = sysb.verify_eigenvector(sols[0].t, hpts, upts)
+        (report,) = sysb.verify_eigenvector([sols[0].t], [hpts], [upts])
         assert report["status"] == "ok"
         assert report["max_rel"] < 1e-7
 
@@ -430,7 +430,7 @@ def test_eigen_residual_two_roots():
     assert sols
     hpts = sample_regular_cartan(RS1, MD, RNG, 2)
     upts = [0.62 + 0.3j, -0.1 + 0.2j]
-    report = sysb.verify_eigenvector(sols[0].t, hpts, upts)
+    (report,) = sysb.verify_eigenvector([sols[0].t], [hpts], [upts])
     assert report["status"] == "ok"
     assert report["max_rel"] < 1e-6
 
@@ -441,7 +441,7 @@ def test_perturbed_roots_fail_verification():
     t_bad = sols[0].t + 1e-3
     hpts = sample_regular_cartan(RS1, MD, RNG, 2)
     upts = [0.62 + 0.3j, 0.25 + 0.55j]
-    report = sysb.verify_eigenvector(t_bad, hpts, upts)
+    (report,) = sysb.verify_eigenvector([t_bad], [hpts], [upts])
     assert report["max_rel"] > 1e-4
 
 
@@ -449,8 +449,8 @@ def test_verification_inconclusive_below_threshold():
     sysb = make_system([0.5, 0.5], depth=3)
     sols = sysb.solve(n_seeds=8)
     hpts = sample_regular_cartan(RS1, MD, RNG, 1)
-    report = sysb.verify_eigenvector(
-        sols[0].t, hpts, [0.62 + 0.3j], tiny=np.inf
+    (report,) = sysb.verify_eigenvector(
+        [sols[0].t], [hpts], [[0.62 + 0.3j]], tiny=np.inf
     )
     assert report["status"] == "inconclusive"
 
@@ -571,8 +571,9 @@ def test_batched_eigen_stage_equals_per_point_reference(
     for k, result in enumerate(results):
         want = verify_eigenvector_reference(system, t[k], h_points[k], u_points[k], tiny)
         assert result == want
-        # the one-solution form, M = 0 included
-        assert verify(system, t[k], h_points[k], u_points[k], tiny=tiny) == want
+        # a one-solution stack, M = 0 included
+        one = slice(k, k + 1)
+        assert verify(system, t[one], h_points[one], u_points[one], tiny=tiny) == [want]
         assert result["status"] == ("inconclusive" if tiny == np.inf else "ok")
     entries = sum(len(h) for h in h_points) if tiny < 1 else 0
     assert passes == (entries if one_per_pass else min(entries, 1))
@@ -590,7 +591,7 @@ def test_batched_vector_jet_equals_single_entries():
         batched = system.vector_jet(ts, hs, order).coeffs
         assert batched.shape[1] == len(hs)
         for e, (t, H) in enumerate(zip(ts, hs)):
-            assert np.array_equal(batched[:, e], system.vector_jet(t, H, order).coeffs)
+            assert np.array_equal(batched[:, e], system.vector_jet([t], [H], order).coeffs[:, 0])
     for t, H in [(ts[:3], hs[:2]), (ts[0], hs)]:
         with pytest.raises(BetheError, match="differ in number"):
             system.vector_jet(t, H)

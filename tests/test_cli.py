@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,26 @@ def test_unknown_key_rejected(tmp_path, capsys):
     path = write_config(tmp_path, MINIMAL_SITES + removed)
     assert main(["commute-check", "--config", path]) == 2
     assert "unknown key 'commutator_top_order'" in capsys.readouterr().err
+
+
+def test_site_keys_are_read_off_the_keys_given(tmp_path):
+    # a huge count with one site given is refused at its first missing
+    # key, with work bounded by the keys present, not by the count
+    one_site = MINIMAL_SITES.split("z_2")[0]
+    path = write_config(tmp_path, one_site.replace("count = 2", "count = 200000"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="missing key z_2$"):
+            load_config(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # a key numbered outside 1..count, or not as k is written, stays unknown
+    for key in ["z_01", "z_0", "z_3", "kind_", "weight_١", "depth_x", "z_1_", "count_1"]:
+        path = write_config(tmp_path, MINIMAL_SITES + f"{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in section"):
+            load_config(path)
 
 
 def test_sites_coincide_mod_lattice(tmp_path):

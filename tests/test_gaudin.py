@@ -258,7 +258,7 @@ def test_transfer_matches_hand_built_oracle():
     us = sample_spectral_points(MD, zs, rng, 2)
     for H in sample_regular_cartan(RS1, MD, rng, 3):
         for u in us:
-            got = prob.transfer(u, H).evaluate()
+            got = prob.transfer([u], [H]).evaluate()
             want = transfer_oracle_rank1(MD, zs, H, u)
             assert set(got) == set(want)
             for m in want:
@@ -271,10 +271,10 @@ def test_potential_jet_vs_finite_differences():
     rng = np.random.default_rng(9)
     u = sample_spectral_points(MD, prob.positions, rng, 1)[0]
     for H in sample_regular_cartan(RS1, MD, rng, 3):
-        jet = prob.potential_jet(H, u, order=2)
+        jet = prob.potential_jet([H], [u], order=2)
         h = 1e-5
-        vp = prob.potential_jet(H + h, u).value
-        vm = prob.potential_jet(H - h, u).value
+        vp = prob.potential_jet([H + h], [u]).value
+        vm = prob.potential_jet([H - h], [u]).value
         fd1 = (vp - vm) / (2 * h)
         fd2 = (vp - 2 * jet.value + vm) / h**2
         s1 = max(1.0, float(np.max(np.abs(fd1))))
@@ -308,11 +308,11 @@ def test_potential_jet_matches_straight_line_reference(name, tau):
     u = sample_spectral_points(md, zs, rng, 1)[0]
     H = sample_regular_cartan(rs, md, rng, 1)[0]
     for order in (0, 1, 2):
-        got = prob.potential_jet(H, u, order)
+        got = prob.potential_jet([H], [u], order).coeffs[:, 0]
         want = potential_jet_reference(prob, H, u, order)
-        assert got.coeffs.shape == want.coeffs.shape
+        assert got.shape == want.coeffs.shape
         scale = float(np.max(np.abs(want.coeffs)))
-        assert float(np.max(np.abs(got.coeffs - want.coeffs))) <= 1e-12 * scale
+        assert float(np.max(np.abs(got - want.coeffs))) <= 1e-12 * scale
 
 
 def test_potential_small_q_trigonometric_limit():
@@ -351,7 +351,7 @@ def test_potential_small_q_trigonometric_limit():
                         * (kron(j, em.T) @ kron(i, ep.T))
                     )
         want = W[np.ix_(zero, zero)]
-        got = prob.potential_jet(H, u).value
+        got = prob.potential_jet([H], [u]).value[0]
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) < 1e-6 * scale
 
@@ -366,7 +366,7 @@ def test_transfer_family_commutes_rank1():
     rng = np.random.default_rng(11)
     us = sample_spectral_points(MD, prob.positions, rng, 2)
     hs = sample_regular_cartan(RS1, MD, rng, 3)
-    res = commutativity_residual(prob, us[0], us[1], hs)
+    res = commutativity_residual(prob, us[:1], us[1:], hs)
     assert res["max_rel"] < 1e-12
 
 
@@ -379,7 +379,7 @@ def test_transfer_family_commutes_rank2():
     rng = np.random.default_rng(12)
     us = sample_spectral_points(MD2, prob.positions, rng, 2)
     hs = sample_regular_cartan(RS2, MD2, rng, 3)
-    res = commutativity_residual(prob, us[0], us[1], hs)
+    res = commutativity_residual(prob, us[:1], us[1:], hs)
     assert res["max_rel"] < 1e-12
 
 
@@ -394,7 +394,7 @@ def test_transfer_family_commutes_dual_verma_sites():
     rng = np.random.default_rng(13)
     us = sample_spectral_points(MD, prob.positions, rng, 2)
     hs = sample_regular_cartan(RS1, MD, rng, 2)
-    res = commutativity_residual(prob, us[0], us[1], hs)
+    res = commutativity_residual(prob, us[:1], us[1:], hs)
     assert res["max_rel"] < 1e-12
 
 
@@ -485,10 +485,11 @@ def test_closed_form_commutator_matches_composition_on_the_model(config):
     rng = np.random.default_rng(620)
     us = np.array(sample_spectral_points(prob.md, prob.positions, rng, 6))
     for H in sample_regular_cartan(prob.rs, prob.md, rng, 2):
-        first = prob.transfer_parts(us[0::2], H, 2)
-        second = prob.transfer_parts(us[1::2], H, 2)
-        scale = (prob.transfer(us[0::2], H, 2).max_coeff_norm()
-                 * prob.transfer(us[1::2], H, 2).max_coeff_norm())
+        hs = [H] * 3
+        first = prob.transfer_parts(us[0::2], hs, 2)
+        second = prob.transfer_parts(us[1::2], hs, 2)
+        scale = (prob.transfer(us[0::2], hs, 2).max_coeff_norm()
+                 * prob.transfer(us[1::2], hs, 2).max_coeff_norm())
         assert np.array_equal(
             scale, gaudin._coeff_scale(*first) * gaudin._coeff_scale(*second)
         )
@@ -519,10 +520,10 @@ def test_batched_transfer_rows_match_scalar_calls(rank, order, batch):
     rng = np.random.default_rng(90 + 10 * rank + batch)
     H = sample_regular_cartan(prob.rs, prob.md, rng, 1)[0]
     us = np.array(sample_spectral_points(prob.md, prob.positions, rng, batch))
-    op = prob.transfer(us, H, order)
+    op = prob.transfer(us, [H] * batch, order)
     assert op.k == order
     for b, u in enumerate(us):
-        one = prob.transfer(u, H, order)
+        one = gaudin._lane(prob.transfer_parts([u], [H], order), 0)
         assert one.coeffs.keys() == op.coeffs.keys()
         scale = max(np.max(np.abs(jet.coeffs)) for jet in one.coeffs.values())
         for m, jet in one.coeffs.items():
@@ -553,8 +554,10 @@ def test_paired_transfer_parts_equal_per_point_calls(rank, order):
     us = np.array(sample_spectral_points(prob.md, prob.positions, rng, 6)).reshape(3, 2)
     zero, cartan = prob.transfer_parts(us.ravel(), np.repeat(hs, 2, axis=0), order)
     assert zero.coeffs.shape[1] == cartan.shape[0] == us.size
+    # coefficient-major: each coefficient's lanes are one contiguous slab
+    assert zero.coeffs.flags.c_contiguous
     for p, (H, row) in enumerate(zip(hs, us)):
-        want_zero, want_cartan = prob.transfer_parts(row, H, order)
+        want_zero, want_cartan = prob.transfer_parts(row, [H, H], order)
         assert np.array_equal(zero.coeffs[:, 2 * p : 2 * p + 2], want_zero.coeffs)
         assert np.array_equal(cartan[2 * p : 2 * p + 2], want_cartan)
     with pytest.raises(GaudinError, match="differ in number"):
@@ -582,7 +585,7 @@ def test_paired_commutativity_residual_is_the_max_over_single_pairs(rank):
     us = np.array(sample_spectral_points(prob.md, prob.positions, rng, 6))
     got = commutativity_residual(prob, us[0::2], us[1::2], hs)
     singles = [
-        commutativity_residual(prob, u1, u2, hs)
+        commutativity_residual(prob, [u1], [u2], hs)
         for u1, u2 in zip(us[0::2], us[1::2])
     ]
     assert got["max_rel"] < 1e-12
@@ -639,7 +642,7 @@ def test_regularity_check_names_the_first_singular_root(values, first):
     simple = np.asarray(RS2.simple_roots, dtype=complex)
     H = np.linalg.solve(simple, np.array(values, dtype=complex))
     with pytest.raises(GaudinError, match=f"root #{first} takes"):
-        check_regular(RS2, MD, H)
+        check_regular(RS2, MD, H[None])
 
 
 # ---------------------------------------------------------------------------
@@ -723,13 +726,13 @@ def test_problem_validates_site_count():
 
 
 def test_check_regular_passes_generic_point():
-    check_regular(RS1, MD, np.array([0.2 + 0.31j]))
+    check_regular(RS1, MD, np.array([[0.2 + 0.31j]]))
 
 
 def test_sampler_respects_guard():
     rng = np.random.default_rng(16)
     for H in sample_regular_cartan(RS1, MD, rng, 10, guard=0.05):
-        check_regular(RS1, MD, H, guard=0.05)
+        check_regular(RS1, MD, [H], guard=0.05)
     zs = [0.13, 0.41 + 0.2j]
     for u in sample_spectral_points(MD, zs, rng, 10, guard=0.05):
         for z in zs:

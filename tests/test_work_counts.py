@@ -139,7 +139,7 @@ def test_commutator_builds_each_operator_once_per_point(monkeypatch, rank):
     hs = sample_regular_cartan(prob.rs, MD, rng, 3)
     u1, u2 = sample_spectral_points(MD, prob.positions, rng, 2)
     calls = count_calls(monkeypatch, GaudinProblem, "potential_jet")
-    res = commutativity_residual(prob, u1, u2, hs)
+    res = commutativity_residual(prob, [u1], [u2], hs)
     assert res["max_rel"] < 1e-12
     # every point's entry fits one pass: one call for both sides' lanes
     assert [len(args[2]) for args, _ in calls] == [2 * len(hs)]
@@ -231,7 +231,7 @@ def test_commute_pass_peak_stays_within_its_estimate(monkeypatch, tmp_path, conf
     hs = runner._cartan_points()
     us = runner._spectral_points(prob.positions, 2 * runner.cfg.sampling["pair_count"])
     # theta's cached constants are built before the measured call
-    gaudin.commutativity_residual(prob, us[0], us[1], hs[0])
+    gaudin.commutativity_residual(prob, us[:1], us[1:2], hs[:1])
     parts = count_calls(monkeypatch, GaudinProblem, "transfer_parts")
     tracemalloc.start()
     try:
@@ -267,11 +267,11 @@ def test_compose_takes_one_gather_and_one_product_per_leibniz_term(monkeypatch, 
     rng = np.random.default_rng(35 + rank)
     H = sample_regular_cartan(prob.rs, MD, rng, 1)[0]
     u1, u2 = sample_spectral_points(MD, prob.positions, rng, 2)
-    t1 = prob.transfer(u1, H, 2)
-    t2 = prob.transfer(u2, H, 2)
+    parts = prob.transfer_parts([u1, u2], [H, H], 2)
+    t1, t2 = (gaudin._lane(parts, b) for b in (0, 1))
     # the conjugation route's factors, which compose at positive jet order
     left = prob._mult_denominator(-1, H, 1)
-    middle = prob.transfer(u1, H, 1)
+    middle = gaudin._lane(prob.transfer_parts([u1], [H], 1), 0)
     right = prob._mult_denominator(+1, H, 3)
     inner = middle.compose(right)
     pairs = [(t1, t2), (t2, t1), (left, inner)]
@@ -306,7 +306,7 @@ def test_eigenvector_check_builds_the_vector_once_per_point(monkeypatch):
     transfers = count_calls(monkeypatch, GaudinProblem, "transfer")
     applies = count_calls(monkeypatch, diffop.DiffOperator, "apply")
     eigenvalues = count_calls(monkeypatch, BetheSystem, "eigenvalue")
-    result = system.verify_eigenvector(sols[0].t, hs, us)
+    (result,) = system.verify_eigenvector([sols[0].t], [hs], [us])
     assert result["status"] == "ok"
     assert result["max_rel"] < 1e-8
     # one call builds the vector at every point, at the transfer
@@ -402,7 +402,7 @@ def test_potential_takes_each_theta_value_once(monkeypatch, rank):
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
     subs = count_calls(monkeypatch, gaudin, "linear_substitution_rows")
     for H, u in zip(hs, us):
-        prob.potential_jet(H, u, order=2)
+        prob.potential_jet([H], [u], order=2)
     per_call = nsites + npos * (2 * nsites + 1)  # 17 at rank 2, 2 sites
     assert arguments(thetas) == [per_call] * len(hs)
     # one substitution call per potential, one row per positive root
@@ -422,7 +422,7 @@ def test_transfer_reads_cartan_matrices_off_site_thetas(monkeypatch, rank):
     for H in hs:
         for u in us:
             for order in (0, 2):
-                prob.transfer(u, H, order)
+                prob.transfer([u], [H], order)
     assert zetas == zeta_rows == []
     # theta(z_i - u) once per site, shared by A_r(u) and the potential
     per_call = nsites + npos * (2 * nsites + 1)
@@ -438,8 +438,9 @@ def test_batched_transfer_takes_one_theta_call(monkeypatch, batch):
     us = np.array(sample_spectral_points(MD, prob.positions, rng, batch))
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
     regular = count_calls(monkeypatch, gaudin, "check_regular")
-    prob.transfer(us, H, 2)
-    # the roots' arguments are shared by the batch, the rest are per u
+    prob.transfer(us, [H] * batch, 2)
+    # the roots' arguments are shared by the lanes at one point, the rest
+    # are per u
     assert arguments(thetas) == [batch * nsites + npos + 2 * npos * nsites * batch]
     assert len(regular) == 1
 
@@ -447,8 +448,8 @@ def test_batched_transfer_takes_one_theta_call(monkeypatch, batch):
 def test_paired_transfer_takes_theta_in_one_call(monkeypatch):
     # three Cartan points, each paired with four spectral parameters: one
     # theta call takes alpha(H) once per distinct point, and one
-    # regularity check covers them all; one point for the whole batch, as
-    # the composed spot check passes it, takes alpha(H) once
+    # regularity check covers them all; one point repeated over every
+    # lane, as the composed spot check passes it, takes alpha(H) once
     prob = irrep_problem(2)
     nsites, npos = len(prob.positions), prob.rs.n_positive
     rng = np.random.default_rng(66)
@@ -458,10 +459,10 @@ def test_paired_transfer_takes_theta_in_one_call(monkeypatch):
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
     regular = count_calls(monkeypatch, gaudin, "check_regular")
     prob.transfer(us, np.repeat(hs, 4, axis=0))
-    prob.transfer(us, hs[0])
+    prob.transfer(us, [hs[0]] * 12)
     shared = 12 * nsites + 2 * npos * nsites * 12
     assert arguments(thetas) == [shared + len(hs) * npos, shared + npos]
-    assert [args[2].shape for args, _ in regular] == [(12, 2), (1, 2)]
+    assert [args[2].shape for args, _ in regular] == [(12, 2), (12, 2)]
 
 
 def eigen_stage_peak(tmp_path, max_solutions, cartan_count):
@@ -566,7 +567,7 @@ def test_vector_jet_takes_three_theta_calls_and_no_dict_jet_arithmetic(monkeypat
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
     kernels = count_everywhere(monkeypatch, "w_kernel")
     subs = count_calls(monkeypatch, bethe, "linear_substitution_rows")
-    jet = system.vector_jet(t, H, 2)
+    jet = system.vector_jet([t], [H], 2)
     assert np.any(jet.value)
     # theta at the distinct x, the distinct c0 and the distinct x - c0
     assert 1 <= len(thetas) <= 3
@@ -594,7 +595,7 @@ def test_bethe_bracket_kernel_products_follow_held_karp(monkeypatch, M):
     t = 0.2 + 0.13j + (0.11 + 0.07j) * np.arange(M)
     H = sample_regular_cartan(system.problem.rs, MD, np.random.default_rng(72), 1)[0]
     products = count_calls(monkeypatch, bethe, "array_jet_product")
-    system.vector_jet(t, H, 2)
+    system.vector_jet([t], [H], 2)
     # axis 0 of each factor runs over the monomials, the others over the
     # products taken at once
     count = sum(math.prod(np.shape(args[0])[1:]) for args, _ in products)
