@@ -2,14 +2,15 @@
 
 Sites carry dual Verma modules with weights whose sum lies in the
 positive root lattice; each Bethe root t_j carries a simple root.  The
-module provides the algebraic equations for the roots, evaluated at one
-point or at a stack of points, a damped Newton solver that runs all its
-quasi-random seeds in lockstep, the eigenvector, and the closed-form
-eigenvalue, together with a residual check that the vector is an
-eigenvector of the transfer operator.  The eigenvector is computed on
-array jets: its site brackets by a Held-Karp recursion over root subsets,
-for all basis indices at once, and its components by contracting the
-brackets site by site over the root subsets used.
+module provides the algebraic equations for the roots, a damped Newton
+solver that runs all its quasi-random seeds in lockstep, the eigenvector,
+and the closed-form eigenvalue, together with a residual check that the
+vector is an eigenvector of the transfer operator.  Every function takes
+its root points as an (S, M) stack, one row per point, and gives each row
+what it gets alone.  The eigenvector is computed on array jets: its site
+brackets by a Held-Karp recursion over root subsets, for all basis
+indices at once, and its components by contracting the brackets site by
+site over the root subsets used.
 """
 
 from __future__ import annotations
@@ -168,14 +169,11 @@ class BetheSystem:
     # -- the algebraic system -------------------------------------------
 
     def equations(self, t):
-        """Residual vector and Jacobian of the Bethe system at t.
+        """Residual vectors and Jacobians of the Bethe system at the rows of
+        the (S, M) stack t, shapes (S, M) and (S, M, M).
 
         res_j = sum_i (a_j|lam_i) zeta(t_j - z_i)
                 - sum_{k != j} (a_j|a_k) zeta(t_j - t_k).
-
-        ``t`` is one point, an M-vector, giving shapes (M,) and (M, M), or
-        an (S, M) stack of points, giving (S, M) and (S, M, M); one point
-        is the stack of one with the axis squeezed off.
 
         zeta is odd and zeta' even, so zeta is taken once per unordered
         pair of roots, at whichever of +-(t_j - t_k) comes first in the
@@ -186,8 +184,7 @@ class BetheSystem:
         summed as Python numbers, which costs less than array operations
         would, in the same order whatever the stack.
         """
-        points = np.asarray(t, dtype=complex)
-        stack = np.atleast_2d(points).tolist()
+        stack = np.asarray(t, dtype=complex).tolist()
         M, zs = self.M, self.problem.positions
         args, signs = [], []
         for roots in stack:
@@ -220,38 +217,26 @@ class BetheSystem:
                 jac[k][j] += slope
             out_res.append(res)
             out_jac.append(jac)
-        if points.ndim == 1:
-            return np.array(out_res[0]), np.array(out_jac[0])
         return np.array(out_res), np.array(out_jac)
 
     # -- solver ------------------------------------------------------------
 
-    def _seed_points(self, count: int):
-        md = self.problem.md
-        seeds = []
-        for p in halton_points(count, 2 * self.M):
-            t = np.array(
-                [
-                    p[2 * j] + (0.08 + 0.84 * p[2 * j + 1]) * md.tau
-                    for j in range(self.M)
-                ],
-                dtype=complex,
-            )
-            seeds.append(t)
-        return seeds
+    def _seed_points(self, count: int) -> np.ndarray:
+        """The (count, M) stack of seeds over the cell: from the Halton
+        point p, t_j = p_2j + (0.08 + 0.84 p_2j+1) tau."""
+        p = halton_points(count, 2 * self.M)
+        return p[:, 0::2] + (0.08 + 0.84 * p[:, 1::2]) * self.problem.md.tau
 
-    def _too_close(self, t, guard: float):
-        """Whether a root comes within ``guard`` of a site or of another
-        root, modulo the lattice, at one point, or per row of an (S, M)
-        stack of points; one distance call for all of them."""
+    def _too_close(self, t, guard: float) -> np.ndarray:
+        """Per row of the (S, M) stack t, whether a root comes within
+        ``guard`` of a site or of another root, modulo the lattice, shape
+        (S,); one distance call for all of them."""
         t = np.asarray(t, dtype=complex)
         j, k = np.triu_indices(self.M, 1)
-        sites = t[..., :, None] - np.asarray(self.problem.positions)
-        gaps = np.concatenate(
-            [sites.reshape(t.shape[:-1] + (-1,)), t[..., j] - t[..., k]], axis=-1
-        )
-        close = np.any(lattice_distance(gaps, self.problem.md) < guard, axis=-1)
-        return bool(close) if t.ndim == 1 else close
+        zs = np.asarray(self.problem.positions)
+        sites = (t[:, :, None] - zs).reshape(len(t), self.M * len(zs))
+        gaps = np.concatenate([sites, t[:, j] - t[:, k]], axis=1)
+        return np.any(lattice_distance(gaps, self.problem.md) < guard, axis=1)
 
     def _evaluate(self, points):
         """``equations`` at every row of the (S, M) stack points, with per
@@ -270,9 +255,9 @@ class BetheSystem:
         res = np.full(points.shape, np.nan, dtype=complex)
         jac = np.full(points.shape + (self.M,), np.nan, dtype=complex)
         errors = [None] * len(points)
-        for r, row in enumerate(points):
+        for r in range(len(points)):
             try:
-                res[r], jac[r] = self.equations(row)
+                res[r : r + 1], jac[r : r + 1] = self.equations(points[r : r + 1])
             except (EllipticError, OverflowError) as exc:
                 errors[r] = exc
         return res, jac, errors
@@ -572,38 +557,27 @@ class BetheSystem:
 
     # -- eigenvalue ----------------------------------------------------------
 
-    def _zetas_at(self, t, us: np.ndarray) -> np.ndarray:
-        """(zeta, zeta') at z_i - u for the sites, then at t_j - u for the
-        roots, for every u of the 1-D array us, shape (len(us), N + M, 2),
-        or per solution of an (S, M) stack t for every u of its row of the
-        (S, U) array us, shape (S, U, N + M, 2); in one kernel call."""
-        t = np.asarray(t, dtype=complex)
-        zs = self.problem.positions
-        args = np.concatenate([np.broadcast_to(zs, t.shape[:-1] + (len(zs),)), t], axis=-1)
-        diffs = args[..., None, :] - us[..., :, None]
-        ze = zeta11_coeffs(diffs.ravel(), self.problem.md, 1)
-        return ze.reshape(diffs.shape + (2,))
+    def eigenvalue(self, t, u) -> np.ndarray:
+        """tau_Psi(u) = 1/2 sum_r zeta_bar(h_r;u)^2 + d_u zeta_bar(rho;u),
+        per solution of the (S, M) stack t at each spectral parameter of its
+        row of the (S, U) array u, shape (S, U).
 
-    def eigenvalue(self, t, u):
-        """tau_Psi(u) = 1/2 sum_r zeta_bar(h_r;u)^2 + d_u zeta_bar(rho;u).
-
-        ``u`` is a spectral parameter, giving a complex number, or a 1-D
-        array of them, giving an array of values.  ``t`` may also be an
-        (S, M) stack of solutions, each with its own row of an (S, U)
-        array ``u``, giving (S, U) values.  One kernel call serves every
-        solution, u, Cartan direction and the rho term; each u's sums are
-        their own matrix products, the same whatever the array around it.
+        One kernel call takes (zeta, zeta') at z_i - u for the sites, then
+        at t_j - u for the roots, for every solution, u, Cartan direction
+        and the rho term; each u's sums are their own matrix products, the
+        same whatever the array around it.
         """
-        t = np.asarray(t, dtype=complex)
-        us = np.asarray(u, dtype=complex)
-        ze = self._zetas_at(t, us.reshape(t.shape[:-1] + (-1,)))
+        t, us = (np.asarray(x, dtype=complex) for x in (t, u))
+        zs = self.problem.positions
+        args = np.concatenate([np.broadcast_to(zs, (len(t), len(zs))), t], axis=1)
+        diffs = args[:, None, :] - us[:, :, None]
+        ze = zeta11_coeffs(diffs.ravel(), self.problem.md, 1).reshape(diffs.shape + (2,))
         bars = ze[..., None, :, 0] @ self._charges
         rho = np.asarray(self.problem.rs.rho, dtype=complex)
         # d/du zeta(x - u) = -zeta'(x - u)
-        values = (0.5 * (bars @ np.swapaxes(bars, -1, -2)))[..., 0, 0] - (
+        return (0.5 * (bars @ np.swapaxes(bars, -1, -2)))[..., 0, 0] - (
             (self._charges @ rho) @ ze[..., 1, None]
         )[..., 0]
-        return complex(values[0]) if us.ndim == 0 else values
 
     # -- verification ---------------------------------------------------------
 

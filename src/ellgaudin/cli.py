@@ -929,7 +929,7 @@ class CheckRunner:
                 break
         if offset is None:
             return
-        values = self.system.eigenvalue(t, offset)
+        (values,) = self.system.eigenvalue(t[None], offset[None])
         self.report.sweep = [
             (u, value.real, value.imag)
             for u, value in zip(offset.tolist(), values.tolist())

@@ -136,16 +136,17 @@ def root_values(directions, H) -> np.ndarray:
 
 def check_regular(rs: RootSystemData, md: ModularData, H, guard: float = 1e-9):
     """Require alpha(H) to stay away from the period lattice for all roots,
-    at every row of a (P, l) stack H of Cartan points, in order.
+    at every row of a (P, l) stack H of Cartan points, in order; returns
+    the (P, |Phi+|) pairings ``root_values`` gave.
 
     The exchange kernels w_{alpha(H)} and the Weyl-Kac denominator are
     singular when any root takes a lattice value on H.
     """
-    cs = root_values(rs.positive_roots, H).reshape(-1)
-    near = lattice_distance(cs, md) < guard
+    cs = root_values(rs.positive_roots, H)
+    near = lattice_distance(cs.ravel(), md) < guard
     if near.any():
         k = int(np.argmax(near))
-        c = complex(cs[k])
+        c = complex(cs.flat[k])
         k %= rs.n_positive
         lam = nearest_lattice_point(c, md)
         raise GaudinError(
@@ -153,6 +154,7 @@ def check_regular(rs: RootSystemData, md: ModularData, H, guard: float = 1e-9):
             f"{c:.6g}, within {abs(c - lam):.2e} of the lattice point "
             f"{lam:.6g}"
         )
+    return cs
 
 
 def _rejection_sample(draw, accept, count: int, failure: str) -> list:
@@ -472,9 +474,8 @@ class GaudinProblem:
                 f"paired Cartan points and spectral parameters differ in number: "
                 f"{len(H)} and {len(us)}"
             )
-        check_regular(self.rs, self.md, H)
+        cs = check_regular(self.rs, self.md, H)
         xs = self._site_args(us)
-        cs = root_values(self.rs.positive_roots, H)
         shifted = np.ravel([xs[:, None, :] - cs[:, :, None], xs[:, None, :] + cs[:, :, None]])
         heads = np.concatenate([xs.ravel(), cs.ravel()])
         distinct, at = _distinct(heads)

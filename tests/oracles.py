@@ -308,7 +308,7 @@ def newton_per_seed(system, t0, tol, max_iter):
 
     t = np.asarray(t0, dtype=complex)
     try:
-        res, jac = system.equations(t)
+        (res,), (jac,) = system.equations(t[None])
     except (EllipticError, OverflowError):
         return None
     best = float(np.max(np.abs(res)))
@@ -323,7 +323,7 @@ def newton_per_seed(system, t0, tol, max_iter):
         for _ in range(25):
             cand = t - damp * step
             try:
-                res_c, jac_c = system.equations(cand)
+                (res_c,), (jac_c,) = system.equations(cand[None])
             except EllipticError:
                 damp /= 2
                 continue
@@ -520,7 +520,7 @@ def verify_eigenvector_reference(system, t, h_points, u_points, tiny: float = 1e
     min_norm = math.inf
     seen_nonzero = False
     us = np.asarray(u_points, dtype=complex).reshape(-1)
-    eigs = system.eigenvalue(t, us)
+    (eigs,) = system.eigenvalue([t], [us])
     for H in h_points:
         H = np.asarray(H, dtype=complex)
         psi_jet = system.vector_jet([t], [H], 2)

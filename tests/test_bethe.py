@@ -116,7 +116,7 @@ def test_residual_zero_at_half_period_single_site():
     mods = dual_verma_sites([1.0], depth=3)
     prob = GaudinProblem(RS1, MD, [0.13 + 0.05j], mods)
     sysb = BetheSystem(prob)
-    res, _ = sysb.equations([0.13 + 0.05j + 0.5])
+    res, _ = sysb.equations([[0.13 + 0.05j + 0.5]])
     assert np.max(np.abs(res)) < 1e-12
 
 
@@ -124,7 +124,7 @@ def test_residual_zero_at_symmetric_midpoints():
     sysb = make_system([0.5, 0.5], depth=3)
     mid = (Z2[0] + Z2[1]) / 2
     for t in (mid, mid + 0.5):
-        res, _ = sysb.equations([t])
+        res, _ = sysb.equations([[t]])
         assert np.max(np.abs(res)) < 1e-12
 
 
@@ -132,7 +132,7 @@ def test_residual_matches_direct_series():
     c = 0.73 + 0.21j
     sysb = make_system([c, 2 - c])
     t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
-    res, _ = sysb.equations(t)
+    (res,), _ = sysb.equations([t])
     expect = bethe_residual_direct(
         t, Z2, [c * ALPHA, (2 - c) * ALPHA], [ALPHA, ALPHA], TAU
     )
@@ -143,12 +143,12 @@ def test_jacobian_matches_finite_differences():
     c = 0.73 + 0.21j
     sysb = make_system([c, 2 - c])
     t0 = np.array([0.21 + 0.13j, 0.52 + 0.4j])
-    _, jac = sysb.equations(t0)
+    _, (jac,) = sysb.equations([t0])
     h = 1e-6
     for k in range(2):
         e = np.zeros(2, dtype=complex)
         e[k] = h
-        col = (sysb.equations(t0 + e)[0] - sysb.equations(t0 - e)[0]) / (2 * h)
+        col = (sysb.equations([t0 + e])[0][0] - sysb.equations([t0 - e])[0][0]) / (2 * h)
         assert np.max(np.abs(col - jac[:, k])) / np.max(np.abs(jac)) < 1e-6
 
 
@@ -156,15 +156,23 @@ def test_residual_permutation_covariance():
     c = 0.73 + 0.21j
     sysb = make_system([c, 2 - c])
     t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
-    res, _ = sysb.equations(t)
-    swapped, _ = sysb.equations(t[::-1])
-    assert np.max(np.abs(res - swapped[::-1])) == 0.0
+    points = np.array([t, t[::-1], [0.37 + 0.61j, 0.05 + 0.29j]])
+    res, jac = sysb.equations(points)
+    assert res.shape == (3, 2) and jac.shape == (3, 2, 2)
+    assert np.max(np.abs(res[0] - res[1, ::-1])) == 0.0
+    # every row of a stack is its one-row call, bit for bit, which the
+    # retry of a failing row alone needs; rows 0 and 1 take the root
+    # pair's zeta at opposite signs
+    for r in range(len(points)):
+        one_res, one_jac = sysb.equations(points[r : r + 1])
+        assert one_res.tolist() == res[r : r + 1].tolist()
+        assert one_jac.tolist() == jac[r : r + 1].tolist()
 
 
 def test_equations_raise_on_pole_collision():
     sysb = make_system([0.5, 0.5], depth=3)
     with pytest.raises(EllipticError):
-        sysb.equations([Z2[0]])
+        sysb.equations([[Z2[0]]])
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +269,7 @@ def test_vector_no_roots_is_constant_unit():
     assert jet.coeffs.shape == (3, 1, 1)
     assert abs(jet.value[0, 0] - 1.0) < 1e-14
     assert np.max(np.abs(jet.coeffs[1:])) < 1e-14
-    assert abs(sysb.eigenvalue(np.array([]), 0.31 + 0.22j)) < 1e-14
+    assert abs(sysb.eigenvalue(np.zeros((1, 0)), [[0.31 + 0.22j]])[0, 0]) < 1e-14
 
 
 def test_vector_single_root_closed_form():
@@ -367,22 +375,21 @@ def test_eigenvalue_period_one_in_u():
     sysb = make_system([c1, 2 - c1])
     t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
     u = 0.62 + 0.3j
-    v1, v2 = sysb.eigenvalue(t, u), sysb.eigenvalue(t, u + 1)
+    ((v1, v2),) = sysb.eigenvalue([t], [[u, u + 1]])
     assert abs(v1 - v2) / abs(v1) < 1e-10
 
 
-def test_eigenvalue_over_an_array_matches_scalar_calls():
+def test_eigenvalue_over_an_array_matches_one_u_stacks():
     c1 = 0.73 + 0.21j
     sysb = make_system([c1, 2 - c1])
     t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
     us = np.array([0.62 + 0.3j, -0.1 + 0.2j, 0.25 + 0.55j, 1.62 + 0.3j])
-    values = sysb.eigenvalue(t, us)
+    (values,) = sysb.eigenvalue([t], [us])
     assert values.shape == us.shape
-    singles = [sysb.eigenvalue(t, u) for u in us]
-    assert all(type(v) is complex for v in singles)
+    singles = [sysb.eigenvalue([t], [[u]]) for u in us]
+    assert all(v.shape == (1, 1) for v in singles)
     # each u is summed on its own, so the entries agree to the bit
-    assert values.tolist() == singles
-    assert sysb.eigenvalue(t, us[:1]).tolist() == singles[:1]
+    assert values.tolist() == [v[0, 0] for v in singles]
 
 
 def test_batched_eigen_residual_is_the_max_over_single_points():
@@ -407,7 +414,7 @@ def test_eigenvalue_matches_rayleigh_quotient():
     psi = sysb.vector_jet([t], [H]).value[0]
     lhs = sysb.problem.transfer([u], [H]).apply(sysb.vector_jet([t], [H], 2))[0]
     quotients = lhs[np.abs(psi) > 1e-8] / psi[np.abs(psi) > 1e-8]
-    eig = sysb.eigenvalue(t, u)
+    eig = sysb.eigenvalue([t], [[u]])[0, 0]
     assert np.max(np.abs(quotients - eig)) / abs(eig) < 1e-7
 
 
@@ -605,7 +612,7 @@ def test_stacked_eigenvalue_equals_single_solutions():
     values = sysb.eigenvalue(ts, us)
     assert values.shape == us.shape
     for t, u, row in zip(ts, us, values):
-        assert row.tolist() == sysb.eigenvalue(t, u).tolist()
+        assert row.tolist() == sysb.eigenvalue([t], [u])[0].tolist()
 
 
 def test_verify_stack_with_differing_samples_per_solution():
@@ -681,8 +688,8 @@ def assert_solves_as_per_seed(sysb, sols, **kwargs):
 
 def record_errors(monkeypatch, owner, error, name="equations"):
     """Wrap owner.name, by default a system's equations, to record the
-    first argument of every call that raises ``error``: a point, or a
-    stack of points or of Jacobians."""
+    first argument of every call that raises ``error``: a stack of points
+    or of Jacobians."""
     seen = []
     original = getattr(owner, name)
 
@@ -718,7 +725,7 @@ def test_lockstep_solve_matches_per_seed_reference_past_an_overflow(monkeypatch)
     overflows = record_errors(monkeypatch, sysb, OverflowError)
     sols = sysb.solve(n_seeds=48)
     # the round's batched call raised, then the seed's row alone
-    assert [t.ndim for t in overflows] == [2, 1]
+    assert [len(t) > 1 for t in overflows] == [True, False]
     assert_solves_as_per_seed(sysb, sols, n_seeds=48)
 
 
@@ -727,7 +734,7 @@ def test_lockstep_matches_reference_from_an_overflowing_seed(monkeypatch):
     seeds = sysb._seed_points(18)[12:]
     overflows = record_errors(monkeypatch, sysb, OverflowError)
     sols = sysb.solve(seeds=seeds)
-    assert [t.ndim for t in overflows] == [2, 1]
+    assert [len(t) > 1 for t in overflows] == [True, False]
     assert_solves_as_per_seed(sysb, sols, seeds=seeds)
 
 
@@ -737,11 +744,11 @@ def test_lockstep_matches_reference_through_a_pole_proximity_damping(monkeypatch
     # the other seeds ride in the same rounds
     sysb = make_system([0.62 + 0.05j, 0.38 - 0.05j])
     pole_seed = np.array([0.6487186910430601 + 0.8574726121154863j])
-    seeds = [pole_seed] + sysb._seed_points(8)
+    seeds = np.concatenate([[pole_seed], sysb._seed_points(8)])
     near_poles = record_errors(monkeypatch, sysb, PoleProximityError)
     sols = sysb.solve(seeds=seeds)
-    assert [t.ndim for t in near_poles] == [2, 1]
-    assert abs(near_poles[1][0] - Z2[1]) < 1e-12
+    assert [len(t) > 1 for t in near_poles] == [True, False]
+    assert abs(near_poles[1][0, 0] - Z2[1]) < 1e-12
     assert_solves_as_per_seed(sysb, sols, seeds=seeds)
 
 
@@ -754,8 +761,7 @@ def test_lockstep_matches_reference_past_a_singular_jacobian(monkeypatch):
 
     def singular_at_seed_3(t):
         res, jac = equations(t)
-        rows = np.reshape(jac, (-1, sysb.M, sysb.M))
-        rows[np.all(np.reshape(t, (-1, sysb.M)) == seeds[3], axis=1)] = 0.0
+        jac[np.all(t == seeds[3], axis=1)] = 0.0
         return res, jac
 
     sysb.equations = singular_at_seed_3
@@ -773,10 +779,10 @@ def test_lockstep_matches_reference_at_the_max_iter_exit():
     seeds = sysb._seed_points(24)
     for guard in (0.05, 0.1):
         capped = sysb.solve(seeds=seeds, max_iter=8, guard=guard)
-        assert any(s.iterations == 8 and sysb._too_close(s.t, guard) for s in capped)
+        assert any(s.iterations == 8 and sysb._too_close([s.t], guard)[0] for s in capped)
         assert_solves_as_per_seed(sysb, capped, seeds=seeds, max_iter=8, guard=guard)
     # per seed, a higher cap keeps every solution reached within the lower
-    points = np.array(seeds)[~sysb._too_close(np.array(seeds), 0.1)]
+    points = seeds[~sysb._too_close(seeds, 0.1)]
     low = sysb._lockstep(points, 1e-12, 8)
     high = sysb._lockstep(points, 1e-12, 9)
     assert any(a is None and b is not None for a, b in zip(low, high))

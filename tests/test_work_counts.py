@@ -465,6 +465,17 @@ def test_paired_transfer_takes_theta_in_one_call(monkeypatch):
     assert [args[2].shape for args, _ in regular] == [(12, 2), (12, 2)]
 
 
+def test_transfer_parts_pairs_the_roots_with_h_once(monkeypatch):
+    # the regularity check's pairings alpha(H) are also theta's arguments
+    prob = irrep_problem(2)
+    rng = np.random.default_rng(67)
+    hs = np.array(sample_regular_cartan(prob.rs, MD, rng, 3))
+    us = np.array(sample_spectral_points(MD, prob.positions, rng, 3))
+    pairings = count_calls(monkeypatch, gaudin, "root_values")
+    prob.transfer_parts(us, hs, 2)
+    assert len(pairings) == 1
+
+
 def eigen_stage_peak(tmp_path, max_solutions, cartan_count):
     text = (CONFIGS / "a1_bethe_m4.ini").read_text(encoding="utf-8")
     path = tmp_path / f"peak{max_solutions}{cartan_count}.ini"
@@ -691,7 +702,7 @@ def test_bethe_equations_take_zeta_once_per_unordered_root_pair(monkeypatch):
     zetas = count_everywhere(monkeypatch, "zeta11")
     zeta_rows = count_everywhere(monkeypatch, "zeta11_coeffs")
     thetas = count_everywhere(monkeypatch, "theta11_coeffs")
-    res, jac = system.equations([0.21 + 0.13j, 0.52 + 0.4j, 0.83 + 0.61j])
+    res, jac = system.equations([[0.21 + 0.13j, 0.52 + 0.4j, 0.83 + 0.61j]])
     assert np.all(np.isfinite(res)) and np.all(np.isfinite(jac))
     assert zetas == []
     assert arguments(zeta_rows) == arguments(thetas) == [M * N + M * (M - 1) // 2]
@@ -700,14 +711,14 @@ def test_bethe_equations_take_zeta_once_per_unordered_root_pair(monkeypatch):
 def test_eigenvalue_takes_zeta_once_per_site_and_root(monkeypatch):
     system = three_root_system()
     M, N = system.M, len(system.problem.positions)
-    t = [0.21 + 0.13j, 0.52 + 0.4j, 0.83 + 0.61j]
+    t = [[0.21 + 0.13j, 0.52 + 0.4j, 0.83 + 0.61j]]
     zeta_rows = count_everywhere(monkeypatch, "zeta11_coeffs")
-    value = system.eigenvalue(t, 0.37 + 0.29j)
+    value = system.eigenvalue(t, [[0.37 + 0.29j]])
     assert np.isfinite(value)
     assert arguments(zeta_rows) == [N + M]
     # an array of u takes one call for every (u, site or root)
     zeta_rows.clear()
-    values = system.eigenvalue(t, np.array([0.37 + 0.29j, 0.61 + 0.5j, 0.2 + 0.7j]))
+    values = system.eigenvalue(t, [[0.37 + 0.29j, 0.61 + 0.5j, 0.2 + 0.7j]])
     assert np.all(np.isfinite(values))
     assert arguments(zeta_rows) == [3 * (N + M)]
 
@@ -720,7 +731,7 @@ def test_bethe_solve_takes_one_zeta_call_and_one_stacked_solve_per_round(monkeyp
     # seed by seed, each kept seed's evaluations and Newton steps
     evaluations, steps = [], []
     for seed in system._seed_points(kwargs["n_seeds"]):
-        if system._too_close(seed, guard):
+        if system._too_close([seed], guard)[0]:
             continue
         counted = count_calls(monkeypatch, system, "equations")
         solves = count_calls(monkeypatch, np.linalg, "solve")
