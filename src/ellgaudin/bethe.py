@@ -42,6 +42,17 @@ from .liealg import module_lowering, root_budget
 _PASS_BYTES = 1 << 21
 
 
+def _product(a, b) -> np.ndarray:
+    """a * b over complex arrays, a broadcast to b's shape, as Python
+    multiplies complex numbers: (ac - bd) + (ad + bc)i, each product
+    rounded on its own; NumPy's complex multiply may fuse them and differ
+    in the last bit."""
+    out = np.empty(b.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 class BetheError(Exception):
     """Raised for invalid Bethe configurations."""
 
@@ -137,11 +148,32 @@ class BetheSystem:
         # so GaudinProblem has already enforced the depth bound M + ht(theta)
         self._check_charge()
         alphas = np.reshape(self.alphas, (self.M, rs.rank))
-        # (a_j | lam_i) and (a_j | a_k), fixed per system
-        self._site_pairing = (alphas @ np.transpose(self.weights)).tolist()
-        self._root_pairing = (alphas @ alphas.T).tolist()
-        # the unordered root pairs j < k
-        self._pairs = [(j, k) for j in range(self.M) for k in range(j + 1, self.M)]
+        # the tables of equations.  Its kernel arguments, per row: t_j - z_i
+        # at column N j + i, then the unordered root pairs j < k, each with
+        # its pairing (a_j|lam_i) or (a_j|a_k)
+        N, M = len(problem.positions), self.M
+        j, k = np.triu_indices(M, 1)
+        self._pair_ends = (j, k)
+        self._pairing = np.concatenate(
+            [(alphas @ np.transpose(self.weights)).ravel(), (alphas @ alphas.T)[j, k]]
+        )[:, None]
+        pair = np.zeros((M, M), dtype=int)
+        pair[j, k] = pair[k, j] = M * N + np.arange(len(j))
+        partner = np.nonzero(~np.eye(M, dtype=bool))[1].reshape(M, max(M - 1, 0))
+        # the terms of root m's sums, (terms, M): its sites, then its pairs
+        # in increasing partner order, which is the pairs' order; a pair's
+        # value counts -1 at the root that comes first, its slope -1 at both
+        self._gather = np.concatenate(
+            [np.arange(M * N).reshape(M, N), np.take_along_axis(pair, partner, 1)], axis=1
+        ).T
+        signs = np.ones((M, self._gather.shape[0], 4))
+        signs[:, N:, :2] = np.where(partner > np.arange(M)[:, None], -1.0, 1.0)[..., None]
+        signs[:, N:, 2:] = -1.0
+        self._signs = signs.transpose(1, 0, 2).copy()
+        # the outputs from the sums (residual m at 2 m, Jacobian diagonal
+        # entry at 2 m + 1) and the pairs' slopes (from 2 M on)
+        jac = np.where(np.eye(M, dtype=bool), 2 * np.arange(M) + 1, pair + (2 - N) * M)
+        self._layout = np.concatenate([2 * np.arange(M), jac.ravel()])
         # the charges lam_i of the sites, then -a_j of the roots, whose
         # pairings weigh zeta(z_i - u) and zeta(t_j - u) in the eigenvalue
         self._charges = np.concatenate(
@@ -179,45 +211,33 @@ class BetheSystem:
         pair of roots, at whichever of +-(t_j - t_k) comes first in the
         order (Im, Re) from above, which keeps the residual exactly
         covariant under relabelling the roots.  The M N + M (M - 1) / 2
-        arguments of every point go to one kernel call, whose rows do not
-        depend on the batch around them; each point's few terms are then
-        summed as Python numbers, which costs less than array operations
-        would, in the same order whatever the stack.
+        arguments of every row go to one kernel call, whose rows do not
+        depend on the batch around them.  The rest is array work over the
+        whole stack that gives each entry the bits of a scalar loop:
+        products as Python multiplies complex numbers (``_product``), and
+        each residual and Jacobian diagonal entry summed in sequence from
+        +0.0, its sites first, then its pairs in increasing partner order,
+        with ``np.add.accumulate``, which never adds pairwise.  Each
+        off-diagonal entry is +0.0 plus its pair's slope.
         """
-        stack = np.asarray(t, dtype=complex).tolist()
-        M, zs = self.M, self.problem.positions
-        args, signs = [], []
-        for roots in stack:
-            diffs = [roots[j] - roots[k] for j, k in self._pairs]
-            signs.append([-1.0 if (d.imag, d.real) < (0.0, 0.0) else 1.0 for d in diffs])
-            args += [tj - z for tj in roots for z in zs]
-            args += [s * d for s, d in zip(signs[-1], diffs)]
-        ze = zeta11_coeffs(args, self.problem.md, 1).tolist()
-        nsite = M * len(zs)
-        width = nsite + len(self._pairs)
-        out_res, out_jac = [], []
-        for r, row_signs in enumerate(signs):
-            sites = ze[r * width : r * width + nsite]
-            pairs = ze[r * width + nsite : (r + 1) * width]
-            res = [0j] * M
-            jac = [[0j] * M for _ in range(M)]
-            for j, row in enumerate(self._site_pairing):
-                for pair, (value, slope) in zip(row, sites[j * len(zs) : (j + 1) * len(zs)]):
-                    res[j] += pair * value
-                    jac[j][j] += pair * slope
-            for (j, k), sign, (value, slope) in zip(self._pairs, row_signs, pairs):
-                pair = self._root_pairing[j][k]
-                value = pair * (sign * value)
-                slope = pair * slope
-                res[j] -= value
-                res[k] += value
-                jac[j][j] -= slope
-                jac[k][k] -= slope
-                jac[j][k] += slope
-                jac[k][j] += slope
-            out_res.append(res)
-            out_jac.append(jac)
-        return np.array(out_res), np.array(out_jac)
+        t = np.asarray(t, dtype=complex)
+        count, (j, k) = len(t), self._pair_ends
+        width, nsite = len(self._pairing), self.M * len(self.problem.positions)
+        with np.errstate(invalid="ignore"):  # rows with NaN or inf go to the kernel to refuse
+            d = t[:, j] - t[:, k]
+            # -1 where (Im, Re) < (0, 0), as a complex factor (s, 0.0)
+            sign = np.where(np.where(d.imag == 0, d.real, d.imag) < 0, -1 + 0j, 1 + 0j)
+            sites = (t[:, :, None] - np.asarray(self.problem.positions)).reshape(count, nsite)
+            args = np.concatenate([sites, _product(sign, d)], axis=1)
+        ze = zeta11_coeffs(args.ravel(), self.problem.md, 1).reshape(count, width, 2)
+        ze[:, nsite:, 0] = _product(sign, ze[:, nsite:, 0])
+        terms = _product(self._pairing, ze)
+        # (count, terms, M, 4): value and slope, real and imaginary parts
+        gathered = terms.view(float).take(self._gather, axis=1) * self._signs
+        gathered[:, 0] += 0.0  # each sum starts from +0.0, as 0j + x does
+        sums = np.add.accumulate(gathered, axis=1)[:, -1].view(complex).reshape(count, -1)
+        out = np.concatenate([sums, terms[:, nsite:, 1] + 0.0], axis=1).take(self._layout, axis=1)
+        return out[:, : self.M], out[:, self.M :].reshape(count, self.M, self.M)
 
     # -- solver ------------------------------------------------------------
 
@@ -292,10 +312,12 @@ class BetheSystem:
         its line search runs out or it has taken max_iter steps.  It
         converges once its norm is under tol, after at most max_iter steps.
 
-        The seeds advance in lockstep: each round evaluates the current
-        point of every live seed in one ``equations`` call, and the seeds
-        that begin a step take it from one stacked solve.  Both give every
-        row what it would get alone, so each seed follows its own path.
+        The seeds advance in lockstep, the ones that begin a step and the
+        ones that search a step each a boolean mask over the seed axis:
+        each round evaluates the candidates of every searching seed, in
+        seed order, in one ``equations`` call, and the seeds that begin a
+        step take it from one stacked solve.  Both give every row what it
+        would get alone, so each seed follows its own path.
         """
         count = len(points)
         out = [None] * count
@@ -308,42 +330,40 @@ class BetheSystem:
         damp = np.ones(count)
         tries = np.zeros(count, dtype=int)
         step = np.zeros_like(t)
-        starting = [i for i, error in enumerate(errors) if error is None]
-        searching = []
-        while starting or searching:
-            stepping = []
-            for i in starting:
-                if best[i] < tol:
-                    out[i] = BetheSolution(
-                        t[i].copy(), float(best[i]), int(iteration[i]) - 1
-                    )
-                elif iteration[i] <= max_iter:
-                    stepping.append(i)
-            if stepping:
+        starting = np.array([error is None for error in errors])
+        searching = np.zeros(count, dtype=bool)
+        while starting.any() or searching.any():
+            done = starting & (best < tol)
+            for i in np.flatnonzero(done):
+                out[i] = BetheSolution(t[i].copy(), float(best[i]), int(iteration[i]) - 1)
+            stepping = np.flatnonzero(starting & ~done & (iteration <= max_iter))
+            if len(stepping):
                 steps = self._newton_steps(jac[stepping], res[stepping])
-                for i, row in zip(stepping, steps):
-                    if row is not None:
-                        step[i], damp[i], tries[i] = row, 1.0, 0
-                        searching.append(i)
-            if not searching:
+                taken = [r for r, row in enumerate(steps) if row is not None]
+                fresh = stepping[taken]
+                step[fresh] = [steps[r] for r in taken]
+                damp[fresh], tries[fresh], searching[fresh] = 1.0, 0, True
+            if not searching.any():
                 break
-            cand = t[searching] - damp[searching, None] * step[searching]
+            (live,) = np.nonzero(searching)
+            cand = t[live] - damp[live, None] * step[live]
             res_c, jac_c, errors = self._evaluate(cand)
             norm_c = np.max(np.abs(res_c), axis=-1)
-            starting, still = [], []
-            for r, i in enumerate(searching):
-                if isinstance(errors[r], OverflowError):
-                    continue  # theta's factor overflowed: the step diverged
-                if errors[r] is None and (norm_c[r] < best[i] or best[i] < 1e-9):
-                    t[i], res[i], jac[i], best[i] = cand[r], res_c[r], jac_c[r], norm_c[r]
-                    iteration[i] += 1
-                    starting.append(i)
-                    continue
-                damp[i] /= 2
-                tries[i] += 1
-                if tries[i] < 25:
-                    still.append(i)
-            searching = still
+            clean = np.array([error is None for error in errors])
+            # theta's factor overflowed: the step diverged, and the seed is dropped
+            diverged = np.array([isinstance(error, OverflowError) for error in errors])
+            accepted = clean & ((norm_c < best[live]) | (best[live] < 1e-9))
+            moved = live[accepted]
+            t[moved], res[moved], jac[moved], best[moved] = (
+                cand[accepted], res_c[accepted], jac_c[accepted], norm_c[accepted]
+            )
+            iteration[moved] += 1
+            retry = live[~accepted & ~diverged]
+            damp[retry] /= 2
+            tries[retry] += 1
+            starting[:], searching[:] = False, False
+            starting[moved] = True
+            searching[retry[tries[retry] < 25]] = True
         return out
 
     def _equivalent(self, t, others, tol: float = 1e-8) -> bool:

@@ -5,7 +5,8 @@ exercises the theta-function kernels, ``describe-algebra`` the root-system
 tables, ``commute-check`` the family of transfer operators, ``bethe-solve``
 and ``eigen-check`` the Bethe ansatz layer, and ``full-verify`` chains all
 of them.  Runs are deterministic for a fixed config and seed; reports can
-be emitted as human-readable text, JSON lines (byte-stable) or CSV.
+be emitted as human-readable text, JSON lines (byte-stable) or CSV; only
+a CSV report renders the eigenvalue sweep, so only a CSV run computes it.
 
 ``SCHEMA`` holds every config section and key with its default; a value's
 parse rule follows its default's type, and ``echo_lines`` its order.  A
@@ -133,6 +134,10 @@ SCHEMA = {
     "rng": {"seed": 0},
 }
 
+# The largest counts a config may ask for: beyond them a run would fill
+# memory with its samples or seeds, or run for hours.
+_CAPS = {"elliptic_points": 100_000, "sweep_points": 100_000, "n_seeds": 4096}
+
 # the instance's sections: absent, they are None (no sites), not defaults
 _INSTANCE_SECTIONS = ("elliptic", "sites", "bethe")
 # each held as one dict field of ExperimentConfig; other keys are fields
@@ -193,6 +198,8 @@ def _parse_value(section: str, key: str, raw: str, default):
         raise ConfigError(f"[{section}] {key} = {raw!r} is not {noun}") from None
     if kind is int and value < min(1, default):
         raise ConfigError(f"[{section}] {key} must be >= {min(1, default)}, got {value}")
+    if value > _CAPS.get(key, value):
+        raise ConfigError(f"[{section}] {key} must be <= {_CAPS[key]}, got {value}")
     if kind is float and not (math.isfinite(value) and value > 0):
         raise ConfigError(f"[{section}] {key} must be a positive finite number")
     return value
@@ -583,10 +590,12 @@ _STAGE_NEEDS = {
 class CheckRunner:
     """Executes the per-command check stages against one config."""
 
-    def __init__(self, cfg: ExperimentConfig, command: str, negative: bool):
+    def __init__(self, cfg: ExperimentConfig, command: str, negative: bool,
+                 sweep: bool = False):
         self.cfg = cfg
         self.command = command
         self.negative = negative
+        self.sweep = sweep  # whether the report renders the eigenvalue sweep
         self.rng = _Uniforms(cfg.seed)
         self.report = Report(
             command=command,
@@ -906,7 +915,8 @@ class CheckRunner:
                     f"{sampling['u_count']} spectral samples"
                 ),
             )
-        self._build_sweep()
+        if self.sweep:
+            self._build_sweep()
 
     def _build_sweep(self):
         """Eigenvalue sweep over a monotone grid of spectral parameters."""
@@ -960,10 +970,11 @@ class CheckRunner:
         return self.report
 
 
-def run(command: str, cfg: ExperimentConfig, negative_control: bool = False) -> Report:
+def run(command: str, cfg: ExperimentConfig, negative_control: bool = False,
+        sweep: bool = False) -> Report:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    return CheckRunner(cfg, command, negative_control).run()
+    return CheckRunner(cfg, command, negative_control, sweep).run()
 
 
 # --------------------------------------------------------------------------
@@ -1120,7 +1131,8 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("--seed must be a non-negative integer")
             cfg.seed = args.seed
-        report = run(args.command, cfg, negative_control=args.negative_control)
+        report = run(args.command, cfg, negative_control=args.negative_control,
+                     sweep=args.format == "csv")
         files = emit(report, args.format, args.out)
     except ConfigError as exc:
         print(f"ellgaudin: config error: {exc}", file=sys.stderr)

@@ -553,10 +553,10 @@ class TensorSpace:
 
 
 def _root_coords(rs: RootSystemData, weights) -> np.ndarray:
-    """Simple-root coordinates of weights (one per row, or a single one)."""
-    return np.linalg.solve(
-        rs.simple_roots.T.astype(complex), np.asarray(weights, dtype=complex).T
-    ).T
+    """Simple-root coordinates of weights (one per row, or a single one):
+    the pairings with the fundamental weights, the basis dual to the simple
+    roots."""
+    return np.asarray(weights, dtype=complex) @ rs.fundamental_weights.T
 
 
 def module_lowering(module: RepresentedModule) -> list:

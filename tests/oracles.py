@@ -300,6 +300,55 @@ def bethe_residual_direct(t, zs, weights, alphas, tau, nterms: int = 60):
     return np.array(out, dtype=complex)
 
 
+def bethe_equations_scalar(system, t):
+    """``BetheSystem.equations`` as a loop over Python numbers: the kernel
+    values of every row from one ``zeta11_coeffs`` call, then each row's
+    terms summed from 0j in a fixed order, the sites first, then the pairs
+    j < k in lexicographic order.  The reference that the library's array
+    assembly must match bit for bit."""
+    from ellgaudin.elliptic import zeta11_coeffs
+
+    stack = np.asarray(t, dtype=complex).tolist()
+    M, zs = system.M, system.problem.positions
+    alphas = np.reshape(system.alphas, (M, system.problem.rs.rank))
+    site_pairing = (alphas @ np.transpose(system.weights)).tolist()
+    root_pairing = (alphas @ alphas.T).tolist()
+    pairs = [(j, k) for j in range(M) for k in range(j + 1, M)]
+    args, signs = [], []
+    for roots in stack:
+        diffs = [roots[j] - roots[k] for j, k in pairs]
+        signs.append([-1.0 if (d.imag, d.real) < (0.0, 0.0) else 1.0 for d in diffs])
+        args += [tj - z for tj in roots for z in zs]
+        args += [s * d for s, d in zip(signs[-1], diffs)]
+    ze = zeta11_coeffs(args, system.problem.md, 1).tolist()
+    nsite = M * len(zs)
+    width = nsite + len(pairs)
+    out_res, out_jac = [], []
+    for r, row_signs in enumerate(signs):
+        sites = ze[r * width : r * width + nsite]
+        pair_values = ze[r * width + nsite : (r + 1) * width]
+        res = [0j] * M
+        jac = [[0j] * M for _ in range(M)]
+        for j, row in enumerate(site_pairing):
+            for pair, (value, slope) in zip(row, sites[j * len(zs) : (j + 1) * len(zs)]):
+                res[j] += pair * value
+                jac[j][j] += pair * slope
+        for (j, k), sign, (value, slope) in zip(pairs, row_signs, pair_values):
+            pair = root_pairing[j][k]
+            value = pair * (sign * value)
+            slope = pair * slope
+            res[j] -= value
+            res[k] += value
+            jac[j][j] -= slope
+            jac[k][k] -= slope
+            jac[j][k] += slope
+            jac[k][j] += slope
+        out_res.append(res)
+        out_jac.append(jac)
+    return (np.array(out_res, dtype=complex).reshape(len(stack), M),
+            np.array(out_jac, dtype=complex).reshape(len(stack), M, M))
+
+
 def newton_per_seed(system, t0, tol, max_iter):
     """One seed's damped Newton iteration on ``system.equations``, seed by
     seed with a single solve per step: the reference for the lockstep

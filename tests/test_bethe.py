@@ -44,6 +44,7 @@ from ellgaudin.gaudin import (
 from ellgaudin.liealg import build_dual_verma, build_root_system
 
 from oracles import (
+    bethe_equations_scalar,
     bethe_residual_direct,
     bethe_solve_per_seed,
     bethe_vector_bruteforce_a1,
@@ -173,6 +174,52 @@ def test_equations_raise_on_pole_collision():
     sysb = make_system([0.5, 0.5], depth=3)
     with pytest.raises(EllipticError):
         sysb.equations([[Z2[0]]])
+
+
+BETHE_CONFIGS = [
+    path for path in sorted([*CONFIGS.glob("*.ini"), *PROBES.glob("*.ini")])
+    if "[bethe]" in path.read_text(encoding="utf-8")
+]
+
+
+def same_bits(got, want) -> bool:
+    """Equal arrays, compared as integers, so that signed zeros and NaN
+    payloads count."""
+    return got.shape == want.shape and np.array_equal(
+        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64)
+    )
+
+
+@pytest.mark.parametrize("path", BETHE_CONFIGS, ids=lambda path: path.name)
+def test_equations_match_the_scalar_loop_bit_for_bit(path):
+    # the array assembly multiplies and adds as the loop over Python
+    # numbers does, in its order; the Halton stacks skip point 0, whose
+    # roots coincide
+    system = load_config(str(path)).system
+    for count in (1, 2, 7, 256):
+        points = system._seed_points(count + 1)[1:]
+        got, want = system.equations(points), bethe_equations_scalar(system, points)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.4), complex(0.3, np.inf)])
+def test_equations_refuse_a_nan_or_inf_row_as_the_scalar_loop_does(bad):
+    # the kernel refuses the row, without a warning from the assembly
+    # (the suite runs under -W error); alone, every other row gets the
+    # scalar loop's bits, and the bad one NaN
+    system = load_config(str(PROBES / "a1_dual_verma_m10.ini")).system
+    points = system._seed_points(8)[1:]
+    points[3, 2] = bad
+    with pytest.raises(OverflowError):
+        system.equations(points)
+    with pytest.raises(OverflowError):
+        bethe_equations_scalar(system, points)
+    res, jac, errors = system._evaluate(points)
+    assert [r for r, error in enumerate(errors) if error is not None] == [3]
+    assert np.isnan(res[3]).all() and np.isnan(jac[3]).all()
+    rows = [0, 1, 2, 4, 5, 6]
+    want = bethe_equations_scalar(system, points[rows])
+    assert same_bits(res[rows], want[0]) and same_bits(jac[rows], want[1])
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,32 @@ def test_site_keys_are_read_off_the_keys_given(tmp_path):
             load_config(path)
 
 
+@pytest.mark.parametrize(
+    "section,key,cap",
+    [("sampling", "elliptic_points", 100_000), ("sampling", "sweep_points", 100_000),
+     ("bethe", "n_seeds", 4096)],
+)
+def test_huge_counts_are_refused_by_key_and_cap(tmp_path, capsys, section, key, cap):
+    # a count that would fill memory with samples or seeds, or run for
+    # hours, is refused at load whatever the format: exit 2 naming the key
+    # and its cap, with work bounded by the config, not by the count
+    text = (CONFIGS / "a1_bethe_m1.ini").read_text(encoding="utf-8") + "\n[sampling]\n"
+    text = re.sub(f"\n{key} = .*", "", text)
+    at_cap = write_config(tmp_path, text.replace(f"[{section}]\n", f"[{section}]\n{key} = {cap}\n"))
+    assert getattr(load_config(at_cap), section)[key] == cap
+    path = write_config(tmp_path, text.replace(f"[{section}]\n", f"[{section}]\n{key} = 3000000000\n"))
+    for fmt in ("json-lines", "csv"):
+        tracemalloc.start()
+        try:
+            assert main(["full-verify", "--config", path, "--format", fmt]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        err = capsys.readouterr().err
+        assert f"[{section}] {key} must be <= {cap}, got 3000000000" in err
+
+
 def test_sites_coincide_mod_lattice(tmp_path):
     path = write_config(tmp_path, MINIMAL_SITES.replace(
         "z_2 = 0.41+0.2i", "z_2 = 1.13"

@@ -322,7 +322,7 @@ def test_eigenvector_check_builds_the_vector_once_per_point(monkeypatch):
     assert len(u) == len(H) == len(hs) * len(us)
 
 
-def eigen_stage_counts(monkeypatch, tmp_path, max_solutions, cartan_count):
+def eigen_stage_counts(monkeypatch, tmp_path, max_solutions, cartan_count, sweep=False):
     text = (CONFIGS / "a1_bethe_m2.ini").read_text(encoding="utf-8")
     path = tmp_path / f"eigen{max_solutions}{cartan_count}.ini"
     path.write_text(
@@ -330,7 +330,7 @@ def eigen_stage_counts(monkeypatch, tmp_path, max_solutions, cartan_count):
         + f"\n[sampling]\ncartan_count = {cartan_count}\n",
         encoding="utf-8",
     )
-    runner = CheckRunner(load_config(str(path)), "eigen-check", False)
+    runner = CheckRunner(load_config(str(path)), "eigen-check", False, sweep)
     runner.stage_bethe()
     counted = [
         count_calls(monkeypatch, BetheSystem, "vector_jet"),
@@ -349,11 +349,21 @@ def eigen_stage_counts(monkeypatch, tmp_path, max_solutions, cartan_count):
 
 
 def test_eigen_stage_work_does_not_grow_with_solutions_or_points(monkeypatch, tmp_path):
-    # one vector_jet, one transfer, one apply and one eigenvalue call, plus
-    # the sweep's eigenvalue call, however many solutions and Cartan
-    # points the stage checks; theta calls stay as few
+    # one vector_jet, one transfer, one apply and one eigenvalue call,
+    # however many solutions and Cartan points the stage checks; theta
+    # calls stay as few.  Without a CSV report there is no sweep
     few = eigen_stage_counts(monkeypatch, tmp_path, 1, 1)
     many = eigen_stage_counts(monkeypatch, tmp_path, 4, 5)
+    assert few[0] == 1 < many[0]
+    assert few[1] == many[1]
+    assert few[1][:4] == (1, 1, 1, 1)
+
+
+def test_eigen_stage_sweep_adds_one_eigenvalue_call(monkeypatch, tmp_path):
+    # a report that renders the sweep takes it from one more eigenvalue
+    # call, however many solutions and Cartan points the stage checks
+    few = eigen_stage_counts(monkeypatch, tmp_path, 1, 1, sweep=True)
+    many = eigen_stage_counts(monkeypatch, tmp_path, 4, 5, sweep=True)
     assert few[0] == 1 < many[0]
     assert few[1] == many[1]
     assert few[1][:4] == (1, 1, 1, 2)
@@ -484,7 +494,9 @@ def eigen_stage_peak(tmp_path, max_solutions, cartan_count):
         + f"\n[sampling]\ncartan_count = {cartan_count}\n",
         encoding="utf-8",
     )
-    runner = CheckRunner(load_config(str(path)), "eigen-check", False)
+    # the stage as a CSV run takes it, sweep included, as the bounds below
+    # were measured
+    runner = CheckRunner(load_config(str(path)), "eigen-check", False, True)
     runner.stage_bethe()
     runner.system._vector_plan()
     tracemalloc.start()
