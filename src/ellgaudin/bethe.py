@@ -166,10 +166,9 @@ class BetheSystem:
         self._gather = np.concatenate(
             [np.arange(M * N).reshape(M, N), np.take_along_axis(pair, partner, 1)], axis=1
         ).T
-        signs = np.ones((M, self._gather.shape[0], 4))
-        signs[:, N:, :2] = np.where(partner > np.arange(M)[:, None], -1.0, 1.0)[..., None]
-        signs[:, N:, 2:] = -1.0
-        self._signs = signs.transpose(1, 0, 2).copy()
+        self._signs = np.ones(self._gather.shape + (4,))
+        self._signs[N:, :, :2] = np.where(partner.T > np.arange(M), -1.0, 1.0)[..., None]
+        self._signs[N:, :, 2:] = -1.0
         # the outputs from the sums (residual m at 2 m, Jacobian diagonal
         # entry at 2 m + 1) and the pairs' slopes (from 2 M on)
         jac = np.where(np.eye(M, dtype=bool), 2 * np.arange(M) + 1, pair + (2 - N) * M)

@@ -3,10 +3,13 @@
 import functools
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ellgaudin import liealg
+from ellgaudin.cli import load_config
 from ellgaudin.liealg import (
     LieAlgebraError,
     RepresentedModule,
@@ -15,6 +18,7 @@ from ellgaudin.liealg import (
     build_irrep,
     build_root_system,
     min_dual_verma_depth,
+    module_lowering,
     normalized_form,
     root_budget,
 )
@@ -524,3 +528,31 @@ def test_root_budget_accepts_any_complex_split():
     c = 0.37 + 0.11j
     alpha = A1.simple_roots[0]
     assert list(root_budget(A1, [c * alpha, (1 - c) * alpha])) == [1]
+
+
+@pytest.mark.parametrize("rs", [A1, A2, A3], ids=["A1", "A2", "A3"])
+def test_fundamental_weights_are_dual_to_the_simple_roots(rs):
+    # so the simple-root coordinates of a weight are its pairings with the
+    # fundamental weights, with no linear solve
+    assert maxabs(rs.simple_roots @ rs.fundamental_weights.T - np.eye(rs.rank)) < 1e-15
+
+
+def test_lowering_and_budget_agree_with_a_linear_solve_on_every_config(monkeypatch):
+    # every site of every config: the rounded coordinates are those of a
+    # solve in the simple-root basis
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(root.glob("configs/*.ini")) + sorted(root.glob("tests/data/*.ini"))
+    problems = [p for p in (load_config(str(path)).problem for path in paths) if p is not None]
+
+    def coordinates():
+        return [
+            ([module_lowering(mod) for mod in p.modules],
+             root_budget(p.rs, [mod.highest_weight for mod in p.modules]).tolist())
+            for p in problems
+        ]
+
+    got = coordinates()
+    monkeypatch.setattr(liealg, "_root_coords", lambda rs, weights: np.linalg.solve(
+        rs.simple_roots.T.astype(complex), np.asarray(weights, dtype=complex).T
+    ).T)
+    assert got == coordinates()

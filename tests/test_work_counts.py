@@ -349,24 +349,16 @@ def eigen_stage_counts(monkeypatch, tmp_path, max_solutions, cartan_count, sweep
 
 
 def test_eigen_stage_work_does_not_grow_with_solutions_or_points(monkeypatch, tmp_path):
-    # one vector_jet, one transfer, one apply and one eigenvalue call,
+    # one vector_jet, one transfer, one apply and one eigenvalue call, plus
+    # the sweep's eigenvalue call where the report renders the sweep (CSV),
     # however many solutions and Cartan points the stage checks; theta
-    # calls stay as few.  Without a CSV report there is no sweep
-    few = eigen_stage_counts(monkeypatch, tmp_path, 1, 1)
-    many = eigen_stage_counts(monkeypatch, tmp_path, 4, 5)
-    assert few[0] == 1 < many[0]
-    assert few[1] == many[1]
-    assert few[1][:4] == (1, 1, 1, 1)
-
-
-def test_eigen_stage_sweep_adds_one_eigenvalue_call(monkeypatch, tmp_path):
-    # a report that renders the sweep takes it from one more eigenvalue
-    # call, however many solutions and Cartan points the stage checks
-    few = eigen_stage_counts(monkeypatch, tmp_path, 1, 1, sweep=True)
-    many = eigen_stage_counts(monkeypatch, tmp_path, 4, 5, sweep=True)
-    assert few[0] == 1 < many[0]
-    assert few[1] == many[1]
-    assert few[1][:4] == (1, 1, 1, 2)
+    # calls stay as few
+    for sweep in (False, True):
+        few = eigen_stage_counts(monkeypatch, tmp_path, 1, 1, sweep)
+        many = eigen_stage_counts(monkeypatch, tmp_path, 4, 5, sweep)
+        assert few[0] == 1 < many[0]
+        assert few[1] == many[1]
+        assert few[1][:4] == (1, 1, 1, 1 + sweep)
 
 
 @pytest.mark.parametrize("rank", [1, 2])
