@@ -7,7 +7,8 @@ solver that runs all its quasi-random seeds in lockstep, the eigenvector,
 and the closed-form eigenvalue, together with a residual check that the
 vector is an eigenvector of the transfer operator.  Every function takes
 its root points as an (S, M) stack, one row per point, and gives each row
-what it gets alone.  The eigenvector is computed on array jets: its site
+what it gets alone, its fault included, so one evaluation serves every
+seed of a Newton round.  The eigenvector is computed on array jets: its site
 brackets by a Held-Karp recursion over root subsets, for all basis
 indices at once, and its components by contracting the brackets site by
 site over the root subsets used.
@@ -22,9 +23,10 @@ from itertools import count, product as _iproduct
 import numpy as np
 
 from .elliptic import (
-    EllipticError,
+    POLE,
     Jet,
     _cauchy_table,
+    _raise_fault,
     array_jet_product,
     jet_indices,
     lattice_distance,
@@ -83,13 +85,12 @@ def halton_points(count: int, dim: int) -> np.ndarray:
         candidate += 1
     pts = np.zeros((count, dim))
     for j, b in enumerate(bases):
-        for i in range(count):
-            f, x, k = 1.0, 0.0, i
-            while k > 0:
-                f /= b
-                x += f * (k % b)
-                k //= b
-            pts[i, j] = x
+        # digit by digit over all points; a point out of digits adds 0.0
+        f, k = 1.0, np.arange(count)
+        while k.any():
+            f /= b
+            pts[:, j] += f * (k % b)
+            k //= b
     return pts
 
 
@@ -201,7 +202,9 @@ class BetheSystem:
 
     def equations(self, t):
         """Residual vectors and Jacobians of the Bethe system at the rows of
-        the (S, M) stack t, shapes (S, M) and (S, M, M).
+        the (S, M) stack t, shapes (S, M) and (S, M, M), and each row's
+        fault, the highest of its zeta arguments' (``zeta11_coeffs``), or
+        0, shape (S,); a row with a fault holds NaN.
 
         res_j = sum_i (a_j|lam_i) zeta(t_j - z_i)
                 - sum_{k != j} (a_j|a_k) zeta(t_j - t_k).
@@ -210,25 +213,26 @@ class BetheSystem:
         pair of roots, at whichever of +-(t_j - t_k) comes first in the
         order (Im, Re) from above, which keeps the residual exactly
         covariant under relabelling the roots.  The M N + M (M - 1) / 2
-        arguments of every row go to one kernel call, whose rows do not
-        depend on the batch around them.  The rest is array work over the
-        whole stack that gives each entry the bits of a scalar loop:
-        products as Python multiplies complex numbers (``_product``), and
-        each residual and Jacobian diagonal entry summed in sequence from
-        +0.0, its sites first, then its pairs in increasing partner order,
-        with ``np.add.accumulate``, which never adds pairwise.  Each
-        off-diagonal entry is +0.0 plus its pair's slope.
+        arguments of every row go to one kernel call, whose rows neither
+        depend on the batch around them nor fail with it.  The rest is
+        array work over the whole stack that gives each entry the bits of a
+        scalar loop: products as Python multiplies complex numbers
+        (``_product``), and each residual and Jacobian diagonal entry summed
+        in sequence from +0.0, its sites first, then its pairs in increasing
+        partner order, with ``np.add.accumulate``, which never adds
+        pairwise.  Each off-diagonal entry is +0.0 plus its pair's slope.
         """
         t = np.asarray(t, dtype=complex)
         count, (j, k) = len(t), self._pair_ends
         width, nsite = len(self._pairing), self.M * len(self.problem.positions)
-        with np.errstate(invalid="ignore"):  # rows with NaN or inf go to the kernel to refuse
+        with np.errstate(invalid="ignore"):  # the kernel names a NaN or inf row's fault
             d = t[:, j] - t[:, k]
             # -1 where (Im, Re) < (0, 0), as a complex factor (s, 0.0)
             sign = np.where(np.where(d.imag == 0, d.real, d.imag) < 0, -1 + 0j, 1 + 0j)
             sites = (t[:, :, None] - np.asarray(self.problem.positions)).reshape(count, nsite)
             args = np.concatenate([sites, _product(sign, d)], axis=1)
-        ze = zeta11_coeffs(args.ravel(), self.problem.md, 1).reshape(count, width, 2)
+        ze, faults = zeta11_coeffs(args.ravel(), self.problem.md, 1)
+        ze, fault = ze.reshape(count, width, 2), faults.reshape(count, width).max(axis=1, initial=0)
         ze[:, nsite:, 0] = _product(sign, ze[:, nsite:, 0])
         terms = _product(self._pairing, ze)
         # (count, terms, M, 4): value and slope, real and imaginary parts
@@ -236,7 +240,8 @@ class BetheSystem:
         gathered[:, 0] += 0.0  # each sum starts from +0.0, as 0j + x does
         sums = np.add.accumulate(gathered, axis=1)[:, -1].view(complex).reshape(count, -1)
         out = np.concatenate([sums, terms[:, nsite:, 1] + 0.0], axis=1).take(self._layout, axis=1)
-        return out[:, : self.M], out[:, self.M :].reshape(count, self.M, self.M)
+        out[fault > 0] = np.nan
+        return out[:, : self.M], out[:, self.M :].reshape(count, self.M, self.M), fault
 
     # -- solver ------------------------------------------------------------
 
@@ -257,47 +262,6 @@ class BetheSystem:
         gaps = np.concatenate([sites, t[:, j] - t[:, k]], axis=1)
         return np.any(lattice_distance(gaps, self.problem.md) < guard, axis=1)
 
-    def _evaluate(self, points):
-        """``equations`` at every row of the (S, M) stack points, with per
-        row the EllipticError or OverflowError its evaluation raised, or
-        None; the rows that raised hold NaN.
-
-        One call serves every row unless one of them raises; then each row
-        is evaluated alone, so that one seed's failure neither fails nor
-        changes another's result.
-        """
-        try:
-            res, jac = self.equations(points)
-            return res, jac, [None] * len(points)
-        except (EllipticError, OverflowError):
-            pass
-        res = np.full(points.shape, np.nan, dtype=complex)
-        jac = np.full(points.shape + (self.M,), np.nan, dtype=complex)
-        errors = [None] * len(points)
-        for r in range(len(points)):
-            try:
-                res[r : r + 1], jac[r : r + 1] = self.equations(points[r : r + 1])
-            except (EllipticError, OverflowError) as exc:
-                errors[r] = exc
-        return res, jac, errors
-
-    @staticmethod
-    def _newton_steps(jac, res) -> list:
-        """J^-1 res for each row of the (S, M, M) and (S, M) stacks, None
-        where J is singular: one stacked solve, or a solve per row when a
-        Jacobian of the stack is singular."""
-        try:
-            return list(np.linalg.solve(jac, res[..., None])[..., 0])
-        except np.linalg.LinAlgError:
-            pass
-        steps = []
-        for jac_row, res_row in zip(jac, res):
-            try:
-                steps.append(np.linalg.solve(jac_row, res_row))
-            except np.linalg.LinAlgError:
-                steps.append(None)
-        return steps
-
     def _lockstep(self, points, tol, max_iter) -> list:
         """Damped Newton from every row of the (S, M) stack points: per
         seed, the BetheSolution it reaches, or None.
@@ -306,30 +270,31 @@ class BetheSystem:
         damp = 1, 1/2, 1/4, ... for up to 25 candidates t - damp step; the
         first whose residual norm falls below the best so far is accepted,
         any once that best is under 1e-9, and a candidate near a pole only
-        halves damp.  A seed fails when its first evaluation raises, a
-        candidate overflows (the step diverged), its Jacobian is singular,
+        halves damp.  A seed fails when its first evaluation has a fault, a
+        candidate any other (the step diverged), its Jacobian is singular,
         its line search runs out or it has taken max_iter steps.  It
         converges once its norm is under tol, after at most max_iter steps.
 
         The seeds advance in lockstep, the ones that begin a step and the
         ones that search a step each a boolean mask over the seed axis:
         each round evaluates the candidates of every searching seed, in
-        seed order, in one ``equations`` call, and the seeds that begin a
-        step take it from one stacked solve.  Both give every row what it
-        would get alone, so each seed follows its own path.
+        seed order, in one ``equations`` call with a fault per row, and the
+        seeds that begin a step take it from one stacked solve.  Both give
+        every row what it would get alone, so each seed follows its own
+        path.
         """
         count = len(points)
         out = [None] * count
         if not count:
             return out
         t = points.copy()
-        res, jac, errors = self._evaluate(t)
+        res, jac, fault = self.equations(t)
         best = np.max(np.abs(res), axis=-1)
         iteration = np.ones(count, dtype=int)
         damp = np.ones(count)
         tries = np.zeros(count, dtype=int)
         step = np.zeros_like(t)
-        starting = np.array([error is None for error in errors])
+        starting = fault == 0
         searching = np.zeros(count, dtype=bool)
         while starting.any() or searching.any():
             done = starting & (best < tol)
@@ -337,27 +302,26 @@ class BetheSystem:
                 out[i] = BetheSolution(t[i].copy(), float(best[i]), int(iteration[i]) - 1)
             stepping = np.flatnonzero(starting & ~done & (iteration <= max_iter))
             if len(stepping):
-                steps = self._newton_steps(jac[stepping], res[stepping])
-                taken = [r for r, row in enumerate(steps) if row is not None]
-                fresh = stepping[taken]
-                step[fresh] = [steps[r] for r in taken]
+                # one solve over the J with no zero LU pivot: LAPACK's getrf
+                # decides both, so slogdet's sign is 0 where solve finds J singular
+                with np.errstate(invalid="ignore"):  # a NaN J, which solve steps to NaN
+                    fresh = stepping[np.linalg.slogdet(jac[stepping])[0] != 0]
+                step[fresh] = np.linalg.solve(jac[fresh], res[fresh][..., None])[..., 0]
                 damp[fresh], tries[fresh], searching[fresh] = 1.0, 0, True
             if not searching.any():
                 break
             (live,) = np.nonzero(searching)
             cand = t[live] - damp[live, None] * step[live]
-            res_c, jac_c, errors = self._evaluate(cand)
+            res_c, jac_c, fault = self.equations(cand)
             norm_c = np.max(np.abs(res_c), axis=-1)
-            clean = np.array([error is None for error in errors])
-            # theta's factor overflowed: the step diverged, and the seed is dropped
-            diverged = np.array([isinstance(error, OverflowError) for error in errors])
-            accepted = clean & ((norm_c < best[live]) | (best[live] < 1e-9))
+            accepted = (fault == 0) & ((norm_c < best[live]) | (best[live] < 1e-9))
             moved = live[accepted]
             t[moved], res[moved], jac[moved], best[moved] = (
                 cand[accepted], res_c[accepted], jac_c[accepted], norm_c[accepted]
             )
             iteration[moved] += 1
-            retry = live[~accepted & ~diverged]
+            # a candidate near a pole halves damp; any other fault drops the seed
+            retry = live[~accepted & ((fault == 0) | (fault == POLE))]
             damp[retry] /= 2
             tries[retry] += 1
             starting[:], searching[:] = False, False
@@ -583,14 +547,16 @@ class BetheSystem:
 
         One kernel call takes (zeta, zeta') at z_i - u for the sites, then
         at t_j - u for the roots, for every solution, u, Cartan direction
-        and the rho term; each u's sums are their own matrix products, the
-        same whatever the array around it.
+        and the rho term, raising the first fault; each u's sums are their
+        own matrix products, the same whatever the array around it.
         """
         t, us = (np.asarray(x, dtype=complex) for x in (t, u))
         zs = self.problem.positions
         args = np.concatenate([np.broadcast_to(zs, (len(t), len(zs))), t], axis=1)
         diffs = args[:, None, :] - us[:, :, None]
-        ze = zeta11_coeffs(diffs.ravel(), self.problem.md, 1).reshape(diffs.shape + (2,))
+        ze, faults = zeta11_coeffs(diffs.ravel(), self.problem.md, 1)
+        _raise_fault(faults, diffs.ravel(), self.problem.md)
+        ze = ze.reshape(diffs.shape + (2,))
         bars = ze[..., None, :, 0] @ self._charges
         rho = np.asarray(self.problem.rs.rho, dtype=complex)
         # d/du zeta(x - u) = -zeta'(x - u)
@@ -640,18 +606,20 @@ class BetheSystem:
         count, l = len(ts), self.problem.rs.rank
         points, spectral = hs.shape[1], us.shape[1]
         entries = hs.reshape(count * points, l)
-        owner = np.repeat(np.arange(count), points)
         eigs = self.eigenvalue(ts, us)
-        norms, rels = [], {}
+        # per entry e, of solution e // points: norm, residual, whether checked
+        norms = np.empty(len(entries))
+        rels = np.zeros(len(entries))
+        checked = np.zeros(len(entries), dtype=bool)
         for part in pass_slices(len(entries), _PASS_BYTES // self._entry_bytes(spectral)):
             # the transfer operator is second order
-            psi = self.vector_jet(ts[owner[part]], entries[part], 2)
+            psi = self.vector_jet(ts[part // points], entries[part], 2)
             sizes = np.max(np.abs(psi.value), axis=-1)
-            norms += sizes.tolist()
-            live = [k for k, size in enumerate(sizes) if not size < tiny] if spectral else []
-            if not live:
+            norms[part] = sizes
+            live = np.flatnonzero(~(sizes < tiny)) if spectral else []
+            if not len(live):
                 continue
-            whose = owner[part[live]]
+            whose = part[live] // points
             lanes = np.repeat(live, spectral)
             # the operator is dropped before the next pass builds its own
             operator = self.problem.transfer(us[whose].reshape(-1), entries[part[lanes]])
@@ -660,15 +628,13 @@ class BetheSystem:
             lhs = lhs.reshape(len(live), spectral, -1)
             gap = np.abs(lhs - eigs[whose][..., None] * psi.value[live][:, None])
             rel = np.max(gap, axis=-1) / sizes[live][:, None]
-            rels.update(zip(part[live].tolist(), np.max(rel, axis=1)))
-        results = []
-        for s in range(count):
-            max_rel, min_norm, seen_nonzero = 0.0, math.inf, False
-            for e in range(s * points, (s + 1) * points):
-                min_norm = min(min_norm, norms[e])
-                if e in rels:
-                    seen_nonzero = True
-                    max_rel = np.maximum(max_rel, rels[e])
-            status = "ok" if seen_nonzero else "inconclusive"
-            results.append({"max_rel": float(max_rel), "min_norm": min_norm, "status": status})
-        return results
+            rels[part[live]] = np.max(rel, axis=1)
+            checked[part[live]] = True
+        # per solution; the smallest norm skips NaN, as Python's min from inf does
+        norms, rels, checked = (x.reshape(count, points) for x in (norms, rels, checked))
+        return [
+            {"max_rel": float(np.max(rel[seen], initial=0.0)),
+             "min_norm": float(np.fmin.reduce(norm, initial=math.inf)),
+             "status": "ok" if seen.any() else "inconclusive"}
+            for norm, rel, seen in zip(norms, rels, checked)
+        ]

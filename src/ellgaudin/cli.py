@@ -48,6 +48,8 @@ from .bethe import BetheError, BetheSystem
 from .elliptic import (
     EllipticError,
     ModularData,
+    _pole_check,
+    _raise_fault,
     lattice_distance,
     theta11,
     theta11_coeffs,
@@ -498,9 +500,17 @@ def _w_on(pairs, md: ModularData) -> np.ndarray:
     ``w_kernel``, for each (c, z) of ``pairs``, arrays or scalars broadcast
     together, their values concatenated, from one theta call."""
     cs, zs = map(np.concatenate, zip(*(np.broadcast_arrays(c, z) for c, z in pairs)))
-    tz, tzc, tc = theta11_coeffs(np.concatenate([zs, zs - cs, -cs]), md)[:, 0].reshape(3, -1)
+    args = np.concatenate([zs, zs - cs, -cs])
+    tz, tzc, tc = _pole_check(theta11_coeffs(args, md), args, md)[:, 0].reshape(3, -1)
     # theta(z - c) / theta(z) first: at large Im tau each is far from 1
     return theta11_prime_at_zero(md) * (tzc / tz) / tc
+
+
+def _zeta_values(zs, md: ModularData) -> np.ndarray:
+    """zeta11 at each z of the array zs, from one call; raises the first fault."""
+    coeffs, faults = zeta11_coeffs(zs, md)
+    _raise_fault(faults, zs, md)
+    return coeffs[:, 0]
 
 
 def _contour_error(coeffs: dict, expected: dict) -> float:
@@ -700,8 +710,8 @@ class CheckRunner:
         base, cbase = np.array(zs), np.array(cs)
         shifted = [base + shift for shift in (0, 1, md.tau)]
         points = np.concatenate(shifted)
-        th = theta11_coeffs(points, md)[:, 0].reshape(3, n)
-        ze = zeta11_coeffs(points, md)[:, 0].reshape(3, n)
+        th = _pole_check(theta11_coeffs(points, md), points, md)[:, 0].reshape(3, n)
+        ze = _zeta_values(points, md).reshape(3, n)
         wv = _w_on([(cbase, x) for x in shifted], md).reshape(3, n)
         factor = -np.exp(-1j * math.pi * md.tau - TWO_PI_I * base)
         worst = {
@@ -726,7 +736,7 @@ class CheckRunner:
         (n1, m1), _ = md.basis
         r0 = _contour_radius(abs(n1 + m1 * md.tau))
         ring = _ring(0, r0)
-        zeta = zeta11_coeffs(ring, md)[:, 0]
+        zeta = _zeta_values(ring, md)
         w_z, w_c = _w_on([(cs[0], ring), (ring, zs[0])], md).reshape(2, -1)
         pole_res = np.max([
             _contour_error(_contour_coeffs(vals, r0), {-1: target})
@@ -763,8 +773,8 @@ class CheckRunner:
             ]
         rings = np.concatenate(z_rings)
         per_point = np.concatenate([
-            theta11_coeffs(rings, md)[:, 0].reshape(-1, 1, _CONTOUR_POINTS),
-            zeta11_coeffs(rings, md)[:, 0].reshape(-1, 1, _CONTOUR_POINTS),
+            _pole_check(theta11_coeffs(rings, md), rings, md)[:, 0].reshape(-1, 1, _CONTOUR_POINTS),
+            _zeta_values(rings, md).reshape(-1, 1, _CONTOUR_POINTS),
             _w_on(w_pairs, md).reshape(-1, 3, _CONTOUR_POINTS),
         ], axis=1)
         jet_res = 0.0
@@ -875,25 +885,20 @@ class CheckRunner:
         tol = self.cfg.tolerances["eigen_residual"]
         sampling = self.cfg.sampling
         note = ""
+        stack = np.array(self._solutions, dtype=complex)
         if self.negative:
+            if stack.shape[1] == 0:
+                raise ConfigError("--negative-control requires at least one Bethe root")
+            stack[:, 0] += 1e-3
             note = "roots deliberately perturbed by 1e-3 (negative control)"
         # every solution's samples first, in the order of the random stream,
-        # then one check for all of them
-        stack, h_points, u_points = [], [], []
-        for t in self._solutions:
-            roots = np.array(t, dtype=complex)
-            if self.negative:
-                if roots.size == 0:
-                    raise ConfigError(
-                        "--negative-control requires at least one Bethe root"
-                    )
-                roots = roots.copy()
-                roots[0] += 1e-3
-            h_points.append(self._cartan_points())
+        # each solution's as one array, then one check for all of them
+        h_points, u_points = [], []
+        for roots in stack:
+            h_points.append(np.array(self._cartan_points()))
             avoid = list(self.problem.positions) + list(roots)
-            u_points.append(self._spectral_points(avoid, sampling["u_count"]))
-            stack.append(roots)
-        results = system.verify_eigenvector(np.array(stack), h_points, u_points)
+            u_points.append(np.array(self._spectral_points(avoid, sampling["u_count"])))
+        results = system.verify_eigenvector(stack, h_points, u_points)
         for idx, result in enumerate(results):
             if result["status"] == "inconclusive":
                 # no eigenvector was checked, so the record cannot pass

@@ -411,8 +411,8 @@ def theta11_coeffs(zs, md: ModularData, order: int = 0) -> np.ndarray:
     multiply and one sum over a C-contiguous (rows, terms) array, which
     sums a row the same way whatever the batch.
 
-    Raises OverflowError where a term leaves the double range or an
-    argument is infinite; a NaN argument gives NaN coefficients.
+    Every row is computed, with NumPy's overflow and invalid-value errors
+    ignored; ``theta11_faults`` names the fault of a row that is not finite.
     """
     _check_order(order)
     count, _ = _term_plan(md, order)
@@ -422,39 +422,34 @@ def theta11_coeffs(zs, md: ModularData, order: int = 0) -> np.ndarray:
     zs = np.asarray(zs, dtype=complex)
     out = np.empty((len(zs), order + 1), dtype=complex)
     step = max(1, _BLOCK // (2 * count))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for start in range(0, len(zs), step):
-                rows = slice(start, start + step)
-                z0, m, n = reduce_to_cell(zs[rows], md)
-                mm = m * m
-                freq = _PI * np.add.outer(-2.0 * m, odd)
-                # the moduli e^{Re E_K}, in place
-                scale = freq * z0.imag[:, None]
-                np.subtract(base + (lift_re * mm)[:, None], scale, out=scale)
-                np.exp(scale, out=scale)
-                # the row's angle and sign (-1)^(m + n) times cis(2 pi x)^j
-                angles = np.empty((2, len(z0)))
-                np.multiply(2.0 * _PI, z0.real, out=angles[1])
-                angles[0] = lift_im * mm + ((0.5 - count) - m) * angles[1]
-                cis = np.empty((2, len(z0)), dtype=complex)
-                np.cos(angles, out=cis.real)
-                np.sin(angles, out=cis.imag)
-                terms = np.empty((len(z0), 2 * count), dtype=complex)
-                terms[:, 0] = cis[0] * (1.0 - 2.0 * ((m + n) % 2))
-                terms[:, 1:] = cis[1, :, None]
-                np.multiply.accumulate(terms, axis=1, out=terms)
-                terms *= phases
-                terms *= scale
-                out[rows, 0] = terms.sum(axis=1)
-                for k in range(1, order + 1):
-                    terms *= np.divide(freq, k, out=scale)
-                    out[rows, k] = terms.sum(axis=1)
-    except FloatingPointError as exc:
-        raise OverflowError(
-            f"theta11 leaves the double range at tau={md.tau} ({exc})"
-        ) from None
-    out *= 1j ** np.arange(order + 1)  # i^k from (i f_K)^k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(zs), step):
+            rows = slice(start, start + step)
+            z0, m, n = reduce_to_cell(zs[rows], md)
+            mm = m * m
+            freq = _PI * np.add.outer(-2.0 * m, odd)
+            # the moduli e^{Re E_K}, in place
+            scale = freq * z0.imag[:, None]
+            np.subtract(base + (lift_re * mm)[:, None], scale, out=scale)
+            np.exp(scale, out=scale)
+            # the row's angle and sign (-1)^(m + n) times cis(2 pi x)^j
+            angles = np.empty((2, len(z0)))
+            np.multiply(2.0 * _PI, z0.real, out=angles[1])
+            angles[0] = lift_im * mm + ((0.5 - count) - m) * angles[1]
+            cis = np.empty((2, len(z0)), dtype=complex)
+            np.cos(angles, out=cis.real)
+            np.sin(angles, out=cis.imag)
+            terms = np.empty((len(z0), 2 * count), dtype=complex)
+            terms[:, 0] = cis[0] * (1.0 - 2.0 * ((m + n) % 2))
+            terms[:, 1:] = cis[1, :, None]
+            np.multiply.accumulate(terms, axis=1, out=terms)
+            terms *= phases
+            terms *= scale
+            out[rows, 0] = terms.sum(axis=1)
+            for k in range(1, order + 1):
+                terms *= np.divide(freq, k, out=scale)
+                out[rows, k] = terms.sum(axis=1)
+        out *= 1j ** np.arange(order + 1)  # i^k from (i f_K)^k
     return out
 
 
@@ -465,7 +460,7 @@ def theta11(z: complex, md: ModularData, order: int = 0) -> Jet:
     satisfies theta11(z+1) = -theta11(z) and
     theta11(z+tau) = -exp(-pi*i*tau - 2*pi*i*z) * theta11(z).
     """
-    return Jet(1, order, theta11_coeffs([z], md, order)[0])
+    return Jet(1, order, _pole_check(theta11_coeffs([z], md, order), [z], md)[0])
 
 
 @lru_cache(maxsize=None)
@@ -479,7 +474,7 @@ def theta11_prime_at_zero(md: ModularData) -> complex:
     series does, once the nome e^{i pi tau} is no longer a normal double
     (Im tau > 225.5).
     """
-    value = complex(theta11_coeffs([0.0], md, 1)[0, 1])
+    value = complex(_pole_check(theta11_coeffs([0.0], md, 1), [0.0], md)[0, 1])
     odd, base, _ = _term_constants(md, 1)
     spread = float(np.sum(np.exp(base) * np.abs(_PI * odd)))
     if spread * _UNIT_ROUNDOFF > _CANCELLATION_LIMIT * abs(value):
@@ -490,20 +485,54 @@ def theta11_prime_at_zero(md: ModularData) -> complex:
     return value
 
 
-def _pole_check(values, zs, md: ModularData, argument: str):
-    """Raise :class:`PoleProximityError` at the first z of zs where theta11,
-    whose values at zs are given, vanishes to within POLE_FLOOR of
-    theta11'(0)."""
-    near = np.abs(values) < POLE_FLOOR * abs(theta11_prime_at_zero(md))
-    if near.any():
-        z = complex(np.asarray(zs)[np.argmax(near)])
+# Faults of a theta or zeta argument, as ranks: the highest of several is
+# the one an evaluation meets first.  Theta's series meets an OVERFLOW (a
+# finite argument's row leaves the double range) and an INFINITE argument,
+# the pole check a POLE, and zeta's quotient its own overflow, a QUOTIENT,
+# and a NAN argument.
+NAN, QUOTIENT, POLE, INFINITE, OVERFLOW = 1, 2, 3, 4, 5
+
+
+def theta11_faults(zs, values, floor: float) -> np.ndarray:
+    """The fault rank, or 0, of each argument zs from theta11's rows there:
+    POLE where |theta| < ``floor`` (POLE_FLOOR |theta11'(0)| where theta
+    divides, else 0), OVERFLOW where the row is not finite, and for a
+    non-finite z, INFINITE where the cell reduction meets its infinity (Im
+    z, or Re z beside a number), else NAN."""
+    out = np.where(np.abs(values[:, 0]) < floor, POLE, 0)
+    if not np.isfinite(values).all():  # a non-finite z gives a non-finite row
+        z = np.asarray(zs, dtype=complex)
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        infinite = np.isinf(z.imag) | (np.isinf(z.real) & ~np.isnan(z.imag))
+        out[bad] = np.where(np.isfinite(z), OVERFLOW, np.where(infinite, INFINITE, NAN))[bad]
+    return out
+
+
+def _raise_fault(faults, zs, md: ModularData, argument: str = "z"):
+    """Raise the first highest-ranked fault of the arguments zs, if any:
+    OverflowError, EllipticError if non-finite, or PoleProximityError."""
+    if not faults.any():
+        return
+    r = int(np.argmax(faults))
+    fault, z = faults[r], complex(np.asarray(zs)[r])
+    if fault == POLE:
         point = nearest_lattice_point(z, md)
         raise PoleProximityError(
             f"theta11 vanishes at {argument}={z}; nearest lattice point "
-            f"{point} (= {_lattice_label(point, md)})",
-            argument=argument,
-            nearest=point,
+            f"{point} (= {_lattice_label(point, md)})", argument=argument, nearest=point
         )
+    if fault in (INFINITE, NAN):
+        raise EllipticError(f"theta11 has a non-finite argument {z} at tau={md.tau}")
+    kernel = "zeta11" if fault == QUOTIENT else "theta11"
+    raise OverflowError(f"{kernel} leaves the double range at {z}, tau={md.tau}")
+
+
+def _pole_check(values, zs, md: ModularData, argument: str | None = None) -> np.ndarray:
+    """theta11's rows ``values`` at zs, once their fault is raised; a zero is
+    a pole only where theta divides, at the variable ``argument`` ('z', 'c')."""
+    floor = 0.0 if argument is None else POLE_FLOOR * abs(theta11_prime_at_zero(md))
+    _raise_fault(theta11_faults(zs, values, floor), zs, md, argument)
+    return values
 
 
 def _lattice_label(point: complex, md: ModularData) -> str:
@@ -532,26 +561,27 @@ def _series_reciprocal(den: np.ndarray) -> np.ndarray:
     return _series_quotient(one, den)
 
 
-def zeta11_coeffs(zs, md: ModularData, order: int = 0) -> np.ndarray:
+def zeta11_coeffs(zs, md: ModularData, order: int = 0) -> tuple:
     """Taylor coefficients of zeta11 = theta11'/theta11 to the given order at
     every z of the 1-D array zs, one row per argument, as the series
-    quotient of theta's coefficients.  Raises :class:`PoleProximityError`
-    near the lattice, and OverflowError where theta or the quotient leaves
-    the double range."""
+    quotient of theta's coefficients, and each argument's fault: theta's,
+    as a divisor, else QUOTIENT where the quotient is not finite.  A row
+    with a fault holds NaN."""
     _check_order(order)
     zs = np.asarray(zs, dtype=complex)
     a = theta11_coeffs(zs, md, order + 1)
-    _pole_check(a[:, 0], zs, md, "z")
-    # 2^-e, e the exponent of a0's larger part, keeps each row near 1 and,
-    # as a power of two, leaves its quotient unchanged to the bit
-    _, e = np.frexp(np.maximum(abs(a[:, 0].real), abs(a[:, 0].imag)))
-    a = a * np.ldexp(1.0, -e)[:, None]
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            # theta' has the coefficients (k + 1) a[k + 1]
-            return _series_quotient(a[:, 1:] * np.arange(1, order + 2), a)
-    except FloatingPointError as exc:
-        raise OverflowError(f"zeta11 overflows at tau={md.tau} ({exc})") from None
+    faults = theta11_faults(zs, a, POLE_FLOOR * abs(theta11_prime_at_zero(md)))
+    with np.errstate(all="ignore"):
+        # 2^-e, e the exponent of a0's larger part, keeps each row near 1
+        # and, as a power of two, leaves its quotient unchanged to the bit
+        _, e = np.frexp(np.maximum(abs(a[:, 0].real), abs(a[:, 0].imag)))
+        a = a * np.ldexp(1.0, -e)[:, None]
+        # theta' has the coefficients (k + 1) a[k + 1]
+        out = _series_quotient(a[:, 1:] * np.arange(1, order + 2), a)
+    if not np.isfinite(out).all():
+        faults[(faults == 0) & ~np.isfinite(out).all(axis=1)] = QUOTIENT
+    out[faults > 0] = np.nan
+    return out, faults
 
 
 def zeta11(z: complex, md: ModularData, order: int = 0) -> Jet:
@@ -559,9 +589,11 @@ def zeta11(z: complex, md: ModularData, order: int = 0) -> Jet:
 
     Quasi-periodic: zeta11(z+1) = zeta11(z) and
     zeta11(z+tau) = zeta11(z) - 2*pi*i; simple pole with residue 1 at
-    lattice points.  Raises :class:`PoleProximityError` near the lattice.
+    lattice points.  Raises the fault of z (``_raise_fault``).
     """
-    return Jet(1, order, zeta11_coeffs([z], md, order)[0])
+    coeffs, faults = zeta11_coeffs([z], md, order)
+    _raise_fault(faults, [z], md)
+    return Jet(1, order, coeffs[0])
 
 
 def w_kernel(c: complex, z: complex, md: ModularData, order: int = 0) -> Jet:
@@ -578,9 +610,9 @@ def w_kernel(c: complex, z: complex, md: ModularData, order: int = 0) -> Jet:
     _check_order(order)
     c = complex(c)
     z = complex(z)
-    th = theta11_coeffs([z, -c, z - c], md, order)
-    _pole_check(th[:1, 0], [z], md, "z")
-    _pole_check(th[1:2, 0], [-c], md, "c")
+    th = _pole_check(theta11_coeffs([z, -c, z - c], md, order), [z, -c, z - c], md)
+    _pole_check(th[:1], [z], md, "z")
+    _pole_check(th[1:2], [-c], md, "c")
     # theta(z - c), 1/theta(z) and 1/theta(-c) as functions of (c, z)
     rows = np.concatenate([th[2:], _series_reciprocal(th[:2])])
     num, inv_z, inv_c = linear_substitution_rows(rows, [(-1, 1), (0, 1), (-1, 0)]).T

@@ -54,10 +54,11 @@ _MAX_TRIES = 10_000
 _COMMUTE_PASS_BYTES = 768 << 10
 
 
-def pass_slices(count: int, step: int) -> list:
-    """range(count) cut into consecutive passes of step entries, at least 1."""
+def pass_slices(count: int, step: int):
+    """range(count) in consecutive passes of step entries, at least 1, lazily."""
     step = max(1, step)
-    return [np.arange(first, min(first + step, count)) for first in range(0, count, step)]
+    for first in range(0, count, step):
+        yield np.arange(first, min(first + step, count))
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +100,18 @@ def _kernel_series(c0s, xs, md: ModularData, order: int) -> np.ndarray:
     (c0s[i], xs[i]), from theta(x), theta(c0 + h) and theta(x - c0 - h).
 
     Theta takes one call for the distinct x, one for the distinct c0 and
-    one for the differences x - c0; x is pole-checked as the z argument of
-    w and c0 as the c argument.
+    one for the differences x - c0; each call's rows are checked by
+    ``_pole_check``, x as the z argument of w and c0 as the c argument.
     """
     c0s = np.asarray(c0s, dtype=complex)
     xs = np.asarray(xs, dtype=complex)
     ux, x_at = _distinct(xs)
     uc, c_at = _distinct(c0s)
-    tx = theta11_coeffs(ux, md)[:, 0]
-    _pole_check(tx, ux, md, "z")
-    tc = theta11_coeffs(uc, md, order)
-    _pole_check(tc[:, 0], -uc, md, "c")
-    shifted = theta11_coeffs(xs - c0s, md, order)
+    tx = _pole_check(theta11_coeffs(ux, md), ux, md, "z")
+    tc = _pole_check(theta11_coeffs(uc, md, order), -uc, md, "c")
+    shifted = _pole_check(theta11_coeffs(xs - c0s, md, order), xs - c0s, md)
     scale = _inverse_theta(tc, md)[c_at]
-    return _w_coeffs(shifted.T, scale.T, tx[x_at]).T
+    return _w_coeffs(shifted.T, scale.T, tx[x_at, 0]).T
 
 
 def _times_eye(jet: Jet, dim: int) -> np.ndarray:
@@ -260,7 +259,8 @@ def weyl_kac_pi(
     check_regular(rs, md, H[None])
     l = rs.rank
     roots = np.asarray(rs.positive_roots, dtype=complex)
-    th = theta11_coeffs(np.concatenate([[0.0], roots @ H]), md, max(order + 2, 3))
+    args = np.concatenate([[0.0], roots @ H])
+    th = _pole_check(theta11_coeffs(args, md, max(order + 2, 3)), args, md)
     rows = th[1:, : order + 3]
     k = np.arange(1, order + 3)
     # theta'/theta and theta''/theta at alpha(H) + h
@@ -465,9 +465,9 @@ class GaudinProblem:
         the positive roots, then x_bi - c_bk and x_bi + c_bk, each ordered
         by (b, k, i).  One kernel call takes each distinct x_bi and c_bk
         once, so lanes at one point share their alpha(H) values.  Each H_b
-        is checked for regularity, in order, and every x_bi and c_bk for a
-        pole.  Theta acts elementwise, so every lane's values are those it
-        gets alone."""
+        is checked for regularity, in order, and every argument by
+        ``_pole_check``, x_bi and c_bk for a pole.  Theta acts elementwise,
+        so every lane's values are those it gets alone."""
         H = np.asarray(H, dtype=complex)
         if len(H) != len(us):
             raise GaudinError(
@@ -479,10 +479,11 @@ class GaudinProblem:
         shifted = np.ravel([xs[:, None, :] - cs[:, :, None], xs[:, None, :] + cs[:, :, None]])
         heads = np.concatenate([xs.ravel(), cs.ravel()])
         distinct, at = _distinct(heads)
-        th = theta11_coeffs(np.concatenate([distinct, shifted]), self.md, max(order, 1))
+        args = np.concatenate([distinct, shifted])
+        th = _pole_check(theta11_coeffs(args, self.md, max(order, 1)), args, self.md)
         th = np.concatenate([th[at], th[len(distinct) :]])
-        _pole_check(th[: xs.size, 0], heads[: xs.size], self.md, "z")
-        _pole_check(th[xs.size : len(heads), 0], -heads[xs.size :], self.md, "c")
+        _pole_check(th[: xs.size], heads[: xs.size], self.md, "z")
+        _pole_check(th[xs.size : len(heads)], -heads[xs.size :], self.md, "c")
         return th
 
     def _contract(self, jets: np.ndarray) -> np.ndarray:

@@ -300,13 +300,31 @@ def bethe_residual_direct(t, zs, weights, alphas, tau, nterms: int = 60):
     return np.array(out, dtype=complex)
 
 
+def bethe_kernel_arguments(system, t) -> tuple:
+    """The zeta arguments of ``BetheSystem.equations`` at the rows of the
+    stack t, as Python numbers, row after row: t_j - z_i for every root and
+    site, then s (t_j - t_k) for the pairs j < k in lexicographic order,
+    s = -1 where (Im, Re) of t_j - t_k is below (0, 0); and the signs s of
+    every row."""
+    M, zs = system.M, system.problem.positions
+    pairs = [(j, k) for j in range(M) for k in range(j + 1, M)]
+    args, signs = [], []
+    for roots in np.asarray(t, dtype=complex).tolist():
+        diffs = [roots[j] - roots[k] for j, k in pairs]
+        signs.append([-1.0 if (d.imag, d.real) < (0.0, 0.0) else 1.0 for d in diffs])
+        args += [tj - z for tj in roots for z in zs]
+        args += [s * d for s, d in zip(signs[-1], diffs)]
+    return args, signs
+
+
 def bethe_equations_scalar(system, t):
     """``BetheSystem.equations`` as a loop over Python numbers: the kernel
-    values of every row from one ``zeta11_coeffs`` call, then each row's
-    terms summed from 0j in a fixed order, the sites first, then the pairs
-    j < k in lexicographic order.  The reference that the library's array
-    assembly must match bit for bit."""
-    from ellgaudin.elliptic import zeta11_coeffs
+    values of every row from one ``zeta11_coeffs`` call, which raises the
+    first fault among them, then each row's terms summed from 0j in a
+    fixed order, the sites first, then the pairs j < k in lexicographic
+    order.  The reference that the library's array assembly must match bit
+    for bit."""
+    from ellgaudin.elliptic import _raise_fault, zeta11_coeffs
 
     stack = np.asarray(t, dtype=complex).tolist()
     M, zs = system.M, system.problem.positions
@@ -314,13 +332,10 @@ def bethe_equations_scalar(system, t):
     site_pairing = (alphas @ np.transpose(system.weights)).tolist()
     root_pairing = (alphas @ alphas.T).tolist()
     pairs = [(j, k) for j in range(M) for k in range(j + 1, M)]
-    args, signs = [], []
-    for roots in stack:
-        diffs = [roots[j] - roots[k] for j, k in pairs]
-        signs.append([-1.0 if (d.imag, d.real) < (0.0, 0.0) else 1.0 for d in diffs])
-        args += [tj - z for tj in roots for z in zs]
-        args += [s * d for s, d in zip(signs[-1], diffs)]
-    ze = zeta11_coeffs(args, system.problem.md, 1).tolist()
+    args, signs = bethe_kernel_arguments(system, stack)
+    ze, faults = zeta11_coeffs(args, system.problem.md, 1)
+    _raise_fault(faults, args, system.problem.md)
+    ze = ze.tolist()
     nsite = M * len(zs)
     width = nsite + len(pairs)
     out_res, out_jac = [], []
@@ -349,15 +364,30 @@ def bethe_equations_scalar(system, t):
             np.array(out_jac, dtype=complex).reshape(len(stack), M, M))
 
 
+def equations_alone(system, t):
+    """``system.equations`` at the one point t, then the raising check of
+    the point's kernel arguments: zeta at all of them from one call, whose
+    first fault ``_raise_fault`` raises, as PoleProximityError near a pole,
+    OverflowError or EllipticError otherwise.  Returns (res, jac)."""
+    from ellgaudin.elliptic import _raise_fault, zeta11_coeffs
+
+    (res,), (jac,), _ = system.equations(np.asarray(t)[None])
+    args, _ = bethe_kernel_arguments(system, [t])
+    _raise_fault(zeta11_coeffs(args, system.problem.md, 1)[1], args, system.problem.md)
+    return res, jac
+
+
 def newton_per_seed(system, t0, tol, max_iter):
-    """One seed's damped Newton iteration on ``system.equations``, seed by
-    seed with a single solve per step: the reference for the lockstep
-    solver.  Returns (t, residual, iterations) or None."""
-    from ellgaudin.elliptic import EllipticError
+    """One seed's damped Newton iteration, seed by seed with a single
+    solve per step, each point evaluated alone by ``equations_alone``: the
+    reference for the lockstep solver.  A candidate near a pole halves the
+    damping, any other fault fails the seed.  Returns (t, residual,
+    iterations) or None."""
+    from ellgaudin.elliptic import EllipticError, PoleProximityError
 
     t = np.asarray(t0, dtype=complex)
     try:
-        (res,), (jac,) = system.equations(t[None])
+        res, jac = equations_alone(system, t)
     except (EllipticError, OverflowError):
         return None
     best = float(np.max(np.abs(res)))
@@ -372,11 +402,11 @@ def newton_per_seed(system, t0, tol, max_iter):
         for _ in range(25):
             cand = t - damp * step
             try:
-                (res_c,), (jac_c,) = system.equations(cand[None])
-            except EllipticError:
+                res_c, jac_c = equations_alone(system, cand)
+            except PoleProximityError:
                 damp /= 2
                 continue
-            except OverflowError:
+            except (EllipticError, OverflowError):
                 return None
             norm_c = float(np.max(np.abs(res_c)))
             if norm_c < best or best < 1e-9:
@@ -386,6 +416,23 @@ def newton_per_seed(system, t0, tol, max_iter):
         else:
             return None
     return (t, best, max_iter) if best < tol else None
+
+
+def halton_points_loop(count: int, dim: int) -> np.ndarray:
+    """The first ``count`` points of the unscrambled Halton sequence, point
+    by point: each radical inverse summed digit by digit from the least
+    significant one, as Python numbers."""
+    bases = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:dim]
+    pts = np.zeros((count, dim))
+    for j, b in enumerate(bases):
+        for i in range(count):
+            f, x, k = 1.0, 0.0, i
+            while k > 0:
+                f /= b
+                x += f * (k % b)
+                k //= b
+            pts[i, j] = x
+    return pts
 
 
 def same_bethe_solution(system, ta, tb, tol: float = 1e-8) -> bool:
@@ -889,7 +936,7 @@ def elliptic_stage_reference(md, zs, cs, jet_points: int) -> dict:
         return theta11_coeffs(x, md)[:, 0]
 
     def zeta(x):
-        return zeta11_coeffs(x, md)[:, 0]
+        return zeta11_coeffs(x, md)[0][:, 0]
 
     def w_on(c, z):
         c, z = np.broadcast_arrays(np.asarray(c, dtype=complex), np.asarray(z, dtype=complex))

@@ -29,6 +29,10 @@ from ellgaudin.bethe import (
 )
 from ellgaudin.cli import CheckRunner, load_config
 from ellgaudin.elliptic import (
+    INFINITE,
+    NAN,
+    OVERFLOW,
+    POLE,
     EllipticError,
     ModularData,
     PoleProximityError,
@@ -50,6 +54,8 @@ from oracles import (
     bethe_vector_bruteforce_a1,
     bethe_vector_reference,
     fd_multi,
+    halton_points_loop,
+    newton_per_seed,
     same_bethe_solution,
     verify_eigenvector_reference,
     w_direct,
@@ -117,7 +123,7 @@ def test_residual_zero_at_half_period_single_site():
     mods = dual_verma_sites([1.0], depth=3)
     prob = GaudinProblem(RS1, MD, [0.13 + 0.05j], mods)
     sysb = BetheSystem(prob)
-    res, _ = sysb.equations([[0.13 + 0.05j + 0.5]])
+    res, _, _ = sysb.equations([[0.13 + 0.05j + 0.5]])
     assert np.max(np.abs(res)) < 1e-12
 
 
@@ -125,7 +131,7 @@ def test_residual_zero_at_symmetric_midpoints():
     sysb = make_system([0.5, 0.5], depth=3)
     mid = (Z2[0] + Z2[1]) / 2
     for t in (mid, mid + 0.5):
-        res, _ = sysb.equations([[t]])
+        res, _, _ = sysb.equations([[t]])
         assert np.max(np.abs(res)) < 1e-12
 
 
@@ -133,7 +139,7 @@ def test_residual_matches_direct_series():
     c = 0.73 + 0.21j
     sysb = make_system([c, 2 - c])
     t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
-    (res,), _ = sysb.equations([t])
+    (res,), _, _ = sysb.equations([t])
     expect = bethe_residual_direct(
         t, Z2, [c * ALPHA, (2 - c) * ALPHA], [ALPHA, ALPHA], TAU
     )
@@ -144,7 +150,7 @@ def test_jacobian_matches_finite_differences():
     c = 0.73 + 0.21j
     sysb = make_system([c, 2 - c])
     t0 = np.array([0.21 + 0.13j, 0.52 + 0.4j])
-    _, (jac,) = sysb.equations([t0])
+    _, (jac,), _ = sysb.equations([t0])
     h = 1e-6
     for k in range(2):
         e = np.zeros(2, dtype=complex)
@@ -158,22 +164,27 @@ def test_residual_permutation_covariance():
     sysb = make_system([c, 2 - c])
     t = np.array([0.21 + 0.13j, 0.52 + 0.4j])
     points = np.array([t, t[::-1], [0.37 + 0.61j, 0.05 + 0.29j]])
-    res, jac = sysb.equations(points)
+    res, jac, _ = sysb.equations(points)
     assert res.shape == (3, 2) and jac.shape == (3, 2, 2)
     assert np.max(np.abs(res[0] - res[1, ::-1])) == 0.0
-    # every row of a stack is its one-row call, bit for bit, which the
-    # retry of a failing row alone needs; rows 0 and 1 take the root
-    # pair's zeta at opposite signs
+    # every row of a stack is its one-row call, bit for bit, so a row's
+    # numbers do not depend on which seeds share its Newton round; rows 0
+    # and 1 take the root pair's zeta at opposite signs
     for r in range(len(points)):
-        one_res, one_jac = sysb.equations(points[r : r + 1])
+        one_res, one_jac, _ = sysb.equations(points[r : r + 1])
         assert one_res.tolist() == res[r : r + 1].tolist()
         assert one_jac.tolist() == jac[r : r + 1].tolist()
 
 
 def test_equations_raise_on_pole_collision():
+    # a root on a site is its row's pole fault, and the row holds NaN; the
+    # scalar loop, through the raising check, raises it
     sysb = make_system([0.5, 0.5], depth=3)
-    with pytest.raises(EllipticError):
-        sysb.equations([[Z2[0]]])
+    res, jac, fault = sysb.equations([[Z2[0]]])
+    assert fault.tolist() == [POLE]
+    assert np.isnan(res).all() and np.isnan(jac).all()
+    with pytest.raises(PoleProximityError):
+        bethe_equations_scalar(sysb, [[Z2[0]]])
 
 
 BETHE_CONFIGS = [
@@ -204,22 +215,64 @@ def test_equations_match_the_scalar_loop_bit_for_bit(path):
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.4), complex(0.3, np.inf)])
 def test_equations_refuse_a_nan_or_inf_row_as_the_scalar_loop_does(bad):
-    # the kernel refuses the row, without a warning from the assembly
-    # (the suite runs under -W error); alone, every other row gets the
-    # scalar loop's bits, and the bad one NaN
+    # the kernel names the row's non-finite root, without a warning from
+    # the assembly (the suite runs under -W error), and the scalar loop
+    # raises it; every other row of the one call gets the scalar loop's
+    # bits, and the bad one NaN
+    fault = NAN if np.isnan(bad.real) else INFINITE
     system = load_config(str(PROBES / "a1_dual_verma_m10.ini")).system
     points = system._seed_points(8)[1:]
     points[3, 2] = bad
-    with pytest.raises(OverflowError):
-        system.equations(points)
-    with pytest.raises(OverflowError):
+    with pytest.raises(EllipticError, match="non-finite argument"):
         bethe_equations_scalar(system, points)
-    res, jac, errors = system._evaluate(points)
-    assert [r for r, error in enumerate(errors) if error is not None] == [3]
+    res, jac, faults = system.equations(points)
+    assert faults.tolist() == [0, 0, 0, fault, 0, 0, 0]
     assert np.isnan(res[3]).all() and np.isnan(jac[3]).all()
     rows = [0, 1, 2, 4, 5, 6]
     want = bethe_equations_scalar(system, points[rows])
     assert same_bits(res[rows], want[0]) and same_bits(jac[rows], want[1])
+
+
+def test_equations_give_each_row_of_a_mixed_stack_its_own_fault():
+    # rows with a root far up the cell (theta overflows), on a site, NaN or
+    # infinite, and two faults at once: each row's fault is the one the
+    # scalar loop raises for that row alone, by the ranks of the elliptic
+    # faults (an overflow or an infinite root before a pole, a pole before
+    # a NaN), and a NaN or infinite root is named as non-finite.  One call
+    # takes them all, and every good row has the bits of its one-row call
+    system = load_config(str(PROBES / "a1_dual_verma_m10.ini")).system
+    z = system.problem.positions
+    points = system._seed_points(11)[1:]
+    nan, inf = complex(np.nan, 0.4), complex(0.3, np.inf)
+    points[1, 2] = 0.3 + 300j
+    points[2, 4] = z[0]
+    points[3, 2] = nan
+    points[4, 2] = inf
+    points[5, 1], points[5, 3] = z[1], nan
+    points[6, 1], points[6, 3] = z[1], inf
+    points[7, 1], points[7, 3] = z[0], 0.3 + 300j
+    points[8, 2] = complex(np.inf, np.nan)
+    want = [0, OVERFLOW, POLE, NAN, INFINITE, POLE, INFINITE, OVERFLOW, NAN, 0]
+    raised = {
+        OVERFLOW: (OverflowError, "theta11 leaves the double range"),
+        POLE: (PoleProximityError, "theta11 vanishes"),
+        NAN: (EllipticError, "non-finite argument"),
+        INFINITE: (EllipticError, "non-finite argument"),
+    }
+    res, jac, faults = system.equations(points)
+    assert faults.tolist() == want
+    for r, fault in enumerate(want):
+        one = system.equations(points[r : r + 1])
+        assert one[2].tolist() == [fault]
+        assert same_bits(res[r : r + 1], one[0]) and same_bits(jac[r : r + 1], one[1])
+        if fault:
+            assert np.isnan(res[r]).all() and np.isnan(jac[r]).all()
+            error, message = raised[fault]
+            with pytest.raises(error, match=message):
+                bethe_equations_scalar(system, points[r : r + 1])
+        else:
+            want_res, want_jac = bethe_equations_scalar(system, points[r : r + 1])
+            assert same_bits(one[0], want_res) and same_bits(one[1], want_jac)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +331,15 @@ def test_halton_matches_scipy_bitwise():
     for d in range(1, 9):
         ref = qmc.Halton(d=d, scramble=False).random(256)
         assert np.array_equal(halton_points(256, d), ref), d
+
+
+@pytest.mark.parametrize("count, dim", [(1, 2), (48, 6), (257, 20), (4096, 24)])
+def test_halton_points_match_the_point_by_point_loop_bit_for_bit(count, dim):
+    # digit by digit over all points at once, each radical inverse summed
+    # in the loop's order; 4,096 points in 24 dimensions are the n_seeds
+    # cap at M = 12
+    got, want = halton_points(count, dim), halton_points_loop(count, dim)
+    assert same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -695,23 +757,13 @@ def rank2_overflow_system():
     return BetheSystem(GaudinProblem(RS2, MD, Z2, mods), assignment=(0, 0, 1))
 
 
-def test_newton_overflow_fails_only_its_seed():
-    # From some of these seeds a Newton step diverges until theta11's
-    # quasi-periodicity factor overflows; that seed fails, the rest solve.
+def test_newton_overflow_fails_only_its_seed(monkeypatch):
+    # From some of these seeds a Newton step diverges until theta11
+    # overflows; that seed fails, the rest solve.
     sysb = rank2_overflow_system()
-    overflows = []
-    equations = sysb.equations
-
-    def counted(t):
-        try:
-            return equations(t)
-        except OverflowError:
-            overflows.append(t)
-            raise
-
-    sysb.equations = counted
+    calls = record_faults(monkeypatch, sysb)
     sols = sysb.solve(n_seeds=48)
-    assert overflows
+    assert any(OVERFLOW in faults for _, faults in calls)
     assert sols
     for sol in sols:
         res = bethe_residual_direct(sol.t, Z2, sysb.weights, sysb.alphas, TAU)
@@ -733,22 +785,33 @@ def assert_solves_as_per_seed(sysb, sols, **kwargs):
     ]
 
 
-def record_errors(monkeypatch, owner, error, name="equations"):
-    """Wrap owner.name, by default a system's equations, to record the
-    first argument of every call that raises ``error``: a stack of points
-    or of Jacobians."""
-    seen = []
-    original = getattr(owner, name)
+def record_faults(monkeypatch, sysb):
+    """Wrap the system's equations to record, per call, its stack of
+    points and the fault of each row."""
+    calls = []
+    equations = sysb.equations
 
-    def recorded(*args):
-        try:
-            return original(*args)
-        except error:
-            seen.append(np.asarray(args[0]))
-            raise
+    def recorded(t):
+        out = equations(t)
+        calls.append((np.asarray(t), out[2].tolist()))
+        return out
 
-    monkeypatch.setattr(owner, name, recorded)
-    return seen
+    monkeypatch.setattr(sysb, "equations", recorded)
+    return calls
+
+
+def reference_rounds(sysb, points) -> int:
+    """The Newton rounds of a lockstep solve from the seeds points: the
+    most evaluations that one seed takes alone in the per-seed reference,
+    counted as its ``equations`` calls."""
+    equations, most = sysb.equations, 0
+    for seed in points:
+        calls = []
+        sysb.equations = lambda t, calls=calls: calls.append(t) or equations(t)
+        newton_per_seed(sysb, seed, 1e-12, 200)
+        most = max(most, len(calls))
+    sysb.equations = equations
+    return most
 
 
 @pytest.mark.parametrize(
@@ -768,53 +831,70 @@ def test_lockstep_solve_matches_per_seed_reference_on_configs(name):
 
 
 def test_lockstep_solve_matches_per_seed_reference_past_an_overflow(monkeypatch):
+    # one call per round, 29 of them: the one round with a fault holds 9
+    # seeds, one of whose candidates overflows and is dropped, while the
+    # other 8 go on from the same call
     sysb = rank2_overflow_system()
-    overflows = record_errors(monkeypatch, sysb, OverflowError)
+    rounds = reference_rounds(sysb, sysb.screened_seeds(48))
+    calls = record_faults(monkeypatch, sysb)
     sols = sysb.solve(n_seeds=48)
-    # the round's batched call raised, then the seed's row alone
-    assert [len(t) > 1 for t in overflows] == [True, False]
+    assert len(calls) == rounds == 29
+    assert [(len(t), faults.count(OVERFLOW)) for t, faults in calls if any(faults)] == [(9, 1)]
     assert_solves_as_per_seed(sysb, sols, n_seeds=48)
 
 
 def test_lockstep_matches_reference_from_an_overflowing_seed(monkeypatch):
     sysb = rank2_overflow_system()
     seeds = sysb._seed_points(18)[12:]
-    overflows = record_errors(monkeypatch, sysb, OverflowError)
+    rounds = reference_rounds(sysb, sysb.screened_seeds(seeds=seeds))
+    calls = record_faults(monkeypatch, sysb)
     sols = sysb.solve(seeds=seeds)
-    assert [len(t) > 1 for t in overflows] == [True, False]
+    assert len(calls) == rounds
+    assert [(len(t), faults) for t, faults in calls if any(faults)] == [(2, [OVERFLOW, 0])]
     assert_solves_as_per_seed(sysb, sols, seeds=seeds)
 
 
 def test_lockstep_matches_reference_through_a_pole_proximity_damping(monkeypatch):
     # the full Newton step from this seed lands on the site z_2 to within
-    # 6e-16, so that candidate raises and the halved step is tried next;
-    # the other seeds ride in the same rounds
+    # 6e-16, so that candidate's row is near a pole and the halved step is
+    # tried next; the other seeds ride in the same rounds, one call each
     sysb = make_system([0.62 + 0.05j, 0.38 - 0.05j])
     pole_seed = np.array([0.6487186910430601 + 0.8574726121154863j])
     seeds = np.concatenate([[pole_seed], sysb._seed_points(8)])
-    near_poles = record_errors(monkeypatch, sysb, PoleProximityError)
+    rounds = reference_rounds(sysb, sysb.screened_seeds(seeds=seeds))
+    calls = record_faults(monkeypatch, sysb)
     sols = sysb.solve(seeds=seeds)
-    assert [len(t) > 1 for t in near_poles] == [True, False]
-    assert abs(near_poles[1][0, 0] - Z2[1]) < 1e-12
+    assert len(calls) == rounds
+    near_poles = [(t, faults) for t, faults in calls if any(faults)]
+    assert [(len(t), faults.count(POLE)) for t, faults in near_poles] == [(9, 1)]
+    t, faults = near_poles[0]
+    assert abs(t[faults.index(POLE), 0] - Z2[1]) < 1e-12
     assert_solves_as_per_seed(sysb, sols, seeds=seeds)
 
 
 def test_lockstep_matches_reference_past_a_singular_jacobian(monkeypatch):
-    # the Jacobian at one seed is zeroed, so the stacked solve of the first
-    # round raises and every seed of it is solved alone: that seed fails
+    # the Jacobian at one seed is zeroed, so the first round's one stacked
+    # solve leaves that seed out, and it fails; no solve raises
     sysb = make_system([0.62 + 0.05j, 0.38 - 0.05j])
     seeds = sysb._seed_points(8)
     equations = sysb.equations
 
     def singular_at_seed_3(t):
-        res, jac = equations(t)
+        res, jac, fault = equations(t)
         jac[np.all(t == seeds[3], axis=1)] = 0.0
-        return res, jac
+        return res, jac, fault
 
     sysb.equations = singular_at_seed_3
-    singular = record_errors(monkeypatch, np.linalg, np.linalg.LinAlgError, "solve")
+    rounds = reference_rounds(sysb, sysb.screened_seeds(seeds=seeds))
+    calls = record_faults(monkeypatch, sysb)
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a) or solve(a, b))
     sols = sysb.solve(seeds=seeds)
-    assert [a.shape for a in singular] == [(len(seeds), 1, 1), (1, 1)]
+    assert len(calls) == rounds
+    assert len(solves) < len(calls)
+    assert solves[0].shape == (len(seeds) - 1, 1, 1)
+    assert not any((a == 0).all(axis=(1, 2)).any() for a in solves)
     assert_solves_as_per_seed(sysb, sols, seeds=seeds)
 
 

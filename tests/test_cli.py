@@ -821,6 +821,25 @@ def test_inconclusive_eigen_check_fails_and_exits_1(monkeypatch, capsys):
         assert record["note"] == "inconclusive: eigenvector vanished at all samples"
 
 
+@pytest.mark.parametrize("command, stage", [("commute-check", "commute"), ("eigen-check", "eigen")])
+def test_a_non_finite_kernel_argument_is_named_in_the_error_note(monkeypatch, command, stage):
+    # a NaN spectral parameter reaches theta in the commute stage and zeta
+    # in the eigen stage: the stage's error record names the non-finite
+    # argument, not an overflow, and the run exits 1
+    spectral = CheckRunner._spectral_points
+
+    def with_nan(self, avoid, count):
+        points = list(spectral(self, avoid, count))
+        points[0] = complex(np.nan, 0.3)
+        return points
+
+    monkeypatch.setattr(CheckRunner, "_spectral_points", with_nan)
+    report = run(command, load_config(str(CONFIGS / "a1_bethe_m1.ini")))
+    failed = [r for r in report.records if not r.passed]
+    assert [r.name for r in failed] == [f"{stage}/error"]
+    assert failed[0].note.startswith("EllipticError: theta11 has a non-finite argument")
+
+
 @pytest.mark.parametrize("command", ["eigen-check", "full-verify"])
 def test_failed_bethe_stage_is_solved_once_and_recorded_once(monkeypatch, command):
     # the eigen stage checks what the Bethe stage found; after a Bethe

@@ -11,6 +11,12 @@ from hypothesis import strategies as st
 
 from ellgaudin import elliptic
 from ellgaudin.elliptic import (
+    INFINITE,
+    NAN,
+    OVERFLOW,
+    POLE,
+    QUOTIENT,
+    EllipticError,
     ModularData,
     PoleProximityError,
     Jet,
@@ -24,6 +30,7 @@ from ellgaudin.elliptic import (
     theta11,
     theta11_coeffs,
     theta11_prime_at_zero,
+    theta11_faults,
     w_kernel,
     zeta11,
     zeta11_coeffs,
@@ -434,18 +441,20 @@ def jtheta_row(mp, tau, z, order):
 
 @pytest.mark.parametrize("tau", BATCH_TAUS)
 def test_batched_theta_matches_mpmath_jtheta(tau):
-    # out-of-cell arguments whose value leaves the double range must raise
-    # OverflowError; each of them is taken alone, since one such argument
-    # fails the whole call
+    # out-of-cell arguments whose value leaves the double range are the
+    # overflow fault of their rows, in one call with the rest, and raise
+    # OverflowError through the raising check
     mp = pytest.importorskip("mpmath")
     md = ModularData(tau)
     batch = mixed_batch(md)
     refs = [jtheta_row(mp, tau, z, 3) for z in batch]
     fits = np.array([ref is not None for ref in refs])
     assert fits.sum() >= 8
+    faults = theta11_faults(batch, theta11_coeffs(batch, md, 0), 0.0)
+    assert faults.tolist() == np.where(fits, 0, OVERFLOW).tolist()
     for z in batch[~fits]:
         with pytest.raises(OverflowError):
-            theta11_coeffs([z], md, 0)
+            theta11(z, md, 0)
     for order in range(4):
         rows = theta11_coeffs(batch[fits], md, order)
         assert rows.shape == (fits.sum(), order + 1)
@@ -459,17 +468,20 @@ def test_batched_theta_matches_mpmath_jtheta(tau):
 def test_theta_kernel_matches_its_term_by_term_reference(tau):
     # the phase-recurrence kernel against the series summed term by term,
     # each term's phase from its own cosine and sine: within 1e-13 of each
-    # row's largest coefficient, and OverflowError on the same rows
+    # row's largest coefficient, and the overflow fault on the rows where
+    # the reference raises OverflowError
     md = ModularData(tau)
     for z in mixed_batch(md):
         for order in range(4):
+            rows = theta11_coeffs([z], md, order)
+            fault = theta11_faults([z], rows, 0.0).tolist()
             try:
                 want = theta11_coeffs_reference([z], md, order)[0]
             except OverflowError:
-                with pytest.raises(OverflowError):
-                    theta11_coeffs([z], md, order)
+                assert fault == [OVERFLOW]
                 continue
-            got = theta11_coeffs([z], md, order)[0]
+            assert fault == [0]
+            got = rows[0]
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -479,23 +491,19 @@ def test_batched_rows_match_arguments_taken_alone(tau):
     batch = mixed_batch(md, seed=43)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fits = []
-        for z in batch:
-            try:
-                theta11_coeffs([z], md)
-                fits.append(z)
-            except OverflowError:
-                pass
-        fits = np.array(fits)
+        fits = np.array([
+            z for z in batch if not theta11_faults([z], theta11_coeffs([z], md), 0.0).any()
+        ])
         for order in range(4):
             rows = theta11_coeffs(fits, md, order)
             for z, row in zip(fits, rows):
                 alone = theta11_coeffs([z], md, order)[0]
                 assert np.max(np.abs(row - alone)) <= 1e-15 * np.max(np.abs(alone))
             zs = [z for z in fits if lattice_distance(z, md) > 0.05]
-            rows = zeta11_coeffs(zs, md, order)
+            rows, faults = zeta11_coeffs(zs, md, order)
+            assert not faults.any()
             for z, row in zip(zs, rows):
-                alone = zeta11_coeffs([z], md, order)[0]
+                alone = zeta11_coeffs([z], md, order)[0][0]
                 assert np.max(np.abs(row - alone)) <= 1e-15 * np.max(np.abs(alone))
     assert theta11_coeffs([], md, 2).shape == (0, 3)
 
@@ -518,7 +526,7 @@ def test_a_folded_row_leaves_the_other_rows_bit_for_bit():
 def test_rows_across_blocks_equal_rows_taken_alone(monkeypatch, tau):
     # up to 600 rows: in the cell, up to 12 cells above or below it, and a
     # period to its left; the rows whose theta leaves the double range are
-    # left out, since one of them fails the whole call.  A block holds
+    # left out, since their values are not finite.  A block holds
     # about elliptic._BLOCK terms, so at 100i and 200i, whose series has
     # four, the rows fill one default block; blocks of 64 terms cut them
     # into many at every tau
@@ -531,13 +539,7 @@ def test_rows_across_blocks_equal_rows_taken_alone(monkeypatch, tau):
     shifts = rng.integers(-12, 13, 240)
     batch = np.concatenate([cell(240), cell(240) + shifts * md.tau, cell(120) - 1])
     rng.shuffle(batch)
-    fits = []
-    for z in batch:
-        try:
-            theta11_coeffs([z], md, 3)
-            fits.append(z)
-        except OverflowError:
-            pass
+    fits = [z for z in batch if not theta11_faults([z], theta11_coeffs([z], md, 3), 0.0).any()]
     # more than one block of 4,096 terms at 0.8i and 0.3+0.06i
     assert len(fits) > 300
     for block in (elliptic._BLOCK, 64):
@@ -553,26 +555,61 @@ def test_overflowing_zeta_raises_and_never_warns(order):
     # about 16 cells above the cell, theta's coefficients approach the
     # double range; zeta, about -100i there, stays finite wherever theta
     # does, since its quotient is taken of rows scaled by a power of two;
-    # where theta leaves the range, the error is one a Newton solve can
-    # catch, never a warning or a non-finite value
+    # where theta leaves the range, the row's fault is one a Newton solve
+    # reads, never a warning or an unnamed non-finite value
     outcomes = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for y in np.arange(13.3, 13.45, 0.001):
             z = 0.3 + y * 1j
-            try:
-                assert np.all(np.isfinite(theta11_coeffs([z], MD, order + 1)))
-            except OverflowError:
+            (fault,) = theta11_faults([z], theta11_coeffs([z], MD, order + 1), 0.0)
+            rows, (zeta_fault,) = zeta11_coeffs([z], MD, order)
+            if fault:
+                assert fault == zeta_fault == OVERFLOW and np.isnan(rows).all()
                 outcomes.append("theta")
                 continue
-            try:
-                assert np.all(np.isfinite(zeta11_coeffs([z], MD, order)))
-                outcomes.append("finite")
-            except OverflowError as exc:
-                assert "zeta11" in str(exc)
-                outcomes.append("zeta")
+            assert zeta_fault in (0, QUOTIENT)
+            assert np.all(np.isfinite(rows)) == (zeta_fault == 0)
+            outcomes.append("zeta" if zeta_fault else "finite")
     assert outcomes[0] == "finite" and outcomes[-1] == "theta"
     assert "zeta" not in outcomes
+
+
+def test_kernel_rows_report_their_own_faults():
+    # one call over good arguments, one whose theta overflows, lattice
+    # points, and non-finite ones: each row's fault is the one its
+    # argument alone raises through the raising check, the good rows have
+    # the bits of their one-row calls, and nothing warns.  An infinite
+    # part meets theta's series as an infinity, unless Im z is NaN, which
+    # makes the whole reduction NaN first
+    nan, inf = math.nan, math.inf
+    zs = np.array([
+        0.31 + 0.2j, 0.3 + 300j, 0j, MD.tau, complex(nan, 0.4), complex(0.3, inf),
+        complex(inf, nan), complex(nan, inf), 1.7 - 0.9j,
+    ])
+    want = [0, OVERFLOW, POLE, POLE, NAN, INFINITE, NAN, INFINITE, 0]
+    floor = elliptic.POLE_FLOOR * abs(theta11_prime_at_zero(MD))
+    errors = {OVERFLOW: OverflowError, POLE: PoleProximityError,
+              NAN: EllipticError, INFINITE: EllipticError}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        thetas = theta11_coeffs(zs, MD, 2)
+        zetas, faults = zeta11_coeffs(zs, MD, 1)
+        assert theta11_faults(zs, thetas, floor).tolist() == faults.tolist() == want
+        # where theta divides nothing, its zeros are no fault
+        assert theta11_faults(zs, thetas, 0.0).tolist() == [0 if f == POLE else f for f in want]
+        for z, fault, theta, zeta in zip(zs, want, thetas, zetas):
+            alone, (alone_fault,) = zeta11_coeffs([z], MD, 1)
+            assert alone_fault == fault
+            if not fault:
+                assert np.array_equal(theta, theta11_coeffs([z], MD, 2)[0])
+                assert np.array_equal(zeta, alone[0]) and np.all(np.isfinite(zeta))
+                continue
+            assert np.isnan(zeta).all()
+            with pytest.raises(errors[fault]) as exc:
+                zeta11(z, MD)
+            if fault in (NAN, INFINITE):
+                assert "non-finite argument" in str(exc.value)
 
 
 def test_zeta_far_above_the_cell_is_quasi_periodic():
@@ -581,23 +618,33 @@ def test_zeta_far_above_the_cell_is_quasi_periodic():
     z = 0.3 + 13.40j
     (z0,), (m,), (n,) = reduce_to_cell(np.array([z]), MD)
     assert (m, n) == (16, 0)
-    want = zeta11_coeffs([z0], MD)[0, 0] - 2j * math.pi * m
-    got = zeta11_coeffs([z], MD)[0, 0]
+    want = zeta11_coeffs([z0], MD)[0][0, 0] - 2j * math.pi * m
+    got = zeta11_coeffs([z], MD)[0][0, 0]
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("tau", [40j, 200j, 1.5 + 100j])
 def test_overflowing_theta_raises_and_never_warns(tau):
     # the factor of an argument three cells above the cell leaves the double
-    # range, and so does theta; an argument too far off the real axis or
-    # not finite is refused the same way, by an error and with no warning
+    # range, and so does theta; an argument too far off the real axis is
+    # the same overflow fault, and one that is not finite is named so: in
+    # the row's fault, beside a good row, and by the raising check's error,
+    # with no warning
     md = ModularData(tau)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for z in (0.3 + 3.5 * md.tau, 0.3 + 1e300j, complex(math.inf, 0.2)):
+        for z, fault, error in (
+            (0.3 + 3.5 * md.tau, OVERFLOW, OverflowError),
+            (0.3 + 1e300j, OVERFLOW, OverflowError),
+            (complex(math.inf, 0.2), INFINITE, EllipticError),
+        ):
             for order in (0, 2):
-                with pytest.raises(OverflowError):
-                    theta11_coeffs([0.2 + 0.3 * md.tau, z], md, order)
+                zs = [0.2 + 0.3 * md.tau, z]
+                rows = theta11_coeffs(zs, md, order)
+                assert theta11_faults(zs, rows, 0.0).tolist() == [0, fault]
+                assert np.all(np.isfinite(rows[0]))
+                with pytest.raises(error):
+                    theta11(z, md, order)
         # where the factor alone overflows but theta does not, the two
         # share one exponent
         for big, z in ((200j, 0.3 + 213j), (60j, 0.3 - 117j)):
