@@ -586,12 +586,12 @@ class BetheSystem:
         points ``h_points``, shape (S, P, l), and spectral parameters
         ``u_points``, shape (S, U), giving a list of S results.  An entry
         is one (solution, Cartan point):
-        - one ``eigenvalue`` call gives every solution's eigenvalues;
         - the entries go in passes of ``pass_slices``, all of them in one
           pass unless their arrays outgrow ``_PASS_BYTES``;
-        - per pass, one ``vector_jet`` call builds the Bethe vector of
-          every entry, at the transfer operator's order, since it does not
-          depend on u, and one transfer operator, batched over every
+        - per pass, one ``eigenvalue`` call gives the eigenvalues of the
+          pass's solutions, one ``vector_jet`` call builds the Bethe vector
+          of every entry, at the transfer operator's order, since it does
+          not depend on u, and one transfer operator, batched over every
           entry's spectral parameters with the entry's Cartan point paired
           in, is applied to the entries' jets in one ``apply``.  Entries
           whose vector is numerically zero are left out of it.
@@ -606,12 +606,14 @@ class BetheSystem:
         count, l = len(ts), self.problem.rs.rank
         points, spectral = hs.shape[1], us.shape[1]
         entries = hs.reshape(count * points, l)
-        eigs = self.eigenvalue(ts, us)
         # per entry e, of solution e // points: norm, residual, whether checked
         norms = np.empty(len(entries))
         rels = np.zeros(len(entries))
         checked = np.zeros(len(entries), dtype=bool)
         for part in pass_slices(len(entries), _PASS_BYTES // self._entry_bytes(spectral)):
+            # the pass's solutions' eigenvalues; a row is the same alone
+            first, last = part[0] // points, part[-1] // points + 1
+            eigs = self.eigenvalue(ts[first:last], us[first:last])
             # the transfer operator is second order
             psi = self.vector_jet(ts[part // points], entries[part], 2)
             sizes = np.max(np.abs(psi.value), axis=-1)
@@ -626,7 +628,7 @@ class BetheSystem:
             lhs = operator.apply(Jet(l, 2, psi.coeffs[:, lanes]))
             del operator
             lhs = lhs.reshape(len(live), spectral, -1)
-            gap = np.abs(lhs - eigs[whose][..., None] * psi.value[live][:, None])
+            gap = np.abs(lhs - eigs[whose - first][..., None] * psi.value[live][:, None])
             rel = np.max(gap, axis=-1) / sizes[live][:, None]
             rels[part[live]] = np.max(rel, axis=1)
             checked[part[live]] = True

@@ -1,12 +1,14 @@
 """Command-line front end: config ingestion, check orchestration, reports.
 
 ``COMMANDS`` maps each command onto its check stages: ``elliptic-check``
-exercises the theta-function kernels, ``describe-algebra`` the root-system
-tables, ``commute-check`` the family of transfer operators, ``bethe-solve``
-and ``eigen-check`` the Bethe ansatz layer, and ``full-verify`` chains all
-of them.  Runs are deterministic for a fixed config and seed; reports can
-be emitted as human-readable text, JSON lines (byte-stable) or CSV; only
-a CSV report renders the eigenvalue sweep, so only a CSV run computes it.
+exercises the theta-function kernels through the public ``theta11``,
+``zeta11`` and ``w_kernel``, one call per kernel per record group,
+``describe-algebra`` the root-system tables, ``commute-check`` the family
+of transfer operators, ``bethe-solve`` and ``eigen-check`` the Bethe
+ansatz layer, and ``full-verify`` chains all of them.  Runs are
+deterministic for a fixed config and seed; reports can be emitted as
+human-readable text, JSON lines (byte-stable) or CSV; only a CSV report
+renders the eigenvalue sweep, so only a CSV run computes it.
 
 ``SCHEMA`` holds every config section and key with its default; a value's
 parse rule follows its default's type, and ``echo_lines`` its order.  A
@@ -48,15 +50,11 @@ from .bethe import BetheError, BetheSystem
 from .elliptic import (
     EllipticError,
     ModularData,
-    _pole_check,
-    _raise_fault,
     lattice_distance,
     theta11,
-    theta11_coeffs,
     theta11_prime_at_zero,
     w_kernel,
     zeta11,
-    zeta11_coeffs,
 )
 from .gaudin import (
     GaudinError,
@@ -472,15 +470,17 @@ def _instance_digest(cfg: ExperimentConfig, command: str, negative: bool) -> str
 _CONTOUR_POINTS = 16
 
 
-def _contour_radius(distance: float) -> float:
-    return min(0.05, distance / 8)
+def _contour_radius(distance):
+    return np.minimum(0.05, distance / 8)
 
 
 _UNIT = np.exp(2j * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS)
 
 
-def _ring(z0: complex, r: float) -> np.ndarray:
-    return z0 + r * _UNIT
+def _ring(z0, r) -> np.ndarray:
+    """The contour |z - z0| = r along the last axis, per (z0, r) of scalars
+    or arrays broadcast together."""
+    return np.asarray(z0)[..., None] + np.asarray(r)[..., None] * _UNIT
 
 
 def _contour_coeffs(vals: np.ndarray, r: float) -> dict:
@@ -493,24 +493,6 @@ def _contour_coeffs(vals: np.ndarray, r: float) -> dict:
     peak = float(np.abs(vals).max())
     return {k: (vals @ _UNIT**-k / _CONTOUR_POINTS / r**k, peak / r**k)
             for k in (-1, 0, 1, 2)}
-
-
-def _w_on(pairs, md: ModularData) -> np.ndarray:
-    """w_c(z) = theta'(0) theta(z - c) / (theta(z) theta(-c)), the value of
-    ``w_kernel``, for each (c, z) of ``pairs``, arrays or scalars broadcast
-    together, their values concatenated, from one theta call."""
-    cs, zs = map(np.concatenate, zip(*(np.broadcast_arrays(c, z) for c, z in pairs)))
-    args = np.concatenate([zs, zs - cs, -cs])
-    tz, tzc, tc = _pole_check(theta11_coeffs(args, md), args, md)[:, 0].reshape(3, -1)
-    # theta(z - c) / theta(z) first: at large Im tau each is far from 1
-    return theta11_prime_at_zero(md) * (tzc / tz) / tc
-
-
-def _zeta_values(zs, md: ModularData) -> np.ndarray:
-    """zeta11 at each z of the array zs, from one call; raises the first fault."""
-    coeffs, faults = zeta11_coeffs(zs, md)
-    _raise_fault(faults, zs, md)
-    return coeffs[:, 0]
 
 
 def _contour_error(coeffs: dict, expected: dict) -> float:
@@ -667,7 +649,7 @@ class CheckRunner:
         lo, hi = max(guard, 0.05), 1 - max(guard, 0.05)
         xs = self.rng.uniform(lo, hi, size=count)
         ys = self.rng.uniform(lo, hi, size=count)
-        return [complex(x) + complex(y) * self.md.tau for x, y in zip(xs, ys)]
+        return xs + ys * self.md.tau
 
     def _spectral_points(self, avoid, count: int):
         """``count`` spectral parameters at least pole_guard from each point
@@ -707,13 +689,11 @@ class CheckRunner:
 
         # theta, zeta and w at z, z + 1 and z + tau, one kernel call per
         # function over all sample points and shifts
-        base, cbase = np.array(zs), np.array(cs)
-        shifted = [base + shift for shift in (0, 1, md.tau)]
-        points = np.concatenate(shifted)
-        th = _pole_check(theta11_coeffs(points, md), points, md)[:, 0].reshape(3, n)
-        ze = _zeta_values(points, md).reshape(3, n)
-        wv = _w_on([(cbase, x) for x in shifted], md).reshape(3, n)
-        factor = -np.exp(-1j * math.pi * md.tau - TWO_PI_I * base)
+        points = np.concatenate([zs + shift for shift in (0, 1, md.tau)])
+        th = theta11(points, md).value.reshape(3, n)
+        ze = zeta11(points, md).value.reshape(3, n)
+        wv = w_kernel(np.tile(cs, 3), points, md).value.reshape(3, n)
+        factor = -np.exp(-1j * math.pi * md.tau - TWO_PI_I * zs)
         worst = {
             "theta-period-1": _rel(th[1], -th[0]),
             "theta-period-tau": _rel(th[2], factor * th[0]),
@@ -721,7 +701,7 @@ class CheckRunner:
             "zeta-period-tau": float(np.max(np.abs(ze[2] - (ze[0] - TWO_PI_I))))
             / abs(TWO_PI_I),
             "w-period-1": _rel(wv[1], wv[0]),
-            "w-period-tau": _rel(wv[2], np.exp(TWO_PI_I * cbase) * wv[0]),
+            "w-period-tau": _rel(wv[2], np.exp(TWO_PI_I * cs) * wv[0]),
         }
         for key in sorted(worst):
             self._record(
@@ -736,8 +716,11 @@ class CheckRunner:
         (n1, m1), _ = md.basis
         r0 = _contour_radius(abs(n1 + m1 * md.tau))
         ring = _ring(0, r0)
-        zeta = _zeta_values(ring, md)
-        w_z, w_c = _w_on([(cs[0], ring), (ring, zs[0])], md).reshape(2, -1)
+        zeta = zeta11(ring, md).value
+        # (c, z) on the ring about z = 0, then on the ring about c = 0
+        c = np.stack(np.broadcast_arrays(cs[0], ring))
+        z = np.stack(np.broadcast_arrays(ring, zs[0]))
+        w_z, w_c = w_kernel(c, z, md).value
         pole_res = np.max([
             _contour_error(_contour_coeffs(vals, r0), {-1: target})
             for vals, target in ((zeta, 1), (w_z, 1), (w_c, -1))
@@ -751,40 +734,36 @@ class CheckRunner:
 
         # Jets against contour coefficients: theta and zeta in z, w in c, w
         # in z, and w along the diagonal (c + h, z + h), whose h^2
-        # coefficient is a20 + a11 + a02.  Every ring is built first; theta,
-        # zeta and w then take one call each for all of them.
-        jet_pairs = list(zip(zs[: self.cfg.sampling["jet_points"]], cs))
-        radii = [map(_contour_radius, lattice_distance(np.array(x), md).tolist())
-                 for x in zip(*jet_pairs)]
-        z_rings, w_pairs, expected = [], [], []
-        for (z, c), rz, rc in zip(jet_pairs, *radii):
-            jt = theta11(z, md, order=2).coeff
-            jz = zeta11(z, md, order=2).coeff
-            jw = w_kernel(c, z, md, 2).coeff
-            h = _ring(0, min(rz, rc))
-            z_rings.append(_ring(z, rz))
-            w_pairs += [(_ring(c, rc), z), (c, z_rings[-1]), (c + h, z + h)]
-            expected += [
-                (rz, {1: jt((1,)), 2: jt((2,))}),
-                (rz, {1: jz((1,)), 2: jz((2,))}),
-                (rc, {1: jw((1, 0)), 2: jw((2, 0))}),
-                (rz, {1: jw((0, 1)), 2: jw((0, 2))}),
-                (min(rz, rc), {2: jw((2, 0)) + jw((1, 1)) + jw((0, 2))}),
-            ]
-        rings = np.concatenate(z_rings)
-        per_point = np.concatenate([
-            _pole_check(theta11_coeffs(rings, md), rings, md)[:, 0].reshape(-1, 1, _CONTOUR_POINTS),
-            _zeta_values(rings, md).reshape(-1, 1, _CONTOUR_POINTS),
-            _w_on(w_pairs, md).reshape(-1, 3, _CONTOUR_POINTS),
-        ], axis=1)
-        jet_res = 0.0
-        for vals, (r, want) in zip(per_point.reshape(-1, _CONTOUR_POINTS), expected):
-            jet_res = np.maximum(jet_res, _contour_error(_contour_coeffs(vals, r), want))
+        # coefficient is a20 + a11 + a02.  Theta, zeta and w take one call
+        # each for the jets at every point and one for all the rings.
+        k = min(self.cfg.sampling["jet_points"], n)
+        z, c = zs[:k], cs[:k]
+        rz, rc = (_contour_radius(lattice_distance(x, md)) for x in (z, c))
+        rh = np.minimum(rz, rc)
+        jt = theta11(z, md, 2).coeff
+        jz = zeta11(z, md, 2).coeff
+        jw = w_kernel(c, z, md, 2).coeff
+        rings, h = _ring(z, rz), _ring(0, rh)
+        # (c, z) on the rings about c, about z and along the diagonal
+        cw = np.stack(np.broadcast_arrays(_ring(c, rc), c[:, None], c[:, None] + h))
+        zw = np.stack(np.broadcast_arrays(z[:, None], rings, z[:, None] + h))
+        w_c, w_z, w_h = w_kernel(cw, zw, md).value
+        families = [
+            (theta11(rings, md).value, rz, {1: jt((1,)), 2: jt((2,))}),
+            (zeta11(rings, md).value, rz, {1: jz((1,)), 2: jz((2,))}),
+            (w_c, rc, {1: jw((1, 0)), 2: jw((2, 0))}),
+            (w_z, rz, {1: jw((0, 1)), 2: jw((0, 2))}),
+            (w_h, rh, {2: jw((2, 0)) + jw((1, 1)) + jw((0, 2))}),
+        ]
+        jet_res = np.max([
+            _contour_error(_contour_coeffs(vals[i], r), {p: v[i] for p, v in want.items()})
+            for vals, radii, want in families for i, r in enumerate(radii.tolist())
+        ])
         self._record(
             "elliptic/jets-vs-contour",
             jet_res,
             tol_jets,
-            note=f"theta, zeta and w jets at {len(jet_pairs)} points",
+            note=f"theta, zeta and w jets at {k} points",
         )
 
     def stage_algebra(self):

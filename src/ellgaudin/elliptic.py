@@ -2,7 +2,8 @@
 
 Everything here is a function of a point on the curve C/(Z + tau*Z) with
 Im(tau) > 0.  Values are produced as truncated Taylor jets so that callers
-can differentiate analytically instead of by finite differences.
+can differentiate analytically instead of by finite differences;
+``theta11``, ``zeta11`` and ``w_kernel`` take arrays of arguments too.
 
 The theta series is one exponential sum: each argument is split into a
 point of the fundamental cell and a lattice shift, and the shift goes into
@@ -214,9 +215,11 @@ class Jet:
     jet_indices(nvars, total): entry p holds the Taylor coefficient
     d^m f / m! at the expansion point for the p-th multi-index m, a complex
     scalar or, along the further axes, a vector or a matrix (after a batch
-    axis where there is one).  The order is degree-sorted, so truncating is
-    taking a prefix; a stored prefix shorter than the scheme reads as zero
-    beyond it, so a constant is stored with length 1.
+    axis where there is one).  ``theta11``, ``zeta11`` and ``w_kernel`` at
+    an array of arguments put the arguments' axes after axis 0, one
+    expansion point per entry.  The order is degree-sorted, so truncating
+    is taking a prefix; a stored prefix shorter than the scheme reads as
+    zero beyond it, so a constant is stored with length 1.
 
     A jet only holds and reads its coefficients.  The arithmetic is on
     the arrays: ``array_jet_product``, ``linear_substitution_rows`` and
@@ -453,14 +456,17 @@ def theta11_coeffs(zs, md: ModularData, order: int = 0) -> np.ndarray:
     return out
 
 
-def theta11(z: complex, md: ModularData, order: int = 0) -> Jet:
-    """Jet of the odd Jacobi theta function at z.
+def theta11(z, md: ModularData, order: int = 0) -> Jet:
+    """Jet of the odd Jacobi theta function at z, a scalar or an array,
+    whose entry b (after axis 0) has the bits of theta11(z[b]).
 
     The function is entire, odd, vanishes exactly on the lattice, and
     satisfies theta11(z+1) = -theta11(z) and
     theta11(z+tau) = -exp(-pi*i*tau - 2*pi*i*z) * theta11(z).
     """
-    return Jet(1, order, _pole_check(theta11_coeffs([z], md, order), [z], md)[0])
+    z = np.asarray(z, dtype=complex)
+    rows = _pole_check(theta11_coeffs(z.ravel(), md, order), z.ravel(), md)
+    return Jet(1, order, rows.T.reshape((order + 1,) + z.shape))
 
 
 @lru_cache(maxsize=None)
@@ -584,37 +590,43 @@ def zeta11_coeffs(zs, md: ModularData, order: int = 0) -> tuple:
     return out, faults
 
 
-def zeta11(z: complex, md: ModularData, order: int = 0) -> Jet:
-    """Jet of the logarithmic derivative theta11'/theta11 at z.
+def zeta11(z, md: ModularData, order: int = 0) -> Jet:
+    """Jet of the logarithmic derivative theta11'/theta11 at z, a scalar or
+    an array, batched as ``theta11``'s.
 
     Quasi-periodic: zeta11(z+1) = zeta11(z) and
     zeta11(z+tau) = zeta11(z) - 2*pi*i; simple pole with residue 1 at
-    lattice points.  Raises the fault of z (``_raise_fault``).
+    lattice points.  Raises the first fault of z (``_raise_fault``).
     """
-    coeffs, faults = zeta11_coeffs([z], md, order)
-    _raise_fault(faults, [z], md)
-    return Jet(1, order, coeffs[0])
+    z = np.asarray(z, dtype=complex)
+    coeffs, faults = zeta11_coeffs(z.ravel(), md, order)
+    _raise_fault(faults, z.ravel(), md)
+    return Jet(1, order, coeffs.T.reshape((order + 1,) + z.shape))
 
 
-def w_kernel(c: complex, z: complex, md: ModularData, order: int = 0) -> Jet:
+def w_kernel(c, z, md: ModularData, order: int = 0) -> Jet:
     """Bivariate jet of the quasi-periodic kernel w_c(z), to total order
-    ``order``.
+    ``order``, at c and z, scalars or arrays broadcast together, whose
+    entry b (after axis 0) has the bits of w_kernel(c[b], z[b]).
 
     w_c(z) = theta11'(0) * theta11(z - c) / (theta11(z) * theta11(-c)).
 
     Elliptic in c; in z it is 1-periodic and gains exp(2*pi*i*c) under
     z -> z + tau.  Simple pole with residue 1 at z on the lattice; poles
     in c on the lattice as well.  Variable 0 of the result is c, variable
-    1 is z.
+    1 is z.  Raises the first fault of the call, then a pole of z, then
+    one of c.
     """
-    _check_order(order)
-    c = complex(c)
-    z = complex(z)
-    th = _pole_check(theta11_coeffs([z, -c, z - c], md, order), [z, -c, z - c], md)
-    _pole_check(th[:1], [z], md, "z")
-    _pole_check(th[1:2], [-c], md, "c")
+    c, z = np.broadcast_arrays(np.asarray(c, dtype=complex), np.asarray(z, dtype=complex))
+    shape, c, z = c.shape, c.ravel(), z.ravel()
+    args = np.concatenate([z, -c, z - c])
+    th = _pole_check(theta11_coeffs(args, md, order), args, md).reshape(3, len(c), order + 1)
+    _pole_check(th[0], z, md, "z")
+    _pole_check(th[1], -c, md, "c")
     # theta(z - c), 1/theta(z) and 1/theta(-c) as functions of (c, z)
-    rows = np.concatenate([th[2:], _series_reciprocal(th[:2])])
-    num, inv_z, inv_c = linear_substitution_rows(rows, [(-1, 1), (0, 1), (-1, 0)]).T
+    rows = np.concatenate([th[2:], _series_reciprocal(th[:2])]).transpose(0, 2, 1)
+    subs = linear_substitution_rows(rows, [(-1, 1), (0, 1), (-1, 0)])
+    num, inv_z, inv_c = np.moveaxis(subs, 1, 0)
     quotient = array_jet_product(num, inv_z, 2, order) * theta11_prime_at_zero(md)
-    return Jet(2, order, array_jet_product(quotient, inv_c, 2, order))
+    out = array_jet_product(quotient, inv_c, 2, order)
+    return Jet(2, order, out.reshape(out.shape[:1] + shape))

@@ -926,7 +926,6 @@ def elliptic_stage_reference(md, zs, cs, jet_points: int) -> dict:
         lattice_distance,
         theta11,
         theta11_coeffs,
-        theta11_prime_at_zero,
         w_kernel,
         zeta11,
         zeta11_coeffs,
@@ -939,18 +938,16 @@ def elliptic_stage_reference(md, zs, cs, jet_points: int) -> dict:
         return zeta11_coeffs(x, md)[0][:, 0]
 
     def w_on(c, z):
-        c, z = np.broadcast_arrays(np.asarray(c, dtype=complex), np.asarray(z, dtype=complex))
-        return theta11_prime_at_zero(md) * (theta(z - c) / theta(z)) / theta(-c)
+        return w_kernel(c, z, md).value
 
     two_pi_i = 2j * math.pi
     base, cbase = np.array(zs), np.array(cs)
-    tc = theta(-cbase)
     th, ze, wv = [], [], []
     for shift in (0, 1, md.tau):
         points = base + shift
         th.append(theta(points))
         ze.append(zeta(points))
-        wv.append(theta11_prime_at_zero(md) * (theta(points - cbase) / th[-1]) / tc)
+        wv.append(w_on(cbase, points))
     factor = -np.exp(-1j * math.pi * md.tau - two_pi_i * base)
     out = {
         "theta-period-1": _rel(th[1], -th[0]),

@@ -612,6 +612,67 @@ def test_kernel_rows_report_their_own_faults():
                 assert "non-finite argument" in str(exc.value)
 
 
+@pytest.mark.parametrize("tau", [0.8j, 0.3 + 0.06j, 40j])
+def test_kernels_on_array_arguments_give_each_entry_its_scalar_bits(tau):
+    # theta11, zeta11 and w_kernel take a scalar or an array, c and z of w
+    # broadcast together: each coefficient has the arguments' shape after
+    # the monomial axis, each entry the bits of its own scalar call, and a
+    # scalar's coefficients are one axis, as they always were
+    md = ModularData(tau)
+    rng = np.random.default_rng(48)
+    zs, cs = (rng.uniform(0.1, 0.9, 10) + rng.uniform(0.1, 0.9, 10) * tau for _ in range(2))
+    for order in range(3):
+        theta = [theta11(z, md, order).coeffs for z in zs]
+        zeta = [zeta11(z, md, order).coeffs for z in zs]
+        w = [w_kernel(c, z, md, order).coeffs for c, z in zip(cs, zs)]
+        w_c0 = [w_kernel(cs[0], z, md, order).coeffs for z in zs]
+        monomials = len(jet_indices(2, order))
+        assert [x.shape for x in (theta[0], zeta[0], w[0])] == [(order + 1,)] * 2 + [(monomials,)]
+        for shape in [(5,), (2, 5), ()]:
+            count = math.prod(shape)
+            z, c = zs[:count].reshape(shape), cs[:count].reshape(shape)
+            batched = [
+                (theta11(z, md, order), theta),
+                (zeta11(z, md, order), zeta),
+                (w_kernel(c, z, md, order), w),
+                (w_kernel(cs[0], z, md, order), w_c0),
+            ]
+            for jet, alone in batched:
+                assert jet.coeffs.shape == alone[0].shape + shape
+                rows = jet.coeffs.reshape(len(alone[0]), count).T
+                assert all(row.tobytes() == a.tobytes() for row, a in zip(rows, alone))
+
+
+def test_a_batch_names_the_argument_of_its_first_fault():
+    # w checks its whole call, then the poles of z, then those of c, so a
+    # batch with a pole of z and one of c names z; a NaN argument is named
+    # as non-finite, by theta and zeta as well
+    zs = np.array([0.31 + 0.2j, 0.52 + 0.4j, 0.7 + 0.1j])
+    cs = np.array([0.2 + 0.3j, 0.45 + 0.5j, 0.66 + 0.25j])
+    for i in range(3):
+        z, c = zs.copy(), cs.copy()
+        z[i] = 1e-14
+        for args, argument in (((cs, z), "z"), ((cs, z[i]), "z")):
+            with pytest.raises(PoleProximityError) as exc:
+                w_kernel(*args, MD)
+            assert exc.value.argument == argument
+        with pytest.raises(PoleProximityError) as exc:
+            zeta11(z.reshape(1, 3), MD)
+        assert exc.value.argument == "z"
+        c[i] = MD.tau + 1e-14
+        for args, argument in (((c, zs), "c"), ((c, z), "z")):
+            with pytest.raises(PoleProximityError) as exc:
+                w_kernel(*args, MD)
+            assert exc.value.argument == argument
+        z[i] = c[i] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: theta11(z, MD, 2), lambda: zeta11(z, MD, 1),
+                         lambda: w_kernel(cs, z, MD, 2), lambda: w_kernel(c, zs, MD)):
+                with pytest.raises(EllipticError, match="non-finite argument"):
+                    call()
+
+
 def test_zeta_far_above_the_cell_is_quasi_periodic():
     # 16 cells above the cell, where theta's coefficients near the double
     # range, zeta(z) is zeta at the cell representative minus 2 pi i m

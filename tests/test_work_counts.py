@@ -511,17 +511,51 @@ def test_eigen_stage_memory_does_not_grow_with_solutions_or_points(monkeypatch, 
     # and operator at a time, and per entry only a few numbers in arrays:
     # its Cartan point, vector norm and residual, and whether it was
     # checked.  What grows beside them is per solution: its spectral
-    # samples, and the one eigenvalue call over all of them, whose theta
-    # blocks grow up to elliptic._BLOCK terms.  So 40 entries of 4
-    # solutions peak about as one does: 0.095 and 0.103 MB measured
-    # without the sweep, 0.477 and 0.480 MB with it, where one pass over
-    # all 40 peaks at 2.4 MB
+    # samples; each pass takes the eigenvalues of its own solutions.  So
+    # 40 entries of 4 solutions peak about as one does: 0.095 and 0.103 MB
+    # measured without the sweep, 0.477 and 0.480 MB with it, where one
+    # pass over all 40 peaks at 2.4 MB
     monkeypatch.setattr(bethe, "_PASS_BYTES", 1)
     for sweep in (False, True):
         one, few = eigen_stage_peak(tmp_path, 1, 1, sweep)
         many, lots = eigen_stage_peak(tmp_path, 4, 10, sweep)
         assert one == 1 < many
         assert lots < 1.2 * few
+
+
+def test_verify_eigenvector_memory_does_not_grow_with_solutions(monkeypatch, tmp_path):
+    # with every pass held to one entry, each pass takes the eigenvalues of
+    # its own solution.  One eigenvalue call over every solution's samples,
+    # whose theta blocks grow with solutions x samples x (sites + roots),
+    # peaked above a whole pass at tau = 0.3i, where theta takes more terms
+    # than at 0.8i: 0.133 MB for 4 solutions against 0.094 MB for one,
+    # measured; per pass, 0.101 MB against 0.094 MB
+    monkeypatch.setattr(bethe, "_PASS_BYTES", 1)
+    text = (CONFIGS / "a1_bethe_m4.ini").read_text(encoding="utf-8")
+    path = tmp_path / "a1_bethe_m4_tau03.ini"
+    path.write_text(text.replace("tau = 0.8i", "tau = 0.3i"), encoding="utf-8")
+    runner = CheckRunner(load_config(str(path)), "eigen-check", False)
+    runner.stage_bethe()
+    stack = np.array(runner._solutions, dtype=complex)
+    assert len(stack) == 4
+    h_points = [runner._cartan_points()[:1] for _ in stack]
+    u_points = [
+        runner._spectral_points(list(runner.problem.positions) + list(roots), 5)
+        for roots in stack
+    ]
+
+    def peak(count):
+        samples = (stack[:count], h_points[:count], u_points[:count])
+        # an untraced first call fills the kernels' and NumPy's tables
+        runner.system.verify_eigenvector(*samples)
+        tracemalloc.start()
+        try:
+            runner.system.verify_eigenvector(*samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4) < 1.2 * peak(1)
 
 
 def commute_stage_counts(monkeypatch, tmp_path, cartan_count, pair_count):
@@ -554,20 +588,23 @@ def test_commute_stage_work_does_not_grow_with_the_pair_count(monkeypatch, tmp_p
 def test_full_verify_kernel_calls_on_a2_n2_33bar(monkeypatch):
     # the elliptic stage takes theta, zeta and w once each for the period
     # records over all shifts, one zeta and one w call for the pole rings,
-    # the per-point jets, and one theta, zeta and w call for all the jets'
-    # rings; the commute stage's 100 (Cartan point, pair) entries fit one
-    # pass of one operator batch over both sides' 200 lanes, and the
-    # composed spot check builds its two lone operators from one 2-lane
-    # call
+    # one theta, zeta and w call for the jets at every jet point and one
+    # for all the jets' rings, however many jet points there are; the
+    # commute stage's 100 (Cartan point, pair) entries fit one pass of one
+    # operator batch over both sides' 200 lanes, and the composed spot
+    # check builds its two lone operators from one 2-lane call
     cfg = load_config(str(CONFIGS / "a2_n2_33bar.ini"))
-    runner = CheckRunner(cfg, "full-verify", False)
-    thetas = count_everywhere(monkeypatch, "theta11_coeffs")
+    for jet_points in (1, 5, 7):
+        cfg.sampling["jet_points"] = jet_points
+        runner = CheckRunner(cfg, "full-verify", False)
+        thetas = count_everywhere(monkeypatch, "theta11_coeffs")
+        distances = count_everywhere(monkeypatch, "lattice_distance")
+        runner.stage_elliptic()
+        assert all(record.passed for record in runner.report.records)
+        assert (len(thetas), len(distances)) == (3 + 2 + 3 + 3, 2)
+        monkeypatch.undo()
     distances = count_everywhere(monkeypatch, "lattice_distance")
-    runner.stage_elliptic()
-    jet_points = cfg.sampling["jet_points"]
-    assert (len(thetas), len(distances)) == (3 + 2 + 3 * jet_points + 3, 2)
     parts = count_calls(monkeypatch, GaudinProblem, "transfer_parts")
-    distances.clear()
     runner.stage_commute()
     assert all(record.passed for record in runner.report.records)
     assert [np.size(args[1]) for args, _ in parts] == [200, 2]
