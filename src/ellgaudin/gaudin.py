@@ -389,57 +389,44 @@ class GaudinProblem:
 
         h_r^(i) is diagonal on the weight basis: ``_site_weights[i, a]`` is
         the weight of site i's factor of the a-th zero-weight tuple, shape
-        (N, dim0, l).  The pair operators' entries are read off
-        single-site matrices at the zero-weight tuples: between tuples a
-        and b, the pair term P(i, j, a) = e_{-a}^(j) e_a^(i) is
-        R_j[a_j, b_j] L_i[a_i, b_i] when a and b agree off {i, j}, and
-        (R_i L_i)[a_i, b_i] when i = j.  The full tensor product is never
-        formed.
-
-        ``_pair`` stacks, for the k-th positive root alpha, the pair
-        operators of alpha and -alpha that share a kernel product:
-        _pair[k, i, j] = P(i, j, alpha) + P(j, i, -alpha), one array of
-        shape (|Phi+|, N, N, dim0, dim0).
+        (N, dim0, l).  ``_pair`` stacks, for the k-th positive root alpha,
+        the pair operators of alpha and -alpha that share a kernel product:
+        _pair[k, i, j] = P(i, j, alpha) + P(j, i, -alpha), with P(i, j, a) =
+        e_{-a}^(j) e_a^(i), shape (|Phi+|, N, N, dim0, dim0).  One pass per
+        positive root takes L_i and R_i, the dual matrices of e_alpha and
+        e_-alpha, once per site.  Operators on two sites commute, so for
+        i != j the entry between tuples a and b is 2 R_j[a_j, b_j]
+        L_i[a_i, b_i] where a and b agree off {i, j}; for i = j it is the
+        anticommutator (R_i L_i + L_i R_i)[a_i, b_i] where they agree off i.
+        The full tensor product is never formed.
         """
         rs = self.rs
         tuples = self.space.zero_array
         nsites = len(self.modules)
-        grid = [np.ix_(tuples[:, i], tuples[:, i]) for i in range(nsites)]
         differ = [
             tuples[:, i][:, None] != tuples[:, i][None, :] for i in range(nsites)
         ]
         mismatches = sum(d.astype(int) for d in differ)
-
-        def on_sites(mat, *sites):
-            # entries of mat where the tuples agree off the given sites
-            off = mismatches - sum(differ[i] for i in set(sites))
-            return np.where(off == 0, mat, 0)
-
         self._site_weights = np.array(
             [mod.weights[tuples[:, i]] for i, mod in enumerate(self.modules)]
         )
-
-        def pair(k):
-            # P(i, j, root k) for every site pair, shape (N, N, dim0, dim0)
+        self._pair = np.empty((rs.n_positive, nsites, nsites) + mismatches.shape, complex)
+        for k in range(rs.n_positive):
             lower = [mod.dual_matrix(rs.root_vectors[k]) for mod in self.modules]
             raise_ = [
                 mod.dual_matrix(rs.root_vectors[rs.negative_of(k)])
                 for mod in self.modules
             ]
-            out = np.empty((nsites, nsites) + mismatches.shape, dtype=complex)
-            for i in range(nsites):
-                for j in range(nsites):
-                    if i == j:
-                        mat = (raise_[i] @ lower[i])[grid[i]]
-                    else:
-                        mat = raise_[j][grid[j]] * lower[i][grid[i]]
-                    out[i, j] = on_sites(mat, i, j)
-            return out
-
-        self._pair = np.array([
-            pair(k) + pair(rs.negative_of(k)).transpose(1, 0, 2, 3)
-            for k in range(rs.n_positive)
-        ])
+            for i, j in np.ndindex(nsites, nsites):
+                at_i, at_j = (np.ix_(tuples[:, s], tuples[:, s]) for s in (i, j))
+                if i == j:
+                    mat = (raise_[i] @ lower[i] + lower[i] @ raise_[i])[at_i]
+                else:
+                    mat = raise_[j][at_j] * lower[i][at_i]
+                    mat = mat + mat  # 2 * mat would turn some -0 parts into +0
+                # keep the entries whose tuples agree off sites i and j
+                off = mismatches - sum(differ[s] for s in {i, j})
+                self._pair[k, i, j] = np.where(off == 0, mat, 0)
 
     # -- coefficient data ------------------------------------------------
 

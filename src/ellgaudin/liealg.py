@@ -320,11 +320,12 @@ class RepresentedModule:
 
     def represent(self, x: np.ndarray) -> np.ndarray:
         """Action of an arbitrary algebra element (defining matrix): the
-        root-vector stack weighted by x's root coordinates, plus
-        diag(weights @ cartan_coords(x))."""
-        rs = self.rs
-        out = np.tensordot(rs.root_coords(x), self.roots, 1)
-        return out + np.diag(self.weights @ rs.cartan_coords(x))
+        root-vector stack weighted by x's nonzero root coordinates, so a root
+        vector's action is one stack slice, plus diag(weights @ cartan_coords(x))."""
+        coords = self.rs.root_coords(x)
+        nonzero = np.flatnonzero(coords)
+        out = np.tensordot(coords[nonzero], self.roots[nonzero], 1)
+        return out + np.diag(self.weights @ self.rs.cartan_coords(x))
 
     def dual_matrix(self, x: np.ndarray) -> np.ndarray:
         """Transpose action of x on the dual of the underlying space.

@@ -767,6 +767,51 @@ def potential_jet_reference(prob, H, u: complex, order: int = 0):
     return as_jet(rs.rank, order, acc)
 
 
+def pair_stack_two_pass(problem) -> np.ndarray:
+    """A GaudinProblem's stacked pair operators, one pass per root.
+
+    Each of the 2 |Phi+| roots gets its own pass, with its own dual
+    matrices on every site, and the root -alpha's pass is added to
+    alpha's with the sites swapped: _pair[k, i, j] = P(i, j, alpha) +
+    P(j, i, -alpha), no use made of two sites' operators commuting.
+    """
+    rs = problem.rs
+    tuples = problem.space.zero_array
+    nsites = len(problem.modules)
+    grid = [np.ix_(tuples[:, i], tuples[:, i]) for i in range(nsites)]
+    differ = [
+        tuples[:, i][:, None] != tuples[:, i][None, :] for i in range(nsites)
+    ]
+    mismatches = sum(d.astype(int) for d in differ)
+
+    def on_sites(mat, *sites):
+        # entries of mat where the tuples agree off the given sites
+        off = mismatches - sum(differ[i] for i in set(sites))
+        return np.where(off == 0, mat, 0)
+
+    def pair(k):
+        # P(i, j, root k) for every site pair, shape (N, N, dim0, dim0)
+        lower = [mod.dual_matrix(rs.root_vectors[k]) for mod in problem.modules]
+        raise_ = [
+            mod.dual_matrix(rs.root_vectors[rs.negative_of(k)])
+            for mod in problem.modules
+        ]
+        out = np.empty((nsites, nsites) + mismatches.shape, dtype=complex)
+        for i in range(nsites):
+            for j in range(nsites):
+                if i == j:
+                    mat = (raise_[i] @ lower[i])[grid[i]]
+                else:
+                    mat = raise_[j][grid[j]] * lower[i][grid[i]]
+                out[i, j] = on_sites(mat, i, j)
+        return out
+
+    return np.array([
+        pair(k) + pair(rs.negative_of(k)).transpose(1, 0, 2, 3)
+        for k in range(rs.n_positive)
+    ])
+
+
 # ---------------------------------------------------------------------------
 # Straight-line operator composition.
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from ellgaudin.liealg import build_dual_verma, build_irrep, build_root_system
 
 from oracles import (
     commutativity_residual_reference,
+    pair_stack_two_pass,
     potential_jet_reference,
     w_direct,
     zeta11_direct,
@@ -882,6 +883,31 @@ def test_site_operators_match_dense_reference(name):
             for j in range(nsites):
                 ref = pair_ref(i, j, k) + pair_ref(j, i, rs.negative_of(k))
                 assert np.max(np.abs(stack[i, j] - ref)) <= 1e-14
+
+
+PAIR_STACK_CONFIGS = [
+    *sorted(CONFIGS.glob("*.ini")),
+    *sorted((CONFIGS.parent / "tests" / "data").glob("*.ini")),
+]
+
+
+@pytest.mark.parametrize(
+    "path", [*PAIR_STACK_CONFIGS, None], ids=lambda p: p.stem if p else "a3_100_001"
+)
+def test_pair_stack_equals_the_two_pass_build_bit_for_bit(path):
+    # one pass per positive root, doubling the product across two sites
+    # and taking the anticommutator on one, gives every bit of the
+    # two-pass build, signed zeros included; None is the rank-3 irrep
+    # pair (1,0,0) x (0,0,1)
+    if path is None:
+        prob = GaudinProblem(
+            RS3, MD, [0.11, 0.43 + 0.27j], [_irrep(RS3, [1, 0, 0]), _irrep(RS3, [0, 0, 1])]
+        )
+    else:
+        prob = load_config(str(path)).problem
+    got, want = prob._pair, pair_stack_two_pass(prob)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_dual_verma_depth_below_m_plus_highest_root_refused():

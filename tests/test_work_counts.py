@@ -16,9 +16,9 @@ evaluations per pass:
   composed, and the stage's transient memory stays under a pinned
   tracemalloc peak, each pass within its byte estimate;
 - the elliptic stage takes theta, zeta and w once each for all sample
-  points and shifts of its period records, and builds all of a record's
-  16-point contours before taking each function once for all of them;
-  only the per-point jets it checks are taken point by point;
+  points and shifts of its period records, once each for the jets it
+  checks at every jet point, and builds all of a record's 16-point
+  contours before taking each function once for all of them;
 - composition forms each Leibniz term from one derivative gather of the
   coefficient array and one array jet product, and skips the terms that
   differentiate a constant coefficient;
@@ -27,15 +27,20 @@ evaluations per pass:
   call builds the Bethe vector, which does not depend on the spectral
   parameter, at every entry at the operator's order; one transfer
   operator, its Cartan points paired with every entry's spectral
-  parameters, is built and applied once; and one eigenvalue call serves
-  every solution, so the eigen stage's call counts do not grow with the
-  number of solutions or Cartan points; passes of one entry hold its
-  transient memory to that of one entry;
+  parameters, is built and applied once; and one eigenvalue call per
+  pass serves that pass's solutions, so the eigen stage's call counts do
+  not grow with the number of solutions or Cartan points while the
+  entries fit one pass; passes of one entry hold its transient memory to
+  that of one entry;
 - the explicit conjugated operator reads every log-derivative of the
   Weyl-Kac denominator, a product of theta values, off one call of
   ``weyl_kac_pi`` at the operator's order, which takes theta once, at 0
   and at every alpha(H); with the transfer operator, whose first-order
   coefficients give -A_r(u), that is two theta calls per (u, H);
+- the pair stack of the exchange potential takes one pass per positive
+  root alpha, with the dual matrices of e_alpha and e_-alpha once per
+  site, 2 N |Phi+| ``dual_matrix`` calls for N sites, and a root vector's
+  dual matrix is one slice of its module's root stack;
 - the exchange potential takes theta once per distinct argument, which
   theta's oddness brings down to N + |Phi+| (2N + 1) for N sites, all in
   one call, and one substitution call for all positive roots; the
@@ -86,12 +91,18 @@ from ellgaudin.gaudin import (
     sample_regular_cartan,
     sample_spectral_points,
 )
-from ellgaudin.liealg import build_dual_verma, build_irrep, build_root_system
+from ellgaudin.liealg import (
+    RepresentedModule,
+    build_dual_verma,
+    build_irrep,
+    build_root_system,
+)
 
 from oracles import newton_per_seed
 
 MD = ModularData(0.8j)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PROBES = CONFIGS.parent / "tests" / "data"
 
 
 def count_calls(monkeypatch, owner, name):
@@ -392,6 +403,35 @@ def test_denominator_takes_one_theta_call(monkeypatch, rank):
     # theta at 0 and at every alpha(H), to order max(order + 2, 3)
     assert arguments(thetas) == [1 + rs.n_positive] * 2
     assert [args[2] for args, _ in thetas] == [3, 5]
+
+
+# the counts the two-pass build doubled: N = 3 sites of rank 2, and the
+# rank-3 dual-Verma probe's N = 2 sites
+PAIR_STACK_DUAL_MATRICES = {"a2_n3_adjoint": 18, "a3_m2_dual_verma": 24}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [*sorted(CONFIGS.glob("*.ini")), *sorted(PROBES.glob("*.ini"))],
+    ids=lambda path: path.stem,
+)
+def test_pair_stack_takes_each_sites_root_matrices_once(monkeypatch, path):
+    prob = load_config(str(path)).problem
+    rs = prob.rs
+    calls = count_calls(monkeypatch, RepresentedModule, "dual_matrix")
+    GaudinProblem(rs, prob.md, prob.positions, prob.modules)
+    # one pass per positive root, with e_alpha and e_-alpha once per site
+    want = 2 * len(prob.modules) * rs.n_positive
+    assert len(calls) == PAIR_STACK_DUAL_MATRICES.get(path.stem, want) == want
+    monkeypatch.undo()
+    # a root vector's dual matrix is one slice of the module's stack, the
+    # convention bethe._vector_plan reads without a dual_matrix call;
+    # adding +0 makes the signed zeros of the two sides alike
+    for mod in prob.modules:
+        for k, e in enumerate(rs.root_vectors):
+            stored = mod.roots[rs.negative_of(k)] if mod.kind == "dual_verma" else mod.roots[k].T
+            got, want = (np.ascontiguousarray(m + 0) for m in (mod.dual_matrix(e), stored))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
