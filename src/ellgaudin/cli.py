@@ -791,16 +791,6 @@ class CheckRunner:
             tol,
             note="rho equals half the sum of positive roots",
         )
-        dim_res = abs(rs.dim_g - (rs.rank + 2 * rs.n_positive))
-        self._record(
-            "algebra/dimension-count",
-            float(dim_res),
-            0.5,
-            note=(
-                f"series {rs.series} rank {rs.rank}: dim {rs.dim_g}, "
-                f"{rs.n_positive} positive roots"
-            ),
-        )
 
     def stage_commute(self):
         """One ``commutativity_residual`` call over pair_count pairs of

@@ -396,21 +396,20 @@ class GaudinProblem:
         positive root takes L_i and R_i, the dual matrices of e_alpha and
         e_-alpha, once per site.  Operators on two sites commute, so for
         i != j the entry between tuples a and b is 2 R_j[a_j, b_j]
-        L_i[a_i, b_i] where a and b agree off {i, j}; for i = j it is the
-        anticommutator (R_i L_i + L_i R_i)[a_i, b_i] where they agree off i.
-        The full tensor product is never formed.
+        L_i[a_i, b_i] where a and b agree off {i, j} (one mask per site
+        pair); for i = j it is (R_i L_i + L_i R_i)[a_i, b_i], formed on the
+        basis vectors of site i that the tuples use; the tensor product is never formed.
         """
         rs = self.rs
         tuples = self.space.zero_array
         nsites = len(self.modules)
-        differ = [
-            tuples[:, i][:, None] != tuples[:, i][None, :] for i in range(nsites)
+        same = tuples[:, None, :] == tuples[None, :, :]
+        agree_off = [
+            [np.delete(same, [i, j], -1).all(-1) for j in range(nsites)] for i in range(nsites)
         ]
-        mismatches = sum(d.astype(int) for d in differ)
-        self._site_weights = np.array(
-            [mod.weights[tuples[:, i]] for i, mod in enumerate(self.modules)]
-        )
-        self._pair = np.empty((rs.n_positive, nsites, nsites) + mismatches.shape, complex)
+        used = [np.flatnonzero(np.bincount(column)) for column in tuples.T]
+        self._site_weights = np.array([m.weights[c] for m, c in zip(self.modules, tuples.T)])
+        self._pair = np.empty((rs.n_positive, nsites, nsites) + same.shape[:2], complex)
         for k in range(rs.n_positive):
             lower = [mod.dual_matrix(rs.root_vectors[k]) for mod in self.modules]
             raise_ = [
@@ -418,15 +417,16 @@ class GaudinProblem:
                 for mod in self.modules
             ]
             for i, j in np.ndindex(nsites, nsites):
-                at_i, at_j = (np.ix_(tuples[:, s], tuples[:, s]) for s in (i, j))
                 if i == j:
-                    mat = (raise_[i] @ lower[i] + lower[i] @ raise_[i])[at_i]
+                    rows, r, l = used[i], raise_[i], lower[i]
+                    at = np.searchsorted(rows, tuples[:, i])
+                    mat = (r[rows] @ l[:, rows] + l[rows] @ r[:, rows])[np.ix_(at, at)]
                 else:
+                    at_i, at_j = (np.ix_(tuples[:, s], tuples[:, s]) for s in (i, j))
                     mat = raise_[j][at_j] * lower[i][at_i]
                     mat = mat + mat  # 2 * mat would turn some -0 parts into +0
-                # keep the entries whose tuples agree off sites i and j
-                off = mismatches - sum(differ[s] for s in {i, j})
-                self._pair[k, i, j] = np.where(off == 0, mat, 0)
+                self._pair[k, i, j] = np.where(agree_off[i][j], mat, 0)
+            del lower, raise_, r, l  # freed before the next pass builds its own
 
     # -- coefficient data ------------------------------------------------
 

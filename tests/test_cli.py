@@ -897,7 +897,7 @@ def test_dual_verma_sites_are_built_at_m_plus_highest_root(tmp_path):
 
 
 _COMMON_RECORDS = {
-    "algebra/cartan-orthonormal", "algebra/dimension-count", "algebra/rho-half-sum",
+    "algebra/cartan-orthonormal", "algebra/rho-half-sum",
     "commute/distinct-points",
     "elliptic/jets-vs-contour", "elliptic/pole-normalization",
     "elliptic/theta-period-1", "elliptic/theta-period-tau",
