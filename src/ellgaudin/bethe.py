@@ -17,8 +17,8 @@ site over the root subsets used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count, product as _iproduct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,8 +112,7 @@ def _has_permutation(close) -> bool:
     return all(augment(j, set()) for j in range(len(columns)))
 
 
-@dataclass
-class BetheSolution:
+class BetheSolution(NamedTuple):
     t: np.ndarray
     residual: float
     iterations: int

@@ -34,7 +34,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,8 +213,7 @@ def _echo(value) -> str:
     return str(value)
 
 
-@dataclass
-class SiteSpec:
+class SiteSpec(NamedTuple):
     z: complex
     kind: str  # "irrep" | "dual_verma"
     weight: tuple  # coefficients in the fundamental-weight basis
@@ -231,25 +230,18 @@ class SiteSpec:
         return lines
 
 
-@dataclass
 class ExperimentConfig:
     """The settings of one config, a field per ``SCHEMA`` key (a dict per
     section in ``_DICT_SECTIONS``), and the instance they build."""
 
-    path: str
-    series: str
-    rank: int
-    tolerances: dict
-    sampling: dict
-    seed: int
-    tau: complex | None = None
-    sites: list = field(default_factory=list)
-    bethe: dict | None = None
-    # the instance, built once by load_config; None where a section is absent
-    rs: RootSystemData | None = field(default=None, init=False, repr=False)
-    md: ModularData | None = field(default=None, init=False, repr=False)
-    problem: GaudinProblem | None = field(default=None, init=False, repr=False)
-    system: BetheSystem | None = field(default=None, init=False, repr=False)
+    def __init__(self, path: str, series: str, rank: int, tolerances: dict,
+                 sampling: dict, seed: int, tau: complex | None = None,
+                 sites: list = (), bethe: dict | None = None):
+        self.path, self.series, self.rank, self.seed = path, series, rank, seed
+        self.tolerances, self.sampling, self.bethe = tolerances, sampling, bethe
+        self.tau, self.sites = tau, list(sites)
+        # the instance, built once by load_config; None where a section is absent
+        self.rs = self.md = self.problem = self.system = None
 
     def echo_lines(self):
         """Effective settings, defaults materialized, in ``SCHEMA`` order."""
@@ -424,8 +416,7 @@ def _build_instance(cfg: ExperimentConfig) -> None:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     instance: str
     residual: float
@@ -435,13 +426,12 @@ class CheckRecord:
     note: str = ""
 
 
-@dataclass
 class Report:
-    command: str
-    instance: str
-    echo_lines: list
-    records: list = field(default_factory=list)
-    sweep: list | None = None  # rows (u, Re tau_Psi, Im tau_Psi)
+    def __init__(self, command: str, instance: str, echo_lines: list,
+                 records: list = (), sweep: list | None = None):
+        self.command, self.instance, self.echo_lines = command, instance, echo_lines
+        self.records = list(records)
+        self.sweep = sweep  # rows (u, Re tau_Psi, Im tau_Psi)
 
     @property
     def verdict(self) -> bool:
@@ -553,9 +543,7 @@ class _Uniforms:
         state = [out(pool[i % 4]) for i in range(8)]
         s0, s1, s2, s3 = (state[2 * i] | state[2 * i + 1] << 32 for i in range(4))
         self._inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        self._state = 0
-        self._next64()
-        self._state = (self._state + (s0 << 64 | s1)) & _MASK128
+        self._state = (self._inc + (s0 << 64 | s1)) & _MASK128  # a first step from 0 gives inc
         self._next64()
 
     def _next64(self) -> int:
@@ -567,7 +555,16 @@ class _Uniforms:
         """One float, or an array of ``size``, uniform in [low, high)."""
         if size is None:
             return low + (high - low) * ((self._next64() >> 11) * 2.0**-53)
-        return np.array([self.uniform(low, high) for _ in range(size)], dtype=float)
+        # the states in one Python loop, then XSL-RR and the map on arrays
+        state, inc, buf = self._state, self._inc, bytearray()
+        for _ in range(size):
+            state = (state * _PCG64_MULT + inc) & _MASK128
+            buf += state.to_bytes(16, "little")
+        self._state = state
+        lo, hi = np.frombuffer(buf, dtype="<u8").reshape(-1, 2).T
+        x, rot = hi ^ lo, hi >> 58
+        x = x >> rot | x << (64 - rot & 63)
+        return low + (high - low) * ((x >> 11) * 2.0**-53)
 
 
 # stage -> (the config section it needs, the built object it reads)

@@ -16,9 +16,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as _iproduct
+from operator import itemgetter
 
 import numpy as np
 
@@ -72,27 +72,18 @@ class SeriesConvergenceError(EllipticError):
     """
 
 
-@dataclass(frozen=True)
-class ModularData:
-    """Curve parameter, with its nome q = exp(2 pi i tau) and reduced basis.
+class ModularData(tuple):
+    """The tuple (tau, q, basis) of a curve's modulus tau, Im(tau) > 0, its
+    nome q = exp(2 pi i tau) and reduced basis; one tau, one cache key."""
 
-    Parameters
-    ----------
-    tau : complex
-        Modulus of the curve, Im(tau) > 0.
-    """
+    __slots__ = ()
+    tau, q, basis = (property(itemgetter(i)) for i in range(3))
 
-    tau: complex
-    q: complex = field(init=False)
-    basis: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        tau = complex(self.tau)
+    def __new__(cls, tau):
+        tau = complex(tau)
         if not tau.imag > 0:
             raise EllipticError(f"Im(tau) must be positive, got tau={tau}")
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "q", cmath.exp(_TWO_PI_I * tau))
-        object.__setattr__(self, "basis", _gauss_reduce(tau))
+        return super().__new__(cls, (tau, cmath.exp(_TWO_PI_I * tau), _gauss_reduce(tau)))
 
 
 def _gauss_reduce(tau: complex) -> tuple:

@@ -13,8 +13,8 @@ heat-type identity behind the conjugation is theta's heat equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,8 +220,7 @@ def sample_spectral_points(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylKacData:
+class WeylKacData(NamedTuple):
     """Jets in xi of the denominator's theta product, which is Pi up to a
     factor depending on tau alone, of its reciprocal, of d_r log Pi for
     each r, and of d_tau log Pi."""

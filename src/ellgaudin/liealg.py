@@ -23,7 +23,6 @@ kinds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -293,7 +292,6 @@ class _TruncatedVerma:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RepresentedModule:
     """A g-module on a weight basis.
 
@@ -306,13 +304,12 @@ class RepresentedModule:
     highest weight vector of the underlying Verma module).
     """
 
-    rs: RootSystemData
-    kind: str
-    highest_weight: np.ndarray
-    weights: np.ndarray
-    roots: np.ndarray
-    j_covector: np.ndarray | None = None
-    depth: int | None = None
+    def __init__(self, rs: RootSystemData, kind: str, highest_weight: np.ndarray,
+                 weights: np.ndarray, roots: np.ndarray,
+                 j_covector: np.ndarray | None = None, depth: int | None = None):
+        self.rs, self.kind, self.highest_weight = rs, kind, highest_weight
+        self.weights, self.roots = weights, roots
+        self.j_covector, self.depth = j_covector, depth
 
     @property
     def dim(self) -> int:

@@ -322,12 +322,12 @@ def test_instance_digest_equals_hashlib_sha256():
 
 def test_commands_load_neither_numpy_random_nor_openssl_nor_csv():
     # NumPy 1.x imports numpy.random and hashlib itself, so what numpy alone
-    # loads is excused; on NumPy 2 none of the three may load
+    # loads is excused; on NumPy 2 none of the watched modules may load
     root = Path(__file__).resolve().parent.parent
     config = str(CONFIGS / "a1_bethe_m1.ini")
     code = (
         "import sys, numpy\n"
-        "watch = ('numpy.random', '_hashlib', 'csv')\n"
+        "watch = ('numpy.random', '_hashlib', 'csv', 'dataclasses')\n"
         "before = {m for m in watch if m in sys.modules}\n"
         "from ellgaudin import cli\n"
         f"code = cli.main(['full-verify', '--config', {config!r}, '--format', 'json-lines'])\n"

@@ -70,6 +70,27 @@ def test_modular_data_rejects_lower_half_plane():
         ModularData(tau=0.7)
 
 
+def test_modular_data_is_an_immutable_value_keyed_by_tau():
+    # two curves built from one tau are one cache key of the term plans
+    a, b = ModularData(0.37 + 0.91j), ModularData(tau=0.37 + 0.91j)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert (a.tau, a.q, a.basis) == (b.tau, b.q, b.basis)
+    assert a != ModularData(0.37 + 0.92j)
+    before = elliptic._term_plan.cache_info()
+    elliptic._term_plan(a, 1)
+    elliptic._term_plan(b, 1)
+    after = elliptic._term_plan.cache_info()
+    assert (after.currsize - before.currsize, after.hits - before.hits) == (1, 1)
+    for name in ("tau", "q", "basis"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0.5j)
+    assert a.tau == 0.37 + 0.91j
+    for tau, shown in ((0.5 - 0.1j, "(0.5-0.1j)"), (0.7, "(0.7+0j)")):
+        with pytest.raises(EllipticError) as info:
+            ModularData(tau)
+        assert str(info.value) == f"Im(tau) must be positive, got tau={shown}"
+
+
 def test_modular_data_q():
     md = ModularData(tau=0.3 + 1.1j)
     assert md.q == cmath.exp(TWO_PI_I * (0.3 + 1.1j))

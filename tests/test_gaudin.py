@@ -9,7 +9,6 @@ Key oracles:
 - the small-q trigonometric degeneration of the exchange potential.
 """
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -695,7 +694,7 @@ def test_tilde_routes_disagree_without_the_tau_term(monkeypatch, rank):
     def without_tau_term(*args):
         data = original(*args)
         zero = Jet(data.dtau_log.nvars, data.dtau_log.total, data.dtau_log.coeffs * 0.0)
-        return dataclasses.replace(data, dtau_log=zero)
+        return data._replace(dtau_log=zero)
 
     monkeypatch.setattr(gaudin, "weyl_kac_pi", without_tau_term)
     prob, u, hs = tilde_problem(rank)
