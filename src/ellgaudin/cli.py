@@ -555,16 +555,7 @@ class _Uniforms:
         """One float, or an array of ``size``, uniform in [low, high)."""
         if size is None:
             return low + (high - low) * ((self._next64() >> 11) * 2.0**-53)
-        # the states in one Python loop, then XSL-RR and the map on arrays
-        state, inc, buf = self._state, self._inc, bytearray()
-        for _ in range(size):
-            state = (state * _PCG64_MULT + inc) & _MASK128
-            buf += state.to_bytes(16, "little")
-        self._state = state
-        lo, hi = np.frombuffer(buf, dtype="<u8").reshape(-1, 2).T
-        x, rot = hi ^ lo, hi >> 58
-        x = x >> rot | x << (64 - rot & 63)
-        return low + (high - low) * ((x >> 11) * 2.0**-53)
+        return np.array([self.uniform(low, high) for _ in range(size)], dtype=float)
 
 
 # stage -> (the config section it needs, the built object it reads)

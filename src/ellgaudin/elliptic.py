@@ -85,6 +85,9 @@ class ModularData(tuple):
             raise EllipticError(f"Im(tau) must be positive, got tau={tau}")
         return super().__new__(cls, (tau, cmath.exp(_TWO_PI_I * tau), _gauss_reduce(tau)))
 
+    def __getnewargs__(self):  # copy and pickle rebuild from tau alone
+        return (self.tau,)
+
 
 def _gauss_reduce(tau: complex) -> tuple:
     """Lagrange-Gauss reduced basis of the lattice Z + tau*Z.
