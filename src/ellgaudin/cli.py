@@ -497,65 +497,35 @@ def _rel(values, references, floor: float = 1e-30) -> float:
     )
 
 
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _hashmix(const: int, step: int):
-    """SeedSequence's hash: each call XORs a 32-bit word with a running
-    constant, advances the constant by ``step`` and multiplies by it."""
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * step & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    return hashmix
+def _mix64(z):
+    """SplitMix64's output mix (Steele, Lea & Flood, OOPSLA 2014) of a uint64
+    array, whose arithmetic wraps modulo 2^64 without a warning."""
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ z >> np.uint64(31)
 
 
 class _Uniforms:
-    """The stream of ``numpy.random.default_rng(seed).uniform``, reproduced
-    to the bit without loading ``numpy.random``.  SeedSequence hash-mixes
-    the seed's little-endian 32-bit words into a pool of four and draws
-    four 64-bit words from it; PCG64 (XSL-RR 128/64) takes two as its
-    state and two as its increment; a draw is low + (high - low) x 2^-53,
-    x the top 53 bits of the generator's next 64-bit output."""
+    """SplitMix64 over a seed-keyed counter: draw n = 1, 2, ... is the word
+    _mix64(key + n x golden), its float low + (high - low) x 2^-53 x the
+    word's top 53 bits.  The key folds the seed's 64-bit words w, low word
+    first, as key = _mix64((key ^ w) + golden) from 0, so any seed has one."""
 
     def __init__(self, seed: int):
-        words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-        hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+        key = np.zeros(1, dtype=np.uint64)
+        for shift in range(0, max(seed.bit_length(), 1), 64):
+            key = _mix64((key ^ np.uint64(seed >> shift & 0xFFFFFFFFFFFFFFFF)) + _GOLDEN)
+        self._key, self._drawn = key, 0
 
-        def mix(x, y):
-            value = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
-            return value ^ value >> 16
-
-        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in words[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        out = _hashmix(0x8B51F9DD, 0x58F38DED)
-        state = [out(pool[i % 4]) for i in range(8)]
-        s0, s1, s2, s3 = (state[2 * i] | state[2 * i + 1] << 32 for i in range(4))
-        self._inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        self._state = (self._inc + (s0 << 64 | s1)) & _MASK128  # a first step from 0 gives inc
-        self._next64()
-
-    def _next64(self) -> int:
-        self._state = state = (self._state * _PCG64_MULT + self._inc) & _MASK128
-        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-        return (x >> rot | x << (-rot & 63)) & _MASK64
-
-    def uniform(self, low: float, high: float, size: int | None = None):
-        """One float, or an array of ``size``, uniform in [low, high)."""
-        if size is None:
-            return low + (high - low) * ((self._next64() >> 11) * 2.0**-53)
-        return np.array([self.uniform(low, high) for _ in range(size)], dtype=float)
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        """The stream's next ``size`` draws, uniform in [low, high)."""
+        n = np.arange(self._drawn + 1, self._drawn + 1 + size, dtype=np.uint64)
+        self._drawn += size
+        bits = _mix64(self._key + n * _GOLDEN) >> np.uint64(11)
+        return low + (high - low) * (bits * 2.0**-53)
 
 
 # stage -> (the config section it needs, the built object it reads)
@@ -633,10 +603,8 @@ class CheckRunner:
 
     def _cell_points(self, count: int):
         """Points x + y*tau with x, y uniform away from the cell boundary."""
-        guard = self.cfg.sampling["pole_guard"]
-        lo, hi = max(guard, 0.05), 1 - max(guard, 0.05)
-        xs = self.rng.uniform(lo, hi, size=count)
-        ys = self.rng.uniform(lo, hi, size=count)
+        lo = max(self.cfg.sampling["pole_guard"], 0.05)
+        xs, ys = self.rng.uniform(lo, 1 - lo, 2 * count).reshape(2, count)
         return xs + ys * self.md.tau
 
     def _spectral_points(self, avoid, count: int):

@@ -157,35 +157,36 @@ def check_regular(rs: RootSystemData, md: ModularData, H, guard: float = 1e-9):
 
 
 def _rejection_sample(draw, accept, count: int, failure: str) -> list:
-    """``count`` draws that ``accept`` keeps: each round calls ``draw`` once
-    per missing draw, within _MAX_TRIES calls in all, and ``accept`` once
-    on the round's draws, so the draws and the stream are a one-at-a-time
-    loop's; :class:`GaudinError` with ``failure`` once the calls run out."""
+    """``count`` draws that ``accept`` keeps: each round makes one call
+    ``draw(need)`` for the ``need`` draws missing and one call of ``accept``
+    on them, within _MAX_TRIES draws in all; :class:`GaudinError` with
+    ``failure`` once the draws run out."""
     out, tries = [], 0
     while len(out) < count:
         need = min(count - len(out), _MAX_TRIES - tries)
         if need == 0:
             raise GaudinError(failure)
         tries += need
-        drawn = [draw() for _ in range(need)]
+        drawn = draw(need)
         out += [d for d, ok in zip(drawn, accept(drawn)) if ok]
     return out
 
 
 def sample_regular_cartan(
-    rs: RootSystemData,
-    md: ModularData,
-    rng,
-    count: int,
-    box: float = 0.8,
-    guard: float = 0.05,
+    rs: RootSystemData, md: ModularData, rng, count: int, box: float = 0.8, guard: float = 0.05
 ):
     """Random complex Cartan coordinates in the box avoiding all root-lattice
     walls by guard, one ``lattice_distance`` call per round of draws
     (``_rejection_sample``); :class:`GaudinError` after _MAX_TRIES draws.
-    ``rng`` is any source with NumPy's ``Generator.uniform(low, high[, size])``."""
+    ``rng.uniform(low, high, size)`` gives a stream's next ``size`` draws, as
+    NumPy's ``Generator`` does: 2 x rank per point, real parts first."""
+
+    def draw(need):
+        parts = rng.uniform(-box, box, need * 2 * rs.rank).reshape(need, 2, rs.rank)
+        return parts[:, 0] + 1j * parts[:, 1]
+
     return _rejection_sample(
-        lambda: rng.uniform(-box, box, rs.rank) + 1j * rng.uniform(-box, box, rs.rank),
+        draw,
         lambda hs: ~np.any(lattice_distance(root_values(rs.positive_roots, hs), md) < guard, 1),
         count,
         f"could not sample {count} regular Cartan points with parts in [-{box}, "
@@ -193,22 +194,21 @@ def sample_regular_cartan(
     )
 
 
-def sample_spectral_points(
-    md: ModularData,
-    positions,
-    rng,
-    count: int,
-    guard: float = 0.05,
-):
-    """Random spectral parameters in the fundamental cell, each at least
-    ``guard`` from every point of ``positions`` modulo the lattice, one
-    ``lattice_distance`` call per round of draws (``_rejection_sample``).
-    Raises :class:`GaudinError` after _MAX_TRIES draws.  ``rng`` is as in
-    :func:`sample_regular_cartan`."""
+def sample_spectral_points(md: ModularData, positions, rng, count: int, guard: float = 0.05):
+    """Random spectral parameters x + y*tau in the fundamental cell, each at
+    least ``guard`` from every point of ``positions`` modulo the lattice,
+    one ``lattice_distance`` call per round of draws; ``rng`` and
+    :class:`GaudinError` are as in :func:`sample_regular_cartan`.  A point
+    takes two unit draws, x and then y, y mapped as ``uniform(0.05, 0.95)``."""
     positions = np.asarray(positions, dtype=complex)
+
+    def draw(need):
+        x, y = rng.uniform(0.0, 1.0, 2 * need).reshape(need, 2).T
+        return x + (0.05 + (0.95 - 0.05) * y) * md.tau
+
     return _rejection_sample(
-        lambda: rng.uniform(0.0, 1.0) + rng.uniform(0.05, 0.95) * md.tau,
-        lambda us: ~np.any(lattice_distance(positions - np.array(us)[:, None], md) < guard, 1),
+        draw,
+        lambda us: ~np.any(lattice_distance(positions - us[:, None], md) < guard, 1),
         count,
         f"could not sample {count} spectral points at least {guard} "
         f"from {len(positions)} poles in {_MAX_TRIES} draws",

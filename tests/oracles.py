@@ -875,6 +875,31 @@ def nearest_lattice_point_scan(z: complex, md) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# The CLI's sample stream in plain Python integers.
+# ---------------------------------------------------------------------------
+
+
+def splitmix64_words(seed: int):
+    """The 64-bit words of ``cli._Uniforms(seed)``, one at a time, with
+    Python integers masked to 64 bits: SplitMix64 (Steele, Lea & Flood,
+    OOPSLA 2014) keyed by folding the seed's little-endian 64-bit words."""
+    mask, golden = 2**64 - 1, 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        return z ^ (z >> 31)
+
+    key = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = mix(((key ^ ((seed >> shift) & mask)) + golden) & mask)
+    n = 0
+    while True:
+        n += 1
+        yield mix((key + n * golden) & mask)
+
+
+# ---------------------------------------------------------------------------
 # Samplers one draw at a time.
 # ---------------------------------------------------------------------------
 

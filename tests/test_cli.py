@@ -281,8 +281,18 @@ def test_seed_changes_instance_digest(tmp_path):
     assert _instance_digest(cfg, "full-verify", True) != d0
 
 
-# The sample stream and the instance digest are computed in-process;
-# NumPy's generator and hashlib are their oracles.
+# The sample stream's first three 64-bit words, computed with plain Python
+# integers outside the package.  Seed 0's key is SplitMix64's first output
+# from state 0, the published reference value 0xE220A8397B1DCDAF.
+_STREAM_WORDS = {
+    0: (0xA706DD2F4D197E6F, 0xB382A305F4414F5E, 0x631A9154FBABF717),
+    1: (0x5E41AB087439611E, 0xF18D6CE93D6CF1EE, 0x0B95F66D327E8D78),
+    11: (0x91FFA96FC4C62CCE, 0x4444DC6C30BB5874, 0x31EFD92C3DE1F31E),
+    2**64 + 5: (0xA51A08E999E06950, 0x0ECA6960C89B7750, 0x81B323BE9F2001B3),
+    3**90: (0x54F0A5F6A774B785, 0xE36C9C68742B74FB, 0x15AFE340AEA41C8A),
+}
+
+
 _SEED_BYTES = np.random.default_rng(27).bytes(9 * 50)
 _STREAM_SEEDS = [0, 1, 11, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1, 3**90] + [
     int.from_bytes(_SEED_BYTES[k : k + 9], "little") >> 2  # below 2^70
@@ -291,19 +301,57 @@ _STREAM_SEEDS = [0, 1, 11, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1, 3**90] + [
 
 
 @pytest.mark.parametrize("seed", _STREAM_SEEDS)
-def test_sample_stream_equals_numpy_default_rng(seed):
-    ours, numpy_rng = cli._Uniforms(seed), np.random.default_rng(seed)
+def test_sample_stream_equals_python_int_splitmix64(seed):
+    from oracles import splitmix64_words
+
+    ours, words = cli._Uniforms(seed), splitmix64_words(seed)
     for k in range(60):
+        # sized calls as the samplers make them, by keyword and by position
         low, high = (-0.8, 0.8) if k % 2 else (0.05, 0.95)
-        if k % 3 == 0:
-            x, y = ours.uniform(low, high), numpy_rng.uniform(low, high)
-            assert type(x) is float and type(y) is float
-            assert np.float64(x).tobytes() == np.float64(y).tobytes()
-        else:
-            # sized calls as the samplers make them: by keyword and by position
-            x, y = ours.uniform(low, high, k % 5), numpy_rng.uniform(low, high, size=k % 5)
-            assert x.dtype == y.dtype and x.shape == y.shape
-            assert x.tobytes() == y.tobytes()
+        got = ours.uniform(low, high, size=k % 5) if k % 3 else ours.uniform(low, high, k % 5)
+        want = [low + (high - low) * ((next(words) >> 11) * 2.0**-53) for _ in range(k % 5)]
+        assert got.dtype == np.float64 and got.shape == (k % 5,)
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("seed", sorted(_STREAM_WORDS))
+def test_sample_stream_first_draws_are_known_answers(seed):
+    low, high = -0.8, 0.8
+    got = cli._Uniforms(seed).uniform(low, high, 3)
+    want = [low + (high - low) * ((word >> 11) * 2.0**-53) for word in _STREAM_WORDS[seed]]
+    assert got.dtype == np.float64 and got.shape == (3,)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_sample_stream_split_draws_continue_one_draw():
+    # the stream is a counter: sized draws in two calls are the draws of
+    # one call, with no warning from uint64 arithmetic that wraps
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (*_STREAM_WORDS, 2**32, 2**128 + 1):
+            for n, m in ((0, 3), (1, 1), (5, 0), (7, 37)):
+                split, whole = cli._Uniforms(seed), cli._Uniforms(seed)
+                got = np.concatenate([split.uniform(0.05, 0.95, n), split.uniform(0.05, 0.95, m)])
+                assert got.tobytes() == whole.uniform(0.05, 0.95, n + m).tobytes()
+                assert split.uniform(0.05, 0.95, 4).tobytes() == whole.uniform(0.05, 0.95, 4).tobytes()
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.05, 0.95), (-0.8, 0.8), (-1.5, -1.25)])
+def test_sample_stream_stays_in_its_interval(low, high):
+    values = cli._Uniforms(2**64 + 5).uniform(low, high, 100_000)
+    assert np.all((low <= values) & (values < high))
+    # the draws spread over the interval: each tenth holds about a tenth
+    counts = np.histogram(values, bins=10, range=(low, high))[0]
+    assert np.all(np.abs(counts - 10_000) < 600)
+
+
+def test_sample_stream_keys_every_word_of_the_seed():
+    assert cli._Uniforms(0)._key.tolist() == [0xE220A8397B1DCDAF]
+    draws = {seed: cli._Uniforms(seed).uniform(0.0, 1.0, 8).tobytes()
+             for seed in (5, 2**64 + 5, 2**128 + 5, 5 << 64)}
+    assert len(set(draws.values())) == len(draws)
 
 
 def test_instance_digest_equals_hashlib_sha256():
