@@ -87,9 +87,6 @@ COMMANDS = {
     "full-verify": (("elliptic", "algebra"), ("commute", "bethe", "eigen")),
 }
 
-FORMATS = ("human-text", "json-lines", "csv")
-
-
 class ConfigError(ValueError):
     """Unusable configuration: parse failure or violated constraint."""
 
@@ -849,31 +846,25 @@ class CheckRunner:
             self._build_sweep()
 
     def _build_sweep(self):
-        """Eigenvalue sweep over a monotone grid of spectral parameters."""
+        """Eigenvalue sweep over a monotone grid of spectral parameters,
+        u = (k + 1/2)/n + y tau for k < n, on the first line y = 0.29 +
+        0.017 step (step < 40) that keeps ``pole_guard`` from every site and
+        root of the first solution; with no such line, no sweep."""
         if not self._solutions:
             return
         t = np.array(self._solutions[0], dtype=complex)
         n = self.cfg.sampling["sweep_points"]
         guard = self.cfg.sampling["pole_guard"]
         poles = np.concatenate([self.problem.positions, t])
-        tau = self.md.tau
-        offset = None
+        grid = (np.arange(n) + 0.5) / n
         for step in range(40):
-            y = 0.29 + 0.017 * step
-            candidate = np.array(
-                [complex((k + 0.5) / n) + y * tau for k in range(n)]
-            )
-            dist = lattice_distance(candidate[:, None] - poles[None, :], self.md)
-            if np.all(dist >= guard):
-                offset = candidate
+            offset = grid + (0.29 + 0.017 * step) * self.md.tau
+            if np.all(lattice_distance(offset[:, None] - poles[None, :], self.md) >= guard):
                 break
-        if offset is None:
+        else:
             return
         (values,) = self.system.eigenvalue(t[None], offset[None])
-        self.report.sweep = [
-            (u, value.real, value.imag)
-            for u, value in zip(offset.tolist(), values.tolist())
-        ]
+        self.report.sweep = list(zip(offset.tolist(), values.real.tolist(), values.imag.tolist()))
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -939,68 +930,66 @@ def render_text(report: Report) -> str:
 
 def render_jsonl(report: Report) -> str:
     """One record per check; wall time excluded so output is byte-stable."""
-    lines = []
-    for rec in report.sorted_records():
-        lines.append(
-            json.dumps(
-                {
-                    "instance": rec.instance,
-                    "name": rec.name,
-                    "note": rec.note,
-                    "pass": rec.passed,
-                    "residual": rec.residual,
-                    "tolerance": rec.tolerance,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+    return "".join(
+        json.dumps(
+            {
+                "instance": rec.instance,
+                "name": rec.name,
+                "note": rec.note,
+                "pass": rec.passed,
+                "residual": rec.residual,
+                "tolerance": rec.tolerance,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
         )
-    return "\n".join(lines) + ("\n" if lines else "")
+        + "\n"
+        for rec in report.sorted_records()
+    )
+
+
+def _render_table(header, rows) -> str:
+    import csv
+
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def render_csv(report: Report) -> str:
-    import csv
-
-    out = io.StringIO()
-    writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(["name", "instance", "residual", "tolerance", "pass", "note"])
-    for rec in report.sorted_records():
-        writer.writerow(
-            [
-                rec.name,
-                rec.instance,
-                repr(rec.residual),
-                repr(rec.tolerance),
-                "true" if rec.passed else "false",
-                rec.note,
-            ]
-        )
-    return out.getvalue()
+    return _render_table(
+        ("name", "instance", "residual", "tolerance", "pass", "note"),
+        ((rec.name, rec.instance, repr(rec.residual), repr(rec.tolerance),
+          "true" if rec.passed else "false", rec.note) for rec in report.sorted_records()),
+    )
 
 
 def render_sweep_csv(report: Report) -> str:
-    import csv
+    return _render_table(
+        ("u", "re_tau_psi", "im_tau_psi"),
+        ((format_complex(u), repr(x), repr(y)) for u, x, y in report.sweep or ()),
+    )
 
-    out = io.StringIO()
-    writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(["u", "re_tau_psi", "im_tau_psi"])
-    for u, re_val, im_val in report.sweep or []:
-        writer.writerow([format_complex(u), repr(re_val), repr(im_val)])
-    return out.getvalue()
+
+# format -> (file name, renderer); a csv run adds sweep.csv when it has one
+_RENDERERS = {
+    "human-text": ("report.txt", render_text),
+    "json-lines": ("report.jsonl", render_jsonl),
+    "csv": ("report.csv", render_csv),
+}
+FORMATS = tuple(_RENDERERS)
 
 
 def emit(report: Report, fmt: str, out_dir: str | None = None) -> dict:
     """Render the report; returns {filename: content} ('' means stdout)."""
-    if fmt == "human-text":
-        files = {"report.txt": render_text(report)}
-    elif fmt == "json-lines":
-        files = {"report.jsonl": render_jsonl(report)}
-    elif fmt == "csv":
-        files = {"report.csv": render_csv(report)}
-        if report.sweep is not None:
-            files["sweep.csv"] = render_sweep_csv(report)
-    else:
+    if fmt not in _RENDERERS:
         raise ConfigError(f"unknown format {fmt!r}")
+    name, render = _RENDERERS[fmt]
+    files = {name: render(report)}
+    if fmt == "csv" and report.sweep is not None:
+        files["sweep.csv"] = render_sweep_csv(report)
     if out_dir is None:
         return files
     os.makedirs(out_dir, exist_ok=True)

@@ -950,6 +950,26 @@ def sample_spectral_points_per_draw(md, positions, rng, count, guard=0.05):
     return out
 
 
+def sweep_offsets_listwise(runner):
+    """The spectral points of ``CheckRunner._build_sweep``, each candidate
+    line built point by point as complex((k + 0.5) / n) + y tau: the first
+    line, y = 0.29 + 0.017 step, every point of which lies at least
+    ``pole_guard`` from the lattice translates of the sites and of the
+    first solution's roots, or None."""
+    from ellgaudin.elliptic import lattice_distance
+
+    n = runner.cfg.sampling["sweep_points"]
+    guard = runner.cfg.sampling["pole_guard"]
+    poles = np.concatenate([runner.problem.positions, runner._solutions[0]])
+    tau = runner.md.tau
+    for step in range(40):
+        y = 0.29 + 0.017 * step
+        candidate = np.array([complex((k + 0.5) / n) + y * tau for k in range(n)])
+        if np.all(lattice_distance(candidate[:, None] - poles[None, :], runner.md) >= guard):
+            return candidate
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Check stages one kernel call per point, pair and contour.
 # ---------------------------------------------------------------------------

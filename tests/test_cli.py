@@ -28,8 +28,10 @@ from ellgaudin.cli import (
     CheckRecord,
     CheckRunner,
     ConfigError,
+    FORMATS,
     Report,
     _instance_digest,
+    emit,
     format_complex,
     load_config,
     main,
@@ -43,7 +45,7 @@ from ellgaudin.elliptic import Jet, jet_indices
 from ellgaudin.gaudin import GaudinProblem
 from ellgaudin.liealg import TensorSpace
 
-from oracles import elliptic_stage_reference
+from oracles import elliptic_stage_reference, sweep_offsets_listwise
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -375,7 +377,7 @@ def test_commands_load_neither_numpy_random_nor_openssl_nor_csv():
     config = str(CONFIGS / "a1_bethe_m1.ini")
     code = (
         "import sys, numpy\n"
-        "watch = ('numpy.random', '_hashlib', 'csv', 'dataclasses')\n"
+        "watch = ('numpy.random', 'numpy.ma', '_hashlib', 'csv', 'dataclasses')\n"
         "before = {m for m in watch if m in sys.modules}\n"
         "from ellgaudin import cli\n"
         f"code = cli.main(['full-verify', '--config', {config!r}, '--format', 'json-lines'])\n"
@@ -586,6 +588,63 @@ def test_empty_report_header_only_csv():
     assert render_sweep_csv(_dummy_report(sweep=[])) == "u,re_tau_psi,im_tau_psi\n"
 
 
+def test_reports_render_to_the_byte():
+    # a csv note with a comma or a quote is quoted, with its quote doubled,
+    # and nothing else is; floats keep repr's digits, u its a+bi form
+    report = _dummy_report(
+        [
+            CheckRecord("b/two", "deadbeef0000", 2.5e-07, 1e-08, False, 0.4,
+                        'max over 3, "worst" first'),
+            CheckRecord("a/one", "deadbeef0000", 1.25e-13, 1e-08, True),
+            CheckRecord("c/three", "deadbeef0000", float("inf"), 0.1, False, 0.0,
+                        "overflow"),
+        ],
+        sweep=[
+            (0.005 + 0.232j, -1.5, 0.1 + 0.2),
+            (0.995 - 0.25j, 3e-17, -0.0),
+            (0.5 + 0j, 12345.678, 1e300),
+        ],
+    )
+    assert render_csv(report) == (
+        "name,instance,residual,tolerance,pass,note\n"
+        "a/one,deadbeef0000,1.25e-13,1e-08,true,\n"
+        'b/two,deadbeef0000,2.5e-07,1e-08,false,"max over 3, ""worst"" first"\n'
+        "c/three,deadbeef0000,inf,0.1,false,overflow\n"
+    )
+    assert render_sweep_csv(report) == (
+        "u,re_tau_psi,im_tau_psi\n"
+        "0.005+0.232i,-1.5,0.30000000000000004\n"
+        "0.995-0.25i,3e-17,-0.0\n"
+        "0.5,12345.678,1e+300\n"
+    )
+    assert render_jsonl(report) == (
+        '{"instance":"deadbeef0000","name":"a/one","note":"","pass":true,'
+        '"residual":1.25e-13,"tolerance":1e-08}\n'
+        '{"instance":"deadbeef0000","name":"b/two","note":"max over 3, \\"worst\\" first",'
+        '"pass":false,"residual":2.5e-07,"tolerance":1e-08}\n'
+        '{"instance":"deadbeef0000","name":"c/three","note":"overflow","pass":false,'
+        '"residual":Infinity,"tolerance":0.1}\n'
+    )
+
+
+def test_each_format_writes_its_files(tmp_path):
+    # only a csv run with a sweep writes sweep.csv, after report.csv
+    report = _dummy_report([CheckRecord("a/one", "deadbeef0000", 0.0, 1.0, True)],
+                           sweep=[(0.5 + 0.3j, 1.0, 2.0)])
+    assert FORMATS == ("human-text", "json-lines", "csv")
+    assert {fmt: list(emit(report, fmt)) for fmt in FORMATS} == {
+        "human-text": ["report.txt"],
+        "json-lines": ["report.jsonl"],
+        "csv": ["report.csv", "sweep.csv"],
+    }
+    assert emit(report, "csv")["sweep.csv"] == render_sweep_csv(report)
+    assert list(emit(_dummy_report(), "csv")) == ["report.csv"]
+    assert emit(report, "json-lines", str(tmp_path)) == {"report.jsonl": render_jsonl(report)}
+    assert os.listdir(tmp_path) == ["report.jsonl"]
+    with pytest.raises(ConfigError, match="unknown format 'xml'"):
+        emit(report, "xml")
+
+
 def test_single_pass_record_single_json_line():
     rec = CheckRecord(
         name="layer/check", instance="deadbeef0000", residual=1e-12,
@@ -661,6 +720,29 @@ def test_csv_sweep_monotone_grid(tmp_path):
     report = (tmp_path / "csv" / "report.csv").read_text().splitlines()
     assert report[0] == "name,instance,residual,tolerance,pass,note"
     assert any(line.startswith("eigen/residual-00") for line in report[1:])
+
+
+@pytest.mark.parametrize("points", [100, 100_000])
+def test_sweep_grid_equals_the_listwise_grid_to_the_bit(tmp_path, monkeypatch, points):
+    # the sweep line is one array expression, (arange(n) + 0.5) / n + y tau;
+    # its points must be the point-by-point list's, to the bit, up to the cap
+    text = (CONFIGS / "a1_bethe_m2.ini").read_text(encoding="utf-8")
+    path = write_config(tmp_path, text + f"\n[sampling]\nsweep_points = {points}\n")
+    runner = CheckRunner(load_config(path), "eigen-check", False, True)
+    runner.stage_bethe()
+    want = sweep_offsets_listwise(runner)
+    seen = []
+
+    def eigenvalue(t, u):  # the grid alone: no eigenvalue at 100,000 points
+        seen.append(u)
+        return np.zeros(u.shape, dtype=complex)
+
+    monkeypatch.setattr(runner.system, "eigenvalue", eigenvalue)
+    runner._build_sweep()
+    (offsets,) = seen
+    assert want is not None and want.shape == (points,)
+    assert offsets.dtype == want.dtype and offsets[0].tobytes() == want.tobytes()
+    assert [u for u, _, _ in runner.report.sweep] == want.tolist()
 
 
 def test_commute_check_same_point_record(tmp_path):

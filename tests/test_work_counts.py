@@ -559,12 +559,26 @@ def eigen_stage_peak(tmp_path, max_solutions, cartan_count, sweep):
 
     solved().stage_eigen()
     runner = solved()
-    tracemalloc.start()
+    tracemalloc.start(8)
     try:
         runner.stage_eigen()
-        return len(runner._solutions), tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1]
+        return len(runner._solutions), peak, tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
+
+
+def held_growth(snapshot, base, top=5):
+    """The sites whose held bytes grew most from ``base`` to ``snapshot``,
+    one line each with its innermost frames."""
+    lines = []
+    for stat in snapshot.compare_to(base, "traceback")[:top]:
+        frames = " <- ".join(
+            f"{Path(frame.filename).name}:{frame.lineno}"
+            for frame in list(stat.traceback)[::-1][:4]
+        )
+        lines.append(f"{stat.size_diff:+,d} B in {stat.count_diff:+d} blocks at {frames}")
+    return "\n".join(lines)
 
 
 def test_eigen_stage_memory_does_not_grow_with_solutions_or_points(monkeypatch, tmp_path):
@@ -575,13 +589,17 @@ def test_eigen_stage_memory_does_not_grow_with_solutions_or_points(monkeypatch, 
     # samples; each pass takes the eigenvalues of its own solutions.  So
     # 40 entries of 4 solutions peak about as one does: 0.095 and 0.103 MB
     # measured without the sweep, 0.477 and 0.480 MB with it, where one
-    # pass over all 40 peaks at 2.4 MB
+    # pass over all 40 peaks at 2.4 MB.  A breach names the sites whose
+    # held bytes grew most from the one-entry run's to the 40-entry run's
     monkeypatch.setattr(bethe, "_PASS_BYTES", 1)
     for sweep in (False, True):
-        one, few = eigen_stage_peak(tmp_path, 1, 1, sweep)
-        many, lots = eigen_stage_peak(tmp_path, 4, 10, sweep)
+        one, few, few_held = eigen_stage_peak(tmp_path, 1, 1, sweep)
+        many, lots, lots_held = eigen_stage_peak(tmp_path, 4, 10, sweep)
         assert one == 1 < many
-        assert lots < 1.2 * few
+        assert lots < 1.2 * few, (
+            f"sweep={sweep}: peak {lots:,d} B against {few:,d} B; held growth:\n"
+            + held_growth(lots_held, few_held)
+        )
 
 
 def test_verify_eigenvector_memory_does_not_grow_with_solutions(monkeypatch, tmp_path):
