@@ -849,17 +849,24 @@ class CheckRunner:
         """Eigenvalue sweep over a monotone grid of spectral parameters,
         u = (k + 1/2)/n + y tau for k < n, on the first line y = 0.29 +
         0.017 step (step < 40) that keeps ``pole_guard`` from every site and
-        root of the first solution; with no such line, no sweep."""
+        root of the first solution; with no such line, no sweep.  A pole
+        p's translates lie at least Im tau dist(y - Im p / Im tau, Z) from
+        the line, so only poles with that bound under the guard (plus 64
+        ulps for rounding) are screened point by point."""
         if not self._solutions:
             return
         t = np.array(self._solutions[0], dtype=complex)
         n = self.cfg.sampling["sweep_points"]
         guard = self.cfg.sampling["pole_guard"]
         poles = np.concatenate([self.problem.positions, t])
-        grid = (np.arange(n) + 0.5) / n
+        tau, grid = self.md.tau, (np.arange(n) + 0.5) / n
+        height = poles.imag / tau.imag
+        near_guard = guard + 64 * np.finfo(float).eps * (1 + abs(tau) + np.max(np.abs(poles)))
         for step in range(40):
-            offset = grid + (0.29 + 0.017 * step) * self.md.tau
-            if np.all(lattice_distance(offset[:, None] - poles[None, :], self.md) >= guard):
+            y = 0.29 + 0.017 * step
+            offset = grid + y * tau
+            near = poles[tau.imag * np.abs(y - height - np.round(y - height)) < near_guard]
+            if np.all(lattice_distance(offset[:, None] - near[None, :], self.md) >= guard):
                 break
         else:
             return

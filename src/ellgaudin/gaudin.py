@@ -392,12 +392,13 @@ class GaudinProblem:
         the pair operators of alpha and -alpha that share a kernel product:
         _pair[k, i, j] = P(i, j, alpha) + P(j, i, -alpha), with P(i, j, a) =
         e_{-a}^(j) e_a^(i), shape (|Phi+|, N, N, dim0, dim0).  One pass per
-        positive root takes L_i and R_i, the dual matrices of e_alpha and
-        e_-alpha, once per site.  Operators on two sites commute, so for
-        i != j the entry between tuples a and b is 2 R_j[a_j, b_j]
-        L_i[a_i, b_i] where a and b agree off {i, j} (one mask per site
-        pair); for i = j it is (R_i L_i + L_i R_i)[a_i, b_i], formed on the
-        basis vectors of site i that the tuples use; the tensor product is never formed.
+        positive root takes L_i and R_i, the dual actions of e_alpha and
+        e_-alpha, once per site, as views of its root stack.  Operators on
+        two sites commute, so for i != j the entry between tuples a and b is
+        2 R_j[a_j, b_j] L_i[a_i, b_i] where a and b agree off {i, j} (one
+        mask per site pair); for i = j it is (R_i L_i + L_i R_i)[a_i, b_i],
+        formed on the basis vectors of site i that the tuples use; the
+        tensor product is never formed.
         """
         rs = self.rs
         tuples = self.space.zero_array
@@ -410,11 +411,8 @@ class GaudinProblem:
         self._site_weights = np.array([m.weights[c] for m, c in zip(self.modules, tuples.T)])
         self._pair = np.empty((rs.n_positive, nsites, nsites) + same.shape[:2], complex)
         for k in range(rs.n_positive):
-            lower = [mod.dual_matrix(rs.root_vectors[k]) for mod in self.modules]
-            raise_ = [
-                mod.dual_matrix(rs.root_vectors[rs.negative_of(k)])
-                for mod in self.modules
-            ]
+            lower = [mod.dual_root(k) for mod in self.modules]
+            raise_ = [mod.dual_root(rs.negative_of(k)) for mod in self.modules]
             for i, j in np.ndindex(nsites, nsites):
                 if i == j:
                     rows, r, l = used[i], raise_[i], lower[i]
@@ -425,7 +423,6 @@ class GaudinProblem:
                     mat = raise_[j][at_j] * lower[i][at_i]
                     mat = mat + mat  # 2 * mat would turn some -0 parts into +0
                 self._pair[k, i, j] = np.where(agree_off[i][j], mat, 0)
-            del lower, raise_, r, l  # freed before the next pass builds its own
 
     # -- coefficient data ------------------------------------------------
 

@@ -279,12 +279,12 @@ class _TruncatedVerma:
         memo[key] = out
         return out
 
-    def matrix_of_root(self, g: int) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
+    def matrix_of_root(self, g: int, out: np.ndarray) -> None:
+        """Write the matrix of root vector g into out, a zeroed (dim, dim)
+        array or view."""
         for j, mono in enumerate(self.monomials):
             for m2, c in self.apply_root(g, mono).items():
-                m[self.index[m2], j] = c
-        return m
+                out[self.index[m2], j] = c
 
 
 # ---------------------------------------------------------------------------
@@ -317,32 +317,22 @@ class RepresentedModule:
 
     def represent(self, x: np.ndarray) -> np.ndarray:
         """Action of an arbitrary algebra element (defining matrix): the
-        root-vector stack weighted by x's nonzero root coordinates, so a root
-        vector's action is one stack slice, plus diag(weights @ cartan_coords(x))."""
-        coords = self.rs.root_coords(x)
-        nonzero = np.flatnonzero(coords)
-        out = np.tensordot(coords[nonzero], self.roots[nonzero], 1)
-        return out + np.diag(self.weights @ self.rs.cartan_coords(x))
+        root-vector stack weighted by x's root coordinates, plus
+        diag(weights @ cartan_coords(x))."""
+        cartan = np.diag(self.weights @ self.rs.cartan_coords(x))
+        return np.tensordot(self.rs.root_coords(x), self.roots, 1) + cartan
 
-    def dual_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Transpose action of x on the dual of the underlying space.
-
-        (A acting on Phi)(v) = Phi(A v), so products reverse under this
-        map.  Irreducible modules are stored by their own action, so this
-        is the plain transpose.  Dual Verma modules are stored already
-        acting on the dual space via the transpose-compose-involution
-        construction; undoing the involution (transposing the defining
-        matrix) recovers the plain transpose action.  Either way the
-        Cartan subalgebra acts on the dual basis by the weights.
-        """
+    def dual_root(self, k: int) -> np.ndarray:
+        """Action of root vector k on the dual space, (A Phi)(v) = Phi(A v),
+        as a view of the stack: an irrep is stored by its own action, so
+        the transpose of slice k; a dual Verma module already acts on the
+        dual, slice k being the transposed Verma action of root -k."""
         if self.kind == "dual_verma":
-            return self.represent(np.asarray(x).T)
-        return self.represent(x).T
+            return self.roots[self.rs.negative_of(k)]
+        return self.roots[k].T
 
 
-def build_dual_verma(
-    rs: RootSystemData, lam, depth: int
-) -> RepresentedModule:
+def build_dual_verma(rs: RootSystemData, lam, depth: int) -> RepresentedModule:
     """Truncated dual Verma module with highest weight lam.
 
     Realized on the dual basis of the truncated PBW basis; the action of
@@ -363,16 +353,16 @@ def build_dual_verma(
     if depth < 1:
         raise LieAlgebraError("depth must be at least 1")
     tv = _TruncatedVerma(rs, lam, depth)
-    roots = [tv.matrix_of_root(rs.negative_of(k)).T for k in range(len(rs.roots))]
-    j = np.zeros(tv.dim, dtype=complex)
-    j[tv.index[(0,) * rs.n_positive]] = 1.0
+    roots = np.zeros((len(rs.roots), tv.dim, tv.dim), dtype=complex)
+    for k, stored in enumerate(roots):
+        tv.matrix_of_root(rs.negative_of(k), out=stored.T)
     return RepresentedModule(
         rs=rs,
         kind="dual_verma",
         highest_weight=lam,
         weights=tv.weights,
-        roots=np.array(roots),
-        j_covector=j,
+        roots=roots,
+        j_covector=np.eye(1, tv.dim, dtype=complex)[0],  # the empty monomial sorts first
         depth=depth,
     )
 

@@ -198,6 +198,23 @@ def normalized_form_direct(
     )
 
 
+def dual_action(mod, x: np.ndarray) -> np.ndarray:
+    """Transpose action of the algebra element x (a defining matrix) on
+    the dual of mod's underlying space, from ``represent``.
+
+    (A acting on Phi)(v) = Phi(A v), so products reverse under this map.
+    Irreducible modules are stored by their own action, so this is the
+    plain transpose.  Dual Verma modules are stored already acting on the
+    dual space via the transpose-compose-involution construction; undoing
+    the involution (transposing the defining matrix) recovers the plain
+    transpose action.  Either way the Cartan subalgebra acts on the dual
+    basis by the weights.
+    """
+    if mod.kind == "dual_verma":
+        return mod.represent(np.asarray(x).T)
+    return mod.represent(x).T
+
+
 def cartan_matrix(rs) -> np.ndarray:
     """The Cartan matrix (alpha_i | alpha_j) of the simple roots, as
     integers."""
@@ -771,9 +788,10 @@ def pair_stack_two_pass(problem) -> np.ndarray:
     """A GaudinProblem's stacked pair operators, one pass per root.
 
     Each of the 2 |Phi+| roots gets its own pass, with its own dual
-    matrices on every site, and the root -alpha's pass is added to
-    alpha's with the sites swapped: _pair[k, i, j] = P(i, j, alpha) +
-    P(j, i, -alpha), no use made of two sites' operators commuting.
+    actions on every site, contracted from the root stack by
+    ``dual_action``, and the root -alpha's pass is added to alpha's with
+    the sites swapped: _pair[k, i, j] = P(i, j, alpha) + P(j, i, -alpha),
+    no use made of two sites' operators commuting.
     """
     rs = problem.rs
     tuples = problem.space.zero_array
@@ -791,9 +809,9 @@ def pair_stack_two_pass(problem) -> np.ndarray:
 
     def pair(k):
         # P(i, j, root k) for every site pair, shape (N, N, dim0, dim0)
-        lower = [mod.dual_matrix(rs.root_vectors[k]) for mod in problem.modules]
+        lower = [dual_action(mod, rs.root_vectors[k]) for mod in problem.modules]
         raise_ = [
-            mod.dual_matrix(rs.root_vectors[rs.negative_of(k)])
+            dual_action(mod, rs.root_vectors[rs.negative_of(k)])
             for mod in problem.modules
         ]
         out = np.empty((nsites, nsites) + mismatches.shape, dtype=complex)
@@ -955,7 +973,8 @@ def sweep_offsets_listwise(runner):
     line built point by point as complex((k + 0.5) / n) + y tau: the first
     line, y = 0.29 + 0.017 step, every point of which lies at least
     ``pole_guard`` from the lattice translates of the sites and of the
-    first solution's roots, or None."""
+    first solution's roots, or None.  Every point is screened against
+    every pole, 2,000 points at a time, up to the first that fails."""
     from ellgaudin.elliptic import lattice_distance
 
     n = runner.cfg.sampling["sweep_points"]
@@ -965,7 +984,10 @@ def sweep_offsets_listwise(runner):
     for step in range(40):
         y = 0.29 + 0.017 * step
         candidate = np.array([complex((k + 0.5) / n) + y * tau for k in range(n)])
-        if np.all(lattice_distance(candidate[:, None] - poles[None, :], runner.md) >= guard):
+        if all(
+            np.all(lattice_distance(block[:, None] - poles[None, :], runner.md) >= guard)
+            for block in np.split(candidate, range(2000, n, 2000))
+        ):
             return candidate
     return None
 

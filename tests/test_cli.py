@@ -722,27 +722,44 @@ def test_csv_sweep_monotone_grid(tmp_path):
     assert any(line.startswith("eigen/residual-00") for line in report[1:])
 
 
+BETHE_CONFIGS = [
+    path
+    for folder in (CONFIGS, CONFIGS.parent / "tests" / "data")
+    for path in sorted(folder.glob("*.ini"))
+    if "[bethe]" in path.read_text(encoding="utf-8")
+]
+
+
 @pytest.mark.parametrize("points", [100, 100_000])
 def test_sweep_grid_equals_the_listwise_grid_to_the_bit(tmp_path, monkeypatch, points):
-    # the sweep line is one array expression, (arange(n) + 0.5) / n + y tau;
-    # its points must be the point-by-point list's, to the bit, up to the cap
-    text = (CONFIGS / "a1_bethe_m2.ini").read_text(encoding="utf-8")
-    path = write_config(tmp_path, text + f"\n[sampling]\nsweep_points = {points}\n")
-    runner = CheckRunner(load_config(path), "eigen-check", False, True)
-    runner.stage_bethe()
-    want = sweep_offsets_listwise(runner)
-    seen = []
+    # the sweep line is one array expression, (arange(n) + 0.5) / n + y tau,
+    # screened point by point only against the poles near its height; on
+    # every [bethe] config its points must be the point-by-point list's,
+    # screened against every pole, to the bit, up to the cap
+    for path in BETHE_CONFIGS:
+        text = path.read_text(encoding="utf-8")
+        if "[sampling]" not in text:
+            text += "\n[sampling]\n"
+        text = text.replace("[sampling]\n", f"[sampling]\nsweep_points = {points}\n")
+        cfg = load_config(write_config(tmp_path, text, name=path.name))
+        runner = CheckRunner(cfg, "eigen-check", False, True)
+        runner.stage_bethe()
+        want = sweep_offsets_listwise(runner) if runner._solutions else None
+        seen = []
 
-    def eigenvalue(t, u):  # the grid alone: no eigenvalue at 100,000 points
-        seen.append(u)
-        return np.zeros(u.shape, dtype=complex)
+        def eigenvalue(t, u):  # the grid alone: no eigenvalue at 100,000 points
+            seen.append(u)
+            return np.zeros(u.shape, dtype=complex)
 
-    monkeypatch.setattr(runner.system, "eigenvalue", eigenvalue)
-    runner._build_sweep()
-    (offsets,) = seen
-    assert want is not None and want.shape == (points,)
-    assert offsets.dtype == want.dtype and offsets[0].tobytes() == want.tobytes()
-    assert [u for u, _, _ in runner.report.sweep] == want.tolist()
+        monkeypatch.setattr(runner.system, "eigenvalue", eigenvalue)
+        runner._build_sweep()
+        if want is None:
+            assert seen == [] and runner.report.sweep is None, path.name
+            continue
+        (offsets,) = seen
+        assert want.shape == (points,), path.name
+        assert offsets.dtype == want.dtype and offsets[0].tobytes() == want.tobytes(), path.name
+        assert [u for u, _, _ in runner.report.sweep] == want.tolist(), path.name
 
 
 def test_commute_check_same_point_record(tmp_path):

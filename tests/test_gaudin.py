@@ -31,6 +31,7 @@ from ellgaudin.liealg import build_dual_verma, build_irrep, build_root_system
 
 from oracles import (
     commutativity_residual_reference,
+    dual_action,
     pair_stack_two_pass,
     potential_jet_reference,
     w_direct,
@@ -860,7 +861,7 @@ def test_site_operators_match_dense_reference(name):
     for i in range(nsites):
         for r in range(rs.rank):
             ref = space.restrict_zero(
-                space.op_full(i, modules[i].dual_matrix(rs.h_ortho[r]))
+                space.op_full(i, dual_action(modules[i], rs.h_ortho[r]))
             )
             hstar = np.diag(prob._site_weights[i, :, r])
             assert np.max(np.abs(hstar - ref)) <= 1e-14
@@ -869,8 +870,8 @@ def test_site_operators_match_dense_reference(name):
         e_plus = rs.root_vectors[k]
         e_minus = rs.root_vectors[rs.negative_of(k)]
         return space.restrict_zero(
-            space.op_full(j, modules[j].dual_matrix(e_minus))
-            @ space.op_full(i, modules[i].dual_matrix(e_plus))
+            space.op_full(j, dual_action(modules[j], e_minus))
+            @ space.op_full(i, dual_action(modules[i], e_plus))
         )
 
     # one stack per positive root, carrying the negative root's term with

@@ -26,6 +26,7 @@ from ellgaudin.liealg import (
 from oracles import (
     cartan_matrix,
     casimir_scalar,
+    dual_action,
     freudenthal_multiplicities,
     normalized_form_direct,
     weight_from_simple_roots,
@@ -382,28 +383,74 @@ def test_dual_verma_E_exact_below_depth():
 # ---------------------------------------------------------------------------
 
 
+def dual_of(mod, x):
+    """Dual action of the algebra element x from the module's root slices
+    and its weights: sum_k x_k dual_root(k) + diag(weights . h(x))."""
+    rs = mod.rs
+    out = np.diag(mod.weights @ rs.cartan_coords(x))
+    for k, c in enumerate(rs.root_coords(x)):
+        out = out + c * mod.dual_root(k)
+    return out
+
+
 def test_dual_action_is_anti_homomorphism():
     mod = build_irrep(A2, A2.weight_from_fundamental([1, 0]))
     rs = A2
     e, s = rs.root_vectors, rs.n_positive
     a = e[0] + 0.3 * e[s + 1]
     b = coroot(rs, 0) - 2j * e[1]
-    lhs = mod.dual_matrix(a) @ mod.dual_matrix(b) - mod.dual_matrix(
-        b
-    ) @ mod.dual_matrix(a)
+    lhs = dual_of(mod, a) @ dual_of(mod, b) - dual_of(mod, b) @ dual_of(mod, a)
     rhs = -(comm(mod.represent(a), mod.represent(b))).T
     assert maxabs(lhs - rhs) < 1e-12
+    # root by root: the dual actions bracket as minus the transposed brackets
+    for k, l in itertools.product(range(len(rs.roots)), repeat=2):
+        lhs = comm(mod.dual_root(k), mod.dual_root(l))
+        assert maxabs(lhs + comm(mod.represent(e[k]), mod.represent(e[l])).T) < 1e-12
 
 
 def test_dual_action_fundamental_h():
     mod = build_irrep(A1, A1.fundamental_weights[0])
-    got = mod.dual_matrix(coroot(A1, 0))
+    got = np.diag(mod.weights @ A1.cartan_coords(coroot(A1, 0)))
     assert np.allclose(got, np.diag([1, -1]).T, atol=1e-10)
+    assert np.allclose(got, mod.represent(coroot(A1, 0)).T, atol=1e-10)
+    # e acts on the dual basis by the transpose: it carries the highest
+    # weight covector down
+    assert np.array_equal(mod.dual_root(0), [[0, 0], [1, 0]])
 
 
 def test_dual_action_trivial_rep():
     mod = build_irrep(A1, np.zeros(1))
-    assert maxabs(mod.dual_matrix(A1.root_vectors[0])) < 1e-14
+    assert maxabs(mod.dual_root(0)) < 1e-14
+    assert maxabs(mod.dual_root(1)) < 1e-14
+    assert maxabs(mod.weights) < 1e-14
+
+
+def _site_kinds(rs):
+    """The defining and adjoint irreps of rank rs.rank (spin 1 at rank 1)
+    and a dual Verma module of generic highest weight."""
+    unit = np.eye(rs.rank)
+    lam = rs.weight_from_fundamental([0.7 + 0.2j, 0.4 - 0.3j, 0.6 + 0.1j][: rs.rank])
+    return [
+        build_irrep(rs, rs.weight_from_fundamental(unit[0])),
+        build_irrep(rs, rs.weight_from_fundamental(unit[0] + unit[-1])),
+        build_dual_verma(rs, lam, rs.rank + 2),
+    ]
+
+
+@pytest.mark.parametrize("rs", [A1, A2, A3], ids=["A1", "A2", "A3"])
+def test_dual_root_is_a_view_equal_to_the_contracted_dual_action(rs):
+    # dual_root(k) reads one slice of the root stack, with no copy, and it
+    # equals to the bit the dual action represent contracts from the whole
+    # stack: the transposed action for an irrep, the action of the
+    # transposed root vector for a dual Verma module
+    for mod in _site_kinds(rs):
+        for k, e in enumerate(rs.root_vectors):
+            got = mod.dual_root(k)
+            assert np.shares_memory(got, mod.roots)
+            want = dual_action(mod, e)
+            # tobytes reads either layout in C order, signed zeros included
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous == (mod.kind == "dual_verma")
 
 
 # ---------------------------------------------------------------------------

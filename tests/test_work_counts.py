@@ -38,11 +38,11 @@ evaluations per pass:
   and at every alpha(H); with the transfer operator, whose first-order
   coefficients give -A_r(u), that is two theta calls per (u, H);
 - the pair stack of the exchange potential takes one pass per positive
-  root alpha, with the dual matrices of e_alpha and e_-alpha once per
-  site, 2 N |Phi+| ``dual_matrix`` calls for N sites, and a root vector's
-  dual matrix is one slice of its module's root stack; each on-site sum
-  is formed on the basis vectors that the zero-weight tuples use, not at
-  site size;
+  root alpha, with the dual actions of e_alpha and e_-alpha once per
+  site, 2 N |Phi+| ``dual_root`` calls for N sites, and a root vector's
+  dual action is a view of one slice of its module's root stack, so a
+  build makes no ``represent`` call; each on-site sum is formed on the
+  basis vectors that the zero-weight tuples use, not at site size;
 - the exchange potential takes theta once per distinct argument, which
   theta's oddness brings down to N + |Phi+| (2N + 1) for N sites, all in
   one call, and one substitution call for all positive roots; the
@@ -100,7 +100,7 @@ from ellgaudin.liealg import (
     build_root_system,
 )
 
-from oracles import newton_per_seed
+from oracles import dual_action, newton_per_seed
 
 MD = ModularData(0.8j)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -409,7 +409,7 @@ def test_denominator_takes_one_theta_call(monkeypatch, rank):
 
 # the counts the two-pass build doubled: N = 3 sites of rank 2, and the
 # rank-3 dual-Verma probe's N = 2 sites
-PAIR_STACK_DUAL_MATRICES = {"a2_n3_adjoint": 18, "a3_m2_dual_verma": 24}
+PAIR_STACK_DUAL_ROOTS = {"a2_n3_adjoint": 18, "a3_m2_dual_verma": 24}
 
 
 @pytest.mark.parametrize(
@@ -420,20 +420,35 @@ PAIR_STACK_DUAL_MATRICES = {"a2_n3_adjoint": 18, "a3_m2_dual_verma": 24}
 def test_pair_stack_takes_each_sites_root_matrices_once(monkeypatch, path):
     prob = load_config(str(path)).problem
     rs = prob.rs
-    calls = count_calls(monkeypatch, RepresentedModule, "dual_matrix")
+    calls = count_calls(monkeypatch, RepresentedModule, "dual_root")
     GaudinProblem(rs, prob.md, prob.positions, prob.modules)
     # one pass per positive root, with e_alpha and e_-alpha once per site
     want = 2 * len(prob.modules) * rs.n_positive
-    assert len(calls) == PAIR_STACK_DUAL_MATRICES.get(path.stem, want) == want
+    assert len(calls) == PAIR_STACK_DUAL_ROOTS.get(path.stem, want) == want
     monkeypatch.undo()
-    # a root vector's dual matrix is one slice of the module's stack, the
-    # convention bethe._vector_plan reads without a dual_matrix call;
-    # adding +0 makes the signed zeros of the two sides alike
+    # a root vector's dual action is a view of one slice of the module's
+    # stack, the convention bethe._vector_plan reads, and it equals the
+    # action contracted from the whole stack by represent to the bit
     for mod in prob.modules:
         for k, e in enumerate(rs.root_vectors):
-            stored = mod.roots[rs.negative_of(k)] if mod.kind == "dual_verma" else mod.roots[k].T
-            got, want = (np.ascontiguousarray(m + 0) for m in (mod.dual_matrix(e), stored))
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            got, want = mod.dual_root(k), dual_action(mod, e)
+            assert np.shares_memory(got, mod.roots)
+            # tobytes reads either layout in C order, signed zeros included
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "path",
+    [*sorted(CONFIGS.glob("*.ini")), *sorted(PROBES.glob("*.ini"))],
+    ids=lambda path: path.stem,
+)
+def test_a_build_contracts_no_algebra_element(monkeypatch, path):
+    # loading a config builds its modules, its problem and any Bethe
+    # system; each pair operator reads root slices, so no general algebra
+    # element is contracted against a root stack
+    calls = count_calls(monkeypatch, RepresentedModule, "represent")
+    load_config(str(path))
+    assert calls == []
 
 
 def test_pair_stack_forms_on_site_sums_on_the_used_basis_vectors():
@@ -442,7 +457,9 @@ def test_pair_stack_forms_on_site_sums_on_the_used_basis_vectors():
     # build peaked at 1.86 MB when it formed each on-site sum R L + L R at
     # site size and held a pass's site matrices into the next pass, and
     # at 1.63 MB with site-sized sums alone; on the used rows and columns
-    # it peaks at 1.40 MB, in the dual matrices of one pass
+    # it peaked at 1.40 MB, in the dual matrices of one pass, contracted
+    # from the stacks; read as views of the stacks they take no memory,
+    # and the build peaks at 0.04 MB, below one site-sized matrix
     prob = load_config(str(PROBES / "a3_m2_dual_verma.ini")).problem
     assert [m.dim for m in prob.modules] == [120, 120]
     assert [len(np.unique(c)) for c in prob.space.zero_array.T] == [5, 5]
@@ -452,7 +469,24 @@ def test_pair_stack_forms_on_site_sums_on_the_used_basis_vectors():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5e6
+    assert peak < 0.2e6
+
+
+def test_dual_verma_stack_is_built_in_place():
+    # a site of the rank-3 probe: 120 basis vectors, a stack of 12 root
+    # matrices of 2.76 MB.  Stacking a list of per-root matrices peaked at
+    # 2.12 times the stack; filling one preallocated stack, 1.13 times,
+    # the rest being the PBW action's memo
+    site = load_config(str(PROBES / "a3_m2_dual_verma.ini")).problem.modules[0]
+    tracemalloc.start()
+    try:
+        mod = build_dual_verma(site.rs, site.highest_weight, site.depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mod.dim == 120
+    assert mod.roots.tobytes() == site.roots.tobytes()
+    assert peak < 1.5 * mod.roots.nbytes
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
